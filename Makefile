@@ -1,14 +1,12 @@
 # Build, test and benchmark entry points. CI runs `make test`, the
-# race detector (`make race`), the spill suite (`make spill`), the
-# parallel-executor suite (`make par`), the crash-recovery suite
-# (`make crash`), the server suite (`make serve-race`), the short bench
-# smoke, the fuzz smoke and the docs smoke; `make bench` records the
-# perf trajectory into BENCH_pr9.json (one file per PR so regressions
-# are diffable).
+# race detector (`make race`), the copy-on-write stress suite (`make
+# stress`), the spill suite (`make spill`), the parallel-executor suite
+# (`make par`), the crash-recovery suite (`make crash`), the server
+# suite (`make serve-race`), the bench smoke, the fuzz smoke and the
+# docs smoke. The standing end-to-end benchmark is the separate module
+# in bench/ (`go -C bench run .`, see bench/README.md).
 
-BENCH_OUT ?= BENCH_pr10.json
-
-.PHONY: all test vet race stress spill crash fuzz par serve-race bench bench-smoke docs-smoke
+.PHONY: all test vet race stress spill crash fuzz par serve-race bench-smoke docs-smoke
 
 all: test
 
@@ -89,20 +87,15 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzWireValueRoundTrip -fuzztime 15s ./internal/server
 	go test -run '^$$' -fuzz FuzzExprEval -fuzztime 15s ./internal/expr
 
-# Full benchmark run, serialized to JSON. -benchtime is modest because
-# the B-suite covers 12 benchmark families; raise it for stable numbers.
-# The go test exit status gates the JSON step, so a panicking benchmark
-# cannot record a silently truncated BENCH file.
-bench:
-	go test -run '^$$' -bench 'BenchmarkB' -benchmem -benchtime 10x . > bench.out
-	cat bench.out
-	go run ./cmd/benchjson -in bench.out -out $(BENCH_OUT)
-	rm -f bench.out
-
-# One iteration of every benchmark: catches panics and broken bench
-# inputs on every push without CI paying for real measurement.
+# One iteration of every B-benchmark, then the bench/ module's vet and
+# smoke test (every workload at a small scale): catches panics, broken
+# bench inputs and engine API changes that break bench/ — a separate
+# module that `go build ./...` does not compile — on every push without
+# CI paying for real measurement.
 bench-smoke:
 	go test -run '^$$' -bench 'BenchmarkB' -benchtime 1x .
+	go -C bench vet ./...
+	go -C bench test ./...
 
 # Executes every runnable snippet of docs/language.md and the exported-
 # symbol godoc check, so documentation cannot rot. Both also run as part

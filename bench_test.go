@@ -2,8 +2,10 @@
 // performance numbers (it is a semantics paper); these benchmarks answer
 // the systems question its design leaves open — what the revised,
 // atomic/deterministic semantics costs relative to the legacy pipeline —
-// and exercise every strategy of Section 6 at scale. EXPERIMENTS.md
-// records a captured run; the B-ids below are indexed in DESIGN.md.
+// and exercise every strategy of Section 6 at scale. The paper's own
+// results are reproduced by cmd/experiments; ARCHITECTURE.md
+// ("Benchmarks") discusses what the B-benchmarks below show. Run them
+// with `make bench-smoke` (once each) or `go test -run '^$' -bench B .`.
 //
 //	B1  bulk import (Example 5 at scale): legacy MERGE vs MERGE ALL vs MERGE SAME
 //	B2  all five Section 6 strategies on the same import
@@ -20,7 +22,6 @@
 //	B13 concurrent snapshot readers vs lock-serialized execution
 //	B14 property-index seeks: equality-anchored MATCH and bulk MERGE
 //	B15 commit latency under pinned readers: copy-on-write vs deep clone
-//	B16 vectorized batch execution vs row-at-a-time streaming
 //	B17 spilling barriers under a memory budget vs unlimited in-memory
 //	B18 durable commit latency: WAL off / no-sync / grouped fsync / fsync-per-commit
 //	B19 morsel-parallel read scaling: worker degrees 1/2/4/8 on scan- and match-heavy pipelines
@@ -603,51 +604,6 @@ func BenchmarkB15CommitUnderReaders(b *testing.B) {
 				published = working
 			}
 		})
-	}
-}
-
-// B16: the vectorized executor against the row-at-a-time streaming
-// baseline on read pipelines — the per-row map allocations and pull
-// calls the batch discipline amortizes show up as allocs/op and ns/row.
-func BenchmarkB16BatchedExecutor(b *testing.B) {
-	const n = 20000
-	g := graph.New()
-	for i := 0; i < n; i++ {
-		g.CreateNode([]string{"U"}, value.Map{
-			"i": value.Int(int64(i)),
-			"g": value.Int(int64(i % 64)),
-		})
-	}
-	tbl := table.New("x")
-	for i := 0; i < 50000; i++ {
-		tbl.AppendRow(value.Int(int64(i)))
-	}
-	queries := []struct {
-		name, q string
-		t0      *table.Table
-	}{
-		{"match-filter-project", `MATCH (u:U) WITH u.i AS i WHERE i % 3 = 0 RETURN i % 7 AS r, i`, nil},
-		{"table-filter-project", `WITH x WHERE x % 2 = 0 RETURN x % 997 AS r, x`, tbl},
-		{"table-distinct", `RETURN DISTINCT x % 512 AS r`, tbl},
-	}
-	execs := []struct {
-		name string
-		ex   core.Executor
-	}{
-		{"batched", core.ExecStreaming},
-		{"row-at-a-time", core.ExecStreamingRows},
-	}
-	for _, q := range queries {
-		for _, e := range execs {
-			b.Run(fmt.Sprintf("%s/%s/nodes=%d", q.name, e.name, n), func(b *testing.B) {
-				cfg := core.Config{Dialect: core.DialectRevised, Executor: e.ex}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					execBench(b, cfg, g, q.q, q.t0)
-				}
-			})
-		}
 	}
 }
 

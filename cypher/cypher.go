@@ -72,21 +72,6 @@ const (
 	ScanReverse = core.ScanReverse
 )
 
-// PlannerMode selects cost-based match planning (the default) or the
-// naive left-to-right enumeration.
-type PlannerMode = core.PlannerMode
-
-// Planner modes.
-const (
-	// PlannerCostBased anchors each pattern part at its most selective
-	// node, reorders comma-separated parts, and prunes with pushed WHERE
-	// conjuncts, using statistics maintained incrementally under updates.
-	PlannerCostBased = core.PlannerCostBased
-	// PlannerLeftToRight is the pre-planner enumeration, kept for A/B
-	// comparison.
-	PlannerLeftToRight = core.PlannerLeftToRight
-)
-
 // MatchMode selects pattern matching semantics.
 type MatchMode = match.Mode
 
@@ -156,11 +141,6 @@ func WithScanOrder(s ScanOrder) Option {
 // WithMatchMode selects isomorphic (default) or homomorphic matching.
 func WithMatchMode(m MatchMode) Option {
 	return func(o *options) { o.cfg.MatchMode = m }
-}
-
-// WithPlanner selects the match planning mode (default cost-based).
-func WithPlanner(p PlannerMode) Option {
-	return func(o *options) { o.cfg.Planner = p }
 }
 
 // WithMemoryBudget caps the bytes each statement's blocking operators

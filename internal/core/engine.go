@@ -134,21 +134,13 @@ const (
 	// the executable specification the streaming executor is tested
 	// against (golden equivalence), and for A/B benchmarking.
 	ExecMaterializing
-	// ExecStreamingRows is the streaming executor pulled row-at-a-time
-	// (the pre-vectorization discipline). Retained as the baseline the
-	// batched path is cross-checked and benchmarked against.
-	ExecStreamingRows
 )
 
 func (e Executor) String() string {
-	switch e {
-	case ExecMaterializing:
+	if e == ExecMaterializing {
 		return "materializing"
-	case ExecStreamingRows:
-		return "streaming-rows"
-	default:
-		return "streaming"
 	}
+	return "streaming"
 }
 
 // PlannerMode selects how MATCH enumeration is planned.
@@ -161,8 +153,10 @@ const (
 	// statistics, and prunes with pushed WHERE conjuncts.
 	PlannerCostBased PlannerMode = iota
 	// PlannerLeftToRight is the pre-planner enumeration: every part
-	// starts at its first node and parts run in written order. Kept for
-	// A/B benchmarking (B11/B12) and bisecting planner issues.
+	// starts at its first node and parts run in written order. Kept as
+	// the reference the planner-equivalence tests compare against, for
+	// A/B benchmarking (B11/B12/B21) and for bisecting planner issues;
+	// the public cypher API does not expose it.
 	PlannerLeftToRight
 )
 
@@ -201,10 +195,10 @@ type Config struct {
 	// and without a budget; only peak memory and speed change.
 	MemoryBudget int64
 	// Parallelism is the worker-pool degree for morsel-driven parallel
-	// execution of read-only statements on the batched streaming
-	// executor. Zero (the default) means GOMAXPROCS; 1 disables
-	// parallelism. Update statements, explicit-transaction pipelines and
-	// the row-at-a-time/materializing executors always run serially.
+	// execution of read-only statements on the streaming executor. Zero
+	// (the default) means GOMAXPROCS; 1 disables parallelism. Update
+	// statements, explicit-transaction pipelines and the materializing
+	// executor always run serially.
 	// Results are identical at any degree: morsel outputs are gathered
 	// in morsel order, so parallel plans emit the exact row sequence of
 	// a serial run.
@@ -393,8 +387,8 @@ func (e *Engine) executeUnion(g *graph.Graph, stmt *ast.Statement, params map[st
 
 // parallelism resolves the exchange degree a statement may use: the
 // configured Parallelism (0 = GOMAXPROCS), forced to 1 — fully serial —
-// for update statements and for any executor other than the batched
-// streaming one. Explicit-transaction pipelines pass 1 explicitly (see
+// for update statements and for any executor other than the streaming
+// one. Explicit-transaction pipelines pass 1 explicitly (see
 // Session.executeInTxn): the single-writer baton stays untouched.
 func (e *Engine) parallelism(stmt *ast.Statement) int {
 	if e.cfg.Executor != ExecStreaming || stmt.Updating() {
@@ -497,11 +491,7 @@ func (e *Engine) executeStreaming(g *graph.Graph, stmt *ast.Statement, params ma
 	if e.cfg.onPlan != nil {
 		defer e.cfg.onPlan(root)
 	}
-	collect := plan.Collect
-	if e.cfg.Executor == ExecStreamingRows {
-		collect = plan.CollectRows
-	}
-	out, err := collect(root)
+	out, err := plan.Collect(root)
 	if err != nil {
 		return nil, err
 	}

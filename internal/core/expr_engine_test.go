@@ -65,7 +65,7 @@ func TestExpressionEquivalenceAcrossExecutors(t *testing.T) {
 		var want string
 		first := true
 		for _, dialect := range []Dialect{DialectRevised, DialectCypher9} {
-			for _, ex := range []Executor{ExecStreaming, ExecStreamingRows, ExecMaterializing} {
+			for _, ex := range []Executor{ExecStreaming, ExecMaterializing} {
 				for _, par := range []int{1, 4} {
 					cfg := Config{Dialect: dialect, Executor: ex, Parallelism: par}
 					res, err := NewEngine(cfg).ExecuteStatement(base.Clone(), stmt, nil)
@@ -193,7 +193,7 @@ func TestPushdownNeverPrunesErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ex := range []Executor{ExecStreaming, ExecStreamingRows, ExecMaterializing} {
+		for _, ex := range []Executor{ExecStreaming, ExecMaterializing} {
 			_, errPlanned := NewEngine(Config{Dialect: DialectRevised, Executor: ex}).
 				ExecuteStatement(g.Clone(), stmt, nil)
 			_, errNaive := NewEngine(Config{Dialect: DialectRevised, Executor: ex, Planner: PlannerLeftToRight}).

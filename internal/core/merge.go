@@ -316,8 +316,10 @@ func (x *executor) collapseCreated(created []createdEntity, strategy MergeStrate
 		}
 	}
 
-	// Rewrite the graph: one physical relationship per class.
-	var relsRemoved int
+	// Rewrite the graph: one physical relationship per class. A class
+	// none of whose members already joins the representative endpoints
+	// gets a fresh relationship, and every member is then removed.
+	var relsAdded, relsRemoved int
 	for _, key := range classOrder {
 		c := classes[key]
 		if !c.hasPhys {
@@ -327,6 +329,7 @@ func (x *executor) collapseCreated(created []createdEntity, strategy MergeStrate
 			}
 			c.physical = nr.ID
 			c.hasPhys = true
+			relsAdded++
 		}
 		for _, rid := range c.members {
 			relRemap[rid] = c.physical
@@ -344,7 +347,7 @@ func (x *executor) collapseCreated(created []createdEntity, strategy MergeStrate
 
 	// Stats reflect the post-collapse creations.
 	x.stats.NodesCreated -= len(collapsedNodes)
-	x.stats.RelsCreated -= relsRemoved
+	x.stats.RelsCreated += relsAdded - relsRemoved
 
 	return nodeRemap, relRemap, nil
 }

@@ -492,6 +492,56 @@ func TestMergeAllOutputTable(t *testing.T) {
 	}
 }
 
+// The reported creations must equal what the graph gained, under every
+// Section 6 strategy — in particular when a collapse re-creates a
+// relationship between class representatives (Example 5's collapse
+// family builds all four Figure 7c relationships that way).
+func TestMergeStatsMatchGraphDeltas(t *testing.T) {
+	type setting struct {
+		name  string
+		query string
+		build func() (*graph.Graph, *table.Table)
+	}
+	empty := func(tbl func() *table.Table) func() (*graph.Graph, *table.Table) {
+		return func() (*graph.Graph, *table.Table) { return graph.New(), tbl() }
+	}
+	settings := []setting{
+		{"example5", example5Query, empty(fixtures.Example5Table)},
+		{"example6", example6Query, empty(fixtures.Example6Table)},
+		{"example7", example7Query, func() (*graph.Graph, *table.Table) {
+			g, tbl, _ := fixtures.Example7()
+			return g, tbl
+		}},
+	}
+	check := func(name string, cfg Config, s setting, query string) {
+		g, tbl := s.build()
+		nodes, rels := g.NumNodes(), g.NumRels()
+		stmt, err := parser.Parse(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := NewEngine(cfg).ExecuteWithTable(g, stmt, nil, tbl)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", s.name, name, err)
+		}
+		st := res.Stats
+		if st.NodesCreated-st.NodesDeleted != g.NumNodes()-nodes || st.RelsCreated-st.RelsDeleted != g.NumRels()-rels {
+			t.Errorf("%s/%s: stats %+v, graph gained %d nodes / %d rels",
+				s.name, name, st, g.NumNodes()-nodes, g.NumRels()-rels)
+		}
+	}
+	for _, s := range settings {
+		for _, strategy := range []MergeStrategy{
+			StrategyAtomic, StrategyGrouping, StrategyWeakCollapse,
+			StrategyCollapse, StrategyStrongCollapse,
+		} {
+			check(strategy.String(), Config{Dialect: DialectRevised, MergeStrategy: strategy}, s, s.query)
+		}
+		same := strings.Replace(s.query, "MERGE ALL", "MERGE SAME", 1)
+		check("MERGE SAME", Config{Dialect: DialectRevised}, s, same)
+	}
+}
+
 // Legacy MERGE matching still extends the table with all matches.
 func TestLegacyMergeBindsMatches(t *testing.T) {
 	g, _ := fixtures.Figure1()

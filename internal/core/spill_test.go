@@ -11,12 +11,21 @@ import (
 )
 
 // TestExecutorTriEquivalenceGolden replays both golden corpora under
-// all three executors — batched streaming, row-at-a-time streaming, and
-// materializing — and requires identical tables, stats, and final
-// graphs. The batched path is the default; the row path is the
-// pre-vectorization baseline it must not diverge from.
+// three executor configurations — the serial batched streaming default,
+// the same executor at parallelism 8 with a spill-forcing budget=1, and
+// the materializing specification — and requires identical tables,
+// stats, and final graphs. Neither setting may change a result: the
+// exchange gathers morsels in order, and a spilling barrier replays
+// exactly the rows it would have held in memory.
 func TestExecutorTriEquivalenceGolden(t *testing.T) {
-	executors := []Executor{ExecStreaming, ExecStreamingRows, ExecMaterializing}
+	arms := []struct {
+		name string
+		cfg  Config
+	}{
+		{"streaming", Config{Executor: ExecStreaming, Parallelism: 1}},
+		{"streaming-par8-budget1", Config{Executor: ExecStreaming, Parallelism: 8, MemoryBudget: 1}},
+		{"materializing", Config{Executor: ExecMaterializing}},
+	}
 	suites := []struct {
 		name    string
 		dialect Dialect
@@ -47,10 +56,11 @@ func TestExecutorTriEquivalenceGolden(t *testing.T) {
 				var stats []UpdateStats
 				var prints []string
 				var errs []error
-				for _, ex := range executors {
+				for _, arm := range arms {
 					g := base.Clone()
-					res, err := NewEngine(Config{Dialect: suite.dialect, Executor: ex}).
-						ExecuteStatement(g, stmt, nil)
+					cfg := arm.cfg
+					cfg.Dialect = suite.dialect
+					res, err := NewEngine(cfg).ExecuteStatement(g, stmt, nil)
 					errs = append(errs, err)
 					if err != nil {
 						tables = append(tables, "")
@@ -62,24 +72,24 @@ func TestExecutorTriEquivalenceGolden(t *testing.T) {
 					stats = append(stats, res.Stats)
 					prints = append(prints, graph.Fingerprint(g))
 				}
-				for i := 1; i < len(executors); i++ {
+				for i := 1; i < len(arms); i++ {
 					if (errs[0] == nil) != (errs[i] == nil) {
-						t.Fatalf("error divergence: %v=%v vs %v=%v",
-							executors[0], errs[0], executors[i], errs[i])
+						t.Fatalf("error divergence: %s=%v vs %s=%v",
+							arms[0].name, errs[0], arms[i].name, errs[i])
 					}
 					if errs[0] != nil {
 						continue
 					}
 					if tables[i] != tables[0] {
-						t.Errorf("table divergence %v vs %v:\n%s\nvs\n%s",
-							executors[0], executors[i], tables[0], tables[i])
+						t.Errorf("table divergence %s vs %s:\n%s\nvs\n%s",
+							arms[0].name, arms[i].name, tables[0], tables[i])
 					}
 					if stats[i] != stats[0] {
-						t.Errorf("stats divergence %v vs %v: %v vs %v",
-							executors[0], executors[i], stats[0], stats[i])
+						t.Errorf("stats divergence %s vs %s: %v vs %v",
+							arms[0].name, arms[i].name, stats[0], stats[i])
 					}
 					if prints[i] != prints[0] {
-						t.Errorf("final graph divergence %v vs %v", executors[0], executors[i])
+						t.Errorf("final graph divergence %s vs %s", arms[0].name, arms[i].name)
 					}
 				}
 			})

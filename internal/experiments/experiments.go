@@ -1,8 +1,9 @@
 // Package experiments regenerates every figure and worked example of
 // "Updating Graph Databases with Cypher" (Green et al., PVLDB 2019) and
 // reports paper-expected versus measured outcomes. The experiment ids
-// E01-E11 are indexed in DESIGN.md; cmd/experiments is the CLI driver and
-// EXPERIMENTS.md records a captured run.
+// E01-E11 are indexed in the registry below; cmd/experiments is the CLI
+// driver (`go run ./cmd/experiments`), and ARCHITECTURE.md describes
+// the engine layers they exercise.
 package experiments
 
 import (

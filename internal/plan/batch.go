@@ -15,14 +15,17 @@ const BatchTarget = 256
 
 // Batch is a columnar slice of records over an operator's column set:
 // vals[j][r] is row r of column j, with absent values stored as
-// explicit nulls (never nil), mirroring Row.Env's normalization. A
-// batch is produced by one operator and owned by its consumer; it is
-// never reused after being handed off.
+// explicit nulls (never nil), so a projected-away or optional-null
+// variable reads exactly like a null table cell. A batch is produced by
+// one operator and owned by its consumer; it is never reused after
+// being handed off.
 //
 // src optionally carries the pre-projection source environment of each
-// row (Row.Src's batched counterpart) so a downstream Sort can
-// evaluate ORDER BY keys over input variables; it is dropped at the
-// same operators that drop Row.Src.
+// row so a downstream Sort can evaluate ORDER BY keys over input
+// variables (Cypher allows this when the projection neither aggregates
+// nor deduplicates). Project sets it when asked to (keepSrc); Filter,
+// Skip, Limit, Union and Exchange pass it through; every other
+// operator drops it.
 type Batch struct {
 	cols []string
 	vals [][]value.Value
@@ -270,17 +273,17 @@ func (o *Unit) NextBatch(max int) (*Batch, bool, error) {
 // table's columnar window, with no per-row map.
 func (o *TableScan) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
-	if o.bpos >= o.t.Len() {
+	if o.pos >= o.t.Len() {
 		return nil, false, nil
 	}
-	end := o.bpos + max
+	end := o.pos + max
 	if end > o.t.Len() {
 		end = o.t.Len()
 	}
-	b := newBatch(o.Columns(), end-o.bpos)
-	o.t.ReadColumns(o.bpos, end, b.vals)
-	b.n = end - o.bpos
-	o.bpos = end
+	b := newBatch(o.Columns(), end-o.pos)
+	o.t.ReadColumns(o.pos, end, b.vals)
+	b.n = end - o.pos
+	o.pos = end
 	o.rows += int64(b.n)
 	o.batches++
 	return b, true, nil
@@ -293,28 +296,27 @@ func (o *TableScan) NextBatch(max int) (*Batch, bool, error) {
 // NextBatch implements Operator. Matches are drained from the
 // matcher's enumeration in slices of up to max (one coroutine switch
 // per slice, not per match — see match.Cursor) and written straight
-// into the output columns, skipping the per-match environment
-// normalization of the row path. Input is pulled with the consumer's
-// max so a LIMIT above still bounds enumeration.
+// into the output columns. Input is pulled with the consumer's max so
+// a LIMIT above still bounds enumeration.
 func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
 	out := newBatch(o.cols, max)
 	for out.n < max {
-		if len(o.bbuf) > 0 {
+		if len(o.buf) > 0 {
 			take := max - out.n
-			if take > len(o.bbuf) {
-				take = len(o.bbuf)
+			if take > len(o.buf) {
+				take = len(o.buf)
 			}
-			for _, me := range o.bbuf[:take] {
+			for _, me := range o.buf[:take] {
 				out.appendEnv(me)
 				o.emitted++
 			}
-			o.bbuf = o.bbuf[take:]
+			o.buf = o.buf[take:]
 			continue
 		}
-		if o.bcur == nil {
-			if o.bin == nil || o.binIdx >= o.bin.n {
-				if o.bdone {
+		if o.cur == nil {
+			if o.in == nil || o.inIdx >= o.in.n {
+				if o.inDone {
 					break
 				}
 				in, ok, err := o.child.NextBatch(max)
@@ -322,26 +324,26 @@ func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 					return nil, false, err
 				}
 				if !ok {
-					o.bdone = true
+					o.inDone = true
 					break
 				}
-				o.bin, o.binIdx = in, 0
+				o.in, o.inIdx = in, 0
 			}
-			env := o.bin.Env(o.binIdx)
-			o.binIdx++
+			env := o.in.Env(o.inIdx)
+			o.inIdx++
 			o.curRow = env
 			o.emitted = 0
-			o.bcur = o.matcher.NewCursor(o.cl.Pattern, env, max, o.whereFilter())
+			o.cur = o.matcher.NewCursor(o.cl.Pattern, env, max, o.whereFilter())
 			continue
 		}
-		envs, ok := o.bcur.Next()
+		envs, ok := o.cur.Next()
 		if ok {
-			o.bbuf = envs
+			o.buf = envs
 			continue
 		}
-		err := o.bcur.Stop()
+		err := o.cur.Stop()
 		optional := o.cl.Optional && o.emitted == 0
-		o.bcur = nil
+		o.cur = nil
 		if err != nil {
 			return nil, false, err
 		}
@@ -376,12 +378,11 @@ func (o *Match) whereFilter() func(expr.Env) (bool, error) {
 // NextBatch: Unwind / LoadCSV
 // ---------------------------------------------------------------------
 
-// NextBatch implements Operator natively: output rows are written
-// straight into the output columns — the input row's values are copied
-// columnar, with no per-row environment map — and the list expression
-// is evaluated once per input row over a reused scratch environment.
-// Like the row path, a null list contributes nothing and a non-list
-// value unwinds as a single element.
+// NextBatch implements Operator: output rows are written straight into
+// the output columns — the input row's values are copied columnar, with
+// no per-row environment map — and the list expression is evaluated
+// once per input row over a reused scratch environment. A null list
+// contributes nothing and a non-list value unwinds as a single element.
 func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
 	out := newBatch(o.cols, max)
@@ -394,7 +395,7 @@ func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 			}
 			for k := 0; k < take; k++ {
 				for j := 0; j < nchild; j++ {
-					out.vals[j] = append(out.vals[j], o.bin.vals[j][o.bcur])
+					out.vals[j] = append(out.vals[j], o.in.vals[j][o.inRow])
 				}
 				v := o.elems[o.idx+k]
 				if v == nil {
@@ -406,8 +407,8 @@ func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 			o.idx += take
 			continue
 		}
-		if o.bin == nil || o.binIdx >= o.bin.n {
-			if o.bdone {
+		if o.in == nil || o.inIdx >= o.in.n {
+			if o.inDone {
 				break
 			}
 			in, ok, err := o.child.NextBatch(max)
@@ -415,22 +416,22 @@ func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 				return nil, false, err
 			}
 			if !ok {
-				o.bdone = true
+				o.inDone = true
 				break
 			}
-			o.bin, o.binIdx = in, 0
+			o.in, o.inIdx = in, 0
 			continue
 		}
-		if o.bscratch == nil {
-			o.bscratch = make(expr.Env, len(o.cols)+4)
+		if o.scratch == nil {
+			o.scratch = make(expr.Env, len(o.cols)+4)
 		}
-		o.bin.loadEnv(o.bscratch, o.binIdx)
-		v, err := o.ev.Eval(o.cl.Expr, o.bscratch)
+		o.in.loadEnv(o.scratch, o.inIdx)
+		v, err := o.ev.Eval(o.cl.Expr, o.scratch)
 		if err != nil {
 			return nil, false, err
 		}
-		o.bcur = o.binIdx
-		o.binIdx++
+		o.inRow = o.inIdx
+		o.inIdx++
 		switch lv := v.(type) {
 		case value.Null:
 			// contributes no rows
@@ -448,11 +449,10 @@ func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 	return out, true, nil
 }
 
-// NextBatch implements Operator natively: each CSV data row is written
-// straight into the output columns next to a columnar copy of the
-// input row that opened the file. Rows are still read from the file
-// one at a time as the consumer pulls, so early exit stops reading
-// mid-file exactly as in the row path.
+// NextBatch implements Operator: each CSV data row is written straight
+// into the output columns next to a columnar copy of the input row that
+// opened the file. Rows are read from the file one at a time, only
+// until the batch is full, so early exit stops reading mid-file.
 func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
 	out := newBatch(o.cols, max)
@@ -465,7 +465,7 @@ func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 			}
 			if ok {
 				for j := 0; j < nchild; j++ {
-					out.vals[j] = append(out.vals[j], o.bin.vals[j][o.bcur])
+					out.vals[j] = append(out.vals[j], o.in.vals[j][o.inRow])
 				}
 				if v == nil {
 					v = nullValue
@@ -477,8 +477,8 @@ func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 			o.reader.Close()
 			o.reader = nil
 		}
-		if o.bin == nil || o.binIdx >= o.bin.n {
-			if o.bdone {
+		if o.in == nil || o.inIdx >= o.in.n {
+			if o.inDone {
 				break
 			}
 			in, ok, err := o.child.NextBatch(max)
@@ -486,17 +486,17 @@ func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 				return nil, false, err
 			}
 			if !ok {
-				o.bdone = true
+				o.inDone = true
 				break
 			}
-			o.bin, o.binIdx = in, 0
+			o.in, o.inIdx = in, 0
 			continue
 		}
-		if o.bscratch == nil {
-			o.bscratch = make(expr.Env, len(o.cols)+4)
+		if o.scratch == nil {
+			o.scratch = make(expr.Env, len(o.cols)+4)
 		}
-		o.bin.loadEnv(o.bscratch, o.binIdx)
-		urlVal, err := o.ev.Eval(o.cl.URL, o.bscratch)
+		o.in.loadEnv(o.scratch, o.inIdx)
+		urlVal, err := o.ev.Eval(o.cl.URL, o.scratch)
 		if err != nil {
 			return nil, false, err
 		}
@@ -508,8 +508,8 @@ func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		o.bcur = o.binIdx
-		o.binIdx++
+		o.inRow = o.inIdx
+		o.inIdx++
 		o.reader = r
 	}
 	if out.n == 0 {
@@ -605,8 +605,8 @@ func (o *Distinct) NextBatch(max int) (*Batch, bool, error) {
 }
 
 // NextBatch implements Operator. The skip phase pulls batches sized to
-// the remaining skip count, so the total child pulls match the row
-// discipline exactly.
+// the remaining skip count, so the child hands out no more rows than
+// the skipped ones plus those this pull returns.
 func (o *Skip) NextBatch(max int) (*Batch, bool, error) {
 	if !o.ready {
 		if err := o.ensure(); err != nil {
@@ -775,9 +775,9 @@ func (o *Discard) NextBatch(max int) (*Batch, bool, error) {
 	}
 }
 
-// NextBatch implements Operator, streaming members left to right like
-// Next. Member batches are forwarded as-is when the member's column
-// order matches the union's, and re-mapped otherwise.
+// NextBatch implements Operator, streaming members left to right.
+// Member batches are forwarded as-is when the member's column order
+// matches the union's, and re-mapped otherwise.
 func (o *Union) NextBatch(max int) (*Batch, bool, error) {
 	for o.idx < len(o.children) {
 		b, ok, err := o.children[o.idx].NextBatch(max)

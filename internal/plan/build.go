@@ -35,8 +35,7 @@ type Builder struct {
 	// Parallelism is the exchange degree for morsel-driven parallel
 	// read segments. Values <= 1 build fully serial plans. The engine
 	// passes 1 for update statements and explicit-transaction pipelines
-	// (the single-writer baton stays untouched) and for the row-at-a-time
-	// and materializing executors.
+	// (the single-writer baton stays untouched).
 	Parallelism int
 
 	bud *budget

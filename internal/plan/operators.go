@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"iter"
 
 	"repro/internal/ast"
 	"repro/internal/expr"
@@ -35,16 +34,6 @@ func (o *Unit) Columns() []string { return nil }
 // Open implements Operator.
 func (o *Unit) Open() error { return o.st.open("Unit") }
 
-// Next implements Operator.
-func (o *Unit) Next() (Row, bool, error) {
-	if o.done {
-		return Row{}, false, nil
-	}
-	o.done = true
-	o.rows++
-	return Row{Env: expr.Env{}}, true, nil
-}
-
 // Close implements Operator.
 func (o *Unit) Close() { o.st.close() }
 
@@ -62,8 +51,7 @@ func (o *Unit) RowsEmitted() int64 { return o.rows }
 // output side of every materialization barrier).
 type TableScan struct {
 	t       *table.Table
-	cur     *table.Cursor
-	bpos    int
+	pos     int
 	st      opState
 	rows    int64
 	batches int64
@@ -77,20 +65,7 @@ func (o *TableScan) Columns() []string { return o.t.Columns() }
 
 // Open implements Operator.
 func (o *TableScan) Open() error {
-	if err := o.st.open("Scan"); err != nil {
-		return err
-	}
-	o.cur = o.t.Iter()
-	return nil
-}
-
-// Next implements Operator.
-func (o *TableScan) Next() (Row, bool, error) {
-	if !o.cur.Next() {
-		return Row{}, false, nil
-	}
-	o.rows++
-	return Row{Env: o.cur.Row()}, true, nil
+	return o.st.open("Scan")
 }
 
 // Close implements Operator.
@@ -112,7 +87,7 @@ func (o *TableScan) RowsEmitted() int64 { return o.rows }
 // ---------------------------------------------------------------------
 
 // Match implements MATCH and OPTIONAL MATCH as a streaming expansion:
-// for each input record it pulls pattern matches one at a time from the
+// for each input record it pulls pattern matches in batches from the
 // matcher's enumeration, applying the clause's WHERE inside the stream.
 // A consumer that stops pulling (LIMIT, EXISTS) aborts the enumeration
 // mid-search; MatchStats exposes how many candidates were visited.
@@ -125,21 +100,22 @@ type Match struct {
 	stats   match.Stats
 	pushed  *match.Pushdown
 
-	cur     *matchCursor
+	// Pull state (see NextBatch in batch.go): the current input batch
+	// and the next row of it to expand, the input row being expanded,
+	// its match cursor, matches already enumerated but not yet emitted,
+	// and how many it has emitted (OPTIONAL MATCH pads a row that
+	// emitted none).
+	in      *Batch
+	inIdx   int
+	inDone  bool
 	curRow  expr.Env
+	cur     *match.Cursor
+	buf     []expr.Env
 	emitted int
-	rows    int64
 
-	// Batch-pull state (see NextBatch in batch.go). Each parent commits
-	// to one pull discipline per execution, so row and batch state never
-	// coexist.
 	st      opState
+	rows    int64
 	batches int64
-	bin     *Batch
-	binIdx  int
-	bcur    *match.Cursor
-	bbuf    []expr.Env
-	bdone   bool
 }
 
 // NewMatch builds a Match operator over child. newVars are the pattern
@@ -162,39 +138,6 @@ func NewMatch(child Operator, cl *ast.MatchClause, m *match.Matcher, ev *expr.Ev
 	return o
 }
 
-// matchCursor adapts the matcher's push-style enumeration (Stream) to
-// the pull discipline using iter.Pull: the enumeration runs in a
-// coroutine that is suspended between yields, so pulling row k performs
-// only the search work needed to find match k.
-type matchCursor struct {
-	next func() (expr.Env, bool)
-	stop func()
-	err  *error
-}
-
-func newMatchCursor(m *match.Matcher, ev *expr.Evaluator, cl *ast.MatchClause, env expr.Env) *matchCursor {
-	var streamErr error
-	seq := func(yield func(expr.Env) bool) {
-		streamErr = m.Stream(cl.Pattern, env, func(me expr.Env) error {
-			if cl.Where != nil {
-				ok, err := ev.EvalBool(cl.Where, me)
-				if err != nil {
-					return err
-				}
-				if ok != value.True {
-					return nil
-				}
-			}
-			if !yield(me) {
-				return match.ErrStop
-			}
-			return nil
-		})
-	}
-	next, stop := iter.Pull(seq)
-	return &matchCursor{next: next, stop: stop, err: &streamErr}
-}
-
 // Columns implements Operator.
 func (o *Match) Columns() []string { return o.cols }
 
@@ -206,53 +149,14 @@ func (o *Match) Open() error {
 	return o.child.Open()
 }
 
-// Next implements Operator.
-func (o *Match) Next() (Row, bool, error) {
-	for {
-		if o.cur == nil {
-			in, ok, err := o.child.Next()
-			if err != nil || !ok {
-				return Row{}, false, err
-			}
-			o.curRow = in.Env
-			o.emitted = 0
-			o.cur = newMatchCursor(o.matcher, o.ev, o.cl, in.Env)
-		}
-		me, ok := o.cur.next()
-		if ok {
-			o.emitted++
-			o.rows++
-			return Row{Env: normalize(o.cols, me)}, true, nil
-		}
-		// Enumeration for the current input record is exhausted.
-		o.cur.stop()
-		err := *o.cur.err
-		optional := o.cl.Optional && o.emitted == 0
-		o.cur = nil
-		if err != nil {
-			return Row{}, false, err
-		}
-		if optional {
-			// normalize fills the unbound pattern variables with nulls.
-			row := normalize(o.cols, o.curRow)
-			o.rows++
-			return Row{Env: row}, true, nil
-		}
-	}
-}
-
 // Close implements Operator.
 func (o *Match) Close() {
 	if !o.st.close() {
 		return
 	}
 	if o.cur != nil {
-		o.cur.stop()
+		o.cur.Stop()
 		o.cur = nil
-	}
-	if o.bcur != nil {
-		o.bcur.Stop()
-		o.bcur = nil
 	}
 	o.child.Close()
 }
@@ -322,21 +226,21 @@ type Unwind struct {
 	ev    *expr.Evaluator
 	cols  []string
 
-	curRow  expr.Env
+	// Pull state (see NextBatch in batch.go): the current input batch,
+	// the next row of it to expand, the row the live element list came
+	// from, the list and the next element of it to emit, and a scratch
+	// environment for evaluating the list expression.
+	in      *Batch
+	inIdx   int
+	inDone  bool
+	inRow   int
 	elems   value.List
 	idx     int
+	scratch expr.Env
+
 	st      opState
 	rows    int64
 	batches int64
-
-	// Batch-path state (see NextBatch in batch.go): the current input
-	// batch, the next row to expand, the row the live element list came
-	// from, and a scratch environment for evaluating the list expression.
-	bin      *Batch
-	binIdx   int
-	bcur     int
-	bdone    bool
-	bscratch expr.Env
 }
 
 // NewUnwind builds an Unwind operator over child.
@@ -356,35 +260,6 @@ func (o *Unwind) Open() error {
 		return err
 	}
 	return o.child.Open()
-}
-
-// Next implements Operator.
-func (o *Unwind) Next() (Row, bool, error) {
-	for {
-		if o.idx < len(o.elems) {
-			row := normalize(o.cols, o.curRow)
-			row[o.cl.Var] = o.elems[o.idx]
-			o.idx++
-			o.rows++
-			return Row{Env: row}, true, nil
-		}
-		in, ok, err := o.child.Next()
-		if err != nil || !ok {
-			return Row{}, false, err
-		}
-		v, err := o.ev.Eval(o.cl.Expr, in.Env)
-		if err != nil {
-			return Row{}, false, err
-		}
-		switch lv := v.(type) {
-		case value.Null:
-			continue
-		case value.List:
-			o.curRow, o.elems, o.idx = in.Env, lv, 0
-		default:
-			o.curRow, o.elems, o.idx = in.Env, value.List{v}, 0
-		}
-	}
 }
 
 // Close implements Operator.
@@ -417,18 +292,18 @@ type LoadCSV struct {
 	ev    *expr.Evaluator
 	cols  []string
 
-	curRow  expr.Env
+	// Pull state (see NextBatch in batch.go), as in Unwind; reader is
+	// the open file of input row inRow.
+	in      *Batch
+	inIdx   int
+	inDone  bool
+	inRow   int
 	reader  *CSVReader
+	scratch expr.Env
+
 	st      opState
 	rows    int64
 	batches int64
-
-	// Batch-path state (see NextBatch in batch.go).
-	bin      *Batch
-	binIdx   int
-	bcur     int
-	bdone    bool
-	bscratch expr.Env
 }
 
 // NewLoadCSV builds a LoadCSV operator over child.
@@ -448,43 +323,6 @@ func (o *LoadCSV) Open() error {
 		return err
 	}
 	return o.child.Open()
-}
-
-// Next implements Operator.
-func (o *LoadCSV) Next() (Row, bool, error) {
-	for {
-		if o.reader != nil {
-			v, ok, err := o.reader.Next()
-			if err != nil {
-				return Row{}, false, err
-			}
-			if ok {
-				row := normalize(o.cols, o.curRow)
-				row[o.cl.Var] = v
-				o.rows++
-				return Row{Env: row}, true, nil
-			}
-			o.reader.Close()
-			o.reader = nil
-		}
-		in, ok, err := o.child.Next()
-		if err != nil || !ok {
-			return Row{}, false, err
-		}
-		urlVal, err := o.ev.Eval(o.cl.URL, in.Env)
-		if err != nil {
-			return Row{}, false, err
-		}
-		url, oks := value.AsString(urlVal)
-		if !oks {
-			return Row{}, false, fmt.Errorf("LOAD CSV FROM expects a string, got %s", urlVal.Kind())
-		}
-		r, err := OpenCSV(string(url), o.cl.FieldTerm, o.cl.WithHeaders)
-		if err != nil {
-			return Row{}, false, err
-		}
-		o.curRow, o.reader = in.Env, r
-	}
 }
 
 // Close implements Operator.
@@ -542,24 +380,6 @@ func (o *Filter) Open() error {
 		return err
 	}
 	return o.child.Open()
-}
-
-// Next implements Operator.
-func (o *Filter) Next() (Row, bool, error) {
-	for {
-		in, ok, err := o.child.Next()
-		if err != nil || !ok {
-			return Row{}, false, err
-		}
-		keep, err := o.ev.EvalBool(o.pred, in.Env)
-		if err != nil {
-			return Row{}, false, err
-		}
-		if keep == value.True {
-			o.rows++
-			return in, true, nil
-		}
-	}
 }
 
 // Close implements Operator.
@@ -622,28 +442,6 @@ func (o *Project) Open() error {
 	return o.child.Open()
 }
 
-// Next implements Operator.
-func (o *Project) Next() (Row, bool, error) {
-	in, ok, err := o.child.Next()
-	if err != nil || !ok {
-		return Row{}, false, err
-	}
-	out := make(expr.Env, len(o.items))
-	for _, it := range o.items {
-		v, err := o.ev.Eval(it.Expr, in.Env)
-		if err != nil {
-			return Row{}, false, err
-		}
-		out[it.Alias] = v
-	}
-	row := Row{Env: normalize(o.cols, out)}
-	if o.keepSrc {
-		row.Src = in.Env
-	}
-	o.rows++
-	return row, true, nil
-}
-
 // Close implements Operator.
 func (o *Project) Close() {
 	if !o.st.close() {
@@ -674,8 +472,8 @@ func describeItems(items []Item) string {
 // Distinct drops duplicate records under value equivalence, keeping
 // first occurrences in order. Unlike Sort it needs no barrier: the
 // first occurrence can be forwarded the moment it arrives. Its
-// seen-set, however, is barrier-like state: under a memory budget the
-// batch path caps it and spills overflow keys to hash partitions (see
+// seen-set, however, is barrier-like state: under a memory budget it
+// is capped and overflow keys spill to hash partitions (see
 // distinctNextBatch in spill.go).
 type Distinct struct {
 	child  Operator
@@ -683,7 +481,7 @@ type Distinct struct {
 	budget *budget
 	rows   int64
 
-	// Batch-pull state (see spill.go).
+	// Pull and spill state (see spill.go).
 	st       opState
 	batches  int64
 	dcols    []string
@@ -712,30 +510,6 @@ func (o *Distinct) Open() error {
 	}
 	o.seen = make(map[string]bool)
 	return o.child.Open()
-}
-
-// Next implements Operator.
-func (o *Distinct) Next() (Row, bool, error) {
-	cols := o.child.Columns()
-	for {
-		in, ok, err := o.child.Next()
-		if err != nil || !ok {
-			return Row{}, false, err
-		}
-		vals := make([]value.Value, len(cols))
-		for i, c := range cols {
-			vals[i] = in.Env[c]
-		}
-		k := value.KeyList(vals)
-		if o.seen[k] {
-			continue
-		}
-		o.seen[k] = true
-		o.rows++
-		// Distinct breaks the row/source-record correspondence, so the
-		// source environment must not travel past it.
-		return Row{Env: in.Env}, true, nil
-	}
 }
 
 // Close implements Operator. It releases any spill state: partition
@@ -822,25 +596,6 @@ func (o *Skip) ensure() error {
 	return nil
 }
 
-// Next implements Operator.
-func (o *Skip) Next() (Row, bool, error) {
-	if !o.ready {
-		if err := o.ensure(); err != nil {
-			return Row{}, false, err
-		}
-		for i := 0; i < o.n; i++ {
-			if _, ok, err := o.child.Next(); err != nil || !ok {
-				return Row{}, false, err
-			}
-		}
-	}
-	row, ok, err := o.child.Next()
-	if ok {
-		o.rows++
-	}
-	return row, ok, err
-}
-
 // Close implements Operator.
 func (o *Skip) Close() {
 	if !o.st.close() {
@@ -907,21 +662,6 @@ func (o *Limit) ensure() error {
 	return nil
 }
 
-// Next implements Operator.
-func (o *Limit) Next() (Row, bool, error) {
-	if err := o.ensure(); err != nil {
-		return Row{}, false, err
-	}
-	if o.rows >= int64(o.n) {
-		return Row{}, false, nil
-	}
-	row, ok, err := o.child.Next()
-	if ok {
-		o.rows++
-	}
-	return row, ok, err
-}
-
 // Close implements Operator.
 func (o *Limit) Close() {
 	if !o.st.close() {
@@ -960,7 +700,6 @@ type Sort struct {
 
 	st      opState
 	filled  bool
-	ocols   []string
 	mem     []spillRow
 	memIdx  int
 	runs    []*spillFile
@@ -986,22 +725,6 @@ func (o *Sort) Open() error {
 		return err
 	}
 	return o.child.Open()
-}
-
-// Next implements Operator.
-func (o *Sort) Next() (Row, bool, error) {
-	if !o.filled {
-		if err := o.fill(); err != nil {
-			return Row{}, false, err
-		}
-		o.filled = true
-	}
-	r, ok, err := o.next1()
-	if err != nil || !ok {
-		return Row{}, false, err
-	}
-	o.rows++
-	return Row{Env: envFromVals(o.ocols, r.vals)}, true, nil
 }
 
 // Close implements Operator. It releases the sort's state: any run
@@ -1094,23 +817,6 @@ func (o *Aggregate) Open() error {
 
 // fill (the spilling hash aggregation) lives in spill.go.
 
-// Next implements Operator.
-func (o *Aggregate) Next() (Row, bool, error) {
-	if !o.done {
-		if err := o.fill(); err != nil {
-			return Row{}, false, err
-		}
-		o.done = true
-	}
-	if o.idx >= len(o.out) {
-		return Row{}, false, nil
-	}
-	env := o.out[o.idx]
-	o.idx++
-	o.rows++
-	return Row{Env: env}, true, nil
-}
-
 // Close implements Operator. It releases any spill state: partition
 // files still on disk (early-LIMIT abandonment, errors) are removed
 // and the accounted budget is returned.
@@ -1157,7 +863,6 @@ type Apply struct {
 	cols  []string
 	fn    func(*table.Table) (*table.Table, error)
 
-	cur     *table.Cursor
 	out     *table.Table
 	outIdx  int
 	done    bool
@@ -1213,23 +918,7 @@ func (o *Apply) fill() error {
 		}
 	}
 	o.out = out
-	o.cur = out.Iter()
 	return nil
-}
-
-// Next implements Operator.
-func (o *Apply) Next() (Row, bool, error) {
-	if !o.done {
-		if err := o.fill(); err != nil {
-			return Row{}, false, err
-		}
-		o.done = true
-	}
-	if !o.cur.Next() {
-		return Row{}, false, nil
-	}
-	o.rows++
-	return Row{Env: o.cur.Row()}, true, nil
 }
 
 // Close implements Operator.
@@ -1272,23 +961,6 @@ func (o *Discard) Open() error {
 		return err
 	}
 	return o.child.Open()
-}
-
-// Next implements Operator.
-func (o *Discard) Next() (Row, bool, error) {
-	if o.done {
-		return Row{}, false, nil
-	}
-	o.done = true
-	for {
-		_, ok, err := o.child.Next()
-		if err != nil {
-			return Row{}, false, err
-		}
-		if !ok {
-			return Row{}, false, nil
-		}
-	}
 }
 
 // Close implements Operator.
@@ -1342,22 +1014,6 @@ func (o *Union) Open() error {
 		}
 	}
 	return nil
-}
-
-// Next implements Operator.
-func (o *Union) Next() (Row, bool, error) {
-	for o.idx < len(o.children) {
-		row, ok, err := o.children[o.idx].Next()
-		if err != nil {
-			return Row{}, false, err
-		}
-		if ok {
-			o.rows++
-			return row, true, nil
-		}
-		o.idx++
-	}
-	return Row{}, false, nil
 }
 
 // Close implements Operator.

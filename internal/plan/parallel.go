@@ -147,8 +147,6 @@ type scanRange struct {
 	st      opState
 	rows    int64
 	batches int64
-	rb      *Batch // row-pull adapter
-	rbIdx   int
 }
 
 // Columns implements Operator.
@@ -176,9 +174,6 @@ func (o *scanRange) NextBatch(max int) (*Batch, bool, error) {
 	return b, true, nil
 }
 
-// Next implements Operator via the batch path.
-func (o *scanRange) Next() (Row, bool, error) { return rowFromBatches(o, &o.rb, &o.rbIdx) }
-
 // Close implements Operator.
 func (o *scanRange) Close() { o.st.close() }
 
@@ -192,27 +187,6 @@ func (o *scanRange) Children() []Operator { return nil }
 
 // RowsEmitted implements Operator.
 func (o *scanRange) RowsEmitted() int64 { return o.rows }
-
-// rowFromBatches adapts a batch-only source to the row discipline by
-// buffering one batch at a time (used by the morsel source operators,
-// which are normally consumed via NextBatch only).
-func rowFromBatches(op Operator, buf **Batch, idx *int) (Row, bool, error) {
-	for {
-		if *buf != nil && *idx < (*buf).n {
-			row := Row{Env: (*buf).Env(*idx)}
-			if (*buf).src != nil {
-				row.Src = (*buf).src[*idx]
-			}
-			*idx++
-			return row, true, nil
-		}
-		b, ok, err := op.NextBatch(BatchTarget)
-		if err != nil || !ok {
-			return Row{}, false, err
-		}
-		*buf, *idx = b, 0
-	}
-}
 
 // ---------------------------------------------------------------------
 // Match anchor morsels
@@ -268,7 +242,7 @@ func anchorChunk(anchors, workers int) int {
 
 // anchorScan enumerates the matches of one anchor chunk, applying the
 // clause's WHERE inside the enumeration exactly as the serial Match
-// operator's batch path does.
+// operator does.
 type anchorScan struct {
 	src     *anchorSource
 	anchors []graph.NodeID
@@ -281,8 +255,6 @@ type anchorScan struct {
 	done    bool
 	rows    int64
 	batches int64
-	rb      *Batch
-	rbIdx   int
 }
 
 // Columns implements Operator.
@@ -339,9 +311,6 @@ func (o *anchorScan) NextBatch(max int) (*Batch, bool, error) {
 	o.batches++
 	return out, true, nil
 }
-
-// Next implements Operator via the batch path.
-func (o *anchorScan) Next() (Row, bool, error) { return rowFromBatches(o, &o.rb, &o.rbIdx) }
 
 // Close implements Operator.
 func (o *anchorScan) Close() {
@@ -412,9 +381,6 @@ type Exchange struct {
 	batches  int64
 	morselsN atomic.Int64
 	launched int
-
-	rb    *Batch
-	rbIdx int
 }
 
 // NewExchange builds an Exchange over a partitioned source. proto is
@@ -592,9 +558,6 @@ func (e *Exchange) NextBatch(max int) (*Batch, bool, error) {
 		e.pending, e.pendOff = msg.b, 0
 	}
 }
-
-// Next implements Operator via the batch path.
-func (e *Exchange) Next() (Row, bool, error) { return rowFromBatches(e, &e.rb, &e.rbIdx) }
 
 // drainParallel runs the exchange in callback mode: every morsel's
 // batches are delivered to fn ON THE WORKER GOROUTINE, tagged with the

@@ -1,13 +1,14 @@
 // Package plan lowers parsed Cypher statements into trees of streaming
-// operators and executes them with a cursor (Volcano-style pull) model.
+// operators and executes them with a cursor (Volcano-style pull) model
+// over columnar row batches.
 //
 // The paper's clause semantics [[C]] : (G, T) -> (G', T') composes
 // clauses as functions over whole driving tables. Operationally that
 // composition does not require materializing every intermediate table:
 // read-only clauses (MATCH, UNWIND, WITH/RETURN projections, WHERE,
 // SKIP/LIMIT, DISTINCT) are linear in the records they consume and can
-// stream row-at-a-time, which makes LIMIT-style early exit prune the
-// pattern-match search space instead of enumerating it fully.
+// stream a batch at a time, which makes LIMIT-style early exit prune
+// the pattern-match search space instead of enumerating it fully.
 //
 // Two kinds of operators deliberately break the stream with an explicit
 // materialization barrier:
@@ -28,14 +29,11 @@
 // nested-loop order of the materializing executor, so the paper's
 // record-order reproductions (ScanOrder, Example 3) are unaffected.
 //
-// Operators support two pull disciplines: Next (one record at a time)
-// and NextBatch (columnar batches of up to a requested row count, see
-// Batch in batch.go). Both produce identical row sequences; batches
-// amortize per-row overhead (map allocation, coroutine switches) and
-// are the default executor path. A parent commits to exactly one
-// discipline per child for a whole execution — the disciplines share
-// underlying state (match cursors, barrier fills) and must not be
-// mixed on the same edge.
+// Operators are pulled with NextBatch: columnar batches of up to a
+// requested row count (see Batch in batch.go). Batches amortize per-row
+// overhead (map allocation, coroutine switches), and a consumer that
+// needs only a few rows (LIMIT) requests only that many, so early exit
+// still bounds upstream work.
 //
 // Barriers account the bytes they hold against an optional per-
 // statement memory budget (see Builder.MemoryBudget): when over
@@ -50,37 +48,22 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/expr"
 	"repro/internal/table"
 )
 
-// Row is one record flowing through a pipeline: an environment defined
-// on exactly the operator's columns (absent values are explicit nulls,
-// mirroring table.Row). Src optionally carries the pre-projection
-// environment of the record so a downstream Sort can evaluate ORDER BY
-// keys over the input variables (Cypher allows this when the projection
-// neither aggregates nor deduplicates).
-type Row struct {
-	Env expr.Env
-	Src expr.Env
-}
-
 // Operator is a streaming operator: a cursor over records. The contract
-// is Open, then Next until it reports no row, then Close. Operators are
-// single-use; Close must be called even after an error (it releases
-// match cursors and child resources).
+// is Open, then NextBatch until it reports no batch, then Close.
+// Operators are single-use; Close must be called even after an error
+// (it releases match cursors and child resources).
 type Operator interface {
 	// Columns is the output column set, in order, known at build time.
 	Columns() []string
 	// Open prepares the operator and its children. It performs no work
-	// on the graph: all effects and errors of execution surface in Next.
+	// on the graph: all effects and errors of execution surface in
+	// NextBatch.
 	Open() error
-	// Next returns the next record. ok=false means end of stream.
-	Next() (row Row, ok bool, err error)
 	// NextBatch returns the next batch of 1..max records; ok=false means
 	// end of stream (an empty batch is never returned with ok=true).
-	// Row sequence is identical to Next's. A parent must use either
-	// Next or NextBatch for a given child, never both.
 	NextBatch(max int) (b *Batch, ok bool, err error)
 	// Close releases resources, cascading to children. Idempotent.
 	Close()
@@ -88,15 +71,15 @@ type Operator interface {
 	Name() string
 	// Children returns the operator's inputs, for plan inspection.
 	Children() []Operator
-	// RowsEmitted reports how many records Next has returned so far,
-	// making early-exit behaviour observable in tests and EXPLAIN.
+	// RowsEmitted reports how many records NextBatch has returned so
+	// far, making early-exit behaviour observable in tests and EXPLAIN.
 	RowsEmitted() int64
 }
 
 // Collect executes a plan to completion, materializing its output into
 // a table (the engine's statement boundary). Close is always called.
 // It pulls columnar batches and appends them without per-row map
-// allocation; CollectRows is the row-at-a-time equivalent.
+// allocation.
 func Collect(root Operator) (*table.Table, error) {
 	defer root.Close()
 	if err := root.Open(); err != nil {
@@ -112,28 +95,6 @@ func Collect(root Operator) (*table.Table, error) {
 			return out, nil
 		}
 		out.AppendColumns(b.vals, b.n)
-	}
-}
-
-// CollectRows executes a plan to completion using the row-at-a-time
-// pull discipline. Semantically identical to Collect; kept as the
-// baseline the vectorized path is benchmarked and cross-checked
-// against (core.ExecStreamingRows).
-func CollectRows(root Operator) (*table.Table, error) {
-	defer root.Close()
-	if err := root.Open(); err != nil {
-		return nil, err
-	}
-	out := table.New(root.Columns()...)
-	for {
-		row, ok, err := root.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out.AppendMap(row.Env)
 	}
 }
 
@@ -157,23 +118,6 @@ func Explain(root Operator) string {
 	}
 	rec(root, "", "")
 	return strings.TrimRight(sb.String(), "\n")
-}
-
-// normalize returns an environment defined on exactly cols, copying
-// values from env and filling absent columns with explicit nulls. Every
-// operator emits normalized rows so downstream pattern matching treats
-// a projected-away or optional-null variable exactly like a null table
-// cell (the materializing executor gets this from table.Row).
-func normalize(cols []string, env expr.Env) expr.Env {
-	out := make(expr.Env, len(cols))
-	for _, c := range cols {
-		if v, ok := env[c]; ok && v != nil {
-			out[c] = v
-		} else {
-			out[c] = nullValue
-		}
-	}
-	return out
 }
 
 // internalErrorf marks invariant violations of the planner itself

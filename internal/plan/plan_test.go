@@ -10,69 +10,34 @@ import (
 	"repro/internal/value"
 )
 
-// countingScan is a source operator that records how many rows were
-// actually pulled from it — the direct observation that LIMIT-style
-// early exit prunes upstream work.
+// countingScan is a source operator that records how many rows it has
+// handed out — the direct observation that LIMIT-style early exit
+// prunes upstream work.
 type countingScan struct {
 	n     int
 	col   string
-	i     int
 	pulls int
-	rows  int64
 }
 
 func (o *countingScan) Columns() []string { return []string{o.col} }
-func (o *countingScan) Open() error       { o.i = 0; return nil }
-func (o *countingScan) Next() (Row, bool, error) {
-	o.pulls++
-	if o.i >= o.n {
-		return Row{}, false, nil
-	}
-	env := expr.Env{o.col: value.Int(int64(o.i))}
-	o.i++
-	o.rows++
-	return Row{Env: env}, true, nil
-}
+func (o *countingScan) Open() error       { o.pulls = 0; return nil }
 func (o *countingScan) NextBatch(max int) (*Batch, bool, error) {
-	return testBatchFromRows(o, max)
+	k := min(clampMax(max), o.n-o.pulls)
+	if k <= 0 {
+		return nil, false, nil
+	}
+	b := newBatch(o.Columns(), k)
+	for i := 0; i < k; i++ {
+		b.vals[0] = append(b.vals[0], value.Int(int64(o.pulls+i)))
+	}
+	b.n = k
+	o.pulls += k
+	return b, true, nil
 }
 func (o *countingScan) Close()               {}
 func (o *countingScan) Name() string         { return "CountingScan" }
 func (o *countingScan) Children() []Operator { return nil }
-func (o *countingScan) RowsEmitted() int64   { return o.rows }
-
-// testBatchFromRows adapts a test source's Next to the batch
-// discipline, pulling exactly as many rows as the batch holds (never a
-// probe row past max) so early-exit pull counts stay observable. The
-// production operators all batch natively; this adapter exists only
-// for the synthetic test sources above.
-func testBatchFromRows(op Operator, max int) (*Batch, bool, error) {
-	max = clampMax(max)
-	var b *Batch
-	for i := 0; i < max; i++ {
-		row, ok, err := op.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		if b == nil {
-			b = newBatch(op.Columns(), max)
-		}
-		b.appendEnv(row.Env)
-		if row.Src != nil || b.src != nil {
-			for len(b.src) < b.n-1 {
-				b.src = append(b.src, nil)
-			}
-			b.src = append(b.src, row.Src)
-		}
-	}
-	if b == nil {
-		return nil, false, nil
-	}
-	return b, true, nil
-}
+func (o *countingScan) RowsEmitted() int64   { return int64(o.pulls) }
 
 func intLit(n int64) ast.Expr { return &ast.Literal{Value: n} }
 
@@ -174,8 +139,8 @@ func TestUnionSequencesMembers(t *testing.T) {
 	if out.Len() != 4 {
 		t.Fatalf("rows = %d, want 4", out.Len())
 	}
-	if a.rows != 2 || b.rows != 2 {
-		t.Errorf("member rows = %d, %d; want 2, 2", a.rows, b.rows)
+	if a.pulls != 2 || b.pulls != 2 {
+		t.Errorf("member rows = %d, %d; want 2, 2", a.pulls, b.pulls)
 	}
 }
 

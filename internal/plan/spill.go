@@ -530,9 +530,7 @@ func (o *Sort) fill() (err error) {
 		return o.fillParallel(ex)
 	}
 	less := sortRowLess(o.sorts)
-	cols := o.child.Columns()
-	o.ocols = cols
-	scratch := make(expr.Env, len(cols)+4)
+	scratch := make(expr.Env, len(o.child.Columns())+4)
 	var pend []spillRow
 	var pendBytes int64
 	seq := int64(0)
@@ -633,7 +631,6 @@ func (o *Sort) fill() (err error) {
 func (o *Sort) fillParallel(ex *Exchange) error {
 	less := sortRowLess(o.sorts)
 	cols := ex.Columns()
-	o.ocols = cols
 	type wstate struct {
 		scratch   expr.Env
 		pend      []spillRow
@@ -879,7 +876,7 @@ func (o *Aggregate) fill() (err error) {
 			}
 			out[it.Alias] = v
 		}
-		return normalize(o.cols, out), nil
+		return out, nil
 	}
 
 	groups := make(map[string]*group)
@@ -1051,11 +1048,11 @@ func (o *Aggregate) fill() (err error) {
 }
 
 // ---------------------------------------------------------------------
-// Spilling DISTINCT (batch path)
+// Spilling DISTINCT
 // ---------------------------------------------------------------------
 
-// distinctNextBatch implements the batched DISTINCT. Under budget it
-// streams first occurrences exactly like the row path. On overflow the
+// distinctNextBatch implements DISTINCT. Under budget (and always
+// without one) it streams first occurrences as they arrive. On overflow the
 // seen-set stops growing: rows whose key is resident are duplicates
 // and are dropped; rows with new keys spill (with their intake
 // sequence number) to hash partitions. After the child is exhausted,
@@ -1065,8 +1062,8 @@ func (o *Aggregate) fill() (err error) {
 //
 // Every spilled row's seq is greater than every streamed row's (the
 // seen-set stops admitting at overflow), so streamed-then-merged
-// output is globally in first-occurrence order: identical to the row
-// path's.
+// output is globally in first-occurrence order: identical to the
+// unbudgeted run's.
 func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 	if o.dcols == nil {
 		o.dcols = o.child.Columns()

@@ -66,15 +66,18 @@ type errAfter struct {
 
 func (o *errAfter) Columns() []string { return []string{"x"} }
 func (o *errAfter) Open() error       { return o.st.open("ErrAfter") }
-func (o *errAfter) Next() (Row, bool, error) {
-	if o.i >= o.n {
-		return Row{}, false, fmt.Errorf("synthetic source failure")
-	}
-	o.i++
-	return Row{Env: expr.Env{"x": value.Int(int64(o.i))}}, true, nil
-}
 func (o *errAfter) NextBatch(max int) (*Batch, bool, error) {
-	return testBatchFromRows(o, max)
+	k := min(clampMax(max), o.n-o.i)
+	if k <= 0 {
+		return nil, false, fmt.Errorf("synthetic source failure")
+	}
+	b := newBatch(o.Columns(), k)
+	for i := 0; i < k; i++ {
+		o.i++
+		b.vals[0] = append(b.vals[0], value.Int(int64(o.i)))
+	}
+	b.n = k
+	return b, true, nil
 }
 func (o *errAfter) Close()               { o.st.close() }
 func (o *errAfter) Name() string         { return "ErrAfter" }

@@ -11,13 +11,13 @@ import (
 )
 
 // TestCorpusExecutorSweep replays every script in scripts/ under the
-// batched streaming executor (the default), the row-at-a-time streaming
-// baseline, the materializing interpreter, a budget=1 spill-forced
-// batched run, and the morsel-parallel executor at degrees 2 and 8
-// (plus a spill-forced parallel run). All must produce identical
-// per-statement result tables and identical final graphs — the
-// end-to-end equivalence sweep for the vectorized path, the spilling
-// barriers, and the exchange operators. Parallelism is set explicitly
+// batched streaming executor (the default), the materializing
+// interpreter, a budget=1 spill-forced batched run, and the
+// morsel-parallel executor at degrees 2 and 8 (plus a spill-forced
+// parallel run). All must produce identical per-statement result
+// tables and identical final graphs — the end-to-end equivalence sweep
+// for the batched path, the spilling barriers, and the exchange
+// operators. Parallelism is set explicitly
 // because CI machines may report GOMAXPROCS=1, which would silently
 // skip the parallel paths.
 func TestCorpusExecutorSweep(t *testing.T) {
@@ -33,9 +33,6 @@ func TestCorpusExecutorSweep(t *testing.T) {
 	}{
 		{"batched", func(d core.Dialect) core.Config {
 			return core.Config{Dialect: d, Executor: core.ExecStreaming}
-		}},
-		{"rows", func(d core.Dialect) core.Config {
-			return core.Config{Dialect: d, Executor: core.ExecStreamingRows}
 		}},
 		{"materializing", func(d core.Dialect) core.Config {
 			return core.Config{Dialect: d, Executor: core.ExecMaterializing}
