@@ -58,11 +58,14 @@ par:
 # explicit-transaction / rollback workloads with exact isolation
 # accounting), drain-under-load, and the loopback wire-equivalence
 # sweep that requires served results to be bit-identical to the
-# embedded session over the whole script corpus.
+# embedded session over the whole script corpus, the client's
+# one-request-frame check, and the shared plan cache (cross-session
+# hits, LRU eviction, concurrent stores).
 serve-race:
-	go test -race -count=1 ./internal/server
+	go test -race -count=1 ./internal/server ./cypherclient
 	go test -race -run 'TestCorpusWireEquivalence|TestWireValueExtremes' ./internal/script
 	go test -race -run 'TestPlanCache' ./cypher
+	go test -race -run 'TestPlanCache' ./internal/match
 
 # The durability gate: the kill-at-random-point property test, 250
 # randomized iterations under the race detector. Each iteration runs a

@@ -36,7 +36,8 @@ type Value = value.Value
 // maxFrame bounds reply frames the client will accept.
 const maxFrame = 64 << 20
 
-// pullBatch is how many rows one PULL requests.
+// pullBatch is how many rows a RUN asks for inline, and how many rows
+// each following PULL requests.
 const pullBatch = 4096
 
 // ServerError is a failure frame from the server, carrying its
@@ -146,8 +147,11 @@ func (c *Conn) run(query string, params map[string]any, mode string) (*Result, e
 	return res, err
 }
 
+// runFull sends one RUN that asks for the first pullBatch rows inline,
+// then PULLs only while the server reports more rows buffered. A result
+// of at most pullBatch rows costs one request frame.
 func (c *Conn) runFull(query string, params map[string]any, mode string) (*Result, string, error) {
-	msg := map[string]any{"type": "run", "query": query}
+	msg := map[string]any{"type": "run", "query": query, "pull": pullBatch}
 	if mode != "" {
 		msg["mode"] = mode
 	}
@@ -185,31 +189,37 @@ func (c *Conn) runFull(query string, params map[string]any, mode string) (*Resul
 		res.Columns = append(res.Columns, s)
 	}
 	for {
-		reply, err := c.roundTrip(map[string]any{"type": "pull", "n": pullBatch})
-		if err != nil {
+		if err := res.appendRows(reply["rows"]); err != nil {
 			return nil, "", err
 		}
-		rows, _ := reply["rows"].([]any)
-		for _, r := range rows {
-			raw, ok := r.([]any)
-			if !ok {
-				return nil, "", errors.New("cypherclient: malformed row in reply")
-			}
-			row := make([]Value, len(raw))
-			for j, rv := range raw {
-				v, err := decodeValue(rv)
-				if err != nil {
-					return nil, "", err
-				}
-				row[j] = v
-			}
-			res.Rows = append(res.Rows, row)
-		}
 		if more, _ := reply["more"].(bool); !more {
-			break
+			return res, plan, nil
+		}
+		if reply, err = c.roundTrip(map[string]any{"type": "pull", "n": pullBatch}); err != nil {
+			return nil, "", err
 		}
 	}
-	return res, plan, nil
+}
+
+// appendRows decodes the rows array of a run or pull reply onto res.
+func (res *Result) appendRows(raw any) error {
+	rows, _ := raw.([]any)
+	for _, r := range rows {
+		cells, ok := r.([]any)
+		if !ok {
+			return errors.New("cypherclient: malformed row in reply")
+		}
+		row := make([]Value, len(cells))
+		for j, cell := range cells {
+			v, err := decodeValue(cell)
+			if err != nil {
+				return err
+			}
+			row[j] = v
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return nil
 }
 
 // Begin opens an explicit transaction on the server session.
@@ -269,17 +279,15 @@ func (c *Conn) roundTrip(msg map[string]any) (map[string]any, error) {
 	}
 }
 
+// writeFrame sends the length header and the JSON body in one Write.
 func (c *Conn) writeFrame(msg map[string]any) error {
 	body, err := json.Marshal(msg)
 	if err != nil {
 		return err
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := c.nc.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = c.nc.Write(body)
+	frame := make([]byte, 4, 4+len(body))
+	binary.BigEndian.PutUint32(frame, uint32(len(body)))
+	_, err = c.nc.Write(append(frame, body...))
 	return err
 }
 

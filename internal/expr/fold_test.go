@@ -26,16 +26,16 @@ func foldStr(t *testing.T, src string) ast.Expr {
 
 func TestFoldCollapsesClosedPureSubtrees(t *testing.T) {
 	cases := map[string]string{
-		"10 + 20":                       "30",
-		"n.age > 10 + 20":               "(n.age > 30)",
-		"size('ab') + size([1, 2, 3])":  "5",
-		"toUpper('a' + 'b')":            "'AB'",
-		"[1, 2][0] + 1":                 "2",
-		"CASE WHEN true THEN 1 ELSE 2 END":          "1",
-		"reduce(s = 0, x IN [1, 2, 3] | s + x)":     "6",
+		"10 + 20":                                    "30",
+		"n.age > 10 + 20":                            "(n.age > 30)",
+		"size('ab') + size([1, 2, 3])":               "5",
+		"toUpper('a' + 'b')":                         "'AB'",
+		"[1, 2][0] + 1":                              "2",
+		"CASE WHEN true THEN 1 ELSE 2 END":           "1",
+		"reduce(s = 0, x IN [1, 2, 3] | s + x)":      "6",
 		"[x IN range(1, 4) WHERE x % 2 = 0 | x * x]": "[4, 16]",
-		"exists(null) OR n.flag":                    "(false OR n.flag)",
-		"n.name + ('a' + 'b')":                      "(n.name + 'ab')",
+		"exists(null) OR n.flag":                     "(false OR n.flag)",
+		"n.name + ('a' + 'b')":                       "(n.name + 'ab')",
 	}
 	for src, want := range cases {
 		got := foldStr(t, src).String()
@@ -49,13 +49,13 @@ func TestFoldLeavesOpenOrUnsafeSubtreesAlone(t *testing.T) {
 	// Variables, parameters, nondeterministic calls, graph readers and
 	// erroring subtrees must survive folding verbatim.
 	for _, src := range []string{
-		"n.age > $min",        // parameter
-		"x + 1",               // free variable
-		"rand() < 0.5",        // nondeterministic
-		"timestamp() - 1",     // nondeterministic
-		"1 / 0",               // errors: left intact so the error surfaces at run time
-		"toUpper(5) = 'x'",    // errors inside a comparison
-		"labels(n)",           // graph reader on a row variable
+		"n.age > $min",     // parameter
+		"x + 1",            // free variable
+		"rand() < 0.5",     // nondeterministic
+		"timestamp() - 1",  // nondeterministic
+		"1 / 0",            // errors: left intact so the error surfaces at run time
+		"toUpper(5) = 'x'", // errors inside a comparison
+		"labels(n)",        // graph reader on a row variable
 	} {
 		e := parseExpr(t, src)
 		folded := Fold(e, &Evaluator{Graph: graph.New()})

@@ -243,12 +243,12 @@ func registerConversions() {
 	register(FuncDef{
 		Name: "toInteger", MinArgs: 1, MaxArgs: 1, Pure: true, Deterministic: true,
 		Sig: "toInteger(x)", Doc: "Convert a number or numeric string to an integer; null when unparseable.",
-		Fn:  toIntegerFunc,
+		Fn: toIntegerFunc,
 	})
 	register(FuncDef{
 		Name: "toInt", MinArgs: 1, MaxArgs: 1, Pure: true, Deterministic: true,
 		Sig: "toInt(x)", Doc: "Alias of toInteger().",
-		Fn:  toIntegerFunc,
+		Fn: toIntegerFunc,
 	})
 	register(FuncDef{
 		Name: "toFloat", MinArgs: 1, MaxArgs: 1, Pure: true, Deterministic: true,

@@ -28,19 +28,19 @@ func TestLookupIsCaseInsensitive(t *testing.T) {
 
 func TestUniformArityErrors(t *testing.T) {
 	cases := map[string]string{
-		"abs()":                 "abs() expects 1 argument, got 0",
-		"abs(1, 2)":             "abs() expects 1 argument, got 2",
-		"substring('a')":        "substring() expects 2..3 arguments, got 1",
-		"substring('a',1,2,3)":  "substring() expects 2..3 arguments, got 4",
-		"exists(1, 2)":          "exists() expects 1 argument, got 2",
-		"coalesce()":            "coalesce() expects at least 1 argument, got 0",
-		"range(1)":              "range() expects 2..3 arguments, got 1",
-		"round()":               "round() expects 1..2 arguments, got 0",
-		"datetime(1, 2)":        "datetime() expects 0..1 arguments, got 2",
-		"pi(1)":                 "pi() expects 0 arguments, got 1",
-		"split('a')":            "split() expects 2 arguments, got 1",
-		"replace('a', 'b')":     "replace() expects 3 arguments, got 2",
-		"left('a')":             "left() expects 2 arguments, got 1",
+		"abs()":                       "abs() expects 1 argument, got 0",
+		"abs(1, 2)":                   "abs() expects 1 argument, got 2",
+		"substring('a')":              "substring() expects 2..3 arguments, got 1",
+		"substring('a',1,2,3)":        "substring() expects 2..3 arguments, got 4",
+		"exists(1, 2)":                "exists() expects 1 argument, got 2",
+		"coalesce()":                  "coalesce() expects at least 1 argument, got 0",
+		"range(1)":                    "range() expects 2..3 arguments, got 1",
+		"round()":                     "round() expects 1..2 arguments, got 0",
+		"datetime(1, 2)":              "datetime() expects 0..1 arguments, got 2",
+		"pi(1)":                       "pi() expects 0 arguments, got 1",
+		"split('a')":                  "split() expects 2 arguments, got 1",
+		"replace('a', 'b')":           "replace() expects 3 arguments, got 2",
+		"left('a')":                   "left() expects 2 arguments, got 1",
 		"reduce(s = 0, x IN [1] | s)": "", // not a registry call; sanity: no arity error
 	}
 	for src, want := range cases {
@@ -69,18 +69,18 @@ func TestArityCheckedBeforeArguments(t *testing.T) {
 
 func TestNewStringFunctions(t *testing.T) {
 	cases := map[string]value.Value{
-		"split('a,b,c', ',')":     value.List{value.String("a"), value.String("b"), value.String("c")},
-		"split('abc', '')":        value.List{value.String("a"), value.String("b"), value.String("c")},
+		"split('a,b,c', ',')":      value.List{value.String("a"), value.String("b"), value.String("c")},
+		"split('abc', '')":         value.List{value.String("a"), value.String("b"), value.String("c")},
 		"replace('aaa', 'a', 'b')": value.String("bbb"),
 		"replace('abc', 'x', 'y')": value.String("abc"),
-		"left('cypher', 2)":       value.String("cy"),
-		"left('ab', 10)":          value.String("ab"),
-		"right('cypher', 3)":      value.String("her"),
-		"right('ab', 10)":         value.String("ab"),
-		"lTrim('  a ')":           value.String("a "),
-		"rTrim(' a  ')":           value.String(" a"),
-		"reverse('abc')":          value.String("cba"),
-		"reverse([1, 2, 3])":      value.List{value.Int(3), value.Int(2), value.Int(1)},
+		"left('cypher', 2)":        value.String("cy"),
+		"left('ab', 10)":           value.String("ab"),
+		"right('cypher', 3)":       value.String("her"),
+		"right('ab', 10)":          value.String("ab"),
+		"lTrim('  a ')":            value.String("a "),
+		"rTrim(' a  ')":            value.String(" a"),
+		"reverse('abc')":           value.String("cba"),
+		"reverse([1, 2, 3])":       value.List{value.Int(3), value.Int(2), value.Int(1)},
 	}
 	for src, want := range cases {
 		got := mustEval(t, src, nil, nil)
@@ -95,15 +95,15 @@ func TestNewStringFunctions(t *testing.T) {
 
 func TestNewNumericFunctions(t *testing.T) {
 	cases := map[string]value.Value{
-		"sign(-3)":          value.Int(-1),
-		"sign(0)":           value.Int(0),
-		"sign(2.5)":         value.Int(1),
-		"round(2.5)":        value.Float(3),
-		"round(-2.5)":       value.Float(-3),
-		"round(2.345, 2)":   value.Float(2.35),
-		"round(1234.5, 0)":  value.Float(1235),
-		"e()":               value.Float(math.E),
-		"pi()":              value.Float(math.Pi),
+		"sign(-3)":         value.Int(-1),
+		"sign(0)":          value.Int(0),
+		"sign(2.5)":        value.Int(1),
+		"round(2.5)":       value.Float(3),
+		"round(-2.5)":      value.Float(-3),
+		"round(2.345, 2)":  value.Float(2.35),
+		"round(1234.5, 0)": value.Float(1235),
+		"e()":              value.Float(math.E),
+		"pi()":             value.Float(math.Pi),
 	}
 	for src, want := range cases {
 		got := mustEval(t, src, nil, nil)

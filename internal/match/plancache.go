@@ -1,6 +1,7 @@
 package match
 
 import (
+	"container/list"
 	"sort"
 	"strings"
 	"sync"
@@ -37,8 +38,8 @@ import (
 // shared mutex.
 type PlanCache struct {
 	mu      sync.Mutex
-	entries map[planCacheKey]*planCacheEntry
-	clock   int64
+	entries map[planCacheKey]*list.Element
+	order   *list.List // of *planCacheEntry; front = most recently used
 
 	hits          int64
 	misses        int64
@@ -61,16 +62,16 @@ type planCacheKey struct {
 
 // planCacheEntry is one cached plan with its validity stamps.
 type planCacheEntry struct {
+	key      planCacheKey
 	plans    []partPlan
 	est      []float64
 	ver      int64
 	idxEpoch int64
-	lastUse  int64
 }
 
 // NewPlanCache returns an empty shared plan cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{entries: make(map[planCacheKey]*planCacheEntry)}
+	return &PlanCache{entries: make(map[planCacheKey]*list.Element), order: list.New()}
 }
 
 // PlanCacheStats is a point-in-time snapshot of a PlanCache's counters.
@@ -111,14 +112,14 @@ func boundKey(names []string) string {
 func (c *PlanCache) lookup(m *Matcher, key planCacheKey, parts []*ast.PatternPart, bound map[string]bool) []partPlan {
 	ver, idxEpoch := m.Graph.Version(), m.Graph.IndexEpoch()
 	c.mu.Lock()
-	e := c.entries[key]
-	if e == nil {
+	el := c.entries[key]
+	if el == nil {
 		c.misses++
 		c.mu.Unlock()
 		return nil
 	}
-	c.clock++
-	e.lastUse = c.clock
+	c.order.MoveToFront(el)
+	e := el.Value.(*planCacheEntry)
 	if e.idxEpoch == idxEpoch && e.ver == ver {
 		c.hits++
 		plans := e.plans
@@ -127,7 +128,7 @@ func (c *PlanCache) lookup(m *Matcher, key planCacheKey, parts []*ast.PatternPar
 	}
 	if e.idxEpoch != idxEpoch {
 		c.invalidations++
-		delete(c.entries, key)
+		c.remove(el)
 		c.mu.Unlock()
 		return nil
 	}
@@ -140,36 +141,43 @@ func (c *PlanCache) lookup(m *Matcher, key planCacheKey, parts []*ast.PatternPar
 	fp := m.estimateFingerprint(parts, bound)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e2 := c.entries[key]
-	if e2 == nil {
+	el = c.entries[key]
+	if el == nil {
 		c.misses++
 		return nil
 	}
 	if estimatesDrifted(oldEst, fp) {
 		c.invalidations++
-		delete(c.entries, key)
+		c.remove(el)
 		return nil
 	}
-	e2.ver = ver
+	e = el.Value.(*planCacheEntry)
+	e.ver = ver
 	c.hits++
-	return e2.plans
+	return e.plans
 }
 
-// store inserts a freshly built plan, evicting the least recently used
-// entry when the cache is full.
+// store inserts a freshly built plan, replacing any entry already
+// cached under the key and evicting the least recently used entry when
+// the cache is full.
 func (c *PlanCache) store(key planCacheKey, plans []partPlan, est []float64, ver, idxEpoch int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.entries) >= planCacheMaxEntries {
-		var lruKey planCacheKey
-		lru := int64(1<<63 - 1)
-		for k, e := range c.entries {
-			if e.lastUse < lru {
-				lru, lruKey = e.lastUse, k
-			}
-		}
-		delete(c.entries, lruKey)
+	e := &planCacheEntry{key: key, plans: plans, est: est, ver: ver, idxEpoch: idxEpoch}
+	if el, ok := c.entries[key]; ok {
+		el.Value = e
+		c.order.MoveToFront(el)
+		return
 	}
-	c.clock++
-	c.entries[key] = &planCacheEntry{plans: plans, est: est, ver: ver, idxEpoch: idxEpoch, lastUse: c.clock}
+	if c.order.Len() >= planCacheMaxEntries {
+		c.remove(c.order.Back())
+	}
+	c.entries[key] = c.order.PushFront(e)
+}
+
+// remove drops an entry from both the map and the recency list. The
+// caller holds c.mu.
+func (c *PlanCache) remove(el *list.Element) {
+	c.order.Remove(el)
+	delete(c.entries, el.Value.(*planCacheEntry).key)
 }

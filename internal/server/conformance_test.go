@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -298,6 +299,139 @@ func TestConformanceScripts(t *testing.T) {
 					Params: map[string]WireValue{"x": {FloatS: "bogus"}}}, wantType: MsgFailure, wantCode: CodeInvalidParameter},
 			},
 		},
+		{
+			name: "run-pull-below-row-count",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "UNWIND range(1,5) AS x RETURN x", Pull: 2}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						if len(got.Columns) != 1 || got.Columns[0] != "x" {
+							t.Errorf("columns = %v", got.Columns)
+						}
+						wantInts(t, got, []int64{1, 2}, true)
+					}},
+				{send: &Message{Type: MsgPull, N: 2}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) { wantInts(t, got, []int64{3, 4}, true) }},
+				{send: &Message{Type: MsgPull}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) { wantInts(t, got, []int64{5}, false) }},
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+			},
+		},
+		{
+			name: "run-pull-equal-row-count",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "UNWIND range(1,5) AS x RETURN x", Pull: 5}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) { wantInts(t, got, []int64{1, 2, 3, 4, 5}, false) }},
+				// Drained inline: nothing is left to pull.
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+			},
+		},
+		{
+			name: "run-pull-above-row-count",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "UNWIND range(1,5) AS x RETURN x", Pull: 100}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) { wantInts(t, got, []int64{1, 2, 3, 4, 5}, false) }},
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+			},
+		},
+		{
+			name: "run-pull-zero-rows",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "MATCH (n:Nope) RETURN n", Pull: 10}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						if len(got.Columns) != 1 || got.Columns[0] != "n" {
+							t.Errorf("columns = %v", got.Columns)
+						}
+						wantInts(t, got, nil, false)
+					}},
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+				{send: &Message{Type: MsgRun, Query: "CREATE (:P)", Pull: 10}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						if got.Stats == nil || got.Stats.NodesCreated != 1 {
+							t.Errorf("stats = %+v", got.Stats)
+						}
+						wantInts(t, got, nil, false)
+					}},
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+			},
+		},
+		{
+			name: "run-pull-txn-control",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "BEGIN", Pull: 10}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						if len(got.Columns) != 0 || len(got.Rows) != 0 || got.More {
+							t.Errorf("begin reply = %+v", got)
+						}
+					}},
+				{send: &Message{Type: MsgRun, Query: "CREATE (:T3) RETURN 1 AS one", Pull: 10}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) { wantInts(t, got, []int64{1}, false) }},
+				{send: &Message{Type: MsgRun, Query: "COMMIT", Pull: 10}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						if got.Stats == nil || got.Stats.NodesCreated != 1 || len(got.Rows) != 0 {
+							t.Errorf("commit reply = %+v", got)
+						}
+					}},
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+			},
+		},
+		{
+			name: "run-pull-explain-and-profile",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "UNWIND [1,2] AS x RETURN x", Mode: "explain", Pull: 10}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						if got.Plan == "" || len(got.Columns) != 0 || len(got.Rows) != 0 || got.More {
+							t.Errorf("explain reply = %+v", got)
+						}
+					}},
+				{send: &Message{Type: MsgPull}, wantType: MsgFailure, wantCode: CodeNoPendingResult},
+				{send: &Message{Type: MsgRun, Query: "UNWIND [1,2] AS x RETURN x", Mode: "profile", Pull: 10}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						if got.Plan == "" {
+							t.Error("profile returned empty plan")
+						}
+						wantInts(t, got, []int64{1, 2}, false)
+					}},
+			},
+		},
+		{
+			name: "explain-txn-control-does-not-execute",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "BEGIN", Mode: "explain"}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						if !strings.Contains(got.Plan, "transaction control") {
+							t.Errorf("explain BEGIN plan = %q", got.Plan)
+						}
+					}},
+				{send: &Message{Type: MsgRun, Query: "COMMIT", Mode: "explain"}, wantType: MsgSuccess,
+					check: func(t *testing.T, got *Message) {
+						if !strings.Contains(got.Plan, "transaction control") {
+							t.Errorf("explain COMMIT plan = %q", got.Plan)
+						}
+					}},
+				// No transaction was opened by the explain, so BEGIN works.
+				{send: &Message{Type: MsgBegin}, wantType: MsgSuccess},
+				{send: &Message{Type: MsgRun, Query: "ROLLBACK", Mode: "explain"}, wantType: MsgSuccess},
+				// ...and the explained ROLLBACK left it open.
+				{send: &Message{Type: MsgCommit}, wantType: MsgSuccess},
+			},
+		},
+		{
+			name: "profile-txn-control-refused",
+			steps: []step{
+				hello,
+				{send: &Message{Type: MsgRun, Query: "BEGIN", Mode: "profile"}, wantType: MsgFailure, wantCode: CodeExecutionError},
+				{send: &Message{Type: MsgBegin}, wantType: MsgSuccess},
+				{send: &Message{Type: MsgRun, Query: "COMMIT", Mode: "profile"}, wantType: MsgFailure, wantCode: CodeExecutionError},
+				{send: &Message{Type: MsgCommit}, wantType: MsgSuccess},
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -488,6 +622,23 @@ func TestConformanceServerBusy(t *testing.T) {
 	w2.send(&Message{Type: MsgRun, Query: "CREATE (:B)"})
 	if got := w2.recv(); got.Type != MsgSuccess {
 		t.Fatalf("write after release: %+v", got)
+	}
+}
+
+// wantInts checks that a reply carries exactly the given one-column
+// integer rows and the given more flag.
+func wantInts(t *testing.T, got *Message, want []int64, more bool) {
+	t.Helper()
+	if got.More != more {
+		t.Errorf("more = %v, want %v", got.More, more)
+	}
+	if len(got.Rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(got.Rows), len(want))
+	}
+	for i, row := range got.Rows {
+		if len(row) != 1 || row[0].Int == nil || *row[0].Int != want[i] {
+			t.Errorf("row %d = %+v, want %d", i, row, want[i])
+		}
 	}
 }
 

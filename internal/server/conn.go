@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -25,16 +26,19 @@ type conn struct {
 	pending   *pendingResult
 }
 
-// pendingResult buffers a run's rows between RUN and PULL.
+// pendingResult holds a run's rows that the client has not fetched yet.
 type pendingResult struct {
-	cols []string
-	rows [][]cypher.Value
+	res  *cypher.Result
 	next int
 }
 
-// serve runs the connection until it closes or errors.
+// serve runs the connection until it closes or errors. Frames are read
+// through one buffered reader; a read deadline set on the net.Conn (the
+// idle timeout, the drain kick) still unblocks it, because the reader
+// only ever blocks inside the net.Conn's Read.
 func (c *conn) serve() {
 	defer c.cleanup()
+	br := bufio.NewReader(c.nc)
 	for {
 		if c.srv.isDraining() {
 			return
@@ -42,7 +46,7 @@ func (c *conn) serve() {
 		if t := c.srv.opts.IdleTimeout; t > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(t))
 		}
-		msg, err := ReadFrame(c.nc, c.srv.opts.MaxFrame)
+		msg, err := ReadFrame(br, c.srv.opts.MaxFrame)
 		if err != nil {
 			switch {
 			case errors.Is(err, io.EOF):
@@ -105,13 +109,17 @@ func (c *conn) handleRun(msg *Message) bool {
 	if err != nil {
 		return c.send(failure(CodeSyntaxError, err.Error()))
 	}
-	switch info.TxnControl {
-	case "BEGIN":
-		return c.handleBegin()
-	case "COMMIT":
-		return c.handleCommit()
-	case "ROLLBACK":
-		return c.handleRollback()
+	// Only a plain run routes transaction control; explain and profile
+	// go to the session, which renders or refuses the statement.
+	if msg.Mode != "explain" && msg.Mode != "profile" {
+		switch info.TxnControl {
+		case "BEGIN":
+			return c.handleBegin()
+		case "COMMIT":
+			return c.handleCommit()
+		case "ROLLBACK":
+			return c.handleRollback()
+		}
 	}
 	params, err := decodeParams(msg.Params)
 	if err != nil {
@@ -173,14 +181,14 @@ func (c *conn) handleRun(msg *Message) bool {
 		return c.send(failure(CodeExecutionError, o.err.Error()))
 	}
 	reply := &Message{Type: MsgSuccess, Plan: o.plan}
-	if o.res != nil {
-		reply.Columns = o.res.Columns()
-		reply.Stats = statsToWire(o.res.Stats())
-		pr := &pendingResult{cols: reply.Columns}
-		for i := 0; i < o.res.NumRows(); i++ {
-			pr.rows = append(pr.rows, o.res.Values(i))
-		}
-		c.pending = pr
+	if o.res == nil {
+		return c.send(reply)
+	}
+	reply.Columns = o.res.Columns()
+	reply.Stats = statsToWire(o.res.Stats())
+	c.pending = &pendingResult{res: o.res}
+	if msg.Pull > 0 {
+		return c.sendPage(reply, msg.Pull)
 	}
 	return c.send(reply)
 }
@@ -190,14 +198,22 @@ func (c *conn) handlePull(msg *Message) bool {
 	if c.pending == nil {
 		return c.send(failure(CodeNoPendingResult, "no statement result to pull"))
 	}
+	return c.sendPage(&Message{Type: MsgSuccess}, msg.N)
+}
+
+// sendPage adds up to n pending rows (n <= 0: all) to reply, drops the
+// pending result once it is drained, and sends the reply. RUN and PULL
+// both page through it. A row that cannot be encoded closes the
+// connection after a failure frame.
+func (c *conn) sendPage(reply *Message, n int) bool {
 	pr := c.pending
-	remaining := len(pr.rows) - pr.next
-	n := msg.N
+	remaining := pr.res.NumRows() - pr.next
 	if n <= 0 || n > remaining {
 		n = remaining
 	}
-	out := make([][]WireValue, 0, n)
-	for _, row := range pr.rows[pr.next : pr.next+n] {
+	reply.Rows = make([][]WireValue, 0, n)
+	for i := pr.next; i < pr.next+n; i++ {
+		row := pr.res.Values(i)
 		wrow := make([]WireValue, len(row))
 		for j, v := range row {
 			wv, err := EncodeValue(v)
@@ -207,14 +223,14 @@ func (c *conn) handlePull(msg *Message) bool {
 			}
 			wrow[j] = wv
 		}
-		out = append(out, wrow)
+		reply.Rows = append(reply.Rows, wrow)
 	}
 	pr.next += n
-	more := pr.next < len(pr.rows)
-	if !more {
+	reply.More = pr.next < pr.res.NumRows()
+	if !reply.More {
 		c.pending = nil
 	}
-	return c.send(&Message{Type: MsgSuccess, Rows: out, More: more})
+	return c.send(reply)
 }
 
 // handleBegin opens an explicit transaction, claiming a writer slot.

@@ -28,6 +28,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x10, 0x7b}, 1024) // truncated body
 	f.Add([]byte{0x00, 0x00}, 1024)                   // truncated header
 	f.Add(frame(`{"type":"run","mode":"explain"}`)[:7], 64)
+	f.Add(frame(`{"type":"run","query":"MATCH (n) RETURN n","pull":4096}`), 1024)
 	f.Fuzz(func(t *testing.T, data []byte, maxFrame int) {
 		r := bytes.NewReader(data)
 		msg, err := ReadFrame(r, maxFrame)
@@ -50,7 +51,7 @@ func FuzzWireFrameDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		if again.Type != msg.Type || again.Query != msg.Query || again.N != msg.N || again.Code != msg.Code {
+		if again.Type != msg.Type || again.Query != msg.Query || again.N != msg.N || again.Pull != msg.Pull || again.Code != msg.Code {
 			t.Fatalf("round-trip mismatch: %+v vs %+v", msg, again)
 		}
 	})

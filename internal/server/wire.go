@@ -19,7 +19,8 @@
 // Client to server (the "type" field selects):
 //
 //	hello                                  — must be first; negotiates
-//	run    {query, params, mode}           — execute; mode "" | "explain" | "profile"
+//	run    {query, params, mode, pull}     — execute; mode "" | "explain" | "profile";
+//	                                         pull n > 0 returns up to n rows inline
 //	pull   {n}                             — fetch up to n buffered rows (n<=0: all)
 //	begin / commit / rollback              — explicit transaction control
 //	reset                                  — discard pending rows, roll back any open txn
@@ -30,11 +31,17 @@
 //	success {server?, dialect?, columns?, rows?, more?, stats?, plan?}
 //	failure {code, message}
 //
-// RUN executes the statement to completion and buffers the result
-// rows server-side; PULL pages them to the client. Failure frames
-// carry a machine-readable code (see the Code* constants); protocol
-// violations are fatal (the server closes the connection after the
-// failure frame), statement-level errors are not.
+// RUN executes the statement to completion. With pull n > 0 its success
+// reply already carries the first n rows and "more"; otherwise every
+// row stays buffered server-side. PULL pages whatever remains, so a
+// client that asks for a first batch at least as large as the result
+// spends one request frame and one reply frame per statement. RUN text
+// BEGIN/COMMIT/ROLLBACK acts like the dedicated messages, except under
+// mode explain or profile, where the session renders or refuses it.
+//
+// Failure frames carry a machine-readable code (see the Code*
+// constants); protocol violations are fatal (the server closes the
+// connection after the failure frame), statement-level errors are not.
 package server
 
 import (
@@ -124,6 +131,9 @@ type Message struct {
 	// N is the maximum number of rows a pull fetches; n <= 0 fetches
 	// all remaining rows.
 	N int `json:"n,omitempty"`
+	// Pull, when positive, asks a run to return up to that many rows
+	// in its success reply; absent or <= 0, every row waits for PULL.
+	Pull int `json:"pull,omitempty"`
 
 	// Server identifies the server software in a hello reply.
 	Server string `json:"server,omitempty"`
@@ -131,9 +141,11 @@ type Message struct {
 	Dialect string `json:"dialect,omitempty"`
 	// Columns are the result column names in a run success.
 	Columns []string `json:"columns,omitempty"`
-	// Rows are result records in a pull success.
+	// Rows are result records in a pull success, or the first batch in
+	// the success of a run that asked for one.
 	Rows [][]WireValue `json:"rows,omitempty"`
-	// More reports, in a pull success, whether rows remain buffered.
+	// More reports, in a pull success or a run success that carries
+	// rows, whether rows remain buffered for PULL.
 	More bool `json:"more,omitempty"`
 	// Stats carries update counters in a run/commit success.
 	Stats *WireStats `json:"stats,omitempty"`
@@ -382,17 +394,15 @@ func ReadFrame(r io.Reader, maxFrame int) (*Message, error) {
 	return &msg, nil
 }
 
-// WriteFrame writes one length-prefixed message to w.
+// WriteFrame writes one length-prefixed message to w in a single
+// Write, so an unbuffered connection sends the header and body in one
+// segment.
 func WriteFrame(w io.Writer, msg *Message) error {
 	body, err := json.Marshal(msg)
 	if err != nil {
 		return err
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	frame := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(body)), uint32(len(body)))
+	_, err = w.Write(append(frame, body...))
 	return err
 }
