@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -107,5 +108,24 @@ func TestShuffle(t *testing.T) {
 		if !s {
 			t.Fatalf("not a permutation: missing %d", i)
 		}
+	}
+}
+
+func TestStatementsDeterministic(t *testing.T) {
+	draw := func(revised bool) string {
+		s := NewStatements(7, revised)
+		out := strings.Join(s.Setup(), "\n")
+		for i := 0; i < 20; i++ {
+			out += "\n" + s.Read() + "\n" + s.Update() + "\n" + s.TableUpdate("k", "v") + "\n" + s.Table("k", "v").String()
+		}
+		return out
+	}
+	for _, revised := range []bool{false, true} {
+		if a, b := draw(revised), draw(revised); a != b {
+			t.Errorf("revised=%v: same seed must draw the same statements", revised)
+		}
+	}
+	if strings.Contains(draw(true), "ON CREATE") || strings.Contains(draw(false), "MERGE ALL") {
+		t.Error("MERGE forms leaked across dialects")
 	}
 }
