@@ -3,83 +3,47 @@ package core
 import (
 	"testing"
 
-	"repro/internal/expr"
-	"repro/internal/fixtures"
-	"repro/internal/graph"
-	"repro/internal/parser"
-	"repro/internal/table"
+	"repro/internal/ast"
 )
 
 // Section 8.2 defines clause composition: [[C S]](G,T) = [[S]]([[C]](G,T)).
-// This test checks the property operationally for a corpus of queries in
-// both dialects: executing the whole clause sequence must equal folding
-// the clauses one at a time over the same graph and driving table.
+// This oracle checks it on generated statements in both dialects: for
+// every split of a statement's clauses into a prefix and a suffix,
+// running the prefix (closed by RETURN *) and then the suffix on the
+// resulting graph, with the prefix's table as the driving table, must
+// give the whole statement's table, error text and final graph, and
+// stats that sum to the whole statement's.
 func TestClauseCompositionality(t *testing.T) {
-	queries := []string{
-		`MATCH (p:Product) SET p.touched = true RETURN count(*) AS c`,
-		`MATCH (u:User) CREATE (u)-[:VISITED]->(:Page{n:1}) RETURN u`,
-		`UNWIND [1,2,3] AS x CREATE (:T{v:x}) RETURN x`,
-		`MATCH (u:User) WITH u.name AS name RETURN name ORDER BY name`,
-		`MATCH (p:Product{id:85}) REMOVE p.name RETURN p`,
-		`MATCH (v:Vendor) DETACH DELETE v RETURN 1 AS one`,
-		`MATCH (u:User{id:89}) MERGE (u)-[:ORDERED]->(:Thing{id:7}) RETURN u`,
-	}
-	for _, d := range []Dialect{DialectCypher9, DialectRevised} {
-		for _, q := range queries {
-			stmt, err := parser.Parse(q)
-			if err != nil {
-				t.Fatalf("parse %q: %v", q, err)
+	forEachOracleCase(t, []Dialect{DialectCypher9, DialectRevised}, func(c *oracleCase) {
+		for _, s := range c.statements() {
+			stmt := c.parse(t, s.src)
+			if len(stmt.Queries) != 1 {
+				continue
 			}
-			if Validate(stmt, d) != nil {
-				continue // not in this dialect's grammar
-			}
+			want := c.run(Config{}, stmt, nil, s.t0, false)
 			clauses := stmt.Queries[0].Clauses
-
-			runWhole := func() (*graph.Graph, *table.Table, error) {
-				g, _ := fixtures.Figure1()
-				x := newTestExecutor(d, g)
-				tbl, err := x.run(clauses, table.Unit())
-				return g, tbl, err
-			}
-			runFolded := func() (*graph.Graph, *table.Table, error) {
-				g, _ := fixtures.Figure1()
-				tbl := table.Unit()
-				var err error
-				for _, c := range clauses {
-					// A fresh executor per clause: the composition
-					// property says no cross-clause state may matter.
-					x := newTestExecutor(d, g)
-					tbl, err = x.clause(c, tbl)
-					if err != nil {
-						return g, tbl, err
+			for k := 1; k < len(clauses); k++ {
+				prefix := &ast.Statement{Queries: []*ast.SingleQuery{{Clauses: append(clauses[:k:k],
+					&ast.ReturnClause{Projection: ast.Projection{Star: true}})}}}
+				suffix := &ast.Statement{Queries: []*ast.SingleQuery{{Clauses: clauses[k:]}}}
+				eng := NewEngine(Config{Dialect: c.d})
+				g := c.base.Clone()
+				t0 := s.t0
+				if t0 != nil {
+					t0 = t0.Clone()
+				}
+				res, err := eng.ExecuteWithTable(g, prefix, nil, t0)
+				if err == nil {
+					var rest *Result
+					if rest, err = eng.ExecuteWithTable(g, suffix, nil, res.Table); err == nil {
+						rest.Stats.Add(res.Stats)
+						res = rest
 					}
 				}
-				return g, tbl, nil
-			}
-
-			g1, t1, err1 := runWhole()
-			g2, t2, err2 := runFolded()
-			if (err1 == nil) != (err2 == nil) {
-				t.Errorf("[%v] %q: error mismatch %v vs %v", d, q, err1, err2)
-				continue
-			}
-			if err1 != nil {
-				continue
-			}
-			if graph.Fingerprint(g1) != graph.Fingerprint(g2) {
-				t.Errorf("[%v] %q: graphs differ between whole and folded execution", d, q)
-			}
-			if t1.Len() != t2.Len() {
-				t.Errorf("[%v] %q: tables differ: %d vs %d rows", d, q, t1.Len(), t2.Len())
+				if got := answer(res, g, err, false); got != want {
+					c.fail(t, "composed from "+prefix.String()+" ; "+suffix.String(), s.src, got, want)
+				}
 			}
 		}
-	}
-}
-
-func newTestExecutor(d Dialect, g *graph.Graph) *executor {
-	return &executor{
-		cfg:   Config{Dialect: d},
-		graph: g,
-		ev:    &expr.Evaluator{Graph: g},
-	}
+	})
 }

@@ -316,6 +316,23 @@ func TestStreamingStatementErrorsRollBack(t *testing.T) {
 	}
 }
 
+// TestLimitNeverStopsUpdates: LIMIT bounds the rows a statement returns,
+// never its effects. A LIMIT 0 after an update clause still applies the
+// clause in full, and a bad SKIP count reports the update's own error
+// first, as composing the clauses one at a time would (Section 8.2).
+func TestLimitNeverStopsUpdates(t *testing.T) {
+	g := graph.New()
+	run(t, DialectRevised, g, `UNWIND range(1, 3) AS i CREATE (:N{i: i})`)
+	res := run(t, DialectRevised, g, `MATCH (n:N) SET n.seen = true RETURN n.i AS i LIMIT 0`)
+	if res.Table.Len() != 0 || res.Stats.PropsSet != 3 {
+		t.Errorf("LIMIT 0 after SET: %d rows, %d props set; want 0 rows, 3 props", res.Table.Len(), res.Stats.PropsSet)
+	}
+	_, err := runErr(DialectRevised, g, `MATCH (a:N), (b:N) SET a.x = b.i RETURN a.i AS i SKIP -1`)
+	if err == nil || !strings.Contains(err.Error(), "conflicting SET") {
+		t.Errorf("SKIP -1 after a conflicting SET: err = %v, want the conflict", err)
+	}
+}
+
 // TestStreamingPropertyRandomQueries cross-checks the executors over a
 // generated mix of read pipelines on a random-ish graph.
 func TestStreamingPropertyRandomQueries(t *testing.T) {

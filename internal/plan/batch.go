@@ -610,7 +610,7 @@ func (o *Distinct) NextBatch(max int) (*Batch, bool, error) {
 func (o *Skip) NextBatch(max int) (*Batch, bool, error) {
 	if !o.ready {
 		if err := o.ensure(); err != nil {
-			return nil, false, err
+			return nil, false, countErr(o.child, err)
 		}
 		rem := o.n
 		for rem > 0 {
@@ -652,11 +652,18 @@ func (o *Skip) NextBatch(max int) (*Batch, bool, error) {
 func (o *Limit) NextBatch(max int) (*Batch, bool, error) {
 	if !o.ready {
 		if err := o.ensure(); err != nil {
-			return nil, false, err
+			return nil, false, countErr(o.child, err)
 		}
 	}
 	rem := int64(o.n) - o.rows
 	if rem <= 0 {
+		if o.n == 0 && !o.drained && hasUpdates(o.child) {
+			// LIMIT 0 keeps no rows, but the update clauses below it still
+			// apply in full: clauses compose as functions of the whole
+			// graph and table (Section 8.2).
+			o.drained = true
+			return nil, false, drain(o.child)
+		}
 		return nil, false, nil
 	}
 	want := clampMax(max)
@@ -754,6 +761,41 @@ func (o *Apply) NextBatch(max int) (*Batch, bool, error) {
 	o.rows += int64(b.n)
 	o.batches++
 	return b, true, nil
+}
+
+// hasUpdates reports whether op's subtree applies an update clause.
+func hasUpdates(op Operator) bool {
+	if _, ok := op.(*Apply); ok {
+		return true
+	}
+	for _, c := range op.Children() {
+		if hasUpdates(c) {
+			return true
+		}
+	}
+	return false
+}
+
+// drain pulls op to exhaustion for its effects.
+func drain(op Operator) error {
+	for {
+		_, ok, err := op.NextBatch(BatchTarget)
+		if err != nil || !ok {
+			return err
+		}
+	}
+}
+
+// countErr reports a bad SKIP or LIMIT count only after the update
+// clauses below it have run: they precede the clause that counts their
+// output, so their own errors come first (Section 8.2).
+func countErr(child Operator, err error) error {
+	if hasUpdates(child) {
+		if derr := drain(child); derr != nil {
+			return derr
+		}
+	}
+	return err
 }
 
 // NextBatch implements Operator: the child is drained batch-at-a-time
