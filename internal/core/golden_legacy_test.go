@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/parser"
 )
 
 // The legacy golden corpus pins the *Cypher 9* pipeline behaviours that
@@ -22,6 +21,8 @@ var legacyGoldenCorpus = []goldenCase{
 		},
 		query: `MATCH (p:P) RETURN p.name AS n, p.v AS v ORDER BY n`,
 		want:  []string{"'a' | 2", "'b' | 2"},
+		stats: UpdateStats{NodesCreated: 2, PropsSet: 2},
+		graph: "9d0533b48711",
 	},
 	{
 		name: "set item chain accumulates within one record",
@@ -33,6 +34,8 @@ var legacyGoldenCorpus = []goldenCase{
 		// conflict (2 vs 10).
 		query: `MATCH (q:Q) RETURN q.v AS v`,
 		want:  []string{"20"},
+		stats: UpdateStats{NodesCreated: 1, PropsSet: 2},
+		graph: "15d8c226c1a7",
 	},
 	{
 		name: "bare merge creates once",
@@ -42,6 +45,8 @@ var legacyGoldenCorpus = []goldenCase{
 		},
 		query: `MATCH (c:City) RETURN count(*) AS c`,
 		want:  []string{"1"},
+		stats: UpdateStats{NodesCreated: 1},
+		graph: "2786dd0124c4",
 	},
 	{
 		name: "on create / on match counters",
@@ -52,6 +57,8 @@ var legacyGoldenCorpus = []goldenCase{
 		},
 		query: `MATCH (c:Cnt) RETURN c.n AS n`,
 		want:  []string{"3"},
+		stats: UpdateStats{NodesCreated: 1, PropsSet: 3},
+		graph: "44b95d6b66c3",
 	},
 	{
 		name: "merge reads its own writes within one statement",
@@ -63,6 +70,8 @@ var legacyGoldenCorpus = []goldenCase{
 		},
 		query: `MATCH (t:Tgt) RETURN count(*) AS c`,
 		want:  []string{"1"},
+		stats: UpdateStats{NodesCreated: 3},
+		graph: "77d77f1d8150",
 	},
 	{
 		name: "with demarcation makes updates visible",
@@ -71,6 +80,8 @@ var legacyGoldenCorpus = []goldenCase{
 		},
 		query: `MATCH (w:W{seen:true}) RETURN count(*) AS c`,
 		want:  []string{"1"},
+		stats: UpdateStats{NodesCreated: 1, PropsSet: 1},
+		graph: "62f113d70937",
 	},
 	{
 		name: "undirected merge matches both directions",
@@ -83,6 +94,8 @@ var legacyGoldenCorpus = []goldenCase{
 		},
 		query: `MATCH ()-[t:T]-() RETURN count(DISTINCT t) AS c`,
 		want:  []string{"1"},
+		stats: UpdateStats{NodesCreated: 2, RelsCreated: 1},
+		graph: "85063d845b2c",
 	},
 	{
 		name: "foreach applies per element in order",
@@ -92,47 +105,15 @@ var legacyGoldenCorpus = []goldenCase{
 		},
 		query: `MATCH (a:Acc) RETURN a.total AS t`,
 		want:  []string{"6"},
+		stats: UpdateStats{NodesCreated: 1, PropsSet: 3},
+		graph: "9a5f7ba28405",
 	},
 }
 
 func TestLegacyGoldenCorpus(t *testing.T) {
 	for _, c := range legacyGoldenCorpus {
 		t.Run(c.name, func(t *testing.T) {
-			g := graph.New()
-			eng := NewEngine(Config{Dialect: DialectCypher9})
-			for _, s := range c.setup {
-				stmt, err := parser.Parse(s)
-				if err != nil {
-					t.Fatalf("setup parse: %v", err)
-				}
-				if _, err := eng.ExecuteStatement(g, stmt, nil); err != nil {
-					t.Fatalf("setup exec %q: %v", s, err)
-				}
-			}
-			stmt, err := parser.Parse(c.query)
-			if err != nil {
-				t.Fatalf("parse: %v", err)
-			}
-			res, err := eng.ExecuteStatement(g, stmt, nil)
-			if err != nil {
-				t.Fatalf("exec: %v", err)
-			}
-			var got []string
-			for i := 0; i < res.Table.Len(); i++ {
-				var parts []string
-				for _, v := range res.Table.Values(i) {
-					parts = append(parts, renderValue(v))
-				}
-				got = append(got, strings.Join(parts, " | "))
-			}
-			if len(got) != len(c.want) {
-				t.Fatalf("rows = %v, want %v", got, c.want)
-			}
-			for i := range got {
-				if got[i] != c.want[i] {
-					t.Errorf("row %d = %q, want %q", i, got[i], c.want[i])
-				}
-			}
+			checkGolden(t, c, "default", Config{Dialect: DialectCypher9})
 		})
 	}
 }

@@ -13,10 +13,11 @@ import (
 // TestExecutorTriEquivalenceGolden replays both golden corpora under
 // three executor configurations — the serial batched streaming default,
 // the same executor at parallelism 8 with a spill-forcing budget=1, and
-// the materializing specification — and requires identical tables,
-// stats, and final graphs. Neither setting may change a result: the
-// exchange gathers morsels in order, and a spilling barrier replays
-// exactly the rows it would have held in memory.
+// the materializing interpreter — and requires each to reproduce every
+// pin of the case: tables, stats and final graphs. Neither setting may
+// change a result: the exchange gathers morsels in order, and a
+// spilling barrier replays exactly the rows it would have held in
+// memory.
 func TestExecutorTriEquivalenceGolden(t *testing.T) {
 	arms := []struct {
 		name string
@@ -37,60 +38,10 @@ func TestExecutorTriEquivalenceGolden(t *testing.T) {
 	for _, suite := range suites {
 		for _, c := range suite.cases {
 			t.Run(suite.name+"/"+c.name, func(t *testing.T) {
-				base := graph.New()
-				setupEng := NewEngine(Config{Dialect: suite.dialect})
-				for _, s := range c.setup {
-					stmt, err := parser.Parse(s)
-					if err != nil {
-						t.Fatalf("setup parse: %v", err)
-					}
-					if _, err := setupEng.ExecuteStatement(base, stmt, nil); err != nil {
-						t.Fatalf("setup exec %q: %v", s, err)
-					}
-				}
-				stmt, err := parser.Parse(c.query)
-				if err != nil {
-					t.Fatalf("parse: %v", err)
-				}
-				var tables []string
-				var stats []UpdateStats
-				var prints []string
-				var errs []error
 				for _, arm := range arms {
-					g := base.Clone()
 					cfg := arm.cfg
 					cfg.Dialect = suite.dialect
-					res, err := NewEngine(cfg).ExecuteStatement(g, stmt, nil)
-					errs = append(errs, err)
-					if err != nil {
-						tables = append(tables, "")
-						stats = append(stats, UpdateStats{})
-						prints = append(prints, "")
-						continue
-					}
-					tables = append(tables, renderTable(res))
-					stats = append(stats, res.Stats)
-					prints = append(prints, graph.Fingerprint(g))
-				}
-				for i := 1; i < len(arms); i++ {
-					if (errs[0] == nil) != (errs[i] == nil) {
-						t.Fatalf("error divergence: %s=%v vs %s=%v",
-							arms[0].name, errs[0], arms[i].name, errs[i])
-					}
-					if errs[0] != nil {
-						continue
-					}
-					if tables[i] != tables[0] {
-						t.Errorf("table divergence %s vs %s:\n%s\nvs\n%s",
-							arms[0].name, arms[i].name, tables[0], tables[i])
-					}
-					if stats[i] != stats[0] {
-						t.Errorf("stats divergence %s vs %s: %v vs %v",
-							arms[0].name, arms[i].name, stats[0], stats[i])
-					}
-					if prints[i] != prints[0] {
-						t.Errorf("final graph divergence %s vs %s", arms[0].name, arms[i].name)
-					}
+					checkGolden(t, c, arm.name, cfg)
 				}
 			})
 		}
