@@ -153,8 +153,7 @@ func BenchmarkB4Delete(b *testing.B) {
 	}
 }
 
-// B5: read-only pattern matching (the Query 1 shape) at two scales,
-// under the streaming (default) and materializing executors.
+// B5: read-only pattern matching (the Query 1 shape) at two scales.
 func BenchmarkB5Match(b *testing.B) {
 	for _, scale := range []int{1, 4} {
 		m := workload.DefaultMarketplace()
@@ -166,14 +165,12 @@ func BenchmarkB5Match(b *testing.B) {
 			MATCH (p:Product)<-[:OFFERS]-(v:Vendor)-[:OFFERS]->(q:Product)
 			WHERE p.id < 10
 			RETURN count(*) AS c`
-		for _, ex := range []core.Executor{core.ExecStreaming, core.ExecMaterializing} {
-			cfg := core.Config{Dialect: core.DialectRevised, Executor: ex}
-			b.Run(fmt.Sprintf("%s/scale=%d", ex, scale), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					execBench(b, cfg, g, query, nil)
-				}
-			})
-		}
+		cfg := core.Config{Dialect: core.DialectRevised}
+		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				execBench(b, cfg, g, query, nil)
+			}
+		})
 	}
 }
 
@@ -220,14 +217,12 @@ func BenchmarkB8MatchModes(b *testing.B) {
 		{"isomorphism", match.Isomorphism},
 		{"homomorphism", match.Homomorphism},
 	} {
-		for _, ex := range []core.Executor{core.ExecStreaming, core.ExecMaterializing} {
-			cfg := core.Config{Dialect: core.DialectRevised, MatchMode: c.mode, Executor: ex}
-			b.Run(fmt.Sprintf("%s/%s", c.name, ex), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					execBench(b, cfg, g, query, nil)
-				}
-			})
-		}
+		cfg := core.Config{Dialect: core.DialectRevised, MatchMode: c.mode}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				execBench(b, cfg, g, query, nil)
+			}
+		})
 	}
 }
 
@@ -251,9 +246,8 @@ func BenchmarkB9ClickstreamCollapse(b *testing.B) {
 	}
 }
 
-// B10: LIMIT early exit. The streaming executor stops pattern
-// enumeration after k rows; the materializing executor enumerates every
-// match before slicing. The gap grows with graph size.
+// B10: LIMIT early exit. Pattern enumeration stops after k rows, so the
+// cost stays flat as the graph grows.
 func BenchmarkB10LimitEarlyExit(b *testing.B) {
 	g := graph.New()
 	const n = 20000
@@ -261,23 +255,20 @@ func BenchmarkB10LimitEarlyExit(b *testing.B) {
 		g.CreateNode([]string{"N"}, value.Map{"i": value.Int(int64(i))})
 	}
 	query := `MATCH (m:N) WHERE m.i % 3 = 0 RETURN m.i AS i LIMIT 5`
-	for _, ex := range []core.Executor{core.ExecStreaming, core.ExecMaterializing} {
-		cfg := core.Config{Dialect: core.DialectRevised, Executor: ex}
-		b.Run(ex.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := execBench(b, cfg, g, query, nil)
-				if res.Table.Len() != 5 {
-					b.Fatal("expected 5 rows")
-				}
+	cfg := core.Config{Dialect: core.DialectRevised}
+	b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res := execBench(b, cfg, g, query, nil)
+			if res.Table.Len() != 5 {
+				b.Fatal("expected 5 rows")
 			}
-		})
-	}
+		}
+	})
 }
 
 // B11: cost-based anchor selection. The rare label sits at the RIGHT
-// end of the path over a heavily skewed graph, so the pre-planner
-// enumeration (left-to-right from the first node) scans every :Common
-// node, while the planner anchors at :Rare and expands backwards.
+// end of the path over a heavily skewed graph; the planner anchors at
+// :Rare and expands backwards instead of scanning every :Common node.
 func BenchmarkB11SelectiveAnchor(b *testing.B) {
 	g := graph.New()
 	const common, rare = 20000, 10
@@ -296,29 +287,19 @@ func BenchmarkB11SelectiveAnchor(b *testing.B) {
 		}
 	}
 	query := `MATCH (c:Common)-[:R]->(r:Rare) RETURN count(*) AS n`
-	for _, c := range []struct {
-		name    string
-		planner core.PlannerMode
-	}{
-		{"naive", core.PlannerLeftToRight},
-		{"planned", core.PlannerCostBased},
-	} {
-		cfg := core.Config{Dialect: core.DialectRevised, Planner: c.planner}
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := execBench(b, cfg, g, query, nil)
-				if n, _ := value.AsInt(res.Table.Get(0, "n")); n != common/20 {
-					b.Fatalf("count = %v, want %d", res.Table.Get(0, "n"), common/20)
-				}
+	cfg := core.Config{Dialect: core.DialectRevised}
+	b.Run("planned", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res := execBench(b, cfg, g, query, nil)
+			if n, _ := value.AsInt(res.Table.Get(0, "n")); n != common/20 {
+				b.Fatalf("count = %v, want %d", res.Table.Get(0, "n"), common/20)
 			}
-		})
-	}
+		}
+	})
 }
 
 // B12: WHERE pushdown. The predicate on the anchor node decides 99% of
-// candidates before their relationships are expanded; without pushdown
-// every node's adjacency is enumerated and the filter runs on complete
-// rows only.
+// candidates before their relationships are expanded.
 func BenchmarkB12WherePushdown(b *testing.B) {
 	g := graph.New()
 	const nodes, fanout = 5000, 8
@@ -334,23 +315,15 @@ func BenchmarkB12WherePushdown(b *testing.B) {
 		}
 	}
 	query := `MATCH (a:N)-[:T]->(b:N) WHERE a.hot RETURN count(*) AS n`
-	for _, c := range []struct {
-		name    string
-		planner core.PlannerMode
-	}{
-		{"naive", core.PlannerLeftToRight},
-		{"planned", core.PlannerCostBased},
-	} {
-		cfg := core.Config{Dialect: core.DialectRevised, Planner: c.planner}
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := execBench(b, cfg, g, query, nil)
-				if n, _ := value.AsInt(res.Table.Get(0, "n")); n != nodes/100*fanout {
-					b.Fatalf("count = %v, want %d", res.Table.Get(0, "n"), nodes/100*fanout)
-				}
+	cfg := core.Config{Dialect: core.DialectRevised}
+	b.Run("planned", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res := execBench(b, cfg, g, query, nil)
+			if n, _ := value.AsInt(res.Table.Get(0, "n")); n != nodes/100*fanout {
+				b.Fatalf("count = %v, want %d", res.Table.Get(0, "n"), nodes/100*fanout)
 			}
-		})
-	}
+		}
+	})
 }
 
 // B13: aggregate read throughput of the transactional session layer.
@@ -840,18 +813,12 @@ func BenchmarkB20ServerConcurrentClients(b *testing.B) {
 
 // B21: expression-heavy read pipelines over 100k rows — string and
 // list functions (split, reduce, size, toUpper) in the projection, a
-// registry-gated conjunct pair in the WHERE. Two axes:
-//
-//   - folded vs unfolded: the filter threshold is a parameter-free
-//     pure subtree (size of a literal string) in the folded variants,
-//     so the planner collapses it to a constant at plan time; the
-//     unfolded variants route the same value through a parameter,
-//     which folding never touches, so the subtree re-evaluates on
-//     every row.
-//   - pushdown vs deferred: the cost-based planner pushes the
-//     pure+total conjuncts (exists above all) into the scan; the
-//     left-to-right planner defers the whole WHERE to a post-match
-//     filter.
+// registry-gated conjunct pair in the WHERE, which the planner pushes
+// into the scan. Folded vs unfolded: the filter threshold is a
+// parameter-free pure subtree (size of a literal string) in the folded
+// variant, so the planner collapses it to a constant at plan time; the
+// unfolded variant routes the same value through a parameter, which
+// folding never touches, so the subtree re-evaluates on every row.
 func BenchmarkB21ExpressionPipeline(b *testing.B) {
 	const n = 100000
 	g := graph.New()
@@ -868,18 +835,15 @@ func BenchmarkB21ExpressionPipeline(b *testing.B) {
 	const unfoldedQ = `MATCH (r:R) WHERE exists(r.tag) AND r.v % size($s) = 0` + body
 	params := map[string]value.Value{"s": value.String("abcdefghij")}
 
+	cfg := core.Config{Dialect: core.DialectRevised}
 	for _, c := range []struct {
-		name    string
-		query   string
-		params  map[string]value.Value
-		planner core.PlannerMode
+		name   string
+		query  string
+		params map[string]value.Value
 	}{
-		{"folded/pushdown", foldedQ, nil, core.PlannerCostBased},
-		{"unfolded/pushdown", unfoldedQ, params, core.PlannerCostBased},
-		{"folded/deferred", foldedQ, nil, core.PlannerLeftToRight},
-		{"unfolded/deferred", unfoldedQ, params, core.PlannerLeftToRight},
+		{"folded", foldedQ, nil},
+		{"unfolded", unfoldedQ, params},
 	} {
-		cfg := core.Config{Dialect: core.DialectRevised, Planner: c.planner}
 		stmt, err := parser.Parse(c.query)
 		if err != nil {
 			b.Fatal(err)

@@ -113,60 +113,6 @@ const (
 	ScanReverse
 )
 
-// Executor selects the evaluation strategy for a statement's reading
-// pipeline. Update clauses execute identically under both: the
-// streaming executor inserts a materialization barrier before every
-// update clause (and before ORDER BY/aggregation), so the paper's
-// record-order-dependent legacy semantics and the revised two-phase
-// semantics are preserved bit-for-bit.
-type Executor int
-
-// Executors.
-const (
-	// ExecStreaming (the default) lowers the statement to a tree of
-	// cursor-driven operators (package plan) pulled in columnar batches
-	// of up to plan.BatchTarget rows: per-row map allocation and
-	// coroutine switches amortize over a batch, and LIMIT/EXISTS still
-	// exit early (consumers bound how many rows they request).
-	ExecStreaming Executor = iota
-	// ExecMaterializing is the original clause-at-a-time interpreter
-	// that builds every intermediate table in full. It is retained as
-	// the executable specification the streaming executor is tested
-	// against (golden equivalence), and for A/B benchmarking.
-	ExecMaterializing
-)
-
-func (e Executor) String() string {
-	if e == ExecMaterializing {
-		return "materializing"
-	}
-	return "streaming"
-}
-
-// PlannerMode selects how MATCH enumeration is planned.
-type PlannerMode int
-
-// Planner modes.
-const (
-	// PlannerCostBased (the default) picks scan anchors, part order and
-	// walk direction from the graph's incrementally maintained
-	// statistics, and prunes with pushed WHERE conjuncts.
-	PlannerCostBased PlannerMode = iota
-	// PlannerLeftToRight is the pre-planner enumeration: every part
-	// starts at its first node and parts run in written order. Kept as
-	// the reference the planner-equivalence tests compare against, for
-	// A/B benchmarking (B11/B12/B21) and for bisecting planner issues;
-	// the public cypher API does not expose it.
-	PlannerLeftToRight
-)
-
-func (p PlannerMode) String() string {
-	if p == PlannerLeftToRight {
-		return "left-to-right"
-	}
-	return "cost-based"
-}
-
 // Config configures an Engine.
 type Config struct {
 	Dialect Dialect
@@ -181,27 +127,19 @@ type Config struct {
 	// SkipValidation disables dialect grammar validation (used by tests
 	// that exercise runtime errors directly).
 	SkipValidation bool
-	// Executor selects the streaming (default) or materializing
-	// evaluation strategy.
-	Executor Executor
-	// Planner selects cost-based match planning (default) or the naive
-	// left-to-right enumeration. Both executors honour it, so golden
-	// cross-executor comparisons hold in either mode.
-	Planner PlannerMode
-	// MemoryBudget caps, in bytes, the accounted memory the streaming
-	// executors' barriers (ORDER BY, aggregation, DISTINCT) may hold per
-	// statement before spilling to temp files. Zero (the default) means
-	// unlimited: no accounting, no spilling. Results are identical with
-	// and without a budget; only peak memory and speed change.
+	// MemoryBudget caps, in bytes, the accounted memory the barriers
+	// (ORDER BY, aggregation, DISTINCT) may hold per statement before
+	// spilling to temp files. Zero (the default) means unlimited: no
+	// accounting, no spilling. Results are identical with and without a
+	// budget; only peak memory and speed change.
 	MemoryBudget int64
 	// Parallelism is the worker-pool degree for morsel-driven parallel
-	// execution of read-only statements on the streaming executor. Zero
-	// (the default) means GOMAXPROCS; 1 disables parallelism. Update
-	// statements, explicit-transaction pipelines and the materializing
-	// executor always run serially.
-	// Results are identical at any degree: morsel outputs are gathered
-	// in morsel order, so parallel plans emit the exact row sequence of
-	// a serial run.
+	// execution of read-only statements. Zero (the default) means
+	// GOMAXPROCS; 1 disables parallelism. Update statements and
+	// explicit-transaction pipelines always run serially. Results are
+	// identical at any degree: morsel outputs are gathered in morsel
+	// order, so parallel plans emit the exact row sequence of a serial
+	// run.
 	Parallelism int
 	// Durability configures the write-ahead log when the database is
 	// opened against a data directory (cypher.OpenDir /
@@ -218,6 +156,10 @@ type Config struct {
 	// pattern part (the planner-equivalence test hook; see
 	// match.Matcher.ForceAnchor).
 	forceAnchor func(partIdx int, part *ast.PatternPart) int
+	// naivePlanner makes every MATCH use the naive left-to-right walk
+	// (match.Matcher.DisablePlan), the reference the planner-equivalence
+	// tests compare the cost-based planner against.
+	naivePlanner bool
 }
 
 // UpdateStats counts the effects of a statement.
@@ -376,22 +318,19 @@ func statementInvariant(g *graph.Graph) error {
 	return nil
 }
 
-// executeUnion applies UNION members left to right: each query sees the
-// graph as modified by its predecessors, and the output tables are
-// unioned (Section 8.2, "Composition of clauses"). The streaming
-// executor expresses the same composition as a sequential Union
-// operator; the materializing executor loops over the members.
+// executeUnion runs a statement at the exchange degree its shape
+// allows (see parallelism).
 func (e *Engine) executeUnion(g *graph.Graph, stmt *ast.Statement, params map[string]value.Value, t0 *table.Table) (*Result, error) {
 	return e.executeUnionPar(g, stmt, params, t0, e.parallelism(stmt))
 }
 
 // parallelism resolves the exchange degree a statement may use: the
 // configured Parallelism (0 = GOMAXPROCS), forced to 1 — fully serial —
-// for update statements and for any executor other than the streaming
-// one. Explicit-transaction pipelines pass 1 explicitly (see
-// Session.executeInTxn): the single-writer baton stays untouched.
+// for update statements. Explicit-transaction pipelines pass 1
+// explicitly (see Session.executeInTxn): the single-writer baton stays
+// untouched.
 func (e *Engine) parallelism(stmt *ast.Statement) int {
-	if e.cfg.Executor != ExecStreaming || stmt.Updating() {
+	if stmt.Updating() {
 		return 1
 	}
 	p := e.cfg.Parallelism
@@ -404,86 +343,17 @@ func (e *Engine) parallelism(stmt *ast.Statement) int {
 	return p
 }
 
-// executeUnionPar is executeUnion with an explicit exchange degree.
+// executeUnionPar lowers the statement to an operator plan with an
+// explicit exchange degree and drains it. UNION members run left to
+// right under a sequential Union operator, each seeing the graph as
+// modified by its predecessors (Section 8.2, "Composition of clauses").
+// Update clauses run behind materialization barriers via the
+// dialect-selected clause functions (see executor.clause).
 func (e *Engine) executeUnionPar(g *graph.Graph, stmt *ast.Statement, params map[string]value.Value, t0 *table.Table, par int) (*Result, error) {
 	if stmt.Index != nil {
 		return executeIndexStmt(g, stmt.Index)
 	}
-	if e.cfg.Executor != ExecMaterializing {
-		return e.executeStreaming(g, stmt, params, t0, par)
-	}
-	var out *table.Table
-	stats := UpdateStats{}
-	for i, q := range stmt.Queries {
-		init := table.Unit()
-		if t0 != nil {
-			init = t0.Clone()
-		}
-		x := &executor{
-			cfg:    e.cfg,
-			plans:  e.plans,
-			graph:  g,
-			params: params,
-			ev:     &expr.Evaluator{Graph: g, Params: params},
-		}
-		t, err := x.run(q.Clauses, init)
-		if err != nil {
-			return nil, err
-		}
-		stats.Add(x.stats)
-		if i == 0 {
-			out = t
-			continue
-		}
-		if err := unionCompatible(out, t); err != nil {
-			return nil, err
-		}
-		if err := out.AppendTable(t); err != nil {
-			return nil, err
-		}
-	}
-	if len(stmt.Queries) > 1 {
-		// Plain UNION deduplicates; UNION ALL anywhere keeps duplicates
-		// (matching SQL/Cypher: mixed unions apply the strictest form
-		// pairwise; we simplify to "any plain UNION dedupes", documented).
-		allAll := true
-		for _, a := range stmt.UnionAll {
-			if !a {
-				allAll = false
-			}
-		}
-		if !allAll {
-			out.Distinct()
-		}
-	}
-	return &Result{Table: out, Stats: stats}, nil
-}
-
-func unionCompatible(a, b *table.Table) error {
-	ca, cb := a.Columns(), b.Columns()
-	if len(ca) != len(cb) {
-		return fmt.Errorf("UNION requires the same return columns (%v vs %v)", ca, cb)
-	}
-	for i := range ca {
-		if ca[i] != cb[i] {
-			return fmt.Errorf("UNION requires the same return columns (%v vs %v)", ca, cb)
-		}
-	}
-	return nil
-}
-
-// executeStreaming lowers the statement to a streaming operator plan
-// and drains it. Update clauses run behind materialization barriers via
-// the same per-clause functions as the materializing executor, so both
-// dialects' update semantics are identical across executors.
-func (e *Engine) executeStreaming(g *graph.Graph, stmt *ast.Statement, params map[string]value.Value, t0 *table.Table, par int) (*Result, error) {
-	x := &executor{
-		cfg:    e.cfg,
-		plans:  e.plans,
-		graph:  g,
-		params: params,
-		ev:     &expr.Evaluator{Graph: g, Params: params},
-	}
+	x := e.newExecutor(g, params)
 	root, err := x.buildPlan(stmt, t0, par)
 	if err != nil {
 		return nil, err
@@ -503,11 +373,9 @@ func (e *Engine) executeStreaming(g *graph.Graph, stmt *ast.Statement, params ma
 // dialect-selected clause functions and accumulate stats here.
 func (x *executor) buildPlan(stmt *ast.Statement, t0 *table.Table, par int) (plan.Operator, error) {
 	b := &plan.Builder{
-		Ev:         x.ev,
-		NewMatcher: x.matcherFor,
-		Write: func(c ast.Clause, in *table.Table) (*table.Table, error) {
-			return x.clause(c, in)
-		},
+		Ev:           x.ev,
+		NewMatcher:   x.matcherFor,
+		Write:        x.clause,
 		MemoryBudget: x.cfg.MemoryBudget,
 		Parallelism:  par,
 	}
@@ -549,13 +417,7 @@ func (e *Engine) explainStatement(g *graph.Graph, stmt *ast.Statement, params ma
 	if params == nil {
 		params = map[string]value.Value{}
 	}
-	x := &executor{
-		cfg:    e.cfg,
-		plans:  e.plans,
-		graph:  g,
-		params: params,
-		ev:     &expr.Evaluator{Graph: g, Params: params},
-	}
+	x := e.newExecutor(g, params)
 	par := e.parallelism(stmt)
 	if inTxn {
 		par = 1
@@ -580,14 +442,26 @@ func (e *Engine) explainStatement(g *graph.Graph, stmt *ast.Statement, params ma
 	return header + "\n" + plan.Explain(root), nil
 }
 
-// executor runs one single query's clause list.
+// executor holds one statement's execution state: the graph, the
+// parameters, the evaluator and the update stats its update clauses
+// accumulate.
 type executor struct {
 	cfg    Config
-	plans  *match.PlanCache // engine's shared plan cache (nil in bare-engine tests)
+	plans  *match.PlanCache // engine's shared plan cache
 	graph  *graph.Graph
 	params map[string]value.Value
 	ev     *expr.Evaluator
 	stats  UpdateStats
+}
+
+func (e *Engine) newExecutor(g *graph.Graph, params map[string]value.Value) *executor {
+	return &executor{
+		cfg:    e.cfg,
+		plans:  e.plans,
+		graph:  g,
+		params: params,
+		ev:     &expr.Evaluator{Graph: g, Params: params},
+	}
 }
 
 func (x *executor) matcher() *match.Matcher { return x.matcherFor(x.ev) }
@@ -601,45 +475,17 @@ func (x *executor) matcherFor(ev *expr.Evaluator) *match.Matcher {
 		Ev:          ev,
 		Mode:        x.cfg.MatchMode,
 		Cache:       x.plans,
-		DisablePlan: x.cfg.Planner == PlannerLeftToRight,
+		DisablePlan: x.cfg.naivePlanner,
 		ForceAnchor: x.cfg.forceAnchor,
 	}
 }
 
-// run folds the clause semantics over the driving table, left to right
-// (the materializing executor: every clause builds its full output
-// table before the next one starts).
-func (x *executor) run(clauses []ast.Clause, t *table.Table) (*table.Table, error) {
-	var err error
-	returned := false
-	for _, c := range clauses {
-		t, err = x.clause(c, t)
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := c.(*ast.ReturnClause); ok {
-			returned = true
-		}
-	}
-	if !returned {
-		// A query without RETURN outputs no table.
-		return table.New(), nil
-	}
-	return t, nil
-}
-
+// clause applies one update clause to a materialized driving table —
+// the [[C]](G, T) of the paper, with the graph mutated in place. It is
+// the plan's Write hook, and FOREACH applies its body clauses through
+// it.
 func (x *executor) clause(c ast.Clause, t *table.Table) (*table.Table, error) {
 	switch cl := c.(type) {
-	case *ast.MatchClause:
-		return x.execMatch(cl, t)
-	case *ast.UnwindClause:
-		return x.execUnwind(cl, t)
-	case *ast.LoadCSVClause:
-		return x.execLoadCSV(cl, t)
-	case *ast.WithClause:
-		return x.execProjection(&cl.Projection, cl.Where, t)
-	case *ast.ReturnClause:
-		return x.execProjection(&cl.Projection, nil, t)
 	case *ast.CreateClause:
 		return x.execCreate(cl, t)
 	case *ast.SetClause:

@@ -41,10 +41,10 @@ var exprEquivQueries = []string{
 }
 
 // TestExpressionEquivalenceAcrossExecutors requires bit-identical
-// rendered results for the expression corpus across all three
-// executors, both dialects, and serial vs parallel execution — the
-// acceptance bar for the registry migration: dispatch, scoping and
-// folding must not depend on how the plan is driven.
+// rendered results for the expression corpus across both dialects and
+// serial vs parallel execution — the acceptance bar for the registry
+// migration: dispatch, scoping and folding must not depend on how the
+// plan is driven.
 func TestExpressionEquivalenceAcrossExecutors(t *testing.T) {
 	base := graph.New()
 	setup := NewEngine(Config{Dialect: DialectRevised})
@@ -65,22 +65,20 @@ func TestExpressionEquivalenceAcrossExecutors(t *testing.T) {
 		var want string
 		first := true
 		for _, dialect := range []Dialect{DialectRevised, DialectCypher9} {
-			for _, ex := range []Executor{ExecStreaming, ExecMaterializing} {
-				for _, par := range []int{1, 4} {
-					cfg := Config{Dialect: dialect, Executor: ex, Parallelism: par}
-					res, err := NewEngine(cfg).ExecuteStatement(base.Clone(), stmt, nil)
-					if err != nil {
-						t.Fatalf("%s/%s/par%d: %q: %v", dialect, ex, par, q, err)
-					}
-					got := renderMultiset(res)
-					if first {
-						want, first = got, false
-						continue
-					}
-					if got != want {
-						t.Errorf("%s/%s/par%d: %q diverged:\n got:\n%s\nwant:\n%s",
-							dialect, ex, par, q, got, want)
-					}
+			for _, par := range []int{1, 4} {
+				cfg := Config{Dialect: dialect, Parallelism: par}
+				res, err := NewEngine(cfg).ExecuteStatement(base.Clone(), stmt, nil)
+				if err != nil {
+					t.Fatalf("%s/par%d: %q: %v", dialect, par, q, err)
+				}
+				got := renderMultiset(res)
+				if first {
+					want, first = got, false
+					continue
+				}
+				if got != want {
+					t.Errorf("%s/par%d: %q diverged:\n got:\n%s\nwant:\n%s",
+						dialect, par, q, got, want)
 				}
 			}
 		}
@@ -193,14 +191,12 @@ func TestPushdownNeverPrunesErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ex := range []Executor{ExecStreaming, ExecMaterializing} {
-			_, errPlanned := NewEngine(Config{Dialect: DialectRevised, Executor: ex}).
-				ExecuteStatement(g.Clone(), stmt, nil)
-			_, errNaive := NewEngine(Config{Dialect: DialectRevised, Executor: ex, Planner: PlannerLeftToRight}).
-				ExecuteStatement(g.Clone(), stmt, nil)
-			if (errPlanned == nil) != (errNaive == nil) {
-				t.Errorf("%s %q: error divergence planned=%v naive=%v", ex, q, errPlanned, errNaive)
-			}
+		_, errPlanned := NewEngine(Config{Dialect: DialectRevised}).
+			ExecuteStatement(g.Clone(), stmt, nil)
+		_, errNaive := NewEngine(Config{Dialect: DialectRevised, naivePlanner: true}).
+			ExecuteStatement(g.Clone(), stmt, nil)
+		if (errPlanned == nil) != (errNaive == nil) {
+			t.Errorf("%q: error divergence planned=%v naive=%v", q, errPlanned, errNaive)
 		}
 	}
 }

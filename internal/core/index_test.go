@@ -22,7 +22,7 @@ func mustParse(t *testing.T, src string) *ast.Statement {
 
 // indexEquivQueries are equality-anchored shapes the index seek
 // rewrites; each must return the identical multiset with and without
-// indexes, across executors and dialects.
+// indexes, in both dialects.
 var indexEquivQueries = []string{
 	`MATCH (a:User{name:'ada'}) RETURN a.age AS age`,
 	`MATCH (a:User) WHERE a.name = 'bob' RETURN a.age AS age`,
@@ -44,8 +44,8 @@ var indexEquivDDL = []string{
 
 // TestIndexSeekEquivalence is the acceptance sweep: every corpus query
 // must return a multiset identical between the index-seek plan and the
-// label-scan plan, across both executors and both dialects (and the
-// naive planner as a third reference).
+// label-scan plan, in both dialects (and the naive planner as a third
+// reference).
 func TestIndexSeekEquivalence(t *testing.T) {
 	plain := graph.New()
 	setupEng := NewEngine(Config{Dialect: DialectRevised})
@@ -81,14 +81,10 @@ func TestIndexSeekEquivalence(t *testing.T) {
 			}
 		}
 		for _, dialect := range []Dialect{DialectRevised, DialectCypher9} {
-			for _, ex := range []Executor{ExecStreaming, ExecMaterializing} {
-				cfg := Config{Dialect: dialect, Executor: ex}
-				check("scan/"+dialect.String()+"/"+ex.String(), plain, cfg)
-				check("seek/"+dialect.String()+"/"+ex.String(), indexed, cfg)
-				naive := cfg
-				naive.Planner = PlannerLeftToRight
-				check("naive/"+dialect.String()+"/"+ex.String(), indexed, naive)
-			}
+			cfg := Config{Dialect: dialect}
+			check("scan/"+dialect.String(), plain, cfg)
+			check("seek/"+dialect.String(), indexed, cfg)
+			check("naive/"+dialect.String(), indexed, Config{Dialect: dialect, naivePlanner: true})
 		}
 	}
 }

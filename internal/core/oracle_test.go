@@ -156,7 +156,7 @@ func TestOracleConfigurationDifferential(t *testing.T) {
 	}{
 		{"par2", Config{Parallelism: 2}, false},
 		{"par8-budget1", Config{Parallelism: 8, MemoryBudget: 1}, false},
-		{"naive-planner", Config{Parallelism: 1, Planner: PlannerLeftToRight}, true},
+		{"naive-planner", Config{Parallelism: 1, naivePlanner: true}, true},
 	}
 	total, failed := map[Dialect]int{}, map[Dialect]int{}
 	forEachOracleCase(t, []Dialect{DialectCypher9, DialectRevised}, func(c *oracleCase) {
@@ -192,7 +192,7 @@ func TestOracleConfigurationDifferential(t *testing.T) {
 }
 
 // TestOracleMetamorphicPairs checks rewrites that preserve meaning
-// (after Proving Cypher Query Equivalence, PAPERS.md):
+// (in the style of the "Proving Cypher Query Equivalence" rewrites):
 //
 //   - swapping the operands of every AND: WHERE atoms never fail, so
 //     Kleene conjunction is commutative on them;

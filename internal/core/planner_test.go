@@ -79,9 +79,9 @@ func maxPartWidth(stmt *ast.Statement) int {
 }
 
 // TestPlannerEquivalenceForcedAnchors is the planner's correctness
-// suite: for every corpus query, every forced anchor position, both
-// executors and both dialects must produce the same result multiset as
-// the cost-based default. (The anchor hook pins all parts of all MATCH
+// suite: for every corpus query, the naive walk and every forced anchor
+// position must produce the same result multiset as the cost-based
+// default, in both dialects. (The anchor hook pins all parts of all MATCH
 // clauses to one position, clamped per part, which sweeps the whole
 // per-part choice space as positions range over the widest part.)
 func TestPlannerEquivalenceForcedAnchors(t *testing.T) {
@@ -123,22 +123,18 @@ func TestPlannerEquivalenceForcedAnchors(t *testing.T) {
 		}
 
 		for _, dialect := range []Dialect{DialectRevised, DialectCypher9} {
-			for _, ex := range []Executor{ExecStreaming, ExecMaterializing} {
-				check("default/"+dialect.String()+"/"+ex.String(),
-					Config{Dialect: dialect, Executor: ex})
-				check("naive/"+dialect.String()+"/"+ex.String(),
-					Config{Dialect: dialect, Executor: ex, Planner: PlannerLeftToRight})
-				for pos := 0; pos < width; pos++ {
-					pos := pos
-					cfg := Config{Dialect: dialect, Executor: ex}
-					cfg.forceAnchor = func(_ int, part *ast.PatternPart) int {
-						if pos < len(part.Nodes) {
-							return pos
-						}
-						return len(part.Nodes) - 1
+			check("default/"+dialect.String(), Config{Dialect: dialect})
+			check("naive/"+dialect.String(), Config{Dialect: dialect, naivePlanner: true})
+			for pos := 0; pos < width; pos++ {
+				pos := pos
+				cfg := Config{Dialect: dialect}
+				cfg.forceAnchor = func(_ int, part *ast.PatternPart) int {
+					if pos < len(part.Nodes) {
+						return pos
 					}
-					check("forced/"+dialect.String()+"/"+ex.String(), cfg)
+					return len(part.Nodes) - 1
 				}
+				check("forced/"+dialect.String(), cfg)
 			}
 		}
 	}
@@ -168,14 +164,12 @@ func TestPlannerPreservesWhereErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ex := range []Executor{ExecStreaming, ExecMaterializing} {
-			_, errPlanned := NewEngine(Config{Dialect: DialectRevised, Executor: ex}).
-				ExecuteStatement(g.Clone(), stmt, nil)
-			_, errNaive := NewEngine(Config{Dialect: DialectRevised, Executor: ex, Planner: PlannerLeftToRight}).
-				ExecuteStatement(g.Clone(), stmt, nil)
-			if (errPlanned == nil) != (errNaive == nil) {
-				t.Errorf("%s %q: error divergence planned=%v naive=%v", ex, q, errPlanned, errNaive)
-			}
+		_, errPlanned := NewEngine(Config{Dialect: DialectRevised}).
+			ExecuteStatement(g.Clone(), stmt, nil)
+		_, errNaive := NewEngine(Config{Dialect: DialectRevised, naivePlanner: true}).
+			ExecuteStatement(g.Clone(), stmt, nil)
+		if (errPlanned == nil) != (errNaive == nil) {
+			t.Errorf("%q: error divergence planned=%v naive=%v", q, errPlanned, errNaive)
 		}
 	}
 }
@@ -209,14 +203,12 @@ func TestPlannerPreservesBindingAndPropsErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ex := range []Executor{ExecStreaming, ExecMaterializing} {
-			_, errPlanned := NewEngine(Config{Dialect: DialectRevised, Executor: ex}).
-				ExecuteStatement(g.Clone(), stmt, nil)
-			_, errNaive := NewEngine(Config{Dialect: DialectRevised, Executor: ex, Planner: PlannerLeftToRight}).
-				ExecuteStatement(g.Clone(), stmt, nil)
-			if (errPlanned == nil) != (errNaive == nil) {
-				t.Errorf("%s %q: error divergence planned=%v naive=%v", ex, q, errPlanned, errNaive)
-			}
+		_, errPlanned := NewEngine(Config{Dialect: DialectRevised}).
+			ExecuteStatement(g.Clone(), stmt, nil)
+		_, errNaive := NewEngine(Config{Dialect: DialectRevised, naivePlanner: true}).
+			ExecuteStatement(g.Clone(), stmt, nil)
+		if (errPlanned == nil) != (errNaive == nil) {
+			t.Errorf("%q: error divergence planned=%v naive=%v", q, errPlanned, errNaive)
 		}
 	}
 }
@@ -247,11 +239,11 @@ func TestPlannerAnchorsRareLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(planner PlannerMode) (int64, int64) {
+	run := func(naive bool) (int64, int64) {
 		var root plan.Operator
 		// Parallelism pinned to 1: the test reads the serial Match
 		// operator's visit counters.
-		cfg := Config{Dialect: DialectRevised, Planner: planner, Parallelism: 1}
+		cfg := Config{Dialect: DialectRevised, Parallelism: 1, naivePlanner: naive}
 		cfg.onPlan = func(op plan.Operator) { root = op }
 		res, err := NewEngine(cfg).ExecuteStatement(g.Clone(), stmt, nil)
 		if err != nil {
@@ -266,12 +258,12 @@ func TestPlannerAnchorsRareLabel(t *testing.T) {
 		}
 		st := ms[0].MatchStats()
 		if st.Emitted != 40 {
-			t.Fatalf("planner=%v emitted %d matches, want 40", planner, st.Emitted)
+			t.Fatalf("naive=%v emitted %d matches, want 40", naive, st.Emitted)
 		}
 		return st.NodeVisits, st.RelVisits
 	}
-	plannedNodes, _ := run(PlannerCostBased)
-	naiveNodes, _ := run(PlannerLeftToRight)
+	plannedNodes, _ := run(false)
+	naiveNodes, _ := run(true)
 	if plannedNodes > 10 {
 		t.Errorf("planned walk visited %d anchor candidates, want ≤10 (the single :Rare node)", plannedNodes)
 	}

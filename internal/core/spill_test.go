@@ -11,21 +11,20 @@ import (
 )
 
 // TestExecutorTriEquivalenceGolden replays both golden corpora under
-// three executor configurations — the serial batched streaming default,
-// the same executor at parallelism 8 with a spill-forcing budget=1, and
-// the materializing interpreter — and requires each to reproduce every
-// pin of the case: tables, stats and final graphs. Neither setting may
-// change a result: the exchange gathers morsels in order, and a
-// spilling barrier replays exactly the rows it would have held in
-// memory.
+// three executor configurations — serial, parallelism 2, and
+// parallelism 8 with a spill-forcing budget=1 — and requires each to
+// reproduce every pin of the case: tables, stats and final graphs.
+// Neither setting may change a result: the exchange gathers morsels in
+// order, and a spilling barrier replays exactly the rows it would have
+// held in memory.
 func TestExecutorTriEquivalenceGolden(t *testing.T) {
 	arms := []struct {
 		name string
 		cfg  Config
 	}{
-		{"streaming", Config{Executor: ExecStreaming, Parallelism: 1}},
-		{"streaming-par8-budget1", Config{Executor: ExecStreaming, Parallelism: 8, MemoryBudget: 1}},
-		{"materializing", Config{Executor: ExecMaterializing}},
+		{"serial", Config{Parallelism: 1}},
+		{"par2", Config{Parallelism: 2}},
+		{"par8-budget1", Config{Parallelism: 8, MemoryBudget: 1}},
 	}
 	suites := []struct {
 		name    string

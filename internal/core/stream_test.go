@@ -26,9 +26,9 @@ func renderTable(t *Result) string {
 }
 
 // TestStreamingMatchesMaterializingGolden replays every case of both
-// golden corpora under the streaming and the materializing executor;
-// each must reproduce every pin of the case (rows, stats, final graph)
-// in both dialects.
+// golden corpora serially; each must reproduce every pin of the case
+// (rows, stats, final graph) in both dialects. The pins are the answers
+// the materializing interpreter gave before it was deleted.
 func TestStreamingMatchesMaterializingGolden(t *testing.T) {
 	suites := []struct {
 		name    string
@@ -41,9 +41,7 @@ func TestStreamingMatchesMaterializingGolden(t *testing.T) {
 	for _, suite := range suites {
 		for _, c := range suite.cases {
 			t.Run(suite.name+"/"+c.name, func(t *testing.T) {
-				for _, ex := range []Executor{ExecStreaming, ExecMaterializing} {
-					checkGolden(t, c, ex.String(), Config{Dialect: suite.dialect, Executor: ex})
-				}
+				checkGolden(t, c, "serial", Config{Dialect: suite.dialect, Parallelism: 1})
 			})
 		}
 	}
@@ -71,28 +69,26 @@ func TestStreamingMatchesMaterializingScanOrders(t *testing.T) {
 	}
 	for _, order := range []ScanOrder{ScanForward, ScanReverse} {
 		t.Run(order.String(), func(t *testing.T) {
-			for _, ex := range []Executor{ExecStreaming, ExecMaterializing} {
-				g := graph.New()
-				eng := NewEngine(Config{Dialect: DialectCypher9, ScanOrder: order, Executor: ex})
-				var total UpdateStats
-				var res *Result
-				for _, s := range []string{setup, query} {
-					var err error
-					if res, err = eng.ExecuteStatement(g, mustParse(t, s), nil); err != nil {
-						t.Fatal(err)
-					}
-					total.Add(res.Stats)
+			g := graph.New()
+			eng := NewEngine(Config{Dialect: DialectCypher9, ScanOrder: order})
+			var total UpdateStats
+			var res *Result
+			for _, s := range []string{setup, query} {
+				var err error
+				if res, err = eng.ExecuteStatement(g, mustParse(t, s), nil); err != nil {
+					t.Fatal(err)
 				}
-				pin := pins[order]
-				if got := renderTable(res); got != pin.table {
-					t.Errorf("%s: table %q, want %q", ex, got, pin.table)
-				}
-				if total != pin.stats {
-					t.Errorf("%s: stats %v, want %v", ex, total, pin.stats)
-				}
-				if h := fingerprintHash(g); h != pin.graph {
-					t.Errorf("%s: final graph hash %s, want %s", ex, h, pin.graph)
-				}
+				total.Add(res.Stats)
+			}
+			pin := pins[order]
+			if got := renderTable(res); got != pin.table {
+				t.Errorf("table %q, want %q", got, pin.table)
+			}
+			if total != pin.stats {
+				t.Errorf("stats %v, want %v", total, pin.stats)
+			}
+			if h := fingerprintHash(g); h != pin.graph {
+				t.Errorf("final graph hash %s, want %s", h, pin.graph)
 			}
 		})
 	}
@@ -298,9 +294,9 @@ func TestLimitNeverStopsUpdates(t *testing.T) {
 }
 
 // TestStreamingPropertyRandomQueries replays a mix of read pipelines
-// on a random-ish graph under the streaming and the materializing
-// executor; both must reproduce each query's pinned table (rows joined
-// by " / ") and leave the graph unchanged.
+// on a random-ish graph serially and at parallelism 2; both must
+// reproduce each query's pinned table (rows joined by " / "), the
+// materializing interpreter's answer, and leave the graph unchanged.
 func TestStreamingPropertyRandomQueries(t *testing.T) {
 	g := graph.New()
 	eng := NewEngine(Config{Dialect: DialectRevised})
@@ -337,17 +333,17 @@ func TestStreamingPropertyRandomQueries(t *testing.T) {
 	}
 	for qi, c := range queries {
 		stmt := mustParse(t, c.q)
-		for _, ex := range []Executor{ExecStreaming, ExecMaterializing} {
+		for _, par := range []int{1, 2} {
 			gq := g.Clone()
-			res, err := NewEngine(Config{Dialect: DialectRevised, Executor: ex}).ExecuteStatement(gq, stmt, nil)
+			res, err := NewEngine(Config{Dialect: DialectRevised, Parallelism: par}).ExecuteStatement(gq, stmt, nil)
 			if err != nil {
-				t.Fatalf("q%d %s: %v", qi, ex, err)
+				t.Fatalf("q%d par%d: %v", qi, par, err)
 			}
 			if got := strings.ReplaceAll(renderTable(res), "\n", " / "); got != c.want {
-				t.Errorf("q%d (%s) %s:\n got %s\nwant %s", qi, c.q, ex, got, c.want)
+				t.Errorf("q%d (%s) par%d:\n got %s\nwant %s", qi, c.q, par, got, c.want)
 			}
 			if res.Stats != (UpdateStats{}) || fingerprintHash(gq) != base {
-				t.Errorf("q%d %s: a read changed the graph (%v)", qi, ex, res.Stats)
+				t.Errorf("q%d par%d: a read changed the graph (%v)", qi, par, res.Stats)
 			}
 		}
 	}

@@ -223,19 +223,18 @@ func (s *Session) Explain(stmt *ast.Statement, params map[string]value.Value) (s
 	return s.e.explainStatement(snap.Graph(), stmt, params, false)
 }
 
-// Profile executes the statement on the streaming executor and renders
-// the operator tree annotated with its observed execution counters —
-// per-operator rows and batches, and for barriers the peak accounted
-// memory and spill-run count when a memory budget is in force. Unlike
-// Explain it RUNS the statement: updates apply exactly as in Execute.
-// Transaction control cannot be profiled (it has no operator plan).
+// Profile executes the statement and renders the operator tree
+// annotated with its observed execution counters — per-operator rows
+// and batches, and for barriers the peak accounted memory and spill-run
+// count when a memory budget is in force. Unlike Explain it RUNS the
+// statement: updates apply exactly as in Execute. Transaction control
+// cannot be profiled (it has no operator plan).
 func (s *Session) Profile(stmt *ast.Statement, params map[string]value.Value) (*Result, string, error) {
 	if stmt.TxnControl != ast.TxnNone {
 		return nil, "", fmt.Errorf("PROFILE: %s is transaction control — no operator plan", stmt.TxnControl)
 	}
 	// Run on a temporary engine copy that captures the executed plan
-	// (chaining any existing hook) and never picks the plan-less
-	// materializing executor.
+	// (chaining any existing hook).
 	var root plan.Operator
 	prof := *s.e
 	prev := prof.cfg.onPlan
@@ -244,9 +243,6 @@ func (s *Session) Profile(stmt *ast.Statement, params map[string]value.Value) (*
 		if prev != nil {
 			prev(op)
 		}
-	}
-	if prof.cfg.Executor == ExecMaterializing {
-		prof.cfg.Executor = ExecStreaming
 	}
 	saved := s.e
 	s.e = &prof

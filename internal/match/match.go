@@ -65,8 +65,9 @@ type Matcher struct {
 
 	// DisablePlan turns cost-based planning off: parts run in written
 	// order, every part anchors at its first node, and pushed predicates
-	// are ignored. Kept for A/B benchmarking against the pre-planner
-	// enumeration and for bisecting planner bugs.
+	// are ignored. This naive walk is also the fallback Stream takes
+	// whenever planning could change which runtime error surfaces; the
+	// planner-equivalence tests force it to compare the two.
 	DisablePlan bool
 	// ForceAnchor, when non-nil, overrides anchor selection for testing:
 	// it receives each part's index in the written pattern and may
@@ -173,9 +174,9 @@ func (m *Matcher) Stream(parts []*ast.PatternPart, env expr.Env, yield func(expr
 	return err
 }
 
-// Match enumerates all matches eagerly, collecting them into a slice.
-// It is retained for the materializing executor and for callers that
-// genuinely need the full set (e.g. legacy MERGE outcome bookkeeping).
+// Match enumerates all matches eagerly, collecting them into a slice,
+// for callers that need the full set: the MERGE clauses decide between
+// matching and creating per record.
 func (m *Matcher) Match(parts []*ast.PatternPart, env expr.Env) ([]expr.Env, error) {
 	var results []expr.Env
 	err := m.Stream(parts, env, func(e expr.Env) error {

@@ -21,11 +21,10 @@
 // Correctness: a pattern is a conjunction of constraints, and the
 // relationship-uniqueness side condition is a set-membership test, so
 // the multiset of matches is independent of the order in which slots
-// are bound — only the enumeration ORDER of the results changes. Both
-// executors share this planner (it runs inside Matcher.Stream), so the
-// streaming-vs-materializing golden equivalence stays bit-for-bit, and
-// the planner equivalence suite in internal/core checks multiset
-// equality across forced anchor choices.
+// are bound — only the enumeration ORDER of the results changes. The
+// planner equivalence suite in internal/core checks multiset equality
+// across forced anchor choices and the naive walk, and the property
+// oracles there check it on generated statements.
 package match
 
 import (

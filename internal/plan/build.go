@@ -15,9 +15,8 @@ import (
 // knows *where* a write barrier goes, core knows *what* the write does
 // (dialect, merge strategy, scan order).
 type Builder struct {
-	// Ev evaluates expressions; shared with the engine so aggregate
-	// result plumbing and parameters behave identically in both
-	// executors.
+	// Ev evaluates expressions; shared with the engine's update clauses
+	// so parameters behave identically in both.
 	Ev *expr.Evaluator
 	// NewMatcher returns a fresh matcher for one MATCH operator, bound
 	// to the given evaluator (parallel workers pass their private
@@ -135,8 +134,7 @@ func (b *Builder) BuildStatement(stmt *ast.Statement, t0 *table.Table) (Operator
 	}
 	var root Operator = NewUnion(members)
 	// Plain UNION deduplicates; UNION ALL everywhere keeps duplicates
-	// (mixed unions apply the strictest form, as in the materializing
-	// executor).
+	// (mixed unions apply the strictest form).
 	allAll := true
 	for _, a := range stmt.UnionAll {
 		if !a {
@@ -452,7 +450,7 @@ func (b *Builder) foldSortItems(items []*ast.SortItem) []*ast.SortItem {
 }
 
 // expandItems resolves * and default aliases against the columns in
-// scope, mirroring the materializing executor.
+// scope.
 func expandItems(proj *ast.Projection, cols []string) ([]Item, error) {
 	var items []Item
 	if proj.Star {

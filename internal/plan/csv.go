@@ -104,25 +104,3 @@ func CSVField(s string) value.Value {
 	}
 	return value.String(s)
 }
-
-// BindCSV reads a whole CSV file and converts each data row to the
-// value a LOAD CSV clause binds. It is the materializing executor's
-// entry point, implemented over the streaming reader.
-func BindCSV(url, fieldTerm string, withHeaders bool) ([]value.Value, error) {
-	r, err := OpenCSV(url, fieldTerm, withHeaders)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	var out []value.Value
-	for {
-		v, ok, err := r.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, v)
-	}
-}

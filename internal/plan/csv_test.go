@@ -17,9 +17,8 @@ func writeCSV(t *testing.T, content string) string {
 	return path
 }
 
-// TestCSVReaderStreamsRows checks row-at-a-time binding in both header
-// modes, including the short-row padding and empty-field-to-null
-// conventions BindCSV has always applied.
+// TestCSVReaderStreamsRows checks row-at-a-time binding with headers,
+// including the short-row padding and empty-field-to-null conventions.
 func TestCSVReaderStreamsRows(t *testing.T) {
 	path := writeCSV(t, "id,name\n1,ada\n2,\n3\n")
 
@@ -51,19 +50,6 @@ func TestCSVReaderStreamsRows(t *testing.T) {
 		t.Errorf("missing field should bind null, got %v", m3["name"])
 	}
 
-	// The whole-file helper must agree with the streamed rows.
-	bound, err := BindCSV(path, "", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bound) != len(rows) {
-		t.Fatalf("BindCSV rows = %d, want %d", len(bound), len(rows))
-	}
-	for i := range rows {
-		if value.Key(bound[i]) != value.Key(rows[i]) {
-			t.Errorf("row %d: BindCSV %v != streamed %v", i, bound[i], rows[i])
-		}
-	}
 }
 
 // TestCSVReaderListMode covers the no-headers list binding and custom

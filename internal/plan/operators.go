@@ -852,7 +852,7 @@ func (o *Aggregate) PeakBytes() int64 { return o.peak }
 func (o *Aggregate) SpillRuns() int64 { return o.spills }
 
 // Apply is the update barrier: it materializes its child into a driving
-// table (in stream order — exactly the table the materializing executor
+// table (in stream order — exactly the table clause-at-a-time evaluation
 // would hand the clause) and applies an update-clause function to it,
 // then streams the clause's output table. The barrier is what preserves
 // the legacy dialect's record-order-dependent semantics (Section 4,
@@ -891,8 +891,7 @@ func (o *Apply) Open() error {
 
 // fill materializes the child batch-at-a-time (one row-slice
 // allocation per record, no per-record map) and applies the update
-// function. Stream order is preserved — exactly the table the
-// materializing executor would hand the clause.
+// function. Stream order is preserved.
 func (o *Apply) fill() error {
 	in := table.New(o.child.Columns()...)
 	for {

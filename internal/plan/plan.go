@@ -19,14 +19,14 @@
 //     any downstream clause runs, in both dialects: the legacy Cypher 9
 //     semantics is record-order dependent (the paper's Section 4,
 //     Example 3), so the barrier hands the update function a fully
-//     materialized table in exactly the order the stream produced —
-//     bit-for-bit the table the materializing executor would have built
-//     — and the revised dialect's two-phase ChangeSet semantics needs
-//     the full table for conflict detection anyway.
+//     materialized table in exactly the order the stream produced, and
+//     the revised dialect's two-phase ChangeSet semantics needs the full
+//     table for conflict detection anyway. LIMIT never stops an update:
+//     a LIMIT 0 still drains the update barriers below it.
 //
 // Row order is deterministic end to end: every streaming operator
 // preserves its input order and the pull discipline reproduces the
-// nested-loop order of the materializing executor, so the paper's
+// nested-loop order of clause-at-a-time evaluation, so the paper's
 // record-order reproductions (ScanOrder, Example 3) are unaffected.
 //
 // Operators are pulled with NextBatch: columnar batches of up to a

@@ -10,16 +10,14 @@ import (
 	"repro/internal/plan"
 )
 
-// TestCorpusExecutorSweep replays every script in scripts/ under the
-// batched streaming executor (the default), the materializing
-// interpreter, a budget=1 spill-forced batched run, and the
-// morsel-parallel executor at degrees 2 and 8 (plus a spill-forced
-// parallel run). All must produce identical per-statement result
-// tables and identical final graphs — the end-to-end equivalence sweep
-// for the batched path, the spilling barriers, and the exchange
-// operators. Parallelism is set explicitly
-// because CI machines may report GOMAXPROCS=1, which would silently
-// skip the parallel paths.
+// TestCorpusExecutorSweep replays every script in scripts/ serially, in
+// a budget=1 spill-forced run, and morsel-parallel at degrees 2 and 8
+// (plus a spill-forced parallel run). All must produce identical
+// per-statement result tables and identical final graphs — the
+// end-to-end equivalence sweep for the spilling barriers and the
+// exchange operators. Parallelism is set explicitly because CI machines
+// may report GOMAXPROCS=1, which would silently skip the parallel
+// paths.
 func TestCorpusExecutorSweep(t *testing.T) {
 	manifest := map[string]core.Dialect{
 		"paper_walkthrough.cypher": core.DialectCypher9,
@@ -31,23 +29,20 @@ func TestCorpusExecutorSweep(t *testing.T) {
 		name string
 		cfg  func(d core.Dialect) core.Config
 	}{
-		{"batched", func(d core.Dialect) core.Config {
-			return core.Config{Dialect: d, Executor: core.ExecStreaming}
+		{"serial", func(d core.Dialect) core.Config {
+			return core.Config{Dialect: d, Parallelism: 1}
 		}},
-		{"materializing", func(d core.Dialect) core.Config {
-			return core.Config{Dialect: d, Executor: core.ExecMaterializing}
-		}},
-		{"batched-budget1", func(d core.Dialect) core.Config {
-			return core.Config{Dialect: d, Executor: core.ExecStreaming, MemoryBudget: 1}
+		{"serial-budget1", func(d core.Dialect) core.Config {
+			return core.Config{Dialect: d, Parallelism: 1, MemoryBudget: 1}
 		}},
 		{"par2", func(d core.Dialect) core.Config {
-			return core.Config{Dialect: d, Executor: core.ExecStreaming, Parallelism: 2}
+			return core.Config{Dialect: d, Parallelism: 2}
 		}},
 		{"par8", func(d core.Dialect) core.Config {
-			return core.Config{Dialect: d, Executor: core.ExecStreaming, Parallelism: 8}
+			return core.Config{Dialect: d, Parallelism: 8}
 		}},
 		{"par8-budget1", func(d core.Dialect) core.Config {
-			return core.Config{Dialect: d, Executor: core.ExecStreaming, Parallelism: 8, MemoryBudget: 1}
+			return core.Config{Dialect: d, Parallelism: 8, MemoryBudget: 1}
 		}},
 	}
 	dir := filepath.Join("..", "..", "scripts")

@@ -13,7 +13,6 @@ package table
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/value"
@@ -72,21 +71,6 @@ func (t *Table) AppendRow(vals ...value.Value) {
 		row[i] = v
 	}
 	t.rows = append(t.rows, row)
-}
-
-// AppendValues adds a record given as a value slice in column order,
-// taking ownership of the slice (it must not be mutated afterwards).
-// Nil entries become null.
-func (t *Table) AppendValues(vals []value.Value) {
-	if len(vals) != len(t.cols) {
-		panic(fmt.Sprintf("table: row width %d != %d columns", len(vals), len(t.cols)))
-	}
-	for i, v := range vals {
-		if v == nil {
-			vals[i] = value.NullValue
-		}
-	}
-	t.rows = append(t.rows, vals)
 }
 
 // AppendColumns adds n records given as columnar slices (cols[j][r] is
@@ -212,31 +196,6 @@ func (t *Table) Clone() *Table {
 // CloneEmpty returns an empty table with the same columns.
 func (t *Table) CloneEmpty() *Table { return New(t.cols...) }
 
-// AppendTable appends all rows of other, which must have the same column
-// set (in any order). This is bag union (the ⊎ of the MERGE ALL
-// semantics).
-func (t *Table) AppendTable(other *Table) error {
-	if len(other.cols) != len(t.cols) {
-		return fmt.Errorf("table: bag union of incompatible tables (%v vs %v)", t.cols, other.cols)
-	}
-	perm := make([]int, len(t.cols))
-	for i, c := range t.cols {
-		j, ok := other.colIdx[c]
-		if !ok {
-			return fmt.Errorf("table: bag union of incompatible tables (%v vs %v)", t.cols, other.cols)
-		}
-		perm[i] = j
-	}
-	for r := range other.rows {
-		row := make([]value.Value, len(t.cols))
-		for i := range t.cols {
-			row[i] = other.rows[r][perm[i]]
-		}
-		t.rows = append(t.rows, row)
-	}
-	return nil
-}
-
 // Reverse reverses the row order in place (the "bottom-up" evaluation
 // order of Example 3).
 func (t *Table) Reverse() {
@@ -255,47 +214,6 @@ func (t *Table) Permute(perm []int) {
 		out[i] = t.rows[p]
 	}
 	t.rows = out
-}
-
-// SortStable sorts rows by the given less function over row indices,
-// keeping the relative order of equal rows.
-func (t *Table) SortStable(less func(i, j int) bool) {
-	idx := make([]int, len(t.rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
-	t.Permute(idx)
-}
-
-// Distinct removes duplicate rows under value equivalence, keeping first
-// occurrences in order.
-func (t *Table) Distinct() {
-	seen := make(map[string]bool, len(t.rows))
-	out := t.rows[:0]
-	for _, row := range t.rows {
-		k := value.KeyList(row)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, row)
-		}
-	}
-	t.rows = out
-}
-
-// Slice keeps rows [from, to) (clamped), implementing SKIP/LIMIT.
-func (t *Table) Slice(from, to int) {
-	if from < 0 {
-		from = 0
-	}
-	if to > len(t.rows) {
-		to = len(t.rows)
-	}
-	if from >= to {
-		t.rows = nil
-		return
-	}
-	t.rows = t.rows[from:to]
 }
 
 // String renders the table for debugging and the REPL.

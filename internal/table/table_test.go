@@ -94,27 +94,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestAppendTableColumnPermutation(t *testing.T) {
-	a := New("x", "y")
-	a.AppendRow(value.Int(1), value.Int(2))
-	b := New("y", "x")
-	b.AppendRow(value.Int(20), value.Int(10))
-	if err := a.AppendTable(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Get(1, "x") != value.Int(10) || a.Get(1, "y") != value.Int(20) {
-		t.Error("column permutation not honored")
-	}
-	c := New("z")
-	if err := a.AppendTable(c); err == nil {
-		t.Error("incompatible union should fail")
-	}
-	d := New("x", "z")
-	if err := a.AppendTable(d); err == nil {
-		t.Error("mismatched names should fail")
-	}
-}
-
 func TestReversePermute(t *testing.T) {
 	tb := New("x")
 	for i := 1; i <= 3; i++ {
@@ -127,50 +106,6 @@ func TestReversePermute(t *testing.T) {
 	tb.Permute([]int{2, 0, 1})
 	if tb.Get(0, "x") != value.Int(1) || tb.Get(1, "x") != value.Int(3) {
 		t.Error("Permute")
-	}
-}
-
-func TestSortStable(t *testing.T) {
-	tb := New("k", "tag")
-	tb.AppendRow(value.Int(2), value.String("a"))
-	tb.AppendRow(value.Int(1), value.String("b"))
-	tb.AppendRow(value.Int(2), value.String("c"))
-	tb.SortStable(func(i, j int) bool {
-		return value.CompareOrder(tb.Get(i, "k"), tb.Get(j, "k")) < 0
-	})
-	if tb.Get(0, "k") != value.Int(1) {
-		t.Error("sort order")
-	}
-	// Stability: the two k=2 rows keep a-before-c.
-	if tb.Get(1, "tag") != value.String("a") || tb.Get(2, "tag") != value.String("c") {
-		t.Error("not stable")
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	tb := New("x", "y")
-	tb.AppendRow(value.Int(1), value.NullValue)
-	tb.AppendRow(value.Int(1), value.NullValue)     // duplicate incl. null
-	tb.AppendRow(value.Float(1.0), value.NullValue) // equivalent to Int(1)
-	tb.AppendRow(value.Int(2), value.NullValue)
-	tb.Distinct()
-	if tb.Len() != 2 {
-		t.Errorf("Distinct: %d rows, want 2", tb.Len())
-	}
-}
-
-func TestSlice(t *testing.T) {
-	tb := New("x")
-	for i := 0; i < 5; i++ {
-		tb.AppendRow(value.Int(int64(i)))
-	}
-	tb.Slice(1, 3)
-	if tb.Len() != 2 || tb.Get(0, "x") != value.Int(1) {
-		t.Error("Slice")
-	}
-	tb.Slice(5, 10)
-	if tb.Len() != 0 {
-		t.Error("out of range slice should empty")
 	}
 }
 
