@@ -119,7 +119,8 @@ type UpdateStats = core.UpdateStats
 type Option func(*options)
 
 type options struct {
-	cfg core.Config
+	cfg        core.Config
+	durability Durability // read by OpenDir only
 }
 
 // WithDialect selects the update dialect (default Revised).
@@ -168,7 +169,7 @@ func WithParallelism(n int) Option {
 // database is opened against a data directory (OpenDir). It has no
 // effect on a purely in-memory database.
 func WithDurability(d Durability) Option {
-	return func(o *options) { o.cfg.Durability = d }
+	return func(o *options) { o.durability = d }
 }
 
 // DB is an embedded graph database. All methods are safe for concurrent
@@ -215,7 +216,7 @@ func OpenDir(dir string, opts ...Option) (*DB, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	store, wal, err := graph.Recover(dir, o.cfg.Durability)
+	store, wal, err := graph.Recover(dir, o.durability)
 	if err != nil {
 		return nil, err
 	}

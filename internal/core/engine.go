@@ -113,8 +113,11 @@ const (
 	ScanReverse
 )
 
-// Config configures an Engine.
+// Config configures an Engine. Its exported fields are the settings the
+// public cypher options map onto; write-ahead logging belongs to the
+// store (graph.Recover), not to the engine.
 type Config struct {
+	// Dialect selects the update semantics.
 	Dialect Dialect
 	// MergeStrategy overrides the strategy for all MERGE clauses;
 	// StrategyFromForm (the default) derives it from the clause form.
@@ -124,9 +127,6 @@ type Config struct {
 	// MatchMode selects relationship isomorphism (default) or
 	// homomorphism for pattern matching.
 	MatchMode match.Mode
-	// SkipValidation disables dialect grammar validation (used by tests
-	// that exercise runtime errors directly).
-	SkipValidation bool
 	// MemoryBudget caps, in bytes, the accounted memory the barriers
 	// (ORDER BY, aggregation, DISTINCT) may hold per statement before
 	// spilling to temp files. Zero (the default) means unlimited: no
@@ -141,16 +141,12 @@ type Config struct {
 	// order, so parallel plans emit the exact row sequence of a serial
 	// run.
 	Parallelism int
-	// Durability configures the write-ahead log when the database is
-	// opened against a data directory (cypher.OpenDir /
-	// cypher.WithDurability). The engine itself does not consult it —
-	// the store's commit path does — but it is carried here so one
-	// Config describes a session end to end.
-	Durability graph.Durability
 
-	// onPlan, when set, receives the root operator of every streaming
-	// statement after execution finishes (tests use it to assert
-	// early-exit visit counts).
+	// The unexported fields are hooks no public API sets.
+	//
+	// onPlan, when set, receives the root operator of every statement
+	// after execution finishes (Session.Profile renders it; tests assert
+	// early-exit visit counts on it).
 	onPlan func(plan.Operator)
 	// forceAnchor, when set, overrides the planner's anchor choice per
 	// pattern part (the planner-equivalence test hook; see
@@ -160,6 +156,9 @@ type Config struct {
 	// (match.Matcher.DisablePlan), the reference the planner-equivalence
 	// tests compare the cost-based planner against.
 	naivePlanner bool
+	// skipValidation turns dialect grammar validation off, so tests can
+	// reach the engine's runtime errors directly.
+	skipValidation bool
 }
 
 // UpdateStats counts the effects of a statement.
@@ -268,7 +267,7 @@ func (e *Engine) ExecuteWithTable(g *graph.Graph, stmt *ast.Statement, params ma
 	if stmt.TxnControl != ast.TxnNone {
 		return nil, fmt.Errorf("%s requires a session (transaction control is session state)", stmt.TxnControl)
 	}
-	if !e.cfg.SkipValidation {
+	if !e.cfg.skipValidation {
 		if err := Validate(stmt, e.cfg.Dialect); err != nil {
 			return nil, err
 		}
@@ -409,7 +408,7 @@ func (e *Engine) explainStatement(g *graph.Graph, stmt *ast.Statement, params ma
 		}
 		return fmt.Sprintf("%s\n%s[barrier:writer-lock](:%s(%s))", header, op, stmt.Index.Label, stmt.Index.Prop), nil
 	}
-	if !e.cfg.SkipValidation {
+	if !e.cfg.skipValidation {
 		if err := Validate(stmt, e.cfg.Dialect); err != nil {
 			return "", err
 		}

@@ -78,7 +78,7 @@ func (s *Session) ExecuteWithTable(stmt *ast.Statement, params map[string]value.
 	if stmt.TxnControl != ast.TxnNone {
 		return s.executeTxnControl(stmt.TxnControl)
 	}
-	if !s.e.cfg.SkipValidation {
+	if !s.e.cfg.skipValidation {
 		if err := Validate(stmt, s.e.cfg.Dialect); err != nil {
 			return nil, err
 		}

@@ -175,12 +175,12 @@ func TestExecutionHonorsValidation(t *testing.T) {
 	if g.NumNodes() != 0 {
 		t.Error("rejected statement must not mutate")
 	}
-	// SkipValidation allows the engine-level error path to be exercised.
+	// Skipping validation exposes the engine-level error path.
 	stmt, err := parser.Parse(`MERGE (a:A{id:1})`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(Config{Dialect: DialectRevised, SkipValidation: true})
+	e := NewEngine(Config{Dialect: DialectRevised, skipValidation: true})
 	if _, err := e.ExecuteStatement(g, stmt, nil); err == nil {
 		t.Error("legacy MERGE must still fail in the revised dialect at runtime")
 	}
