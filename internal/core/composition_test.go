@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -13,6 +14,11 @@ import (
 // resulting graph, with the prefix's table as the driving table, must
 // give the whole statement's table, error text and final graph, and
 // stats that sum to the whole statement's.
+//
+// One split is not a composition in Cypher 9: a legacy statement may
+// pass through a graph with dangling relationships, which is checked
+// only at statement end (Section 4.2). When the prefix fails that check
+// alone, the whole statement must fail too, with its own first error.
 func TestClauseCompositionality(t *testing.T) {
 	forEachOracleCase(t, []Dialect{DialectCypher9, DialectRevised}, func(c *oracleCase) {
 		for _, s := range c.statements() {
@@ -33,6 +39,12 @@ func TestClauseCompositionality(t *testing.T) {
 					t0 = t0.Clone()
 				}
 				res, err := eng.ExecuteWithTable(g, prefix, nil, t0)
+				if c.d == DialectCypher9 && err != nil && strings.HasPrefix(err.Error(), "statement left the graph inconsistent") {
+					if !strings.HasPrefix(want, "error: ") {
+						c.fail(t, "prefix "+prefix.String()+" left dangling relationships", s.src, want, "an error")
+					}
+					continue
+				}
 				if err == nil {
 					var rest *Result
 					if rest, err = eng.ExecuteWithTable(g, suffix, nil, res.Table); err == nil {

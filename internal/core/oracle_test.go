@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -35,7 +36,7 @@ import (
 // dialect == DialectRevised) replays the generator.
 
 // oracleSeeds is how many seeds each oracle runs per dialect.
-const oracleSeeds = 40
+const oracleSeeds = 50
 
 // oracleCase is one seed in one dialect: the generator, already past
 // Setup, and the graph Setup built.
@@ -113,8 +114,13 @@ func (c *oracleCase) run(cfg Config, stmt *ast.Statement, params map[string]valu
 
 // answer renders an execution for comparison: the error text, or the
 // table (in order, or as a multiset), the update stats and a hash of
-// the final graph.
+// the final graph. A multiset answer ignores row order, and so it also
+// ignores which conflicting pair a SET conflict names first.
 func answer(res *Result, g *graph.Graph, err error, multiset bool) string {
+	var conflict *graph.ConflictError
+	if multiset && errors.As(err, &conflict) {
+		return "error: conflicting SET"
+	}
 	if err != nil {
 		return "error: " + err.Error()
 	}
@@ -158,6 +164,13 @@ func TestOracleConfigurationDifferential(t *testing.T) {
 		{"par8-budget1", Config{Parallelism: 8, MemoryBudget: 1}, false},
 		{"naive-planner", Config{Parallelism: 1, naivePlanner: true}, true},
 	}
+	// The parallel arms must actually run parallel plans.
+	exchanges := 0
+	arms[0].cfg.onPlan = func(root plan.Operator) {
+		if hasExchange(root) {
+			exchanges++
+		}
+	}
 	total, failed := map[Dialect]int{}, map[Dialect]int{}
 	forEachOracleCase(t, []Dialect{DialectCypher9, DialectRevised}, func(c *oracleCase) {
 		for _, s := range c.statements() {
@@ -189,6 +202,22 @@ func TestOracleConfigurationDifferential(t *testing.T) {
 			t.Errorf("%s: %d of %d generated statements failed, want at least 10%%", d, failed[d], n)
 		}
 	}
+	t.Logf("%d statements ran a parallel exchange at parallelism 2", exchanges)
+	if exchanges == 0 {
+		t.Error("no generated statement ran a parallel exchange")
+	}
+}
+
+func hasExchange(op plan.Operator) bool {
+	if _, ok := op.(*plan.Exchange); ok {
+		return true
+	}
+	for _, c := range op.Children() {
+		if hasExchange(c) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestOracleMetamorphicPairs checks rewrites that preserve meaning

@@ -657,12 +657,11 @@ func (o *Limit) NextBatch(max int) (*Batch, bool, error) {
 	}
 	rem := int64(o.n) - o.rows
 	if rem <= 0 {
-		if o.n == 0 && !o.drained && hasUpdates(o.child) {
+		if o.n == 0 && !o.applied {
 			// LIMIT 0 keeps no rows, but the update clauses below it still
-			// apply in full: clauses compose as functions of the whole
-			// graph and table (Section 8.2).
-			o.drained = true
-			return nil, false, drain(o.child)
+			// apply in full.
+			o.applied = true
+			return nil, false, applyUpdates(o.child)
 		}
 		return nil, false, nil
 	}
@@ -741,11 +740,8 @@ func (o *Aggregate) NextBatch(max int) (*Batch, bool, error) {
 // NextBatch implements Operator, replaying the update's output table
 // in columnar batches.
 func (o *Apply) NextBatch(max int) (*Batch, bool, error) {
-	if !o.done {
-		if err := o.fill(); err != nil {
-			return nil, false, err
-		}
-		o.done = true
+	if err := o.apply(); err != nil {
+		return nil, false, err
 	}
 	if o.outIdx >= o.out.Len() {
 		return nil, false, nil
@@ -763,37 +759,41 @@ func (o *Apply) NextBatch(max int) (*Batch, bool, error) {
 	return b, true, nil
 }
 
-// hasUpdates reports whether op's subtree applies an update clause.
-func hasUpdates(op Operator) bool {
-	if _, ok := op.(*Apply); ok {
-		return true
+// apply runs the update clause on the whole child input, once.
+func (o *Apply) apply() error {
+	if o.done {
+		return nil
 	}
-	for _, c := range op.Children() {
-		if hasUpdates(c) {
-			return true
-		}
+	if err := o.fill(); err != nil {
+		return err
 	}
-	return false
+	o.done = true
+	return nil
 }
 
-// drain pulls op to exhaustion for its effects.
-func drain(op Operator) error {
-	for {
-		_, ok, err := op.NextBatch(BatchTarget)
-		if err != nil || !ok {
+// applyUpdates runs the update barriers in op's subtree that have not
+// run yet, without pulling the read operators above them. SKIP and
+// LIMIT use it where they would otherwise never pull their input: an
+// update applies in full whatever a later clause keeps of its output,
+// as composing the clauses one at a time does (Section 8.2), while the
+// reads after the last update stay lazy.
+func applyUpdates(op Operator) error {
+	if a, ok := op.(*Apply); ok {
+		return a.apply()
+	}
+	for _, c := range op.Children() {
+		if err := applyUpdates(c); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
-// countErr reports a bad SKIP or LIMIT count only after the update
-// clauses below it have run: they precede the clause that counts their
-// output, so their own errors come first (Section 8.2).
+// countErr reports a bad SKIP or LIMIT count after the update clauses
+// below it have run, so their own errors come first.
 func countErr(child Operator, err error) error {
-	if hasUpdates(child) {
-		if derr := drain(child); derr != nil {
-			return derr
-		}
+	if uerr := applyUpdates(child); uerr != nil {
+		return uerr
 	}
 	return err
 }

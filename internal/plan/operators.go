@@ -624,7 +624,7 @@ type Limit struct {
 	ev      *expr.Evaluator
 	n       int
 	ready   bool
-	drained bool // LIMIT 0 has run the update clauses below it
+	applied bool // LIMIT 0 has run the update clauses below it
 	st      opState
 	rows    int64
 	batches int64

@@ -22,7 +22,7 @@
 //     materialized table in exactly the order the stream produced, and
 //     the revised dialect's two-phase ChangeSet semantics needs the full
 //     table for conflict detection anyway. LIMIT never stops an update:
-//     a LIMIT 0 still drains the update barriers below it.
+//     a LIMIT 0 still applies the update barriers below it.
 //
 // Row order is deterministic end to end: every streaming operator
 // preserves its input order and the pull discipline reproduces the

@@ -66,12 +66,18 @@ func (s *Statements) Value() value.Value {
 func (s *Statements) lit() string { return s.Value().String() }
 
 // Setup returns the statements that build the graph every generated
-// statement runs against.
+// statement runs against. Label A has enough nodes (32 to 35) for a
+// MATCH anchored on it to split into parallel morsels; B and C have 3
+// or 4.
 func (s *Statements) Setup() []string {
 	var out []string
 	for _, l := range []string{"A", "B", "C"} {
+		n := 3 + s.n(2)
+		if l == "A" {
+			n = 32 + s.n(4)
+		}
 		var nodes []string
-		for i := 0; i < 3+s.n(2); i++ {
+		for i := 0; i < n; i++ {
 			labels := l
 			if l == "A" && s.chance(3) {
 				labels = "A:C"
@@ -81,9 +87,9 @@ func (s *Statements) Setup() []string {
 		}
 		out = append(out, "CREATE "+strings.Join(nodes, ", "))
 	}
-	for k := 0; k < 7; k++ {
+	for k := 0; k < 12; k++ {
 		out = append(out, fmt.Sprintf("MATCH (x:%s{i: %d}), (y:%s{i: %d}) CREATE (x)-[:%s{w: %d}]->(y)",
-			s.pick("A", "B", "C"), s.n(3), s.pick("A", "B", "C"), s.n(3), s.pick("R", "S"), s.n(3)))
+			s.pick("A", "B", "C"), s.n(4), s.pick("A", "B", "C"), s.n(4), s.pick("R", "S"), s.n(3)))
 	}
 	return out
 }
@@ -208,7 +214,7 @@ func (s *Statements) ret(sc scope, width int) string {
 		switch {
 		case aggregating && i == width-1:
 			e = s.agg(sc)
-		case len(sc.nodes) > 0 && s.chance(6):
+		case len(sc.nodes) > 0 && s.chance(3):
 			e = "10 / (" + s.pick(sc.nodes...) + ".i - 1)"
 		}
 		items[i] = fmt.Sprintf("%s AS c%d", e, i)
@@ -221,7 +227,7 @@ func (s *Statements) ret(sc scope, width int) string {
 			return out + fmt.Sprintf(" SKIP %d LIMIT %d", s.n(2), s.n(4))
 		}
 	}
-	if s.chance(10) {
+	if s.chance(6) {
 		out += s.pick(" SKIP -1", " LIMIT -1")
 	}
 	return out
@@ -327,7 +333,7 @@ func (s *Statements) TableUpdate(cols ...string) string {
 	case 2:
 		q = "MATCH (a:A{i: " + k + "}) " + s.pick("REMOVE a.p", "REMOVE a:A", "SET a += {q: "+v+"}")
 	case 3:
-		q = "MATCH (a:B{i: " + k + "}) " + s.pick("DELETE a", "DETACH DELETE a")
+		q = "MATCH (a" + s.pick(":A", ":B", ":C") + "{i: " + k + "}) " + s.pick("DELETE a", "DELETE a", "DETACH DELETE a")
 	default:
 		if !s.revised {
 			q = fmt.Sprintf("MERGE (m:C{i: %s}) ON CREATE SET m.p = %s ON MATCH SET m.q = %s", k, v, k)
