@@ -1,12 +1,17 @@
 # Build, test and benchmark entry points. CI runs `make test`, the
 # race detector (`make race`), the copy-on-write stress suite (`make
 # stress`), the spill suite (`make spill`), the parallel-executor suite
-# (`make par`), the crash-recovery suite (`make crash`), the server
-# suite (`make serve-race`), the bench smoke, the fuzz smoke and the
-# docs smoke. The standing end-to-end benchmark is the separate module
-# in bench/ (`go -C bench run .`, see bench/README.md).
+# (`make par`), the property oracles (`make props`), the crash-recovery
+# suite (`make crash`), the server suite (`make serve-race`), the bench
+# smoke, the fuzz smoke and the docs smoke. The standing end-to-end
+# benchmark is the separate module in bench/ (`go -C bench run .`, see
+# bench/README.md); `make bench-compare BASE=<rev> [WORKLOAD=<name>]`
+# builds it for <rev> and for the working tree's tracked changes, each in
+# a temporary git worktree, runs ten alternating pairs on seeds 1-10
+# into bench-compare-out/base and bench-compare-out/change, and prints
+# `bench -compare` of the two sets.
 
-.PHONY: all test vet race stress spill crash fuzz par serve-race bench-smoke docs-smoke
+.PHONY: all test vet race stress spill crash fuzz par props serve-race bench-smoke bench-compare docs-smoke
 
 all: test
 
@@ -52,6 +57,16 @@ par:
 	go test -race -run 'TestParallel' ./internal/core
 	go test -race -run 'TestSpillBookkeepingConcurrent|TestBudgetShrinkClampConcurrent' ./internal/plan
 	go test -race -run 'TestCorpusExecutorSweep' ./internal/script
+
+# The engine's specification, under the race detector: the seeded
+# property oracles (configuration differential, metamorphic pairs,
+# Section 8.2 clause composition, revised driving-table permutation
+# invariance; a failure prints its seed and statement), and the golden
+# sweeps that hold the pinned answers of the deleted materializing
+# interpreter.
+props:
+	go test -race -count=1 -run 'TestOracle|TestClauseCompositionality|TestLimitNeverStopsUpdates|TestGoldenCorpus|TestLegacyGoldenCorpus|TestStreamingMatchesMaterializing|TestExecutorTriEquivalenceGolden|TestStreamingPropertyRandomQueries' ./internal/core
+	go test -race -count=1 -run 'TestCorpusExecutorSweep' ./internal/script
 
 # The server gate, under the race detector: the wire-protocol
 # conformance scripts, the concurrent-client soak (mixed auto-commit /
@@ -99,6 +114,30 @@ bench-smoke:
 	go test -run '^$$' -bench 'BenchmarkB' -benchtime 1x .
 	go -C bench vet ./...
 	go -C bench test ./...
+
+# Paired runs of the standing benchmark, BASE against the working tree
+# (tracked changes, via `git stash create`). Both sides build in
+# temporary worktrees that are removed on exit; the result sets stay in
+# bench-compare-out/. Exits non-zero if -compare finds a regression.
+BASE ?=
+WORKLOAD ?= all
+OUT = $(CURDIR)/bench-compare-out
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev> [WORKLOAD=<name>]"; exit 2; }
+	@set -e; \
+	tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force $$tmp/base 2>/dev/null; git worktree remove --force $$tmp/change 2>/dev/null; rm -rf $$tmp' EXIT; \
+	change=$$(git stash create); change=$${change:-HEAD}; \
+	git worktree add --quiet --detach $$tmp/base $(BASE); \
+	git worktree add --quiet --detach $$tmp/change $$change; \
+	go -C $$tmp/base/bench build -o $$tmp/bench-base .; \
+	go -C $$tmp/change/bench build -o $$tmp/bench-change .; \
+	rm -rf $(OUT)/base $(OUT)/change; \
+	for s in 1 2 3 4 5 6 7 8 9 10; do \
+		(cd $$tmp/base/bench && $$tmp/bench-base -workload $(WORKLOAD) -seed $$s -out $(OUT)/base); \
+		(cd $$tmp/change/bench && $$tmp/bench-change -workload $(WORKLOAD) -seed $$s -out $(OUT)/change); \
+	done; \
+	$$tmp/bench-change -compare $(OUT)/base/results.jsonl $(OUT)/change/results.jsonl
 
 # Executes every runnable snippet of docs/language.md and the exported-
 # symbol godoc check, so documentation cannot rot. Both also run as part
