@@ -26,7 +26,7 @@ func TestClauseCompositionality(t *testing.T) {
 			if len(stmt.Queries) != 1 {
 				continue
 			}
-			want := c.run(Config{}, stmt, nil, s.t0, false)
+			want, _ := c.run(Config{}, stmt, nil, s.t0)
 			clauses := stmt.Queries[0].Clauses
 			for k := 1; k < len(clauses); k++ {
 				prefix := &ast.Statement{Queries: []*ast.SingleQuery{{Clauses: append(clauses[:k:k],
@@ -52,7 +52,7 @@ func TestClauseCompositionality(t *testing.T) {
 						res = rest
 					}
 				}
-				if got := answer(res, g, err, false); got != want {
+				if got, _ := answers(res, g, err); got != want {
 					c.fail(t, "composed from "+prefix.String()+" ; "+suffix.String(), s.src, got, want)
 				}
 			}

@@ -16,6 +16,12 @@
 //     the MERGE ALL and MERGE SAME forms (plus the intermediate proposals
 //     of Section 6 as selectable strategies).
 //
+// Every statement lowers to one streaming operator plan (package plan):
+// reading clauses stream batch by batch, and each update clause runs
+// behind a barrier that hands the dialect's clause function its whole
+// driving table. Seeded property oracles and pinned golden corpora in
+// this package's tests specify the results.
+//
 // A statement executes under a journal: any error rolls the graph back to
 // its pre-statement state, giving statements all-or-nothing semantics.
 package core
@@ -442,25 +448,18 @@ func (e *Engine) explainStatement(g *graph.Graph, stmt *ast.Statement, params ma
 }
 
 // executor holds one statement's execution state: the graph, the
-// parameters, the evaluator and the update stats its update clauses
-// accumulate.
+// evaluator (with the parameters) and the update stats its update
+// clauses accumulate.
 type executor struct {
-	cfg    Config
-	plans  *match.PlanCache // engine's shared plan cache
-	graph  *graph.Graph
-	params map[string]value.Value
-	ev     *expr.Evaluator
-	stats  UpdateStats
+	cfg   Config
+	plans *match.PlanCache // engine's shared plan cache
+	graph *graph.Graph
+	ev    *expr.Evaluator
+	stats UpdateStats
 }
 
 func (e *Engine) newExecutor(g *graph.Graph, params map[string]value.Value) *executor {
-	return &executor{
-		cfg:    e.cfg,
-		plans:  e.plans,
-		graph:  g,
-		params: params,
-		ev:     &expr.Evaluator{Graph: g, Params: params},
-	}
+	return &executor{cfg: e.cfg, plans: e.plans, graph: g, ev: &expr.Evaluator{Graph: g, Params: params}}
 }
 
 func (x *executor) matcher() *match.Matcher { return x.matcherFor(x.ev) }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -101,34 +102,34 @@ func (c *oracleCase) statements() []genStmt {
 }
 
 // run executes stmt under cfg (in the case's dialect) on a clone of the
-// base graph and returns the rendered answer.
-func (c *oracleCase) run(cfg Config, stmt *ast.Statement, params map[string]value.Value, t0 *table.Table, multiset bool) string {
+// base graph and returns the answer rendered with rows in order and as
+// a multiset.
+func (c *oracleCase) run(cfg Config, stmt *ast.Statement, params map[string]value.Value, t0 *table.Table) (exact, multiset string) {
 	cfg.Dialect = c.d
 	g := c.base.Clone()
 	if t0 != nil {
 		t0 = t0.Clone()
 	}
 	res, err := NewEngine(cfg).ExecuteWithTable(g, stmt, params, t0)
-	return answer(res, g, err, multiset)
+	return answers(res, g, err)
 }
 
-// answer renders an execution for comparison: the error text, or the
-// table (in order, or as a multiset), the update stats and a hash of
-// the final graph. A multiset answer ignores row order, and so it also
-// ignores which conflicting pair a SET conflict names first.
-func answer(res *Result, g *graph.Graph, err error, multiset bool) string {
-	var conflict *graph.ConflictError
-	if multiset && errors.As(err, &conflict) {
-		return "error: conflicting SET"
-	}
+// answers renders an execution for comparison: the error text, or the
+// table, the update stats and a hash of the final graph — once with the
+// rows in order and once as a multiset. A multiset answer ignores row
+// order, and so it also ignores which conflicting pair a SET conflict
+// names first.
+func answers(res *Result, g *graph.Graph, err error) (exact, multiset string) {
 	if err != nil {
-		return "error: " + err.Error()
+		exact, multiset = "error: "+err.Error(), "error: "+err.Error()
+		var conflict *graph.ConflictError
+		if errors.As(err, &conflict) {
+			multiset = "error: conflicting SET"
+		}
+		return exact, multiset
 	}
-	tbl := renderTable(res)
-	if multiset {
-		tbl = renderMultiset(res)
-	}
-	return fmt.Sprintf("%s\nstats: %v\ngraph: %s", tbl, res.Stats, fingerprintHash(g))
+	rest := fmt.Sprintf("\nstats: %v\ngraph: %s", res.Stats, fingerprintHash(g))
+	return renderTable(res) + rest, renderMultiset(res) + rest
 }
 
 // fingerprintHash is a short hash of the graph's id-independent
@@ -175,22 +176,21 @@ func TestOracleConfigurationDifferential(t *testing.T) {
 	forEachOracleCase(t, []Dialect{DialectCypher9, DialectRevised}, func(c *oracleCase) {
 		for _, s := range c.statements() {
 			stmt := c.parse(t, s.src)
-			ref := Config{Parallelism: 1}
-			want := c.run(ref, stmt, nil, s.t0, false)
-			wantSet := c.run(ref, stmt, nil, s.t0, true)
+			want, wantSet := c.run(Config{Parallelism: 1}, stmt, nil, s.t0)
 			total[c.d]++
-			if len(want) > 6 && want[:6] == "error:" {
+			if strings.HasPrefix(want, "error:") {
 				failed[c.d]++
 			}
 			for _, arm := range arms {
 				if arm.multiset && c.d == DialectCypher9 && stmt.Updating() {
 					continue
 				}
+				got, gotSet := c.run(arm.cfg, stmt, nil, s.t0)
 				w := want
 				if arm.multiset {
-					w = wantSet
+					got, w = gotSet, wantSet
 				}
-				if got := c.run(arm.cfg, stmt, nil, s.t0, arm.multiset); got != w {
+				if got != w {
 					c.fail(t, arm.name+" vs par1", s.src, got, w)
 				}
 			}
@@ -236,10 +236,10 @@ func TestOracleMetamorphicPairs(t *testing.T) {
 	forEachOracleCase(t, []Dialect{DialectCypher9, DialectRevised}, func(c *oracleCase) {
 		for _, s := range c.statements() {
 			orig := c.parse(t, s.src)
-			want := c.run(Config{}, orig, nil, s.t0, true)
+			_, want := c.run(Config{}, orig, nil, s.t0)
 			if swapped := c.parse(t, s.src); swapConjuncts(swapped) {
 				swaps++
-				if got := c.run(Config{}, swapped, nil, s.t0, true); got != want {
+				if _, got := c.run(Config{}, swapped, nil, s.t0); got != want {
 					c.fail(t, "AND operands swapped: "+swapped.String(), s.src, got, want)
 				}
 			}
@@ -248,7 +248,7 @@ func TestOracleMetamorphicPairs(t *testing.T) {
 			}
 			if inlined := c.parse(t, s.src); inlineWhere(inlined) {
 				inlines++
-				if got := c.run(Config{}, inlined, nil, s.t0, true); got != want {
+				if _, got := c.run(Config{}, inlined, nil, s.t0); got != want {
 					c.fail(t, "WHERE moved to WITH *: "+inlined.String(), s.src, got, want)
 				}
 			}
@@ -260,8 +260,8 @@ func TestOracleMetamorphicPairs(t *testing.T) {
 				xs[r] = tbl.Get(r, "k")
 			}
 			unwind := "UNWIND $xs AS k " + rest
-			got := c.run(Config{}, c.parse(t, unwind), map[string]value.Value{"xs": xs}, nil, false)
-			if want := c.run(Config{}, c.parse(t, rest), nil, tbl, false); got != want {
+			got, _ := c.run(Config{}, c.parse(t, unwind), map[string]value.Value{"xs": xs}, nil)
+			if want, _ := c.run(Config{}, c.parse(t, rest), nil, tbl); got != want {
 				c.fail(t, fmt.Sprintf("UNWIND $xs vs driving table, xs = %v", xs), unwind, got, want)
 			}
 		}

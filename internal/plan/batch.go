@@ -740,7 +740,7 @@ func (o *Aggregate) NextBatch(max int) (*Batch, bool, error) {
 // NextBatch implements Operator, replaying the update's output table
 // in columnar batches.
 func (o *Apply) NextBatch(max int) (*Batch, bool, error) {
-	if err := o.apply(); err != nil {
+	if err := o.fill(); err != nil {
 		return nil, false, err
 	}
 	if o.outIdx >= o.out.Len() {
@@ -759,18 +759,6 @@ func (o *Apply) NextBatch(max int) (*Batch, bool, error) {
 	return b, true, nil
 }
 
-// apply runs the update clause on the whole child input, once.
-func (o *Apply) apply() error {
-	if o.done {
-		return nil
-	}
-	if err := o.fill(); err != nil {
-		return err
-	}
-	o.done = true
-	return nil
-}
-
 // applyUpdates runs the update barriers in op's subtree that have not
 // run yet, without pulling the read operators above them. SKIP and
 // LIMIT use it where they would otherwise never pull their input: an
@@ -779,7 +767,7 @@ func (o *Apply) apply() error {
 // reads after the last update stay lazy.
 func applyUpdates(op Operator) error {
 	if a, ok := op.(*Apply); ok {
-		return a.apply()
+		return a.fill()
 	}
 	for _, c := range op.Children() {
 		if err := applyUpdates(c); err != nil {

@@ -891,8 +891,11 @@ func (o *Apply) Open() error {
 
 // fill materializes the child batch-at-a-time (one row-slice
 // allocation per record, no per-record map) and applies the update
-// function. Stream order is preserved.
+// function, once. Stream order is preserved.
 func (o *Apply) fill() error {
+	if o.done {
+		return nil
+	}
 	in := table.New(o.child.Columns()...)
 	for {
 		b, ok, err := o.child.NextBatch(BatchTarget)
@@ -917,7 +920,7 @@ func (o *Apply) fill() error {
 			return internalErrorf("%s produced columns %v, planner predicted %v", o.label, got, o.cols)
 		}
 	}
-	o.out = out
+	o.out, o.done = out, true
 	return nil
 }
 

@@ -9,28 +9,16 @@ import (
 	"repro/internal/value"
 )
 
-// Statements generates seeded random Cypher statements for the engine's
-// property oracles. Setup builds a small graph with three labels (A, B, C)
-// and two relationship types (R, S). Every node carries an int `i`, a
-// mixed `p` (int, float, string or null) and a string-or-null `s`.
-//
-//   - Read covers MATCH with var-length, undirected and `:R|S`
-//     relationships, OPTIONAL MATCH, ternary WHERE atoms (null, IN with
-//     null, XOR, exists, STARTS WITH), WITH, DISTINCT, aggregates,
-//     UNWIND, ORDER BY, SKIP, LIMIT, UNION and UNION ALL.
-//   - Update covers every update clause of the dialect: CREATE, SET (=,
-//     += and labels), REMOVE, DELETE, DETACH DELETE, FOREACH, and legacy
-//     MERGE with ON CREATE/ON MATCH or MERGE ALL and MERGE SAME.
-//   - Table and TableUpdate give driving tables and the update
-//     statements that read them.
-//
-// Some statements fail on purpose: revised SET conflicts, strict DELETE,
-// division by zero and negative SKIP/LIMIT. The others keep their result
-// multiset independent of match enumeration order wherever the dialect
-// does. SKIP and LIMIT only follow an ORDER BY over every returned
-// column, no aggregate collects a list, and no float is integral, so a
-// 1 = 1.0 tie never decides which DISTINCT row survives. WHERE atoms
-// never fail, so reordering conjuncts cannot change an outcome.
+// Statements generates seeded random Cypher statements for property
+// tests, over the graph Setup builds: labels A, B and C, relationship
+// types R and S, and nodes with an int `i`, a mixed `p` (int, float,
+// string or null) and a string-or-null `s`. Some statements fail on
+// purpose: revised SET conflicts, strict DELETE, division by zero and
+// negative SKIP/LIMIT. The rest keep their result multiset independent
+// of match order wherever the dialect does: SKIP and LIMIT only follow
+// an ORDER BY over every returned column, no aggregate collects a list,
+// no float is integral (so no 1 = 1.0 tie picks a DISTINCT row), and no
+// WHERE atom fails (so conjunct order cannot matter).
 type Statements struct {
 	rng     *rand.Rand
 	revised bool
@@ -58,17 +46,15 @@ func (s *Statements) Value() value.Value {
 		return value.Float(float64(s.n(4)) + 0.5)
 	case 2:
 		return value.String(s.pick("a", "ab", "b"))
-	default:
-		return value.NullValue
 	}
+	return value.NullValue
 }
 
 func (s *Statements) lit() string { return s.Value().String() }
 
-// Setup returns the statements that build the graph every generated
-// statement runs against. Label A has enough nodes (32 to 35) for a
-// MATCH anchored on it to split into parallel morsels; B and C have 3
-// or 4.
+// Setup returns the statements that build the graph. Label A has 32 to
+// 35 nodes, enough for a MATCH anchored on it to run in parallel
+// morsels; B and C have 3 or 4.
 func (s *Statements) Setup() []string {
 	var out []string
 	for _, l := range []string{"A", "B", "C"} {
@@ -147,25 +133,22 @@ func (s *Statements) atom(sc scope) string {
 	return fmt.Sprintf("%s %s %s", t, s.pick("=", "<", "<=", ">"), s.lit())
 }
 
-// pred combines atoms with NOT, AND, OR and XOR.
-func (s *Statements) pred(sc scope) string {
-	p := s.atom(sc)
-	switch s.n(5) {
-	case 0:
-		return "NOT (" + p + ")"
-	case 1, 2:
-		return "(" + p + ") AND (" + s.atom(sc) + ")"
-	case 3:
-		return "(" + p + ") " + s.pick("OR", "XOR") + " (" + s.atom(sc) + ")"
-	}
-	return p
-}
-
+// where returns an optional WHERE of atoms combined with NOT, AND, OR
+// and XOR.
 func (s *Statements) where(sc scope) string {
 	if s.chance(3) {
 		return ""
 	}
-	return " WHERE " + s.pred(sc)
+	p := s.atom(sc)
+	switch s.n(5) {
+	case 0:
+		return " WHERE NOT (" + p + ")"
+	case 1, 2:
+		return " WHERE (" + p + ") AND (" + s.atom(sc) + ")"
+	case 3:
+		return " WHERE (" + p + ") " + s.pick("OR", "XOR") + " (" + s.atom(sc) + ")"
+	}
+	return " WHERE " + p
 }
 
 // agg returns an aggregate over sc that never collects a list.
@@ -233,7 +216,10 @@ func (s *Statements) ret(sc scope, width int) string {
 	return out
 }
 
-// Read returns a read-only statement.
+// Read returns a read-only statement: MATCH (var-length, undirected,
+// `:R|S`), OPTIONAL MATCH, ternary WHERE atoms (null, IN with null, XOR,
+// exists, STARTS WITH), WITH, DISTINCT, aggregates, UNWIND, ORDER BY,
+// SKIP, LIMIT, UNION and UNION ALL.
 func (s *Statements) Read() string {
 	width := 1 + s.n(2)
 	q := s.readQuery(width)
@@ -261,8 +247,9 @@ func (s *Statements) readQuery(width int) string {
 	return strings.Join(append(b, s.ret(sc, width)), " ")
 }
 
-// Update returns an updating statement in the generator's dialect: a
-// MATCH binding a (and possibly r and b), one update clause, and
+// Update returns a MATCH, one update clause of the dialect (CREATE, SET
+// with =, += or labels, REMOVE, DELETE, DETACH DELETE, FOREACH, legacy
+// MERGE with ON CREATE/ON MATCH or MERGE ALL and MERGE SAME), and
 // sometimes a RETURN.
 func (s *Statements) Update() string {
 	var sc scope
@@ -319,9 +306,7 @@ func (s *Statements) Table(cols ...string) *table.Table {
 }
 
 // TableUpdate returns a SET, REMOVE, DELETE, CREATE or MERGE statement
-// reading the driving table's columns k and, when given, v. Legacy
-// statements use MERGE with ON CREATE/ON MATCH; revised ones use MERGE
-// ALL and MERGE SAME, whose result the table's order must not change.
+// over the driving table columns k and, when given, v.
 func (s *Statements) TableUpdate(cols ...string) string {
 	k, v := cols[0], cols[len(cols)-1]
 	var q string
@@ -335,17 +320,10 @@ func (s *Statements) TableUpdate(cols ...string) string {
 	case 3:
 		q = "MATCH (a" + s.pick(":A", ":B", ":C") + "{i: " + k + "}) " + s.pick("DELETE a", "DELETE a", "DETACH DELETE a")
 	default:
-		if !s.revised {
-			q = fmt.Sprintf("MERGE (m:C{i: %s}) ON CREATE SET m.p = %s ON MATCH SET m.q = %s", k, v, k)
-		} else {
+		q = fmt.Sprintf("MERGE (m:C{i: %s}) ON CREATE SET m.p = %s ON MATCH SET m.q = %s", k, v, k)
+		if s.revised {
 			q = s.pick("MERGE ALL", "MERGE SAME") + s.pick(" (:C{i: "+k+"})", " (:A{i: "+k+"})-[:R]->(:C{p: "+v+"})")
 		}
 	}
-	switch s.n(3) {
-	case 0:
-		q += fmt.Sprintf(" RETURN %s AS c0, count(*) AS c1", v)
-	case 1:
-		q += " RETURN " + k + " AS c0"
-	}
-	return q
+	return q + s.pick(" RETURN "+v+" AS c0, count(*) AS c1", " RETURN "+k+" AS c0", "")
 }
