@@ -27,8 +27,7 @@ func renderTable(t *Result) string {
 
 // TestStreamingMatchesMaterializingGolden replays every case of both
 // golden corpora serially; each must reproduce every pin of the case
-// (rows, stats, final graph) in both dialects. The pins are the answers
-// the materializing interpreter gave before it was deleted.
+// (rows, stats, final graph) in both dialects.
 func TestStreamingMatchesMaterializingGolden(t *testing.T) {
 	suites := []struct {
 		name    string

@@ -37,8 +37,8 @@ func (s *Statements) n(k int) int              { return s.rng.Intn(k) }
 func (s *Statements) chance(k int) bool        { return s.rng.Intn(k) == 0 }
 func (s *Statements) pick(xs ...string) string { return xs[s.rng.Intn(len(xs))] }
 
-// Value returns a random int, non-integral float, string or null.
-func (s *Statements) Value() value.Value {
+// val returns a random int, non-integral float, string or null.
+func (s *Statements) val() value.Value {
 	switch s.n(4) {
 	case 0:
 		return value.Int(int64(s.n(4) - 1))
@@ -50,7 +50,7 @@ func (s *Statements) Value() value.Value {
 	return value.NullValue
 }
 
-func (s *Statements) lit() string { return s.Value().String() }
+func (s *Statements) lit() string { return s.val().String() }
 
 // Setup returns the statements that build the graph. Label A has 32 to
 // 35 nodes, enough for a MATCH anchored on it to run in parallel
@@ -295,7 +295,7 @@ func (s *Statements) Table(cols ...string) *table.Table {
 	for r := 3 + s.n(5); r > 0; r-- {
 		row := make([]value.Value, len(cols))
 		for j := range row {
-			row[j] = s.Value()
+			row[j] = s.val()
 		}
 		if s.n(4) > 0 {
 			row[0] = value.Int(int64(s.n(4)))
