@@ -28,12 +28,13 @@ vet:
 race:
 	go test -race ./...
 
-# The randomized reader/writer interleaving stress and the three-path
-# commit equivalence property test, by name, under the race detector —
-# the explicit CI gate for the copy-on-write commit pipeline (both also
-# run as part of `make race`).
+# The randomized reader/writer interleaving stress, the commit
+# equivalence property test and the journal-scoped invariant's
+# equivalence to the whole-graph Validate, by name, under the race
+# detector — the explicit CI gate for the copy-on-write commit pipeline
+# (all also run as part of `make race`).
 stress:
-	go test -race -count=2 -run 'TestStoreReaderWriterStress|TestCommitPathsEquivalent|TestStoreConcurrentReadersSeeCommittedEpochsOnly' ./internal/graph
+	go test -race -count=2 -run 'TestStoreReaderWriterStress|TestCommitPathsEquivalent|TestStoreConcurrentReadersSeeCommittedEpochsOnly|TestCheckDanglingMatchesValidate' ./internal/graph
 	go test -race -run 'TestConcurrent|TestSession' ./cypher
 
 # The spill suites under the race detector: forced-spill equivalence
@@ -61,11 +62,12 @@ par:
 # The engine's specification, under the race detector: the seeded
 # property oracles (configuration differential, metamorphic pairs,
 # Section 8.2 clause composition, revised driving-table permutation
-# invariance; a failure prints its seed and statement), and the golden
-# sweeps that hold the pinned answers of the deleted materializing
-# interpreter.
+# invariance; a failure prints its seed and statement), the statement-
+# boundary invariant checked against the whole-graph Validate over the
+# same statements, and the golden sweeps that hold the pinned answers of
+# the deleted materializing interpreter.
 props:
-	go test -race -count=1 -run 'TestOracle|TestClauseCompositionality|TestLimitNeverStopsUpdates|TestGoldenCorpus|TestLegacyGoldenCorpus|TestStreamingMatchesMaterializing|TestExecutorTriEquivalenceGolden|TestStreamingPropertyRandomQueries' ./internal/core
+	go test -race -count=1 -run 'TestOracle|TestClauseCompositionality|TestStatementInvariantMatchesValidate|TestLimitNeverStopsUpdates|TestGoldenCorpus|TestLegacyGoldenCorpus|TestStreamingMatchesMaterializing|TestExecutorTriEquivalenceGolden|TestStreamingPropertyRandomQueries' ./internal/core
 	go test -race -count=1 -run 'TestCorpusExecutorSweep' ./internal/script
 
 # The server gate, under the race detector: the wire-protocol

@@ -515,11 +515,11 @@ func BenchmarkB14IndexSeek(b *testing.B) {
 }
 
 // B15: commit latency of a small write transaction while a reader
-// keeps the published snapshot pinned, at two graph scales. The pinned
-// reader forces the writer off the in-place path; the copy-on-write
-// clone copies only the container directories plus the buckets the
-// transaction touches, so its latency tracks the transaction size and
-// stays nearly flat across graph scales. The deep-clone cases replay
+// keeps the published snapshot pinned, at two graph scales. Every
+// writer works on a copy-on-write clone, which copies only the container
+// directories plus the buckets the transaction touches, so its latency
+// tracks the transaction size and stays nearly flat across graph
+// scales. The deep-clone cases replay
 // what the store did before PR 5 — Clone() the whole graph per
 // transaction, mutate under a journal, publish the clone — and their
 // latency tracks the graph size instead (the ≥10x acceptance gap at
@@ -549,10 +549,9 @@ func BenchmarkB15CommitUnderReaders(b *testing.B) {
 	for _, scale := range []int{10000, 100000} {
 		b.Run(fmt.Sprintf("cow-commit/nodes=%d", scale), func(b *testing.B) {
 			s := graph.NewStore(build(scale))
-			// The reader re-pins every committed epoch, so EVERY
-			// BeginWrite sees a pinned current snapshot and takes the
-			// copy-on-write path (pinning only the first epoch would let
-			// iterations 2..N go in place and benchmark the wrong path).
+			// The reader re-pins every committed epoch, so every commit
+			// happens under a pinned reader (every write takes the
+			// copy-on-write path regardless).
 			pin := s.Acquire()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

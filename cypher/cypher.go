@@ -539,9 +539,10 @@ func indexViews(keys []graph.IndexKey) []IndexView {
 }
 
 // Epoch reports the database's committed transaction epoch: it
-// advances every time a transaction (implicit or explicit) finishes.
-// Committed deltas can be correlated against it by change-feed
-// consumers.
+// advances every time a transaction (implicit or explicit) commits a
+// change; rolled-back and no-op transactions leave it unchanged, so on
+// a durable database every epoch has a log record. Committed deltas
+// can be correlated against it by change-feed consumers.
 func (db *DB) Epoch() int64 { return db.store.Epoch() }
 
 // CacheStats is a point-in-time snapshot of the engine's statement and

@@ -54,6 +54,40 @@ func TestOpenDirRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNoOpAndFailedStatementsKeepEpochDurable: a MERGE SAME that only
+// matched and a failing statement publish no epoch, so the epoch a
+// durable database reports before Close is the one it recovers to.
+func TestNoOpAndFailedStatementsKeepEpochDurable(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`CREATE (:User {name: 'ada'})-[:KNOWS]->(:User {name: 'bob'})`,
+		`MERGE SAME (:User {name: 'ada'})`,
+	} {
+		if _, err := db.Exec(q, nil); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if _, err := db.Exec(`MATCH (u:User {name: 'ada'}) DELETE u`, nil); err == nil {
+		t.Fatal("strict DELETE of a node with a relationship succeeded")
+	}
+	epoch := db.Epoch()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if db2.Epoch() != epoch {
+		t.Fatalf("recovered epoch %d, want %d", db2.Epoch(), epoch)
+	}
+}
+
 func TestOpenDirSyncModes(t *testing.T) {
 	for _, d := range []Durability{
 		{Sync: SyncAlways},

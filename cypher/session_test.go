@@ -58,9 +58,10 @@ func TestSessionTransactionLifecycle(t *testing.T) {
 		t.Errorf("rollback lost committed nodes: %d", db.NumNodes())
 	}
 
-	// Epochs advance per transaction.
-	if db.Epoch() < 2 {
-		t.Errorf("epoch = %d after two transactions", db.Epoch())
+	// The committed transaction published an epoch; the rolled-back one
+	// published nothing.
+	if db.Epoch() != 1 {
+		t.Errorf("epoch = %d after one committed and one rolled-back transaction, want 1", db.Epoch())
 	}
 }
 

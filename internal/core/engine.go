@@ -290,7 +290,7 @@ func (e *Engine) ExecuteWithTable(g *graph.Graph, stmt *ast.Statement, params ma
 	// Legacy statements may transit illegal intermediate states
 	// (Section 4.2); like Neo4j's commit-time check, the invariant must
 	// hold at statement end.
-	if err := statementInvariant(g); err != nil {
+	if err := statementInvariant(j, 0); err != nil {
 		j.Rollback()
 		return nil, err
 	}
@@ -315,9 +315,13 @@ func executeIndexStmt(g *graph.Graph, is *ast.IndexStmt) (*Result, error) {
 }
 
 // statementInvariant is the commit-time dangling-relationship check run
-// at every statement boundary (auto-commit and inside transactions).
-func statementInvariant(g *graph.Graph) error {
-	if err := g.Validate(); err != nil {
+// at every statement boundary (auto-commit and inside transactions). It
+// reads only the journal entries the statement recorded after mark
+// (graph.Journal.CheckDangling), so it costs what the statement touched,
+// not what the graph holds, and reports exactly what the whole-graph
+// Graph.Validate would.
+func statementInvariant(j *graph.Journal, mark int) error {
+	if err := j.CheckDangling(mark); err != nil {
 		return fmt.Errorf("statement left the graph inconsistent: %w", err)
 	}
 	return nil

@@ -108,10 +108,9 @@ func (s *Session) executeTxnControl(ctl ast.TxnControl) (*Result, error) {
 		// Acquiring the writer baton up front makes the transaction a
 		// writer transaction for its whole lifetime: the simplest
 		// serialization that still lets every other session read the
-		// last committed epoch concurrently. The isolated (always-clone)
-		// variant keeps readers unblocked for however long the
+		// last committed epoch concurrently, for however long the
 		// transaction stays open.
-		s.txn = &Txn{w: s.store.BeginWriteIsolated()}
+		s.txn = &Txn{w: s.store.BeginWrite()}
 		return empty, nil
 	case ast.TxnCommit:
 		if s.txn == nil {
@@ -149,7 +148,7 @@ func (s *Session) executeInTxn(stmt *ast.Statement, params map[string]value.Valu
 	// single-writer baton and journal discipline stay untouched.
 	res, err := s.e.executeUnionPar(g, stmt, params, t0, 1)
 	if err == nil {
-		err = statementInvariant(g)
+		err = statementInvariant(j, mark)
 	}
 	if err != nil {
 		j.RollbackTo(mark)
@@ -175,7 +174,7 @@ func (s *Session) executeAutoCommit(stmt *ast.Statement, params map[string]value
 	w := s.store.BeginWrite()
 	res, err := s.e.executeUnion(w.Graph(), stmt, params, t0)
 	if err == nil {
-		err = statementInvariant(w.Graph())
+		err = statementInvariant(w.Journal(), 0)
 	}
 	if err != nil {
 		w.Rollback()

@@ -21,12 +21,12 @@ package graph
 // copied (or created) by the writer carry the writer's tag, so the
 // second touch is a plain in-place write.
 //
-// The tag discipline is what makes the store's in-place fast path safe
-// after COW commits: the published graph may still share buckets with
-// older pinned epochs, and an in-place writer copies exactly those
-// buckets (tag mismatch) while mutating its own directly. No flags are
-// ever written on shared structures — cloning only reads the parent —
-// so concurrent readers of the parent snapshot race with nothing.
+// Every write transaction of the store works on such a clone, so a
+// published graph is never written again: its buckets may be shared
+// with older and newer epochs alike, and each writer copies exactly the
+// ones it touches. No flags are ever written on shared structures —
+// cloning only reads the parent — so concurrent readers of the parent
+// snapshot race with nothing.
 //
 // # Sharding
 //

@@ -12,8 +12,8 @@ import (
 // graphsEqual asserts two graphs hold identical content: same entities
 // under the same ids with equal labels/properties, same adjacency, same
 // label index, same schema, same statistics, same id counters. This is
-// strict equality (not isomorphism): the three commit paths must agree
-// bit-for-bit on observable state.
+// strict equality (not isomorphism): the copy-on-write commit and its
+// deep-clone reference must agree bit-for-bit on observable state.
 func graphsEqual(t *testing.T, a, b *Graph, ctx string) {
 	t.Helper()
 	if got, want := a.NodeIDs(), b.NodeIDs(); !reflect.DeepEqual(got, want) {
@@ -225,45 +225,43 @@ func cowTestOps(t *testing.T, rng *rand.Rand, probe func() *Graph, targets func(
 }
 
 // TestCommitPathsEquivalent is the acceptance property test for the
-// copy-on-write commit pipeline: the in-place path (no pinned readers),
-// the copy-on-write path (reader pinned for the whole transaction) and
+// copy-on-write commit pipeline: the store's writer (a cloneCOW of the
+// published epoch, with a reader pinned for the whole transaction) and
 // a deep-clone-per-transaction reference must produce identical
 // published graphs across random sequences of mutations, schema
 // operations, statement-level rollbacks (journal marks) and whole-
 // transaction rollbacks. A concurrent reader iterates the pinned
-// snapshot throughout, so `-race` verifies the copy-on-write writer
-// never touches structure a reader can see.
+// snapshot throughout, so `-race` verifies the writer never touches
+// structure a reader can see.
 func TestCommitPathsEquivalent(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			inPlaceStore := NewStore(New())
-			cowStore := NewStore(New())
+			s := NewStore(New())
 			ref := New() // deep-clone commit reference
+			// The reference's id high-water mark: ids consumed by a
+			// transaction that published nothing stay consumed.
+			var refNextNode NodeID
+			var refNextRel RelID
 
 			for txn := 0; txn < 30; txn++ {
 				ctx := fmt.Sprintf("seed=%d txn=%d", seed, txn)
 
-				// Pin the COW store's snapshot: its writer must clone.
-				pin := cowStore.Acquire()
+				pin := s.Acquire()
 				preNodes := pin.Graph().NumNodes()
-				preVersion := pin.Graph().Version()
-				preIdxEpoch := pin.Graph().IndexEpoch()
 
-				wIn := inPlaceStore.BeginWrite()
-				if wIn.cloned {
-					t.Fatal("in-place store writer cloned with no pinned readers")
-				}
-				wCow := cowStore.BeginWrite()
-				if !wCow.cloned {
-					t.Fatal("COW store writer did not clone despite a pinned reader")
+				w := s.BeginWrite()
+				if w.Graph() == pin.Graph() {
+					t.Fatal("writer works on the published graph")
 				}
 				refWork := ref.Clone()
+				refWork.nextNode = max(refWork.nextNode, refNextNode)
+				refWork.nextRel = max(refWork.nextRel, refNextRel)
 				refJ := refWork.BeginJournal()
 
 				// A concurrent reader hammers the pinned snapshot while
-				// the COW writer mutates its clone.
+				// the writer mutates its clone.
 				stop := make(chan struct{})
 				done := make(chan struct{})
 				go func() {
@@ -282,9 +280,9 @@ func TestCommitPathsEquivalent(t *testing.T) {
 					}
 				}()
 
-				targets := []*Graph{wIn.Graph(), wCow.Graph(), refWork}
+				targets := []*Graph{w.Graph(), refWork}
 				op := cowTestOps(t, rng,
-					func() *Graph { return wIn.Graph() },
+					func() *Graph { return w.Graph() },
 					func() []*Graph { return targets })
 
 				nOps := 1 + rng.Intn(8)
@@ -292,31 +290,33 @@ func TestCommitPathsEquivalent(t *testing.T) {
 				var marks []int
 				for i := 0; i < nOps; i++ {
 					if useMark && i == nOps/2 {
-						marks = []int{wIn.Journal().Mark(), wCow.Journal().Mark(), refJ.Mark()}
+						marks = []int{w.Journal().Mark(), refJ.Mark()}
 					}
 					op()
 				}
 				if marks != nil {
 					// Statement-level rollback inside the transaction.
-					wIn.Journal().RollbackTo(marks[0])
-					wCow.Journal().RollbackTo(marks[1])
-					refJ.RollbackTo(marks[2])
+					w.Journal().RollbackTo(marks[0])
+					refJ.RollbackTo(marks[1])
 				}
 
+				// A rolled-back transaction, or one whose journal is empty,
+				// publishes nothing.
 				rollback := rng.Intn(4) == 0
-				if rollback {
-					wIn.Rollback()
-					wCow.Rollback()
-					// Deep-clone reference: discard the working copy,
-					// keep the consumed id counters (the historical
-					// rollback contract).
-					refJ.Discard()
-					ref.nextNode, ref.nextRel = refWork.nextNode, refWork.nextRel
-				} else {
-					wIn.Commit()
-					wCow.Commit()
+				publishes := !rollback && refJ.Len() > 0
+				preEpoch := s.Epoch()
+				if publishes {
+					w.Commit()
 					refJ.Commit()
 					ref = refWork
+				} else {
+					if rollback {
+						w.Rollback()
+					} else {
+						w.Commit() // an empty journal
+					}
+					refJ.Discard()
+					refNextNode, refNextRel = refWork.nextNode, refWork.nextRel
 				}
 
 				close(stop)
@@ -325,26 +325,19 @@ func TestCommitPathsEquivalent(t *testing.T) {
 				if got := pin.Graph().NumNodes(); got != preNodes {
 					t.Fatalf("%s: pinned snapshot node count moved %d -> %d", ctx, preNodes, got)
 				}
-				pin.Release()
 
-				snapIn := inPlaceStore.Acquire()
-				snapCow := cowStore.Acquire()
-				graphsEqual(t, snapIn.Graph(), snapCow.Graph(), ctx+" in-place vs cow")
-				graphsEqual(t, snapIn.Graph(), ref, ctx+" in-place vs deep-clone")
-				checkGraphInvariants(t, snapCow.Graph(), ctx+" cow invariants")
-				if rollback {
-					// Satellite regression: a rolled-back COW transaction
-					// must not disturb the cache-relevant counters.
-					if snapCow.Graph().Version() != preVersion {
-						t.Fatalf("%s: rolled-back COW txn moved Version %d -> %d",
-							ctx, preVersion, snapCow.Graph().Version())
-					}
-					if snapCow.Graph().IndexEpoch() != preIdxEpoch {
-						t.Fatalf("%s: rolled-back COW txn moved IndexEpoch", ctx)
-					}
+				snap := s.Acquire()
+				graphsEqual(t, snap.Graph(), ref, ctx+" cow vs deep-clone")
+				checkGraphInvariants(t, snap.Graph(), ctx+" cow invariants")
+				if !publishes && (snap.Graph() != pin.Graph() || s.Epoch() != preEpoch) {
+					// Regression: a transaction that changed nothing must
+					// leave the published epoch — and with it the
+					// cache-relevant counters — exactly as it was.
+					t.Fatalf("%s: a transaction that changed nothing published epoch %d (was %d)",
+						ctx, s.Epoch(), preEpoch)
 				}
-				snapIn.Release()
-				snapCow.Release()
+				pin.Release()
+				snap.Release()
 			}
 		})
 	}
@@ -365,9 +358,6 @@ func TestCloneCOWSharesUntouchedStructure(t *testing.T) {
 	defer pin.Release()
 
 	w := s.BeginWrite()
-	if !w.cloned {
-		t.Fatal("expected the COW path")
-	}
 	clone := w.Graph()
 	// Directory copied, shards shared.
 	for si := range g.nodes.shards {
@@ -392,28 +382,30 @@ func TestCloneCOWSharesUntouchedStructure(t *testing.T) {
 	w.Commit()
 }
 
-// TestInPlaceWriterRespectsOlderEpochSharing: after a COW commit, the
-// published graph shares buckets with the older, still-pinned epoch. A
-// subsequent in-place writer (no pins on the current epoch) must copy
-// those shared buckets rather than mutate them under the old reader.
+// TestInPlaceWriterRespectsOlderEpochSharing (named for the in-place
+// write path the store used to have): after a commit, the published
+// graph shares buckets with the older, still-pinned epoch. A later
+// writer — with no pins on the current epoch — must never mutate a
+// bucket still shared with the older epoch, nor the current epoch's own
+// graph.
 func TestInPlaceWriterRespectsOlderEpochSharing(t *testing.T) {
 	g := New()
 	n := g.CreateNode([]string{"N"}, value.Map{"v": value.Int(1)})
 	s := NewStore(g)
 
 	oldPin := s.Acquire() // pins epoch 0
-	w := s.BeginWrite()   // COW path
-	if !w.cloned {
-		t.Fatal("expected COW")
-	}
+	w := s.BeginWrite()
 	w.Graph().CreateNode([]string{"N"}, nil)
 	w.Commit() // epoch 1 shares node 1's shard with epoch 0
 
-	// No pins on epoch 1: the next writer goes in place on the epoch-1
-	// graph — and must not corrupt epoch 0's view of node 1.
+	// No pins on epoch 1: the next writer still works on a clone, so
+	// neither epoch 0 nor epoch 1 sees its writes.
+	epoch1 := s.Acquire()
+	g1 := epoch1.Graph()
+	epoch1.Release()
 	w2 := s.BeginWrite()
-	if w2.cloned {
-		t.Fatal("expected the in-place path")
+	if w2.Graph() == g1 {
+		t.Fatal("writer works on the published graph")
 	}
 	if err := w2.Graph().SetNodeProp(n.ID, "v", value.Int(99)); err != nil {
 		t.Fatal(err)
@@ -423,14 +415,16 @@ func TestInPlaceWriterRespectsOlderEpochSharing(t *testing.T) {
 	}
 	w2.Commit()
 
-	if got := oldPin.Graph().Node(n.ID).Props["v"]; got != value.Int(1) {
-		t.Fatalf("old epoch saw in-place write: v = %v", got)
-	}
-	if oldPin.Graph().Node(n.ID).HasLabel("X") {
-		t.Fatal("old epoch saw in-place label write")
-	}
-	if len(oldPin.Graph().NodeIDsByLabel("X")) != 0 {
-		t.Fatal("old epoch's label index saw in-place write")
+	for _, old := range []*Graph{oldPin.Graph(), g1} {
+		if got := old.Node(n.ID).Props["v"]; got != value.Int(1) {
+			t.Fatalf("older epoch saw a later write: v = %v", got)
+		}
+		if old.Node(n.ID).HasLabel("X") {
+			t.Fatal("older epoch saw a later label write")
+		}
+		if len(old.NodeIDsByLabel("X")) != 0 {
+			t.Fatal("older epoch's label index saw a later write")
+		}
 	}
 	oldPin.Release()
 

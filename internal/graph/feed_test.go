@@ -127,8 +127,8 @@ func TestDeltaRollbackAndNoop(t *testing.T) {
 }
 
 // TestOnCommitHookOrderAndScope: hooks fire once per changing commit,
-// in epoch order, on both the in-place and copy-on-write paths, and not
-// for rollbacks.
+// in epoch order, with or without a pinned reader, and not for
+// rollbacks.
 func TestOnCommitHookOrderAndScope(t *testing.T) {
 	s := NewStore(New())
 	var epochs []int64
@@ -138,12 +138,12 @@ func TestOnCommitHookOrderAndScope(t *testing.T) {
 		created += len(d.NodesCreated)
 	})
 
-	w := s.BeginWrite() // in-place
+	w := s.BeginWrite()
 	w.Graph().CreateNode([]string{"A"}, nil)
 	w.Commit()
 
 	pin := s.Acquire()
-	w = s.BeginWrite() // copy-on-write
+	w = s.BeginWrite()
 	w.Graph().CreateNode([]string{"A"}, nil)
 	w.Commit()
 

@@ -9,7 +9,9 @@
 // exist (Section 2 of the paper). The legacy Cypher 9 execution mode
 // deliberately suspends this invariant mid-statement (Section 4.2); the
 // store supports that through the unchecked deletion entry points, and
-// exposes Validate to re-check the invariant.
+// re-checks the invariant over what a statement touched
+// (Journal.CheckDangling) or, as the test oracle, over the whole graph
+// (Validate).
 //
 // The package also provides:
 //   - deltas (ChangeSet) implementing the revised two-phase atomic update
@@ -513,16 +515,25 @@ func (e *DanglingError) Error() string {
 }
 
 // Validate checks the structural invariant that every relationship's
-// endpoints exist, returning the first violation found.
+// endpoints exist, returning the violation of the lowest relationship
+// id. It walks the whole graph; statement boundaries use the journal's
+// CheckDangling instead, and Validate is its test oracle.
 func (g *Graph) Validate() error {
 	for _, id := range g.RelIDs() {
-		r := g.Rel(id)
-		if !g.HasNode(r.Src) {
-			return fmt.Errorf("graph: relationship %d has dangling source %d", r.ID, r.Src)
+		if err := g.Rel(id).danglingError(g); err != nil {
+			return err
 		}
-		if !g.HasNode(r.Tgt) {
-			return fmt.Errorf("graph: relationship %d has dangling target %d", r.ID, r.Tgt)
-		}
+	}
+	return nil
+}
+
+// danglingError reports r's missing endpoint in g, source first, or nil.
+func (r *Rel) danglingError(g *Graph) error {
+	if !g.HasNode(r.Src) {
+		return fmt.Errorf("graph: relationship %d has dangling source %d", r.ID, r.Src)
+	}
+	if !g.HasNode(r.Tgt) {
+		return fmt.Errorf("graph: relationship %d has dangling target %d", r.ID, r.Tgt)
 	}
 	return nil
 }

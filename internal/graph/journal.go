@@ -56,6 +56,38 @@ func (j *Journal) RollbackTo(mark int) {
 	j.entries = j.entries[:mark]
 }
 
+// CheckDangling is the statement-boundary form of Graph.Validate: it
+// returns the error Validate would return, reading only the mutations
+// recorded after mark. That is sound when the graph had no dangling
+// relationship at mark — graph.New, the codec and WAL replay reject
+// them, CreateRel checks both endpoints, and the engine runs this check
+// at every statement boundary — because only DeleteNodeUnchecked can
+// then leave one, and it records an undoDeleteNode entry. A node still
+// absent keeps exactly its non-empty adjacency rows (removeNodeInternal),
+// and every id left in them is a dangling relationship. The lowest such
+// id is Validate's first violation. Cost: O(entries since mark +
+// relationships attached to deleted nodes).
+func (j *Journal) CheckDangling(mark int) error {
+	g := j.g
+	first := RelID(0)
+	for _, e := range j.entries[mark:] {
+		u, ok := e.(undoDeleteNode)
+		if !ok || g.HasNode(u.node.ID) {
+			continue
+		}
+		for _, ids := range [2][]RelID{g.Outgoing(u.node.ID), g.Incoming(u.node.ID)} {
+			// Rows are sorted, so only their first id can be the lowest.
+			if len(ids) > 0 && (first == 0 || ids[0] < first) {
+				first = ids[0]
+			}
+		}
+	}
+	if first == 0 {
+		return nil
+	}
+	return g.Rel(first).danglingError(g)
+}
+
 // Commit detaches the journal, keeping all mutations.
 func (j *Journal) Commit() {
 	j.g.journal = nil

@@ -122,3 +122,72 @@ func TestJournalCommitTransparent(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckDanglingMatchesValidate is the equivalence property of the
+// journal-scoped invariant: starting from a valid graph, random
+// sequences of creations, checked, unchecked and detaching deletions,
+// journal marks and RollbackTo must leave CheckDangling(mark) equal to
+// the whole-graph Validate, error text for error text, at every step. A
+// mark is only ever taken where Validate passes, as the engine only
+// moves on from a statement boundary whose check passed.
+func TestCheckDanglingMatchesValidate(t *testing.T) {
+	violations := 0
+	for trial := 0; trial < 60; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		g := New()
+		for i := 0; i < 8+rng.Intn(8); i++ {
+			randomMutation(rng, g)
+		}
+		pickNode := func() (NodeID, bool) {
+			ids := g.NodeIDs()
+			if len(ids) == 0 {
+				return 0, false
+			}
+			return ids[rng.Intn(len(ids))], true
+		}
+		j := g.BeginJournal()
+		mark := 0
+		for step := 0; step < 80; step++ {
+			switch rng.Intn(8) {
+			case 0, 1:
+				if id, ok := pickNode(); ok {
+					g.DeleteNodeUnchecked(id)
+				}
+			case 2:
+				if id, ok := pickNode(); ok {
+					_ = g.DeleteNode(id) // fails while relationships are attached
+				}
+			case 3:
+				// A statement boundary: keep the statement if it left no
+				// dangling relationship, else roll it back.
+				if g.Validate() == nil {
+					mark = j.Mark()
+				} else {
+					j.RollbackTo(mark)
+				}
+			case 4:
+				j.RollbackTo(mark)
+			default:
+				randomMutation(rng, g)
+			}
+			got, want := errText(j.CheckDangling(mark)), errText(g.Validate())
+			if got != want {
+				t.Fatalf("trial %d step %d: CheckDangling(%d) = %q, Validate = %q", trial, step, mark, got, want)
+			}
+			if want != "" {
+				violations++
+			}
+		}
+		j.Commit()
+	}
+	if violations < 100 {
+		t.Fatalf("only %d steps left a dangling relationship; the property is barely exercised", violations)
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}

@@ -14,61 +14,45 @@ import (
 // The paper makes individual Cypher statements atomic (the journal and
 // ChangeSet machinery of this package); the Store extends that to
 // *transactions* — groups of statements that commit or roll back as one
-// — and to concurrency: readers never block each other and never
-// observe a half-applied transaction.
+// — and to concurrency: readers never block each other or wait for a
+// writer, and never observe a half-applied transaction.
 //
 // # Epochs and snapshots
 //
 // The Store holds one published snapshot at a time: the graph as of the
 // last committed transaction, tagged with a monotonically increasing
 // epoch number. Acquire pins that snapshot (a reference count) and
-// returns it; a pinned graph is immutable for as long as the pin is
-// held, so readers iterate it with no lock held at all. Release drops
-// the pin (and panics on a double release — an unbalanced pin count
-// could otherwise silently route a later writer onto the in-place path
-// while a reader still streams).
+// returns it; a published graph is never written again, so readers
+// iterate it with no lock held at all. Release drops the pin (and
+// panics on a double release, so an unbalanced pin count is caught at
+// the faulty call site).
 //
 // # The single-writer pipeline
 //
 // BeginWrite hands out the writer baton (a mutex — at most one write
-// transaction at a time) and picks the cheapest safe way to mutate:
-//
-//   - If the published snapshot has NO pinned readers, the writer
-//     mutates the published graph in place, exactly like the
-//     pre-transactional engine did. New readers arriving mid-write wait
-//     until the transaction finishes (they would otherwise observe torn
-//     state). This is the fast path: a single-threaded workload pays
-//     nothing for the transaction layer.
-//   - If readers ARE pinned, the writer works on a copy-on-write clone
-//     (cloneCOW): the clone shares every container bucket with the
-//     published snapshot and copies only the buckets the transaction
-//     touches, so the commit costs O(changes), not O(graph). Current
-//     and new readers keep streaming from the published snapshot;
-//     Commit atomically publishes the clone as the next epoch, and the
-//     old snapshot stays valid until its pins drain.
-//
-// Because epochs share buckets, an in-place writer may still hold
-// structure in common with OLDER pinned epochs; the ownership tags of
-// cow.go make that safe — a mutation copies any bucket another epoch
-// can still see before writing it.
+// transaction at a time) and a copy-on-write clone of the published
+// graph (cloneCOW): the clone shares every container bucket with the
+// published snapshot and copies only the buckets the transaction
+// touches, so a commit costs O(changes), not O(graph), and current and
+// new readers keep streaming from the published snapshot for the whole
+// transaction. Commit atomically publishes the clone as the next epoch;
+// the old snapshot stays valid until its pins drain.
 //
 // Commit publishes the transaction's journal with the new epoch; the
 // net structural Delta is derived from it lazily (Snapshot.Delta) or
-// at commit time when OnCommit hooks are registered.
-// Rollback on the copy-on-write path simply discards the clone and
-// republishes the pre-transaction content — no undo replay, no bumped
-// version or index epoch, so plan caches keyed on those counters
-// survive a rolled-back transaction untouched. (Only the id counters
-// carry over: ids consumed by a rolled-back transaction stay consumed,
-// matching the in-place path's journal-driven rollback.) Readers
+// at commit time when OnCommit hooks are registered. A transaction
+// that changed nothing — rolled back, or with an empty journal —
+// publishes nothing: Rollback simply discards the clone, leaving the
+// published epoch, its number and the cache-relevant counters (Version,
+// IndexEpoch, statistics) exactly as they were, so plan caches survive
+// a rolled-back transaction untouched. Only the id counters carry over:
+// ids consumed by a discarded transaction stay consumed, matching the
+// journal-driven statement rollback of Journal.RollbackTo. Readers
 // therefore see exactly the pre-commit or the post-commit epoch — never
 // anything in between.
 type Store struct {
-	mu       sync.Mutex
-	readable *sync.Cond // readers waiting out an in-place write
-	cur      *Snapshot
-	inPlace  bool // a write txn is mutating cur's graph in place
-	waiting  int  // readers blocked in Acquire by an in-place write
+	mu  sync.Mutex
+	cur *Snapshot
 
 	// writerMu is the single-writer baton: held from BeginWrite until
 	// Commit/Rollback, serializing write transactions.
@@ -83,13 +67,18 @@ type Store struct {
 	wal *WAL
 
 	epoch int64
+
+	// nextNode and nextRel are the id high-water marks of discarded
+	// transactions, which publish no graph to carry them; BeginWrite
+	// applies them to its clone. Guarded by writerMu.
+	nextNode NodeID
+	nextRel  RelID
 }
 
 // NewStore wraps g (which must not be used directly afterwards) in a
 // store publishing it as epoch 0.
 func NewStore(g *Graph) *Store {
 	s := &Store{}
-	s.readable = sync.NewCond(&s.mu)
 	s.cur = &Snapshot{store: s, g: g}
 	return s
 }
@@ -119,10 +108,10 @@ func (sn *Snapshot) Graph() *Graph { return sn.g }
 func (sn *Snapshot) Epoch() int64 { return sn.epoch }
 
 // Delta returns the net structural change the transaction that
-// committed this epoch applied, or nil for epoch 0, for rolled-back
-// transactions (which change nothing) and for commits with no net
-// effect. The delta references the snapshot's graph state: consumers
-// resolve entity ids against Graph(). It is derived from the
+// committed this epoch applied, or nil for epoch 0 and for commits
+// whose journal entries net to nothing. The delta references the
+// snapshot's graph state: consumers resolve entity ids against
+// Graph(). It is derived from the
 // transaction's journal on first call (safe under concurrent readers).
 func (sn *Snapshot) Delta() *Delta {
 	sn.deltaOnce.Do(func() {
@@ -141,25 +130,18 @@ func (sn *Snapshot) Delta() *Delta {
 // when no other reader holds a pin. (While other pins are outstanding
 // an early double release is indistinguishable from their legitimate
 // releases and surfaces only at the final one; the count still ends
-// negative, so the corruption cannot stay silent and flip a writer
-// onto the in-place path forever undetected.)
+// negative, so the corruption cannot stay silent.)
 func (sn *Snapshot) Release() {
 	if sn.pins.Add(-1) < 0 {
 		panic("graph: Snapshot.Release without a matching Acquire (double release?)")
 	}
 }
 
-// Acquire pins the latest committed epoch and returns it. If a write
-// transaction is mutating the published graph in place (the no-reader
-// fast path), Acquire waits for it to finish — the moment a snapshot is
-// handed out, its graph is guaranteed immutable.
+// Acquire pins the latest committed epoch and returns it. It never
+// waits for a writer: write transactions work on a private clone, and a
+// published graph is immutable.
 func (s *Store) Acquire() *Snapshot {
 	s.mu.Lock()
-	for s.inPlace {
-		s.waiting++
-		s.readable.Wait()
-		s.waiting--
-	}
 	sn := s.cur
 	sn.pins.Add(1)
 	s.mu.Unlock()
@@ -216,63 +198,31 @@ func (s *Store) OnCommit(fn func(*Delta)) {
 	s.onCommit = append(s.onCommit, fn)
 }
 
-// WriteTxn is an open write transaction: a working graph (the published
-// graph itself, or a copy-on-write clone when readers are pinned),
-// journaled so it can roll back, holding the writer baton until Commit
-// or Rollback.
+// WriteTxn is an open write transaction: a copy-on-write clone of the
+// published graph, journaled so statements can roll back to a mark,
+// holding the writer baton until Commit or Rollback.
 type WriteTxn struct {
-	s      *Store
-	g      *Graph
-	base   *Graph // the epoch the txn started from (== g unless cloned)
-	j      *Journal
-	cloned bool
-	done   bool
+	s    *Store
+	g    *Graph
+	j    *Journal
+	done bool
 }
 
 // BeginWrite opens a write transaction, blocking while another one is
-// in flight (single writer). Intended for statement-scoped (implicit,
-// auto-commit) transactions: it may take the in-place fast path, which
-// makes readers arriving mid-transaction wait until it finishes.
-func (s *Store) BeginWrite() *WriteTxn { return s.beginWrite(false) }
-
-// BeginWriteIsolated opens a write transaction that always works on a
-// private copy-on-write clone, never blocking readers: the published
-// epoch stays readable for the whole transaction. Intended for explicit
-// (BEGIN…COMMIT) transactions, whose lifetime is caller-paced and may
-// include think time.
-func (s *Store) BeginWriteIsolated() *WriteTxn { return s.beginWrite(true) }
-
-func (s *Store) beginWrite(isolated bool) *WriteTxn {
+// in flight (single writer). The transaction works on a copy-on-write
+// clone of the published graph, so readers are never blocked: the
+// published epoch stays readable for the whole transaction, however
+// long the caller keeps it open.
+func (s *Store) BeginWrite() *WriteTxn {
 	s.writerMu.Lock()
-	s.mu.Lock()
-	w := &WriteTxn{s: s}
-	cur := s.cur
-	w.base = cur.g
-	if !isolated && cur.pins.Load() == 0 && s.waiting == 0 {
-		// Nobody is reading this epoch: mutate in place; Acquire blocks
-		// until the transaction finishes. Buckets still shared with
-		// older pinned epochs are protected by the copy-on-write
-		// ownership tags.
-		w.g = cur.g
-		s.inPlace = true
-		s.mu.Unlock()
-	} else {
-		// Readers are streaming from the published snapshot (or were
-		// woken by the previous transaction and have not re-pinned yet —
-		// counting them prevents a back-to-back writer from starving
-		// readers through repeated in-place transactions): leave the
-		// snapshot untouched and work on a copy-on-write clone. The
-		// clone copies only container directories — O(changes the txn
-		// will make), not O(graph) — and runs outside the store mutex so
-		// readers keep acquiring snapshots meanwhile; cur cannot be
-		// replaced while writerMu is held, and a published graph is
-		// immutable, so the unlocked read is safe.
-		s.mu.Unlock()
-		w.g = cur.g.cloneCOW()
-		w.cloned = true
-	}
-	w.j = w.g.BeginJournal()
-	return w
+	// Only a baton holder replaces cur, and a published graph is
+	// immutable, so with the baton held neither the read of cur nor the
+	// clone (which copies container directories only) needs the store
+	// mutex: readers keep acquiring snapshots meanwhile.
+	g := s.cur.g.cloneCOW()
+	g.nextNode = max(g.nextNode, s.nextNode)
+	g.nextRel = max(g.nextRel, s.nextRel)
+	return &WriteTxn{s: s, g: g, j: g.BeginJournal()}
 }
 
 // Graph returns the transaction's working graph. Statements of the
@@ -287,54 +237,52 @@ func (w *WriteTxn) Journal() *Journal { return w.j }
 // next epoch, releasing the writer baton. It returns the new epoch.
 // The epoch carries the transaction's net Delta (derived from the
 // journal), delivered to OnCommit hooks and readable via
-// Snapshot.Delta.
+// Snapshot.Delta. A transaction whose journal is empty changed nothing:
+// it publishes nothing, like Rollback, and returns the current epoch.
 //
-// On a durable store the delta is appended to the write-ahead log
-// (and, under SyncAlways, fsynced) before the epoch is published; a
-// log failure is returned here. The in-memory commit still takes
-// effect — an in-place transaction has already mutated the shared
-// graph and cannot be unwound — but it may not survive a crash, and
-// the log is poisoned: every later commit returns the same error.
+// On a durable store every published epoch gets a write-ahead log
+// record (an empty-delta one when netting cancels everything), appended
+// (and, under SyncAlways, fsynced) before the epoch is published; a log
+// failure is returned here. The in-memory commit still takes effect,
+// but it may not survive a crash, and the log is poisoned: every later
+// commit returns the same error.
 func (w *WriteTxn) Commit() (int64, error) {
 	if w.done {
 		panic("graph: commit of a finished write transaction")
 	}
 	entries := w.j.entries // netted lazily; Journal.Commit only drops its reference
 	w.j.Commit()
+	if len(entries) == 0 {
+		return w.discard(), nil
+	}
 	return w.finish(entries)
 }
 
-// Rollback undoes every mutation of the transaction and publishes the
-// restored state, releasing the writer baton. On the in-place path the
-// journal replays its inverses; on the copy-on-write path the clone is
-// simply discarded and the pre-transaction content republished, leaving
-// the cache-relevant counters (Version, IndexEpoch, statistics) exactly
-// as they were — a rolled-back transaction no longer invalidates plan
-// caches or churns memory. Either way the published epoch equals the
-// pre-transaction state content-wise, the epoch number still advances,
-// and id counters stay consumed, matching the engine's historical
-// statement-rollback behaviour on both paths.
+// Rollback abandons the transaction, releasing the writer baton. The
+// working clone is discarded wholesale — no undo replay — and nothing
+// is published: the epoch number and the published graph, with its
+// cache-relevant counters (Version, IndexEpoch, statistics), stay
+// exactly as they were, so a rolled-back transaction neither
+// invalidates plan caches nor churns memory. Ids it consumed stay
+// consumed, like those of a statement rolled back to a journal mark.
 func (w *WriteTxn) Rollback() {
 	if w.done {
 		panic("graph: rollback of a finished write transaction")
 	}
-	if w.cloned {
-		// The published base still holds the exact pre-transaction
-		// state; abandon the working clone (journal included) and
-		// republish the base's content. A fresh cloneCOW — not the base
-		// graph object itself — keeps the new epoch distinct from the
-		// still-pinned old one: publishing the very same *Graph would
-		// let a later in-place writer mutate it while old-epoch readers,
-		// whose pins the in-place check cannot see, still stream.
-		w.j.Discard()
-		g := w.base.cloneCOW()
-		g.nextNode, g.nextRel = w.g.nextNode, w.g.nextRel
-		w.g = g
-		w.finish(nil)
-		return
-	}
-	w.j.Rollback()
-	w.finish(nil)
+	w.j.Discard()
+	w.discard()
+}
+
+// discard ends a transaction that publishes nothing: it keeps only the
+// clone's id counters, for the next BeginWrite, and returns the
+// unchanged current epoch.
+func (w *WriteTxn) discard() int64 {
+	w.done = true
+	s := w.s
+	s.nextNode, s.nextRel = w.g.nextNode, w.g.nextRel
+	epoch := s.epoch // only baton holders write s.epoch
+	s.writerMu.Unlock()
+	return epoch
 }
 
 func (w *WriteTxn) finish(entries []undoEntry) (int64, error) {
@@ -344,40 +292,37 @@ func (w *WriteTxn) finish(entries []undoEntry) (int64, error) {
 	// s.epoch, and finish runs under the writer baton, so the unlocked
 	// read is safe.
 	epoch := s.epoch + 1
-	// Write-ahead: on a durable store the delta must be on the log
-	// before anyone can observe the epoch. The netting normally
-	// deferred to Snapshot.Delta happens here instead, and the result
-	// is pre-seeded into the snapshot below so it is not re-derived.
+	// Write-ahead: on a durable store the epoch must be on the log
+	// before anyone can observe it. The netting normally deferred to
+	// Snapshot.Delta happens here instead, and the result is pre-seeded
+	// into the snapshot below so it is not re-derived.
 	var (
 		d      *Delta
-		netted bool
 		walErr error
 	)
-	if s.wal != nil && len(entries) > 0 {
+	if s.wal != nil {
 		d = netDelta(entries)
-		netted = true
-		if d != nil {
-			d.Epoch = epoch
-			walErr = s.wal.Append(d, w.g)
+		rec := d
+		if rec == nil {
+			// Netting cancelled everything, but the epoch (and the id
+			// counters the transaction consumed) still needs its record.
+			rec = &Delta{}
 		}
+		rec.Epoch = epoch
+		walErr = s.wal.Append(rec, w.g)
 	}
 	s.mu.Lock()
 	s.epoch = epoch
 	sn := &Snapshot{store: s, g: w.g, epoch: epoch, deltaEntries: entries}
-	if netted {
+	if s.wal != nil {
 		sn.deltaOnce.Do(func() {
 			sn.delta = d
 			sn.deltaEntries = nil
 		})
 	}
-	var hooks []func(*Delta)
-	if len(entries) > 0 {
-		hooks = s.onCommit
-	}
+	hooks := s.onCommit
 	s.cur = sn
-	s.inPlace = false
 	s.mu.Unlock()
-	s.readable.Broadcast()
 	// Compact the log once it outgrows the threshold. The record above
 	// is already durable, so a checkpoint failure does not undo this
 	// commit; if it poisoned the log the next append will say so.

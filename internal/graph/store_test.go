@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/value"
 )
@@ -87,34 +89,47 @@ func TestStoreRollbackWithPinnedReader(t *testing.T) {
 	}
 }
 
-// TestStoreInPlaceFastPath: with no pinned readers the writer must
-// mutate the published graph itself (no clone), the single-threaded
-// fast path.
+// TestStoreInPlaceFastPath (named for the in-place write path the store
+// used to have, on which readers waited for the writer): while a write
+// transaction is open, Acquire returns the pre-transaction epoch without
+// blocking, and the writer's clone is not the published graph. Run
+// under -race, the reader's walk races with nothing the writer touches.
 func TestStoreInPlaceFastPath(t *testing.T) {
 	s := storeWithNodes(t, 1)
-	before := s.cur.g
 	w := s.BeginWrite()
-	if w.cloned {
-		t.Fatal("writer cloned with no pinned readers")
-	}
-	if w.Graph() != before {
-		t.Fatal("in-place writer must work on the published graph")
+	w.Graph().CreateNode([]string{"N"}, nil)
+
+	got := make(chan string, 1)
+	go func() {
+		sn := s.Acquire()
+		defer sn.Release()
+		if sn.Graph() == w.Graph() {
+			got <- "reader pinned the writer's working graph"
+			return
+		}
+		n := 0
+		for _, id := range sn.Graph().NodeIDs() {
+			n += len(sn.Graph().Node(id).Labels)
+		}
+		got <- fmt.Sprintf("epoch %d, %d labelled nodes", sn.Epoch(), n)
+	}()
+	select {
+	case msg := <-got:
+		if want := "epoch 0, 1 labelled nodes"; msg != want {
+			t.Fatalf("reader saw %s, want %s", msg, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Acquire blocked while a write transaction was open")
 	}
 	w.Commit()
-	if s.cur.g != before {
-		t.Fatal("in-place commit must republish the same graph")
-	}
 }
 
-// TestStoreCloneOnPinnedReader: a pinned reader forces the writer onto
-// a private clone.
+// TestStoreCloneOnPinnedReader: a pinned reader never shares the
+// writer's working graph.
 func TestStoreCloneOnPinnedReader(t *testing.T) {
 	s := storeWithNodes(t, 1)
 	pin := s.Acquire()
 	w := s.BeginWrite()
-	if !w.cloned {
-		t.Fatal("writer must clone while a reader is pinned")
-	}
 	if w.Graph() == pin.Graph() {
 		t.Fatal("clone must not alias the pinned graph")
 	}

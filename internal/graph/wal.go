@@ -2,12 +2,12 @@ package graph
 
 // The write-ahead log: durability for the epoch store.
 //
-// Every commit that changes anything appends one binary record — the
-// committed epoch's net Delta plus the final values it leaves behind —
-// to dir/wal.log before the epoch is published. Crash recovery
-// (recovery.go) replays the log over the latest checkpoint snapshot
-// (dir/snapshot.json), so the recovered graph equals the committed
-// prefix that reached disk.
+// Every published epoch appends one binary record — the committed
+// epoch's net Delta (empty when the transaction's changes cancelled
+// out) plus the final values it leaves behind — to dir/wal.log before
+// the epoch is published. Crash recovery (recovery.go) replays the log
+// over the latest checkpoint snapshot (dir/snapshot.json), so the
+// recovered graph equals the committed prefix that reached disk.
 //
 // # Record format
 //
@@ -49,9 +49,8 @@ package graph
 // recovery's torn-tail truncation would drop them, so the first append
 // or sync failure poisons the WAL: every later operation returns the
 // same error, and the store surfaces it from Commit. The in-memory
-// epoch is still published (an in-place transaction cannot be
-// un-applied); the caller decides whether to keep computing on memory
-// or to stop.
+// epoch is still published; the caller decides whether to keep
+// computing on memory or to stop.
 
 import (
 	"bufio"

@@ -121,10 +121,53 @@ func TestRollbackWritesNoRecord(t *testing.T) {
 	if got := wal.Status().Records; got != before {
 		t.Fatalf("rollback appended a record: %d -> %d", before, got)
 	}
+	epoch := st.Epoch()
+	if epoch != wal.Status().LastEpoch {
+		t.Fatalf("rollback moved the epoch to %d past the last record %d", epoch, wal.Status().LastEpoch)
+	}
 	wal.Close()
-	// The rollback advanced the in-memory epoch but logged nothing, so
-	// recovery resumes at the last logged epoch.
-	reopenAndCompare(t, dir, want, wal.Status().LastEpoch)
+	reopenAndCompare(t, dir, want, epoch)
+}
+
+// TestNetNothingCommitWritesRecord: a transaction whose changes cancel
+// out (a node created and deleted again) still publishes an epoch, so
+// it still gets a record — an empty delta carrying the id counters it
+// consumed — and recovery lands on that epoch with those counters. A
+// transaction with an empty journal publishes nothing and logs nothing.
+func TestNetNothingCommitWritesRecord(t *testing.T) {
+	dir := t.TempDir()
+	st, wal, err := Recover(dir, Durability{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutateAll(t, st)
+	w := st.BeginWrite()
+	n := w.Graph().CreateNode([]string{"Tmp"}, nil)
+	if err := w.Graph().DeleteNode(n.ID); err != nil {
+		t.Fatal(err)
+	}
+	before := wal.Status().Records
+	epoch, err := w.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := wal.Status().Records; got != before+1 {
+		t.Fatalf("net-nothing commit appended %d records, want 1", got-before)
+	}
+	if _, err := st.BeginWrite().Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Epoch() != epoch || wal.Status().Records != before+1 {
+		t.Fatalf("empty commit moved the epoch to %d or logged a record", st.Epoch())
+	}
+	snap := st.Acquire()
+	want := snap.Graph().Clone()
+	snap.Release()
+	if want.nextNode != n.ID {
+		t.Fatalf("published id counter %d, want %d", want.nextNode, n.ID)
+	}
+	wal.Close()
+	reopenAndCompare(t, dir, want, epoch)
 }
 
 func TestTornTailTruncated(t *testing.T) {
