@@ -1,7 +1,7 @@
 // Package doccheck enforces the repository's documentation contract:
 // every exported symbol of the public API surface (packages cypher and
-// cypherclient) and of the core internal layers (graph, match, server)
-// carries a doc comment.
+// cypherclient) and of the core internal layers (graph, match, server,
+// tagjson) carries a doc comment.
 // It runs as an ordinary test, so `go test ./...` — and therefore CI —
 // fails the moment an undocumented exported symbol lands.
 package doccheck
@@ -25,6 +25,7 @@ var checkedPackages = []string{
 	filepath.Join("..", "graph"),
 	filepath.Join("..", "match"),
 	filepath.Join("..", "server"),
+	filepath.Join("..", "tagjson"),
 }
 
 // TestExportedSymbolsAreDocumented parses each checked package and

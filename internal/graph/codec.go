@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
+	"repro/internal/tagjson"
 	"repro/internal/value"
 )
 
@@ -20,123 +20,75 @@ import (
 //	}
 //
 // Property values carry explicit type tags so integers and floats
-// round-trip exactly (a bare JSON number would not).
+// round-trip exactly (a bare JSON number would not); the tagged form is
+// internal/tagjson's.
 
-type jsonValue struct {
-	Null   bool         `json:"null,omitempty"`
-	Bool   *bool        `json:"bool,omitempty"`
-	Int    *int64       `json:"int,omitempty"`
-	Float  *float64     `json:"float,omitempty"`
-	FloatS string       `json:"floatSpecial,omitempty"` // "nan", "+inf", "-inf"
-	Str    *string      `json:"string,omitempty"`
-	List   []jsonValue  `json:"list,omitempty"`
-	IsList bool         `json:"isList,omitempty"`
-	Map    mapJSONValue `json:"map,omitempty"`
-	IsMap  bool         `json:"isMap,omitempty"`
+// propValue is one property value of a snapshot. It is written and
+// read by the engine's tagged-JSON value codec (internal/tagjson), which
+// the wire protocol shares; entity references are not property values,
+// so their tags are refused in both directions.
+type propValue struct{ v value.Value }
+
+// MarshalJSON implements json.Marshaler.
+func (p propValue) MarshalJSON() ([]byte, error) {
+	return tagjson.Append(nil, p.v)
 }
 
-type mapJSONValue map[string]jsonValue
+// UnmarshalJSON implements json.Unmarshaler.
+func (p *propValue) UnmarshalJSON(data []byte) error {
+	s := tagjson.NewScanner(data)
+	v, err := s.Value()
+	if err == nil {
+		err = s.End()
+	}
+	if err == nil {
+		err = checkStorable(v)
+	}
+	if err != nil {
+		return fmt.Errorf("graph: malformed serialized value: %w", err)
+	}
+	p.v = v
+	return nil
+}
 
-func encodeValue(v value.Value) (jsonValue, error) {
+// checkStorable refuses entity references, at any depth, as property
+// values.
+func checkStorable(v value.Value) error {
 	switch x := v.(type) {
-	case value.Null:
-		return jsonValue{Null: true}, nil
-	case value.Bool:
-		b := bool(x)
-		return jsonValue{Bool: &b}, nil
-	case value.Int:
-		i := int64(x)
-		return jsonValue{Int: &i}, nil
-	case value.Float:
-		f := float64(x)
-		switch {
-		case math.IsNaN(f):
-			return jsonValue{FloatS: "nan"}, nil
-		case math.IsInf(f, 1):
-			return jsonValue{FloatS: "+inf"}, nil
-		case math.IsInf(f, -1):
-			return jsonValue{FloatS: "-inf"}, nil
-		}
-		return jsonValue{Float: &f}, nil
-	case value.String:
-		s := string(x)
-		return jsonValue{Str: &s}, nil
+	case value.Node, value.Rel, value.Path:
+		return fmt.Errorf("graph: cannot serialize %s property", v.Kind())
 	case value.List:
-		out := jsonValue{IsList: true, List: make([]jsonValue, len(x))}
-		for i, el := range x {
-			ev, err := encodeValue(el)
-			if err != nil {
-				return jsonValue{}, err
+		for _, el := range x {
+			if err := checkStorable(el); err != nil {
+				return err
 			}
-			out.List[i] = ev
 		}
-		return out, nil
 	case value.Map:
-		out := jsonValue{IsMap: true, Map: make(mapJSONValue, len(x))}
-		for k, el := range x {
-			ev, err := encodeValue(el)
-			if err != nil {
-				return jsonValue{}, err
+		for _, el := range x {
+			if err := checkStorable(el); err != nil {
+				return err
 			}
-			out.Map[k] = ev
 		}
-		return out, nil
-	default:
-		return jsonValue{}, fmt.Errorf("graph: cannot serialize %s property", v.Kind())
 	}
+	return nil
 }
 
-func decodeValue(j jsonValue) (value.Value, error) {
-	switch {
-	case j.Null:
-		return value.NullValue, nil
-	case j.Bool != nil:
-		return value.Bool(*j.Bool), nil
-	case j.Int != nil:
-		return value.Int(*j.Int), nil
-	case j.Float != nil:
-		return value.Float(*j.Float), nil
-	case j.FloatS != "":
-		switch j.FloatS {
-		case "nan":
-			return value.Float(math.NaN()), nil
-		case "+inf":
-			return value.Float(math.Inf(1)), nil
-		case "-inf":
-			return value.Float(math.Inf(-1)), nil
+// props converts a property map for a snapshot.
+func props(in map[string]value.Value) (map[string]propValue, error) {
+	out := make(map[string]propValue, len(in))
+	for k, v := range in {
+		if err := checkStorable(v); err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("graph: unknown float special %q", j.FloatS)
-	case j.Str != nil:
-		return value.String(*j.Str), nil
-	case j.IsList:
-		out := make(value.List, len(j.List))
-		for i, el := range j.List {
-			v, err := decodeValue(el)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	case j.IsMap:
-		out := make(value.Map, len(j.Map))
-		for k, el := range j.Map {
-			v, err := decodeValue(el)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = v
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("graph: malformed serialized value")
+		out[k] = propValue{v}
 	}
+	return out, nil
 }
 
 type jsonNode struct {
 	ID     int64                `json:"id"`
 	Labels []string             `json:"labels"`
-	Props  map[string]jsonValue `json:"props"`
+	Props  map[string]propValue `json:"props"`
 }
 
 type jsonRel struct {
@@ -144,7 +96,7 @@ type jsonRel struct {
 	Type  string               `json:"type"`
 	Src   int64                `json:"src"`
 	Tgt   int64                `json:"tgt"`
-	Props map[string]jsonValue `json:"props"`
+	Props map[string]propValue `json:"props"`
 }
 
 type jsonIndex struct {
@@ -193,27 +145,19 @@ func writeJSONState(w io.Writer, g *Graph, epoch int64) error {
 	}
 	for _, id := range g.NodeIDs() {
 		n := g.Node(id)
-		jn := jsonNode{ID: int64(id), Labels: n.SortedLabels(), Props: map[string]jsonValue{}}
-		for k, v := range n.Props {
-			ev, err := encodeValue(v)
-			if err != nil {
-				return err
-			}
-			jn.Props[k] = ev
+		p, err := props(n.Props)
+		if err != nil {
+			return err
 		}
-		out.Nodes = append(out.Nodes, jn)
+		out.Nodes = append(out.Nodes, jsonNode{ID: int64(id), Labels: n.SortedLabels(), Props: p})
 	}
 	for _, id := range g.RelIDs() {
 		r := g.Rel(id)
-		jr := jsonRel{ID: int64(id), Type: r.Type, Src: int64(r.Src), Tgt: int64(r.Tgt), Props: map[string]jsonValue{}}
-		for k, v := range r.Props {
-			ev, err := encodeValue(v)
-			if err != nil {
-				return err
-			}
-			jr.Props[k] = ev
+		p, err := props(r.Props)
+		if err != nil {
+			return err
 		}
-		out.Rels = append(out.Rels, jr)
+		out.Rels = append(out.Rels, jsonRel{ID: int64(id), Type: r.Type, Src: int64(r.Src), Tgt: int64(r.Tgt), Props: p})
 	}
 	for _, k := range g.Indexes() {
 		out.Indexes = append(out.Indexes, jsonIndex{Label: k.Label, Prop: k.Prop})
@@ -254,13 +198,9 @@ func readJSONState(r io.Reader) (*Graph, int64, error) {
 		for _, l := range jn.Labels {
 			n.Labels[l] = struct{}{}
 		}
-		for k, jv := range jn.Props {
-			v, err := decodeValue(jv)
-			if err != nil {
-				return nil, 0, err
-			}
-			if !value.IsNull(v) {
-				n.Props[k] = v
+		for k, p := range jn.Props {
+			if !value.IsNull(p.v) {
+				n.Props[k] = p.v
 			}
 		}
 		g.restoreNode(n)
@@ -288,13 +228,9 @@ func readJSONState(r io.Reader) (*Graph, int64, error) {
 			Tgt:   NodeID(jr.Tgt),
 			Props: make(map[string]value.Value, len(jr.Props)),
 		}
-		for k, jv := range jr.Props {
-			v, err := decodeValue(jv)
-			if err != nil {
-				return nil, 0, err
-			}
-			if !value.IsNull(v) {
-				rel.Props[k] = v
+		for k, p := range jr.Props {
+			if !value.IsNull(p.v) {
+				rel.Props[k] = p.v
 			}
 		}
 		g.restoreRel(rel)

@@ -87,6 +87,9 @@ func TestJSONRejectsCorrupt(t *testing.T) {
 		`{"nodes": [{"id": 1}], "rels": [{"id": 0, "type": "T", "src": 1, "tgt": 1}]}`,                                             // bad rel id
 		`{"nodes": [{"id": 1}], "rels": [{"id": 1, "type": "T", "src": 1, "tgt": 1}, {"id": 1, "type": "T", "src": 1, "tgt": 1}]}`, // dup rel
 		`{"nodes": [{"id": 1, "props": {"x": {}}}]}`,                                                                               // malformed value
+		`{"nodes": [{"id": 1, "props": {"x": null}}]}`,                                                                             // untagged null
+		`{"nodes": [{"id": 1, "props": {"x": {"node": 1}}}]}`,                                                                      // entity property
+		`{"nodes": [{"id": 1, "props": {"x": {"isList": true, "list": [{"path": {"nodes": [1], "rels": []}}]}}}]}`,                 // nested entity
 	}
 	for _, src := range cases {
 		if _, err := ReadJSON(strings.NewReader(src)); err == nil {
@@ -131,6 +134,19 @@ func TestWriteDOT(t *testing.T) {
 	for _, want := range []string{"digraph", ":User", ":ORDERED", "->", "}"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("DOT output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestJSONRefusesEntityProperties checks that a graph holding an entity
+// reference as a property value does not serialize: the tagged codec can
+// write one, but a snapshot could not read it back.
+func TestJSONRefusesEntityProperties(t *testing.T) {
+	for _, v := range []value.Value{value.Node{ID: 1}, value.List{value.Int(1), value.Rel{ID: 2}}, value.Map{"p": value.Path{Nodes: []int64{1}}}} {
+		g := New()
+		g.CreateNode(nil, value.Map{"x": v})
+		if err := g.WriteJSON(&bytes.Buffer{}); err == nil {
+			t.Errorf("property %v serialized", v)
 		}
 	}
 }
