@@ -76,10 +76,12 @@ props:
 # accounting), drain-under-load, and the loopback wire-equivalence
 # sweep that requires served results to be bit-identical to the
 # embedded session over the whole script corpus, the client's
-# one-request-frame check, and the shared plan cache (cross-session
-# hits, LRU eviction, concurrent stores).
+# one-request-frame check, the typed codecs (byte-identical to
+# encoding/json, client against server, allocations per served point
+# read), and the shared plan cache (cross-session hits, LRU eviction,
+# concurrent stores).
 serve-race:
-	go test -race -count=1 ./internal/server ./cypherclient
+	go test -race -count=1 ./internal/server ./internal/tagjson ./cypherclient
 	go test -race -run 'TestCorpusWireEquivalence|TestWireValueExtremes' ./internal/script
 	go test -race -run 'TestPlanCache' ./cypher
 	go test -race -run 'TestPlanCache' ./internal/match
@@ -94,9 +96,10 @@ crash:
 	CRASH_ITERS=250 go test -race -count=1 -run TestKillAtRandomPointRecovery ./internal/graph
 
 # Short fuzz runs over the codecs that parse untrusted bytes: WAL
-# records, binary spill/WAL values, the graph JSON snapshot, and the
-# server's wire frames and value tags (the only codec fed by remote
-# peers). Each must reject or round-trip canonically, never panic.
+# records, binary spill/WAL values, the graph JSON snapshot, the tagged
+# JSON scanner (against encoding/json), and both ends of the wire — the
+# server's frames and value tags, the client's replies. Each must reject
+# or round-trip canonically, never panic.
 # The expression fuzzer additionally proves folding is invisible:
 # whatever parses evaluates to the same value/error folded or not.
 fuzz:
@@ -105,6 +108,8 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 15s ./cypher
 	go test -run '^$$' -fuzz FuzzWireFrameDecode -fuzztime 15s ./internal/server
 	go test -run '^$$' -fuzz FuzzWireValueRoundTrip -fuzztime 15s ./internal/server
+	go test -run '^$$' -fuzz FuzzScannerMatchesEncodingJSON -fuzztime 15s ./internal/tagjson
+	go test -run '^$$' -fuzz FuzzReplyDecode -fuzztime 15s ./cypherclient
 	go test -run '^$$' -fuzz FuzzExprEval -fuzztime 15s ./internal/expr
 
 # One iteration of every B-benchmark, then the bench/ module's vet and

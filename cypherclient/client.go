@@ -16,15 +16,10 @@ package cypherclient
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
-	"strconv"
 	"time"
 
 	"repro/internal/value"
@@ -35,6 +30,10 @@ type Value = value.Value
 
 // maxFrame bounds reply frames the client will accept.
 const maxFrame = 64 << 20
+
+// maxKeptBuffer bounds the frame buffers a Conn keeps between
+// statements; one grown past it for a large result is dropped after use.
+const maxKeptBuffer = 1 << 20
 
 // pullBatch is how many rows a RUN asks for inline, and how many rows
 // each following PULL requests.
@@ -87,6 +86,9 @@ type Conn struct {
 	r       *bufio.Reader
 	server  string
 	dialect string
+	// wbuf and rbuf are the request and reply frame buffers, reused
+	// from one frame to the next.
+	wbuf, rbuf []byte
 }
 
 // Dial connects to a cypherd server at addr (host:port) and performs
@@ -102,13 +104,12 @@ func DialTimeout(addr string, timeout time.Duration) (*Conn, error) {
 		return nil, err
 	}
 	c := &Conn{nc: nc, r: bufio.NewReader(nc)}
-	reply, err := c.roundTrip(map[string]any{"type": "hello"})
+	reply, err := c.roundTrip(&request{typ: "hello"})
 	if err != nil {
 		nc.Close()
 		return nil, err
 	}
-	c.server, _ = reply["server"].(string)
-	c.dialect, _ = reply["dialect"].(string)
+	c.server, c.dialect = reply.server, reply.dialect
 	return c, nil
 }
 
@@ -126,13 +127,11 @@ func (c *Conn) Exec(query string, params map[string]any) (*Result, error) {
 // Explain returns the statement's rendered operator plan without
 // executing it.
 func (c *Conn) Explain(query string) (string, error) {
-	msg := map[string]any{"type": "run", "query": query, "mode": "explain"}
-	reply, err := c.roundTrip(msg)
+	reply, err := c.roundTrip(&request{typ: "run", query: query, mode: "explain"})
 	if err != nil {
 		return "", err
 	}
-	plan, _ := reply["plan"].(string)
-	return plan, nil
+	return reply.plan, nil
 }
 
 // Profile executes the statement and returns its result together with
@@ -151,400 +150,119 @@ func (c *Conn) run(query string, params map[string]any, mode string) (*Result, e
 // then PULLs only while the server reports more rows buffered. A result
 // of at most pullBatch rows costs one request frame.
 func (c *Conn) runFull(query string, params map[string]any, mode string) (*Result, string, error) {
-	msg := map[string]any{"type": "run", "query": query, "pull": pullBatch}
-	if mode != "" {
-		msg["mode"] = mode
-	}
-	if len(params) > 0 {
-		wp := make(map[string]any, len(params))
-		for k, v := range params {
-			cv, err := value.FromGo(v)
-			if err != nil {
-				return nil, "", fmt.Errorf("parameter $%s: %w", k, err)
-			}
-			ev, err := encodeValue(cv)
-			if err != nil {
-				return nil, "", fmt.Errorf("parameter $%s: %w", k, err)
-			}
-			wp[k] = ev
-		}
-		msg["params"] = wp
-	}
-	reply, err := c.roundTrip(msg)
+	reply, err := c.roundTrip(&request{typ: "run", query: query, mode: mode, params: params, pull: pullBatch})
 	if err != nil {
 		return nil, "", err
 	}
-	plan, _ := reply["plan"].(string)
-	res := &Result{Stats: decodeStats(reply["stats"])}
-	cols, hasCols := reply["columns"].([]any)
-	if !hasCols {
+	res := &Result{Stats: reply.stats}
+	if !reply.hasColumns {
 		// Transaction control (or explain): no result to pull.
-		return res, plan, nil
+		return res, reply.plan, nil
 	}
-	for _, col := range cols {
-		s, ok := col.(string)
-		if !ok {
-			return nil, "", errors.New("cypherclient: malformed columns in reply")
-		}
-		res.Columns = append(res.Columns, s)
-	}
-	for {
-		if err := res.appendRows(reply["rows"]); err != nil {
+	res.Columns, res.Rows = reply.columns, reply.rows
+	plan := reply.plan
+	for reply.more {
+		if reply, err = c.roundTrip(&request{typ: "pull", n: pullBatch}); err != nil {
 			return nil, "", err
 		}
-		if more, _ := reply["more"].(bool); !more {
-			return res, plan, nil
-		}
-		if reply, err = c.roundTrip(map[string]any{"type": "pull", "n": pullBatch}); err != nil {
-			return nil, "", err
-		}
+		res.Rows = append(res.Rows, reply.rows...)
 	}
-}
-
-// appendRows decodes the rows array of a run or pull reply onto res.
-func (res *Result) appendRows(raw any) error {
-	rows, _ := raw.([]any)
-	for _, r := range rows {
-		cells, ok := r.([]any)
-		if !ok {
-			return errors.New("cypherclient: malformed row in reply")
-		}
-		row := make([]Value, len(cells))
-		for j, cell := range cells {
-			v, err := decodeValue(cell)
-			if err != nil {
-				return err
-			}
-			row[j] = v
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return nil
+	return res, plan, nil
 }
 
 // Begin opens an explicit transaction on the server session.
 func (c *Conn) Begin() error {
-	_, err := c.roundTrip(map[string]any{"type": "begin"})
+	_, err := c.roundTrip(&request{typ: "begin"})
 	return err
 }
 
 // Commit publishes the open transaction and returns its accumulated
 // update statistics.
 func (c *Conn) Commit() (UpdateStats, error) {
-	reply, err := c.roundTrip(map[string]any{"type": "commit"})
+	reply, err := c.roundTrip(&request{typ: "commit"})
 	if err != nil {
 		return UpdateStats{}, err
 	}
-	return decodeStats(reply["stats"]), nil
+	return reply.stats, nil
 }
 
 // Rollback discards the open transaction.
 func (c *Conn) Rollback() error {
-	_, err := c.roundTrip(map[string]any{"type": "rollback"})
+	_, err := c.roundTrip(&request{typ: "rollback"})
 	return err
 }
 
 // Reset returns the server session to a clean state: buffered rows are
 // discarded and any open transaction rolls back.
 func (c *Conn) Reset() error {
-	_, err := c.roundTrip(map[string]any{"type": "reset"})
+	_, err := c.roundTrip(&request{typ: "reset"})
 	return err
 }
 
 // Close sends GOODBYE and closes the connection.
 func (c *Conn) Close() error {
-	c.writeFrame(map[string]any{"type": "goodbye"})
+	c.writeFrame(&request{typ: "goodbye"})
 	return c.nc.Close()
 }
 
 // roundTrip sends one message and reads one reply, converting failure
 // frames to *ServerError.
-func (c *Conn) roundTrip(msg map[string]any) (map[string]any, error) {
-	if err := c.writeFrame(msg); err != nil {
-		return nil, err
+func (c *Conn) roundTrip(req *request) (reply, error) {
+	if err := c.writeFrame(req); err != nil {
+		return reply{}, err
 	}
-	reply, err := c.readFrame()
+	rep, err := c.readFrame()
 	if err != nil {
-		return nil, err
+		return reply{}, err
 	}
-	switch reply["type"] {
+	switch rep.typ {
 	case "success":
-		return reply, nil
+		return rep, nil
 	case "failure":
-		code, _ := reply["code"].(string)
-		text, _ := reply["message"].(string)
-		return nil, &ServerError{Code: code, Message: text}
+		return reply{}, &ServerError{Code: rep.code, Message: rep.message}
 	default:
-		return nil, fmt.Errorf("cypherclient: unexpected reply type %v", reply["type"])
+		return reply{}, fmt.Errorf("cypherclient: unexpected reply type %q", rep.typ)
 	}
 }
 
 // writeFrame sends the length header and the JSON body in one Write.
-func (c *Conn) writeFrame(msg map[string]any) error {
-	body, err := json.Marshal(msg)
+func (c *Conn) writeFrame(req *request) error {
+	frame, err := appendRequest(append(c.wbuf[:0], 0, 0, 0, 0), req)
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, 4, 4+len(body))
-	binary.BigEndian.PutUint32(frame, uint32(len(body)))
-	_, err = c.nc.Write(append(frame, body...))
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err = c.nc.Write(frame)
+	if cap(frame) <= maxKeptBuffer {
+		c.wbuf = frame
+	}
 	return err
 }
 
-func (c *Conn) readFrame() (map[string]any, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		return nil, err
+// readFrame reads and decodes one reply frame. Decoded strings are
+// copies, so the body buffer is free for the next frame.
+func (c *Conn) readFrame() (reply, error) {
+	var rep reply
+	buf := c.rbuf
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 512)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	if _, err := io.ReadFull(c.r, buf[:4]); err != nil {
+		return rep, err
+	}
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n > maxFrame {
-		return nil, fmt.Errorf("cypherclient: oversized reply frame (%d bytes)", n)
+		return rep, fmt.Errorf("cypherclient: oversized reply frame (%d bytes)", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(c.r, body); err != nil {
-		return nil, err
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
 	}
-	// UseNumber keeps 64-bit integers exact (plain Unmarshal would route
-	// every number through float64, corrupting ids above 2^53).
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.UseNumber()
-	var msg map[string]any
-	if err := dec.Decode(&msg); err != nil {
-		return nil, fmt.Errorf("cypherclient: malformed reply: %w", err)
+	if _, err := io.ReadFull(c.r, buf[:n]); err != nil {
+		return rep, err
 	}
-	return msg, nil
-}
-
-// encodeValue renders a value in the wire's tagged JSON form (as plain
-// maps, since this implementation is deliberately independent of the
-// server's structs).
-func encodeValue(v Value) (map[string]any, error) {
-	switch x := v.(type) {
-	case nil, value.Null:
-		return map[string]any{"null": true}, nil
-	case value.Bool:
-		return map[string]any{"bool": bool(x)}, nil
-	case value.Int:
-		// Marshal as json.Number-safe integer via int64.
-		return map[string]any{"int": int64(x)}, nil
-	case value.Float:
-		f := float64(x)
-		switch {
-		case math.IsNaN(f):
-			return map[string]any{"floatSpecial": "nan"}, nil
-		case math.IsInf(f, 1):
-			return map[string]any{"floatSpecial": "+inf"}, nil
-		case math.IsInf(f, -1):
-			return map[string]any{"floatSpecial": "-inf"}, nil
-		}
-		return map[string]any{"float": f}, nil
-	case value.String:
-		return map[string]any{"string": string(x)}, nil
-	case value.List:
-		list := make([]any, len(x))
-		for i, el := range x {
-			ev, err := encodeValue(el)
-			if err != nil {
-				return nil, err
-			}
-			list[i] = ev
-		}
-		return map[string]any{"isList": true, "list": list}, nil
-	case value.Map:
-		m := make(map[string]any, len(x))
-		for k, el := range x {
-			ev, err := encodeValue(el)
-			if err != nil {
-				return nil, err
-			}
-			m[k] = ev
-		}
-		return map[string]any{"isMap": true, "map": m}, nil
-	case value.Node:
-		return map[string]any{"node": x.ID}, nil
-	case value.Rel:
-		return map[string]any{"rel": x.ID}, nil
-	case value.Path:
-		return map[string]any{"path": map[string]any{"nodes": x.Nodes, "rels": x.Rels}}, nil
-	default:
-		return nil, fmt.Errorf("cypherclient: cannot encode %s value", v.Kind())
+	if cap(buf) <= maxKeptBuffer {
+		c.rbuf = buf
 	}
-}
-
-// decodeValue parses the wire's tagged JSON form into a runtime value.
-// Numbers arrive as float64 from encoding/json; integer tags are
-// converted back exactly (the wire never carries an int that does not
-// fit — see intFromJSON).
-func decodeValue(raw any) (Value, error) {
-	m, ok := raw.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("cypherclient: malformed wire value %T", raw)
-	}
-	switch {
-	case m["null"] == true:
-		return value.NullValue, nil
-	case m["bool"] != nil:
-		b, ok := m["bool"].(bool)
-		if !ok {
-			return nil, errors.New("cypherclient: malformed bool value")
-		}
-		return value.Bool(b), nil
-	case m["int"] != nil:
-		i, err := intFromJSON(m["int"])
-		if err != nil {
-			return nil, err
-		}
-		return value.Int(i), nil
-	case m["float"] != nil:
-		f, err := floatFromJSON(m["float"])
-		if err != nil {
-			return nil, err
-		}
-		return value.Float(f), nil
-	case m["floatSpecial"] != nil:
-		switch m["floatSpecial"] {
-		case "nan":
-			return value.Float(math.NaN()), nil
-		case "+inf":
-			return value.Float(math.Inf(1)), nil
-		case "-inf":
-			return value.Float(math.Inf(-1)), nil
-		}
-		return nil, fmt.Errorf("cypherclient: unknown float special %v", m["floatSpecial"])
-	case m["string"] != nil:
-		s, ok := m["string"].(string)
-		if !ok {
-			return nil, errors.New("cypherclient: malformed string value")
-		}
-		return value.String(s), nil
-	case m["isList"] == true:
-		raw, _ := m["list"].([]any)
-		out := make(value.List, len(raw))
-		for i, el := range raw {
-			v, err := decodeValue(el)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	case m["isMap"] == true:
-		raw, _ := m["map"].(map[string]any)
-		out := make(value.Map, len(raw))
-		for k, el := range raw {
-			v, err := decodeValue(el)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = v
-		}
-		return out, nil
-	case m["node"] != nil:
-		id, err := intFromJSON(m["node"])
-		if err != nil {
-			return nil, err
-		}
-		return value.Node{ID: id}, nil
-	case m["rel"] != nil:
-		id, err := intFromJSON(m["rel"])
-		if err != nil {
-			return nil, err
-		}
-		return value.Rel{ID: id}, nil
-	case m["path"] != nil:
-		pm, ok := m["path"].(map[string]any)
-		if !ok {
-			return nil, errors.New("cypherclient: malformed path value")
-		}
-		nodes, err := intSliceFromJSON(pm["nodes"])
-		if err != nil {
-			return nil, err
-		}
-		rels, err := intSliceFromJSON(pm["rels"])
-		if err != nil {
-			return nil, err
-		}
-		if len(nodes) != len(rels)+1 {
-			return nil, errors.New("cypherclient: malformed path value")
-		}
-		return value.Path{Nodes: nodes, Rels: rels}, nil
-	default:
-		return nil, errors.New("cypherclient: wire value has no recognized tag")
-	}
-}
-
-// intFromJSON recovers an exact int64 from a decoded JSON number
-// (json.Number thanks to UseNumber; float64 tolerated for values that
-// survive the round-trip).
-func intFromJSON(raw any) (int64, error) {
-	switch n := raw.(type) {
-	case json.Number:
-		return n.Int64()
-	case float64:
-		i := int64(n)
-		if float64(i) != n {
-			return 0, fmt.Errorf("cypherclient: integer %v not exactly representable", n)
-		}
-		return i, nil
-	default:
-		return 0, fmt.Errorf("cypherclient: malformed integer %T", raw)
-	}
-}
-
-// floatFromJSON recovers a float64 from a decoded JSON number. Go
-// marshals floats in their shortest round-trip form, so parsing the
-// text back yields the bit-identical float.
-func floatFromJSON(raw any) (float64, error) {
-	switch n := raw.(type) {
-	case json.Number:
-		return strconv.ParseFloat(n.String(), 64)
-	case float64:
-		return n, nil
-	default:
-		return 0, fmt.Errorf("cypherclient: malformed float %T", raw)
-	}
-}
-
-func intSliceFromJSON(raw any) ([]int64, error) {
-	list, ok := raw.([]any)
-	if !ok {
-		if raw == nil {
-			return []int64{}, nil
-		}
-		return nil, fmt.Errorf("cypherclient: malformed id list %T", raw)
-	}
-	out := make([]int64, len(list))
-	for i, el := range list {
-		v, err := intFromJSON(el)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// decodeStats parses the stats object of a success reply (absent or
-// malformed fields read as zero — stats are diagnostics, not data).
-func decodeStats(raw any) UpdateStats {
-	m, ok := raw.(map[string]any)
-	if !ok {
-		return UpdateStats{}
-	}
-	n := func(key string) int {
-		i, err := intFromJSON(m[key])
-		if err != nil {
-			return 0
-		}
-		return int(i)
-	}
-	return UpdateStats{
-		NodesCreated:  n("nodesCreated"),
-		NodesDeleted:  n("nodesDeleted"),
-		RelsCreated:   n("relsCreated"),
-		RelsDeleted:   n("relsDeleted"),
-		PropsSet:      n("propsSet"),
-		LabelsAdded:   n("labelsAdded"),
-		LabelsRemoved: n("labelsRemoved"),
-	}
+	err := decodeReply(buf[:n], &rep)
+	return rep, err
 }

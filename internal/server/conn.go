@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/cypher"
+	"repro/internal/value"
 )
 
 // conn is one accepted connection: a wire-protocol state machine
@@ -24,6 +25,10 @@ type conn struct {
 	helloed   bool
 	writeSlot bool // holds a writer-admission slot across an explicit txn
 	pending   *pendingResult
+
+	// rbuf and wbuf are the frame buffers reused from one frame to the
+	// next.
+	rbuf, wbuf []byte
 }
 
 // pendingResult holds a run's rows that the client has not fetched yet.
@@ -39,6 +44,7 @@ type pendingResult struct {
 func (c *conn) serve() {
 	defer c.cleanup()
 	br := bufio.NewReader(c.nc)
+	msg := new(Message)
 	for {
 		if c.srv.isDraining() {
 			return
@@ -46,7 +52,9 @@ func (c *conn) serve() {
 		if t := c.srv.opts.IdleTimeout; t > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(t))
 		}
-		msg, err := ReadFrame(br, c.srv.opts.MaxFrame)
+		*msg = Message{}
+		var err error
+		c.rbuf, err = readFrame(br, c.srv.opts.MaxFrame, c.rbuf, msg)
 		if err != nil {
 			switch {
 			case errors.Is(err, io.EOF):
@@ -62,6 +70,9 @@ func (c *conn) serve() {
 		}
 		if !c.dispatch(msg) {
 			return
+		}
+		if cap(c.rbuf) > maxKeptBuffer {
+			c.rbuf = nil
 		}
 	}
 }
@@ -121,7 +132,7 @@ func (c *conn) handleRun(msg *Message) bool {
 			return c.handleRollback()
 		}
 	}
-	params, err := decodeParams(msg.Params)
+	params, err := decodeParams(msg.rawParams)
 	if err != nil {
 		return c.send(failure(CodeInvalidParameter, err.Error()))
 	}
@@ -203,27 +214,16 @@ func (c *conn) handlePull(msg *Message) bool {
 
 // sendPage adds up to n pending rows (n <= 0: all) to reply, drops the
 // pending result once it is drained, and sends the reply. RUN and PULL
-// both page through it. A row that cannot be encoded closes the
-// connection after a failure frame.
+// both page through it.
 func (c *conn) sendPage(reply *Message, n int) bool {
 	pr := c.pending
 	remaining := pr.res.NumRows() - pr.next
 	if n <= 0 || n > remaining {
 		n = remaining
 	}
-	reply.Rows = make([][]WireValue, 0, n)
-	for i := pr.next; i < pr.next+n; i++ {
-		row := pr.res.Values(i)
-		wrow := make([]WireValue, len(row))
-		for j, v := range row {
-			wv, err := EncodeValue(v)
-			if err != nil {
-				c.send(failure(CodeExecutionError, err.Error()))
-				return false
-			}
-			wrow[j] = wv
-		}
-		reply.Rows = append(reply.Rows, wrow)
+	reply.values = make([][]value.Value, n)
+	for i := range reply.values {
+		reply.values[i] = pr.res.Values(pr.next + i)
 	}
 	pr.next += n
 	reply.More = pr.next < pr.res.NumRows()
@@ -300,9 +300,21 @@ func (c *conn) cleanup() {
 	c.nc.Close()
 }
 
-// send writes one frame; false means the connection is broken.
+// send writes one frame; false means the connection is broken. A reply
+// row that cannot be encoded closes the connection after a failure
+// frame.
 func (c *conn) send(msg *Message) bool {
-	return WriteFrame(c.nc, msg) == nil
+	frame, err := appendFrame(c.wbuf[:0], msg)
+	if err != nil {
+		frame, _ = appendFrame(frame[:0], failure(CodeExecutionError, err.Error()))
+		c.nc.Write(frame)
+		return false
+	}
+	_, err = c.nc.Write(frame)
+	if cap(frame) <= maxKeptBuffer {
+		c.wbuf = frame
+	}
+	return err == nil
 }
 
 // failure builds a failure message.
@@ -314,22 +326,6 @@ func failure(code, text string) *Message {
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// decodeParams converts wire parameters for cypher.Session.Exec.
-func decodeParams(in map[string]WireValue) (map[string]any, error) {
-	if len(in) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]any, len(in))
-	for k, wv := range in {
-		v, err := DecodeValue(wv)
-		if err != nil {
-			return nil, fmt.Errorf("parameter $%s: %w", k, err)
-		}
-		out[k] = v
-	}
-	return out, nil
 }
 
 // statsToWire converts update statistics for the wire.

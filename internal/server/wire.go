@@ -14,6 +14,14 @@
 // (Options.MaxFrame, default 16 MiB); violations are protocol errors
 // that close the connection after a failure frame.
 //
+// The codec is hand-written: frames are appended to a buffer each
+// connection reuses and scanned without reflection, and values use the
+// engine's one tagged-JSON codec (internal/tagjson), which the graph
+// snapshot shares. The bytes are the ones encoding/json would write for
+// the Message struct. A params value that is well-formed JSON but not a
+// tagged value fails the run with InvalidParameter; only malformed JSON
+// is a protocol error.
+//
 // # Messages
 //
 // Client to server (the "type" field selects):
@@ -45,11 +53,8 @@
 package server
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/value"
@@ -156,6 +161,16 @@ type Message struct {
 	Code string `json:"code,omitempty"`
 	// Error is the human-readable failure message.
 	Error string `json:"message,omitempty"`
+
+	// rawParams and rawRows are the undecoded JSON of a read frame's
+	// params object and rows array. They alias the buffer the frame was
+	// read into: the server decodes parameters straight to runtime
+	// values, and ReadFrame decodes both into Params and Rows.
+	rawParams, rawRows []byte
+	// values, when set, are the rows of an outgoing reply as runtime
+	// values, which the encoder writes in tagged form without building
+	// WireValues; Rows is then ignored.
+	values [][]value.Value
 }
 
 // WireStats mirrors cypher.UpdateStats on the wire.
@@ -337,72 +352,4 @@ func DecodeValue(w WireValue) (value.Value, error) {
 	default:
 		return nil, errors.New("server: malformed wire value (no tag set)")
 	}
-}
-
-// DefaultMaxFrame is the default maximum frame body size.
-const DefaultMaxFrame = 16 << 20
-
-// minFrame is the smallest well-formed frame body ("{}").
-const minFrame = 2
-
-// ErrFrameTooLarge reports a frame whose declared length exceeds the
-// configured maximum. The reader returns it wrapped with the length.
-var ErrFrameTooLarge = errors.New("frame exceeds maximum size")
-
-// ErrMalformedFrame reports a frame whose body is not a valid message
-// object (bad JSON, empty body, or missing type).
-var ErrMalformedFrame = errors.New("malformed frame")
-
-// ReadFrame reads one length-prefixed message from r. maxFrame bounds
-// the accepted body size (<= 0 means DefaultMaxFrame). A clean EOF
-// before the first length byte returns io.EOF; a truncated frame
-// returns io.ErrUnexpectedEOF; an oversized declared length returns an
-// error wrapping ErrFrameTooLarge without consuming the body; invalid
-// JSON returns an error wrapping ErrMalformedFrame.
-func ReadFrame(r io.Reader, maxFrame int) (*Message, error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		// io.ReadFull already maps a partial header to ErrUnexpectedEOF;
-		// other errors (timeouts, resets) pass through for the caller to
-		// classify.
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > uint32(maxFrame) {
-		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
-	}
-	if n < minFrame {
-		return nil, fmt.Errorf("%w: body length %d", ErrMalformedFrame, n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	var msg Message
-	if err := json.Unmarshal(body, &msg); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedFrame, err)
-	}
-	if msg.Type == "" {
-		return nil, fmt.Errorf("%w: missing message type", ErrMalformedFrame)
-	}
-	return &msg, nil
-}
-
-// WriteFrame writes one length-prefixed message to w in a single
-// Write, so an unbuffered connection sends the header and body in one
-// segment.
-func WriteFrame(w io.Writer, msg *Message) error {
-	body, err := json.Marshal(msg)
-	if err != nil {
-		return err
-	}
-	frame := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(body)), uint32(len(body)))
-	_, err = w.Write(append(frame, body...))
-	return err
 }
