@@ -24,7 +24,7 @@
 //	B15 commit latency under pinned readers: copy-on-write vs deep clone
 //	B17 spilling barriers under a memory budget vs unlimited in-memory
 //	B18 durable commit latency: WAL off / no-sync / grouped fsync / fsync-per-commit
-//	B19 morsel-parallel read scaling: worker degrees 1/2/4/8 on scan- and match-heavy pipelines
+//	B19 morsel-parallel read scaling: worker degrees 1/2/4/8 on scan-, match-, sort- and per-row-match pipelines
 //	B20 served QPS: N concurrent wire clients vs one, shared plan cache across sessions
 //	B21 expression-heavy pipelines: plan-time constant folding and purity-aware pushdown
 package repro_test
@@ -675,11 +675,14 @@ func BenchmarkB18DurableCommit(b *testing.B) {
 	}
 }
 
-// B19: morsel-parallel read scaling. Two read pipelines over a 100k-
-// node graph — a scan-filter-aggregate and a relationship-expanding
-// match-filter — at explicit worker degrees 1, 2, 4 and 8, so one run
-// records the whole scaling curve (the degree is the engine's worker-
-// pool size, not GOMAXPROCS; pass -cpu to scale the hardware too).
+// B19: morsel-parallel read scaling. Four read pipelines over a 100k-
+// node graph — a scan-filter-aggregate, a relationship-expanding
+// match-filter, an ORDER BY … LIMIT whose Sort drains the Exchange
+// through its parallel intake, and a second MATCH run once per driving
+// row (its per-worker matcher reuses one plan across rows) — at
+// explicit worker degrees 1, 2, 4 and 8, so one run records the whole
+// scaling curve (the degree is the engine's worker-pool size, not
+// GOMAXPROCS; pass -cpu to scale the hardware too).
 // Before timing, every parallel degree's output is asserted
 // bit-identical to the serial run. par=1 measures the exchange-free
 // serial plan, i.e. the overhead baseline.
@@ -707,6 +710,8 @@ func BenchmarkB19ParallelScaling(b *testing.B) {
 	queries := []struct{ name, q string }{
 		{"scan-filter-aggregate", `MATCH (u:U) WHERE u.i % 3 = 0 RETURN u.g AS g, count(*) AS c, min(u.i) AS lo`},
 		{"match-heavy", `MATCH (u:U)-[:F]->(v:U) WHERE v.i % 17 = 0 AND u.i < v.i RETURN u.g AS a, count(*) AS c`},
+		{"order-over-exchange", `MATCH (u:U) RETURN u.i AS i ORDER BY u.g, i DESC LIMIT 10`},
+		{"per-row-stage", `MATCH (u:U) WHERE u.i % 5 = 0 MATCH (u)-[:F]->(v:U) RETURN count(*) AS c`},
 	}
 	for _, q := range queries {
 		want := execBench(b, core.Config{Dialect: core.DialectRevised, Parallelism: 1}, g, q.q, nil).Table.String()

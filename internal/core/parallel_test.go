@@ -152,6 +152,52 @@ func TestParallelErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestParallelSortIntakeKeepsSerialIdentity covers what the sweep's
+// unique sort keys cannot: rows tied on the ORDER BY key but read by
+// different morsels must keep their serial order (the composite
+// morsel<<bits|row sequence), and when several morsels fail, the
+// callback-mode drain must report the lowest morsel's error. Morsel 0
+// fails on its last row while later morsels fail on their first, so
+// the serial-first error is also the last to happen.
+func TestParallelSortIntakeKeepsSerialIdentity(t *testing.T) {
+	g := parallelTestGraph(t, 3000)
+	run := func(q string, par int, budget int64) (string, error) {
+		stmt, err := parser.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Dialect: DialectRevised, Parallelism: par, MemoryBudget: budget}
+		res, err := NewEngine(cfg).ExecuteStatement(g, stmt, nil)
+		if err != nil {
+			return "", err
+		}
+		return res.Table.String(), nil
+	}
+	const ties = `MATCH (u:U) RETURN u.i AS i ORDER BY u.g`
+	const errs = `MATCH (u:U) RETURN u.i AS i ORDER BY CASE WHEN u.i = 45 THEN 1 / (u.i - 45) WHEN u.i >= 100 THEN u.i.x ELSE u.i END`
+	for _, budget := range []int64{0, 1 << 12} {
+		want, err := run(ties, 1, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, serialErr := run(errs, 1, budget)
+		if serialErr == nil {
+			t.Fatal("serial run: expected an error")
+		}
+		for _, par := range []int{2, 8} {
+			if got, err := run(ties, par, budget); err != nil || got != want {
+				t.Errorf("par=%d budget=%d: tied rows out of serial order (err %v)", par, budget, err)
+			}
+			if _, err := run(errs, par, budget); err == nil || err.Error() != serialErr.Error() {
+				t.Errorf("par=%d budget=%d: error %v, serial %q", par, budget, err, serialErr)
+			}
+		}
+	}
+	if live := plan.SpillFilesLive(); live != 0 {
+		t.Fatalf("%d spill files still live", live)
+	}
+}
+
 // TestParallelCancellationDrainsWorkers exercises the two early-exit
 // paths of an exchange under a spill-forcing budget: a LIMIT that
 // abandons the pipeline mid-stream, and a runtime error mid-morsels.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -172,25 +173,34 @@ func TestBudgetBoundsBarrierPeak(t *testing.T) {
 		t.Fatalf("workload too small to be meaningful: unlimited peak %d < 4×budget", unlimitedPeak)
 	}
 
-	var root plan.Operator
-	cfg := Config{Dialect: DialectRevised, MemoryBudget: budget, Parallelism: 1}
-	cfg.onPlan = func(op plan.Operator) { root = op }
-	if _, err := NewEngine(cfg).ExecuteStatement(g.Clone(), pstmt, nil); err != nil {
-		t.Fatal(err)
-	}
-	// One batch of rows may land between budget checks; allow generous
-	// per-row slack beyond that.
-	const slack = 64 << 10
-	for _, s := range collectSpillers(root) {
-		if s.PeakBytes() > budget+slack {
-			t.Errorf("barrier peak %d exceeds budget %d + slack %d", s.PeakBytes(), budget, slack)
-		}
-		if s.SpillRuns() == 0 && s.PeakBytes() > 0 {
-			t.Errorf("barrier held %d bytes without spilling under a %d budget", s.PeakBytes(), budget)
-		}
-	}
-	if live := plan.SpillFilesLive(); live != 0 {
-		t.Fatalf("%d spill files still live", live)
+	// At parallelism 2 and 8 the sort drains an Exchange through its
+	// parallel intake, whose workers charge one shared account.
+	for _, par := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			var root plan.Operator
+			cfg := Config{Dialect: DialectRevised, MemoryBudget: budget, Parallelism: par}
+			cfg.onPlan = func(op plan.Operator) { root = op }
+			if _, err := NewEngine(cfg).ExecuteStatement(g.Clone(), pstmt, nil); err != nil {
+				t.Fatal(err)
+			}
+			if hasExchange(root) != (par > 1) {
+				t.Fatalf("par=%d: plan has an Exchange = %v:\n%s", par, hasExchange(root), plan.Explain(root))
+			}
+			// One batch of rows may land between budget checks; allow
+			// generous per-row slack beyond that.
+			const slack = 64 << 10
+			for _, s := range collectSpillers(root) {
+				if s.PeakBytes() > budget+slack {
+					t.Errorf("barrier peak %d exceeds budget %d + slack %d", s.PeakBytes(), budget, slack)
+				}
+				if s.SpillRuns() == 0 && s.PeakBytes() > 0 {
+					t.Errorf("barrier held %d bytes without spilling under a %d budget", s.PeakBytes(), budget)
+				}
+			}
+			if live := plan.SpillFilesLive(); live != 0 {
+				t.Fatalf("%d spill files still live", live)
+			}
+		})
 	}
 }
 

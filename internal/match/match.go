@@ -149,25 +149,48 @@ func (m *Matcher) Stream(parts []*ast.PatternPart, env expr.Env, yield func(expr
 		// and where it always did.
 		plans = naivePlans(parts)
 	} else {
-		// Pre-predicates reference only already-bound variables: when
-		// one is definitively not true, no extension of env can pass
-		// the full WHERE, so enumeration is skipped wholesale. Errors
-		// defer to the consumer's WHERE evaluation over complete rows.
-		for _, p := range m.PrePreds {
-			tri, err := m.Ev.EvalBool(p, env)
-			if err == nil && tri != value.True {
-				return nil
-			}
+		if m.prePredsExclude(env) {
+			return nil
 		}
 		plans = m.plansFor(parts, env)
 	}
+	return m.enumerate(plans, nil, env, yield)
+}
+
+// prePredsExclude reports whether a pre-predicate rules env out.
+// Pre-predicates reference only already-bound variables: when one is
+// definitively not true, no extension of env can pass the full WHERE,
+// so enumeration is skipped wholesale. Errors defer to the consumer's
+// WHERE evaluation over complete rows.
+func (m *Matcher) prePredsExclude(env expr.Env) bool {
+	for _, p := range m.PrePreds {
+		tri, err := m.Ev.EvalBool(p, env)
+		if err == nil && tri != value.True {
+			return true
+		}
+	}
+	return false
+}
+
+// enumerate runs planned parts over env, counting each yielded match in
+// Stats and swallowing ErrStop. Non-nil anchors restrict the first
+// planned part's anchor slot to that subset (see StreamAnchors).
+func (m *Matcher) enumerate(plans []partPlan, anchors []graph.NodeID, env expr.Env, yield func(expr.Env) error) error {
 	used := make(map[graph.RelID]bool)
-	err := m.matchParts(plans, 0, env, used, func(e expr.Env) error {
+	counted := func(e expr.Env) error {
 		if m.Stats != nil {
 			m.Stats.Emitted++
 		}
 		return yield(e)
-	})
+	}
+	var err error
+	if anchors == nil {
+		err = m.matchParts(plans, 0, env, used, counted)
+	} else {
+		err = m.matchPartFrom(plans[0], anchors, env, used, func(e expr.Env) error {
+			return m.matchParts(plans, 1, e, used, counted)
+		})
+	}
 	if errors.Is(err, ErrStop) {
 		return nil
 	}
@@ -298,24 +321,18 @@ func (m *Matcher) matchParts(plans []partPlan, i int, env expr.Env, used map[gra
 	if i == len(plans) {
 		return yield(env)
 	}
-	return m.matchPart(plans[i], env, used, func(e expr.Env) error {
+	return m.matchPartFrom(plans[i], nil, env, used, func(e expr.Env) error {
 		return m.matchParts(plans, i+1, e, used, yield)
 	})
 }
 
-// matchPart enumerates one path pattern following its plan: anchor
+// matchPartFrom enumerates one path pattern following its plan: anchor
 // candidates first, then the planned expansion steps, which may walk the
 // written pattern in both directions. Slot bindings are tracked by node
 // and relationship position so path values come out in written
-// left-to-right order regardless of the walk.
-func (m *Matcher) matchPart(pp partPlan, env expr.Env, used map[graph.RelID]bool, yield func(expr.Env) error) error {
-	return m.matchPartFrom(pp, nil, env, used, yield)
-}
-
-// matchPartFrom is matchPart with an optional explicit anchor candidate
-// list: non-nil anchors restrict the anchor slot to that subset (the
-// morsel-parallel entry point, see StreamAnchors); nil enumerates the
-// planned candidates as usual.
+// left-to-right order regardless of the walk. Non-nil anchors restrict
+// the anchor slot to that subset (the morsel-parallel entry point, see
+// StreamAnchors); nil enumerates the planned candidates.
 func (m *Matcher) matchPartFrom(pp partPlan, anchors []graph.NodeID, env expr.Env, used map[graph.RelID]bool, yield func(expr.Env) error) error {
 	part := pp.part
 	nodeIDs := make([]graph.NodeID, len(part.Nodes))

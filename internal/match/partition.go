@@ -13,12 +13,9 @@
 package match
 
 import (
-	"errors"
-
 	"repro/internal/ast"
 	"repro/internal/expr"
 	"repro/internal/graph"
-	"repro/internal/value"
 )
 
 // AnchorPlan is a planned, partitionable pattern enumeration: the
@@ -81,28 +78,12 @@ func (m *Matcher) PlanAnchors(parts []*ast.PatternPart, env expr.Env) (*AnchorPl
 // AnchorPlan itself is shared read-only.
 func (m *Matcher) StreamAnchors(ap *AnchorPlan, anchors []graph.NodeID, env expr.Env, yield func(expr.Env) error) error {
 	m.runNaive = false
-	// Pre-predicates reference only already-bound variables: same
-	// wholesale skip as Stream. Each morsel re-checks them (cheap, and
-	// the result is identical for every morsel of one statement).
-	for _, p := range m.PrePreds {
-		tri, err := m.Ev.EvalBool(p, env)
-		if err == nil && tri != value.True {
-			return nil
-		}
-	}
-	used := make(map[graph.RelID]bool)
-	err := m.matchPartFrom(ap.plans[0], anchors, env, used, func(e expr.Env) error {
-		return m.matchParts(ap.plans, 1, e, used, func(e2 expr.Env) error {
-			if m.Stats != nil {
-				m.Stats.Emitted++
-			}
-			return yield(e2)
-		})
-	})
-	if errors.Is(err, ErrStop) {
+	// Each morsel re-checks the pre-predicates (cheap, and the result is
+	// identical for every morsel of one statement).
+	if m.prePredsExclude(env) {
 		return nil
 	}
-	return err
+	return m.enumerate(ap.plans, anchors, env, yield)
 }
 
 // NewAnchorCursor is NewCursor over StreamAnchors: batched pulling of

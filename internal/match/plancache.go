@@ -132,10 +132,11 @@ func (c *PlanCache) lookup(m *Matcher, key planCacheKey, parts []*ast.PatternPar
 		c.mu.Unlock()
 		return nil
 	}
-	// Version moved: revalidate against the live statistics outside the
-	// estimate snapshot race is benign — a concurrent writer can at
-	// worst make us re-plan or keep a plan one lookup longer, never
-	// return a wrong result (plans only order enumeration).
+	// Version moved: revalidate the entry's estimates against the live
+	// statistics. The fingerprint is computed outside the lock, so a
+	// concurrent writer may move the statistics in between. That race is
+	// benign: at worst it makes us re-plan, or keep a plan one lookup
+	// longer, never return a wrong result (plans only order enumeration).
 	oldEst := e.est
 	c.mu.Unlock()
 	fp := m.estimateFingerprint(parts, bound)

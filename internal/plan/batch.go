@@ -214,6 +214,43 @@ func (b *budget) shrink(n int64) {
 
 func (b *budget) over() bool { return b.limited() && b.used.Load() > b.limit }
 
+// memAccount is one barrier's share of the statement budget: the bytes
+// it holds now, their peak, and the runs or partitions it spilled. Sort,
+// Aggregate and Distinct embed one. Callers charge only when
+// budget.limited(), so a run without a budget does no accounting. The
+// counters are atomic because every worker of a parallel Sort intake
+// charges the same account.
+type memAccount struct {
+	budget *budget
+	held   atomic.Int64
+	peak   atomic.Int64
+	spills atomic.Int64
+}
+
+// charge accounts n more held bytes against the budget.
+func (m *memAccount) charge(n int64) {
+	m.budget.grow(n)
+	h := m.held.Add(n)
+	for p := m.peak.Load(); h > p && !m.peak.CompareAndSwap(p, h); p = m.peak.Load() {
+	}
+}
+
+// release returns n held bytes to the budget.
+func (m *memAccount) release(n int64) {
+	m.budget.shrink(n)
+	m.held.Add(-n)
+}
+
+// releaseAll returns everything still held (barriers call it on Close).
+func (m *memAccount) releaseAll() { m.budget.shrink(m.held.Swap(0)) }
+
+// PeakBytes reports the barrier's peak accounted memory.
+func (m *memAccount) PeakBytes() int64 { return m.peak.Load() }
+
+// SpillRuns reports how many sorted runs (Sort) or hash partitions
+// (Aggregate, Distinct) the barrier spilled.
+func (m *memAccount) SpillRuns() int64 { return m.spills.Load() }
+
 // ---------------------------------------------------------------------
 // EXPLAIN statistics
 // ---------------------------------------------------------------------
@@ -273,14 +310,14 @@ func (o *Unit) NextBatch(max int) (*Batch, bool, error) {
 // table's columnar window, with no per-row map.
 func (o *TableScan) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
-	if o.pos >= o.t.Len() {
+	if o.pos >= o.end {
 		return nil, false, nil
 	}
 	end := o.pos + max
-	if end > o.t.Len() {
-		end = o.t.Len()
+	if end > o.end {
+		end = o.end
 	}
-	b := newBatch(o.Columns(), end-o.pos)
+	b := newBatch(o.cols, end-o.pos)
 	o.t.ReadColumns(o.pos, end, b.vals)
 	b.n = end - o.pos
 	o.pos = end
@@ -333,7 +370,11 @@ func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 			o.inIdx++
 			o.curRow = env
 			o.emitted = 0
-			o.cur = o.matcher.NewCursor(o.cl.Pattern, env, max, o.whereFilter())
+			if o.ap != nil {
+				o.cur = o.matcher.NewAnchorCursor(o.ap, o.anchors, env, max, o.whereFilter())
+			} else {
+				o.cur = o.matcher.NewCursor(o.cl.Pattern, env, max, o.whereFilter())
+			}
 			continue
 		}
 		envs, ok := o.cur.Next()

@@ -255,20 +255,16 @@ func (b *Builder) anchorSegSource(cl *ast.MatchClause, outer []string) *anchorSo
 		return nil
 	}
 	m := b.NewMatcher(b.Ev)
-	pushed := match.NewPushdown(cl.Where, cl.Pattern, outer)
-	m.SetPushdown(pushed)
+	m.SetPushdown(match.NewPushdown(cl.Where, cl.Pattern, outer))
 	ap, ok := m.PlanAnchors(cl.Pattern, expr.Env{})
 	if !ok || len(ap.Anchors()) < 2*minAnchorChunk {
 		return nil
 	}
-	newVars := freshVars(match.PatternVariables(cl.Pattern), outer)
-	cols := append(append([]string(nil), outer...), newVars...)
 	return &anchorSource{
-		ap:     ap,
-		cl:     cl,
-		pushed: pushed,
-		cols:   cols,
-		chunk:  anchorChunk(len(ap.Anchors()), b.Parallelism),
+		ap:      ap,
+		cl:      cl,
+		newVars: freshVars(match.PatternVariables(cl.Pattern), outer),
+		chunk:   anchorChunk(len(ap.Anchors()), b.Parallelism),
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/expr"
+	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/table"
 	"repro/internal/value"
@@ -48,20 +49,26 @@ func (o *Unit) RowsEmitted() int64 { return o.rows }
 
 // TableScan streams the records of a pre-built driving table (the
 // ExecuteWithTable entry point of the Section 6 experiments, and the
-// output side of every materialization barrier).
+// output side of every materialization barrier). A table-scan morsel is
+// a TableScan over rows [pos, end) of the shared table (see
+// scanSource).
 type TableScan struct {
 	t       *table.Table
+	cols    []string
 	pos     int
+	end     int
 	st      opState
 	rows    int64
 	batches int64
 }
 
 // NewTableScan returns a scan over t.
-func NewTableScan(t *table.Table) *TableScan { return &TableScan{t: t} }
+func NewTableScan(t *table.Table) *TableScan {
+	return &TableScan{t: t, cols: t.Columns(), end: t.Len()}
+}
 
 // Columns implements Operator.
-func (o *TableScan) Columns() []string { return o.t.Columns() }
+func (o *TableScan) Columns() []string { return o.cols }
 
 // Open implements Operator.
 func (o *TableScan) Open() error {
@@ -99,6 +106,12 @@ type Match struct {
 	cols    []string
 	stats   match.Stats
 	pushed  *match.Pushdown
+
+	// An anchor morsel's Match (see anchorSource) enumerates only the
+	// matches whose first planned part anchors in anchors, under the
+	// shared plan ap.
+	ap      *match.AnchorPlan
+	anchors []graph.NodeID
 
 	// Pull state (see NextBatch in batch.go): the current input batch
 	// and the next row of it to expand, the input row being expanded,
@@ -476,10 +489,10 @@ func describeItems(items []Item) string {
 // is capped and overflow keys spill to hash partitions (see
 // distinctNextBatch in spill.go).
 type Distinct struct {
-	child  Operator
-	seen   map[string]bool
-	budget *budget
-	rows   int64
+	memAccount
+	child Operator
+	seen  map[string]bool
+	rows  int64
 
 	// Pull and spill state (see spill.go).
 	st       opState
@@ -492,9 +505,6 @@ type Distinct struct {
 	spilling bool
 	parts    []*spillFile
 	merged   *runMerger
-	held     int64
-	peak     int64
-	spills   int64
 }
 
 // NewDistinct builds a Distinct over child.
@@ -527,14 +537,13 @@ func (o *Distinct) Close() {
 		p.discard()
 	}
 	o.parts = nil
-	o.budget.shrink(o.held)
-	o.held = 0
+	o.releaseAll()
 	o.child.Close()
 }
 
 // Name implements Operator.
 func (o *Distinct) Name() string {
-	return "Distinct" + barrierSuffix(o.rows, o.batches, o.peak, o.spills)
+	return "Distinct" + barrierSuffix(o.rows, o.batches, o.PeakBytes(), o.SpillRuns())
 }
 
 // Children implements Operator.
@@ -542,12 +551,6 @@ func (o *Distinct) Children() []Operator { return []Operator{o.child} }
 
 // RowsEmitted implements Operator.
 func (o *Distinct) RowsEmitted() int64 { return o.rows }
-
-// PeakBytes reports the peak accounted seen-set memory.
-func (o *Distinct) PeakBytes() int64 { return o.peak }
-
-// SpillRuns reports how many partition files were spilled and replayed.
-func (o *Distinct) SpillRuns() int64 { return o.spills }
 
 // Skip drops the first n records; Limit stops after n. Both evaluate
 // their count expression lazily on first pull (parameters only — the
@@ -694,10 +697,10 @@ func (o *Limit) RowsEmitted() int64 { return o.rows }
 // merge. A unique intake sequence number breaks ties, reproducing the
 // stable in-memory order exactly. See fill/next1 in spill.go.
 type Sort struct {
-	child  Operator
-	sorts  []*ast.SortItem
-	ev     *expr.Evaluator
-	budget *budget
+	memAccount
+	child Operator
+	sorts []*ast.SortItem
+	ev    *expr.Evaluator
 
 	st      opState
 	filled  bool
@@ -707,9 +710,6 @@ type Sort struct {
 	merged  *runMerger
 	rows    int64
 	batches int64
-	held    int64
-	peak    int64
-	spills  int64
 }
 
 // NewSort builds a Sort barrier over child.
@@ -744,8 +744,7 @@ func (o *Sort) Close() {
 	}
 	o.runs = nil
 	o.mem = nil
-	o.budget.shrink(o.held)
-	o.held = 0
+	o.releaseAll()
 	o.child.Close()
 }
 
@@ -759,7 +758,7 @@ func (o *Sort) Name() string {
 		}
 		parts = append(parts, p)
 	}
-	return fmt.Sprintf("Sort[barrier](%s)", joinTrunc(parts, 50)) + barrierSuffix(o.rows, o.batches, o.peak, o.spills)
+	return fmt.Sprintf("Sort[barrier](%s)", joinTrunc(parts, 50)) + barrierSuffix(o.rows, o.batches, o.PeakBytes(), o.SpillRuns())
 }
 
 // Children implements Operator.
@@ -768,23 +767,17 @@ func (o *Sort) Children() []Operator { return []Operator{o.child} }
 // RowsEmitted implements Operator.
 func (o *Sort) RowsEmitted() int64 { return o.rows }
 
-// PeakBytes reports the peak accounted intake memory.
-func (o *Sort) PeakBytes() int64 { return o.peak }
-
-// SpillRuns reports how many sorted runs were spilled to disk.
-func (o *Sort) SpillRuns() int64 { return o.spills }
-
 // Aggregate is a materialization barrier implementing grouped
 // projection: records group by the non-aggregating items, aggregates
 // accumulate per group, and one row per group is emitted in
 // first-appearance order. Zero input records with no grouping keys
 // produce the single global group (count(*) = 0).
 type Aggregate struct {
-	child  Operator
-	items  []Item
-	cols   []string
-	ev     *expr.Evaluator
-	budget *budget
+	memAccount
+	child Operator
+	items []Item
+	cols  []string
+	ev    *expr.Evaluator
 
 	out  []expr.Env
 	idx  int
@@ -795,9 +788,6 @@ type Aggregate struct {
 	batches  int64
 	spilling bool
 	parts    []*spillFile
-	held     int64
-	peak     int64
-	spills   int64
 }
 
 // NewAggregate builds an Aggregate barrier over child.
@@ -829,14 +819,13 @@ func (o *Aggregate) Close() {
 		p.discard()
 	}
 	o.parts = nil
-	o.budget.shrink(o.held)
-	o.held = 0
+	o.releaseAll()
 	o.child.Close()
 }
 
 // Name implements Operator.
 func (o *Aggregate) Name() string {
-	return "Aggregate[barrier]" + describeItems(o.items) + barrierSuffix(o.rows, o.batches, o.peak, o.spills)
+	return "Aggregate[barrier]" + describeItems(o.items) + barrierSuffix(o.rows, o.batches, o.PeakBytes(), o.SpillRuns())
 }
 
 // Children implements Operator.
@@ -844,12 +833,6 @@ func (o *Aggregate) Children() []Operator { return []Operator{o.child} }
 
 // RowsEmitted implements Operator.
 func (o *Aggregate) RowsEmitted() int64 { return o.rows }
-
-// PeakBytes reports the peak accounted group-state memory.
-func (o *Aggregate) PeakBytes() int64 { return o.peak }
-
-// SpillRuns reports how many hash partitions were spilled and replayed.
-func (o *Aggregate) SpillRuns() int64 { return o.spills }
 
 // Apply is the update barrier: it materializes its child into a driving
 // table (in stream order — exactly the table clause-at-a-time evaluation

@@ -1,47 +1,52 @@
 // Morsel-driven parallel execution for read pipelines.
 //
-// An Exchange operator partitions a pipeline source into morsels —
-// contiguous row ranges of a driving table, or contiguous chunks of a
-// MATCH clause's anchor candidate list (match.AnchorPlan) — and runs
-// the pipeline segment above the source (Match/Filter/Project/Unwind
-// stages) once per morsel on a bounded worker pool. Each worker owns
-// its evaluator, matchers and scratch state; the graph snapshot and the
-// driving table are shared read-only.
+// An Exchange operator partitions a pipeline source into morsels and
+// runs the pipeline segment above the source (Match/Filter/Project/
+// Unwind stages) once per morsel on a bounded worker pool. A morsel is
+// an ordinary operator chain: a table-scan morsel is a TableScan over a
+// contiguous row range of the driving table, and an anchor morsel is a
+// Match over the unit record whose cursor (match.NewAnchorCursor)
+// enumerates one contiguous chunk of the MATCH clause's anchor
+// candidate list (match.AnchorPlan). Each worker owns its evaluator,
+// matchers and scratch state; the graph snapshot and the driving table
+// are shared read-only.
 //
-// Gathering is ORDERED: morsel outputs are reassembled in morsel-index
-// order, so the Exchange emits exactly the row sequence the serial
-// pipeline would — parallel plans are bit-identical to serial ones,
-// not merely multiset-equal, which keeps ORDER BY/LIMIT, DISTINCT
-// first-occurrence order and aggregate first-appearance grouping
-// byte-for-byte stable at any parallelism. Order restoration costs no
-// extra buffering discipline: each morsel's stream is a bounded
-// channel, registered in claim order, and the gatherer drains streams
-// in registration order while workers run ahead within the in-flight
-// window (backpressure bounds memory).
+// One worker loop (Exchange.run) claims morsels in index order, builds
+// each morsel's chain, opens it, drains it and closes it. It feeds both
+// pull modes:
 //
-// Errors surface with serial identity too: morsels are claimed in
-// index order and the gatherer reads streams in that order, so the
-// first error it sees is the error the serial run would have hit first
-// (a failed morsel also stops workers claiming further morsels).
+//   - The ordered gather (NextBatch) gives every morsel a bounded
+//     stream, registered in claim order, and drains the streams in that
+//     order while workers run ahead within the in-flight window
+//     (backpressure bounds memory). The Exchange therefore emits exactly
+//     the row sequence the serial pipeline would — bit-identical, not
+//     merely multiset-equal — which keeps ORDER BY/LIMIT, DISTINCT
+//     first-occurrence order and aggregate first-appearance grouping
+//     stable at any parallelism.
+//   - The callback mode (drainParallel) hands each batch to a function
+//     on the worker goroutine, tagged with (worker, morsel). Sort's
+//     intake uses it: the same intake code runs at every degree (a
+//     serial child is worker 0 reading morsel 0), each worker sorting
+//     and spilling its own runs, and the composite sequence
+//     morsel<<morselSeqBits | row restores the serial order in the
+//     k-way merge (see Sort.fill in spill.go).
 //
-// A barrier above an Exchange may instead drain it in callback mode
-// (drainParallel): batches are delivered on the worker goroutines,
-// tagged with (worker, morsel), which is how Sort builds per-worker
-// sorted spill runs in parallel and merges them with the ordinary
-// k-way run merger (see Sort.fillParallel in spill.go).
+// Errors surface with serial identity too: a failed morsel stops
+// workers claiming further morsels, and both modes report the error of
+// the lowest failed morsel — the error the serial run would have hit
+// first.
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/expr"
-	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/table"
-	"repro/internal/value"
 )
 
 const (
@@ -106,8 +111,9 @@ type morselSource interface {
 // Table-scan morsels
 // ---------------------------------------------------------------------
 
-// scanSource splits a driving table into contiguous row ranges. The
-// table is shared read-only with the serial prototype scan.
+// scanSource splits a driving table into contiguous row ranges, each a
+// TableScan over the table shared read-only with the serial prototype
+// scan.
 type scanSource struct {
 	t     *table.Table
 	cols  []string
@@ -124,69 +130,12 @@ func (s *scanSource) morsels() int {
 
 func (s *scanSource) operator(i int, _ *workerCtx) Operator {
 	lo := i * s.chunk
-	hi := lo + s.chunk
-	if hi > s.t.Len() {
-		hi = s.t.Len()
-	}
-	return &scanRange{t: s.t, cols: s.cols, pos: lo, end: hi}
+	return &TableScan{t: s.t, cols: s.cols, pos: lo, end: min(lo+s.chunk, s.t.Len())}
 }
 
 func (s *scanSource) label() string {
 	return fmt.Sprintf("scan-morsels(%d rows × chunk %d)", s.t.Len(), s.chunk)
 }
-
-// scanRange reads rows [pos, end) of a shared table. Unlike TableScan
-// it never clones the table: morsel scans are pure columnar window
-// reads over storage no one mutates during the statement.
-type scanRange struct {
-	t    *table.Table
-	cols []string
-	pos  int
-	end  int
-
-	st      opState
-	rows    int64
-	batches int64
-}
-
-// Columns implements Operator.
-func (o *scanRange) Columns() []string { return o.cols }
-
-// Open implements Operator.
-func (o *scanRange) Open() error { return o.st.open("ScanRange") }
-
-// NextBatch implements Operator.
-func (o *scanRange) NextBatch(max int) (*Batch, bool, error) {
-	max = clampMax(max)
-	if o.pos >= o.end {
-		return nil, false, nil
-	}
-	end := o.pos + max
-	if end > o.end {
-		end = o.end
-	}
-	b := newBatch(o.cols, end-o.pos)
-	o.t.ReadColumns(o.pos, end, b.vals)
-	b.n = end - o.pos
-	o.pos = end
-	o.rows += int64(b.n)
-	o.batches++
-	return b, true, nil
-}
-
-// Close implements Operator.
-func (o *scanRange) Close() { o.st.close() }
-
-// Name implements Operator.
-func (o *scanRange) Name() string {
-	return fmt.Sprintf("ScanRange[%d:%d)", o.pos, o.end) + statsSuffix(o.rows, o.batches)
-}
-
-// Children implements Operator.
-func (o *scanRange) Children() []Operator { return nil }
-
-// RowsEmitted implements Operator.
-func (o *scanRange) RowsEmitted() int64 { return o.rows }
 
 // ---------------------------------------------------------------------
 // Match anchor morsels
@@ -194,16 +143,16 @@ func (o *scanRange) RowsEmitted() int64 { return o.rows }
 
 // anchorSource splits a leading non-optional MATCH clause's anchor
 // candidate list (planned once at build time over the pinned snapshot)
-// into contiguous chunks. Enumerating a chunk yields exactly the
-// corresponding subsequence of the serial enumeration — the isomorphism
-// bookkeeping is fully backtracked between anchor candidates (see
-// match.PlanAnchors).
+// into contiguous chunks. Each morsel is an ordinary Match over the unit
+// record whose cursor enumerates only its chunk's anchors; that yields
+// exactly the corresponding subsequence of the serial enumeration — the
+// isomorphism bookkeeping is fully backtracked between anchor candidates
+// (see match.PlanAnchors).
 type anchorSource struct {
-	ap     *match.AnchorPlan
-	cl     *ast.MatchClause
-	pushed *match.Pushdown
-	cols   []string
-	chunk  int
+	ap      *match.AnchorPlan
+	cl      *ast.MatchClause
+	newVars []string
+	chunk   int
 }
 
 func (s *anchorSource) morsels() int {
@@ -214,13 +163,11 @@ func (s *anchorSource) morsels() int {
 func (s *anchorSource) operator(i int, w *workerCtx) Operator {
 	anchors := s.ap.Anchors()
 	lo := i * s.chunk
-	hi := lo + s.chunk
-	if hi > len(anchors) {
-		hi = len(anchors)
-	}
-	m := w.matcherFor(-1) // the anchor-scan matcher slot, shared across morsels
-	m.SetPushdown(s.pushed)
-	return &anchorScan{src: s, anchors: anchors[lo:hi], m: m, ev: w.ev}
+	// Slot -1 is the anchor Match's matcher, reused across the worker's
+	// morsels like every stage's.
+	m := NewMatch(NewUnit(), s.cl, w.matcherFor(-1), w.ev, s.newVars)
+	m.ap, m.anchors = s.ap, anchors[lo:min(lo+s.chunk, len(anchors))]
+	return m
 }
 
 func (s *anchorSource) label() string {
@@ -240,115 +187,20 @@ func anchorChunk(anchors, workers int) int {
 	return c
 }
 
-// anchorScan enumerates the matches of one anchor chunk, applying the
-// clause's WHERE inside the enumeration exactly as the serial Match
-// operator does.
-type anchorScan struct {
-	src     *anchorSource
-	anchors []graph.NodeID
-	m       *match.Matcher
-	ev      *expr.Evaluator
-
-	st      opState
-	cur     *match.Cursor
-	buf     []expr.Env
-	done    bool
-	rows    int64
-	batches int64
-}
-
-// Columns implements Operator.
-func (o *anchorScan) Columns() []string { return o.src.cols }
-
-// Open implements Operator.
-func (o *anchorScan) Open() error { return o.st.open("AnchorScan") }
-
-// NextBatch implements Operator.
-func (o *anchorScan) NextBatch(max int) (*Batch, bool, error) {
-	max = clampMax(max)
-	out := newBatch(o.src.cols, max)
-	for out.n < max && !o.done {
-		if len(o.buf) > 0 {
-			take := max - out.n
-			if take > len(o.buf) {
-				take = len(o.buf)
-			}
-			for _, me := range o.buf[:take] {
-				out.appendEnv(me)
-			}
-			o.buf = o.buf[take:]
-			continue
-		}
-		if o.cur == nil {
-			var filter func(expr.Env) (bool, error)
-			if o.src.cl.Where != nil {
-				filter = func(me expr.Env) (bool, error) {
-					ok, err := o.ev.EvalBool(o.src.cl.Where, me)
-					if err != nil {
-						return false, err
-					}
-					return ok == value.True, nil
-				}
-			}
-			o.cur = o.m.NewAnchorCursor(o.src.ap, o.anchors, expr.Env{}, max, filter)
-		}
-		envs, ok := o.cur.Next()
-		if ok {
-			o.buf = envs
-			continue
-		}
-		err := o.cur.Stop()
-		o.cur = nil
-		o.done = true
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	if out.n == 0 {
-		return nil, false, nil
-	}
-	o.rows += int64(out.n)
-	o.batches++
-	return out, true, nil
-}
-
-// Close implements Operator.
-func (o *anchorScan) Close() {
-	if !o.st.close() {
-		return
-	}
-	if o.cur != nil {
-		o.cur.Stop()
-		o.cur = nil
-	}
-}
-
-// Name implements Operator.
-func (o *anchorScan) Name() string {
-	return fmt.Sprintf("AnchorScan(%d anchors)", len(o.anchors)) + statsSuffix(o.rows, o.batches)
-}
-
-// Children implements Operator.
-func (o *anchorScan) Children() []Operator { return nil }
-
-// RowsEmitted implements Operator.
-func (o *anchorScan) RowsEmitted() int64 { return o.rows }
-
 // ---------------------------------------------------------------------
 // Exchange
 // ---------------------------------------------------------------------
 
-// morselMsg is one delivery on a morsel stream: a batch, or a terminal
-// error. The stream channel is closed when the morsel is exhausted.
-type morselMsg struct {
-	b   *Batch
+// morselStream carries one morsel's batches from its worker to the
+// ordered gather. The worker sets err, if the morsel failed, before it
+// closes ch, so the gatherer reads err only after draining ch.
+type morselStream struct {
+	ch  chan *Batch
 	err error
 }
 
-type morselStream struct {
-	idx int
-	ch  chan morselMsg
-}
+// errExchangeClosed stops a worker whose gatherer has gone away.
+var errExchangeClosed = errors.New("exchange closed")
 
 // Exchange fans a partitioned source out over a worker pool and
 // gathers the results back in morsel order. The serial prototype chain
@@ -363,15 +215,18 @@ type Exchange struct {
 	workers int
 	newCtx  func() *workerCtx
 
-	st      opState
-	started bool
-	mode    string // "", "gather" or "drain"
-	mu      sync.Mutex
-	next    int
-	queue   chan *morselStream
-	done    chan struct{}
-	wg      sync.WaitGroup
-	failed  atomic.Bool
+	st       opState
+	started  bool
+	draining bool
+	mu       sync.Mutex
+	next     int
+	errMu    sync.Mutex // not mu: a gather claim may block holding mu
+	firstErr error
+	errIdx   int
+	queue    chan *morselStream
+	done     chan struct{}
+	wg       sync.WaitGroup
+	failed   atomic.Bool
 
 	cur     *morselStream
 	pending *Batch
@@ -417,94 +272,105 @@ func (e *Exchange) poolSize() int {
 	return w
 }
 
-// start launches the gather-mode pool: workers claim morsels in index
-// order, register each morsel's stream on the queue under the claim
-// mutex (so queue order is morsel order), run the rebuilt chain and
-// push its batches through the stream.
-func (e *Exchange) start() {
+// run launches the pool on the Exchange's one worker loop, which both
+// pull modes share: each worker claims the next morsel in index order,
+// builds the morsel's chain with its private context, opens it, hands
+// every batch to emit, closes it and reports the outcome to end. claim
+// runs under the claim mutex, so it sees morsels in index order; it
+// returns false to stop the worker. A failed morsel stops every worker
+// from claiming further morsels, and the lowest failed morsel's error
+// is kept — the error the serial run would have hit first.
+func (e *Exchange) run(claim func(worker, morsel int) bool, emit func(worker, morsel int, b *Batch) error, end func(worker int, err error)) {
 	e.started = true
-	e.mode = "gather"
 	e.done = make(chan struct{})
-	w := e.poolSize()
-	e.launched = w
-	// Queue capacity bounds how far ahead of the gatherer claims may
-	// run; each in-flight stream additionally buffers morselChanCap
-	// batches.
-	e.queue = make(chan *morselStream, 2*w)
-	for i := 0; i < w; i++ {
-		e.wg.Add(1)
-		go e.gatherWorker()
-	}
-	go func() {
-		e.wg.Wait()
-		close(e.queue)
-	}()
-}
-
-func (e *Exchange) gatherWorker() {
-	defer e.wg.Done()
-	w := e.newCtx()
 	total := e.src.morsels()
-	for {
-		if e.failed.Load() {
-			return
-		}
-		e.mu.Lock()
-		if e.next >= total {
-			e.mu.Unlock()
-			return
-		}
-		idx := e.next
-		e.next++
-		ms := &morselStream{idx: idx, ch: make(chan morselMsg, morselChanCap)}
-		select {
-		case e.queue <- ms:
-		case <-e.done:
-			e.mu.Unlock()
-			return
-		}
-		e.mu.Unlock()
-		e.runMorsel(idx, ms, w)
+	e.launched = e.poolSize()
+	for wid := 0; wid < e.launched; wid++ {
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			w := e.newCtx()
+			for !e.failed.Load() {
+				e.mu.Lock()
+				idx := e.next
+				if idx >= total || !claim(wid, idx) {
+					e.mu.Unlock()
+					return
+				}
+				e.next++
+				e.mu.Unlock()
+				err := e.runMorsel(idx, w, func(b *Batch) error { return emit(wid, idx, b) })
+				if err != nil {
+					e.errMu.Lock()
+					if e.firstErr == nil || idx < e.errIdx {
+						e.firstErr, e.errIdx = err, idx
+					}
+					e.errMu.Unlock()
+					e.failed.Store(true)
+				}
+				end(wid, err)
+			}
+		}()
 	}
 }
 
-// runMorsel builds and drains one morsel's operator chain, delivering
-// its batches (and at most one terminal error) on ms. The stream is
-// always closed, and the chain always Closed, before returning.
-func (e *Exchange) runMorsel(idx int, ms *morselStream, w *workerCtx) {
-	defer close(ms.ch)
+// runMorsel builds, opens and drains one morsel's operator chain into
+// emit. The chain is always Closed before returning.
+func (e *Exchange) runMorsel(idx int, w *workerCtx, emit func(*Batch) error) error {
 	e.morselsN.Add(1)
 	op := e.src.operator(idx, w)
 	for _, st := range e.stages {
 		op = st(op, w)
 	}
 	defer op.Close()
-	fail := func(err error) {
-		e.failed.Store(true)
-		select {
-		case ms.ch <- morselMsg{err: err}:
-		case <-e.done:
-		}
-	}
 	if err := op.Open(); err != nil {
-		fail(err)
-		return
+		return err
 	}
 	for {
 		b, ok, err := op.NextBatch(BatchTarget)
-		if err != nil {
-			fail(err)
-			return
+		if err != nil || !ok {
+			return err
 		}
-		if !ok {
-			return
-		}
-		select {
-		case ms.ch <- morselMsg{b: b}:
-		case <-e.done:
-			return
+		if err := emit(b); err != nil {
+			return err
 		}
 	}
+}
+
+// start launches the gather: every claim registers the morsel's stream
+// on the queue (under the claim mutex, so queue order is morsel order),
+// and the worker pushes the chain's batches through that stream.
+func (e *Exchange) start() {
+	w := e.poolSize()
+	// Queue capacity bounds how far ahead of the gatherer claims may
+	// run; each in-flight stream additionally buffers morselChanCap
+	// batches.
+	e.queue = make(chan *morselStream, 2*w)
+	streams := make([]*morselStream, w)
+	e.run(func(worker, _ int) bool {
+		ms := &morselStream{ch: make(chan *Batch, morselChanCap)}
+		select {
+		case e.queue <- ms:
+			streams[worker] = ms
+			return true
+		case <-e.done:
+			return false
+		}
+	}, func(worker, _ int, b *Batch) error {
+		select {
+		case streams[worker].ch <- b:
+			return nil
+		case <-e.done:
+			return errExchangeClosed
+		}
+	}, func(worker int, err error) {
+		streams[worker].err = err
+		close(streams[worker].ch)
+	})
+	go func() {
+		e.wg.Wait()
+		close(e.queue)
+	}()
 }
 
 // NextBatch implements Operator: the ordered gather. Batches are
@@ -515,7 +381,7 @@ func (e *Exchange) NextBatch(max int) (*Batch, bool, error) {
 	if !e.started {
 		e.start()
 	}
-	if e.mode != "gather" {
+	if e.draining {
 		return nil, false, internalErrorf("Exchange: NextBatch after drainParallel")
 	}
 	for {
@@ -547,102 +413,41 @@ func (e *Exchange) NextBatch(max int) (*Batch, bool, error) {
 			}
 			e.cur = ms
 		}
-		msg, ok := <-e.cur.ch
+		b, ok := <-e.cur.ch
 		if !ok {
+			if err := e.cur.err; err != nil {
+				return nil, false, err
+			}
 			e.cur = nil
 			continue
 		}
-		if msg.err != nil {
-			return nil, false, msg.err
-		}
-		e.pending, e.pendOff = msg.b, 0
+		e.pending, e.pendOff = b, 0
 	}
 }
 
 // drainParallel runs the exchange in callback mode: every morsel's
 // batches are delivered to fn ON THE WORKER GOROUTINE, tagged with the
-// worker slot (0..workers-1) and the morsel index. fn must be safe for
-// concurrent calls from distinct worker slots; calls within one slot
-// are sequential, and one morsel's batches arrive in order on one
-// slot. Used by parallel-aware barriers (Sort) that reduce per worker
-// and merge. Returns the lowest-morsel error, matching the error the
-// serial run would surface first. Must be the first (and only) pull
-// mode used on this exchange.
+// worker slot (0..poolSize()-1) and the morsel index. fn must be safe
+// for concurrent calls from distinct worker slots; calls within one
+// slot are sequential, and one morsel's batches arrive in order on one
+// slot. Used by Sort's intake, which reduces per worker and merges.
+// Returns the lowest-morsel error, matching the error the serial run
+// would surface first. Must be the first (and only) pull mode used on
+// this exchange.
 func (e *Exchange) drainParallel(fn func(worker, morsel int, b *Batch) error) error {
 	if e.started {
 		return internalErrorf("Exchange: drainParallel after NextBatch")
 	}
-	e.started = true
-	e.mode = "drain"
-	e.done = make(chan struct{})
-	total := e.src.morsels()
-	w := e.poolSize()
-	e.launched = w
-	var (
-		errMu       sync.Mutex
-		firstErr    error
-		firstMorsel int
-	)
-	record := func(idx int, err error) {
-		errMu.Lock()
-		if firstErr == nil || idx < firstMorsel {
-			firstErr, firstMorsel = err, idx
-		}
-		errMu.Unlock()
-		e.failed.Store(true)
-	}
-	for i := 0; i < w; i++ {
-		wid := i
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			wctx := e.newCtx()
-			for {
-				if e.failed.Load() {
-					return
-				}
-				e.mu.Lock()
-				if e.next >= total {
-					e.mu.Unlock()
-					return
-				}
-				idx := e.next
-				e.next++
-				e.mu.Unlock()
-				e.morselsN.Add(1)
-				op := e.src.operator(idx, wctx)
-				for _, st := range e.stages {
-					op = st(op, wctx)
-				}
-				if err := op.Open(); err != nil {
-					record(idx, err)
-					op.Close()
-					return
-				}
-				for {
-					b, ok, err := op.NextBatch(BatchTarget)
-					if err != nil {
-						record(idx, err)
-						break
-					}
-					if !ok {
-						break
-					}
-					e.mu.Lock()
-					e.rows += int64(b.n)
-					e.batches++
-					e.mu.Unlock()
-					if err := fn(wid, idx, b); err != nil {
-						record(idx, err)
-						break
-					}
-				}
-				op.Close()
-			}
-		}()
-	}
+	e.draining = true
+	e.run(func(int, int) bool { return true }, func(worker, morsel int, b *Batch) error {
+		e.mu.Lock()
+		e.rows += int64(b.n)
+		e.batches++
+		e.mu.Unlock()
+		return fn(worker, morsel, b)
+	}, func(int, error) {})
 	e.wg.Wait()
-	return firstErr
+	return e.firstErr
 }
 
 // Close implements Operator: cancels in-flight morsels (workers see

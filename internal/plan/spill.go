@@ -510,13 +510,24 @@ func sortSpillRows(rows []spillRow, less func(a, b spillRow) bool) {
 	sort.Slice(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
 }
 
-// fill drains the child, computing each row's sort keys at intake
-// (over the row's source environment overlaid with its columns, as the
-// in-memory sort did) and accumulating rows up to the memory budget.
-// Over budget, the pending rows are sorted and spilled as one run;
-// replay is then a k-way merge of the runs plus the final in-memory
-// tail. With no budget (the default) nothing ever spills and replay is
-// a plain in-memory sorted slice.
+// sortWorker is one intake worker's state: its scratch environment, the
+// rows it holds unsorted, the sorted runs it has spilled, and its
+// position in the morsel it is reading.
+type sortWorker struct {
+	scratch   expr.Env
+	pend      []spillRow
+	pendBytes int64
+	runs      []*spillFile
+	morsel    int
+	inMorsel  int64
+}
+
+// fill is the Sort's one intake. Over an Exchange it drains the morsels
+// in callback mode, one sortWorker per pool slot, so sort-key
+// evaluation and run sorting happen on the workers (the shared
+// evaluator only reads). Over any other child it drains serially as
+// worker 0 reading morsel 0. Either way finish merges what the workers
+// hold, so the output is the same at every degree.
 func (o *Sort) fill() (err error) {
 	defer func() {
 		if err != nil {
@@ -526,210 +537,125 @@ func (o *Sort) fill() (err error) {
 			o.runs = nil
 		}
 	}()
-	if ex, ok := o.child.(*Exchange); ok {
-		return o.fillParallel(ex)
-	}
 	less := sortRowLess(o.sorts)
-	scratch := make(expr.Env, len(o.child.Columns())+4)
-	var pend []spillRow
-	var pendBytes int64
-	seq := int64(0)
-	for {
-		b, ok, err2 := o.child.NextBatch(BatchTarget)
-		if err2 != nil {
-			return err2
-		}
-		if !ok {
-			break
-		}
-		for i := 0; i < b.n; i++ {
-			if b.src != nil && b.src[i] != nil {
-				for k, v := range b.src[i] {
-					scratch[k] = v
-				}
+	workers, drain := 1, func(fn func(worker, morsel int, b *Batch) error) error {
+		for {
+			b, ok, err := o.child.NextBatch(BatchTarget)
+			if err != nil || !ok {
+				return err
 			}
-			b.loadEnv(scratch, i)
-			r := spillRow{seq: seq, keys: make([]value.Value, len(o.sorts)), vals: b.rowVals(i)}
-			seq++
-			for s, item := range o.sorts {
-				v, err2 := o.ev.Eval(item.Expr, scratch)
-				if err2 != nil {
-					return err2
-				}
-				r.keys[s] = v
-			}
-			pend = append(pend, r)
-			if o.budget.limited() {
-				nb := spillRowBytes(r)
-				pendBytes += nb
-				o.held += nb
-				o.budget.grow(nb)
-				if o.held > o.peak {
-					o.peak = o.held
-				}
-				if o.budget.over() && len(pend) >= minSpillRows {
-					sortSpillRows(pend, less)
-					f, err2 := writeRun(pend)
-					if err2 != nil {
-						return err2
-					}
-					o.runs = append(o.runs, f)
-					o.spills++
-					o.budget.shrink(pendBytes)
-					o.held -= pendBytes
-					pend, pendBytes = pend[:0], 0
-					if len(o.runs) >= maxMergeWidth {
-						merged, err2 := compactRuns(o.runs, less)
-						if err2 != nil {
-							o.runs = nil // compactRuns closed them
-							return err2
-						}
-						o.runs = []*spillFile{merged}
-					}
-				}
+			if err := fn(0, 0, b); err != nil {
+				return err
 			}
 		}
 	}
-	sortSpillRows(pend, less)
-	if len(o.runs) == 0 {
-		o.mem = pend
-		return nil
+	if ex, ok := o.child.(*Exchange); ok {
+		workers, drain = ex.poolSize(), ex.drainParallel
 	}
-	srcs := make([]mergeSource, 0, len(o.runs)+1)
-	for _, f := range o.runs {
-		st, err2 := f.stream()
-		if err2 != nil {
-			for _, s := range srcs {
-				s.close()
-			}
-			o.runs = nil // stream/discard handled the rest via defer
-			return err2
+	ws := make([]*sortWorker, workers)
+	width := len(o.child.Columns()) + 4
+	err = drain(func(worker, morsel int, b *Batch) error {
+		w := ws[worker]
+		if w == nil {
+			w = &sortWorker{scratch: make(expr.Env, width), morsel: morsel}
+			ws[worker] = w
 		}
-		srcs = append(srcs, st)
-	}
-	o.runs = nil // ownership moved to the merge streams
-	srcs = append(srcs, &memStream{rows: pend})
-	o.merged, err = newRunMerger(srcs, less)
-	return err
+		return o.intake(w, morsel, b, less)
+	})
+	return o.finish(ws, less, err)
 }
 
-// fillParallel is the parallel-aware intake: instead of gathering the
-// exchange's morsels serially, it drains them in callback mode —
-// each worker sorts and (over budget) spills its own runs, with the
-// statement's memory budget shared atomically across workers — and
-// merges everything with the ordinary k-way run merger.
-//
-// Output is bit-identical to the serial sort: every row gets the
-// composite sequence morsel<<morselSeqBits | rowInMorsel, whose
-// lexicographic (morsel, row) order is exactly the serial intake
-// order, so the comparator's seq tie-break reproduces
-// sort.SliceStable's stability at any parallelism. Sort keys are
-// evaluated on the workers (shared evaluator, pure reads), so ORDER BY
-// key computation parallelizes too.
-//
-// Called from fill, whose defer discards o.runs on error.
-func (o *Sort) fillParallel(ex *Exchange) error {
-	less := sortRowLess(o.sorts)
-	cols := ex.Columns()
-	type wstate struct {
-		scratch   expr.Env
-		pend      []spillRow
-		pendBytes int64
-		morsel    int
-		inMorsel  int64
-		runs      []*spillFile
+// intake takes one batch of a morsel into worker w. Each row's sort
+// keys are evaluated over its source environment overlaid with its
+// columns, and its sequence number is morsel<<morselSeqBits |
+// row-in-morsel: lexicographic (morsel, row) order is the serial intake
+// order, so the comparator's seq tie-break reproduces sort.SliceStable
+// at any parallelism. Over budget, the worker sorts its pending rows
+// and spills them as one run, compacting its runs into one when they
+// reach maxMergeWidth.
+func (o *Sort) intake(w *sortWorker, morsel int, b *Batch, less func(a, b spillRow) bool) error {
+	if morsel != w.morsel {
+		w.morsel, w.inMorsel = morsel, 0
 	}
-	states := make([]*wstate, ex.poolSize())
-	var held, peak, spills atomic.Int64
-	err := ex.drainParallel(func(wid, morsel int, b *Batch) error {
-		ws := states[wid]
-		if ws == nil {
-			ws = &wstate{scratch: make(expr.Env, len(cols)+4), morsel: -1}
-			states[wid] = ws
-		}
-		if morsel != ws.morsel {
-			ws.morsel, ws.inMorsel = morsel, 0
-		}
-		for i := 0; i < b.n; i++ {
-			if b.src != nil && b.src[i] != nil {
-				for k, v := range b.src[i] {
-					ws.scratch[k] = v
-				}
-			}
-			b.loadEnv(ws.scratch, i)
-			r := spillRow{
-				seq:  int64(morsel)<<morselSeqBits | ws.inMorsel,
-				keys: make([]value.Value, len(o.sorts)),
-				vals: b.rowVals(i),
-			}
-			ws.inMorsel++
-			for s, item := range o.sorts {
-				v, err := o.ev.Eval(item.Expr, ws.scratch)
-				if err != nil {
-					return err
-				}
-				r.keys[s] = v
-			}
-			ws.pend = append(ws.pend, r)
-			if o.budget.limited() {
-				nb := spillRowBytes(r)
-				ws.pendBytes += nb
-				o.budget.grow(nb)
-				if h := held.Add(nb); h > peak.Load() {
-					// Racy max is fine: peak is a reporting counter.
-					peak.Store(h)
-				}
-				if o.budget.over() && len(ws.pend) >= minSpillRows {
-					sortSpillRows(ws.pend, less)
-					f, err := writeRun(ws.pend)
-					if err != nil {
-						return err
-					}
-					ws.runs = append(ws.runs, f)
-					spills.Add(1)
-					o.budget.shrink(ws.pendBytes)
-					held.Add(-ws.pendBytes)
-					ws.pend, ws.pendBytes = ws.pend[:0], 0
-					if len(ws.runs) >= maxMergeWidth {
-						merged, err := compactRuns(ws.runs, less)
-						ws.runs = nil // compactRuns closed them
-						if err != nil {
-							return err
-						}
-						ws.runs = []*spillFile{merged}
-					}
-				}
+	for i := 0; i < b.n; i++ {
+		if b.src != nil && b.src[i] != nil {
+			for k, v := range b.src[i] {
+				w.scratch[k] = v
 			}
 		}
-		return nil
-	})
-	// Workers have exited: collect their runs and in-memory tails (no
-	// concurrency from here on). Runs go to o.runs first so fill's
-	// defer discards them on any error below.
-	var tails [][]spillRow
-	for _, ws := range states {
-		if ws == nil {
+		b.loadEnv(w.scratch, i)
+		r := spillRow{
+			seq:  int64(morsel)<<morselSeqBits | w.inMorsel,
+			keys: make([]value.Value, len(o.sorts)),
+			vals: b.rowVals(i),
+		}
+		w.inMorsel++
+		for s, item := range o.sorts {
+			v, err := o.ev.Eval(item.Expr, w.scratch)
+			if err != nil {
+				return err
+			}
+			r.keys[s] = v
+		}
+		w.pend = append(w.pend, r)
+		if !o.budget.limited() {
 			continue
 		}
-		o.runs = append(o.runs, ws.runs...)
-		if len(ws.pend) > 0 {
-			sortSpillRows(ws.pend, less)
-			tails = append(tails, ws.pend)
+		nb := spillRowBytes(r)
+		w.pendBytes += nb
+		o.charge(nb)
+		if !o.budget.over() || len(w.pend) < minSpillRows {
+			continue
+		}
+		sortSpillRows(w.pend, less)
+		f, err := writeRun(w.pend)
+		if err != nil {
+			return err
+		}
+		w.runs = append(w.runs, f)
+		o.spills.Add(1)
+		o.release(w.pendBytes)
+		w.pend, w.pendBytes = w.pend[:0], 0
+		if len(w.runs) >= maxMergeWidth {
+			merged, err := compactRuns(w.runs, less)
+			w.runs = nil // compactRuns closed them
+			if err != nil {
+				return err
+			}
+			w.runs = []*spillFile{merged}
 		}
 	}
-	o.held, o.peak, o.spills = held.Load(), peak.Load(), spills.Load()
+	return nil
+}
+
+// finish collects the workers' spilled runs and in-memory tails once
+// the intake has stopped (no concurrency from here on) and turns them
+// into the replay source: mem when everything stayed in one in-memory
+// tail (always the case without a budget and without an Exchange),
+// otherwise a runMerger over the runs and the sorted tails. Runs go to
+// o.runs first so fill's defer discards them on any error.
+func (o *Sort) finish(ws []*sortWorker, less func(a, b spillRow) bool, err error) error {
+	var tails [][]spillRow
+	for _, w := range ws {
+		if w == nil {
+			continue
+		}
+		o.runs = append(o.runs, w.runs...)
+		if len(w.pend) > 0 {
+			tails = append(tails, w.pend)
+		}
+	}
 	if err != nil {
 		return err
 	}
-	if len(o.runs) == 0 {
-		switch len(tails) {
-		case 0:
-			o.mem = nil
-			return nil
-		case 1:
+	for _, t := range tails {
+		sortSpillRows(t, less)
+	}
+	if len(o.runs) == 0 && len(tails) <= 1 {
+		if len(tails) == 1 {
 			o.mem = tails[0]
-			return nil
 		}
+		return nil
 	}
 	// Bound the final merge width over the combined file runs (each
 	// worker already bounded its own, but their union may exceed it).
@@ -757,9 +683,8 @@ func (o *Sort) fillParallel(ex *Exchange) error {
 	for _, t := range tails {
 		srcs = append(srcs, &memStream{rows: t})
 	}
-	var err2 error
-	o.merged, err2 = newRunMerger(srcs, less)
-	return err2
+	o.merged, err = newRunMerger(srcs, less)
+	return err
 }
 
 // next1 replays one row of the sorted output.
@@ -848,11 +773,7 @@ func (o *Aggregate) fill() (err error) {
 			}
 			if o.budget.limited() {
 				if nb := grp.aggs[ai].Retains(v); nb > 0 {
-					o.held += nb
-					o.budget.grow(nb)
-					if o.held > o.peak {
-						o.peak = o.held
-					}
+					o.charge(nb)
 				}
 			}
 			if err := grp.aggs[ai].Add(v); err != nil {
@@ -921,12 +842,7 @@ func (o *Aggregate) fill() (err error) {
 				groups[key] = grp
 				order = append(order, key)
 				if o.budget.limited() {
-					nb := int64(len(key)) + envApproxBytes(grp.rep) + 96
-					o.held += nb
-					o.budget.grow(nb)
-					if o.held > o.peak {
-						o.peak = o.held
-					}
+					o.charge(int64(len(key)) + envApproxBytes(grp.rep) + 96)
 					if o.budget.over() && !o.spilling {
 						if o.parts, err = openSpillParts(); err != nil {
 							return err
@@ -989,10 +905,10 @@ func (o *Aggregate) fill() (err error) {
 			return err2
 		}
 		parts[pi] = nil
-		o.spills++
+		o.spills.Add(1)
 		pgroups := make(map[string]*group)
 		var porder []string
-		partStart := o.held
+		partStart := o.held.Load()
 		for {
 			r, ok, err2 := st.next()
 			if err2 != nil {
@@ -1015,12 +931,7 @@ func (o *Aggregate) fill() (err error) {
 				pgroups[r.key] = grp
 				porder = append(porder, r.key)
 				if o.budget.limited() {
-					nb := int64(len(r.key)) + envApproxBytes(grp.rep) + 96
-					o.held += nb
-					o.budget.grow(nb)
-					if o.held > o.peak {
-						o.peak = o.held
-					}
+					o.charge(int64(len(r.key)) + envApproxBytes(grp.rep) + 96)
 				}
 			}
 			if err = addRow(grp, scratch); err != nil {
@@ -1037,8 +948,7 @@ func (o *Aggregate) fill() (err error) {
 			deferred = append(deferred, outGroup{firstSeq: pgroups[key].firstSeq, env: env})
 		}
 		// Release this partition's accounted state before the next.
-		o.budget.shrink(o.held - partStart)
-		o.held = partStart
+		o.release(o.held.Load() - partStart)
 	}
 	sort.Slice(deferred, func(i, j int) bool { return deferred[i].firstSeq < deferred[j].firstSeq })
 	for _, g := range deferred {
@@ -1097,12 +1007,7 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 			}
 			o.seen[key] = true
 			if o.budget.limited() {
-				nb := int64(len(key)) + 48
-				o.held += nb
-				o.budget.grow(nb)
-				if o.held > o.peak {
-					o.peak = o.held
-				}
+				o.charge(int64(len(key)) + 48)
 				if o.budget.over() && !o.spilling {
 					if o.parts, err = openSpillParts(); err != nil {
 						return nil, false, err
@@ -1189,7 +1094,7 @@ func (o *Distinct) buildDeferred() (err error) {
 			return err2
 		}
 		parts[pi] = nil
-		o.spills++
+		o.spills.Add(1)
 		surv, err2 := newSpillFile()
 		if err2 != nil {
 			st.close()
@@ -1212,10 +1117,9 @@ func (o *Distinct) buildDeferred() (err error) {
 			}
 			pseen[r.key] = true
 			if o.budget.limited() {
-				pheld += int64(len(r.key)) + 48
-				if o.held+pheld > o.peak {
-					o.peak = o.held + pheld
-				}
+				nb := int64(len(r.key)) + 48
+				pheld += nb
+				o.charge(nb)
 			}
 			if err2 := surv.add(spillRow{seq: r.seq, vals: r.vals}); err2 != nil {
 				st.close()
@@ -1224,6 +1128,8 @@ func (o *Distinct) buildDeferred() (err error) {
 			}
 		}
 		st.close()
+		// Release this partition's seen-set before the next.
+		o.release(pheld)
 		ss, err2 := surv.stream()
 		if err2 != nil {
 			return err2
