@@ -78,8 +78,9 @@ props:
 # accounting), drain-under-load, and the loopback wire-equivalence
 # sweep that requires served results to be bit-identical to the
 # embedded session over the whole script corpus, the client's
-# one-request-frame check, the typed codecs (byte-identical to
-# encoding/json, client against server, allocations per served point
+# one-request-frame check, the wire codec (the client's and the
+# server's message layers checked against each other, the tagged value
+# codec checked against encoding/json, allocations per served point
 # read), and the shared plan cache (cross-session hits, LRU eviction,
 # concurrent stores).
 serve-race:

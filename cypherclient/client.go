@@ -1,8 +1,10 @@
-// Package cypherclient is a client for the cypherd wire protocol: a
-// deliberately independent second implementation of the
-// length-prefixed JSON framing and tagged value codec (the first lives
-// in the server), so protocol tests exercise two implementations
-// against each other rather than one implementation against itself.
+// Package cypherclient is a client for the cypherd wire protocol. Its
+// message layer is its own: the length-prefixed framing, which fields a
+// request carries and how a reply's fields, counters and paging flag are
+// read, so protocol tests run the client's message layer against the
+// server's. Value tags and JSON scanning come from internal/tagjson, the
+// one tagged-JSON codec in the tree, whose bytes tests hold to
+// encoding/json.
 //
 // A Conn wraps one TCP connection / server session. It is NOT safe for
 // concurrent use; open one Conn per goroutine (mirroring the one

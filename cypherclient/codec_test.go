@@ -15,7 +15,7 @@ import (
 	"repro/internal/value"
 )
 
-var codecStrings = []string{"", "x", "héllo 👋", `q"b\`, "<&>", "\x00\t\n\x1f", " ", "퟿"}
+var codecStrings = []string{"", "x", "héllo 👋", `q"b\`, "<&>", "\x00\t\n\x1f", " ", "퟿", "\u2028\u2029", "</script>"}
 
 func randomValue(rng *rand.Rand, depth int) Value {
 	switch k := rng.Intn(10); {
@@ -98,10 +98,12 @@ func same(a, b Value) bool {
 	return a.String() == b.String()
 }
 
-// TestCodecAgainstServer runs the two implementations of the protocol
-// against each other without a network: requests the client encodes
-// decode on the server to the same parameters, and replies the server
-// encodes decode on the client to the same rows, columns and counters.
+// TestCodecAgainstServer runs the client's and the server's message
+// layers against each other without a network: requests the client
+// encodes decode on the server to the same parameters, and replies the
+// server encodes decode on the client to the same rows, columns and
+// counters. The value bytes both write are held to encoding/json by the
+// tagjson tests.
 func TestCodecAgainstServer(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {
@@ -177,6 +179,7 @@ func FuzzReplyDecode(f *testing.F) {
 	f.Add([]byte(`{"type":"success","columns":["x"],"rows":[[{"int":1}],[{"floatSpecial":"nan"}]],"more":true,"stats":{"nodesCreated":2}}`))
 	f.Add([]byte(`{"type":"success","columns":["p"],"rows":[[{"path":{"nodes":[1,2],"rels":[3]}},{"isMap":true,"map":{"k":{"isList":true,"list":[{"null":true}]}}}]]}`))
 	f.Add([]byte(`{"type":"success","rows":[[{"string":"😀\ud800"}]]}`))
+	f.Add([]byte(`{"type":"success","rows":[[{"string":"\u003c/script\u003e\u2028"}]]}`))
 	f.Add([]byte(`{"rows":[[{"int":1,"bool":true}]],"extra":[1,{"a":null}]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var r reply

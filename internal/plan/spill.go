@@ -125,44 +125,33 @@ func pidAlive(pid int) bool {
 }
 
 // ---------------------------------------------------------------------
-// Value codec — delegated to the shared binary codec in internal/graph
-// (binval.go), which the write-ahead log uses too. Floats round-trip
-// by bit pattern (NaN included), entities by id, lists/maps/paths
-// recursively — every value kind is covered, so any row the executor
-// produces can spill.
+// Row codec — values go through the shared binary codec in
+// internal/graph (binval.go), which the write-ahead log uses too.
+// Floats round-trip by bit pattern (NaN included), entities by id,
+// lists/maps/paths recursively — every value kind is covered, so any
+// row the executor produces can spill.
 // ---------------------------------------------------------------------
 
-func writeVarint(w *bufio.Writer, x int64) error   { return graph.WriteVarint(w, x) }
-func writeUvarint(w *bufio.Writer, x uint64) error { return graph.WriteUvarint(w, x) }
-
-func writeSpillString(w *bufio.Writer, s string) error { return graph.WriteBinaryString(w, s) }
-
-func readSpillString(r *bufio.Reader) (string, error) { return graph.ReadBinaryString(r) }
-
-func writeVal(w *bufio.Writer, v value.Value) error { return graph.WriteBinaryValue(w, v) }
-
-func readVal(r *bufio.Reader) (value.Value, error) { return graph.ReadBinaryValue(r) }
-
 func writeSpillRow(w *bufio.Writer, row spillRow) error {
-	if err := writeVarint(w, row.seq); err != nil {
+	if err := graph.WriteVarint(w, row.seq); err != nil {
 		return err
 	}
-	if err := writeSpillString(w, row.key); err != nil {
+	if err := graph.WriteBinaryString(w, row.key); err != nil {
 		return err
 	}
-	if err := writeUvarint(w, uint64(len(row.keys))); err != nil {
+	if err := graph.WriteUvarint(w, uint64(len(row.keys))); err != nil {
 		return err
 	}
 	for _, v := range row.keys {
-		if err := writeVal(w, v); err != nil {
+		if err := graph.WriteBinaryValue(w, v); err != nil {
 			return err
 		}
 	}
-	if err := writeUvarint(w, uint64(len(row.vals))); err != nil {
+	if err := graph.WriteUvarint(w, uint64(len(row.vals))); err != nil {
 		return err
 	}
 	for _, v := range row.vals {
-		if err := writeVal(w, v); err != nil {
+		if err := graph.WriteBinaryValue(w, v); err != nil {
 			return err
 		}
 	}
@@ -175,7 +164,7 @@ func readSpillRow(r *bufio.Reader) (spillRow, error) {
 	if row.seq, err = binary.ReadVarint(r); err != nil {
 		return row, err
 	}
-	if row.key, err = readSpillString(r); err != nil {
+	if row.key, err = graph.ReadBinaryString(r); err != nil {
 		return row, err
 	}
 	nk, err := binary.ReadUvarint(r)
@@ -185,7 +174,7 @@ func readSpillRow(r *bufio.Reader) (spillRow, error) {
 	if nk > 0 {
 		row.keys = make([]value.Value, nk)
 		for i := range row.keys {
-			if row.keys[i], err = readVal(r); err != nil {
+			if row.keys[i], err = graph.ReadBinaryValue(r); err != nil {
 				return row, err
 			}
 		}
@@ -197,7 +186,7 @@ func readSpillRow(r *bufio.Reader) (spillRow, error) {
 	if nv > 0 {
 		row.vals = make([]value.Value, nv)
 		for i := range row.vals {
-			if row.vals[i], err = readVal(r); err != nil {
+			if row.vals[i], err = graph.ReadBinaryValue(r); err != nil {
 				return row, err
 			}
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -583,6 +584,29 @@ func TestConformanceStatementTimeout(t *testing.T) {
 		t.Fatalf("reply = %+v, want StatementTimeout failure", got)
 	}
 	w.expectClosed()
+
+	// Statements of growing size finish before, around and after the
+	// deadline. However the race between statement and timer falls, a
+	// RUN gets exactly one frame: a success, after which the connection
+	// stays usable, or a StatementTimeout failure, after which it closes.
+	succeeded, timedOut := 0, 0
+	for n := 1000; n <= 400000; n = n * 3 / 2 {
+		w := dialWire(t, addr)
+		w.hello()
+		w.send(&Message{Type: MsgRun, Query: fmt.Sprintf("UNWIND range(1,%d) AS x WITH x WHERE x %% 7 = 0 RETURN count(x) AS c", n), Pull: 1})
+		switch got := w.recv(); {
+		case got.Type == MsgSuccess:
+			wantInts(t, got, []int64{int64(n / 7)}, false)
+			w.send(&Message{Type: MsgGoodbye})
+			succeeded++
+		case got.Type == MsgFailure && got.Code == CodeStatementTimeout:
+			timedOut++
+		default:
+			t.Fatalf("n=%d: reply = %+v, want success or StatementTimeout failure", n, got)
+		}
+		w.expectClosed()
+	}
+	t.Logf("%d statements succeeded, %d timed out", succeeded, timedOut)
 }
 
 // TestConformanceServerBusy checks writer-admission backpressure: with

@@ -13,9 +13,9 @@ import (
 )
 
 // conn is one accepted connection: a wire-protocol state machine
-// wrapped around one cypher.Session. All frame writes happen on the
-// serve goroutine; statements execute on a helper goroutine so the
-// serve loop can enforce the statement timeout.
+// wrapped around one cypher.Session. Statements execute on the serve
+// goroutine, which writes every frame but one: a statement timeout's
+// failure frame, which its timer writes while the statement runs.
 type conn struct {
 	srv  *Server
 	id   int64
@@ -146,58 +146,49 @@ func (c *conn) handleRun(msg *Message) bool {
 		return c.send(failure(CodeServerBusy, "write queue full"))
 	}
 
-	type outcome struct {
-		res  *cypher.Result
-		plan string
-		err  error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		var o outcome
-		switch msg.Mode {
-		case "explain":
-			o.plan, o.err = c.sess.Explain(msg.Query)
-		case "profile":
-			o.res, o.plan, o.err = c.sess.Profile(msg.Query, params)
-		default:
-			o.res, o.err = c.sess.Exec(msg.Query, params)
-		}
-		done <- o
-	}()
-
-	var o outcome
-	timedOut := false
+	// A statement runs on this goroutine. The engine cannot abandon a
+	// running statement, so a timeout only answers early: the timer
+	// writes the failure frame, and once the statement completes the
+	// connection closes.
+	var timer *time.Timer
+	var fired chan struct{}
 	if t := c.srv.opts.StatementTimeout; t > 0 {
-		timer := time.NewTimer(t)
-		select {
-		case o = <-done:
-			timer.Stop()
-		case <-timer.C:
-			timedOut = true
-			c.send(failure(CodeStatementTimeout, fmt.Sprintf("statement exceeded %v", t)))
-			// The engine cannot abandon a running statement; wait it out
-			// so the session is quiescent before teardown, then close.
-			o = <-done
-		}
-	} else {
-		o = <-done
+		fired = make(chan struct{})
+		timer = time.AfterFunc(t, func() {
+			// A failure message carries no values, so it always encodes;
+			// a failed write needs no handling, as the connection closes.
+			frame, _ := appendFrame(nil, failure(CodeStatementTimeout, fmt.Sprintf("statement exceeded %v", t)))
+			c.nc.Write(frame)
+			close(fired)
+		})
+	}
+	var res *cypher.Result
+	var plan string
+	switch msg.Mode {
+	case "explain":
+		plan, err = c.sess.Explain(msg.Query)
+	case "profile":
+		res, plan, err = c.sess.Profile(msg.Query, params)
+	default:
+		res, err = c.sess.Exec(msg.Query, params)
 	}
 	if needSlot {
 		c.srv.releaseWriteSlot()
 	}
-	if timedOut {
+	if timer != nil && !timer.Stop() {
+		<-fired // the timer's failure frame was the reply; wait until it is written
 		return false
 	}
-	if o.err != nil {
-		return c.send(failure(CodeExecutionError, o.err.Error()))
+	if err != nil {
+		return c.send(failure(CodeExecutionError, err.Error()))
 	}
-	reply := &Message{Type: MsgSuccess, Plan: o.plan}
-	if o.res == nil {
+	reply := &Message{Type: MsgSuccess, Plan: plan}
+	if res == nil {
 		return c.send(reply)
 	}
-	reply.Columns = o.res.Columns()
-	reply.Stats = statsToWire(o.res.Stats())
-	c.pending = &pendingResult{res: o.res}
+	reply.Columns = res.Columns()
+	reply.Stats = statsToWire(res.Stats())
+	c.pending = &pendingResult{res: res}
 	if msg.Pull > 0 {
 		return c.sendPage(reply, msg.Pull)
 	}
