@@ -222,7 +222,7 @@ func FuzzReplyDecode(f *testing.F) {
 // read: heap allocations per statement over a loopback connection, both
 // peers counted, less those of the same statement run on a session.
 // The struct-and-map codecs this replaced added 115 (194 served against
-// 79 on a session); the typed codecs add 18.
+// 79 on a session); the typed codecs add 15.
 func TestServedPointReadAllocs(t *testing.T) {
 	db := cypher.Open()
 	for _, q := range []string{`UNWIND range(0, 999) AS i CREATE (:User{id: i, name: 'u' + toString(i)})`, `CREATE INDEX ON :User(id)`} {
