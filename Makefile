@@ -52,13 +52,15 @@ spill:
 # budget, bit-identical output required), error/cancellation draining
 # with zero live spill files, the barrier memory bound at degrees 1/2/8
 # (the parallel Sort intake's shared account), the concurrent
-# spill-registry and budget bookkeeping hammer, and the script-corpus
-# sweep whose configs include the parallel executor. Degrees are set
-# explicitly in the tests, so this gate is meaningful even on
-# single-core CI runners.
+# spill-registry and budget bookkeeping hammer, anchor chunks of one
+# match plan enumerated concurrently (their concatenation must be the
+# serial enumeration), and the script-corpus sweep whose configs
+# include the parallel executor. Degrees are set explicitly in the
+# tests, so this gate is meaningful even on single-core CI runners.
 par:
 	go test -race -run 'TestParallel|TestBudgetBoundsBarrierPeak' ./internal/core
 	go test -race -run 'TestSpillBookkeepingConcurrent|TestBudgetShrinkClampConcurrent' ./internal/plan
+	go test -race -run 'TestAnchorChunksConcurrent' ./internal/match
 	go test -race -run 'TestCorpusExecutorSweep' ./internal/script
 
 # The engine's specification, under the race detector: the seeded

@@ -27,6 +27,7 @@
 //	B19 morsel-parallel read scaling: worker degrees 1/2/4/8 on scan-, match-, sort- and per-row-match pipelines
 //	B20 served QPS: N concurrent wire clients vs one, shared plan cache across sessions
 //	B21 expression-heavy pipelines: plan-time constant folding and purity-aware pushdown
+//	B22 embedded point read: the fixed per-statement cost of an indexed one-row MATCH
 package repro_test
 
 import (
@@ -864,6 +865,34 @@ func BenchmarkB21ExpressionPipeline(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkB22PointRead measures one indexed point read through
+// Session.Exec: a cached statement and match plan, an index seek, one
+// row. Nearly all of its cost is fixed per statement (operator tree,
+// match iterator, batches), which is what this benchmark isolates. The
+// graph is TestServedPointReadAllocs's: 1000 users indexed on id.
+func BenchmarkB22PointRead(b *testing.B) {
+	db := cypher.Open()
+	for _, q := range []string{`UNWIND range(0, 999) AS i CREATE (:User{id: i, name: 'u' + toString(i)})`, `CREATE INDEX ON :User(id)`} {
+		if _, err := db.Exec(q, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sess := db.Session()
+	defer sess.Close()
+	const q = `MATCH (u:User{id: $id}) RETURN u.name AS name`
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sess.Exec(q, map[string]any{"id": i % 1000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.NumRows() != 1 {
+			b.Fatalf("rows = %d, want 1", res.NumRows())
+		}
 	}
 }
 

@@ -222,7 +222,9 @@ func FuzzReplyDecode(f *testing.F) {
 // read: heap allocations per statement over a loopback connection, both
 // peers counted, less those of the same statement run on a session.
 // The struct-and-map codecs this replaced added 115 (194 served against
-// 79 on a session); the typed codecs add 15.
+// 79 on a session); the typed codecs add 15. The session's own count
+// (65) is bounded too, so the engine's per-statement fixed cost cannot
+// grow unnoticed.
 func TestServedPointReadAllocs(t *testing.T) {
 	db := cypher.Open()
 	for _, q := range []string{`UNWIND range(0, 999) AS i CREATE (:User{id: i, name: 'u' + toString(i)})`, `CREATE INDEX ON :User(id)`} {
@@ -267,10 +269,13 @@ func TestServedPointReadAllocs(t *testing.T) {
 	}
 	served := testing.AllocsPerRun(500, exec(func(p map[string]any) error { _, err := c.Exec(q, p); return err }))
 	local := testing.AllocsPerRun(500, exec(func(p map[string]any) error { _, err := sess.Exec(q, p); return err }))
-	const bound = 30
+	const bound, localBound = 30, 65
 	wire := served - local
 	t.Logf("the wire adds %.0f allocations per point read (%.0f served, %.0f on a session)", wire, served, local)
 	if wire > bound {
 		t.Errorf("want at most %d", bound)
+	}
+	if local > localBound {
+		t.Errorf("a session point read makes %.0f allocations, want at most %d", local, localBound)
 	}
 }

@@ -19,13 +19,15 @@
 // the order of comma-separated parts. The order of results is still
 // deterministic for a given graph state — anchor candidates ascend by
 // entity id and expansions follow sorted adjacency — which the engine
-// relies on for reproducible legacy-mode runs; both executors share
-// this planner, so they agree bit for bit.
+// relies on for reproducible legacy-mode runs. Every caller (the MATCH
+// operator, MERGE, the legacy updates and anchor morsels) enumerates
+// through one resumable iterator (Iter), so they all see that order.
 package match
 
 import (
-	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/expr"
@@ -51,7 +53,7 @@ type Stats struct {
 	NodeVisits int64
 	// RelVisits counts candidate relationships considered for expansion.
 	RelVisits int64
-	// Emitted counts environments yielded to the consumer.
+	// Emitted counts matches found, before the iterator's Filter.
 	Emitted int64
 }
 
@@ -65,7 +67,7 @@ type Matcher struct {
 
 	// DisablePlan turns cost-based planning off: parts run in written
 	// order, every part anchors at its first node, and pushed predicates
-	// are ignored. This naive walk is also the fallback Stream takes
+	// are ignored. This naive walk is also the fallback Iter.Reset takes
 	// whenever planning could change which runtime error surfaces; the
 	// planner-equivalence tests force it to compare the two.
 	DisablePlan bool
@@ -92,8 +94,8 @@ type Matcher struct {
 	// query text (see PlanCache).
 	Cache *PlanCache
 
-	// Plan cache: Stream is called once per driving-table record, but
-	// the plan depends only on the pattern, the set of bound column
+	// Plan cache: an iterator is reset once per driving-table record,
+	// but the plan depends only on the pattern, the set of bound column
 	// names and the graph's statistics. A cached plan survives
 	// structural version bumps as long as the anchor estimates have not
 	// drifted materially (see plansFor and estimateFingerprint) — so a
@@ -106,13 +108,6 @@ type Matcher struct {
 	cacheVer      int64
 	cacheEst      []float64
 	cacheIdxEpoch int64
-
-	// runNaive, set per Stream call, forces the seed's written-order
-	// walk and disables all pushed-predicate pruning for rows where any
-	// deviation could change which runtime error surfaces: a pattern
-	// variable bound to a value of the wrong kind, or an inline
-	// property expression that can error (see naiveRequired).
-	runNaive bool
 }
 
 // SetPushdown installs the pushed predicates of a classified WHERE.
@@ -124,37 +119,25 @@ func (m *Matcher) SetPushdown(pd *Pushdown) {
 	m.NodePreds, m.RelPreds, m.PrePreds = pd.Node, pd.Rel, pd.Pre
 }
 
-// ErrStop, returned from a Stream yield callback, terminates enumeration
-// early without error: Stream swallows it and returns nil.
-var ErrStop = errors.New("match: stop enumeration")
-
-// Stream enumerates all extensions of env that satisfy all pattern
-// parts, invoking yield for each one as soon as it is found — no
-// intermediate collection is built, so a consumer that stops early (via
-// ErrStop) prunes the remaining search space. Variables already bound in
-// env constrain the match; unbound pattern variables are bound in the
-// yielded environments. Named paths bind their path variable to a
-// value.Path.
-//
-// The yielded environment shares structure with env; consumers that
-// retain it across yields must copy it (the engine's operators do so by
-// normalizing rows into their own column sets).
-func (m *Matcher) Stream(parts []*ast.PatternPart, env expr.Env, yield func(expr.Env) error) error {
-	m.runNaive = m.DisablePlan || m.naiveRequired(parts, env)
-	var plans []partPlan
-	if m.runNaive {
-		// The seed's walk, bit for bit: written order, first-node
-		// anchors, no pruning — so every runtime error (mistyped
-		// binding, erroring property expression) surfaces exactly when
-		// and where it always did.
-		plans = naivePlans(parts)
-	} else {
-		if m.prePredsExclude(env) {
-			return nil
-		}
-		plans = m.plansFor(parts, env)
+// Match enumerates all matches eagerly, collecting them into a slice,
+// for callers that need the full set: the MERGE clauses decide between
+// matching and creating per record.
+func (m *Matcher) Match(parts []*ast.PatternPart, env expr.Env) ([]expr.Env, error) {
+	var it Iter
+	it.Reset(m, parts, env, nil)
+	res, err := it.Next(math.MaxInt)
+	if err != nil {
+		return nil, err
 	}
-	return m.enumerate(plans, nil, env, yield)
+	return res, nil
+}
+
+// MatchExists reports whether at least one match exists (early exit).
+func (m *Matcher) MatchExists(parts []*ast.PatternPart, env expr.Env) (bool, error) {
+	var it Iter
+	it.Reset(m, parts, env, nil)
+	res, err := it.Next(1)
+	return len(res) > 0 && err == nil, err
 }
 
 // prePredsExclude reports whether a pre-predicate rules env out.
@@ -170,59 +153,6 @@ func (m *Matcher) prePredsExclude(env expr.Env) bool {
 		}
 	}
 	return false
-}
-
-// enumerate runs planned parts over env, counting each yielded match in
-// Stats and swallowing ErrStop. Non-nil anchors restrict the first
-// planned part's anchor slot to that subset (see StreamAnchors).
-func (m *Matcher) enumerate(plans []partPlan, anchors []graph.NodeID, env expr.Env, yield func(expr.Env) error) error {
-	used := make(map[graph.RelID]bool)
-	counted := func(e expr.Env) error {
-		if m.Stats != nil {
-			m.Stats.Emitted++
-		}
-		return yield(e)
-	}
-	var err error
-	if anchors == nil {
-		err = m.matchParts(plans, 0, env, used, counted)
-	} else {
-		err = m.matchPartFrom(plans[0], anchors, env, used, func(e expr.Env) error {
-			return m.matchParts(plans, 1, e, used, counted)
-		})
-	}
-	if errors.Is(err, ErrStop) {
-		return nil
-	}
-	return err
-}
-
-// Match enumerates all matches eagerly, collecting them into a slice,
-// for callers that need the full set: the MERGE clauses decide between
-// matching and creating per record.
-func (m *Matcher) Match(parts []*ast.PatternPart, env expr.Env) ([]expr.Env, error) {
-	var results []expr.Env
-	err := m.Stream(parts, env, func(e expr.Env) error {
-		results = append(results, e)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// MatchExists reports whether at least one match exists (early exit).
-func (m *Matcher) MatchExists(parts []*ast.PatternPart, env expr.Env) (bool, error) {
-	found := false
-	err := m.Stream(parts, env, func(expr.Env) error {
-		found = true
-		return ErrStop
-	})
-	if err != nil {
-		return false, err
-	}
-	return found, nil
 }
 
 // plansFor returns the execution plan for parts under env's bound
@@ -317,136 +247,512 @@ func (m *Matcher) plansFor(parts []*ast.PatternPart, env expr.Env) []partPlan {
 	return plans
 }
 
-func (m *Matcher) matchParts(plans []partPlan, i int, env expr.Env, used map[graph.RelID]bool, yield func(expr.Env) error) error {
-	if i == len(plans) {
-		return yield(env)
-	}
-	return m.matchPartFrom(plans[i], nil, env, used, func(e expr.Env) error {
-		return m.matchParts(plans, i+1, e, used, yield)
-	})
+// Iter is a resumable enumeration of the matches of a pattern tuple
+// that extend one environment. It walks the planned parts depth first
+// over an explicit stack of frames — a part's anchor candidates, a
+// single hop's relationship candidates, one level of a variable-length
+// search — so Next can return after any match and later resume where it
+// stopped, all on the caller's goroutine. A frame undoes the marks its
+// taken candidate set in the isomorphism `used` set before it takes the
+// next candidate or is popped.
+//
+// The zero Iter is exhausted; Reset starts an enumeration. The stack
+// and scratch storage are reused across Resets, so an operator keeps
+// one Iter for all its driving rows.
+type Iter struct {
+	// Filter, when non-nil, is applied to every match (the clause's
+	// WHERE): Next returns only the matches it reports true for, and an
+	// error from it ends the enumeration with that error. Reset keeps
+	// it.
+	Filter func(expr.Env) (bool, error)
+
+	m     *Matcher
+	plans []partPlan
+	// ap, when non-nil, supplies the first part's anchor candidates.
+	ap *AnchorPlan
+	// naive disables pushed-predicate pruning on the seed walk (see
+	// naiveRequired).
+	naive bool
+	stack []frame
+	// used holds the relationships bound by the taken candidates of the
+	// frames on the stack.
+	used map[graph.RelID]bool
+	// nodes and rels are each part's current slot bindings: the nodes
+	// steps start from, and the relationships of a path value.
+	nodes [][]graph.NodeID
+	rels  [][][]graph.RelID
+	out   []expr.Env
+	err   error
 }
 
-// matchPartFrom enumerates one path pattern following its plan: anchor
-// candidates first, then the planned expansion steps, which may walk the
-// written pattern in both directions. Slot bindings are tracked by node
-// and relationship position so path values come out in written
-// left-to-right order regardless of the walk. Non-nil anchors restrict
-// the anchor slot to that subset (the morsel-parallel entry point, see
-// StreamAnchors); nil enumerates the planned candidates.
-func (m *Matcher) matchPartFrom(pp partPlan, anchors []graph.NodeID, env expr.Env, used map[graph.RelID]bool, yield func(expr.Env) error) error {
-	part := pp.part
-	nodeIDs := make([]graph.NodeID, len(part.Nodes))
-	relIDs := make([][]graph.RelID, len(part.Rels))
+type frameKind uint8
 
-	var walk func(si int, env expr.Env) error
-	walk = func(si int, env expr.Env) error {
-		if si == len(pp.steps) {
-			out := env
-			if part.Var != "" {
-				p := value.Path{}
-				for _, n := range nodeIDs {
-					p.Nodes = append(p.Nodes, int64(n))
-				}
-				for _, rs := range relIDs {
-					// Var-length slots contribute their whole traversal (in
-					// written order); for path values we record only slot
-					// endpoint nodes (intermediate node ids are recoverable
-					// from the relationships).
-					for _, r := range rs {
-						p.Rels = append(p.Rels, int64(r))
-					}
-				}
-				out = env.With(part.Var, p)
-			}
-			return yield(out)
-		}
-		st := pp.steps[si]
-		rp := part.Rels[st.rel]
-		np := part.Nodes[st.to]
-		at := nodeIDs[st.from]
-		if rp.VarLength {
-			return m.expandVarLength(rp, np, at, st.reversed, env, used, func(relList []graph.RelID, end graph.NodeID, env2 expr.Env) error {
-				nodeIDs[st.to] = end
-				relIDs[st.rel] = relList
-				return walk(si+1, env2)
-			})
-		}
-		return m.expandRel(rp, np, at, st.reversed, env, used, func(rid graph.RelID, end graph.NodeID, env2 expr.Env) error {
-			nodeIDs[st.to] = end
-			if part.Var != "" {
-				relIDs[st.rel] = []graph.RelID{rid}
-			}
-			return walk(si+1, env2)
-		})
-	}
+const (
+	rootFrame   frameKind = iota // one candidate: the seed env entering part 0
+	anchorFrame                  // node candidates of a part's anchor slot
+	hopFrame                     // relationship candidates of a single-hop step
+	varFrame                     // one level of a variable-length step's search
+)
 
-	anchorFn := func(n graph.NodeID, env2 expr.Env) error {
-		nodeIDs[pp.anchor] = n
-		return walk(0, env2)
-	}
-	if anchors != nil {
-		return m.matchNodeFrom(part.Nodes[pp.anchor], anchors, env, anchorFn)
-	}
-	return m.matchNode(part.Nodes[pp.anchor], pp.seek, env, anchorFn)
+// frame is one level of the search: a candidate list, how many of its
+// candidates have been taken (the last taken is pos-1), and the env the
+// level was entered with. A var frame whose depth reaches the minimum
+// hop count starts at pos -1: taking that "stop here" entry ends the
+// path at the frame's node before any longer path is tried.
+type frame struct {
+	kind       frameKind
+	preBound   bool // hop frames: env already binds the relationship variable
+	marked     bool // the taken candidate's relationships are in Iter.used
+	part, step int
+	depth      int          // var frames: hops taken so far in this step
+	at         graph.NodeID // var frames: the node this level expands from
+	pos        int
+	env        expr.Env
+	nodes      []graph.NodeID
+	rels       []relCandidate
 }
 
-// matchNode enumerates candidate nodes for a node pattern, extending
-// env. A non-nil seek narrows the candidates to one bucket of a
-// property index (see seekCandidates); the full per-candidate checks
-// still run, so the seek is semantically invisible.
-func (m *Matcher) matchNode(np *ast.NodePattern, seek *seekPlan, env expr.Env, yield func(graph.NodeID, expr.Env) error) error {
-	// Pre-bound variable: check, do not enumerate.
-	if np.Var != "" {
-		if bound, ok := env[np.Var]; ok {
-			nv, isNode := bound.(value.Node)
-			if !isNode {
-				if value.IsNull(bound) {
-					return nil // null never matches a node pattern
-				}
-				return fmt.Errorf("variable `%s` is bound to %s, expected Node", np.Var, bound.Kind())
-			}
-			id := graph.NodeID(nv.ID)
-			ok2, err := m.nodeSatisfies(id, np, env)
-			if err != nil || !ok2 {
-				return err
-			}
-			return yield(id, env)
-		}
+// Reset starts it over the matches of parts that extend env. Variables
+// bound in env constrain the match; the matches also bind the pattern's
+// unbound variables (a named path binds a value.Path) and share
+// structure with env. A non-nil ap — from PlanAnchors over parts, or a
+// Chunk of it — supplies the plan and restricts the first planned
+// part's anchor slot to ap's candidates.
+func (it *Iter) Reset(m *Matcher, parts []*ast.PatternPart, env expr.Env, ap *AnchorPlan) {
+	it.m, it.ap, it.err = m, ap, nil
+	it.stack = it.stack[:0]
+	clear(it.used)
+	it.naive = ap == nil && (m.DisablePlan || m.naiveRequired(parts, env))
+	if !it.naive && m.prePredsExclude(env) {
+		return
 	}
-	var candidates []graph.NodeID
-	seeked := false
-	if seek != nil {
-		candidates, seeked = m.seekCandidates(seek, np, env)
+	switch {
+	case ap != nil:
+		it.plans = ap.plans
+	case it.naive:
+		// The seed's walk, bit for bit: written order, first-node
+		// anchors, no pruning — so every runtime error (mistyped
+		// binding, erroring property expression) surfaces exactly when
+		// and where it always did.
+		it.plans = naivePlans(parts)
+	default:
+		it.plans = m.plansFor(parts, env)
 	}
-	if !seeked {
-		candidates = m.nodeCandidates(np)
+	it.nodes = resize(it.nodes, len(it.plans))
+	it.rels = resize(it.rels, len(it.plans))
+	for i, pp := range it.plans {
+		it.nodes[i] = resize(it.nodes[i], len(pp.part.Nodes))
+		it.rels[i] = resize(it.rels[i], len(pp.part.Rels))
 	}
-	return m.matchNodeFrom(np, candidates, env, yield)
+	it.stack = append(it.stack, frame{kind: rootFrame, env: env})
 }
 
-// matchNodeFrom runs matchNode's per-candidate checks over an explicit
-// candidate list.
-func (m *Matcher) matchNodeFrom(np *ast.NodePattern, candidates []graph.NodeID, env expr.Env, yield func(graph.NodeID, expr.Env) error) error {
-	for _, id := range candidates {
-		if m.Stats != nil {
-			m.Stats.NodeVisits++
+// resize returns s with length n, reusing its storage when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Next returns up to max further matches in enumeration order. It stops
+// right after the max-th, so no candidate past it is visited; fewer
+// than max means the enumeration is over. The slice is reused by the
+// next call. On an error Next returns the matches found before it with
+// the error, and every later call returns the error alone.
+func (it *Iter) Next(max int) ([]expr.Env, error) {
+	it.out = it.out[:0]
+	for len(it.out) < max && len(it.stack) > 0 && it.err == nil {
+		it.err = it.advance()
+	}
+	return it.out, it.err
+}
+
+// Done reports whether the enumeration is over: exhausted or failed.
+func (it *Iter) Done() bool { return len(it.stack) == 0 || it.err != nil }
+
+// advance takes the top frame's next candidate, or pops the frame when
+// it has none left. Either way the frame first clears the marks of the
+// candidate it took before.
+func (it *Iter) advance() error {
+	top := len(it.stack) - 1
+	f := &it.stack[top]
+	if f.marked {
+		it.mark(top, false)
+	}
+	switch f.kind {
+	case rootFrame:
+		if f.pos == 0 {
+			f.pos++
+			return it.enterPart(0, f.env)
 		}
-		ok, err := m.nodeSatisfies(id, np, env)
-		if err != nil {
-			return err
+	case anchorFrame:
+		if f.pos < len(f.nodes) {
+			f.pos++
+			return it.takeAnchor(top)
 		}
-		if !ok {
-			continue
+	case hopFrame:
+		if f.pos < len(f.rels) {
+			f.pos++
+			return it.takeHop(top)
 		}
-		env2 := env
+	case varFrame:
+		if f.pos < len(f.rels) {
+			f.pos++
+			if f.pos == 0 {
+				return it.takeEnd(top)
+			}
+			return it.takeVarHop(top)
+		}
+	}
+	it.stack = it.stack[:top]
+	return nil
+}
+
+// mark sets or clears, in the used set, the relationships frame i's
+// taken candidate bound: a hop's relationship, or every relationship of
+// the path a variable-length level stopped at (its ancestors' hops).
+func (it *Iter) mark(i int, on bool) {
+	f := &it.stack[i]
+	f.marked = on
+	if f.kind == hopFrame {
+		it.setUsed(f.rels[f.pos-1].rid, on)
+		return
+	}
+	for j := i - f.depth; j < i; j++ {
+		a := &it.stack[j]
+		it.setUsed(a.rels[a.pos-1].rid, on)
+	}
+}
+
+func (it *Iter) setUsed(rid graph.RelID, on bool) {
+	if !on {
+		delete(it.used, rid)
+		return
+	}
+	if it.used == nil {
+		it.used = make(map[graph.RelID]bool)
+	}
+	it.used[rid] = true
+}
+
+// enterPart starts part pi under env, or emits env once every part is
+// matched.
+func (it *Iter) enterPart(pi int, env expr.Env) error {
+	if pi == len(it.plans) {
+		return it.emit(env)
+	}
+	m := it.m
+	pp := &it.plans[pi]
+	np := pp.part.Nodes[pp.anchor]
+	f := frame{kind: anchorFrame, part: pi, env: env}
+	if pi == 0 && it.ap != nil {
+		f.nodes = it.ap.anchors
+	} else {
 		if np.Var != "" {
-			env2 = env.With(np.Var, value.Node{ID: int64(id)})
+			if v, ok := env[np.Var]; ok {
+				// Pre-bound variable: check, do not enumerate.
+				id, ok, err := asNode(np, v)
+				if err != nil || !ok {
+					return err
+				}
+				if ok, err = m.nodeSatisfies(id, np, env, it.naive); err != nil || !ok {
+					return err
+				}
+				it.nodes[pi][pp.anchor] = id
+				return it.enterStep(pi, 0, env)
+			}
 		}
-		if err := yield(id, env2); err != nil {
-			return err
+		// A seek narrows the candidates to one bucket of a property
+		// index; the full per-candidate checks still run, so the seek is
+		// semantically invisible.
+		seeked := false
+		if pp.seek != nil {
+			f.nodes, seeked = m.seekCandidates(pp.seek, np, env)
 		}
+		if !seeked {
+			f.nodes = m.nodeCandidates(np)
+		}
+	}
+	it.stack = append(it.stack, f)
+	return nil
+}
+
+// takeAnchor binds anchor frame i's next node candidate and starts the
+// part's first step.
+func (it *Iter) takeAnchor(i int) error {
+	f := &it.stack[i]
+	id, pi, env := f.nodes[f.pos-1], f.part, f.env
+	m := it.m
+	if m.Stats != nil {
+		m.Stats.NodeVisits++
+	}
+	pp := &it.plans[pi]
+	np := pp.part.Nodes[pp.anchor]
+	ok, err := m.nodeSatisfies(id, np, env, it.naive)
+	if err != nil || !ok {
+		return err
+	}
+	if np.Var != "" {
+		env = env.With(np.Var, value.Node{ID: int64(id)})
+	}
+	it.nodes[pi][pp.anchor] = id
+	return it.enterStep(pi, 0, env)
+}
+
+// enterStep starts step si of part pi from env. Past the last step it
+// binds the part's path variable — nodes and relationships in written
+// order, whatever the walk — and enters the next part.
+func (it *Iter) enterStep(pi, si int, env expr.Env) error {
+	pp := &it.plans[pi]
+	if si == len(pp.steps) {
+		if pp.part.Var != "" {
+			env = env.With(pp.part.Var, it.path(pi))
+		}
+		return it.enterPart(pi+1, env)
+	}
+	st := pp.steps[si]
+	rp := pp.part.Rels[st.rel]
+	at := it.nodes[pi][st.from]
+	f := frame{kind: hopFrame, part: pi, step: si, env: env}
+	var preBound *graph.RelID
+	if rp.Var != "" {
+		if v, ok := env[rp.Var]; ok {
+			if rp.VarLength {
+				return fmt.Errorf("variable-length relationship variable `%s` cannot be pre-bound", rp.Var)
+			}
+			rv, isRel := v.(value.Rel)
+			if !isRel {
+				if value.IsNull(v) {
+					return nil
+				}
+				return fmt.Errorf("variable `%s` is bound to %s, expected Relationship", rp.Var, v.Kind())
+			}
+			id := graph.RelID(rv.ID)
+			preBound, f.preBound = &id, true
+		}
+	}
+	if rp.VarLength {
+		it.pushLevel(f, at, 0)
+		return nil
+	}
+	f.rels = it.m.relCandidates(it.spare(), rp, at, preBound, st.reversed)
+	it.stack = append(it.stack, f)
+	return nil
+}
+
+// spare returns, emptied, the candidate storage the frame that last
+// occupied the next stack slot left behind.
+func (it *Iter) spare() []relCandidate {
+	if n := len(it.stack); n < cap(it.stack) {
+		return it.stack[:n+1][n].rels[:0]
 	}
 	return nil
+}
+
+// takeHop binds hop frame i's next relationship and its far node, marks
+// the relationship used and continues with the next step.
+func (it *Iter) takeHop(i int) error {
+	f := &it.stack[i]
+	c, pi, si, env := f.rels[f.pos-1], f.part, f.step, f.env
+	m := it.m
+	if m.Stats != nil {
+		m.Stats.RelVisits++
+	}
+	pp := &it.plans[pi]
+	st := pp.steps[si]
+	rp := pp.part.Rels[st.rel]
+	ok, err := it.relSatisfies(c.rid, rp, env)
+	if err != nil || !ok {
+		return err
+	}
+	if rp.Var != "" && !f.preBound {
+		env = env.With(rp.Var, value.Rel{ID: int64(c.rid)})
+	}
+	// Pushed WHERE conjuncts over the relationship slot prune before the
+	// far endpoint is even considered (same contract as the node
+	// predicates in nodeSatisfies).
+	if !it.naive && rp.Var != "" && len(m.RelPreds) > 0 {
+		for _, p := range m.RelPreds[rp] {
+			tri, err := m.Ev.EvalBool(p, env)
+			if err == nil && tri != value.True {
+				return nil
+			}
+		}
+	}
+	env, ok, err = it.endNode(pp.part.Nodes[st.to], c.end, env)
+	if err != nil || !ok {
+		return err
+	}
+	it.mark(i, true)
+	it.nodes[pi][st.to] = c.end
+	if pp.part.Var != "" {
+		it.rels[pi][st.rel] = append(it.rels[pi][st.rel][:0], c.rid)
+	}
+	return it.enterStep(pi, si+1, env)
+}
+
+// pushLevel pushes level depth of a variable-length step's search at
+// node at: its stop entry when depth reaches the minimum hop count,
+// then the relationships that extend the path, unless depth is the
+// maximum. Every level evaluates the pattern against the env the step
+// was entered with.
+func (it *Iter) pushLevel(f frame, at graph.NodeID, depth int) {
+	st := it.plans[f.part].steps[f.step]
+	rp := it.plans[f.part].part.Rels[st.rel]
+	minHops := rp.MinHops
+	if minHops < 0 {
+		minHops = 1
+	}
+	f.kind, f.at, f.depth, f.pos = varFrame, at, depth, 0
+	if depth >= minHops {
+		f.pos = -1
+	}
+	if rp.MaxHops < 0 || depth < rp.MaxHops {
+		f.rels = it.m.relCandidates(it.spare(), rp, at, nil, st.reversed)
+	}
+	it.stack = append(it.stack, f)
+}
+
+// takeVarHop extends var frame i's path by its next relationship and
+// pushes the level beyond it. Relationships are unique within a path in
+// both modes, which guarantees termination; in Isomorphism mode they
+// also respect the clause-wide used set.
+func (it *Iter) takeVarHop(i int) error {
+	f := &it.stack[i]
+	c := f.rels[f.pos-1]
+	if it.m.Stats != nil {
+		it.m.Stats.RelVisits++
+	}
+	for j := i - f.depth; j < i; j++ {
+		if a := &it.stack[j]; a.rels[a.pos-1].rid == c.rid {
+			return nil
+		}
+	}
+	pp := &it.plans[f.part]
+	ok, err := it.relSatisfies(c.rid, pp.part.Rels[pp.steps[f.step].rel], f.env)
+	if err != nil || !ok {
+		return err
+	}
+	it.pushLevel(frame{part: f.part, step: f.step, env: f.env}, c.end, f.depth+1)
+	return nil
+}
+
+// takeEnd ends var frame i's path at its node: it binds the path's
+// relationships (in written order, whichever way the walk ran), checks
+// the far node pattern, marks the relationships used and continues with
+// the next step.
+func (it *Iter) takeEnd(i int) error {
+	f := &it.stack[i]
+	pi, si, at, env := f.part, f.step, f.at, f.env
+	pp := &it.plans[pi]
+	st := pp.steps[si]
+	rp := pp.part.Rels[st.rel]
+	path := it.rels[pi][st.rel][:0]
+	for j := i - f.depth; j < i; j++ {
+		a := &it.stack[j]
+		path = append(path, a.rels[a.pos-1].rid)
+	}
+	if st.reversed {
+		slices.Reverse(path)
+	}
+	it.rels[pi][st.rel] = path
+	if rp.Var != "" {
+		lst := make(value.List, len(path))
+		for k, rid := range path {
+			lst[k] = value.Rel{ID: int64(rid)}
+		}
+		env = env.With(rp.Var, lst)
+	}
+	env, ok, err := it.endNode(pp.part.Nodes[st.to], at, env)
+	if err != nil || !ok {
+		return err
+	}
+	it.mark(i, true)
+	it.nodes[pi][st.to] = at
+	return it.enterStep(pi, si+1, env)
+}
+
+// relSatisfies checks a relationship candidate against the used set (in
+// Isomorphism mode), the pattern's types and its inline properties.
+func (it *Iter) relSatisfies(rid graph.RelID, rp *ast.RelPattern, env expr.Env) (bool, error) {
+	if it.m.Mode == Isomorphism && it.used[rid] {
+		return false, nil
+	}
+	r := it.m.Graph.Rel(rid)
+	if r == nil || !typeMatches(r, rp.Types) {
+		return false, nil
+	}
+	return it.m.propsSatisfy(r.Props, rp.Props, env)
+}
+
+// endNode checks a hop's far endpoint against its node pattern, binding
+// the pattern's variable unless env already does.
+func (it *Iter) endNode(np *ast.NodePattern, end graph.NodeID, env expr.Env) (expr.Env, bool, error) {
+	if np.Var != "" {
+		if v, ok := env[np.Var]; ok {
+			id, ok, err := asNode(np, v)
+			if err != nil || !ok || id != end {
+				return env, false, err
+			}
+			ok, err = it.m.nodeSatisfies(end, np, env, it.naive)
+			return env, ok, err
+		}
+	}
+	ok, err := it.m.nodeSatisfies(end, np, env, it.naive)
+	if err != nil || !ok {
+		return env, false, err
+	}
+	if np.Var != "" {
+		env = env.With(np.Var, value.Node{ID: int64(end)})
+	}
+	return env, true, nil
+}
+
+// asNode reads a node pattern variable's pre-bound value: null matches
+// no node, and any other non-node is an error.
+func asNode(np *ast.NodePattern, v value.Value) (graph.NodeID, bool, error) {
+	nv, isNode := v.(value.Node)
+	if !isNode {
+		if value.IsNull(v) {
+			return 0, false, nil
+		}
+		return 0, false, fmt.Errorf("variable `%s` is bound to %s, expected Node", np.Var, v.Kind())
+	}
+	return graph.NodeID(nv.ID), true, nil
+}
+
+// emit counts a complete match and, when it passes the Filter, adds it
+// to Next's output.
+func (it *Iter) emit(env expr.Env) error {
+	if it.m.Stats != nil {
+		it.m.Stats.Emitted++
+	}
+	if it.Filter != nil {
+		keep, err := it.Filter(env)
+		if err != nil || !keep {
+			return err
+		}
+	}
+	it.out = append(it.out, env)
+	return nil
+}
+
+// path builds part pi's path value from its slot bindings. A
+// variable-length slot contributes its whole relationship list; the
+// path's nodes are the slot endpoints (intermediate node ids are
+// recoverable from the relationships).
+func (it *Iter) path(pi int) value.Path {
+	p := value.Path{}
+	for _, n := range it.nodes[pi] {
+		p.Nodes = append(p.Nodes, int64(n))
+	}
+	for _, rs := range it.rels[pi] {
+		for _, r := range rs {
+			p.Rels = append(p.Rels, int64(r))
+		}
+	}
+	return p
 }
 
 // nodeCandidates uses the label index when the pattern names labels.
@@ -501,7 +807,9 @@ func (m *Matcher) seekCandidates(seek *seekPlan, np *ast.NodePattern, env expr.E
 	return m.Graph.NodeIDsByProp(seek.label, seek.prop, v), true
 }
 
-func (m *Matcher) nodeSatisfies(id graph.NodeID, np *ast.NodePattern, env expr.Env) (bool, error) {
+// nodeSatisfies checks a node against a node pattern's labels, inline
+// properties and (unless naive) pushed WHERE conjuncts.
+func (m *Matcher) nodeSatisfies(id graph.NodeID, np *ast.NodePattern, env expr.Env, naive bool) (bool, error) {
 	n := m.Graph.Node(id)
 	if n == nil {
 		return false, nil
@@ -520,7 +828,7 @@ func (m *Matcher) nodeSatisfies(id graph.NodeID, np *ast.NodePattern, env expr.E
 	// here makes the full WHERE non-true on every completion, so
 	// pruning is invisible; evaluation errors defer to the consumer's
 	// full WHERE over complete rows.
-	if !m.runNaive && np.Var != "" && len(m.NodePreds) > 0 {
+	if !naive && np.Var != "" && len(m.NodePreds) > 0 {
 		if preds := m.NodePreds[np]; len(preds) > 0 {
 			e2 := env
 			if _, bound := env[np.Var]; !bound {
@@ -559,84 +867,15 @@ func (m *Matcher) propsSatisfy(stored map[string]value.Value, propsExpr ast.Expr
 	return true, nil
 }
 
-// expandRel enumerates single-hop relationship candidates from node
-// `at`; reversed means `at` is the written pattern's right endpoint and
-// the pattern direction is flipped against the adjacency lists.
-func (m *Matcher) expandRel(rp *ast.RelPattern, np *ast.NodePattern, at graph.NodeID, reversed bool, env expr.Env, used map[graph.RelID]bool, yield func(graph.RelID, graph.NodeID, expr.Env) error) error {
-	// Pre-bound relationship variable restricts candidates to one.
-	var preBound *graph.RelID
-	if rp.Var != "" {
-		if bound, ok := env[rp.Var]; ok {
-			rv, isRel := bound.(value.Rel)
-			if !isRel {
-				if value.IsNull(bound) {
-					return nil
-				}
-				return fmt.Errorf("variable `%s` is bound to %s, expected Relationship", rp.Var, bound.Kind())
-			}
-			id := graph.RelID(rv.ID)
-			preBound = &id
-		}
-	}
-
-	tryCandidate := func(rid graph.RelID, end graph.NodeID) error {
-		if m.Stats != nil {
-			m.Stats.RelVisits++
-		}
-		if m.Mode == Isomorphism && used[rid] {
-			return nil
-		}
-		r := m.Graph.Rel(rid)
-		if r == nil || !typeMatches(r, rp.Types) {
-			return nil
-		}
-		ok, err := m.propsSatisfy(r.Props, rp.Props, env)
-		if err != nil || !ok {
-			return err
-		}
-		env2 := env
-		if rp.Var != "" && preBound == nil {
-			env2 = env.With(rp.Var, value.Rel{ID: int64(rid)})
-		}
-		// Pushed WHERE conjuncts over the relationship slot prune before
-		// the far endpoint is even considered (same contract as the node
-		// predicates in nodeSatisfies).
-		if !m.runNaive && rp.Var != "" && len(m.RelPreds) > 0 {
-			for _, p := range m.RelPreds[rp] {
-				tri, err := m.Ev.EvalBool(p, env2)
-				if err == nil && tri != value.True {
-					return nil
-				}
-			}
-		}
-		// Check the far node pattern.
-		return m.checkEndNode(np, end, env2, func(env3 expr.Env) error {
-			used[rid] = true
-			err := yield(rid, end, env3)
-			delete(used, rid)
-			return err
-		})
-	}
-
-	candidates := m.relCandidates(rp, at, preBound, reversed)
-	for _, c := range candidates {
-		if err := tryCandidate(c.rid, c.end); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 type relCandidate struct {
 	rid graph.RelID
 	end graph.NodeID
 }
 
-// relCandidates lists (relationship, far-endpoint) pairs consistent with
-// the pattern's direction, starting at node `at`; reversed flips the
-// direction for right-to-left traversal.
-func (m *Matcher) relCandidates(rp *ast.RelPattern, at graph.NodeID, preBound *graph.RelID, reversed bool) []relCandidate {
-	var out []relCandidate
+// relCandidates appends to out the (relationship, far-endpoint) pairs
+// consistent with the pattern's direction, starting at node `at`;
+// reversed flips the direction for right-to-left traversal.
+func (m *Matcher) relCandidates(out []relCandidate, rp *ast.RelPattern, at graph.NodeID, preBound *graph.RelID, reversed bool) []relCandidate {
 	add := func(rid graph.RelID, end graph.NodeID) {
 		if preBound != nil && rid != *preBound {
 			return
@@ -673,134 +912,6 @@ func typeMatches(r *graph.Rel, types []string) bool {
 		}
 	}
 	return false
-}
-
-// checkEndNode validates the far endpoint against its node pattern,
-// binding its variable if fresh.
-func (m *Matcher) checkEndNode(np *ast.NodePattern, end graph.NodeID, env expr.Env, yield func(expr.Env) error) error {
-	if np.Var != "" {
-		if bound, ok := env[np.Var]; ok {
-			nv, isNode := bound.(value.Node)
-			if !isNode {
-				if value.IsNull(bound) {
-					return nil
-				}
-				return fmt.Errorf("variable `%s` is bound to %s, expected Node", np.Var, bound.Kind())
-			}
-			if graph.NodeID(nv.ID) != end {
-				return nil
-			}
-			ok2, err := m.nodeSatisfies(end, np, env)
-			if err != nil || !ok2 {
-				return err
-			}
-			return yield(env)
-		}
-	}
-	ok, err := m.nodeSatisfies(end, np, env)
-	if err != nil || !ok {
-		return err
-	}
-	if np.Var != "" {
-		env = env.With(np.Var, value.Node{ID: int64(end)})
-	}
-	return yield(env)
-}
-
-// expandVarLength enumerates variable-length paths of rp's type starting
-// at `at`, with hop count in [min, max]. Relationship uniqueness is
-// enforced within the traversed path in both modes (guaranteeing
-// termination); in Isomorphism mode the path's relationships additionally
-// respect the clause-wide used set. With reversed set, `at` is the
-// written pattern's right endpoint: traversal runs right to left, and
-// the relationship list is flipped before use so bound list values and
-// path values always read in written order.
-func (m *Matcher) expandVarLength(rp *ast.RelPattern, np *ast.NodePattern, at graph.NodeID, reversed bool, env expr.Env, used map[graph.RelID]bool, yield func([]graph.RelID, graph.NodeID, expr.Env) error) error {
-	minHops := rp.MinHops
-	if minHops < 0 {
-		minHops = 1
-	}
-	maxHops := rp.MaxHops // -1 = unbounded
-	if rp.Var != "" {
-		if _, ok := env[rp.Var]; ok {
-			return fmt.Errorf("variable-length relationship variable `%s` cannot be pre-bound", rp.Var)
-		}
-	}
-
-	inPath := make(map[graph.RelID]bool)
-	var path []graph.RelID
-
-	emit := func(end graph.NodeID) error {
-		relsCopy := append([]graph.RelID(nil), path...)
-		if reversed {
-			// The traversal collected relationships right to left.
-			for i, j := 0, len(relsCopy)-1; i < j; i, j = i+1, j-1 {
-				relsCopy[i], relsCopy[j] = relsCopy[j], relsCopy[i]
-			}
-		}
-		env2 := env
-		if rp.Var != "" {
-			lst := make(value.List, len(relsCopy))
-			for i, rid := range relsCopy {
-				lst[i] = value.Rel{ID: int64(rid)}
-			}
-			env2 = env.With(rp.Var, lst)
-		}
-		return m.checkEndNode(np, end, env2, func(env3 expr.Env) error {
-			for _, rid := range relsCopy {
-				used[rid] = true
-			}
-			err := yield(relsCopy, end, env3)
-			for _, rid := range relsCopy {
-				delete(used, rid)
-			}
-			return err
-		})
-	}
-
-	var dfs func(cur graph.NodeID) error
-	dfs = func(cur graph.NodeID) error {
-		if len(path) >= minHops {
-			if err := emit(cur); err != nil {
-				return err
-			}
-		}
-		if maxHops >= 0 && len(path) >= maxHops {
-			return nil
-		}
-		for _, c := range m.relCandidates(rp, cur, nil, reversed) {
-			if m.Stats != nil {
-				m.Stats.RelVisits++
-			}
-			if inPath[c.rid] {
-				continue
-			}
-			if m.Mode == Isomorphism && used[c.rid] {
-				continue
-			}
-			r := m.Graph.Rel(c.rid)
-			if r == nil || !typeMatches(r, rp.Types) {
-				continue
-			}
-			ok, err := m.propsSatisfy(r.Props, rp.Props, env)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			inPath[c.rid] = true
-			path = append(path, c.rid)
-			err = dfs(c.end)
-			path = path[:len(path)-1]
-			delete(inPath, c.rid)
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return dfs(at)
 }
 
 // PatternVariables lists the variables a pattern tuple would bind, in

@@ -2,14 +2,14 @@
 //
 // The planner anchors the first planned part at its most selective node
 // slot and enumerates that slot's candidates in ascending id order; the
-// rest of the search is a pure function of each anchor candidate (the
-// isomorphism `used` set is fully backtracked between candidates, see
-// expandRel/expandVarLength). Splitting the candidate list into
-// contiguous chunks and enumerating each chunk independently therefore
-// produces exactly the corresponding subsequences of the serial
-// enumeration — which is what lets the executor fan anchor candidates
-// out as morsels over a pinned immutable snapshot and gather the
-// results back in morsel order, bit-identical to a serial run.
+// rest of the search is a pure function of each anchor candidate (every
+// frame of the Iter clears its isomorphism marks before its next
+// candidate). Splitting the candidate list into contiguous chunks and
+// enumerating each chunk independently therefore produces exactly the
+// corresponding subsequences of the serial enumeration — which is what
+// lets the executor fan anchor candidates out as morsels over a pinned
+// immutable snapshot and gather the results back in morsel order,
+// bit-identical to a serial run.
 package match
 
 import (
@@ -23,7 +23,6 @@ import (
 // part. It is immutable after PlanAnchors and safe to share across
 // worker matchers enumerating disjoint anchor subsets concurrently.
 type AnchorPlan struct {
-	parts   []*ast.PatternPart
 	plans   []partPlan
 	anchors []graph.NodeID
 }
@@ -35,7 +34,7 @@ func (ap *AnchorPlan) Anchors() []graph.NodeID { return ap.anchors }
 // PlanAnchors plans parts for env's bound variables and, when the
 // enumeration is partitionable by anchor candidate, returns the shared
 // plan plus the first planned part's candidate list. It returns
-// ok=false — and the caller must fall back to serial Stream — when any
+// ok=false — and the caller must enumerate serially — when any
 // per-row dimension could differ from the build-time plan:
 //
 //   - the naive seed walk is (or could become) required: DisablePlan,
@@ -67,30 +66,14 @@ func (m *Matcher) PlanAnchors(parts []*ast.PatternPart, env expr.Env) (*AnchorPl
 			return nil, false
 		}
 	}
-	return &AnchorPlan{parts: parts, plans: plans, anchors: m.nodeCandidates(np)}, true
+	return &AnchorPlan{plans: plans, anchors: m.nodeCandidates(np)}, true
 }
 
-// StreamAnchors enumerates matches exactly like Stream, except that the
-// first planned part's anchor candidates are restricted to the given
-// subset (a sub-slice of ap.Anchors()). The receiving matcher performs
-// the enumeration — workers each use their own Matcher (own Stats), with
-// the same pushdown installed as the planning matcher had — while the
-// AnchorPlan itself is shared read-only.
-func (m *Matcher) StreamAnchors(ap *AnchorPlan, anchors []graph.NodeID, env expr.Env, yield func(expr.Env) error) error {
-	m.runNaive = false
-	// Each morsel re-checks the pre-predicates (cheap, and the result is
-	// identical for every morsel of one statement).
-	if m.prePredsExclude(env) {
-		return nil
-	}
-	return m.enumerate(ap.plans, anchors, env, yield)
-}
-
-// NewAnchorCursor is NewCursor over StreamAnchors: batched pulling of
-// the matches whose first-part anchor lies in the given candidate
-// subset. See NewCursor for the max/filter contract.
-func (m *Matcher) NewAnchorCursor(ap *AnchorPlan, anchors []graph.NodeID, env expr.Env, max int, filter func(expr.Env) (bool, error)) *Cursor {
-	return newCursor(func(yield func(expr.Env) error) error {
-		return m.StreamAnchors(ap, anchors, env, yield)
-	}, max, filter)
+// Chunk returns the plan restricted to the anchor candidates
+// Anchors()[lo:hi]. An Iter Reset with it yields exactly that chunk's
+// contiguous subsequence of the serial enumeration. Each worker
+// enumerates its chunks on its own Matcher (own Stats, with the
+// planning matcher's pushdown installed), sharing the plan read-only.
+func (ap *AnchorPlan) Chunk(lo, hi int) *AnchorPlan {
+	return &AnchorPlan{plans: ap.plans, anchors: ap.anchors[lo:hi]}
 }

@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -242,17 +243,12 @@ func TestPushdownErrorsDeferred(t *testing.T) {
 	m.SetPushdown(NewPushdown(where, parts, nil))
 	// The pushdown evaluates a.v + 1 on the bad candidate too; the
 	// error must be swallowed (candidate kept, pruned by no edge).
-	var res []expr.Env
-	err := m.Stream(parts, expr.Env{}, func(e expr.Env) error {
+	it := Iter{Filter: func(e expr.Env) (bool, error) {
 		ok, err := m.Ev.EvalBool(where, e)
-		if err != nil {
-			return err
-		}
-		if ok == value.True {
-			res = append(res, e)
-		}
-		return nil
-	})
+		return ok == value.True, err
+	}}
+	it.Reset(m, parts, expr.Env{}, nil)
+	res, err := it.Next(math.MaxInt)
 	if err != nil {
 		t.Fatalf("pushed predicate error leaked: %v", err)
 	}

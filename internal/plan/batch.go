@@ -18,7 +18,8 @@ const BatchTarget = 256
 // explicit nulls (never nil), so a projected-away or optional-null
 // variable reads exactly like a null table cell. A batch is produced by
 // one operator and owned by its consumer; it is never reused after
-// being handed off.
+// being handed off. A batch whose row count is unknown when it is
+// started begins small (see demandCap) and grows by append.
 //
 // src optionally carries the pre-projection source environment of each
 // row so a downstream Sort can evaluate ORDER BY keys over input
@@ -39,6 +40,13 @@ func newBatch(cols []string, capacity int) *Batch {
 		b.vals[j] = make([]value.Value, 0, capacity)
 	}
 	return b
+}
+
+// demandCap is the starting capacity of an output batch whose row
+// count is not known in advance: the operator's previous batch size (1
+// before its first), at most limit. append grows it from there.
+func demandCap(last, limit int) int {
+	return min(max(last, 1), limit)
 }
 
 // Len reports the number of rows in the batch.
@@ -330,28 +338,16 @@ func (o *TableScan) NextBatch(max int) (*Batch, bool, error) {
 // NextBatch: Match
 // ---------------------------------------------------------------------
 
-// NextBatch implements Operator. Matches are drained from the
-// matcher's enumeration in slices of up to max (one coroutine switch
-// per slice, not per match — see match.Cursor) and written straight
-// into the output columns. Input is pulled with the consumer's max so
-// a LIMIT above still bounds enumeration.
+// NextBatch implements Operator. Each input row resets the operator's
+// match iterator, which fills the output batch with up to the rows it
+// still needs, on this goroutine; the matches are written straight into
+// the output columns. Input is pulled with the consumer's max so a
+// LIMIT above still bounds enumeration.
 func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
-	out := newBatch(o.cols, max)
+	out := newBatch(o.cols, demandCap(o.last, max))
 	for out.n < max {
-		if len(o.buf) > 0 {
-			take := max - out.n
-			if take > len(o.buf) {
-				take = len(o.buf)
-			}
-			for _, me := range o.buf[:take] {
-				out.appendEnv(me)
-				o.emitted++
-			}
-			o.buf = o.buf[take:]
-			continue
-		}
-		if o.cur == nil {
+		if o.it.Done() {
 			if o.in == nil || o.inIdx >= o.in.n {
 				if o.inDone {
 					break
@@ -366,53 +362,31 @@ func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 				}
 				o.in, o.inIdx = in, 0
 			}
-			env := o.in.Env(o.inIdx)
+			o.curRow = o.in.Env(o.inIdx)
 			o.inIdx++
-			o.curRow = env
 			o.emitted = 0
-			if o.ap != nil {
-				o.cur = o.matcher.NewAnchorCursor(o.ap, o.anchors, env, max, o.whereFilter())
-			} else {
-				o.cur = o.matcher.NewCursor(o.cl.Pattern, env, max, o.whereFilter())
-			}
-			continue
+			o.it.Reset(o.matcher, o.cl.Pattern, o.curRow, o.ap)
 		}
-		envs, ok := o.cur.Next()
-		if ok {
-			o.buf = envs
-			continue
-		}
-		err := o.cur.Stop()
-		optional := o.cl.Optional && o.emitted == 0
-		o.cur = nil
+		envs, err := o.it.Next(max - out.n)
 		if err != nil {
 			return nil, false, err
 		}
-		if optional {
+		for _, me := range envs {
+			out.appendEnv(me)
+		}
+		o.emitted += len(envs)
+		if o.it.Done() && o.cl.Optional && o.emitted == 0 {
 			// appendEnv fills the unbound pattern variables with nulls.
 			out.appendEnv(o.curRow)
 		}
 	}
+	o.last = out.n
 	if out.n == 0 {
 		return nil, false, nil
 	}
 	o.rows += int64(out.n)
 	o.batches++
 	return out, true, nil
-}
-
-// whereFilter returns the clause's WHERE as a cursor filter, or nil.
-func (o *Match) whereFilter() func(expr.Env) (bool, error) {
-	if o.cl.Where == nil {
-		return nil
-	}
-	return func(me expr.Env) (bool, error) {
-		ok, err := o.ev.EvalBool(o.cl.Where, me)
-		if err != nil {
-			return false, err
-		}
-		return ok == value.True, nil
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -426,7 +400,7 @@ func (o *Match) whereFilter() func(expr.Env) (bool, error) {
 // contributes nothing and a non-list value unwinds as a single element.
 func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
-	out := newBatch(o.cols, max)
+	out := newBatch(o.cols, demandCap(o.last, max))
 	nchild := len(o.cols) - 1
 	for out.n < max {
 		if o.idx < len(o.elems) {
@@ -482,6 +456,7 @@ func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 			o.elems, o.idx = value.List{v}, 0
 		}
 	}
+	o.last = out.n
 	if out.n == 0 {
 		return nil, false, nil
 	}
@@ -496,7 +471,7 @@ func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 // until the batch is full, so early exit stops reading mid-file.
 func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
-	out := newBatch(o.cols, max)
+	out := newBatch(o.cols, demandCap(o.last, max))
 	nchild := len(o.cols) - 1
 	for out.n < max {
 		if o.reader != nil {
@@ -553,6 +528,7 @@ func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 		o.inIdx++
 		o.reader = r
 	}
+	o.last = out.n
 	if out.n == 0 {
 		return nil, false, nil
 	}
@@ -736,7 +712,7 @@ func (o *Sort) NextBatch(max int) (*Batch, bool, error) {
 		o.filled = true
 	}
 	max = clampMax(max)
-	b := newBatch(o.Columns(), max)
+	b := newBatch(o.Columns(), demandCap(o.last, max))
 	for b.n < max {
 		r, ok, err := o.next1()
 		if err != nil {
@@ -747,6 +723,7 @@ func (o *Sort) NextBatch(max int) (*Batch, bool, error) {
 		}
 		b.appendVals(r.vals)
 	}
+	o.last = b.n
 	if b.n == 0 {
 		return nil, false, nil
 	}
@@ -768,7 +745,7 @@ func (o *Aggregate) NextBatch(max int) (*Batch, bool, error) {
 		return nil, false, nil
 	}
 	max = clampMax(max)
-	b := newBatch(o.cols, max)
+	b := newBatch(o.cols, min(max, len(o.out)-o.idx))
 	for b.n < max && o.idx < len(o.out) {
 		b.appendEnv(o.out[o.idx])
 		o.idx++

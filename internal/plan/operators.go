@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/expr"
-	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/table"
 	"repro/internal/value"
@@ -102,33 +101,30 @@ type Match struct {
 	child   Operator
 	cl      *ast.MatchClause
 	matcher *match.Matcher
-	ev      *expr.Evaluator
 	cols    []string
 	stats   match.Stats
 	pushed  *match.Pushdown
 
 	// An anchor morsel's Match (see anchorSource) enumerates only the
-	// matches whose first planned part anchors in anchors, under the
-	// shared plan ap.
-	ap      *match.AnchorPlan
-	anchors []graph.NodeID
+	// matches whose first planned part anchors in its chunk ap.
+	ap *match.AnchorPlan
 
 	// Pull state (see NextBatch in batch.go): the current input batch
 	// and the next row of it to expand, the input row being expanded,
-	// its match cursor, matches already enumerated but not yet emitted,
-	// and how many it has emitted (OPTIONAL MATCH pads a row that
-	// emitted none).
+	// its match iterator (reset for every input row) and how many
+	// matches it has emitted (OPTIONAL MATCH pads a row that emitted
+	// none).
 	in      *Batch
 	inIdx   int
 	inDone  bool
 	curRow  expr.Env
-	cur     *match.Cursor
-	buf     []expr.Env
+	it      match.Iter
 	emitted int
 
 	st      opState
 	rows    int64
 	batches int64
+	last    int // rows in the previous output batch (see demandCap)
 }
 
 // NewMatch builds a Match operator over child. newVars are the pattern
@@ -142,12 +138,17 @@ func NewMatch(child Operator, cl *ast.MatchClause, m *match.Matcher, ev *expr.Ev
 		child:   child,
 		cl:      cl,
 		matcher: m,
-		ev:      ev,
 		cols:    append(append([]string(nil), child.Columns()...), newVars...),
 		pushed:  match.NewPushdown(cl.Where, cl.Pattern, child.Columns()),
 	}
 	o.matcher.Stats = &o.stats
 	o.matcher.SetPushdown(o.pushed)
+	if cl.Where != nil {
+		o.it.Filter = func(me expr.Env) (bool, error) {
+			ok, err := ev.EvalBool(cl.Where, me)
+			return ok == value.True, err
+		}
+	}
 	return o
 }
 
@@ -164,14 +165,9 @@ func (o *Match) Open() error {
 
 // Close implements Operator.
 func (o *Match) Close() {
-	if !o.st.close() {
-		return
+	if o.st.close() {
+		o.child.Close()
 	}
-	if o.cur != nil {
-		o.cur.Stop()
-		o.cur = nil
-	}
-	o.child.Close()
 }
 
 // Name implements Operator. Beyond the pattern it renders the planner's
@@ -254,6 +250,7 @@ type Unwind struct {
 	st      opState
 	rows    int64
 	batches int64
+	last    int // rows in the previous output batch (see demandCap)
 }
 
 // NewUnwind builds an Unwind operator over child.
@@ -317,6 +314,7 @@ type LoadCSV struct {
 	st      opState
 	rows    int64
 	batches int64
+	last    int // rows in the previous output batch (see demandCap)
 }
 
 // NewLoadCSV builds a LoadCSV operator over child.
@@ -505,6 +503,7 @@ type Distinct struct {
 	spilling bool
 	parts    []*spillFile
 	merged   *runMerger
+	last     int // rows in the previous deferred batch (see demandCap)
 }
 
 // NewDistinct builds a Distinct over child.
@@ -710,6 +709,7 @@ type Sort struct {
 	merged  *runMerger
 	rows    int64
 	batches int64
+	last    int // rows in the previous output batch (see demandCap)
 }
 
 // NewSort builds a Sort barrier over child.

@@ -5,9 +5,9 @@
 // Unwind stages) once per morsel on a bounded worker pool. A morsel is
 // an ordinary operator chain: a table-scan morsel is a TableScan over a
 // contiguous row range of the driving table, and an anchor morsel is a
-// Match over the unit record whose cursor (match.NewAnchorCursor)
-// enumerates one contiguous chunk of the MATCH clause's anchor
-// candidate list (match.AnchorPlan). Each worker owns its evaluator,
+// Match over the unit record whose iterator enumerates one contiguous
+// chunk of the MATCH clause's anchor candidate list
+// (match.AnchorPlan.Chunk). Each worker owns its evaluator,
 // matchers and scratch state; the graph snapshot and the driving table
 // are shared read-only.
 //
@@ -144,7 +144,7 @@ func (s *scanSource) label() string {
 // anchorSource splits a leading non-optional MATCH clause's anchor
 // candidate list (planned once at build time over the pinned snapshot)
 // into contiguous chunks. Each morsel is an ordinary Match over the unit
-// record whose cursor enumerates only its chunk's anchors; that yields
+// record whose iterator enumerates only its chunk's anchors; that yields
 // exactly the corresponding subsequence of the serial enumeration — the
 // isomorphism bookkeeping is fully backtracked between anchor candidates
 // (see match.PlanAnchors).
@@ -166,7 +166,7 @@ func (s *anchorSource) operator(i int, w *workerCtx) Operator {
 	// Slot -1 is the anchor Match's matcher, reused across the worker's
 	// morsels like every stage's.
 	m := NewMatch(NewUnit(), s.cl, w.matcherFor(-1), w.ev, s.newVars)
-	m.ap, m.anchors = s.ap, anchors[lo:min(lo+s.chunk, len(anchors))]
+	m.ap = s.ap.Chunk(lo, min(lo+s.chunk, len(anchors)))
 	return m
 }
 
@@ -452,8 +452,8 @@ func (e *Exchange) drainParallel(fn func(worker, morsel int, b *Batch) error) er
 
 // Close implements Operator: cancels in-flight morsels (workers see
 // the done channel on every blocking send and claim), waits for the
-// pool to drain — so every morsel chain, match cursor and coroutine is
-// closed before Close returns — and closes the prototype chain.
+// pool to drain — so every morsel chain is closed before Close
+// returns — and closes the prototype chain.
 func (e *Exchange) Close() {
 	if !e.st.close() {
 		return

@@ -31,7 +31,7 @@
 //
 // Operators are pulled with NextBatch: columnar batches of up to a
 // requested row count (see Batch in batch.go). Batches amortize per-row
-// overhead (map allocation, coroutine switches), and a consumer that
+// overhead (operator calls, map allocation), and a consumer that
 // needs only a few rows (LIMIT) requests only that many, so early exit
 // still bounds upstream work.
 //
@@ -54,7 +54,7 @@ import (
 // Operator is a streaming operator: a cursor over records. The contract
 // is Open, then NextBatch until it reports no batch, then Close.
 // Operators are single-use; Close must be called even after an error
-// (it releases match cursors and child resources).
+// (it releases spill files, open CSV readers and child resources).
 type Operator interface {
 	// Columns is the output column set, in order, known at build time.
 	Columns() []string

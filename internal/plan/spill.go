@@ -1036,7 +1036,7 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 		}
 	}
 	max = clampMax(max)
-	b := newBatch(o.dcols, max)
+	b := newBatch(o.dcols, demandCap(o.last, max))
 	for b.n < max {
 		r, ok, err := o.merged.next()
 		if err != nil {
@@ -1047,6 +1047,7 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 		}
 		b.appendVals(r.vals)
 	}
+	o.last = b.n
 	if b.n == 0 {
 		return nil, false, nil
 	}
