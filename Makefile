@@ -83,8 +83,11 @@ props:
 # one-request-frame check, the wire codec (the client's and the
 # server's message layers checked against each other, the tagged value
 # codec checked against encoding/json, allocations per served point
-# read), and the shared plan cache (cross-session hits, LRU eviction,
-# concurrent stores).
+# read), and the plan slots shared by every execution of a text
+# (cross-session hits, plans evicted with their statements, bound-set
+# replacement, sessions and parallel workers reading one slot while a
+# writer forces replans; and the planner-level drift and index-epoch
+# checks).
 serve-race:
 	go test -race -count=1 ./internal/server ./internal/tagjson ./cypherclient
 	go test -race -run 'TestCorpusWireEquivalence|TestWireValueExtremes' ./internal/script

@@ -25,7 +25,7 @@
 //	B17 spilling barriers under a memory budget vs unlimited in-memory
 //	B18 durable commit latency: WAL off / no-sync / grouped fsync / fsync-per-commit
 //	B19 morsel-parallel read scaling: worker degrees 1/2/4/8 on scan-, match-, sort- and per-row-match pipelines
-//	B20 served QPS: N concurrent wire clients vs one, shared plan cache across sessions
+//	B20 served QPS: N concurrent wire clients vs one, plan slots shared across sessions
 //	B21 expression-heavy pipelines: plan-time constant folding and purity-aware pushdown
 //	B22 embedded point read: the fixed per-statement cost of an indexed one-row MATCH
 package repro_test

@@ -384,7 +384,7 @@ func (db *DB) Parse(query string) error {
 	if err != nil {
 		return err
 	}
-	return core.Validate(stmt, db.engine.Config().Dialect)
+	return core.Validate(stmt.Statement, db.engine.Config().Dialect)
 }
 
 func wrapResult(res *core.Result) *Result {
@@ -545,15 +545,16 @@ func indexViews(keys []graph.IndexKey) []IndexView {
 // can be correlated against it by change-feed consumers.
 func (db *DB) Epoch() int64 { return db.store.Epoch() }
 
-// CacheStats is a point-in-time snapshot of the engine's statement and
-// plan cache counters (see DB.CacheStats).
+// CacheStats is a point-in-time snapshot of the engine's statement
+// cache and plan slot counters (see DB.CacheStats).
 type CacheStats = core.CacheStats
 
 // CacheStats reports the engine's cache counters: statement-cache
-// hits/misses (parsed ASTs shared across all sessions of this
-// database) and the shared plan cache's hits, misses, invalidations
-// and live entries. Useful for asserting that repeated parameterized
-// queries — from one session or many — plan once.
+// hits/misses (prepared statements shared across all sessions of this
+// database), the hits, misses and invalidations of their plan slots,
+// and how many slots of cached statements hold a plan. Useful for
+// asserting that repeated parameterized queries — from one session or
+// many — plan once.
 func (db *DB) CacheStats() CacheStats { return db.engine.CacheStats() }
 
 // StatementInfo classifies a parsed statement for schedulers (the

@@ -3,6 +3,8 @@ package cypher
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -154,5 +156,174 @@ func TestPlanCacheIndexEpochInvalidation(t *testing.T) {
 	after := db.CacheStats().Plan
 	if after.Invalidations <= mid.Invalidations {
 		t.Errorf("DROP INDEX did not invalidate the cached plan: %+v -> %+v", mid, after)
+	}
+}
+
+// TestPlanCachePlansDieWithStatements: a plan lives in its statement's
+// cache entry, so distinct texts past the statement cache's bound (1024
+// entries) evict their plans with them instead of piling up.
+func TestPlanCachePlansDieWithStatements(t *testing.T) {
+	db := Open()
+	for _, q := range []string{`UNWIND range(0, 2999) AS i CREATE (:User{id: i})`, `CREATE INDEX ON :User(id)`} {
+		if _, err := db.Exec(q, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		res, err := db.Exec(fmt.Sprintf(`MATCH (u:User{id: %d}) RETURN u.id AS id`, i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumRows() != 1 {
+			t.Fatalf("text %d: %d rows, want 1", i, res.NumRows())
+		}
+	}
+	if got := db.CacheStats().Plan.Entries; got > 1024 {
+		t.Errorf("Plan.Entries = %d after 3000 distinct texts, want <= 1024 (the statement cache's bound)", got)
+	}
+}
+
+// TestPlanCacheBoundSetChanges runs one text through ExecTable with
+// driving tables that bind none of the pattern's nodes, its left node
+// or its right node, in turn, so every call replaces the text's plan.
+// Each answer and the final graph must equal a second database's, which
+// runs every call under a text of its own and so always plans afresh.
+func TestPlanCacheBoundSetChanges(t *testing.T) {
+	for _, q := range []string{
+		`MATCH (a:P)-[:R]->(b:Q) RETURN a.i AS a, b.i AS b ORDER BY a, b`,
+		`MERGE ALL (a:P)-[:R]->(b:Q) RETURN a.i AS a, b.i AS b ORDER BY a, b`,
+	} {
+		db, ref := Open(), Open()
+		for _, d := range []*DB{db, ref} {
+			if _, err := d.Exec(`UNWIND range(0, 19) AS i CREATE (:P{i: i})-[:R]->(:Q{i: i}) CREATE (:P{i: 100 + i}), (:Q{i: 200 + i})`, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// bind returns a driving table whose column col holds d's nodes
+		// labelled label with the given i values.
+		bind := func(d *DB, col, label string, is ...int) *Table {
+			tbl := NewTable(col)
+			for _, i := range is {
+				res, err := d.Exec(fmt.Sprintf(`MATCH (n:%s{i: %d}) RETURN n`, label, i), nil)
+				if err != nil || res.NumRows() != 1 {
+					t.Fatalf("bind %s %d: %v, %v", label, i, res, err)
+				}
+				if err := tbl.Append(res.Row(0)["n"]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return tbl
+		}
+		tables := []func(d *DB) *Table{
+			func(*DB) *Table {
+				tbl := NewTable("x")
+				for _, x := range []int{1, 2} {
+					if err := tbl.Append(x); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return tbl
+			},
+			func(d *DB) *Table { return bind(d, "a", "P", 3, 100, 101) },
+			func(d *DB) *Table { return bind(d, "b", "Q", 7, 200, 201) },
+		}
+		before := db.CacheStats().Plan
+		calls := 0
+		for round := 0; round < 3; round++ {
+			for _, tbl := range tables {
+				got, err := db.ExecTable(q, tbl(db), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.ExecTable(q+strings.Repeat(" ", calls+1), tbl(ref), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := fmt.Sprint(got.Rows()), fmt.Sprint(want.Rows()); g != w {
+					t.Fatalf("%s, call %d:\n got %s\nwant %s", q, calls, g, w)
+				}
+				calls++
+			}
+		}
+		if !SameShape(db, ref) {
+			t.Errorf("%s: final graphs differ", q)
+		}
+		if after := db.CacheStats().Plan; after.Misses-before.Misses < int64(calls) {
+			t.Errorf("%s: %d calls replanned %d times; every call changes the bound names", q, calls, after.Misses-before.Misses)
+		}
+	}
+}
+
+// TestPlanCacheSharedSlotRace: reader sessions run one text whose first
+// MATCH fans out as anchor morsels and whose second is a Match stage,
+// so every worker reads the text's plan slots, while a writer keeps
+// invalidating them: it bulk-loads and deletes an unrelated label past
+// the drift tolerance (the unlabelled slots estimate from the node
+// count) and creates and drops an index. The writer never touches the
+// matched subgraph, so every read must return the same count. Run
+// under -race.
+func TestPlanCacheSharedSlotRace(t *testing.T) {
+	db := Open(WithParallelism(2))
+	if _, err := db.Exec(`UNWIND range(0, 63) AS i CREATE (:A{i: i})-[:R]->(:B{i: i})`, nil); err != nil {
+		t.Fatal(err)
+	}
+	const q = `MATCH (a:A)-[:R]->(b) MATCH (b)<-[:R]-(c) RETURN count(*) AS n`
+	plan, err := db.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "anchor-morsels") {
+		t.Fatalf("the first MATCH does not fan out as anchor morsels:\n%s", plan)
+	}
+	read := func(s *Session) error {
+		res, err := s.Exec(q, nil)
+		if err != nil {
+			return err
+		}
+		if n := res.Row(0)["n"].String(); n != "64" {
+			return fmt.Errorf("count = %s, want 64", n)
+		}
+		return nil
+	}
+	before := db.CacheStats().Plan
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := db.Session()
+			defer s.Close()
+			for !done.Load() {
+				if err := read(s); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	w := db.Session()
+	defer w.Close()
+	for cycle := 0; cycle < 10; cycle++ {
+		for _, stmt := range []string{
+			`UNWIND range(1, 400) AS i CREATE (:Z{i: i})`,
+			`CREATE INDEX ON :Z(i)`,
+			`MATCH (z:Z) DELETE z`,
+			`DROP INDEX ON :Z(i)`,
+		} {
+			if _, err := w.Exec(stmt, nil); err != nil {
+				t.Fatal(err)
+			}
+			// A read after every change consults the slots, so each
+			// change is seen by at least one consult.
+			if err := read(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if after := db.CacheStats().Plan; after.Invalidations <= before.Invalidations {
+		t.Errorf("the writer invalidated no plan: %+v -> %+v", before, after)
 	}
 }

@@ -197,14 +197,13 @@ func (s UpdateStats) String() string {
 }
 
 // Engine executes statements. Beyond the configuration it carries the
-// engine-wide caches shared by every session: the statement cache
-// (query text -> parsed AST) and the cross-statement plan cache —
-// together they make repeated parameterized queries, from any number
-// of sessions, parse and plan exactly once.
+// statement cache shared by every session: query text -> Prepared, the
+// parsed AST with the match plan slots of its patterns. It makes
+// repeated parameterized queries, from any number of sessions, parse
+// and plan once.
 type Engine struct {
 	cfg   Config
 	stmts *stmtCache
-	plans *match.PlanCache
 }
 
 // spillSweepOnce guards the once-per-process orphan sweep below.
@@ -218,37 +217,33 @@ func NewEngine(cfg Config) *Engine {
 	spillSweepOnce.Do(func() {
 		_, _ = plan.SweepSpillOrphans(plan.SpillDir())
 	})
-	return &Engine{cfg: cfg, stmts: newStmtCache(), plans: match.NewPlanCache()}
+	return &Engine{cfg: cfg, stmts: newStmtCache()}
 }
 
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Parse returns the parsed form of query, served from the engine's
-// statement cache. All sessions of the engine receive the same AST for
-// the same query text — the identity the shared plan cache keys on.
-// The AST must be treated as read-only (every execution path does).
-func (e *Engine) Parse(query string) (*ast.Statement, error) {
+// Parse returns the prepared form of query, served from the engine's
+// statement cache: all sessions of the engine receive the same
+// Prepared, and so share its plan slots, for the same query text. The
+// AST must be treated as read-only (every execution path does).
+func (e *Engine) Parse(query string) (*Prepared, error) {
 	return e.stmts.parse(query)
 }
 
-// PlanCache returns the engine's shared cross-statement plan cache
-// (counters for tests, benchmarks and server statistics).
-func (e *Engine) PlanCache() *match.PlanCache { return e.plans }
-
-// CacheStats summarizes the engine-wide caches: the statement (parse)
-// cache and the shared match-plan cache.
+// CacheStats summarizes the engine's statement cache and the plan slots
+// of its statements.
 type CacheStats struct {
 	// StmtHits / StmtMisses count statement-cache lookups by outcome.
 	StmtHits, StmtMisses int64
-	// Plan carries the shared plan cache's counters.
-	Plan match.PlanCacheStats
+	// Plan carries the plan-slot counters.
+	Plan match.PlanStats
 }
 
 // CacheStats returns the engine's current cache counters.
 func (e *Engine) CacheStats() CacheStats {
-	h, m := e.stmts.stats()
-	return CacheStats{StmtHits: h, StmtMisses: m, Plan: e.plans.Stats()}
+	h, m, plans := e.stmts.stats()
+	return CacheStats{StmtHits: h, StmtMisses: m, Plan: plans}
 }
 
 // Result is the output of a statement: the table produced by RETURN (or
@@ -260,7 +255,8 @@ type Result struct {
 
 // ExecuteStatement runs a statement against g, starting from the unit
 // table (the T() of Section 8.1). g is mutated in place; on error it is
-// rolled back to its initial state.
+// rolled back to its initial state. The statement is prepared on the
+// spot, so its plans are not reused by later calls.
 func (e *Engine) ExecuteStatement(g *graph.Graph, stmt *ast.Statement, params map[string]value.Value) (*Result, error) {
 	return e.ExecuteWithTable(g, stmt, params, nil)
 }
@@ -282,7 +278,7 @@ func (e *Engine) ExecuteWithTable(g *graph.Graph, stmt *ast.Statement, params ma
 		params = map[string]value.Value{}
 	}
 	j := g.BeginJournal()
-	res, err := e.executeUnion(g, stmt, params, t0)
+	res, err := e.executeUnion(g, prepare(stmt, &e.stmts.plans), params, t0)
 	if err != nil {
 		j.Rollback()
 		return nil, err
@@ -329,8 +325,8 @@ func statementInvariant(j *graph.Journal, mark int) error {
 
 // executeUnion runs a statement at the exchange degree its shape
 // allows (see parallelism).
-func (e *Engine) executeUnion(g *graph.Graph, stmt *ast.Statement, params map[string]value.Value, t0 *table.Table) (*Result, error) {
-	return e.executeUnionPar(g, stmt, params, t0, e.parallelism(stmt))
+func (e *Engine) executeUnion(g *graph.Graph, p *Prepared, params map[string]value.Value, t0 *table.Table) (*Result, error) {
+	return e.executeUnionPar(g, p, params, t0, e.parallelism(p.Statement))
 }
 
 // parallelism resolves the exchange degree a statement may use: the
@@ -358,12 +354,12 @@ func (e *Engine) parallelism(stmt *ast.Statement) int {
 // modified by its predecessors (Section 8.2, "Composition of clauses").
 // Update clauses run behind materialization barriers via the
 // dialect-selected clause functions (see executor.clause).
-func (e *Engine) executeUnionPar(g *graph.Graph, stmt *ast.Statement, params map[string]value.Value, t0 *table.Table, par int) (*Result, error) {
-	if stmt.Index != nil {
-		return executeIndexStmt(g, stmt.Index)
+func (e *Engine) executeUnionPar(g *graph.Graph, p *Prepared, params map[string]value.Value, t0 *table.Table, par int) (*Result, error) {
+	if p.Index != nil {
+		return executeIndexStmt(g, p.Index)
 	}
-	x := e.newExecutor(g, params)
-	root, err := x.buildPlan(stmt, t0, par)
+	x := e.newExecutor(g, p, params)
+	root, err := x.buildPlan(t0, par)
 	if err != nil {
 		return nil, err
 	}
@@ -380,7 +376,7 @@ func (e *Engine) executeUnionPar(g *graph.Graph, stmt *ast.Statement, params map
 // buildPlan constructs the statement's operator tree. The builder's
 // Write hook closes over this executor, so update barriers apply the
 // dialect-selected clause functions and accumulate stats here.
-func (x *executor) buildPlan(stmt *ast.Statement, t0 *table.Table, par int) (plan.Operator, error) {
+func (x *executor) buildPlan(t0 *table.Table, par int) (plan.Operator, error) {
 	b := &plan.Builder{
 		Ev:           x.ev,
 		NewMatcher:   x.matcherFor,
@@ -388,7 +384,7 @@ func (x *executor) buildPlan(stmt *ast.Statement, t0 *table.Table, par int) (pla
 		MemoryBudget: x.cfg.MemoryBudget,
 		Parallelism:  par,
 	}
-	return b.BuildStatement(stmt, t0)
+	return b.BuildStatement(x.prep.Statement, t0)
 }
 
 // ExplainStatement renders the streaming operator plan for a statement
@@ -398,12 +394,13 @@ func (x *executor) buildPlan(stmt *ast.Statement, t0 *table.Table, par int) (pla
 // under the writer lock with journaled update barriers; the tree below
 // tags each update barrier with [barrier:writer-lock].
 func (e *Engine) ExplainStatement(g *graph.Graph, stmt *ast.Statement, params map[string]value.Value) (string, error) {
-	return e.explainStatement(g, stmt, params, false)
+	return e.explainStatement(g, prepare(stmt, &e.stmts.plans), params, false)
 }
 
 // explainStatement is ExplainStatement with the session's transaction
 // context: inTxn marks an open explicit transaction.
-func (e *Engine) explainStatement(g *graph.Graph, stmt *ast.Statement, params map[string]value.Value, inTxn bool) (string, error) {
+func (e *Engine) explainStatement(g *graph.Graph, p *Prepared, params map[string]value.Value, inTxn bool) (string, error) {
+	stmt := p.Statement
 	if stmt.TxnControl != ast.TxnNone {
 		return fmt.Sprintf("%s — transaction control, no operator plan", stmt.TxnControl), nil
 	}
@@ -426,12 +423,12 @@ func (e *Engine) explainStatement(g *graph.Graph, stmt *ast.Statement, params ma
 	if params == nil {
 		params = map[string]value.Value{}
 	}
-	x := e.newExecutor(g, params)
+	x := e.newExecutor(g, p, params)
 	par := e.parallelism(stmt)
 	if inTxn {
 		par = 1
 	}
-	root, err := x.buildPlan(stmt, nil, par)
+	root, err := x.buildPlan(nil, par)
 	if err != nil {
 		return "", err
 	}
@@ -451,32 +448,31 @@ func (e *Engine) explainStatement(g *graph.Graph, stmt *ast.Statement, params ma
 	return header + "\n" + plan.Explain(root), nil
 }
 
-// executor holds one statement's execution state: the graph, the
-// evaluator (with the parameters) and the update stats its update
-// clauses accumulate.
+// executor holds one statement's execution state: the prepared
+// statement, the graph, the evaluator (with the parameters) and the
+// update stats its update clauses accumulate.
 type executor struct {
 	cfg   Config
-	plans *match.PlanCache // engine's shared plan cache
+	prep  *Prepared
 	graph *graph.Graph
 	ev    *expr.Evaluator
 	stats UpdateStats
 }
 
-func (e *Engine) newExecutor(g *graph.Graph, params map[string]value.Value) *executor {
-	return &executor{cfg: e.cfg, plans: e.plans, graph: g, ev: &expr.Evaluator{Graph: g, Params: params}}
+func (e *Engine) newExecutor(g *graph.Graph, p *Prepared, params map[string]value.Value) *executor {
+	return &executor{cfg: e.cfg, prep: p, graph: g, ev: &expr.Evaluator{Graph: g, Params: params}}
 }
 
-func (x *executor) matcher() *match.Matcher { return x.matcherFor(x.ev) }
-
-// matcherFor builds a matcher bound to the given evaluator — the
-// executor's own for serial pipelines, a worker's private clone inside
-// a parallel exchange.
-func (x *executor) matcherFor(ev *expr.Evaluator) *match.Matcher {
+// matcherFor builds a matcher for one of the statement's patterns,
+// reading the pattern's plan slot and bound to the given evaluator —
+// the executor's own for serial pipelines and update clauses, a
+// worker's private clone inside a parallel exchange.
+func (x *executor) matcherFor(ev *expr.Evaluator, parts []*ast.PatternPart) *match.Matcher {
 	return &match.Matcher{
 		Graph:       x.graph,
 		Ev:          ev,
 		Mode:        x.cfg.MatchMode,
-		Cache:       x.plans,
+		Slot:        x.prep.slot(parts),
 		DisablePlan: x.cfg.naivePlanner,
 		ForceAnchor: x.cfg.forceAnchor,
 	}

@@ -55,7 +55,7 @@ func (x *executor) execMergeAtomicFamily(cl *ast.MergeClause, t *table.Table, st
 	out := table.New(append(t.Columns(), newVars...)...)
 
 	// Phase 1: match everything against the input graph.
-	m := x.matcher()
+	m := x.matcherFor(x.ev, cl.Pattern)
 	outcomes := make([]mergeOutcome, 0, t.Len())
 	for i := 0; i < t.Len(); i++ {
 		env := expr.Env(t.Row(i))

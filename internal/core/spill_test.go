@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ast"
 	"repro/internal/graph"
 	"repro/internal/parser"
 	"repro/internal/plan"
@@ -234,8 +233,8 @@ func TestExplainShowsBudgetHeader(t *testing.T) {
 func TestSessionProfile(t *testing.T) {
 	store := graph.NewStore(graph.New())
 	sess := NewSession(NewEngine(Config{Dialect: DialectRevised, MemoryBudget: 1}), store)
-	mustParse := func(q string) *ast.Statement {
-		stmt, err := parser.Parse(q)
+	mustParse := func(q string) *Prepared {
+		stmt, err := sess.Parse(q)
 		if err != nil {
 			t.Fatal(err)
 		}

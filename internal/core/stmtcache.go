@@ -5,20 +5,73 @@ import (
 	"sync"
 
 	"repro/internal/ast"
+	"repro/internal/match"
 	"repro/internal/parser"
 )
 
-// stmtCache caches parsed statements by query text. It exists for two
-// reasons: it skips re-parsing hot queries, and — more importantly —
-// it makes the shared plan cache work across sessions: all sessions of
-// one engine receive the SAME parsed AST for the same query text, so
-// plan-cache keys based on AST identity (match.PlanCache) hit across
-// sessions and connections.
+// Prepared is a statement ready to run: the parsed AST plus one match
+// plan slot per MATCH and MERGE pattern it contains, in every UNION
+// member and FOREACH body. The statement cache hands every session the
+// same Prepared for the same text, so all executions of the text share
+// its slots; a plan lives as long as its statement.
 //
-// Sharing one AST is sound because execution never mutates a parsed
-// statement: the engine, the plan builder and the matcher treat it as
-// read-only (pushdown classification and plans are per-execution side
-// tables keyed BY the AST, never stored IN it).
+// Sharing is sound because execution never mutates the AST: the engine,
+// the plan builder and the matcher treat it as read-only (pushdown
+// classification and folding produce per-execution copies).
+type Prepared struct {
+	*ast.Statement
+	slots []patternSlot
+}
+
+// patternSlot is the plan slot of the pattern whose first part is part0.
+type patternSlot struct {
+	part0 *ast.PatternPart
+	slot  *match.PlanSlot
+}
+
+// prepare gives each MATCH and MERGE pattern of stmt a fresh plan slot
+// counted in counts.
+func prepare(stmt *ast.Statement, counts *match.PlanCounts) *Prepared {
+	p := &Prepared{Statement: stmt}
+	var walk func([]ast.Clause)
+	walk = func(clauses []ast.Clause) {
+		for _, c := range clauses {
+			var parts []*ast.PatternPart
+			switch cl := c.(type) {
+			case *ast.MatchClause:
+				parts = cl.Pattern
+			case *ast.MergeClause:
+				parts = cl.Pattern
+			case *ast.ForeachClause:
+				walk(cl.Body)
+			}
+			if len(parts) > 0 {
+				p.slots = append(p.slots, patternSlot{parts[0], match.NewPlanSlot(counts)})
+			}
+		}
+	}
+	for _, q := range stmt.Queries {
+		walk(q.Clauses)
+	}
+	return p
+}
+
+// slot returns the plan slot of one of the statement's patterns (nil
+// for a pattern it does not contain: the matcher then plans privately).
+func (p *Prepared) slot(parts []*ast.PatternPart) *match.PlanSlot {
+	if len(parts) == 0 {
+		return nil
+	}
+	for _, s := range p.slots {
+		if s.part0 == parts[0] {
+			return s.slot
+		}
+	}
+	return nil
+}
+
+// stmtCache caches prepared statements by query text, so hot queries
+// are neither re-parsed nor re-planned, from any session.
 //
 // The cache key is the query text alone; the engine's dialect is fixed
 // per engine, so (text, dialect) is implicit. Parse errors are not
@@ -29,24 +82,27 @@ type stmtCache struct {
 	order   *list.List // front = most recently used
 	hits    int64
 	misses  int64
+	// plans counts the plan-slot consults of every statement the
+	// engine prepares.
+	plans match.PlanCounts
 }
 
 // stmtCacheMaxEntries bounds the cache; beyond it the least recently
-// used statement is evicted (its plan-cache entries age out of the
-// bounded plan cache on their own).
+// used statement is evicted, and its plans with it.
 const stmtCacheMaxEntries = 1024
 
 type stmtCacheEntry struct {
 	text string
-	stmt *ast.Statement
+	stmt *Prepared
 }
 
 func newStmtCache() *stmtCache {
 	return &stmtCache{entries: make(map[string]*list.Element), order: list.New()}
 }
 
-// parse returns the cached parse of query, parsing and caching on miss.
-func (c *stmtCache) parse(query string) (*ast.Statement, error) {
+// parse returns the cached statement for query, parsing, preparing and
+// caching it on a miss.
+func (c *stmtCache) parse(query string) (*Prepared, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[query]; ok {
 		c.hits++
@@ -64,11 +120,12 @@ func (c *stmtCache) parse(query string) (*ast.Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	p := prepare(stmt, &c.plans)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[query]; ok {
 		// Another goroutine cached it meanwhile; return THEIR statement
-		// so every caller shares one AST identity.
+		// so every caller shares one set of plan slots.
 		c.order.MoveToFront(el)
 		return el.Value.(*stmtCacheEntry).stmt, nil
 	}
@@ -77,13 +134,21 @@ func (c *stmtCache) parse(query string) (*ast.Statement, error) {
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*stmtCacheEntry).text)
 	}
-	c.entries[query] = c.order.PushFront(&stmtCacheEntry{text: query, stmt: stmt})
-	return stmt, nil
+	c.entries[query] = c.order.PushFront(&stmtCacheEntry{text: query, stmt: p})
+	return p, nil
 }
 
-// stats returns the cache's hit/miss counters.
-func (c *stmtCache) stats() (hits, misses int64) {
+// stats returns the cache's hit/miss counters and its plan slots'.
+func (c *stmtCache) stats() (hits, misses int64, plans match.PlanStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	filled := 0
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		for _, s := range el.Value.(*stmtCacheEntry).stmt.slots {
+			if s.slot.Filled() {
+				filled++
+			}
+		}
+	}
+	return c.hits, c.misses, c.plans.Stats(filled)
 }

@@ -51,8 +51,9 @@ func NewSession(e *Engine, store *graph.Store) *Session {
 func (s *Session) Engine() *Engine { return s.e }
 
 // Parse parses query through the engine's shared statement cache, so
-// every session of one engine receives the same AST for the same text.
-func (s *Session) Parse(query string) (*ast.Statement, error) { return s.e.Parse(query) }
+// every session of one engine receives the same Prepared, and shares
+// its plans, for the same text.
+func (s *Session) Parse(query string) (*Prepared, error) { return s.e.Parse(query) }
 
 // Txn is an open explicit transaction: the store's write transaction
 // (working graph + spanning journal) plus the session-level bookkeeping.
@@ -68,18 +69,18 @@ func (s *Session) InTransaction() bool { return s.txn != nil }
 
 // Execute runs one statement — a query or BEGIN/COMMIT/ROLLBACK —
 // inside the session's current transaction context.
-func (s *Session) Execute(stmt *ast.Statement, params map[string]value.Value) (*Result, error) {
+func (s *Session) Execute(stmt *Prepared, params map[string]value.Value) (*Result, error) {
 	return s.ExecuteWithTable(stmt, params, nil)
 }
 
 // ExecuteWithTable is Execute with an explicit initial driving table
 // (nil means the unit table).
-func (s *Session) ExecuteWithTable(stmt *ast.Statement, params map[string]value.Value, t0 *table.Table) (*Result, error) {
+func (s *Session) ExecuteWithTable(stmt *Prepared, params map[string]value.Value, t0 *table.Table) (*Result, error) {
 	if stmt.TxnControl != ast.TxnNone {
 		return s.executeTxnControl(stmt.TxnControl)
 	}
 	if !s.e.cfg.skipValidation {
-		if err := Validate(stmt, s.e.cfg.Dialect); err != nil {
+		if err := Validate(stmt.Statement, s.e.cfg.Dialect); err != nil {
 			return nil, err
 		}
 	}
@@ -140,7 +141,7 @@ func (s *Session) executeTxnControl(ctl ast.TxnControl) (*Result, error) {
 // executeInTxn runs one statement of an open explicit transaction
 // against the transaction's working graph. Errors roll back to the
 // statement's journal mark; the transaction stays open.
-func (s *Session) executeInTxn(stmt *ast.Statement, params map[string]value.Value, t0 *table.Table) (*Result, error) {
+func (s *Session) executeInTxn(stmt *Prepared, params map[string]value.Value, t0 *table.Table) (*Result, error) {
 	g, j := s.txn.w.Graph(), s.txn.w.Journal()
 	mark := j.Mark()
 	// Explicit-transaction pipelines run serially (degree 1): the
@@ -161,7 +162,7 @@ func (s *Session) executeInTxn(stmt *ast.Statement, params map[string]value.Valu
 // executeReadOnly streams a statement with no updating clauses from a
 // pinned snapshot: no journal, no writer lock, fully concurrent with
 // other readers and with a writer preparing the next epoch.
-func (s *Session) executeReadOnly(stmt *ast.Statement, params map[string]value.Value, t0 *table.Table) (*Result, error) {
+func (s *Session) executeReadOnly(stmt *Prepared, params map[string]value.Value, t0 *table.Table) (*Result, error) {
 	snap := s.store.Acquire()
 	defer snap.Release()
 	return s.e.executeUnion(snap.Graph(), stmt, params, t0)
@@ -170,7 +171,7 @@ func (s *Session) executeReadOnly(stmt *ast.Statement, params map[string]value.V
 // executeAutoCommit wraps one updating statement in an implicit write
 // transaction: begin, execute under the journal, enforce the
 // statement-boundary invariant, commit (or roll back on error).
-func (s *Session) executeAutoCommit(stmt *ast.Statement, params map[string]value.Value, t0 *table.Table) (*Result, error) {
+func (s *Session) executeAutoCommit(stmt *Prepared, params map[string]value.Value, t0 *table.Table) (*Result, error) {
 	w := s.store.BeginWrite()
 	res, err := s.e.executeUnion(w.Graph(), stmt, params, t0)
 	if err == nil {
@@ -213,7 +214,7 @@ func (s *Session) Rollback() error {
 // (see Engine.ExplainStatement) against the graph the statement would
 // run on: the open transaction's working graph, or the latest committed
 // snapshot.
-func (s *Session) Explain(stmt *ast.Statement, params map[string]value.Value) (string, error) {
+func (s *Session) Explain(stmt *Prepared, params map[string]value.Value) (string, error) {
 	if s.txn != nil {
 		return s.e.explainStatement(s.txn.w.Graph(), stmt, params, true)
 	}
@@ -228,7 +229,7 @@ func (s *Session) Explain(stmt *ast.Statement, params map[string]value.Value) (s
 // count when a memory budget is in force. Unlike Explain it RUNS the
 // statement: updates apply exactly as in Execute. Transaction control
 // cannot be profiled (it has no operator plan).
-func (s *Session) Profile(stmt *ast.Statement, params map[string]value.Value) (*Result, string, error) {
+func (s *Session) Profile(stmt *Prepared, params map[string]value.Value) (*Result, string, error) {
 	if stmt.TxnControl != ast.TxnNone {
 		return nil, "", fmt.Errorf("PROFILE: %s is transaction control — no operator plan", stmt.TxnControl)
 	}

@@ -26,7 +26,7 @@ func sessExec(t *testing.T, s *Session, q string) *Result {
 }
 
 func sessTry(s *Session, q string) (*Result, error) {
-	stmt, err := parser.Parse(q)
+	stmt, err := s.Parse(q)
 	if err != nil {
 		return nil, err
 	}
@@ -58,12 +58,12 @@ func TestSessionAutoCommitMatchesEngine(t *testing.T) {
 			`MATCH (a:User{id:1})-[:KNOWS]->(b) RETURN a.name AS a, b.name AS b`,
 		}
 		for _, q := range stmts {
-			stmt, err := parser.Parse(q)
+			stmt, err := s.Parse(q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sres, serr := s.Execute(stmt, nil)
-			eres, eerr := eng.ExecuteStatement(g, stmt, nil)
+			eres, eerr := eng.ExecuteStatement(g, stmt.Statement, nil)
 			if (serr == nil) != (eerr == nil) {
 				t.Fatalf("%s dialect %s: session err %v, engine err %v", q, d, serr, eerr)
 			}
@@ -220,7 +220,7 @@ func TestSessionTxnKeywordsStayVariables(t *testing.T) {
 func TestSessionExplainTxnBoundaries(t *testing.T) {
 	s, _ := newTestSession(t, DialectRevised)
 	explain := func(q string) string {
-		stmt, err := parser.Parse(q)
+		stmt, err := s.Parse(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -286,7 +286,7 @@ func (x *executor) legacyDeleteValue(v value.Value, detach bool) error {
 func (x *executor) execMergeLegacy(cl *ast.MergeClause, t *table.Table) (*table.Table, error) {
 	newVars := freshVarsForCreate(cl.Pattern, t)
 	out := table.New(append(t.Columns(), newVars...)...)
-	m := x.matcher()
+	m := x.matcherFor(x.ev, cl.Pattern)
 	for _, i := range x.rowOrder(t) {
 		env := expr.Env(t.Row(i))
 		matches, err := m.Match(cl.Pattern, env)

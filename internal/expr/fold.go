@@ -23,8 +23,8 @@ import (
 //
 // Folding happens at plan build time, after parameters are bound but
 // without reading them (parameters never fold), and it never rewrites
-// pattern nodes — callers that fold a clause keep the Pattern pointers
-// intact so the match plan cache keys (AST identity) are unchanged.
+// pattern nodes: a folded clause keeps the statement's Pattern, by
+// which the engine finds the pattern's match plan slot.
 //
 // The input tree is never mutated: rewritten nodes are fresh copies, so
 // folding composes with the engine-wide statement cache sharing one AST

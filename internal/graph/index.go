@@ -216,7 +216,7 @@ func (g *Graph) Indexes() []IndexKey {
 }
 
 // IndexEpoch reports a counter bumped by every CreateIndex/DropIndex
-// (including their rollbacks). The match planner keys its plan cache on
+// (including their rollbacks). The match planner stamps its plans with
 // it so index creation and drop invalidate cached plans immediately.
 func (g *Graph) IndexEpoch() int64 { return g.indexEpoch }
 

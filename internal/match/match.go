@@ -86,28 +86,14 @@ type Matcher struct {
 	RelPreds  map[*ast.RelPattern][]ast.Expr
 	PrePreds  []ast.Expr
 
-	// Cache, when non-nil, is the engine's shared cross-statement plan
-	// cache: plans built by this matcher are published there, and a
-	// per-matcher (L1) miss consults it before planning from scratch,
-	// so sessions running the same query text share one plan. Sound
-	// because the engine's statement cache shares one parsed AST per
-	// query text (see PlanCache).
-	Cache *PlanCache
-
-	// Plan cache: an iterator is reset once per driving-table record,
-	// but the plan depends only on the pattern, the set of bound column
-	// names and the graph's statistics. A cached plan survives
-	// structural version bumps as long as the anchor estimates have not
-	// drifted materially (see plansFor and estimateFingerprint) — so a
-	// legacy MERGE mutating the graph between records keeps its plan —
-	// and is re-planned the moment a skewed load moves the statistics.
-	cachedPlans   []partPlan
-	cacheParts    *ast.PatternPart
-	cacheN        int
-	cacheBound    []string
-	cacheVer      int64
-	cacheEst      []float64
-	cacheIdxEpoch int64
+	// Slot holds the pattern's plan (see PlanSlot); nil makes a private
+	// one on first use. seen is the slot entry this matcher last
+	// validated and seenVer the graph version it validated it at: while
+	// the version stands, a driving record reuses seen without touching
+	// the slot.
+	Slot    *PlanSlot
+	seen    *slotEntry
+	seenVer int64
 }
 
 // SetPushdown installs the pushed predicates of a classified WHERE.
@@ -156,95 +142,23 @@ func (m *Matcher) prePredsExclude(env expr.Env) bool {
 }
 
 // plansFor returns the execution plan for parts under env's bound
-// variables, reusing the cached plan when the pattern and the bound
-// column set are unchanged since the last call — the common case for an
-// operator streaming many records. Cache validity is statistics-based,
-// not version-based: when the graph's structural version has moved, the
-// anchor estimates are recomputed (O(1) statistic reads per node slot)
-// and the plan is kept unless they drifted materially — so interleaved
-// writes (a legacy MERGE mutating between records) do not force a
-// replan per record, while a skewed bulk load that moves the label
-// cardinalities does invalidate the stale anchor choice.
+// variables. The per-record path takes no lock, does no atomic add and
+// allocates nothing: it reuses the entry this matcher validated last
+// while the graph version is unchanged, and consults the slot only
+// otherwise. The test hooks bypass the slot.
 func (m *Matcher) plansFor(parts []*ast.PatternPart, env expr.Env) []partPlan {
-	newBound := func() map[string]bool {
-		bound := make(map[string]bool, len(env))
-		for k := range env {
-			bound[k] = true
-		}
-		return bound
+	if m.ForceAnchor != nil || m.DisablePlan {
+		return m.planParts(parts, boundSet(env))
 	}
-	if m.ForceAnchor != nil {
-		// Test hooks may be stateful; never cache around them.
-		return m.planParts(parts, newBound())
+	ver := m.Graph.Version()
+	if e := m.seen; e != nil && m.seenVer == ver && e.idxEpoch == m.Graph.IndexEpoch() && e.fits(parts, env) {
+		return e.plans
 	}
-	var key *ast.PatternPart
-	if len(parts) > 0 {
-		key = parts[0]
+	if m.Slot == nil {
+		m.Slot = NewPlanSlot(nil)
 	}
-	if m.cachedPlans != nil && m.cacheParts == key && m.cacheN == len(parts) &&
-		len(m.cacheBound) == len(env) && m.cacheIdxEpoch == m.Graph.IndexEpoch() {
-		// The index-epoch check invalidates the cache outright when an
-		// index was created or dropped since the plan was built: a new
-		// index may enable a seek anchor (and a drop must disable one)
-		// even when the cardinality estimates have not drifted.
-		hit := true
-		for _, name := range m.cacheBound {
-			if _, ok := env[name]; !ok {
-				hit = false
-				break
-			}
-		}
-		if hit {
-			if m.cacheVer == m.Graph.Version() {
-				return m.cachedPlans
-			}
-			// The graph changed structurally: re-validate the plan
-			// against the current statistics instead of discarding it.
-			fp := m.estimateFingerprint(parts, newBound())
-			if !estimatesDrifted(m.cacheEst, fp) {
-				m.cacheVer = m.Graph.Version()
-				return m.cachedPlans
-			}
-		}
-	}
-	names := make([]string, 0, len(env))
-	for k := range env {
-		names = append(names, k)
-	}
-	// L1 miss: consult the engine's shared cross-statement cache, then
-	// plan from scratch. Either way the result is installed in the L1
-	// fields, so per-record lookups for the rest of this operator's
-	// life never touch the shared mutex. DisablePlan matchers skip the
-	// shared cache: their trivial written-order plans are cheaper to
-	// rebuild than to share, and keying them would double every entry.
-	var (
-		shared   *PlanCache
-		cacheKey planCacheKey
-	)
-	if m.Cache != nil && !m.DisablePlan {
-		shared = m.Cache
-		cacheKey = planCacheKey{part0: key, n: len(parts), bound: boundKey(names), mode: m.Mode}
-	}
-	ver, idxEpoch := m.Graph.Version(), m.Graph.IndexEpoch()
-	var plans []partPlan
-	var fp []float64
-	if shared != nil {
-		plans = shared.lookup(m, cacheKey, parts, newBound())
-	}
-	if plans == nil {
-		bound := newBound()
-		fp = m.estimateFingerprint(parts, bound)
-		plans = m.planParts(parts, bound) // mutates bound; fingerprint first
-		if shared != nil {
-			shared.store(cacheKey, plans, fp, ver, idxEpoch)
-		}
-	} else {
-		fp = m.estimateFingerprint(parts, newBound())
-	}
-	m.cachedPlans, m.cacheParts, m.cacheN = plans, key, len(parts)
-	m.cacheBound, m.cacheVer, m.cacheEst = names, ver, fp
-	m.cacheIdxEpoch = idxEpoch
-	return plans
+	m.seen, m.seenVer = m.Slot.plan(m, parts, env, ver), ver
+	return m.seen.plans
 }
 
 // Iter is a resumable enumeration of the matches of a pattern tuple

@@ -363,10 +363,10 @@ func (m *Matcher) planPart(part *ast.PatternPart, origIdx int, bound map[string]
 
 // estimateFingerprint captures the statistics inputs of a plan: the
 // anchor estimate of every node slot of every part, in written order,
-// against the entry-bound variable set. The plan cache re-validates a
-// cached plan by recomputing this vector (O(1) statistic reads per
-// slot) and checking it for drift, instead of discarding the plan on
-// every structural version bump.
+// against the entry-bound variable set. A PlanSlot re-validates its
+// plan by recomputing this vector (O(1) statistic reads per slot) and
+// checking it for drift, instead of discarding the plan on every
+// structural version bump.
 func (m *Matcher) estimateFingerprint(parts []*ast.PatternPart, bound map[string]bool) []float64 {
 	var fp []float64
 	for _, part := range parts {
@@ -382,7 +382,7 @@ func (m *Matcher) estimateFingerprint(parts []*ast.PatternPart, bound map[string
 // driftFactor before the plan is re-planned, and estimates below
 // driftFloor candidates are considered equivalent (tiny cardinalities
 // reorder cheaply at execution time anyway, and absolute slack keeps a
-// near-empty graph from thrashing the cache while it fills).
+// near-empty graph from replanning while it fills).
 const (
 	driftFactor = 2.0
 	driftFloor  = 16.0

@@ -11,17 +11,18 @@ import (
 
 // Builder lowers parsed statements into operator trees. The engine
 // supplies the evaluator, a matcher factory (so each Match operator
-// carries its own visit counters), and the update-clause hook: plan
-// knows *where* a write barrier goes, core knows *what* the write does
-// (dialect, merge strategy, scan order).
+// carries its own visit counters and reads its pattern's plan slot),
+// and the update-clause hook: plan knows *where* a write barrier goes,
+// core knows *what* the write does (dialect, merge strategy, scan
+// order).
 type Builder struct {
 	// Ev evaluates expressions; shared with the engine's update clauses
 	// so parameters behave identically in both.
 	Ev *expr.Evaluator
-	// NewMatcher returns a fresh matcher for one MATCH operator, bound
-	// to the given evaluator (parallel workers pass their private
-	// evaluator; the serial pipeline passes Ev).
-	NewMatcher func(ev *expr.Evaluator) *match.Matcher
+	// NewMatcher returns a fresh matcher for one MATCH operator over
+	// parts, bound to the given evaluator (parallel workers pass their
+	// private evaluator; the serial pipeline passes Ev).
+	NewMatcher func(ev *expr.Evaluator, parts []*ast.PatternPart) *match.Matcher
 	// Write applies an update clause to a materialized driving table
 	// and returns the clause's output table (the [[C]](G, T) of the
 	// paper, with the graph mutated in place).
@@ -75,10 +76,10 @@ func (b *Builder) newSegment(src Operator) *segBuild {
 
 // newWorkerCtx builds one worker's private execution context: an
 // evaluator sharing the graph snapshot and parameters but nothing
-// mutable, plus the per-stage matcher cache.
+// mutable.
 func (b *Builder) newWorkerCtx() *workerCtx {
 	ev := &expr.Evaluator{Graph: b.Ev.Graph, Params: b.Ev.Params}
-	return &workerCtx{ev: ev, mf: b.NewMatcher, matchers: map[int]*match.Matcher{}}
+	return &workerCtx{ev: ev, mf: b.NewMatcher}
 }
 
 // endSeg terminates a segment: if it found a partitionable source and
@@ -176,25 +177,22 @@ func (b *Builder) BuildQuery(clauses []ast.Clause, src Operator) (Operator, erro
 		case *ast.MatchClause:
 			cl = b.foldMatchClause(cl)
 			newVars := freshVars(match.PatternVariables(cl.Pattern), cur.Columns())
+			op := NewMatch(cur, cl, b.NewMatcher(b.Ev, cl.Pattern), b.Ev, newVars)
 			if seg.alive() && seg.source == nil {
 				// A segment waiting on the unit source: this first MATCH
 				// either supplies anchor morsels or the segment dies (a
 				// later clause cannot become the partitioned source).
-				if asrc := b.anchorSegSource(cl, cur.Columns()); asrc != nil {
+				if asrc := b.anchorSegSource(op, newVars); asrc != nil {
 					seg.source = asrc
 				} else {
 					seg.dead = true
 				}
-				cur = NewMatch(cur, cl, b.NewMatcher(b.Ev), b.Ev, newVars)
 			} else if seg.alive() {
-				cur = NewMatch(cur, cl, b.NewMatcher(b.Ev), b.Ev, newVars)
-				idx := len(seg.stages)
 				seg.stages = append(seg.stages, func(child Operator, w *workerCtx) Operator {
-					return NewMatch(child, cl, w.matcherFor(idx), w.ev, newVars)
+					return NewMatch(child, cl, w.mf(w.ev, cl.Pattern), w.ev, newVars)
 				})
-			} else {
-				cur = NewMatch(cur, cl, b.NewMatcher(b.Ev), b.Ev, newVars)
 			}
+			cur = op
 		case *ast.UnwindClause:
 			if hasColumn(cur.Columns(), cl.Var) {
 				return nil, fmt.Errorf("variable `%s` already declared", cl.Var)
@@ -245,25 +243,24 @@ func (s *segBuild) kill() {
 }
 
 // anchorSegSource plans anchor-candidate morsels for a leading
-// non-optional MATCH over the unit table. It returns nil — and the
-// pipeline stays serial — when the clause is OPTIONAL (each empty
-// partition would emit a spurious null row), when the planner cannot
-// guarantee a partitionable enumeration (see match.PlanAnchors), or
-// when there are too few candidates to be worth fanning out.
-func (b *Builder) anchorSegSource(cl *ast.MatchClause, outer []string) *anchorSource {
-	if cl.Optional {
+// non-optional MATCH over the unit table, on the serial Match
+// operator's matcher. It returns nil — and the pipeline stays serial —
+// when the clause is OPTIONAL (each empty partition would emit a
+// spurious null row), when the planner cannot guarantee a
+// partitionable enumeration (see match.PlanAnchors), or when there are
+// too few candidates to be worth fanning out.
+func (b *Builder) anchorSegSource(op *Match, newVars []string) *anchorSource {
+	if op.cl.Optional {
 		return nil
 	}
-	m := b.NewMatcher(b.Ev)
-	m.SetPushdown(match.NewPushdown(cl.Where, cl.Pattern, outer))
-	ap, ok := m.PlanAnchors(cl.Pattern, expr.Env{})
+	ap, ok := op.matcher.PlanAnchors(op.cl.Pattern, expr.Env{})
 	if !ok || len(ap.Anchors()) < 2*minAnchorChunk {
 		return nil
 	}
 	return &anchorSource{
 		ap:      ap,
-		cl:      cl,
-		newVars: freshVars(match.PatternVariables(cl.Pattern), outer),
+		cl:      op.cl,
+		newVars: newVars,
 		chunk:   anchorChunk(len(ap.Anchors()), b.Parallelism),
 	}
 }
@@ -407,10 +404,9 @@ func (b *Builder) fold(e ast.Expr) ast.Expr {
 }
 
 // foldMatchClause folds a MATCH clause's WHERE. The folded clause is a
-// shallow copy sharing the original Pattern slice: match plan cache
-// entries key on pattern-part pointer identity, so the fold must leave
-// every pattern node untouched for cross-execution cache hits to keep
-// working.
+// shallow copy sharing the original Pattern slice, so the Match
+// operator's matcher finds the pattern's plan slot in the prepared
+// statement.
 func (b *Builder) foldMatchClause(cl *ast.MatchClause) *ast.MatchClause {
 	folded := b.fold(cl.Where)
 	if folded == cl.Where {

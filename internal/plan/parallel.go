@@ -7,9 +7,9 @@
 // contiguous row range of the driving table, and an anchor morsel is a
 // Match over the unit record whose iterator enumerates one contiguous
 // chunk of the MATCH clause's anchor candidate list
-// (match.AnchorPlan.Chunk). Each worker owns its evaluator,
-// matchers and scratch state; the graph snapshot and the driving table
-// are shared read-only.
+// (match.AnchorPlan.Chunk). Each worker owns its evaluator and each
+// morsel its matchers and scratch state; the graph snapshot, the
+// driving table and the statement's plan slots are shared.
 //
 // One worker loop (Exchange.run) claims morsels in index order, builds
 // each morsel's chain, opens it, drains it and closes it. It feeds both
@@ -70,30 +70,16 @@ const (
 )
 
 // workerCtx is one worker's private execution state: an evaluator that
-// is not shared with any other goroutine, and per-stage matchers reused
-// across the worker's morsels (so a Match stage's plan cache survives
-// from morsel to morsel).
+// is not shared with any other goroutine, and the matcher factory. A
+// Match stage builds a fresh matcher per morsel; the plan it reads is
+// the pattern's plan slot, which every worker shares.
 type workerCtx struct {
-	ev       *expr.Evaluator
-	mf       func(ev *expr.Evaluator) *match.Matcher
-	matchers map[int]*match.Matcher
-}
-
-// matcherFor returns the worker's matcher for pipeline stage idx,
-// creating it on first use. NewMatch re-points Stats and pushdown at
-// each morsel's operator, which is safe: one worker runs one morsel at
-// a time.
-func (w *workerCtx) matcherFor(idx int) *match.Matcher {
-	if m, ok := w.matchers[idx]; ok {
-		return m
-	}
-	m := w.mf(w.ev)
-	w.matchers[idx] = m
-	return m
+	ev *expr.Evaluator
+	mf func(ev *expr.Evaluator, parts []*ast.PatternPart) *match.Matcher
 }
 
 // stageFn rebuilds one pipeline stage over a morsel's source chain,
-// using the worker's private evaluator and matchers. The builder
+// using the worker's private evaluator and matcher factory. The builder
 // records one per absorbed clause, mirroring the serial prototype
 // chain operator for operator.
 type stageFn func(child Operator, w *workerCtx) Operator
@@ -163,9 +149,7 @@ func (s *anchorSource) morsels() int {
 func (s *anchorSource) operator(i int, w *workerCtx) Operator {
 	anchors := s.ap.Anchors()
 	lo := i * s.chunk
-	// Slot -1 is the anchor Match's matcher, reused across the worker's
-	// morsels like every stage's.
-	m := NewMatch(NewUnit(), s.cl, w.matcherFor(-1), w.ev, s.newVars)
+	m := NewMatch(NewUnit(), s.cl, w.mf(w.ev, s.cl.Pattern), w.ev, s.newVars)
 	m.ap = s.ap.Chunk(lo, min(lo+s.chunk, len(anchors)))
 	return m
 }
