@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/expr"
+	"repro/internal/graph"
+	"repro/internal/match"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -441,5 +443,99 @@ func TestExplainShowsBarrierStatsAfterRun(t *testing.T) {
 	out := Explain(d)
 	if !strings.Contains(out, "rows=") || !strings.Contains(out, "spill-runs=") {
 		t.Fatalf("post-run explain lacks counters:\n%s", out)
+	}
+}
+
+// ---------------------------------------------------------------------
+// Close cascades once
+// ---------------------------------------------------------------------
+
+// closeCounter is a countingScan that counts the Close calls it gets.
+type closeCounter struct {
+	countingScan
+	closes int
+}
+
+func (o *closeCounter) Close() { o.closes++ }
+
+// TestOperatorClosesChildOnce runs every single-child operator over a
+// counting child (Collect closes it), then closes it again: the child
+// must see exactly one Close.
+func TestOperatorClosesChildOnce(t *testing.T) {
+	ev := &expr.Evaluator{Graph: graph.New()}
+	x := &ast.Variable{Name: "x"}
+	csvPath := writeCSV(t, "1\n2\n")
+	items := []Item{{Expr: x, Alias: "x"}}
+	pattern := []*ast.PatternPart{{Nodes: []*ast.NodePattern{{Var: "n"}}}}
+	ops := map[string]func(Operator) Operator{
+		"Match": func(c Operator) Operator {
+			return NewMatch(c, &ast.MatchClause{Pattern: pattern}, &match.Matcher{Graph: ev.Graph, Ev: ev}, ev, []string{"n"})
+		},
+		"Unwind": func(c Operator) Operator {
+			return NewUnwind(c, &ast.UnwindClause{Expr: &ast.ListLit{Elems: []ast.Expr{x}}, Var: "k"}, ev)
+		},
+		"LoadCSV": func(c Operator) Operator {
+			return NewLoadCSV(c, &ast.LoadCSVClause{URL: &ast.Literal{Value: csvPath}, Var: "row"}, ev)
+		},
+		"Filter":   func(c Operator) Operator { return NewFilter(c, &ast.Literal{Value: true}, ev) },
+		"Project":  func(c Operator) Operator { return NewProject(c, items, []string{"x"}, ev, false) },
+		"Distinct": func(c Operator) Operator { return NewDistinct(c) },
+		"Skip":     func(c Operator) Operator { return NewSkip(c, intLit(1), ev) },
+		"Limit":    func(c Operator) Operator { return NewLimit(c, intLit(1), ev) },
+		"Sort":     func(c Operator) Operator { return NewSort(c, []*ast.SortItem{{Expr: x}}, ev) },
+		"Aggregate": func(c Operator) Operator {
+			return NewAggregate(c, []Item{{Expr: &ast.FuncCall{Name: "count", Star: true}, Alias: "n"}}, []string{"n"}, ev)
+		},
+		"Update": func(c Operator) Operator {
+			return NewApply(c, "SET", []string{"x"}, func(in *table.Table) (*table.Table, error) { return in, nil })
+		},
+		"Discard": func(c Operator) Operator { return NewDiscard(c) },
+	}
+	for name, build := range ops {
+		src := &closeCounter{countingScan: countingScan{n: 3, col: "x"}}
+		op := build(src)
+		if _, err := Collect(op); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		op.Close()
+		if src.closes != 1 {
+			t.Errorf("%s closed its child %d times, want 1", name, src.closes)
+		}
+	}
+}
+
+// TestBarrierCloseMidSpillFreesFiles closes each spilling barrier while
+// it still holds spill state, then closes it again: Sort part-way
+// through its merge and Distinct with its partitions open (both under
+// LIMIT 1), Aggregate after its intake failed mid-spill. No spill file
+// may outlive the first Close.
+func TestBarrierCloseMidSpillFreesFiles(t *testing.T) {
+	ev := &expr.Evaluator{}
+	x := &ast.Variable{Name: "x"}
+	s := NewSort(NewTableScan(sortInput(500)), []*ast.SortItem{{Expr: x}}, ev)
+	s.budget = newBudget(1)
+	d := NewDistinct(NewTableScan(sortInput(500)))
+	d.budget = newBudget(1)
+	a := NewAggregate(&errAfter{n: 300}, []Item{{Expr: x, Alias: "x"}}, []string{"x"}, ev)
+	a.budget = newBudget(1)
+	for name, op := range map[string]Operator{"Sort": s, "Distinct": d, "Aggregate": a} {
+		_, err := Collect(NewLimit(op, intLit(1), ev))
+		if name == "Aggregate" {
+			if err == nil || !strings.Contains(err.Error(), "synthetic source failure") {
+				t.Fatalf("Aggregate err = %v, want synthetic source failure", err)
+			}
+		} else if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if live := SpillFilesLive(); live != 0 {
+			t.Fatalf("%s: %d spill files still live after Close", name, live)
+		}
+		op.Close()
+		if live := SpillFilesLive(); live != 0 {
+			t.Fatalf("%s: %d spill files live after a second Close", name, live)
+		}
+	}
+	if s.SpillRuns() == 0 || !d.spilling || !a.spilling {
+		t.Fatalf("a barrier did not spill: sort runs %d, distinct %v, aggregate %v", s.SpillRuns(), d.spilling, a.spilling)
 	}
 }
