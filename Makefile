@@ -9,9 +9,11 @@
 # builds it for <rev> and for the working tree's tracked changes, each in
 # a temporary git worktree, runs ten alternating pairs on seeds 1-10
 # into bench-compare-out/base and bench-compare-out/change, and prints
-# `bench -compare` of the two sets.
+# `bench -compare` of the two sets. `make loc` prints each package's
+# non-test Go lines, blank and comment-only lines excluded, and the
+# total: the size yardstick of a simplification.
 
-.PHONY: all test vet race stress spill crash fuzz par props serve-race bench-smoke bench-compare docs-smoke
+.PHONY: all test vet race stress spill crash fuzz par props serve-race bench-smoke bench-compare docs-smoke loc
 
 all: test
 
@@ -160,3 +162,12 @@ bench-compare:
 docs-smoke:
 	go test ./internal/script -run TestLanguageReferenceSnippets
 	go test ./internal/doccheck
+
+# Non-test Go lines per package of this module (bench/ is a separate
+# module), excluding blank lines and lines holding only a // comment.
+loc:
+	@for d in $$(go list -f '{{.Dir}}' ./...); do \
+		n=$$(cat /dev/null $$(ls $$d/*.go | grep -v '_test\.go$$') | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
+		rel=$${d#$(CURDIR)}; rel=$${rel#/}; \
+		printf '%6d  %s\n' $$n $${rel:-.}; \
+	done | awk '{ print; total += $$1 } END { printf "%6d  total\n", total }'

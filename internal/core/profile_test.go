@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -158,4 +161,122 @@ var profileGolden = map[string]string{
       └─ Update[barrier:writer-lock](SET) {rows=10 batches=1}
          └─ Match((a:P {i: x})) order=[0] anchor=[a] est=[4] {rows=10 batches=1}
             └─ Scan(10×1) {rows=10 batches=1}`,
+}
+
+// profileRows lists, for every Match, Unwind, Filter and Project line
+// of a PROFILE text, the operator's name and its rows= counter ("-"
+// when the line has no counters).
+func profileRows(text string) []string {
+	var out []string
+	for _, line := range strings.Split(text, "\n") {
+		line = strings.TrimLeft(line, " │├└─")
+		kind := false
+		for _, k := range []string{"Match(", "OptionalMatch(", "Unwind(", "Filter(", "Project["} {
+			kind = kind || strings.HasPrefix(line, k)
+		}
+		if !kind {
+			continue
+		}
+		name, counters, ok := strings.Cut(line, " {rows=")
+		rows := "-"
+		if ok {
+			rows, _, _ = strings.Cut(counters, " ")
+		}
+		out = append(out, name+" rows="+rows)
+	}
+	return out
+}
+
+// TestProfileCountsBelowExchange requires the operators an Exchange
+// runs once per morsel to report under PROFILE the rows the serial plan
+// reports: each morsel chain's counters are summed into the prototype
+// chain that PROFILE renders. It covers anchor morsels under both pull
+// modes (a Sort drains in callback mode, a plain RETURN gathers) and
+// scan morsels over a driving table.
+func TestProfileCountsBelowExchange(t *testing.T) {
+	g := graph.New()
+	stmt, err := parser.Parse(`UNWIND range(0, 199) AS i CREATE (:P{i:i})`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEngine(Config{Dialect: DialectRevised}).ExecuteStatement(g, stmt, nil); err != nil {
+		t.Fatal(err)
+	}
+	drive := table.New("x")
+	for i := int64(0); i < 2100; i++ {
+		drive.AppendRow(value.Int(i))
+	}
+	cases := []struct {
+		name, q, morsels string
+		t0               *table.Table
+	}{
+		{"anchor-sort", `MATCH (p:P) WHERE p.i % 2 = 0 RETURN p.i AS i ORDER BY i LIMIT 3`, "anchor-morsels", nil},
+		{"anchor-gather", `MATCH (p:P) UNWIND [1, 2] AS k WITH p, k WHERE p.i % 3 = 0 RETURN p.i AS i, k`, "anchor-morsels", nil},
+		{"scan", `UNWIND [x, x + 1] AS y WITH x, y WHERE y % 3 = 0 MATCH (p:P) WHERE p.i = y % 200 RETURN p.i AS i`, "scan-morsels", drive},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			serial := profileText(t, Config{Dialect: DialectRevised, Parallelism: 1}, g, c.q, nil, c.t0)
+			par := profileText(t, Config{Dialect: DialectRevised, Parallelism: 2}, g, c.q, nil, c.t0)
+			if !strings.Contains(par, "Exchange(workers=2, "+c.morsels) {
+				t.Fatalf("parallelism 2 built no %s Exchange:\n%s", c.morsels, par)
+			}
+			want, got := profileRows(serial), profileRows(par)
+			if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("counters below the Exchange differ from the serial plan's\nparallelism 2:\n%s\nparallelism 1:\n%s", par, serial)
+			}
+		})
+	}
+}
+
+// TestExecuteWithTableLeavesDrivingTableUntouched runs update clauses,
+// a UNION ALL and a parallel read over one driving table in both
+// dialects: no statement may change a cell of the caller's table, which
+// every UNION member and every scan morsel reads in place.
+func TestExecuteWithTableLeavesDrivingTableUntouched(t *testing.T) {
+	t0 := table.New("x", "s")
+	for i := int64(0); i < 2100; i++ {
+		t0.AppendRow(value.Int(i), value.String(fmt.Sprint("r", i%7)))
+	}
+	before := t0.Clone()
+	for _, d := range []Dialect{DialectRevised, DialectCypher9} {
+		merge := `MERGE SAME (m:M{s: s})`
+		if d == DialectCypher9 {
+			merge = `MERGE (m:M{s: s})`
+		}
+		stmts := []struct {
+			q   string
+			par int
+		}{
+			{`CREATE INDEX ON :N(x)`, 1},
+			{`CREATE INDEX ON :U(x)`, 1},
+			{`CREATE (n:N{x: x, s: s})`, 1},
+			{merge, 1},
+			{`MATCH (n:N{x: x}) SET n.y = x + 1, n.s = 'changed'`, 1},
+			{`MATCH (n:N{x: x}) REMOVE n.y`, 1},
+			{`FOREACH (v IN [x, s] | CREATE (:F{v: v}))`, 1},
+			{`CREATE (:U{x: x}) RETURN x AS v UNION ALL MATCH (u:U{x: x}) RETURN u.x AS v`, 1},
+			{`MATCH (n:N{x: x}) DETACH DELETE n`, 1},
+			{`WITH x, s, x * 2 AS y WHERE y % 3 = 0 RETURN x, y, s`, 2},
+		}
+		g := graph.New()
+		for _, st := range stmts {
+			stmt, err := parser.Parse(st.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var root plan.Operator
+			cfg := Config{Dialect: d, Parallelism: st.par}
+			cfg.onPlan = func(op plan.Operator) { root = op }
+			if _, err := NewEngine(cfg).ExecuteWithTable(g, stmt, nil, t0); err != nil {
+				t.Fatalf("%s %s: %v", d, st.q, err)
+			}
+			if st.par > 1 && !strings.Contains(plan.Explain(root), "scan-morsels") {
+				t.Fatalf("%s %s: no scan-morsel Exchange:\n%s", d, st.q, plan.Explain(root))
+			}
+			if !reflect.DeepEqual(t0, before) {
+				t.Fatalf("%s %s changed the driving table", d, st.q)
+			}
+		}
+	}
 }

@@ -148,38 +148,6 @@ func clampMax(max int) int {
 }
 
 // ---------------------------------------------------------------------
-// Single-use state guard
-// ---------------------------------------------------------------------
-
-// opState makes the operator contract's single-use rule explicit:
-// Open errors on reuse (double Open, or Open after Close), and Close
-// is idempotent. Close before Open is allowed — EXPLAIN closes plans
-// it never opened.
-type opState struct {
-	opened, closed bool
-}
-
-func (s *opState) open(name string) error {
-	if s.closed {
-		return internalErrorf("%s: Open after Close (operators are single-use)", name)
-	}
-	if s.opened {
-		return internalErrorf("%s: double Open (operators are single-use)", name)
-	}
-	s.opened = true
-	return nil
-}
-
-// close reports whether this is the first Close.
-func (s *opState) close() bool {
-	if s.closed {
-		return false
-	}
-	s.closed = true
-	return true
-}
-
-// ---------------------------------------------------------------------
 // Memory budget
 // ---------------------------------------------------------------------
 
@@ -309,13 +277,11 @@ func (o *Unit) NextBatch(max int) (*Batch, bool, error) {
 	o.done = true
 	b := newBatch(nil, 1)
 	b.n = 1
-	o.rows++
-	o.batches++
-	return b, true, nil
+	return o.emit(b)
 }
 
-// NextBatch implements Operator: rows are copied straight out of the
-// table's columnar window, with no per-row map.
+// NextBatch implements Operator: rows [pos, end) of the row-major table
+// are copied into the batch's columns, with no per-row map.
 func (o *TableScan) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
 	if o.pos >= o.end {
@@ -329,9 +295,7 @@ func (o *TableScan) NextBatch(max int) (*Batch, bool, error) {
 	o.t.ReadColumns(o.pos, end, b.vals)
 	b.n = end - o.pos
 	o.pos = end
-	o.rows += int64(b.n)
-	o.batches++
-	return b, true, nil
+	return o.emit(b)
 }
 
 // ---------------------------------------------------------------------
@@ -380,13 +344,7 @@ func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 			out.appendEnv(o.curRow)
 		}
 	}
-	o.last = out.n
-	if out.n == 0 {
-		return nil, false, nil
-	}
-	o.rows += int64(out.n)
-	o.batches++
-	return out, true, nil
+	return o.emit(out)
 }
 
 // ---------------------------------------------------------------------
@@ -456,13 +414,7 @@ func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 			o.elems, o.idx = value.List{v}, 0
 		}
 	}
-	o.last = out.n
-	if out.n == 0 {
-		return nil, false, nil
-	}
-	o.rows += int64(out.n)
-	o.batches++
-	return out, true, nil
+	return o.emit(out)
 }
 
 // NextBatch implements Operator: each CSV data row is written straight
@@ -528,13 +480,7 @@ func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 		o.inIdx++
 		o.reader = r
 	}
-	o.last = out.n
-	if out.n == 0 {
-		return nil, false, nil
-	}
-	o.rows += int64(out.n)
-	o.batches++
-	return out, true, nil
+	return o.emit(out)
 }
 
 // ---------------------------------------------------------------------
@@ -568,16 +514,14 @@ func (o *Filter) NextBatch(max int) (*Batch, bool, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		o.rows += int64(len(sel))
-		o.batches++
 		if len(sel) == in.n {
-			return in, true, nil
+			return o.emit(in)
 		}
 		out := newBatch(in.cols, len(sel))
 		for _, i := range sel {
 			out.appendRowFrom(in, i)
 		}
-		return out, true, nil
+		return o.emit(out)
 	}
 }
 
@@ -610,9 +554,7 @@ func (o *Project) NextBatch(max int) (*Batch, bool, error) {
 			out.src = append(out.src, in.Env(i))
 		}
 	}
-	o.rows += int64(out.n)
-	o.batches++
-	return out, true, nil
+	return o.emit(out)
 }
 
 // NextBatch implements Operator; see distinctNextBatch in spill.go for
@@ -649,18 +591,14 @@ func (o *Skip) NextBatch(max int) (*Batch, bool, error) {
 				rem -= b.n
 				continue
 			}
-			out := b.slice(rem, b.n)
-			o.rows += int64(out.n)
-			o.batches++
-			return out, true, nil
+			return o.emit(b.slice(rem, b.n))
 		}
 	}
 	b, ok, err := o.child.NextBatch(max)
-	if ok {
-		o.rows += int64(b.n)
-		o.batches++
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	return b, ok, err
+	return o.emit(b)
 }
 
 // NextBatch implements Operator. The child is pulled with the
@@ -693,9 +631,7 @@ func (o *Limit) NextBatch(max int) (*Batch, bool, error) {
 	if int64(b.n) > rem {
 		b = b.slice(0, int(rem))
 	}
-	o.rows += int64(b.n)
-	o.batches++
-	return b, true, nil
+	return o.emit(b)
 }
 
 // ---------------------------------------------------------------------
@@ -712,7 +648,7 @@ func (o *Sort) NextBatch(max int) (*Batch, bool, error) {
 		o.filled = true
 	}
 	max = clampMax(max)
-	b := newBatch(o.Columns(), demandCap(o.last, max))
+	b := newBatch(o.cols, demandCap(o.last, max))
 	for b.n < max {
 		r, ok, err := o.next1()
 		if err != nil {
@@ -723,13 +659,7 @@ func (o *Sort) NextBatch(max int) (*Batch, bool, error) {
 		}
 		b.appendVals(r.vals)
 	}
-	o.last = b.n
-	if b.n == 0 {
-		return nil, false, nil
-	}
-	o.rows += int64(b.n)
-	o.batches++
-	return b, true, nil
+	return o.emit(b)
 }
 
 // NextBatch implements Operator, replaying the finalized groups in
@@ -750,9 +680,7 @@ func (o *Aggregate) NextBatch(max int) (*Batch, bool, error) {
 		b.appendEnv(o.out[o.idx])
 		o.idx++
 	}
-	o.rows += int64(b.n)
-	o.batches++
-	return b, true, nil
+	return o.emit(b)
 }
 
 // NextBatch implements Operator, replaying the update's output table
@@ -772,9 +700,7 @@ func (o *Apply) NextBatch(max int) (*Batch, bool, error) {
 	o.out.ReadColumns(o.outIdx, end, b.vals)
 	b.n = end - o.outIdx
 	o.outIdx = end
-	o.rows += int64(b.n)
-	o.batches++
-	return b, true, nil
+	return o.emit(b)
 }
 
 // applyUpdates runs the update barriers in op's subtree that have not
@@ -837,11 +763,9 @@ func (o *Union) NextBatch(max int) (*Batch, bool, error) {
 			continue
 		}
 		if o.idx > 0 {
-			b = remapBatch(b, o.Columns())
+			b = remapBatch(b, o.cols)
 		}
-		o.rows += int64(b.n)
-		o.batches++
-		return b, true, nil
+		return o.emit(b)
 	}
 	return nil, false, nil
 }

@@ -101,9 +101,10 @@ func (b *Builder) endSeg(seg *segBuild, cur Operator) Operator {
 }
 
 // BuildStatement lowers a whole statement: one pipeline per UNION
-// member over its own copy of the initial table (nil t0 means the unit
-// table), a sequential Union on top, and a Distinct when any plain
-// UNION asks for bag deduplication.
+// member over the initial table (nil t0 means the unit table), a
+// sequential Union on top, and a Distinct when any plain UNION asks for
+// bag deduplication. Every member scans t0 itself: no operator writes
+// the table it scans (an update barrier materializes its own input).
 func (b *Builder) BuildStatement(stmt *ast.Statement, t0 *table.Table) (Operator, error) {
 	if b.MemoryBudget > 0 {
 		b.bud = newBudget(b.MemoryBudget)
@@ -114,7 +115,7 @@ func (b *Builder) BuildStatement(stmt *ast.Statement, t0 *table.Table) (Operator
 	for _, q := range stmt.Queries {
 		var src Operator
 		if t0 != nil {
-			src = NewTableScan(t0.Clone())
+			src = NewTableScan(t0)
 		} else {
 			src = NewUnit()
 		}

@@ -12,6 +12,76 @@ import (
 
 var nullValue = value.NullValue
 
+// base is what every operator shares: its input (nil for a source), its
+// output columns, its execution counters and the close cascade. An
+// operator embeds it and writes NextBatch and Name itself; it writes
+// Close only when it has more to release than its child, and Children
+// only when it has several (Union).
+type base struct {
+	child   Operator
+	cols    []string
+	rows    int64 // records NextBatch has returned
+	batches int64 // batches NextBatch has returned
+	last    int   // rows in the previous output batch (see demandCap)
+	closed  bool
+}
+
+// Columns implements Operator.
+func (o *base) Columns() []string { return o.cols }
+
+// Children implements Operator.
+func (o *base) Children() []Operator {
+	if o.child == nil {
+		return nil
+	}
+	return []Operator{o.child}
+}
+
+// Close implements Operator: the first call closes the child.
+func (o *base) Close() {
+	if o.closed {
+		return
+	}
+	o.closed = true
+	if o.child != nil {
+		o.child.Close()
+	}
+}
+
+// RowsEmitted reports how many records NextBatch has returned so far,
+// making early-exit behaviour observable in tests.
+func (o *base) RowsEmitted() int64 { return o.rows }
+
+// opBase exposes the counters of an operator behind the interface (see
+// addCounters).
+func (o *base) opBase() *base { return o }
+
+// emit finishes an output batch: it remembers the batch size for
+// demandCap, reports an empty batch as end of stream and counts the
+// rest.
+func (o *base) emit(b *Batch) (*Batch, bool, error) {
+	o.last = b.n
+	if b.n == 0 {
+		return nil, false, nil
+	}
+	o.rows += int64(b.n)
+	o.batches++
+	return b, true, nil
+}
+
+// stats renders the counters for Name (see statsSuffix).
+func (o *base) stats() string { return statsSuffix(o.rows, o.batches) }
+
+// over returns a base over child whose output columns are the child's
+// followed by extra. Without extra it shares the child's column slice.
+func over(child Operator, extra ...string) base {
+	cols := child.Columns()
+	if len(extra) > 0 {
+		cols = append(cols[:len(cols):len(cols)], extra...)
+	}
+	return base{child: child, cols: cols}
+}
+
 // ---------------------------------------------------------------------
 // Sources
 // ---------------------------------------------------------------------
@@ -19,32 +89,15 @@ var nullValue = value.NullValue
 // Unit emits the single empty record T() that starts query evaluation
 // (Section 8.1 of the paper).
 type Unit struct {
-	done    bool
-	st      opState
-	rows    int64
-	batches int64
+	base
+	done bool
 }
 
 // NewUnit returns the unit source.
 func NewUnit() *Unit { return &Unit{} }
 
-// Columns implements Operator.
-func (o *Unit) Columns() []string { return nil }
-
-// Open implements Operator.
-func (o *Unit) Open() error { return o.st.open("Unit") }
-
-// Close implements Operator.
-func (o *Unit) Close() { o.st.close() }
-
 // Name implements Operator.
-func (o *Unit) Name() string { return "Unit" + statsSuffix(o.rows, o.batches) }
-
-// Children implements Operator.
-func (o *Unit) Children() []Operator { return nil }
-
-// RowsEmitted implements Operator.
-func (o *Unit) RowsEmitted() int64 { return o.rows }
+func (o *Unit) Name() string { return "Unit" + o.stats() }
 
 // TableScan streams the records of a pre-built driving table (the
 // ExecuteWithTable entry point of the Section 6 experiments, and the
@@ -52,41 +105,21 @@ func (o *Unit) RowsEmitted() int64 { return o.rows }
 // a TableScan over rows [pos, end) of the shared table (see
 // scanSource).
 type TableScan struct {
-	t       *table.Table
-	cols    []string
-	pos     int
-	end     int
-	st      opState
-	rows    int64
-	batches int64
+	base
+	t   *table.Table
+	pos int
+	end int
 }
 
 // NewTableScan returns a scan over t.
 func NewTableScan(t *table.Table) *TableScan {
-	return &TableScan{t: t, cols: t.Columns(), end: t.Len()}
+	return &TableScan{base: base{cols: t.Columns()}, t: t, end: t.Len()}
 }
-
-// Columns implements Operator.
-func (o *TableScan) Columns() []string { return o.cols }
-
-// Open implements Operator.
-func (o *TableScan) Open() error {
-	return o.st.open("Scan")
-}
-
-// Close implements Operator.
-func (o *TableScan) Close() { o.st.close() }
 
 // Name implements Operator.
 func (o *TableScan) Name() string {
-	return fmt.Sprintf("Scan(%d×%d)", o.t.Len(), len(o.t.Columns())) + statsSuffix(o.rows, o.batches)
+	return fmt.Sprintf("Scan(%d×%d)", o.t.Len(), len(o.cols)) + o.stats()
 }
-
-// Children implements Operator.
-func (o *TableScan) Children() []Operator { return nil }
-
-// RowsEmitted implements Operator.
-func (o *TableScan) RowsEmitted() int64 { return o.rows }
 
 // ---------------------------------------------------------------------
 // Match
@@ -98,11 +131,10 @@ func (o *TableScan) RowsEmitted() int64 { return o.rows }
 // A consumer that stops pulling (LIMIT, EXISTS) aborts the enumeration
 // mid-search; MatchStats exposes how many candidates were visited.
 type Match struct {
-	child   Operator
+	base
 	cl      *ast.MatchClause
 	matcher *match.Matcher
-	cols    []string
-	stats   match.Stats
+	visits  match.Stats
 	pushed  *match.Pushdown
 
 	// An anchor morsel's Match (see anchorSource) enumerates only the
@@ -120,11 +152,6 @@ type Match struct {
 	curRow  expr.Env
 	it      match.Iter
 	emitted int
-
-	st      opState
-	rows    int64
-	batches int64
-	last    int // rows in the previous output batch (see demandCap)
 }
 
 // NewMatch builds a Match operator over child. newVars are the pattern
@@ -135,13 +162,12 @@ type Match struct {
 // results (see match.Pushdown).
 func NewMatch(child Operator, cl *ast.MatchClause, m *match.Matcher, ev *expr.Evaluator, newVars []string) *Match {
 	o := &Match{
-		child:   child,
+		base:    over(child, newVars...),
 		cl:      cl,
 		matcher: m,
-		cols:    append(append([]string(nil), child.Columns()...), newVars...),
 		pushed:  match.NewPushdown(cl.Where, cl.Pattern, child.Columns()),
 	}
-	o.matcher.Stats = &o.stats
+	o.matcher.Stats = &o.visits
 	o.matcher.SetPushdown(o.pushed)
 	if cl.Where != nil {
 		o.it.Filter = func(me expr.Env) (bool, error) {
@@ -150,24 +176,6 @@ func NewMatch(child Operator, cl *ast.MatchClause, m *match.Matcher, ev *expr.Ev
 		}
 	}
 	return o
-}
-
-// Columns implements Operator.
-func (o *Match) Columns() []string { return o.cols }
-
-// Open implements Operator.
-func (o *Match) Open() error {
-	if err := o.st.open("Match"); err != nil {
-		return err
-	}
-	return o.child.Open()
-}
-
-// Close implements Operator.
-func (o *Match) Close() {
-	if o.st.close() {
-		o.child.Close()
-	}
 }
 
 // Name implements Operator. Beyond the pattern it renders the planner's
@@ -192,18 +200,12 @@ func (o *Match) Name() string {
 	if o.cl.Where != nil {
 		s += " WHERE …"
 	}
-	return s + statsSuffix(o.rows, o.batches)
+	return s + o.stats()
 }
-
-// Children implements Operator.
-func (o *Match) Children() []Operator { return []Operator{o.child} }
-
-// RowsEmitted implements Operator.
-func (o *Match) RowsEmitted() int64 { return o.rows }
 
 // MatchStats reports the matcher's visit counters (candidates
 // considered so far), for early-exit assertions and EXPLAIN.
-func (o *Match) MatchStats() match.Stats { return o.stats }
+func (o *Match) MatchStats() match.Stats { return o.visits }
 
 func joinTrunc(parts []string, max int) string {
 	s := ""
@@ -230,10 +232,9 @@ func joinTrunc(parts []string, max int) string {
 // Unwind expands a list expression into one record per element. Null
 // yields no records; a non-list value is treated as a singleton.
 type Unwind struct {
-	child Operator
-	cl    *ast.UnwindClause
-	ev    *expr.Evaluator
-	cols  []string
+	base
+	cl *ast.UnwindClause
+	ev *expr.Evaluator
 
 	// Pull state (see NextBatch in batch.go): the current input batch,
 	// the next row of it to expand, the row the live element list came
@@ -246,50 +247,17 @@ type Unwind struct {
 	elems   value.List
 	idx     int
 	scratch expr.Env
-
-	st      opState
-	rows    int64
-	batches int64
-	last    int // rows in the previous output batch (see demandCap)
 }
 
 // NewUnwind builds an Unwind operator over child.
 func NewUnwind(child Operator, cl *ast.UnwindClause, ev *expr.Evaluator) *Unwind {
-	return &Unwind{
-		child: child, cl: cl, ev: ev,
-		cols: append(append([]string(nil), child.Columns()...), cl.Var),
-	}
-}
-
-// Columns implements Operator.
-func (o *Unwind) Columns() []string { return o.cols }
-
-// Open implements Operator.
-func (o *Unwind) Open() error {
-	if err := o.st.open("Unwind"); err != nil {
-		return err
-	}
-	return o.child.Open()
-}
-
-// Close implements Operator.
-func (o *Unwind) Close() {
-	if !o.st.close() {
-		return
-	}
-	o.child.Close()
+	return &Unwind{base: over(child, cl.Var), cl: cl, ev: ev}
 }
 
 // Name implements Operator.
 func (o *Unwind) Name() string {
-	return fmt.Sprintf("Unwind(%s AS %s)", o.cl.Expr.String(), o.cl.Var) + statsSuffix(o.rows, o.batches)
+	return fmt.Sprintf("Unwind(%s AS %s)", o.cl.Expr.String(), o.cl.Var) + o.stats()
 }
-
-// Children implements Operator.
-func (o *Unwind) Children() []Operator { return []Operator{o.child} }
-
-// RowsEmitted implements Operator.
-func (o *Unwind) RowsEmitted() int64 { return o.rows }
 
 // LoadCSV reads a CSV file per input record, binding each data row to
 // the clause variable: a map with WITH HEADERS, a list of strings
@@ -297,10 +265,9 @@ func (o *Unwind) RowsEmitted() int64 { return o.rows }
 // pulls — nothing is buffered, so LIMIT-style early exit stops reading
 // the file mid-way and huge imports stream in constant memory.
 type LoadCSV struct {
-	child Operator
-	cl    *ast.LoadCSVClause
-	ev    *expr.Evaluator
-	cols  []string
+	base
+	cl *ast.LoadCSVClause
+	ev *expr.Evaluator
 
 	// Pull state (see NextBatch in batch.go), as in Unwind; reader is
 	// the open file of input row inRow.
@@ -310,54 +277,26 @@ type LoadCSV struct {
 	inRow   int
 	reader  *CSVReader
 	scratch expr.Env
-
-	st      opState
-	rows    int64
-	batches int64
-	last    int // rows in the previous output batch (see demandCap)
 }
 
 // NewLoadCSV builds a LoadCSV operator over child.
 func NewLoadCSV(child Operator, cl *ast.LoadCSVClause, ev *expr.Evaluator) *LoadCSV {
-	return &LoadCSV{
-		child: child, cl: cl, ev: ev,
-		cols: append(append([]string(nil), child.Columns()...), cl.Var),
-	}
+	return &LoadCSV{base: over(child, cl.Var), cl: cl, ev: ev}
 }
 
-// Columns implements Operator.
-func (o *LoadCSV) Columns() []string { return o.cols }
-
-// Open implements Operator.
-func (o *LoadCSV) Open() error {
-	if err := o.st.open("LoadCSV"); err != nil {
-		return err
-	}
-	return o.child.Open()
-}
-
-// Close implements Operator.
+// Close implements Operator: it also closes the open CSV file.
 func (o *LoadCSV) Close() {
-	if !o.st.close() {
-		return
-	}
 	if o.reader != nil {
 		o.reader.Close()
 		o.reader = nil
 	}
-	o.child.Close()
+	o.base.Close()
 }
 
 // Name implements Operator.
 func (o *LoadCSV) Name() string {
-	return fmt.Sprintf("LoadCSV(%s AS %s)", o.cl.URL.String(), o.cl.Var) + statsSuffix(o.rows, o.batches)
+	return fmt.Sprintf("LoadCSV(%s AS %s)", o.cl.URL.String(), o.cl.Var) + o.stats()
 }
-
-// Children implements Operator.
-func (o *LoadCSV) Children() []Operator { return []Operator{o.child} }
-
-// RowsEmitted implements Operator.
-func (o *LoadCSV) RowsEmitted() int64 { return o.rows }
 
 // ---------------------------------------------------------------------
 // Filter / Project / Distinct / Skip / Limit
@@ -366,51 +305,23 @@ func (o *LoadCSV) RowsEmitted() int64 { return o.rows }
 // Filter keeps records whose predicate evaluates to True (ternary
 // logic: null and false are both dropped). It implements WITH … WHERE.
 type Filter struct {
-	child Operator
-	pred  ast.Expr
-	ev    *expr.Evaluator
+	base
+	pred ast.Expr
+	ev   *expr.Evaluator
 
-	st      opState
-	rows    int64
-	batches int64
 	scratch expr.Env
 	selbuf  []int
 }
 
 // NewFilter builds a Filter over child.
 func NewFilter(child Operator, pred ast.Expr, ev *expr.Evaluator) *Filter {
-	return &Filter{child: child, pred: pred, ev: ev}
-}
-
-// Columns implements Operator.
-func (o *Filter) Columns() []string { return o.child.Columns() }
-
-// Open implements Operator.
-func (o *Filter) Open() error {
-	if err := o.st.open("Filter"); err != nil {
-		return err
-	}
-	return o.child.Open()
-}
-
-// Close implements Operator.
-func (o *Filter) Close() {
-	if !o.st.close() {
-		return
-	}
-	o.child.Close()
+	return &Filter{base: over(child), pred: pred, ev: ev}
 }
 
 // Name implements Operator.
 func (o *Filter) Name() string {
-	return fmt.Sprintf("Filter(%s)", o.pred.String()) + statsSuffix(o.rows, o.batches)
+	return fmt.Sprintf("Filter(%s)", o.pred.String()) + o.stats()
 }
-
-// Children implements Operator.
-func (o *Filter) Children() []Operator { return []Operator{o.child} }
-
-// RowsEmitted implements Operator.
-func (o *Filter) RowsEmitted() int64 { return o.rows }
 
 // Item is one projection item: an expression and its output column.
 type Item struct {
@@ -424,53 +335,24 @@ type Item struct {
 // variables (legal when the projection neither aggregates nor
 // deduplicates — the cardinality is unchanged).
 type Project struct {
-	child   Operator
+	base
 	items   []Item
-	cols    []string
 	ev      *expr.Evaluator
 	keepSrc bool
 
-	st         opState
-	rows       int64
-	batches    int64
 	scratch    expr.Env
 	outScratch expr.Env
 }
 
 // NewProject builds a Project over child.
 func NewProject(child Operator, items []Item, cols []string, ev *expr.Evaluator, keepSrc bool) *Project {
-	return &Project{child: child, items: items, cols: cols, ev: ev, keepSrc: keepSrc}
-}
-
-// Columns implements Operator.
-func (o *Project) Columns() []string { return o.cols }
-
-// Open implements Operator.
-func (o *Project) Open() error {
-	if err := o.st.open("Project"); err != nil {
-		return err
-	}
-	return o.child.Open()
-}
-
-// Close implements Operator.
-func (o *Project) Close() {
-	if !o.st.close() {
-		return
-	}
-	o.child.Close()
+	return &Project{base: base{child: child, cols: cols}, items: items, ev: ev, keepSrc: keepSrc}
 }
 
 // Name implements Operator.
 func (o *Project) Name() string {
-	return "Project" + describeItems(o.items) + statsSuffix(o.rows, o.batches)
+	return "Project" + describeItems(o.items) + o.stats()
 }
-
-// Children implements Operator.
-func (o *Project) Children() []Operator { return []Operator{o.child} }
-
-// RowsEmitted implements Operator.
-func (o *Project) RowsEmitted() int64 { return o.rows }
 
 func describeItems(items []Item) string {
 	var parts []string
@@ -487,15 +369,11 @@ func describeItems(items []Item) string {
 // is capped and overflow keys spill to hash partitions (see
 // distinctNextBatch in spill.go).
 type Distinct struct {
+	base
 	memAccount
-	child Operator
-	seen  map[string]bool
-	rows  int64
+	seen map[string]bool
 
 	// Pull and spill state (see spill.go).
-	st       opState
-	batches  int64
-	dcols    []string
 	keybuf   []value.Value
 	selbuf   []int
 	seq      int64
@@ -503,31 +381,19 @@ type Distinct struct {
 	spilling bool
 	parts    []*spillFile
 	merged   *runMerger
-	last     int // rows in the previous deferred batch (see demandCap)
 }
 
 // NewDistinct builds a Distinct over child.
-func NewDistinct(child Operator) *Distinct { return &Distinct{child: child} }
-
-// Columns implements Operator.
-func (o *Distinct) Columns() []string { return o.child.Columns() }
-
-// Open implements Operator.
-func (o *Distinct) Open() error {
-	if err := o.st.open("Distinct"); err != nil {
-		return err
-	}
-	o.seen = make(map[string]bool)
-	return o.child.Open()
+func NewDistinct(child Operator) *Distinct {
+	o := &Distinct{base: over(child), seen: make(map[string]bool)}
+	o.keybuf = make([]value.Value, len(o.cols))
+	return o
 }
 
 // Close implements Operator. It releases any spill state: partition
 // files still on disk (early-LIMIT abandonment, errors) are removed
 // and the accounted budget is returned.
 func (o *Distinct) Close() {
-	if !o.st.close() {
-		return
-	}
 	if o.merged != nil {
 		o.merged.close()
 		o.merged = nil
@@ -537,7 +403,7 @@ func (o *Distinct) Close() {
 	}
 	o.parts = nil
 	o.releaseAll()
-	o.child.Close()
+	o.base.Close()
 }
 
 // Name implements Operator.
@@ -545,40 +411,20 @@ func (o *Distinct) Name() string {
 	return "Distinct" + barrierSuffix(o.rows, o.batches, o.PeakBytes(), o.SpillRuns())
 }
 
-// Children implements Operator.
-func (o *Distinct) Children() []Operator { return []Operator{o.child} }
-
-// RowsEmitted implements Operator.
-func (o *Distinct) RowsEmitted() int64 { return o.rows }
-
 // Skip drops the first n records; Limit stops after n. Both evaluate
 // their count expression lazily on first pull (parameters only — the
 // expression has no variables in scope).
 type Skip struct {
-	child   Operator
-	expr    ast.Expr
-	ev      *expr.Evaluator
-	n       int
-	ready   bool
-	st      opState
-	rows    int64
-	batches int64
+	base
+	expr  ast.Expr
+	ev    *expr.Evaluator
+	n     int
+	ready bool
 }
 
 // NewSkip builds a Skip over child.
 func NewSkip(child Operator, e ast.Expr, ev *expr.Evaluator) *Skip {
-	return &Skip{child: child, expr: e, ev: ev}
-}
-
-// Columns implements Operator.
-func (o *Skip) Columns() []string { return o.child.Columns() }
-
-// Open implements Operator.
-func (o *Skip) Open() error {
-	if err := o.st.open("Skip"); err != nil {
-		return err
-	}
-	return o.child.Open()
+	return &Skip{base: over(child), expr: e, ev: ev}
 }
 
 // ensure evaluates the count expression once, on first pull.
@@ -598,54 +444,26 @@ func (o *Skip) ensure() error {
 	return nil
 }
 
-// Close implements Operator.
-func (o *Skip) Close() {
-	if !o.st.close() {
-		return
-	}
-	o.child.Close()
-}
-
 // Name implements Operator.
 func (o *Skip) Name() string {
-	return fmt.Sprintf("Skip(%s)", o.expr.String()) + statsSuffix(o.rows, o.batches)
+	return fmt.Sprintf("Skip(%s)", o.expr.String()) + o.stats()
 }
-
-// Children implements Operator.
-func (o *Skip) Children() []Operator { return []Operator{o.child} }
-
-// RowsEmitted implements Operator.
-func (o *Skip) RowsEmitted() int64 { return o.rows }
 
 // Limit forwards at most n records, then reports end of stream without
 // pulling its child again — the early exit that prunes upstream
 // enumeration.
 type Limit struct {
-	child   Operator
+	base
 	expr    ast.Expr
 	ev      *expr.Evaluator
 	n       int
 	ready   bool
 	applied bool // LIMIT 0 has run the update clauses below it
-	st      opState
-	rows    int64
-	batches int64
 }
 
 // NewLimit builds a Limit over child.
 func NewLimit(child Operator, e ast.Expr, ev *expr.Evaluator) *Limit {
-	return &Limit{child: child, expr: e, ev: ev}
-}
-
-// Columns implements Operator.
-func (o *Limit) Columns() []string { return o.child.Columns() }
-
-// Open implements Operator.
-func (o *Limit) Open() error {
-	if err := o.st.open("Limit"); err != nil {
-		return err
-	}
-	return o.child.Open()
+	return &Limit{base: over(child), expr: e, ev: ev}
 }
 
 // ensure evaluates the count expression once, on first pull.
@@ -665,24 +483,10 @@ func (o *Limit) ensure() error {
 	return nil
 }
 
-// Close implements Operator.
-func (o *Limit) Close() {
-	if !o.st.close() {
-		return
-	}
-	o.child.Close()
-}
-
 // Name implements Operator.
 func (o *Limit) Name() string {
-	return fmt.Sprintf("Limit(%s)", o.expr.String()) + statsSuffix(o.rows, o.batches)
+	return fmt.Sprintf("Limit(%s)", o.expr.String()) + o.stats()
 }
-
-// Children implements Operator.
-func (o *Limit) Children() []Operator { return []Operator{o.child} }
-
-// RowsEmitted implements Operator.
-func (o *Limit) RowsEmitted() int64 { return o.rows }
 
 // ---------------------------------------------------------------------
 // Barriers: Sort, Aggregate, Apply, Discard
@@ -696,45 +500,27 @@ func (o *Limit) RowsEmitted() int64 { return o.rows }
 // merge. A unique intake sequence number breaks ties, reproducing the
 // stable in-memory order exactly. See fill/next1 in spill.go.
 type Sort struct {
+	base
 	memAccount
-	child Operator
 	sorts []*ast.SortItem
 	ev    *expr.Evaluator
 
-	st      opState
-	filled  bool
-	mem     []spillRow
-	memIdx  int
-	runs    []*spillFile
-	merged  *runMerger
-	rows    int64
-	batches int64
-	last    int // rows in the previous output batch (see demandCap)
+	filled bool
+	mem    []spillRow
+	memIdx int
+	runs   []*spillFile
+	merged *runMerger
 }
 
 // NewSort builds a Sort barrier over child.
 func NewSort(child Operator, sorts []*ast.SortItem, ev *expr.Evaluator) *Sort {
-	return &Sort{child: child, sorts: sorts, ev: ev}
-}
-
-// Columns implements Operator.
-func (o *Sort) Columns() []string { return o.child.Columns() }
-
-// Open implements Operator.
-func (o *Sort) Open() error {
-	if err := o.st.open("Sort"); err != nil {
-		return err
-	}
-	return o.child.Open()
+	return &Sort{base: over(child), sorts: sorts, ev: ev}
 }
 
 // Close implements Operator. It releases the sort's state: any run
 // files still on disk (early-LIMIT abandonment, errors) are removed
 // and the accounted budget is returned.
 func (o *Sort) Close() {
-	if !o.st.close() {
-		return
-	}
 	if o.merged != nil {
 		o.merged.close()
 		o.merged = nil
@@ -745,7 +531,7 @@ func (o *Sort) Close() {
 	o.runs = nil
 	o.mem = nil
 	o.releaseAll()
-	o.child.Close()
+	o.base.Close()
 }
 
 // Name implements Operator.
@@ -761,49 +547,28 @@ func (o *Sort) Name() string {
 	return fmt.Sprintf("Sort[barrier](%s)", joinTrunc(parts, 50)) + barrierSuffix(o.rows, o.batches, o.PeakBytes(), o.SpillRuns())
 }
 
-// Children implements Operator.
-func (o *Sort) Children() []Operator { return []Operator{o.child} }
-
-// RowsEmitted implements Operator.
-func (o *Sort) RowsEmitted() int64 { return o.rows }
-
 // Aggregate is a materialization barrier implementing grouped
 // projection: records group by the non-aggregating items, aggregates
 // accumulate per group, and one row per group is emitted in
 // first-appearance order. Zero input records with no grouping keys
 // produce the single global group (count(*) = 0).
 type Aggregate struct {
+	base
 	memAccount
-	child Operator
 	items []Item
-	cols  []string
 	ev    *expr.Evaluator
 
 	out  []expr.Env
 	idx  int
 	done bool
 
-	st       opState
-	rows     int64
-	batches  int64
 	spilling bool
 	parts    []*spillFile
 }
 
 // NewAggregate builds an Aggregate barrier over child.
 func NewAggregate(child Operator, items []Item, cols []string, ev *expr.Evaluator) *Aggregate {
-	return &Aggregate{child: child, items: items, cols: cols, ev: ev}
-}
-
-// Columns implements Operator.
-func (o *Aggregate) Columns() []string { return o.cols }
-
-// Open implements Operator.
-func (o *Aggregate) Open() error {
-	if err := o.st.open("Aggregate"); err != nil {
-		return err
-	}
-	return o.child.Open()
+	return &Aggregate{base: base{child: child, cols: cols}, items: items, ev: ev}
 }
 
 // fill (the spilling hash aggregation) lives in spill.go.
@@ -812,27 +577,18 @@ func (o *Aggregate) Open() error {
 // files still on disk (early-LIMIT abandonment, errors) are removed
 // and the accounted budget is returned.
 func (o *Aggregate) Close() {
-	if !o.st.close() {
-		return
-	}
 	for _, p := range o.parts {
 		p.discard()
 	}
 	o.parts = nil
 	o.releaseAll()
-	o.child.Close()
+	o.base.Close()
 }
 
 // Name implements Operator.
 func (o *Aggregate) Name() string {
 	return "Aggregate[barrier]" + describeItems(o.items) + barrierSuffix(o.rows, o.batches, o.PeakBytes(), o.SpillRuns())
 }
-
-// Children implements Operator.
-func (o *Aggregate) Children() []Operator { return []Operator{o.child} }
-
-// RowsEmitted implements Operator.
-func (o *Aggregate) RowsEmitted() int64 { return o.rows }
 
 // Apply is the update barrier: it materializes its child into a driving
 // table (in stream order — exactly the table clause-at-a-time evaluation
@@ -842,34 +598,19 @@ func (o *Aggregate) RowsEmitted() int64 { return o.rows }
 // Example 3) and the revised dialect's two-phase ChangeSet semantics
 // under the streaming executor.
 type Apply struct {
-	child Operator
+	base
 	label string
-	cols  []string
 	fn    func(*table.Table) (*table.Table, error)
 
-	out     *table.Table
-	outIdx  int
-	done    bool
-	st      opState
-	rows    int64
-	batches int64
+	out    *table.Table
+	outIdx int
+	done   bool
 }
 
 // NewApply builds an update barrier over child. cols is the planner's
 // prediction of the clause's output columns; fn's result must match.
 func NewApply(child Operator, label string, cols []string, fn func(*table.Table) (*table.Table, error)) *Apply {
-	return &Apply{child: child, label: label, cols: cols, fn: fn}
-}
-
-// Columns implements Operator.
-func (o *Apply) Columns() []string { return o.cols }
-
-// Open implements Operator.
-func (o *Apply) Open() error {
-	if err := o.st.open("Update"); err != nil {
-		return err
-	}
-	return o.child.Open()
+	return &Apply{base: base{child: child, cols: cols}, label: label, fn: fn}
 }
 
 // fill materializes the child batch-at-a-time (one row-slice
@@ -907,64 +648,23 @@ func (o *Apply) fill() error {
 	return nil
 }
 
-// Close implements Operator.
-func (o *Apply) Close() {
-	if !o.st.close() {
-		return
-	}
-	o.child.Close()
-}
-
 // Name implements Operator.
 func (o *Apply) Name() string {
-	return fmt.Sprintf("Update[barrier:writer-lock](%s)", o.label) + statsSuffix(o.rows, o.batches)
+	return fmt.Sprintf("Update[barrier:writer-lock](%s)", o.label) + o.stats()
 }
-
-// Children implements Operator.
-func (o *Apply) Children() []Operator { return []Operator{o.child} }
-
-// RowsEmitted implements Operator.
-func (o *Apply) RowsEmitted() int64 { return o.rows }
 
 // Discard drains its child for effects and emits nothing: the plan of a
 // query without RETURN, which outputs the empty zero-column table.
 type Discard struct {
-	child   Operator
-	done    bool
-	st      opState
-	batches int64
+	base
+	done bool
 }
 
 // NewDiscard builds a Discard over child.
-func NewDiscard(child Operator) *Discard { return &Discard{child: child} }
+func NewDiscard(child Operator) *Discard { return &Discard{base: base{child: child}} }
 
-// Columns implements Operator.
-func (o *Discard) Columns() []string { return nil }
-
-// Open implements Operator.
-func (o *Discard) Open() error {
-	if err := o.st.open("Discard"); err != nil {
-		return err
-	}
-	return o.child.Open()
-}
-
-// Close implements Operator.
-func (o *Discard) Close() {
-	if !o.st.close() {
-		return
-	}
-	o.child.Close()
-}
-
-// Name implements Operator.
-func (o *Discard) Name() string { return "Discard" + statsSuffix(0, o.batches) }
-
-// Children implements Operator.
-func (o *Discard) Children() []Operator { return []Operator{o.child} }
-
-// RowsEmitted implements Operator.
-func (o *Discard) RowsEmitted() int64 { return 0 }
+// Name implements Operator. batches counts the child batches drained.
+func (o *Discard) Name() string { return "Discard" + o.stats() }
 
 // ---------------------------------------------------------------------
 // Union
@@ -975,50 +675,31 @@ func (o *Discard) RowsEmitted() int64 { return 0 }
 // exhausted, preserving the paper's sequential UNION semantics — each
 // member sees the graph as modified by its predecessors (Section 8.2).
 type Union struct {
+	base
 	children []Operator
 	idx      int
-	st       opState
-	rows     int64
-	batches  int64
 }
 
 // NewUnion builds a Union. Members must agree on columns (checked by
 // the builder).
-func NewUnion(children []Operator) *Union { return &Union{children: children} }
-
-// Columns implements Operator.
-func (o *Union) Columns() []string { return o.children[0].Columns() }
-
-// Open implements Operator.
-func (o *Union) Open() error {
-	if err := o.st.open("Union"); err != nil {
-		return err
-	}
-	for _, c := range o.children {
-		if err := c.Open(); err != nil {
-			return err
-		}
-	}
-	return nil
+func NewUnion(children []Operator) *Union {
+	return &Union{base: base{cols: children[0].Columns()}, children: children}
 }
 
-// Close implements Operator.
+// Close implements Operator: the first call closes every member.
 func (o *Union) Close() {
-	if !o.st.close() {
-		return
+	if !o.closed {
+		for _, c := range o.children {
+			c.Close()
+		}
 	}
-	for _, c := range o.children {
-		c.Close()
-	}
+	o.base.Close()
 }
 
 // Name implements Operator.
 func (o *Union) Name() string {
-	return fmt.Sprintf("Union(%d members)", len(o.children)) + statsSuffix(o.rows, o.batches)
+	return fmt.Sprintf("Union(%d members)", len(o.children)) + o.stats()
 }
 
 // Children implements Operator.
 func (o *Union) Children() []Operator { return o.children }
-
-// RowsEmitted implements Operator.
-func (o *Union) RowsEmitted() int64 { return o.rows }

@@ -12,8 +12,8 @@
 // driving table and the statement's plan slots are shared.
 //
 // One worker loop (Exchange.run) claims morsels in index order, builds
-// each morsel's chain, opens it, drains it and closes it. It feeds both
-// pull modes:
+// each morsel's chain, drains it, closes it and adds its counters to
+// the prototype chain's. It feeds both pull modes:
 //
 //   - The ordered gather (NextBatch) gives every morsel a bounded
 //     stream, registered in claim order, and drains the streams in that
@@ -116,7 +116,7 @@ func (s *scanSource) morsels() int {
 
 func (s *scanSource) operator(i int, _ *workerCtx) Operator {
 	lo := i * s.chunk
-	return &TableScan{t: s.t, cols: s.cols, pos: lo, end: min(lo+s.chunk, s.t.Len())}
+	return &TableScan{base: base{cols: s.cols}, t: s.t, pos: lo, end: min(lo+s.chunk, s.t.Len())}
 }
 
 func (s *scanSource) label() string {
@@ -187,24 +187,26 @@ type morselStream struct {
 var errExchangeClosed = errors.New("exchange closed")
 
 // Exchange fans a partitioned source out over a worker pool and
-// gathers the results back in morsel order. The serial prototype chain
-// (the operators the builder would have produced without parallelism)
-// is kept as the explain child: it is never opened, it only renders
-// the plan shape below the exchange boundary.
+// gathers the results back in morsel order. Its child is the serial
+// prototype chain (the operators the builder would have produced
+// without parallelism): it is never pulled, it renders the plan shape
+// below the exchange boundary and, under PROFILE, the counters of the
+// morsel chains summed operator by operator.
 type Exchange struct {
+	base
 	src     morselSource
 	stages  []stageFn
-	proto   Operator
-	cols    []string
 	workers int
 	newCtx  func() *workerCtx
 
-	st       opState
 	started  bool
 	draining bool
 	mu       sync.Mutex
 	next     int
-	errMu    sync.Mutex // not mu: a gather claim may block holding mu
+	// repMu guards what workers report: the lowest failed morsel's error
+	// and the prototype chain's counters. It is not mu, because a gather
+	// claim may block holding mu.
+	repMu    sync.Mutex
 	firstErr error
 	errIdx   int
 	queue    chan *morselStream
@@ -216,32 +218,22 @@ type Exchange struct {
 	pending *Batch
 	pendOff int
 
-	rows     int64
-	batches  int64
 	morselsN atomic.Int64
 	launched int
 }
 
 // NewExchange builds an Exchange over a partitioned source. proto is
-// the serial prototype chain (source plus absorbed stages) used for
-// column resolution and EXPLAIN rendering only.
+// the serial prototype chain (source plus absorbed stages), used for
+// column resolution and for EXPLAIN and PROFILE rendering only.
 func NewExchange(src morselSource, stages []stageFn, proto Operator, workers int, newCtx func() *workerCtx) *Exchange {
 	return &Exchange{
+		base:    base{child: proto, cols: proto.Columns()},
 		src:     src,
 		stages:  stages,
-		proto:   proto,
-		cols:    proto.Columns(),
 		workers: workers,
 		newCtx:  newCtx,
 	}
 }
-
-// Columns implements Operator.
-func (e *Exchange) Columns() []string { return e.cols }
-
-// Open implements Operator. Workers launch lazily on first pull (or
-// drain), so building and EXPLAINing a plan costs nothing.
-func (e *Exchange) Open() error { return e.st.open("Exchange") }
 
 // poolSize caps the worker count by the morsel count — extra workers
 // would only idle.
@@ -258,12 +250,14 @@ func (e *Exchange) poolSize() int {
 
 // run launches the pool on the Exchange's one worker loop, which both
 // pull modes share: each worker claims the next morsel in index order,
-// builds the morsel's chain with its private context, opens it, hands
-// every batch to emit, closes it and reports the outcome to end. claim
-// runs under the claim mutex, so it sees morsels in index order; it
-// returns false to stop the worker. A failed morsel stops every worker
-// from claiming further morsels, and the lowest failed morsel's error
-// is kept — the error the serial run would have hit first.
+// builds the morsel's chain with its private context, hands every batch
+// to emit, closes it and reports the outcome to end. Workers launch on
+// the first pull or drain, so building and EXPLAINing a plan costs
+// nothing. claim runs under the claim mutex, so it sees morsels in
+// index order; it returns false to stop the worker. A failed morsel
+// stops every worker from claiming further morsels, and the lowest
+// failed morsel's error is kept — the error the serial run would have
+// hit first.
 func (e *Exchange) run(claim func(worker, morsel int) bool, emit func(worker, morsel int, b *Batch) error, end func(worker int, err error)) {
 	e.started = true
 	e.done = make(chan struct{})
@@ -285,11 +279,11 @@ func (e *Exchange) run(claim func(worker, morsel int) bool, emit func(worker, mo
 				e.mu.Unlock()
 				err := e.runMorsel(idx, w, func(b *Batch) error { return emit(wid, idx, b) })
 				if err != nil {
-					e.errMu.Lock()
+					e.repMu.Lock()
 					if e.firstErr == nil || idx < e.errIdx {
 						e.firstErr, e.errIdx = err, idx
 					}
-					e.errMu.Unlock()
+					e.repMu.Unlock()
 					e.failed.Store(true)
 				}
 				end(wid, err)
@@ -298,18 +292,21 @@ func (e *Exchange) run(claim func(worker, morsel int) bool, emit func(worker, mo
 	}
 }
 
-// runMorsel builds, opens and drains one morsel's operator chain into
-// emit. The chain is always Closed before returning.
+// runMorsel builds one morsel's operator chain and drains it into
+// emit. Before returning it closes the chain and adds the chain's
+// counters to the prototype's.
 func (e *Exchange) runMorsel(idx int, w *workerCtx, emit func(*Batch) error) error {
 	e.morselsN.Add(1)
 	op := e.src.operator(idx, w)
 	for _, st := range e.stages {
 		op = st(op, w)
 	}
-	defer op.Close()
-	if err := op.Open(); err != nil {
-		return err
-	}
+	defer func() {
+		op.Close()
+		e.repMu.Lock()
+		addCounters(e.child, op)
+		e.repMu.Unlock()
+	}()
 	for {
 		b, ok, err := op.NextBatch(BatchTarget)
 		if err != nil || !ok {
@@ -318,6 +315,19 @@ func (e *Exchange) runMorsel(idx int, w *workerCtx, emit func(*Batch) error) err
 		if err := emit(b); err != nil {
 			return err
 		}
+	}
+}
+
+// addCounters adds a morsel chain's counters to the prototype chain,
+// operator by operator. A morsel chain is built stage for stage like
+// the prototype, so the two have the same shape.
+func addCounters(proto, morsel Operator) {
+	type counted interface{ opBase() *base }
+	for proto != nil && morsel != nil {
+		p, m := proto.(counted).opBase(), morsel.(counted).opBase()
+		p.rows += m.rows
+		p.batches += m.batches
+		proto, morsel = p.child, m.child
 	}
 }
 
@@ -373,9 +383,7 @@ func (e *Exchange) NextBatch(max int) (*Batch, bool, error) {
 			b := e.pending
 			if e.pendOff == 0 && b.n <= max {
 				e.pending = nil
-				e.rows += int64(b.n)
-				e.batches++
-				return b, true, nil
+				return e.emit(b)
 			}
 			end := e.pendOff + max
 			if end > b.n {
@@ -386,9 +394,7 @@ func (e *Exchange) NextBatch(max int) (*Batch, bool, error) {
 			if e.pendOff >= b.n {
 				e.pending, e.pendOff = nil, 0
 			}
-			e.rows += int64(out.n)
-			e.batches++
-			return out, true, nil
+			return e.emit(out)
 		}
 		if e.cur == nil {
 			ms, ok := <-e.queue
@@ -439,14 +445,11 @@ func (e *Exchange) drainParallel(fn func(worker, morsel int, b *Batch) error) er
 // pool to drain — so every morsel chain is closed before Close
 // returns — and closes the prototype chain.
 func (e *Exchange) Close() {
-	if !e.st.close() {
-		return
-	}
-	if e.started {
+	if e.started && !e.closed {
 		close(e.done)
 		e.wg.Wait()
 	}
-	e.proto.Close()
+	e.base.Close()
 }
 
 // Name implements Operator. The static part states the exchange degree
@@ -459,13 +462,6 @@ func (e *Exchange) Name() string {
 	}
 	return s
 }
-
-// Children implements Operator: the serial prototype chain, rendered
-// by EXPLAIN as the plan below the exchange boundary.
-func (e *Exchange) Children() []Operator { return []Operator{e.proto} }
-
-// RowsEmitted implements Operator.
-func (e *Exchange) RowsEmitted() int64 { return e.rows }
 
 // Workers reports the configured exchange degree (for tests).
 func (e *Exchange) Workers() int { return e.workers }

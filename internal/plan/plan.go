@@ -52,16 +52,14 @@ import (
 )
 
 // Operator is a streaming operator: a cursor over records. The contract
-// is Open, then NextBatch until it reports no batch, then Close.
-// Operators are single-use; Close must be called even after an error
-// (it releases spill files, open CSV readers and child resources).
+// is build, then NextBatch until it reports no batch, then Close: a
+// built tree is ready to pull, and all effects and errors of execution
+// surface in NextBatch. A tree runs once. Close must be called even
+// after an error or without any pull (it releases spill files, open
+// CSV readers and child resources).
 type Operator interface {
 	// Columns is the output column set, in order, known at build time.
 	Columns() []string
-	// Open prepares the operator and its children. It performs no work
-	// on the graph: all effects and errors of execution surface in
-	// NextBatch.
-	Open() error
 	// NextBatch returns the next batch of 1..max records; ok=false means
 	// end of stream (an empty batch is never returned with ok=true).
 	NextBatch(max int) (b *Batch, ok bool, err error)
@@ -71,9 +69,6 @@ type Operator interface {
 	Name() string
 	// Children returns the operator's inputs, for plan inspection.
 	Children() []Operator
-	// RowsEmitted reports how many records NextBatch has returned so
-	// far, making early-exit behaviour observable in tests and EXPLAIN.
-	RowsEmitted() int64
 }
 
 // Collect executes a plan to completion, materializing its output into
@@ -82,9 +77,6 @@ type Operator interface {
 // allocation.
 func Collect(root Operator) (*table.Table, error) {
 	defer root.Close()
-	if err := root.Open(); err != nil {
-		return nil, err
-	}
 	out := table.New(root.Columns()...)
 	for {
 		b, ok, err := root.NextBatch(BatchTarget)

@@ -20,7 +20,6 @@ type countingScan struct {
 }
 
 func (o *countingScan) Columns() []string { return []string{o.col} }
-func (o *countingScan) Open() error       { o.pulls = 0; return nil }
 func (o *countingScan) NextBatch(max int) (*Batch, bool, error) {
 	k := min(clampMax(max), o.n-o.pulls)
 	if k <= 0 {
@@ -37,7 +36,6 @@ func (o *countingScan) NextBatch(max int) (*Batch, bool, error) {
 func (o *countingScan) Close()               {}
 func (o *countingScan) Name() string         { return "CountingScan" }
 func (o *countingScan) Children() []Operator { return nil }
-func (o *countingScan) RowsEmitted() int64   { return int64(o.pulls) }
 
 func intLit(n int64) ast.Expr { return &ast.Literal{Value: n} }
 

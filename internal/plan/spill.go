@@ -964,10 +964,6 @@ func (o *Aggregate) fill() (err error) {
 // output is globally in first-occurrence order: identical to the
 // unbudgeted run's.
 func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
-	if o.dcols == nil {
-		o.dcols = o.child.Columns()
-		o.keybuf = make([]value.Value, len(o.dcols))
-	}
 	for !o.drained {
 		in, ok, err := o.child.NextBatch(max)
 		if err != nil {
@@ -979,7 +975,7 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 		}
 		sel := o.selbuf[:0]
 		for i := 0; i < in.n; i++ {
-			for j := range o.dcols {
+			for j := range o.keybuf {
 				o.keybuf[j] = in.vals[j][i]
 			}
 			key := value.KeyList(o.keybuf)
@@ -1010,13 +1006,11 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		o.rows += int64(len(sel))
-		o.batches++
 		if len(sel) == in.n {
 			// Distinct breaks the row/source-record correspondence, so
 			// the source environments must not travel past it.
 			in.src = nil
-			return in, true, nil
+			return o.emit(in)
 		}
 		out := newBatch(in.cols, len(sel))
 		for j := range out.vals {
@@ -1025,7 +1019,7 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 			}
 		}
 		out.n = len(sel)
-		return out, true, nil
+		return o.emit(out)
 	}
 	if !o.spilling {
 		return nil, false, nil
@@ -1036,7 +1030,7 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 		}
 	}
 	max = clampMax(max)
-	b := newBatch(o.dcols, demandCap(o.last, max))
+	b := newBatch(o.cols, demandCap(o.last, max))
 	for b.n < max {
 		r, ok, err := o.merged.next()
 		if err != nil {
@@ -1047,13 +1041,7 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 		}
 		b.appendVals(r.vals)
 	}
-	o.last = b.n
-	if b.n == 0 {
-		return nil, false, nil
-	}
-	o.rows += int64(b.n)
-	o.batches++
-	return b, true, nil
+	return o.emit(b)
 }
 
 // buildDeferred runs the per-partition survivor pass and sets up the

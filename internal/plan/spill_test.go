@@ -17,30 +17,8 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Operator lifecycle (single-use contract)
+// Operator lifecycle
 // ---------------------------------------------------------------------
-
-func TestOperatorDoubleOpenErrors(t *testing.T) {
-	o := NewTableScan(table.New("x"))
-	if err := o.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Open(); err == nil || !strings.Contains(err.Error(), "single-use") {
-		t.Fatalf("second Open = %v, want single-use error", err)
-	}
-	o.Close()
-}
-
-func TestOperatorOpenAfterCloseErrors(t *testing.T) {
-	o := NewTableScan(table.New("x"))
-	if err := o.Open(); err != nil {
-		t.Fatal(err)
-	}
-	o.Close()
-	if err := o.Open(); err == nil || !strings.Contains(err.Error(), "single-use") {
-		t.Fatalf("Open after Close = %v, want single-use error", err)
-	}
-}
 
 func TestOperatorCloseIdempotentAndBeforeOpen(t *testing.T) {
 	// Close before Open must be a no-op (EXPLAIN closes plans it never
@@ -63,11 +41,9 @@ func TestOperatorCloseIdempotentAndBeforeOpen(t *testing.T) {
 // cleanup-on-error paths of the spilling barriers.
 type errAfter struct {
 	n, i int
-	st   opState
 }
 
 func (o *errAfter) Columns() []string { return []string{"x"} }
-func (o *errAfter) Open() error       { return o.st.open("ErrAfter") }
 func (o *errAfter) NextBatch(max int) (*Batch, bool, error) {
 	k := min(clampMax(max), o.n-o.i)
 	if k <= 0 {
@@ -81,23 +57,9 @@ func (o *errAfter) NextBatch(max int) (*Batch, bool, error) {
 	b.n = k
 	return b, true, nil
 }
-func (o *errAfter) Close()               { o.st.close() }
+func (o *errAfter) Close()               {}
 func (o *errAfter) Name() string         { return "ErrAfter" }
 func (o *errAfter) Children() []Operator { return nil }
-func (o *errAfter) RowsEmitted() int64   { return int64(o.i) }
-
-func TestOperatorOpenAfterErrorErrors(t *testing.T) {
-	// A child error does not reset the consumer: re-opening after a
-	// failed execution must be refused, not silently half-work.
-	ev := &expr.Evaluator{}
-	s := NewSort(&errAfter{n: 3}, []*ast.SortItem{{Expr: &ast.Variable{Name: "x"}}}, ev)
-	if _, err := Collect(s); err == nil || !strings.Contains(err.Error(), "synthetic source failure") {
-		t.Fatalf("Collect err = %v, want synthetic source failure", err)
-	}
-	if err := s.Open(); err == nil || !strings.Contains(err.Error(), "single-use") {
-		t.Fatalf("Open after failed run = %v, want single-use error", err)
-	}
-}
 
 // ---------------------------------------------------------------------
 // Spill codec
@@ -380,9 +342,6 @@ func TestUnwindNextBatchRespectsMax(t *testing.T) {
 	src := &countingScan{n: 10, col: "x"}
 	list := &ast.ListLit{Elems: []ast.Expr{intLit(1), intLit(2), intLit(3)}}
 	u := NewUnwind(src, &ast.UnwindClause{Expr: list, Var: "k"}, &expr.Evaluator{})
-	if err := u.Open(); err != nil {
-		t.Fatal(err)
-	}
 	defer u.Close()
 	b, ok, err := u.NextBatch(4)
 	if err != nil || !ok || b.Len() != 4 {
