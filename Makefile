@@ -53,9 +53,9 @@ spill:
 # parallelism sweep (degrees 1/2/8, with and without a spill-forcing
 # budget, bit-identical output required), error/cancellation draining
 # with zero live spill files, the barrier memory bound at degrees 1/2/8
-# (the parallel Sort intake's shared account), the concurrent
-# spill-registry and budget bookkeeping hammer, anchor chunks of one
-# match plan enumerated concurrently (their concatenation must be the
+# (the Sort's peak and spill runs must equal the serial run's), the
+# concurrent spill-registry and budget bookkeeping hammer, anchor chunks
+# of one match plan enumerated concurrently (their concatenation must be the
 # serial enumeration), and the script-corpus sweep whose configs
 # include the parallel executor. Degrees are set explicitly in the
 # tests, so this gate is meaningful even on single-core CI runners.

@@ -678,9 +678,9 @@ func BenchmarkB18DurableCommit(b *testing.B) {
 
 // B19: morsel-parallel read scaling. Four read pipelines over a 100k-
 // node graph — a scan-filter-aggregate, a relationship-expanding
-// match-filter, an ORDER BY … LIMIT whose Sort drains the Exchange
-// through its parallel intake, and a second MATCH run once per driving
-// row (its per-worker matcher reuses one plan across rows) — at
+// match-filter, an ORDER BY … LIMIT whose Sort drains the Exchange's
+// ordered gather with its serial intake, and a second MATCH run once
+// per driving row (its per-worker matcher reuses one plan across rows) — at
 // explicit worker degrees 1, 2, 4 and 8, so one run records the whole
 // scaling curve (the degree is the engine's worker-pool size, not
 // GOMAXPROCS; pass -cpu to scale the hardware too).

@@ -154,11 +154,12 @@ func TestParallelErrorPropagation(t *testing.T) {
 
 // TestParallelSortIntakeKeepsSerialIdentity covers what the sweep's
 // unique sort keys cannot: rows tied on the ORDER BY key but read by
-// different morsels must keep their serial order (the composite
-// morsel<<bits|row sequence), and when several morsels fail, the
-// callback-mode drain must report the lowest morsel's error. Morsel 0
-// fails on its last row while later morsels fail on their first, so
-// the serial-first error is also the last to happen.
+// different morsels must keep their serial order (the Sort drains the
+// ordered gather and numbers rows by intake position), and when
+// several morsels' rows fail sort-key evaluation, the Sort must report
+// the serial-first error. Morsel 0 fails on its last row while later
+// morsels fail on their first, so a drain that evaluated keys as rows
+// arrived from any worker would see the serial-first error last.
 func TestParallelSortIntakeKeepsSerialIdentity(t *testing.T) {
 	g := parallelTestGraph(t, 3000)
 	run := func(q string, par int, budget int64) (string, error) {
@@ -213,8 +214,8 @@ func TestParallelCancellationDrainsWorkers(t *testing.T) {
 		// LIMIT above the exchange: the gatherer stops pulling after 3
 		// rows and Close cancels the in-flight morsels.
 		{`MATCH (u:U) RETURN u.i AS i LIMIT 3`, false},
-		// ORDER BY + LIMIT with a tiny budget: the parallel sort intake
-		// spills per-worker runs; LIMIT abandons the merge early.
+		// ORDER BY + LIMIT with a tiny budget: the Sort over the
+		// gather spills runs; LIMIT abandons the merge early.
 		{`MATCH (u:U) RETURN u.i AS i ORDER BY u.g, i LIMIT 5`, false},
 		// Error mid-stream while workers are fanned out.
 		{`MATCH (u:U) RETURN 1 / (u.i - 2900) AS v ORDER BY v`, true},

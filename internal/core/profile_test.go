@@ -190,8 +190,8 @@ func profileRows(text string) []string {
 // TestProfileCountsBelowExchange requires the operators an Exchange
 // runs once per morsel to report under PROFILE the rows the serial plan
 // reports: each morsel chain's counters are summed into the prototype
-// chain that PROFILE renders. It covers anchor morsels under both pull
-// modes (a Sort drains in callback mode, a plain RETURN gathers) and
+// chain that PROFILE renders. It covers anchor morsels under a Sort
+// barrier and under a plain RETURN, both over the ordered gather, and
 // scan morsels over a driving table.
 func TestProfileCountsBelowExchange(t *testing.T) {
 	g := graph.New()

@@ -106,7 +106,7 @@ func TestTinyBudgetSpillEquivalence(t *testing.T) {
 		}
 		var root plan.Operator
 		// Parallelism pinned to 1: the test asserts serial barrier spill
-		// counters (the parallel sweep covers the parallel intake).
+		// counters (the parallel sweep covers barriers over an Exchange).
 		cfg := Config{Dialect: DialectRevised, MemoryBudget: 1, Parallelism: 1}
 		cfg.onPlan = func(op plan.Operator) { root = op }
 		got, err := NewEngine(cfg).ExecuteStatement(g.Clone(), stmt, nil)
@@ -137,7 +137,9 @@ func TestTinyBudgetSpillEquivalence(t *testing.T) {
 
 // TestBudgetBoundsBarrierPeak checks the budget is an actual bound: the
 // accounted peak of every barrier stays within the budget plus one
-// intake batch of slack, far below what the unlimited run holds.
+// intake batch of slack, far below what the unlimited run holds. The
+// bound does not depend on the degree: the Sort's peak and spill-run
+// count at parallelism 2 and 8 equal those at parallelism 1.
 func TestBudgetBoundsBarrierPeak(t *testing.T) {
 	g := graph.New()
 	eng := NewEngine(Config{Dialect: DialectRevised})
@@ -172,8 +174,10 @@ func TestBudgetBoundsBarrierPeak(t *testing.T) {
 		t.Fatalf("workload too small to be meaningful: unlimited peak %d < 4×budget", unlimitedPeak)
 	}
 
-	// At parallelism 2 and 8 the sort drains an Exchange through its
-	// parallel intake, whose workers charge one shared account.
+	// At parallelism 2 and 8 the sort drains an Exchange's ordered
+	// gather: it takes in the serial row sequence, so it must hold and
+	// spill exactly what it does at parallelism 1.
+	var serialPeak, serialRuns int64
 	for _, par := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
 			var root plan.Operator
@@ -195,6 +199,21 @@ func TestBudgetBoundsBarrierPeak(t *testing.T) {
 				if s.SpillRuns() == 0 && s.PeakBytes() > 0 {
 					t.Errorf("barrier held %d bytes without spilling under a %d budget", s.PeakBytes(), budget)
 				}
+			}
+			var sorter *plan.Sort
+			for _, s := range collectSpillers(root) {
+				if op, ok := s.(*plan.Sort); ok {
+					sorter = op
+				}
+			}
+			if sorter == nil {
+				t.Fatalf("plan has no Sort:\n%s", plan.Explain(root))
+			}
+			if par == 1 {
+				serialPeak, serialRuns = sorter.PeakBytes(), sorter.SpillRuns()
+			} else if sorter.PeakBytes() != serialPeak || sorter.SpillRuns() != serialRuns {
+				t.Errorf("sort peak %d B with %d runs, at parallelism 1 %d B with %d runs",
+					sorter.PeakBytes(), sorter.SpillRuns(), serialPeak, serialRuns)
 			}
 			if live := plan.SpillFilesLive(); live != 0 {
 				t.Fatalf("%d spill files still live", live)

@@ -153,10 +153,10 @@ func clampMax(max int) int {
 
 // budget tracks a statement's accounted barrier memory against a
 // limit. One budget is shared by every barrier of a statement (union
-// members included), so concurrent barriers cannot each claim the full
-// allowance — including the workers of a parallel Sort intake, which is
-// why the counter is atomic. A nil budget or a non-positive limit means
-// unlimited: no accounting and no spilling, the default.
+// members included), so the barriers cannot each claim the full
+// allowance. The counter is atomic, safe for concurrent accounting. A
+// nil budget or a non-positive limit means unlimited: no accounting and
+// no spilling, the default.
 type budget struct {
 	limit int64
 	used  atomic.Int64
@@ -194,8 +194,7 @@ func (b *budget) over() bool { return b.limited() && b.used.Load() > b.limit }
 // it holds now, their peak, and the runs or partitions it spilled. Sort,
 // Aggregate and Distinct embed one. Callers charge only when
 // budget.limited(), so a run without a budget does no accounting. The
-// counters are atomic because every worker of a parallel Sort intake
-// charges the same account.
+// counters are atomic, safe for concurrent charging and reading.
 type memAccount struct {
 	budget *budget
 	held   atomic.Int64

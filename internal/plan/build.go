@@ -366,9 +366,9 @@ func (b *Builder) buildProjection(child Operator, proj *ast.Projection, where as
 		cur = d
 	}
 	if len(orderBy) > 0 {
-		// Sort is parallel-aware: when its child ends up being an
-		// Exchange it drains it in callback mode, building per-worker
-		// sorted runs merged by the ordinary k-way merger.
+		// Sort is a barrier like Aggregate: the segment ends here and
+		// the Sort consumes the exchange's ordered gather with its
+		// serial intake.
 		cur = b.endSeg(seg, cur)
 		s := NewSort(cur, orderBy, b.Ev)
 		s.budget = b.bud

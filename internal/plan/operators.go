@@ -498,7 +498,10 @@ func (o *Limit) Name() string {
 // source environments — see Project.keepSrc); under a memory budget,
 // full runs are sorted and spilled to temp files and replay is a k-way
 // merge. A unique intake sequence number breaks ties, reproducing the
-// stable in-memory order exactly. See fill/next1 in spill.go.
+// stable in-memory order exactly. Its intake is serial at every degree:
+// over an Exchange it drains the ordered gather, like Aggregate and
+// Distinct, so it sees, holds and spills what the serial plan's Sort
+// does. See fill/next1 in spill.go.
 type Sort struct {
 	base
 	memAccount

@@ -11,30 +11,23 @@
 // morsel its matchers and scratch state; the graph snapshot, the
 // driving table and the statement's plan slots are shared.
 //
-// One worker loop (Exchange.run) claims morsels in index order, builds
-// each morsel's chain, drains it, closes it and adds its counters to
-// the prototype chain's. It feeds both pull modes:
-//
-//   - The ordered gather (NextBatch) gives every morsel a bounded
-//     stream, registered in claim order, and drains the streams in that
-//     order while workers run ahead within the in-flight window
-//     (backpressure bounds memory). The Exchange therefore emits exactly
-//     the row sequence the serial pipeline would — bit-identical, not
-//     merely multiset-equal — which keeps ORDER BY/LIMIT, DISTINCT
-//     first-occurrence order and aggregate first-appearance grouping
-//     stable at any parallelism.
-//   - The callback mode (drainParallel) hands each batch to a function
-//     on the worker goroutine, tagged with (worker, morsel). Sort's
-//     intake uses it: the same intake code runs at every degree (a
-//     serial child is worker 0 reading morsel 0), each worker sorting
-//     and spilling its own runs, and the composite sequence
-//     morsel<<morselSeqBits | row restores the serial order in the
-//     k-way merge (see Sort.fill in spill.go).
+// The Exchange has one pull mode, the ordered gather (NextBatch). Its
+// one worker loop claims morsels in index order, registers each
+// morsel's bounded stream in claim order, builds the morsel's chain,
+// pushes its batches through the stream, closes it and adds its
+// counters to the prototype chain's. The gather drains the streams in
+// morsel order while workers run ahead within the in-flight window
+// (backpressure bounds memory). The Exchange therefore emits exactly the
+// row sequence the serial pipeline would — bit-identical, not merely
+// multiset-equal — so every barrier above it (Sort, Aggregate,
+// Distinct) takes in the serial table with its serial intake, and
+// ORDER BY/LIMIT, DISTINCT first-occurrence order and aggregate
+// first-appearance grouping are stable at any parallelism.
 //
 // Errors surface with serial identity too: a failed morsel stops
-// workers claiming further morsels, and both modes report the error of
-// the lowest failed morsel — the error the serial run would have hit
-// first.
+// workers claiming further morsels, every morsel claimed before it runs
+// to its end, and the gather reports the error of the lowest failed
+// morsel — the error the serial run would have hit first.
 package plan
 
 import (
@@ -62,11 +55,6 @@ const (
 	// operator-chain construction.
 	minAnchorChunk = 16
 	maxAnchorChunk = 4096
-	// morselSeqBits is the in-morsel row width of the composite sequence
-	// number a parallel Sort intake assigns: seq = morsel<<bits | row.
-	// Lexicographic (morsel, row) order equals serial intake order, so
-	// the existing seq tie-break reproduces sort.SliceStable exactly.
-	morselSeqBits = 36
 )
 
 // workerCtx is one worker's private execution state: an evaluator that
@@ -199,20 +187,16 @@ type Exchange struct {
 	workers int
 	newCtx  func() *workerCtx
 
-	started  bool
-	draining bool
-	mu       sync.Mutex
-	next     int
-	// repMu guards what workers report: the lowest failed morsel's error
-	// and the prototype chain's counters. It is not mu, because a gather
-	// claim may block holding mu.
-	repMu    sync.Mutex
-	firstErr error
-	errIdx   int
-	queue    chan *morselStream
-	done     chan struct{}
-	wg       sync.WaitGroup
-	failed   atomic.Bool
+	started bool
+	mu      sync.Mutex
+	next    int
+	// repMu guards the prototype chain's counters, which workers add
+	// to. It is not mu, because a claim may block holding mu.
+	repMu  sync.Mutex
+	queue  chan *morselStream
+	done   chan struct{}
+	wg     sync.WaitGroup
+	failed atomic.Bool
 
 	cur     *morselStream
 	pending *Batch
@@ -248,22 +232,21 @@ func (e *Exchange) poolSize() int {
 	return w
 }
 
-// run launches the pool on the Exchange's one worker loop, which both
-// pull modes share: each worker claims the next morsel in index order,
-// builds the morsel's chain with its private context, hands every batch
-// to emit, closes it and reports the outcome to end. Workers launch on
-// the first pull or drain, so building and EXPLAINing a plan costs
-// nothing. claim runs under the claim mutex, so it sees morsels in
-// index order; it returns false to stop the worker. A failed morsel
-// stops every worker from claiming further morsels, and the lowest
-// failed morsel's error is kept — the error the serial run would have
-// hit first.
-func (e *Exchange) run(claim func(worker, morsel int) bool, emit func(worker, morsel int, b *Batch) error, end func(worker int, err error)) {
+// start launches the pool on the first pull, so building and
+// EXPLAINing a plan costs nothing. Each worker claims the next morsel
+// under the claim mutex and registers the morsel's stream on the queue
+// there, so queue order is morsel order; the queue's capacity bounds
+// how far ahead of the gatherer claims may run, and each in-flight
+// stream additionally buffers morselChanCap batches. The worker then
+// runs the morsel's chain into its stream with its private context. A
+// failed morsel stops every worker from claiming further morsels.
+func (e *Exchange) start() {
 	e.started = true
 	e.done = make(chan struct{})
 	total := e.src.morsels()
 	e.launched = e.poolSize()
-	for wid := 0; wid < e.launched; wid++ {
+	e.queue = make(chan *morselStream, 2*e.launched)
+	for range e.launched {
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
@@ -271,31 +254,36 @@ func (e *Exchange) run(claim func(worker, morsel int) bool, emit func(worker, mo
 			for !e.failed.Load() {
 				e.mu.Lock()
 				idx := e.next
-				if idx >= total || !claim(wid, idx) {
+				if idx >= total {
+					e.mu.Unlock()
+					return
+				}
+				ms := &morselStream{ch: make(chan *Batch, morselChanCap)}
+				select {
+				case e.queue <- ms:
+				case <-e.done:
 					e.mu.Unlock()
 					return
 				}
 				e.next++
 				e.mu.Unlock()
-				err := e.runMorsel(idx, w, func(b *Batch) error { return emit(wid, idx, b) })
-				if err != nil {
-					e.repMu.Lock()
-					if e.firstErr == nil || idx < e.errIdx {
-						e.firstErr, e.errIdx = err, idx
-					}
-					e.repMu.Unlock()
+				if ms.err = e.runMorsel(idx, w, ms.ch); ms.err != nil {
 					e.failed.Store(true)
 				}
-				end(wid, err)
+				close(ms.ch)
 			}
 		}()
 	}
+	go func() {
+		e.wg.Wait()
+		close(e.queue)
+	}()
 }
 
-// runMorsel builds one morsel's operator chain and drains it into
-// emit. Before returning it closes the chain and adds the chain's
+// runMorsel builds one morsel's operator chain and pushes its batches
+// into ch. Before returning it closes the chain and adds the chain's
 // counters to the prototype's.
-func (e *Exchange) runMorsel(idx int, w *workerCtx, emit func(*Batch) error) error {
+func (e *Exchange) runMorsel(idx int, w *workerCtx, ch chan<- *Batch) error {
 	e.morselsN.Add(1)
 	op := e.src.operator(idx, w)
 	for _, st := range e.stages {
@@ -312,8 +300,10 @@ func (e *Exchange) runMorsel(idx int, w *workerCtx, emit func(*Batch) error) err
 		if err != nil || !ok {
 			return err
 		}
-		if err := emit(b); err != nil {
-			return err
+		select {
+		case ch <- b:
+		case <-e.done:
+			return errExchangeClosed
 		}
 	}
 }
@@ -331,52 +321,14 @@ func addCounters(proto, morsel Operator) {
 	}
 }
 
-// start launches the gather: every claim registers the morsel's stream
-// on the queue (under the claim mutex, so queue order is morsel order),
-// and the worker pushes the chain's batches through that stream.
-func (e *Exchange) start() {
-	w := e.poolSize()
-	// Queue capacity bounds how far ahead of the gatherer claims may
-	// run; each in-flight stream additionally buffers morselChanCap
-	// batches.
-	e.queue = make(chan *morselStream, 2*w)
-	streams := make([]*morselStream, w)
-	e.run(func(worker, _ int) bool {
-		ms := &morselStream{ch: make(chan *Batch, morselChanCap)}
-		select {
-		case e.queue <- ms:
-			streams[worker] = ms
-			return true
-		case <-e.done:
-			return false
-		}
-	}, func(worker, _ int, b *Batch) error {
-		select {
-		case streams[worker].ch <- b:
-			return nil
-		case <-e.done:
-			return errExchangeClosed
-		}
-	}, func(worker int, err error) {
-		streams[worker].err = err
-		close(streams[worker].ch)
-	})
-	go func() {
-		e.wg.Wait()
-		close(e.queue)
-	}()
-}
-
 // NextBatch implements Operator: the ordered gather. Batches are
 // served morsel by morsel in index order; a batch larger than max is
-// handed out in slices.
+// handed out in slices. A failed morsel's error is returned when the
+// gather reaches its stream.
 func (e *Exchange) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
 	if !e.started {
 		e.start()
-	}
-	if e.draining {
-		return nil, false, internalErrorf("Exchange: NextBatch after drainParallel")
 	}
 	for {
 		if e.pending != nil {
@@ -415,31 +367,6 @@ func (e *Exchange) NextBatch(max int) (*Batch, bool, error) {
 	}
 }
 
-// drainParallel runs the exchange in callback mode: every morsel's
-// batches are delivered to fn ON THE WORKER GOROUTINE, tagged with the
-// worker slot (0..poolSize()-1) and the morsel index. fn must be safe
-// for concurrent calls from distinct worker slots; calls within one
-// slot are sequential, and one morsel's batches arrive in order on one
-// slot. Used by Sort's intake, which reduces per worker and merges.
-// Returns the lowest-morsel error, matching the error the serial run
-// would surface first. Must be the first (and only) pull mode used on
-// this exchange.
-func (e *Exchange) drainParallel(fn func(worker, morsel int, b *Batch) error) error {
-	if e.started {
-		return internalErrorf("Exchange: drainParallel after NextBatch")
-	}
-	e.draining = true
-	e.run(func(int, int) bool { return true }, func(worker, morsel int, b *Batch) error {
-		e.mu.Lock()
-		e.rows += int64(b.n)
-		e.batches++
-		e.mu.Unlock()
-		return fn(worker, morsel, b)
-	}, func(int, error) {})
-	e.wg.Wait()
-	return e.firstErr
-}
-
 // Close implements Operator: cancels in-flight morsels (workers see
 // the done channel on every blocking send and claim), waits for the
 // pool to drain — so every morsel chain is closed before Close
@@ -462,9 +389,3 @@ func (e *Exchange) Name() string {
 	}
 	return s
 }
-
-// Workers reports the configured exchange degree (for tests).
-func (e *Exchange) Workers() int { return e.workers }
-
-// Morsels reports how many morsels have been claimed so far.
-func (e *Exchange) Morsels() int64 { return e.morselsN.Load() }

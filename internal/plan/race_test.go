@@ -9,10 +9,10 @@ import (
 )
 
 // TestSpillBookkeepingConcurrent hammers the process-wide spill-file
-// registry and a shared statement budget from many goroutines at once —
-// the exact sharing shape of a parallel Sort intake, where every worker
-// writes, compacts and discards its own runs while all of them account
-// against one budget. Run under -race (the `make par` target does);
+// registry and a shared statement budget from many goroutines at once,
+// each writing, compacting and discarding its own runs while all of
+// them account against one budget — the registry is shared by every
+// concurrent statement. Run under -race (the `make par` target does);
 // the assertions here catch leaks, the race detector catches unsynced
 // access.
 func TestSpillBookkeepingConcurrent(t *testing.T) {
@@ -124,7 +124,7 @@ func TestSpillBookkeepingConcurrent(t *testing.T) {
 }
 
 // TestBudgetShrinkClampConcurrent drives unbalanced concurrent shrinks
-// (more shrink than grow, as a worker releasing rows another worker
+// (more shrink than grow, as a goroutine releasing bytes another one
 // accounted can transiently produce) and checks the CAS clamp keeps the
 // counter at zero rather than letting it go — and stay — negative.
 func TestBudgetShrinkClampConcurrent(t *testing.T) {

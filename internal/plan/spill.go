@@ -499,24 +499,15 @@ func sortSpillRows(rows []spillRow, less func(a, b spillRow) bool) {
 	sort.Slice(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
 }
 
-// sortWorker is one intake worker's state: its scratch environment, the
-// rows it holds unsorted, the sorted runs it has spilled, and its
-// position in the morsel it is reading.
-type sortWorker struct {
-	scratch   expr.Env
-	pend      []spillRow
-	pendBytes int64
-	runs      []*spillFile
-	morsel    int
-	inMorsel  int64
-}
-
-// fill is the Sort's one intake. Over an Exchange it drains the morsels
-// in callback mode, one sortWorker per pool slot, so sort-key
-// evaluation and run sorting happen on the workers (the shared
-// evaluator only reads). Over any other child it drains serially as
-// worker 0 reading morsel 0. Either way finish merges what the workers
-// hold, so the output is the same at every degree.
+// fill is the Sort's intake, one loop over the child's batches like
+// Aggregate's and Distinct's. Each row's sort keys are evaluated over
+// its source environment overlaid with its columns, and its sequence
+// number is its intake position, so the comparator's seq tie-break
+// reproduces sort.SliceStable. Over budget, the pending rows are sorted
+// and spilled as one run, and the runs are compacted into one when they
+// reach maxMergeWidth. At the end the pending rows replay alone, or
+// merged with the spilled runs. Runs live in o.runs until the merge
+// takes them, so the defer discards them on any error.
 func (o *Sort) fill() (err error) {
 	defer func() {
 		if err != nil {
@@ -527,136 +518,68 @@ func (o *Sort) fill() (err error) {
 		}
 	}()
 	less := sortRowLess(o.sorts)
-	workers, drain := 1, func(fn func(worker, morsel int, b *Batch) error) error {
-		for {
-			b, ok, err := o.child.NextBatch(BatchTarget)
-			if err != nil || !ok {
-				return err
-			}
-			if err := fn(0, 0, b); err != nil {
-				return err
-			}
-		}
-	}
-	if ex, ok := o.child.(*Exchange); ok {
-		workers, drain = ex.poolSize(), ex.drainParallel
-	}
-	ws := make([]*sortWorker, workers)
-	width := len(o.child.Columns()) + 4
-	err = drain(func(worker, morsel int, b *Batch) error {
-		w := ws[worker]
-		if w == nil {
-			w = &sortWorker{scratch: make(expr.Env, width), morsel: morsel}
-			ws[worker] = w
-		}
-		return o.intake(w, morsel, b, less)
-	})
-	return o.finish(ws, less, err)
-}
-
-// intake takes one batch of a morsel into worker w. Each row's sort
-// keys are evaluated over its source environment overlaid with its
-// columns, and its sequence number is morsel<<morselSeqBits |
-// row-in-morsel: lexicographic (morsel, row) order is the serial intake
-// order, so the comparator's seq tie-break reproduces sort.SliceStable
-// at any parallelism. Over budget, the worker sorts its pending rows
-// and spills them as one run, compacting its runs into one when they
-// reach maxMergeWidth.
-func (o *Sort) intake(w *sortWorker, morsel int, b *Batch, less func(a, b spillRow) bool) error {
-	if morsel != w.morsel {
-		w.morsel, w.inMorsel = morsel, 0
-	}
-	for i := 0; i < b.n; i++ {
-		if b.src != nil && b.src[i] != nil {
-			for k, v := range b.src[i] {
-				w.scratch[k] = v
-			}
-		}
-		b.loadEnv(w.scratch, i)
-		r := spillRow{
-			seq:  int64(morsel)<<morselSeqBits | w.inMorsel,
-			keys: make([]value.Value, len(o.sorts)),
-			vals: b.rowVals(i),
-		}
-		w.inMorsel++
-		for s, item := range o.sorts {
-			v, err := o.ev.Eval(item.Expr, w.scratch)
-			if err != nil {
-				return err
-			}
-			r.keys[s] = v
-		}
-		w.pend = append(w.pend, r)
-		if !o.budget.limited() {
-			continue
-		}
-		nb := spillRowBytes(r)
-		w.pendBytes += nb
-		o.charge(nb)
-		if !o.budget.over() || len(w.pend) < minSpillRows {
-			continue
-		}
-		sortSpillRows(w.pend, less)
-		f, err := writeRun(w.pend)
+	scratch := make(expr.Env, len(o.child.Columns())+4)
+	var pend []spillRow
+	var pendBytes, seq int64
+	for {
+		b, ok, err := o.child.NextBatch(BatchTarget)
 		if err != nil {
 			return err
 		}
-		w.runs = append(w.runs, f)
-		o.spills.Add(1)
-		o.release(w.pendBytes)
-		w.pend, w.pendBytes = w.pend[:0], 0
-		if len(w.runs) >= maxMergeWidth {
-			merged, err := compactRuns(w.runs, less)
-			w.runs = nil // compactRuns closed them
+		if !ok {
+			break
+		}
+		for i := 0; i < b.n; i++ {
+			if b.src != nil && b.src[i] != nil {
+				for k, v := range b.src[i] {
+					scratch[k] = v
+				}
+			}
+			b.loadEnv(scratch, i)
+			r := spillRow{seq: seq, keys: make([]value.Value, len(o.sorts)), vals: b.rowVals(i)}
+			seq++
+			for s, item := range o.sorts {
+				v, err := o.ev.Eval(item.Expr, scratch)
+				if err != nil {
+					return err
+				}
+				r.keys[s] = v
+			}
+			pend = append(pend, r)
+			if !o.budget.limited() {
+				continue
+			}
+			nb := spillRowBytes(r)
+			pendBytes += nb
+			o.charge(nb)
+			if !o.budget.over() || len(pend) < minSpillRows {
+				continue
+			}
+			sortSpillRows(pend, less)
+			f, err := writeRun(pend)
 			if err != nil {
 				return err
 			}
-			w.runs = []*spillFile{merged}
+			o.runs = append(o.runs, f)
+			o.spills.Add(1)
+			o.release(pendBytes)
+			pend, pendBytes = pend[:0], 0
+			if len(o.runs) >= maxMergeWidth {
+				merged, err := compactRuns(o.runs, less)
+				o.runs = nil // compactRuns closed them
+				if err != nil {
+					return err
+				}
+				o.runs = []*spillFile{merged}
+			}
 		}
 	}
-	return nil
-}
-
-// finish collects the workers' spilled runs and in-memory tails once
-// the intake has stopped (no concurrency from here on) and turns them
-// into the replay source: mem when everything stayed in one in-memory
-// tail (always the case without a budget and without an Exchange),
-// otherwise a runMerger over the runs and the sorted tails. Runs go to
-// o.runs first so fill's defer discards them on any error.
-func (o *Sort) finish(ws []*sortWorker, less func(a, b spillRow) bool, err error) error {
-	var tails [][]spillRow
-	for _, w := range ws {
-		if w == nil {
-			continue
-		}
-		o.runs = append(o.runs, w.runs...)
-		if len(w.pend) > 0 {
-			tails = append(tails, w.pend)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	for _, t := range tails {
-		sortSpillRows(t, less)
-	}
-	if len(o.runs) == 0 && len(tails) <= 1 {
-		if len(tails) == 1 {
-			o.mem = tails[0]
-		}
+	sortSpillRows(pend, less)
+	if len(o.runs) == 0 {
+		o.mem = pend
 		return nil
 	}
-	// Bound the final merge width over the combined file runs (each
-	// worker already bounded its own, but their union may exceed it).
-	for len(o.runs) > maxMergeWidth {
-		merged, err := compactRuns(o.runs[:maxMergeWidth], less)
-		if err != nil {
-			o.runs = o.runs[maxMergeWidth:] // compacted ones are closed
-			return err
-		}
-		o.runs = append(o.runs[maxMergeWidth:], merged)
-	}
-	srcs := make([]mergeSource, 0, len(o.runs)+len(tails))
+	srcs := make([]mergeSource, 0, len(o.runs)+1)
 	for i, f := range o.runs {
 		st, err := f.stream()
 		if err != nil {
@@ -669,10 +592,7 @@ func (o *Sort) finish(ws []*sortWorker, less func(a, b spillRow) bool, err error
 		srcs = append(srcs, st)
 	}
 	o.runs = nil // ownership moved to the merge streams
-	for _, t := range tails {
-		srcs = append(srcs, &memStream{rows: t})
-	}
-	o.merged, err = newRunMerger(srcs, less)
+	o.merged, err = newRunMerger(append(srcs, &memStream{rows: pend}), less)
 	return err
 }
 
