@@ -6,9 +6,10 @@
 # smoke, the fuzz smoke and the docs smoke. The standing end-to-end
 # benchmark is the separate module in bench/ (`go -C bench run .`, see
 # bench/README.md); `make bench-compare BASE=<rev> [WORKLOAD=<name>]`
-# builds it for <rev> and for the working tree's tracked changes, each in
-# a temporary git worktree, runs ten alternating pairs on seeds 1-10
-# into bench-compare-out/base and bench-compare-out/change, and prints
+# builds it for <rev> and for the working tree's tracked changes, each
+# from a `git archive` copy in a temporary directory, runs ten pairs on
+# seeds 1-10 (odd seeds run base first, even seeds change first) into
+# bench-compare-out/base and bench-compare-out/change, and prints
 # `bench -compare` of the two sets. `make loc` prints each package's
 # non-test Go lines, blank and comment-only lines excluded, and the
 # total: the size yardstick of a simplification.
@@ -133,9 +134,12 @@ bench-smoke:
 	go -C bench test ./...
 
 # Paired runs of the standing benchmark, BASE against the working tree
-# (tracked changes, via `git stash create`). Both sides build in
-# temporary worktrees that are removed on exit; the result sets stay in
-# bench-compare-out/. Exits non-zero if -compare finds a regression.
+# (tracked changes, via `git stash create`). Both sides build from
+# `git archive` copies in a temporary directory that is removed on
+# exit; the result sets stay in bench-compare-out/. Which side runs
+# first alternates with the seed, so drift during the runs (heat, load
+# from neighbours) falls on both sides alike. Exits non-zero if
+# -compare finds a regression.
 BASE ?=
 WORKLOAD ?= all
 OUT = $(CURDIR)/bench-compare-out
@@ -143,16 +147,19 @@ bench-compare:
 	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev> [WORKLOAD=<name>]"; exit 2; }
 	@set -e; \
 	tmp=$$(mktemp -d); \
-	trap 'git worktree remove --force $$tmp/base 2>/dev/null; git worktree remove --force $$tmp/change 2>/dev/null; rm -rf $$tmp' EXIT; \
+	trap 'rm -rf $$tmp' EXIT; \
 	change=$$(git stash create); change=$${change:-HEAD}; \
-	git worktree add --quiet --detach $$tmp/base $(BASE); \
-	git worktree add --quiet --detach $$tmp/change $$change; \
+	mkdir $$tmp/base $$tmp/change; \
+	git archive $(BASE) | tar -x -C $$tmp/base; \
+	git archive $$change | tar -x -C $$tmp/change; \
 	go -C $$tmp/base/bench build -o $$tmp/bench-base .; \
 	go -C $$tmp/change/bench build -o $$tmp/bench-change .; \
 	rm -rf $(OUT)/base $(OUT)/change; \
 	for s in 1 2 3 4 5 6 7 8 9 10; do \
-		(cd $$tmp/base/bench && $$tmp/bench-base -workload $(WORKLOAD) -seed $$s -out $(OUT)/base); \
-		(cd $$tmp/change/bench && $$tmp/bench-change -workload $(WORKLOAD) -seed $$s -out $(OUT)/change); \
+		if [ $$((s % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi; \
+		for side in $$order; do \
+			(cd $$tmp/$$side/bench && $$tmp/bench-$$side -workload $(WORKLOAD) -seed $$s -out $(OUT)/$$side); \
+		done; \
 	done; \
 	$$tmp/bench-change -compare $(OUT)/base/results.jsonl $(OUT)/change/results.jsonl
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 
@@ -85,10 +86,10 @@ func (x *executor) execMergeAtomicFamily(cl *ast.MergeClause, t *table.Table, st
 			}
 			if shared, ok := groups[key]; ok {
 				// Reuse the group's created entities for this record.
-				env2 := env
+				env2 := maps.Clone(env)
 				for _, v := range newVars {
 					if bv, ok := shared[v]; ok {
-						env2 = env2.With(v, bv)
+						env2[v] = bv
 					}
 				}
 				createEnvs[oc.row] = env2

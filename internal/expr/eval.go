@@ -22,16 +22,6 @@ import (
 // reduce) live in scope frames during evaluation and never appear here.
 type Env map[string]value.Value
 
-// With returns a copy of the environment with one extra binding.
-func (e Env) With(name string, v value.Value) Env {
-	out := make(Env, len(e)+1)
-	for k, val := range e {
-		out[k] = val
-	}
-	out[name] = v
-	return out
-}
-
 // Evaluator evaluates expressions against a graph and parameters.
 type Evaluator struct {
 	Graph  *graph.Graph

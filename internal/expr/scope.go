@@ -6,8 +6,8 @@ import "repro/internal/value"
 // record (a flat map, shared and never mutated here) plus a chain of
 // binder frames pushed by list comprehensions, quantifiers and reduce.
 //
-// Binders used to copy the whole map per element (Env.With), which made
-// a comprehension over an n-column record O(n) per element. A frame is
+// Binders used to copy the whole map per element, which made a
+// comprehension over an n-column record O(n) per element. A frame is
 // one allocation and lookup walks the chain innermost-first, so nested
 // binders shadow outer ones and the base record closure-style — the
 // lambda-environment design the registry refactor adopted from the

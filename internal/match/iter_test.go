@@ -24,14 +24,11 @@ func drain(t *testing.T, it *Iter, m *Matcher, parts []*ast.PatternPart, env exp
 	it.Reset(m, parts, env, ap)
 	var out []string
 	for {
-		rows, err := it.Next(max)
-		if len(rows) > max {
-			t.Errorf("Next(%d) returned %d rows", max, len(rows))
+		n, err := it.Next(max, func(e expr.Env) { out = append(out, envKey(e)) })
+		if n > max {
+			t.Errorf("Next(%d) returned %d rows", max, n)
 		}
-		for _, e := range rows {
-			out = append(out, envKey(e))
-		}
-		if err != nil || len(rows) < max {
+		if err != nil || n < max {
 			return out, st, err
 		}
 	}
@@ -65,7 +62,8 @@ func resumeGraph() (*graph.Graph, []graph.NodeID, []graph.RelID) {
 // filter, draining with any batch size yields the same match sequence,
 // the same error and the same visit counters. It also abandons an
 // iterator mid-enumeration and reuses it and its matcher: a stale
-// relationship mark would prune rows from the rerun.
+// relationship mark or binding would change the rerun. The seed env
+// must come out of every drain, abandoned walk and error unchanged.
 func TestIterResumption(t *testing.T) {
 	g, ns, rs := resumeGraph()
 	node := func(i int) value.Value { return value.Node{ID: int64(ns[i])} }
@@ -95,6 +93,8 @@ func TestIterResumption(t *testing.T) {
 		{`(x)-[r:T]->(y)`, expr.Env{"r": value.Int(1)}},
 		{`(x)-[r:T*1..2]->(y)`, expr.Env{"r": value.NullValue}},
 		{`(x)-[:T]->(y)-[r:T]->(z)`, expr.Env{"r": rel(3), "x": node(1)}},
+		{`(x)-[r:T*0..2]-(y:B)`, expr.Env{"k": value.Int(7)}},
+		{`p = (x:A)-[:T]->(y), (y)-[:T]->(z)`, expr.Env{"p": value.Int(0), "k": value.Int(7)}},
 	}
 	filters := []struct {
 		name string
@@ -125,12 +125,20 @@ func TestIterResumption(t *testing.T) {
 	errText := func(err error) string { return fmt.Sprint(err) }
 	for _, c := range cases {
 		parts := patternOf(t, c.pattern)
+		seed := envKey(c.env)
 		for _, cfg := range configs {
 			for _, f := range filters {
 				name := fmt.Sprintf("%s/%v/%s/%s", c.pattern, c.env, cfg.name, f.name)
+				seedKept := func(after string) {
+					t.Helper()
+					if got := envKey(c.env); got != seed {
+						t.Fatalf("%s: seed env %s after %s, was %s", name, got, after, seed)
+					}
+				}
 				var ref Iter
 				ref.Filter = f.make()
 				want, wantSt, wantErr := drain(t, &ref, cfg.m(), parts, c.env, nil, math.MaxInt)
+				seedKept("a full drain")
 				for _, max := range []int{1, 2, 3, 7, 256} {
 					it := Iter{Filter: f.make()}
 					got, st, err := drain(t, &it, cfg.m(), parts, c.env, nil, max)
@@ -144,9 +152,10 @@ func TestIterResumption(t *testing.T) {
 				m := cfg.m()
 				it := Iter{Filter: f.make()}
 				it.Reset(m, parts, c.env, nil)
-				if _, err := it.Next(1); err != nil && wantErr == nil {
+				if _, err := it.Next(1, func(expr.Env) {}); err != nil && wantErr == nil {
 					t.Fatalf("%s: first batch: %v", name, err)
 				}
+				seedKept("an abandoned walk")
 				for _, rerun := range []*Iter{&it, {}} {
 					rerun.Filter = f.make()
 					got, _, err := drain(t, rerun, m, parts, c.env, nil, 2)
@@ -154,6 +163,7 @@ func TestIterResumption(t *testing.T) {
 						t.Fatalf("%s: rerun after an abandoned iterator got %d rows, err %v; want %d rows, err %v",
 							name, len(got), err, len(want), wantErr)
 					}
+					seedKept("a rerun")
 				}
 			}
 		}
@@ -246,6 +256,48 @@ func TestAnchorChunksConcurrent(t *testing.T) {
 			if sum != serialSt {
 				t.Errorf("%s chunk size %d: chunk stats sum %+v, serial %+v", c.pattern, size, sum, serialSt)
 			}
+		}
+	}
+}
+
+// TestPerCandidateAllocations bounds what visiting a candidate
+// allocates: Matcher.Match over n :U nodes, none of which matches. An
+// inline property map is compared entry by entry, so its scan
+// allocates the same at n = 1000 as at n = 10; a pushed conjunct, or a
+// hop over no relationships, costs at most one allocation per
+// candidate, the boxed node value.
+func TestPerCandidateAllocations(t *testing.T) {
+	allocs := func(n int, pattern, where string, env expr.Env) float64 {
+		g := graph.New()
+		for i := 0; i < n; i++ {
+			g.CreateNode([]string{"U"}, value.Map{"w": value.Int(0), "v": value.Int(int64(i))})
+		}
+		m := matcher(g)
+		parts := patternOf(t, pattern)
+		if where != "" {
+			m.SetPushdown(NewPushdown(mustExpr(t, where), parts, nil))
+		}
+		return testing.AllocsPerRun(20, func() {
+			res, err := m.Match(parts, env)
+			if err != nil || len(res) != 0 {
+				t.Fatalf("%s: %d matches, err %v", pattern, len(res), err)
+			}
+		})
+	}
+	const small, large = 10, 1000
+	for _, c := range []struct {
+		pattern, where string
+		env            expr.Env
+		per            float64 // allocations allowed per candidate
+	}{
+		{`(u:U {w: 0, v: x})`, ``, expr.Env{"x": value.Int(-1)}, 0},
+		{`(u:U)`, `u.w = 1`, expr.Env{}, 1},
+		{`(u:U)-[:T]->(v)`, ``, expr.Env{}, 1},
+	} {
+		a, b := allocs(small, c.pattern, c.where, c.env), allocs(large, c.pattern, c.where, c.env)
+		t.Logf("%s %s: %.0f allocations at n=%d, %.0f at n=%d", c.pattern, c.where, a, small, b, large)
+		if b-a > c.per*(large-small) {
+			t.Errorf("want at most %.0f per candidate", c.per)
 		}
 	}
 }

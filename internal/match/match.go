@@ -26,6 +26,7 @@ package match
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -94,6 +95,9 @@ type Matcher struct {
 	Slot    *PlanSlot
 	seen    *slotEntry
 	seenVer int64
+
+	// it is the iterator Match and MatchExists reuse across calls.
+	it Iter
 }
 
 // SetPushdown installs the pushed predicates of a classified WHERE.
@@ -107,12 +111,12 @@ func (m *Matcher) SetPushdown(pd *Pushdown) {
 
 // Match enumerates all matches eagerly, collecting them into a slice,
 // for callers that need the full set: the MERGE clauses decide between
-// matching and creating per record.
+// matching and creating per record. Each match is its own map; env is
+// not written.
 func (m *Matcher) Match(parts []*ast.PatternPart, env expr.Env) ([]expr.Env, error) {
-	var it Iter
-	it.Reset(m, parts, env, nil)
-	res, err := it.Next(math.MaxInt)
-	if err != nil {
+	m.it.Reset(m, parts, env, nil)
+	var res []expr.Env
+	if _, err := m.it.Next(math.MaxInt, func(me expr.Env) { res = append(res, maps.Clone(me)) }); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -120,10 +124,9 @@ func (m *Matcher) Match(parts []*ast.PatternPart, env expr.Env) ([]expr.Env, err
 
 // MatchExists reports whether at least one match exists (early exit).
 func (m *Matcher) MatchExists(parts []*ast.PatternPart, env expr.Env) (bool, error) {
-	var it Iter
-	it.Reset(m, parts, env, nil)
-	res, err := it.Next(1)
-	return len(res) > 0 && err == nil, err
+	m.it.Reset(m, parts, env, nil)
+	n, err := m.it.Next(1, func(expr.Env) {})
+	return n > 0 && err == nil, err
 }
 
 // prePredsExclude reports whether a pre-predicate rules env out.
@@ -166,18 +169,26 @@ func (m *Matcher) plansFor(parts []*ast.PatternPart, env expr.Env) []partPlan {
 // over an explicit stack of frames — a part's anchor candidates, a
 // single hop's relationship candidates, one level of a variable-length
 // search — so Next can return after any match and later resume where it
-// stopped, all on the caller's goroutine. A frame undoes the marks its
-// taken candidate set in the isomorphism `used` set before it takes the
-// next candidate or is popped.
+// stopped, all on the caller's goroutine.
 //
-// The zero Iter is exhausted; Reset starts an enumeration. The stack
-// and scratch storage are reused across Resets, so an operator keeps
-// one Iter for all its driving rows.
+// The iterator owns one environment and binds into it in place: a taken
+// candidate sets its variables there and records them on a trail. Every
+// frame holds the trail length it was pushed at; before it takes its
+// next candidate or is popped, it unwinds the trail to that mark and
+// undoes the marks its taken candidate set in the isomorphism `used`
+// set. Pushed WHERE conjuncts, inline property maps and the Filter all
+// evaluate against that live environment, so visiting a candidate
+// builds no map.
+//
+// The zero Iter is exhausted; Reset starts an enumeration. The stack,
+// the environment and the scratch storage are reused across Resets, so
+// an operator keeps one Iter for all its driving rows.
 type Iter struct {
 	// Filter, when non-nil, is applied to every match (the clause's
-	// WHERE): Next returns only the matches it reports true for, and an
-	// error from it ends the enumeration with that error. Reset keeps
-	// it.
+	// WHERE): Next passes on only the matches it reports true for, and
+	// an error from it ends the enumeration with that error. Like the
+	// sink, it sees the live environment and must not keep or write it.
+	// Reset keeps it.
 	Filter func(expr.Env) (bool, error)
 
 	m     *Matcher
@@ -195,8 +206,26 @@ type Iter struct {
 	// steps start from, and the relationships of a path value.
 	nodes [][]graph.NodeID
 	rels  [][][]graph.RelID
-	out   []expr.Env
-	err   error
+	// env is the seed's bindings plus those of the taken candidates of
+	// the frames on the stack; trail lists the latter in binding order.
+	env   expr.Env
+	trail []binding
+	// vals holds a map literal's entry values while propsSatisfy
+	// compares them.
+	vals []value.Value
+	// sink receives the current Next call's matches; n counts them.
+	sink func(expr.Env)
+	n    int
+	err  error
+}
+
+// binding is one trail entry: a variable a taken candidate bound and
+// what it replaced. Only a path variable can replace a binding — the
+// seed may bind it, and the part rebinds it.
+type binding struct {
+	name string
+	old  value.Value
+	had  bool
 }
 
 type frameKind uint8
@@ -209,8 +238,8 @@ const (
 )
 
 // frame is one level of the search: a candidate list, how many of its
-// candidates have been taken (the last taken is pos-1), and the env the
-// level was entered with. A var frame whose depth reaches the minimum
+// candidates have been taken (the last taken is pos-1), and the trail
+// length it was pushed at. A var frame whose depth reaches the minimum
 // hop count starts at pos -1: taking that "stop here" entry ends the
 // path at the frame's node before any longer path is tried.
 type frame struct {
@@ -221,21 +250,28 @@ type frame struct {
 	depth      int          // var frames: hops taken so far in this step
 	at         graph.NodeID // var frames: the node this level expands from
 	pos        int
-	env        expr.Env
+	mark       int // len(Iter.trail) when the frame was pushed
 	nodes      []graph.NodeID
 	rels       []relCandidate
 }
 
 // Reset starts it over the matches of parts that extend env. Variables
 // bound in env constrain the match; the matches also bind the pattern's
-// unbound variables (a named path binds a value.Path) and share
-// structure with env. A non-nil ap — from PlanAnchors over parts, or a
-// Chunk of it — supplies the plan and restricts the first planned
-// part's anchor slot to ap's candidates.
+// unbound variables (a named path binds a value.Path). Reset copies env
+// into the iterator's own environment and never writes env. A non-nil
+// ap — from PlanAnchors over parts, or a Chunk of it — supplies the plan
+// and restricts the first planned part's anchor slot to ap's candidates.
 func (it *Iter) Reset(m *Matcher, parts []*ast.PatternPart, env expr.Env, ap *AnchorPlan) {
 	it.m, it.ap, it.err = m, ap, nil
-	it.stack = it.stack[:0]
+	it.stack, it.trail = it.stack[:0], it.trail[:0]
 	clear(it.used)
+	if it.env == nil {
+		it.env = make(expr.Env, len(env)+4)
+	} else {
+		clear(it.env)
+	}
+	maps.Copy(it.env, env)
+	env = it.env
 	it.naive = ap == nil && (m.DisablePlan || m.naiveRequired(parts, env))
 	if !it.naive && m.prePredsExclude(env) {
 		return
@@ -258,7 +294,7 @@ func (it *Iter) Reset(m *Matcher, parts []*ast.PatternPart, env expr.Env, ap *An
 		it.nodes[i] = resize(it.nodes[i], len(pp.part.Nodes))
 		it.rels[i] = resize(it.rels[i], len(pp.part.Rels))
 	}
-	it.stack = append(it.stack, frame{kind: rootFrame, env: env})
+	it.push(frame{kind: rootFrame})
 }
 
 // resize returns s with length n, reusing its storage when it fits.
@@ -269,36 +305,40 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Next returns up to max further matches in enumeration order. It stops
-// right after the max-th, so no candidate past it is visited; fewer
-// than max means the enumeration is over. The slice is reused by the
-// next call. On an error Next returns the matches found before it with
-// the error, and every later call returns the error alone.
-func (it *Iter) Next(max int) ([]expr.Env, error) {
-	it.out = it.out[:0]
-	for len(it.out) < max && len(it.stack) > 0 && it.err == nil {
+// Next passes up to max further matches, in enumeration order, to sink
+// and returns how many it passed. It stops right after the max-th, so
+// no candidate past it is visited; fewer than max means the enumeration
+// is over. sink sees the iterator's live environment, valid only until
+// it returns: it must copy what it keeps and must not write it. On an
+// error Next returns the number of matches passed before it with the
+// error, and every later call returns the error alone.
+func (it *Iter) Next(max int, sink func(expr.Env)) (int, error) {
+	it.sink, it.n = sink, 0
+	for it.n < max && len(it.stack) > 0 && it.err == nil {
 		it.err = it.advance()
 	}
-	return it.out, it.err
+	it.sink = nil
+	return it.n, it.err
 }
 
 // Done reports whether the enumeration is over: exhausted or failed.
 func (it *Iter) Done() bool { return len(it.stack) == 0 || it.err != nil }
 
 // advance takes the top frame's next candidate, or pops the frame when
-// it has none left. Either way the frame first clears the marks of the
-// candidate it took before.
+// it has none left. Either way the frame first clears the marks and
+// unwinds the bindings of the candidate it took before.
 func (it *Iter) advance() error {
 	top := len(it.stack) - 1
 	f := &it.stack[top]
 	if f.marked {
 		it.mark(top, false)
 	}
+	it.unwind(f.mark)
 	switch f.kind {
 	case rootFrame:
 		if f.pos == 0 {
 			f.pos++
-			return it.enterPart(0, f.env)
+			return it.enterPart(0)
 		}
 	case anchorFrame:
 		if f.pos < len(f.nodes) {
@@ -321,6 +361,33 @@ func (it *Iter) advance() error {
 	}
 	it.stack = it.stack[:top]
 	return nil
+}
+
+// push enters frame f at the trail's current length.
+func (it *Iter) push(f frame) {
+	f.mark = len(it.trail)
+	it.stack = append(it.stack, f)
+}
+
+// bind sets name to v in the live environment and records it on the
+// trail.
+func (it *Iter) bind(name string, v value.Value) {
+	old, had := it.env[name]
+	it.trail = append(it.trail, binding{name: name, old: old, had: had})
+	it.env[name] = v
+}
+
+// unwind undoes the bindings recorded past trail length mark, newest
+// first.
+func (it *Iter) unwind(mark int) {
+	for i := len(it.trail) - 1; i >= mark; i-- {
+		if b := it.trail[i]; b.had {
+			it.env[b.name] = b.old
+		} else {
+			delete(it.env, b.name)
+		}
+	}
+	it.trail = it.trail[:mark]
 }
 
 // mark sets or clears, in the used set, the relationships frame i's
@@ -350,31 +417,31 @@ func (it *Iter) setUsed(rid graph.RelID, on bool) {
 	it.used[rid] = true
 }
 
-// enterPart starts part pi under env, or emits env once every part is
-// matched.
-func (it *Iter) enterPart(pi int, env expr.Env) error {
+// enterPart starts part pi, or emits the live environment once every
+// part is matched.
+func (it *Iter) enterPart(pi int) error {
 	if pi == len(it.plans) {
-		return it.emit(env)
+		return it.emit()
 	}
 	m := it.m
 	pp := &it.plans[pi]
 	np := pp.part.Nodes[pp.anchor]
-	f := frame{kind: anchorFrame, part: pi, env: env}
+	f := frame{kind: anchorFrame, part: pi}
 	if pi == 0 && it.ap != nil {
 		f.nodes = it.ap.anchors
 	} else {
 		if np.Var != "" {
-			if v, ok := env[np.Var]; ok {
+			if v, ok := it.env[np.Var]; ok {
 				// Pre-bound variable: check, do not enumerate.
 				id, ok, err := asNode(np, v)
 				if err != nil || !ok {
 					return err
 				}
-				if ok, err = m.nodeSatisfies(id, np, env, it.naive); err != nil || !ok {
+				if ok, err = it.nodeSatisfies(id, np); err != nil || !ok {
 					return err
 				}
 				it.nodes[pi][pp.anchor] = id
-				return it.enterStep(pi, 0, env)
+				return it.enterStep(pi, 0)
 			}
 		}
 		// A seek narrows the candidates to one bucket of a property
@@ -382,13 +449,13 @@ func (it *Iter) enterPart(pi int, env expr.Env) error {
 		// semantically invisible.
 		seeked := false
 		if pp.seek != nil {
-			f.nodes, seeked = m.seekCandidates(pp.seek, np, env)
+			f.nodes, seeked = m.seekCandidates(pp.seek, np, it.env)
 		}
 		if !seeked {
 			f.nodes = m.nodeCandidates(np)
 		}
 	}
-	it.stack = append(it.stack, f)
+	it.push(f)
 	return nil
 }
 
@@ -396,42 +463,37 @@ func (it *Iter) enterPart(pi int, env expr.Env) error {
 // part's first step.
 func (it *Iter) takeAnchor(i int) error {
 	f := &it.stack[i]
-	id, pi, env := f.nodes[f.pos-1], f.part, f.env
-	m := it.m
-	if m.Stats != nil {
-		m.Stats.NodeVisits++
+	id, pi := f.nodes[f.pos-1], f.part
+	if it.m.Stats != nil {
+		it.m.Stats.NodeVisits++
 	}
 	pp := &it.plans[pi]
-	np := pp.part.Nodes[pp.anchor]
-	ok, err := m.nodeSatisfies(id, np, env, it.naive)
+	ok, err := it.nodeSatisfies(id, pp.part.Nodes[pp.anchor])
 	if err != nil || !ok {
 		return err
 	}
-	if np.Var != "" {
-		env = env.With(np.Var, value.Node{ID: int64(id)})
-	}
 	it.nodes[pi][pp.anchor] = id
-	return it.enterStep(pi, 0, env)
+	return it.enterStep(pi, 0)
 }
 
-// enterStep starts step si of part pi from env. Past the last step it
-// binds the part's path variable — nodes and relationships in written
-// order, whatever the walk — and enters the next part.
-func (it *Iter) enterStep(pi, si int, env expr.Env) error {
+// enterStep starts step si of part pi. Past the last step it binds the
+// part's path variable — nodes and relationships in written order,
+// whatever the walk — and enters the next part.
+func (it *Iter) enterStep(pi, si int) error {
 	pp := &it.plans[pi]
 	if si == len(pp.steps) {
 		if pp.part.Var != "" {
-			env = env.With(pp.part.Var, it.path(pi))
+			it.bind(pp.part.Var, it.path(pi))
 		}
-		return it.enterPart(pi+1, env)
+		return it.enterPart(pi + 1)
 	}
 	st := pp.steps[si]
 	rp := pp.part.Rels[st.rel]
 	at := it.nodes[pi][st.from]
-	f := frame{kind: hopFrame, part: pi, step: si, env: env}
+	f := frame{kind: hopFrame, part: pi, step: si}
 	var preBound *graph.RelID
 	if rp.Var != "" {
-		if v, ok := env[rp.Var]; ok {
+		if v, ok := it.env[rp.Var]; ok {
 			if rp.VarLength {
 				return fmt.Errorf("variable-length relationship variable `%s` cannot be pre-bound", rp.Var)
 			}
@@ -451,7 +513,7 @@ func (it *Iter) enterStep(pi, si int, env expr.Env) error {
 		return nil
 	}
 	f.rels = it.m.relCandidates(it.spare(), rp, at, preBound, st.reversed)
-	it.stack = append(it.stack, f)
+	it.push(f)
 	return nil
 }
 
@@ -468,7 +530,7 @@ func (it *Iter) spare() []relCandidate {
 // the relationship used and continues with the next step.
 func (it *Iter) takeHop(i int) error {
 	f := &it.stack[i]
-	c, pi, si, env := f.rels[f.pos-1], f.part, f.step, f.env
+	c, pi, si, preBound := f.rels[f.pos-1], f.part, f.step, f.preBound
 	m := it.m
 	if m.Stats != nil {
 		m.Stats.RelVisits++
@@ -476,26 +538,25 @@ func (it *Iter) takeHop(i int) error {
 	pp := &it.plans[pi]
 	st := pp.steps[si]
 	rp := pp.part.Rels[st.rel]
-	ok, err := it.relSatisfies(c.rid, rp, env)
+	ok, err := it.relSatisfies(c.rid, rp)
 	if err != nil || !ok {
 		return err
 	}
-	if rp.Var != "" && !f.preBound {
-		env = env.With(rp.Var, value.Rel{ID: int64(c.rid)})
+	if rp.Var != "" && !preBound {
+		it.bind(rp.Var, value.Rel{ID: int64(c.rid)})
 	}
 	// Pushed WHERE conjuncts over the relationship slot prune before the
 	// far endpoint is even considered (same contract as the node
 	// predicates in nodeSatisfies).
 	if !it.naive && rp.Var != "" && len(m.RelPreds) > 0 {
 		for _, p := range m.RelPreds[rp] {
-			tri, err := m.Ev.EvalBool(p, env)
+			tri, err := m.Ev.EvalBool(p, it.env)
 			if err == nil && tri != value.True {
 				return nil
 			}
 		}
 	}
-	env, ok, err = it.endNode(pp.part.Nodes[st.to], c.end, env)
-	if err != nil || !ok {
+	if ok, err = it.endNode(pp.part.Nodes[st.to], c.end); err != nil || !ok {
 		return err
 	}
 	it.mark(i, true)
@@ -503,14 +564,14 @@ func (it *Iter) takeHop(i int) error {
 	if pp.part.Var != "" {
 		it.rels[pi][st.rel] = append(it.rels[pi][st.rel][:0], c.rid)
 	}
-	return it.enterStep(pi, si+1, env)
+	return it.enterStep(pi, si+1)
 }
 
 // pushLevel pushes level depth of a variable-length step's search at
 // node at: its stop entry when depth reaches the minimum hop count,
 // then the relationships that extend the path, unless depth is the
-// maximum. Every level evaluates the pattern against the env the step
-// was entered with.
+// maximum. Every level evaluates the pattern against the bindings the
+// step was entered with.
 func (it *Iter) pushLevel(f frame, at graph.NodeID, depth int) {
 	st := it.plans[f.part].steps[f.step]
 	rp := it.plans[f.part].part.Rels[st.rel]
@@ -525,7 +586,7 @@ func (it *Iter) pushLevel(f frame, at graph.NodeID, depth int) {
 	if rp.MaxHops < 0 || depth < rp.MaxHops {
 		f.rels = it.m.relCandidates(it.spare(), rp, at, nil, st.reversed)
 	}
-	it.stack = append(it.stack, f)
+	it.push(f)
 }
 
 // takeVarHop extends var frame i's path by its next relationship and
@@ -544,11 +605,11 @@ func (it *Iter) takeVarHop(i int) error {
 		}
 	}
 	pp := &it.plans[f.part]
-	ok, err := it.relSatisfies(c.rid, pp.part.Rels[pp.steps[f.step].rel], f.env)
+	ok, err := it.relSatisfies(c.rid, pp.part.Rels[pp.steps[f.step].rel])
 	if err != nil || !ok {
 		return err
 	}
-	it.pushLevel(frame{part: f.part, step: f.step, env: f.env}, c.end, f.depth+1)
+	it.pushLevel(frame{part: f.part, step: f.step}, c.end, f.depth+1)
 	return nil
 }
 
@@ -558,7 +619,7 @@ func (it *Iter) takeVarHop(i int) error {
 // the next step.
 func (it *Iter) takeEnd(i int) error {
 	f := &it.stack[i]
-	pi, si, at, env := f.part, f.step, f.at, f.env
+	pi, si, at := f.part, f.step, f.at
 	pp := &it.plans[pi]
 	st := pp.steps[si]
 	rp := pp.part.Rels[st.rel]
@@ -576,20 +637,20 @@ func (it *Iter) takeEnd(i int) error {
 		for k, rid := range path {
 			lst[k] = value.Rel{ID: int64(rid)}
 		}
-		env = env.With(rp.Var, lst)
+		it.bind(rp.Var, lst)
 	}
-	env, ok, err := it.endNode(pp.part.Nodes[st.to], at, env)
+	ok, err := it.endNode(pp.part.Nodes[st.to], at)
 	if err != nil || !ok {
 		return err
 	}
 	it.mark(i, true)
 	it.nodes[pi][st.to] = at
-	return it.enterStep(pi, si+1, env)
+	return it.enterStep(pi, si+1)
 }
 
 // relSatisfies checks a relationship candidate against the used set (in
 // Isomorphism mode), the pattern's types and its inline properties.
-func (it *Iter) relSatisfies(rid graph.RelID, rp *ast.RelPattern, env expr.Env) (bool, error) {
+func (it *Iter) relSatisfies(rid graph.RelID, rp *ast.RelPattern) (bool, error) {
 	if it.m.Mode == Isomorphism && it.used[rid] {
 		return false, nil
 	}
@@ -597,30 +658,21 @@ func (it *Iter) relSatisfies(rid graph.RelID, rp *ast.RelPattern, env expr.Env) 
 	if r == nil || !typeMatches(r, rp.Types) {
 		return false, nil
 	}
-	return it.m.propsSatisfy(r.Props, rp.Props, env)
+	return it.propsSatisfy(r.Props, rp.Props)
 }
 
-// endNode checks a hop's far endpoint against its node pattern, binding
-// the pattern's variable unless env already does.
-func (it *Iter) endNode(np *ast.NodePattern, end graph.NodeID, env expr.Env) (expr.Env, bool, error) {
+// endNode checks a hop's far endpoint against its node pattern. When
+// the pattern's variable is already bound, it must hold that node.
+func (it *Iter) endNode(np *ast.NodePattern, end graph.NodeID) (bool, error) {
 	if np.Var != "" {
-		if v, ok := env[np.Var]; ok {
+		if v, ok := it.env[np.Var]; ok {
 			id, ok, err := asNode(np, v)
 			if err != nil || !ok || id != end {
-				return env, false, err
+				return false, err
 			}
-			ok, err = it.m.nodeSatisfies(end, np, env, it.naive)
-			return env, ok, err
 		}
 	}
-	ok, err := it.m.nodeSatisfies(end, np, env, it.naive)
-	if err != nil || !ok {
-		return env, false, err
-	}
-	if np.Var != "" {
-		env = env.With(np.Var, value.Node{ID: int64(end)})
-	}
-	return env, true, nil
+	return it.nodeSatisfies(end, np)
 }
 
 // asNode reads a node pattern variable's pre-bound value: null matches
@@ -636,19 +688,20 @@ func asNode(np *ast.NodePattern, v value.Value) (graph.NodeID, bool, error) {
 	return graph.NodeID(nv.ID), true, nil
 }
 
-// emit counts a complete match and, when it passes the Filter, adds it
-// to Next's output.
-func (it *Iter) emit(env expr.Env) error {
+// emit counts a complete match and, when it passes the Filter, passes
+// the live environment to Next's sink.
+func (it *Iter) emit() error {
 	if it.m.Stats != nil {
 		it.m.Stats.Emitted++
 	}
 	if it.Filter != nil {
-		keep, err := it.Filter(env)
+		keep, err := it.Filter(it.env)
 		if err != nil || !keep {
 			return err
 		}
 	}
-	it.out = append(it.out, env)
+	it.sink(it.env)
+	it.n++
 	return nil
 }
 
@@ -686,31 +739,24 @@ func (m *Matcher) nodeCandidates(np *ast.NodePattern) []graph.NodeID {
 }
 
 // seekCandidates resolves an index seek for one driving record: it
-// evaluates the seek value against env and returns the matching index
-// bucket in ascending id order. The second result is false when the
-// seek cannot be executed — the value expression errored (errors must
-// surface, or stay silent, exactly as on the scan path, so the caller
-// falls back to the label scan) or the index has vanished. A null seek
-// value returns an empty candidate set: `prop = null` is never true,
-// and an inline `{prop: null}` entry matches no stored property.
+// evaluates the seek value against env — for a seek from the inline
+// property map, only the seek key's entry — and returns the matching
+// index bucket in ascending id order. The second result is false when
+// the seek cannot be executed — the value expression errored (errors
+// must surface, or stay silent, exactly as on the scan path, so the
+// caller falls back to the label scan) or the index has vanished. A
+// null seek value returns an empty candidate set: `prop = null` is
+// never true, and an inline `{prop: null}` entry matches no stored
+// property.
 func (m *Matcher) seekCandidates(seek *seekPlan, np *ast.NodePattern, env expr.Env) ([]graph.NodeID, bool) {
-	var v value.Value
+	val := seek.val
 	if seek.fromProps {
-		pm, err := m.Ev.EvalPropMap(np.Props, env)
-		if err != nil {
-			return nil, false
-		}
-		pv, ok := pm[seek.prop]
-		if !ok {
-			return nil, false
-		}
-		v = pv
-	} else {
-		ev, err := m.Ev.Eval(seek.val, env)
-		if err != nil {
-			return nil, false
-		}
-		v = ev
+		ml := np.Props.(*ast.MapLit)
+		val = ml.Vals[lastKey(ml.Keys, seek.prop)]
+	}
+	v, err := m.Ev.Eval(val, env)
+	if err != nil {
+		return nil, false
 	}
 	if value.IsNull(v) {
 		return nil, true
@@ -721,9 +767,13 @@ func (m *Matcher) seekCandidates(seek *seekPlan, np *ast.NodePattern, env expr.E
 	return m.Graph.NodeIDsByProp(seek.label, seek.prop, v), true
 }
 
-// nodeSatisfies checks a node against a node pattern's labels, inline
-// properties and (unless naive) pushed WHERE conjuncts.
-func (m *Matcher) nodeSatisfies(id graph.NodeID, np *ast.NodePattern, env expr.Env, naive bool) (bool, error) {
+// nodeSatisfies checks a node against a node pattern's labels and
+// inline properties, binds the pattern's variable to it unless it is
+// already bound, and then (unless naive) checks the pushed WHERE
+// conjuncts over the slot. A binding made here stays on the trail
+// whatever the outcome; the frame that took the candidate unwinds it.
+func (it *Iter) nodeSatisfies(id graph.NodeID, np *ast.NodePattern) (bool, error) {
+	m := it.m
 	n := m.Graph.Node(id)
 	if n == nil {
 		return false, nil
@@ -733,52 +783,88 @@ func (m *Matcher) nodeSatisfies(id graph.NodeID, np *ast.NodePattern, env expr.E
 			return false, nil
 		}
 	}
-	ok, err := m.propsSatisfy(n.Props, np.Props, env)
-	if err != nil || !ok {
+	ok, err := it.propsSatisfy(n.Props, np.Props)
+	if err != nil || !ok || np.Var == "" {
 		return ok, err
+	}
+	if _, bound := it.env[np.Var]; !bound {
+		it.bind(np.Var, value.Node{ID: int64(id)})
 	}
 	// Pushed WHERE conjuncts over this slot alone prune the candidate
 	// before any expansion happens. A conjunct that is false or null
 	// here makes the full WHERE non-true on every completion, so
 	// pruning is invisible; evaluation errors defer to the consumer's
 	// full WHERE over complete rows.
-	if !naive && np.Var != "" && len(m.NodePreds) > 0 {
-		if preds := m.NodePreds[np]; len(preds) > 0 {
-			e2 := env
-			if _, bound := env[np.Var]; !bound {
-				e2 = env.With(np.Var, value.Node{ID: int64(id)})
-			}
-			for _, p := range preds {
-				tri, err := m.Ev.EvalBool(p, e2)
-				if err == nil && tri != value.True {
-					return false, nil
-				}
+	if !it.naive && len(m.NodePreds) > 0 {
+		for _, p := range m.NodePreds[np] {
+			tri, err := m.Ev.EvalBool(p, it.env)
+			if err == nil && tri != value.True {
+				return false, nil
 			}
 		}
 	}
 	return true, nil
 }
 
-// propsSatisfy checks a pattern property map against stored properties
-// with ternary equality: every entry must compare True.
-func (m *Matcher) propsSatisfy(stored map[string]value.Value, propsExpr ast.Expr, env expr.Env) (bool, error) {
-	if propsExpr == nil {
+// propsSatisfy checks a pattern's inline properties against stored
+// properties with ternary equality: every entry must compare True. A
+// map literal is compared entry by entry, with no map built: all its
+// values are evaluated first, in written order, so an error surfaces
+// as it does when the map is built, and a repeated key counts once, at
+// its last value. A parameter map goes through EvalPropMap.
+func (it *Iter) propsSatisfy(stored map[string]value.Value, props ast.Expr) (bool, error) {
+	ml, isLit := props.(*ast.MapLit)
+	if !isLit {
+		if props == nil {
+			return true, nil
+		}
+		want, err := it.m.Ev.EvalPropMap(props, it.env)
+		if err != nil {
+			return false, err
+		}
+		for k, wv := range want {
+			if !propEquals(stored, k, wv) {
+				return false, nil
+			}
+		}
 		return true, nil
 	}
-	want, err := m.Ev.EvalPropMap(propsExpr, env)
-	if err != nil {
-		return false, err
-	}
-	for k, wv := range want {
-		sv, ok := stored[k]
-		if !ok {
-			sv = value.NullValue
+	vals := it.vals[:0]
+	for _, e := range ml.Vals {
+		v, err := it.m.Ev.Eval(e, it.env)
+		if err != nil {
+			return false, err
 		}
-		if value.Equal(sv, wv) != value.True {
+		vals = append(vals, v)
+	}
+	it.vals = vals
+	for i, k := range ml.Keys {
+		if lastKey(ml.Keys, k) == i && !propEquals(stored, k, vals[i]) {
 			return false, nil
 		}
 	}
 	return true, nil
+}
+
+// propEquals reports whether stored property k, null when absent,
+// compares True to want.
+func propEquals(stored map[string]value.Value, k string, want value.Value) bool {
+	sv, ok := stored[k]
+	if !ok {
+		sv = value.NullValue
+	}
+	return value.Equal(sv, want) == value.True
+}
+
+// lastKey returns the index of key's last entry in keys: the entry a
+// map literal keeps when the key repeats.
+func lastKey(keys []string, key string) int {
+	for i := len(keys) - 1; i >= 0; i-- {
+		if keys[i] == key {
+			return i
+		}
+	}
+	return -1
 }
 
 type relCandidate struct {

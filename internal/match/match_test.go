@@ -1,6 +1,7 @@
 package match
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -362,5 +363,69 @@ func TestPropsReferencingEarlierBindings(t *testing.T) {
 	}
 	if len(res) != 1 {
 		t.Errorf("dependent props matches = %d, want 1", len(res))
+	}
+}
+
+// TestRepeatedInlineKeyLastWins pins how an inline property map with a
+// repeated key compares: the key counts once, at its last value, as in
+// the map the literal evaluates to — on the label scan and on an index
+// seek from the inline map alike.
+func TestRepeatedInlineKeyLastWins(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		g := graph.New()
+		one := g.CreateNode([]string{"L"}, value.Map{"k": value.Int(1)})
+		two := g.CreateNode([]string{"L"}, value.Map{"k": value.Int(2)})
+		if indexed {
+			g.CreateIndex("L", "k")
+		}
+		for _, c := range []struct {
+			pattern string
+			want    graph.NodeID
+		}{
+			{`(n:L{k:1,k:2})`, two.ID},
+			{`(n:L{k:2,k:1})`, one.ID},
+		} {
+			m := matcher(g)
+			if d := m.DescribePlan(patternOf(t, c.pattern), nil); strings.Contains(d, "index-seek") != indexed {
+				t.Fatalf("indexed=%v %s: plan %s", indexed, c.pattern, d)
+			}
+			res, err := m.Match(patternOf(t, c.pattern), expr.Env{})
+			if err != nil {
+				t.Fatalf("indexed=%v %s: %v", indexed, c.pattern, err)
+			}
+			if len(res) != 1 || res[0]["n"] != (value.Node{ID: int64(c.want)}) {
+				t.Errorf("indexed=%v %s: got %v, want node %d", indexed, c.pattern, res, c.want)
+			}
+		}
+	}
+}
+
+// TestMatchResultsIndependent checks that the maps Matcher.Match
+// returns share nothing: writing one changes no other result and not
+// the seed.
+func TestMatchResultsIndependent(t *testing.T) {
+	g, _ := figure1()
+	seed := expr.Env{"k": value.Int(7)}
+	res, err := matcher(g).Match(patternOf(t, "(u:User)-[:ORDERED]->(p)"), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) < 2 {
+		t.Fatalf("want at least two matches, got %d", len(res))
+	}
+	before := make([]string, len(res))
+	for i, e := range res {
+		before[i] = envKey(e)
+	}
+	res[0]["k"] = value.Int(8)
+	res[0]["u"] = value.NullValue
+	res[0]["extra"] = value.Int(1)
+	for i, e := range res[1:] {
+		if envKey(e) != before[i+1] {
+			t.Errorf("match %d changed with match 0: %s, was %s", i+1, envKey(e), before[i+1])
+		}
+	}
+	if seed["k"] != value.Int(7) || len(seed) != 1 {
+		t.Errorf("seed changed: %v", seed)
 	}
 }

@@ -248,12 +248,12 @@ func TestPushdownErrorsDeferred(t *testing.T) {
 		return ok == value.True, err
 	}}
 	it.Reset(m, parts, expr.Env{}, nil)
-	res, err := it.Next(math.MaxInt)
+	n, err := it.Next(math.MaxInt, func(expr.Env) {})
 	if err != nil {
 		t.Fatalf("pushed predicate error leaked: %v", err)
 	}
-	if len(res) != 1 {
-		t.Errorf("matches = %d, want 1", len(res))
+	if n != 1 {
+		t.Errorf("matches = %d, want 1", n)
 	}
 }
 

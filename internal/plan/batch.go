@@ -119,9 +119,9 @@ func (b *Batch) Env(i int) expr.Env {
 
 // loadEnv overwrites the batch's columns of env with row i's values.
 // Operators reuse one scratch environment across the rows of a batch:
-// this is safe because expression evaluation never retains the
-// environment it is handed — every extension goes through Env.With,
-// which copies.
+// this is safe because nothing retains or writes the environment it is
+// handed — expression binders push scope frames beside it, and a match
+// iterator copies it into an environment of its own (match.Iter.Reset).
 func (b *Batch) loadEnv(env expr.Env, i int) {
 	for j, c := range b.cols {
 		env[c] = b.vals[j][i]
@@ -301,14 +301,17 @@ func (o *TableScan) NextBatch(max int) (*Batch, bool, error) {
 // NextBatch: Match
 // ---------------------------------------------------------------------
 
-// NextBatch implements Operator. Each input row resets the operator's
-// match iterator, which fills the output batch with up to the rows it
-// still needs, on this goroutine; the matches are written straight into
-// the output columns. Input is pulled with the consumer's max so a
-// LIMIT above still bounds enumeration.
+// NextBatch implements Operator. Each input row, loaded into one
+// reused environment, resets the operator's match iterator, which fills
+// the output batch with up to the rows it still needs, on this
+// goroutine; each match is appended straight into the output columns
+// from the iterator's live environment, with no map per match. Input is
+// pulled with the consumer's max so a LIMIT above still bounds
+// enumeration.
 func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
 	out := newBatch(o.cols, demandCap(o.last, max))
+	o.out = out
 	for out.n < max {
 		if o.it.Done() {
 			if o.in == nil || o.inIdx >= o.in.n {
@@ -325,19 +328,16 @@ func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 				}
 				o.in, o.inIdx = in, 0
 			}
-			o.curRow = o.in.Env(o.inIdx)
+			o.in.loadEnv(o.curRow, o.inIdx)
 			o.inIdx++
 			o.emitted = 0
 			o.it.Reset(o.matcher, o.cl.Pattern, o.curRow, o.ap)
 		}
-		envs, err := o.it.Next(max - out.n)
+		n, err := o.it.Next(max-out.n, o.sink)
 		if err != nil {
 			return nil, false, err
 		}
-		for _, me := range envs {
-			out.appendEnv(me)
-		}
-		o.emitted += len(envs)
+		o.emitted += n
 		if o.it.Done() && o.cl.Optional && o.emitted == 0 {
 			// appendEnv fills the unbound pattern variables with nulls.
 			out.appendEnv(o.curRow)

@@ -142,16 +142,19 @@ type Match struct {
 	ap *match.AnchorPlan
 
 	// Pull state (see NextBatch in batch.go): the current input batch
-	// and the next row of it to expand, the input row being expanded,
-	// its match iterator (reset for every input row) and how many
-	// matches it has emitted (OPTIONAL MATCH pads a row that emitted
-	// none).
+	// and the next row of it to expand, the input row being expanded
+	// (one environment reused for every row), its match iterator (reset
+	// for every input row) and how many matches it has emitted
+	// (OPTIONAL MATCH pads a row that emitted none). sink appends the
+	// iterator's matches to out, the batch NextBatch is filling.
 	in      *Batch
 	inIdx   int
 	inDone  bool
 	curRow  expr.Env
 	it      match.Iter
 	emitted int
+	out     *Batch
+	sink    func(expr.Env)
 }
 
 // NewMatch builds a Match operator over child. newVars are the pattern
@@ -166,7 +169,9 @@ func NewMatch(child Operator, cl *ast.MatchClause, m *match.Matcher, ev *expr.Ev
 		cl:      cl,
 		matcher: m,
 		pushed:  match.NewPushdown(cl.Where, cl.Pattern, child.Columns()),
+		curRow:  make(expr.Env, len(child.Columns())),
 	}
+	o.sink = func(me expr.Env) { o.out.appendEnv(me) }
 	o.matcher.Stats = &o.visits
 	o.matcher.SetPushdown(o.pushed)
 	if cl.Where != nil {
