@@ -94,7 +94,7 @@ func TestIterResumption(t *testing.T) {
 		{`(x)-[r:T*1..2]->(y)`, expr.Env{"r": value.NullValue}},
 		{`(x)-[:T]->(y)-[r:T]->(z)`, expr.Env{"r": rel(3), "x": node(1)}},
 		{`(x)-[r:T*0..2]-(y:B)`, expr.Env{"k": value.Int(7)}},
-		{`p = (x:A)-[:T]->(y), (y)-[:T]->(z)`, expr.Env{"p": value.Int(0), "k": value.Int(7)}},
+		{`p = (x:A {i: p})-[:T]->(y), (y)-[:T]->(z)`, expr.Env{"p": value.Int(0), "k": value.Int(7)}},
 	}
 	filters := []struct {
 		name string

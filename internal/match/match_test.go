@@ -1,6 +1,8 @@
 package match
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -427,5 +429,34 @@ func TestMatchResultsIndependent(t *testing.T) {
 	}
 	if seed["k"] != value.Int(7) || len(seed) != 1 {
 		t.Errorf("seed changed: %v", seed)
+	}
+}
+
+// TestPreBoundPathVariable pins a part that rebinds a path variable the
+// seed already binds: every candidate the part checks, before it binds
+// the path, reads the seed's value, exactly as it would read another
+// variable bound to that value.
+func TestPreBoundPathVariable(t *testing.T) {
+	g, _, _ := resumeGraph()
+	for _, naive := range []bool{false, true} {
+		m := matcher(g)
+		m.DisablePlan = naive
+		rows := func(pattern string, env expr.Env) []string {
+			res, err := m.Match(patternOf(t, pattern), env)
+			if err != nil {
+				t.Fatalf("%s: %v", pattern, err)
+			}
+			var out []string
+			for _, e := range res {
+				out = append(out, fmt.Sprint(e["x"], e["y"], e["p"]))
+			}
+			sort.Strings(out)
+			return out
+		}
+		got := rows(`p = (x:A)-[:T {w: p}]->(y)`, expr.Env{"p": value.Int(1)})
+		want := rows(`p = (x:A)-[:T {w: q}]->(y)`, expr.Env{"p": value.Int(1), "q": value.Int(1)})
+		if len(want) < 2 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("naive=%v: got %d matches, want %d:\n%s\nwant\n%s", naive, len(got), len(want), strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }
