@@ -922,7 +922,7 @@ func TestBenchWorkloadsAreValid(t *testing.T) {
 	seen := map[string]bool{}
 	for _, id := range g.NodeIDs() {
 		n := g.Node(id)
-		key := fmt.Sprint(n.SortedLabels(), value.MapKey(n.PropMap()))
+		key := fmt.Sprint(g.LabelNames(n), value.MapKey(g.PropMap(n.Props)))
 		if seen[key] {
 			t.Fatalf("duplicate collapsed node %s", key)
 		}

@@ -482,10 +482,7 @@ func (db *DB) Nodes() []NodeView {
 	g := snap.Graph()
 	for _, id := range g.NodeIDs() {
 		n := g.Node(id)
-		nv := NodeView{ID: int64(id), Labels: n.SortedLabels(), Props: map[string]Value{}}
-		for k, v := range n.Props {
-			nv.Props[k] = v
-		}
+		nv := NodeView{ID: int64(id), Labels: g.LabelNames(n), Props: g.PropMap(n.Props)}
 		out = append(out, nv)
 	}
 	return out
@@ -499,10 +496,7 @@ func (db *DB) Rels() []RelView {
 	g := snap.Graph()
 	for _, id := range g.RelIDs() {
 		r := g.Rel(id)
-		rv := RelView{ID: int64(id), Type: r.Type, Src: int64(r.Src), Tgt: int64(r.Tgt), Props: map[string]Value{}}
-		for k, v := range r.Props {
-			rv.Props[k] = v
-		}
+		rv := RelView{ID: int64(id), Type: g.TypeName(r), Src: int64(r.Src), Tgt: int64(r.Tgt), Props: g.PropMap(r.Props)}
 		out = append(out, rv)
 	}
 	return out

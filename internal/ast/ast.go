@@ -8,6 +8,7 @@ package ast
 
 import (
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/value"
 )
@@ -384,6 +385,9 @@ type Parameter struct {
 type PropAccess struct {
 	Expr Expr
 	Key  string
+	// KeySym caches Key's interned id for graph.Graph.Resolve; it
+	// belongs to the evaluator and is not part of the syntax.
+	KeySym atomic.Uint64
 }
 
 // Index is <expr>[<expr>] subscripting.

@@ -91,23 +91,23 @@ func TestSetPlusEqualsAndReplace(t *testing.T) {
 		run(t, d, g, `MATCH (n:N) SET n += {b: 20, c: 3, a: null}`)
 		id := g.NodeIDsByLabel("N")[0]
 		n := g.Node(id)
-		if _, has := n.Props["a"]; has {
+		if _, has := g.Prop(n.Props, "a"); has {
 			t.Errorf("[%v] a should be removed by += null", d)
 		}
-		if n.Props["b"] != value.Int(20) || n.Props["c"] != value.Int(3) {
+		if g.NodeProp(n.ID, "b") != value.Int(20) || g.NodeProp(n.ID, "c") != value.Int(3) {
 			t.Errorf("[%v] props = %v", d, n.Props)
 		}
 		// = replaces the whole map.
 		run(t, d, g, `MATCH (n:N) SET n = {z: 9}`)
 		n = g.Node(id)
-		if len(n.Props) != 1 || n.Props["z"] != value.Int(9) {
+		if len(n.Props) != 1 || g.NodeProp(n.ID, "z") != value.Int(9) {
 			t.Errorf("[%v] after replace: %v", d, n.Props)
 		}
 		// = from another node copies its properties.
 		run(t, d, g, `CREATE (:M{q:7})`)
 		run(t, d, g, `MATCH (n:N), (m:M) SET n = m`)
 		n = g.Node(id)
-		if len(n.Props) != 1 || n.Props["q"] != value.Int(7) {
+		if len(n.Props) != 1 || g.NodeProp(n.ID, "q") != value.Int(7) {
 			t.Errorf("[%v] after copy from node: %v", d, n.Props)
 		}
 	}
@@ -151,13 +151,13 @@ func TestRemoveClauseBothDialects(t *testing.T) {
 		res := run(t, d, g, `MATCH (n:A) REMOVE n.x, n:B`)
 		id := g.NodeIDsByLabel("A")[0]
 		n := g.Node(id)
-		if _, has := n.Props["x"]; has {
+		if _, has := g.Prop(n.Props, "x"); has {
 			t.Errorf("[%v] x not removed", d)
 		}
-		if n.HasLabel("B") {
+		if g.HasLabel(n, "B") {
 			t.Errorf("[%v] label B not removed", d)
 		}
-		if n.Props["y"] != value.Int(2) {
+		if g.NodeProp(n.ID, "y") != value.Int(2) {
 			t.Errorf("[%v] y damaged", d)
 		}
 		_ = res
@@ -221,7 +221,7 @@ func TestForeachSetOverMatchedNodes(t *testing.T) {
 			MATCH pth = (:A)-[:T]->(:B)
 			FOREACH (n IN nodes(pth) | SET n.marked = true)`)
 		for _, id := range g.NodeIDs() {
-			if g.Node(id).Props["marked"] != value.Bool(true) {
+			if g.NodeProp(id, "marked") != value.Bool(true) {
 				t.Errorf("[%v] node %d not marked", d, id)
 			}
 		}
@@ -354,8 +354,8 @@ func TestLegacyScanReverseOutputOrder(t *testing.T) {
 	}
 	// Nodes created in reverse table order: first created node holds 3.
 	first := g.Node(g.NodeIDs()[0])
-	if first.Props["v"] != value.Int(3) {
-		t.Errorf("reverse scan first create = %v", first.Props["v"])
+	if g.NodeProp(first.ID, "v") != value.Int(3) {
+		t.Errorf("reverse scan first create = %v", g.NodeProp(first.ID, "v"))
 	}
 }
 

@@ -54,8 +54,8 @@ func TestAtomicMergeOnCreateOnMatch(t *testing.T) {
 	if _, err := NewEngine(cfg).ExecuteWithTable(g, stmt, nil, tbl); err != nil {
 		t.Fatal(err)
 	}
-	if g.Node(pre.ID).Props["hits"] != value.Int(11) {
-		t.Errorf("ON MATCH: hits = %v, want 11", g.Node(pre.ID).Props["hits"])
+	if g.NodeProp(pre.ID, "hits") != value.Int(11) {
+		t.Errorf("ON MATCH: hits = %v, want 11", g.NodeProp(pre.ID, "hits"))
 	}
 	created := g.NodeIDsByLabel("Counter")
 	if len(created) != 2 {
@@ -65,8 +65,8 @@ func TestAtomicMergeOnCreateOnMatch(t *testing.T) {
 		if id == pre.ID {
 			continue
 		}
-		if g.Node(id).Props["hits"] != value.Int(1) {
-			t.Errorf("ON CREATE: hits = %v, want 1", g.Node(id).Props["hits"])
+		if g.NodeProp(id, "hits") != value.Int(1) {
+			t.Errorf("ON CREATE: hits = %v, want 1", g.NodeProp(id, "hits"))
 		}
 	}
 }
@@ -140,17 +140,17 @@ func TestLegacySetRelAndEntityCopies(t *testing.T) {
 	r, _ := g.CreateRel(a.ID, b.ID, "T", map[string]value.Value{"w": value.Int(1)})
 
 	run(t, DialectCypher9, g, `MATCH ()-[r:T]->() SET r.w = 2, r.v = 3`)
-	if g.Rel(r.ID).Props["w"] != value.Int(2) || g.Rel(r.ID).Props["v"] != value.Int(3) {
+	if g.RelProp(r.ID, "w") != value.Int(2) || g.RelProp(r.ID, "v") != value.Int(3) {
 		t.Errorf("rel props = %v", g.Rel(r.ID).Props)
 	}
 	// Copy properties from a relationship into a node.
 	run(t, DialectCypher9, g, `MATCH (x:A), ()-[r:T]->() SET x = r`)
-	if g.Node(a.ID).Props["w"] != value.Int(2) {
+	if g.NodeProp(a.ID, "w") != value.Int(2) {
 		t.Errorf("node props after copy = %v", g.Node(a.ID).Props)
 	}
 	// Copy from a node into a relationship with +=.
 	run(t, DialectCypher9, g, `MATCH (x:A), ()-[r:T]->() SET r += x`)
-	if g.Rel(r.ID).Props["w"] != value.Int(2) {
+	if g.RelProp(r.ID, "w") != value.Int(2) {
 		t.Errorf("rel props after += = %v", g.Rel(r.ID).Props)
 	}
 }
@@ -196,11 +196,11 @@ func TestRevisedSetFromEntities(t *testing.T) {
 	r, _ := g.CreateRel(a.ID, bNode.ID, "T", map[string]value.Value{"w": value.Int(5)})
 
 	run(t, DialectRevised, g, `MATCH (b:B), ()-[r:T]->() SET b = r`)
-	if g.Node(bNode.ID).Props["w"] != value.Int(5) {
+	if g.NodeProp(bNode.ID, "w") != value.Int(5) {
 		t.Errorf("b props = %v", g.Node(bNode.ID).Props)
 	}
 	run(t, DialectRevised, g, `MATCH (a:A), (b:B) SET b += a`)
-	if g.Node(bNode.ID).Props["x"] != value.Int(1) || g.Node(bNode.ID).Props["w"] != value.Int(5) {
+	if g.NodeProp(bNode.ID, "x") != value.Int(1) || g.NodeProp(bNode.ID, "w") != value.Int(5) {
 		t.Errorf("b props after += = %v", g.Node(bNode.ID).Props)
 	}
 	if _, err := runErr(DialectRevised, g, `MATCH (b:B) SET b += 5`); err == nil {

@@ -215,7 +215,7 @@ func TestPaperQuery3(t *testing.T) {
 		found := false
 		for _, id := range prods {
 			n := g.Node(id)
-			if n.Props["id"] == value.Int(120) && n.Props["name"] == value.String("smartphone") {
+			if g.NodeProp(n.ID, "id") == value.Int(120) && g.NodeProp(n.ID, "name") == value.String("smartphone") {
 				found = true
 			}
 		}

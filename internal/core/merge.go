@@ -259,7 +259,7 @@ func (x *executor) collapseCreated(created []createdEntity, strategy MergeStrate
 			continue
 		}
 		n := x.graph.Node(ce.nodeID)
-		key := strings.Join(n.SortedLabels(), ",") + "|" + value.MapKey(n.PropMap())
+		key := strings.Join(x.graph.LabelNames(n), ",") + "|" + value.MapKey(x.graph.PropMap(n.Props))
 		if strategy == StrategyWeakCollapse {
 			key += "|@" + strconv.Itoa(ce.part) + "." + strconv.Itoa(ce.slot)
 		}
@@ -297,14 +297,14 @@ func (x *executor) collapseCreated(created []createdEntity, strategy MergeStrate
 		}
 		r := x.graph.Rel(ce.relID)
 		src, tgt := repOf(r.Src), repOf(r.Tgt)
-		key := r.Type + "|" + value.MapKey(r.PropMap()) + "|" +
+		key := x.graph.TypeName(r) + "|" + value.MapKey(x.graph.PropMap(r.Props)) + "|" +
 			strconv.FormatInt(int64(src), 10) + ">" + strconv.FormatInt(int64(tgt), 10)
 		if strategy != StrategyStrongCollapse {
 			key += "|@" + strconv.Itoa(ce.part) + "." + strconv.Itoa(ce.slot)
 		}
 		c, ok := classes[key]
 		if !ok {
-			c = &relClass{src: src, tgt: tgt, relType: r.Type, props: r.PropMap()}
+			c = &relClass{src: src, tgt: tgt, relType: x.graph.TypeName(r), props: x.graph.PropMap(r.Props)}
 			classes[key] = c
 			classOrder = append(classOrder, key)
 		}

@@ -25,8 +25,8 @@ const example1Query = `
 func TestExample1LegacySetIsSequential(t *testing.T) {
 	g, ids := fixtures.Figure1() // laptop id 125, tablet id 85
 	run(t, DialectCypher9, g, example1Query)
-	laptop := g.Node(ids["p1"]).Props["id"]
-	tablet := g.Node(ids["p3"]).Props["id"]
+	laptop := g.NodeProp(ids["p1"], "id")
+	tablet := g.NodeProp(ids["p3"], "id")
 	// Legacy: laptop takes tablet's id, then the second item is a no-op.
 	if laptop != value.Int(85) || tablet != value.Int(85) {
 		t.Errorf("legacy: laptop=%v tablet=%v, want both 85", laptop, tablet)
@@ -36,8 +36,8 @@ func TestExample1LegacySetIsSequential(t *testing.T) {
 func TestExample1RevisedSetSwaps(t *testing.T) {
 	g, ids := fixtures.Figure1()
 	run(t, DialectRevised, g, example1Query)
-	laptop := g.Node(ids["p1"]).Props["id"]
-	tablet := g.Node(ids["p3"]).Props["id"]
+	laptop := g.NodeProp(ids["p1"], "id")
+	tablet := g.NodeProp(ids["p3"], "id")
 	if laptop != value.Int(85) || tablet != value.Int(125) {
 		t.Errorf("revised: laptop=%v tablet=%v, want swap 85/125", laptop, tablet)
 	}
@@ -63,7 +63,7 @@ func TestExample2LegacyOrderDependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		name, _ := value.AsString(g.Node(ids["p3"]).Props["name"])
+		name, _ := value.AsString(g.NodeProp(ids["p3"], "name"))
 		outcomes[string(name)] = true
 	}
 	// The paper: "node p3 might end up with name set to either
@@ -90,8 +90,8 @@ func TestExample2RevisedNoConflictWhenUnambiguous(t *testing.T) {
 	// With distinct ids the same query is fine under revised semantics.
 	g, ids := fixtures.CleanFigure1()
 	run(t, DialectRevised, g, example2Query)
-	if g.Node(ids["p3"]).Props["name"] != value.String("laptop") {
-		t.Errorf("name = %v", g.Node(ids["p3"]).Props["name"])
+	if g.NodeProp(ids["p3"], "name") != value.String("laptop") {
+		t.Errorf("name = %v", g.NodeProp(ids["p3"], "name"))
 	}
 }
 
@@ -296,7 +296,7 @@ func TestExample5Figure7cShape(t *testing.T) {
 	}
 	nullProducts := 0
 	for _, id := range products {
-		if _, has := g.Node(id).Props["id"]; !has {
+		if _, has := g.Prop(g.Node(id).Props, "id"); !has {
 			nullProducts++
 		}
 	}
@@ -564,15 +564,15 @@ func TestLegacyMergeOnCreateOnMatch(t *testing.T) {
 		ON CREATE SET n.hits = 1
 		ON MATCH SET n.hits = n.hits + 1`)
 	id := g.NodeIDsByLabel("Counter")[0]
-	if g.Node(id).Props["hits"] != value.Int(1) {
-		t.Errorf("after create: hits = %v", g.Node(id).Props["hits"])
+	if g.NodeProp(id, "hits") != value.Int(1) {
+		t.Errorf("after create: hits = %v", g.NodeProp(id, "hits"))
 	}
 	run(t, DialectCypher9, g, `
 		MERGE (n:Counter{id:1})
 		ON CREATE SET n.hits = 1
 		ON MATCH SET n.hits = n.hits + 1`)
-	if g.Node(id).Props["hits"] != value.Int(2) {
-		t.Errorf("after match: hits = %v", g.Node(id).Props["hits"])
+	if g.NodeProp(id, "hits") != value.Int(2) {
+		t.Errorf("after match: hits = %v", g.NodeProp(id, "hits"))
 	}
 }
 

@@ -207,7 +207,7 @@ func TestSetDialectsDisagreeOnOverlappingWrites(t *testing.T) {
 		if _, err := NewEngine(Config{Dialect: d}).ExecuteStatement(g, stmt, nil); err != nil {
 			t.Fatal(err)
 		}
-		results[d] = [2]value.Value{g.Node(n.ID).Props["a"], g.Node(n.ID).Props["b"]}
+		results[d] = [2]value.Value{g.NodeProp(n.ID, "a"), g.NodeProp(n.ID, "b")}
 	}
 	if results[DialectCypher9] != [2]value.Value{value.Int(2), value.Int(2)} {
 		t.Errorf("legacy = %v, want [2 2]", results[DialectCypher9])

@@ -117,14 +117,14 @@ func (x *executor) legacySetAllProps(target, v value.Value, add bool) error {
 			if n == nil {
 				m = value.Map{}
 			} else {
-				m = n.PropMap()
+				m = x.graph.PropMap(n.Props)
 			}
 		} else if rv, isRel := v.(value.Rel); isRel {
 			r := x.graph.Rel(graph.RelID(rv.ID))
 			if r == nil {
 				m = value.Map{}
 			} else {
-				m = r.PropMap()
+				m = x.graph.PropMap(r.Props)
 			}
 		} else {
 			return fmt.Errorf("SET %s = ... expects a map, node or relationship, got %s", target.Kind(), v.Kind())
@@ -163,13 +163,13 @@ func (x *executor) entityPropKeys(target value.Value) ([]string, error) {
 		if n == nil {
 			return nil, nil
 		}
-		return n.PropMap().Keys(), nil
+		return x.graph.PropMap(n.Props).Keys(), nil
 	case value.Rel:
 		r := x.graph.Rel(graph.RelID(e.ID))
 		if r == nil {
 			return nil, nil
 		}
-		return r.PropMap().Keys(), nil
+		return x.graph.PropMap(r.Props).Keys(), nil
 	default:
 		return nil, fmt.Errorf("SET target must be a node or relationship, got %s", target.Kind())
 	}

@@ -123,13 +123,13 @@ func (x *executor) coerceToPropMap(v value.Value) (value.Map, error) {
 		if n == nil {
 			return value.Map{}, nil
 		}
-		return n.PropMap(), nil
+		return x.graph.PropMap(n.Props), nil
 	case value.Rel:
 		r := x.graph.Rel(graph.RelID(e.ID))
 		if r == nil {
 			return value.Map{}, nil
 		}
-		return r.PropMap(), nil
+		return x.graph.PropMap(r.Props), nil
 	default:
 		return nil, fmt.Errorf("SET = / += expects a map, node or relationship, got %s", v.Kind())
 	}

@@ -199,7 +199,7 @@ func runE02(r *Report) error {
 	if _, err := exec(core.Config{Dialect: core.DialectCypher9}, g, query, nil); err != nil {
 		return err
 	}
-	laptop, tablet := g.Node(ids["p1"]).Props["id"], g.Node(ids["p3"]).Props["id"]
+	laptop, tablet := g.NodeProp(ids["p1"], "id"), g.NodeProp(ids["p3"], "id")
 	r.check(laptop == value.Int(85) && tablet == value.Int(85),
 		"legacy: paper 'both products bear the same ID', measured laptop=%v tablet=%v", laptop, tablet)
 
@@ -207,7 +207,7 @@ func runE02(r *Report) error {
 	if _, err := exec(core.Config{Dialect: core.DialectRevised}, g2, query, nil); err != nil {
 		return err
 	}
-	laptop2, tablet2 := g2.Node(ids2["p1"]).Props["id"], g2.Node(ids2["p3"]).Props["id"]
+	laptop2, tablet2 := g2.NodeProp(ids2["p1"], "id"), g2.NodeProp(ids2["p3"], "id")
 	r.check(laptop2 == value.Int(85) && tablet2 == value.Int(125),
 		"revised: paper 'should actually switch IDs', measured laptop=%v tablet=%v", laptop2, tablet2)
 	return nil
@@ -226,7 +226,7 @@ func runE03(r *Report) error {
 		if _, err := exec(core.Config{Dialect: core.DialectCypher9, ScanOrder: order}, g, query, nil); err != nil {
 			return err
 		}
-		name, _ := value.AsString(g.Node(ids["p3"]).Props["name"])
+		name, _ := value.AsString(g.NodeProp(ids["p3"], "name"))
 		outcomes[string(name)] = true
 	}
 	var keys []string

@@ -11,6 +11,7 @@ package expr
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/graph"
@@ -74,7 +75,7 @@ func (ev *Evaluator) eval(e ast.Expr, sc scope) (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ev.propValue(base, x.Key)
+		return ev.propValue(base, x.Key, &x.KeySym)
 	case *ast.Index:
 		return ev.evalIndex(x, sc)
 	case *ast.Slice:
@@ -191,7 +192,8 @@ func literalValue(l *ast.Literal) (value.Value, error) {
 // Access on a missing (deleted) entity yields null: this is the lenient
 // behaviour the legacy engine relies on for Section 4.2, and the revised
 // engine nulls deleted references before expressions can observe them.
-func (ev *Evaluator) propValue(base value.Value, key string) (value.Value, error) {
+// A non-nil cache is the key's Resolve cache word.
+func (ev *Evaluator) propValue(base value.Value, key string, cache *atomic.Uint64) (value.Value, error) {
 	switch b := base.(type) {
 	case value.Null:
 		return value.NullValue, nil
@@ -200,19 +202,13 @@ func (ev *Evaluator) propValue(base value.Value, key string) (value.Value, error
 		if n == nil {
 			return value.NullValue, nil
 		}
-		if v, ok := n.Props[key]; ok {
-			return v, nil
-		}
-		return value.NullValue, nil
+		return ev.storedProp(n.Props, key, cache), nil
 	case value.Rel:
 		r := ev.Graph.Rel(graph.RelID(b.ID))
 		if r == nil {
 			return value.NullValue, nil
 		}
-		if v, ok := r.Props[key]; ok {
-			return v, nil
-		}
-		return value.NullValue, nil
+		return ev.storedProp(r.Props, key, cache), nil
 	case value.Map:
 		if v, ok := b[key]; ok {
 			return v, nil
@@ -221,6 +217,23 @@ func (ev *Evaluator) propValue(base value.Value, key string) (value.Value, error
 	default:
 		return nil, fmt.Errorf("type error: cannot access property %q on %s", key, base.Kind())
 	}
+}
+
+// storedProp returns the value ps stores under key, or null.
+func (ev *Evaluator) storedProp(ps graph.Props, key string, cache *atomic.Uint64) value.Value {
+	var id graph.SymID
+	var ok bool
+	if cache != nil {
+		id, ok = ev.Graph.Resolve(key, cache)
+	} else {
+		id, ok = ev.Graph.Sym(key)
+	}
+	if ok {
+		if v, ok := ps.Get(id); ok {
+			return v
+		}
+	}
+	return value.NullValue
 }
 
 func (ev *Evaluator) evalIndex(x *ast.Index, sc scope) (value.Value, error) {
@@ -262,7 +275,7 @@ func (ev *Evaluator) evalIndex(x *ast.Index, sc scope) (value.Value, error) {
 		if !ok {
 			return nil, fmt.Errorf("property key must be a string, got %s", idx.Kind())
 		}
-		return ev.propValue(base, k)
+		return ev.propValue(base, k, nil)
 	default:
 		return nil, fmt.Errorf("type error: cannot index %s", base.Kind())
 	}

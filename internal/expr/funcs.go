@@ -105,13 +105,13 @@ func (ev *Evaluator) entityProps(v value.Value, fname string) (value.Map, error)
 		if n == nil {
 			return value.Map{}, nil
 		}
-		return n.PropMap(), nil
+		return ev.Graph.PropMap(n.Props), nil
 	case value.Rel:
 		r := ev.Graph.Rel(graph.RelID(x.ID))
 		if r == nil {
 			return value.Map{}, nil
 		}
-		return r.PropMap(), nil
+		return ev.Graph.PropMap(r.Props), nil
 	case value.Map:
 		return x, nil
 	default:

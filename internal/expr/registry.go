@@ -504,7 +504,7 @@ func registerGraphFuncs() {
 			if gn == nil {
 				return value.NullValue, nil
 			}
-			ls := gn.SortedLabels()
+			ls := ev.Graph.LabelNames(gn)
 			out := make(value.List, len(ls))
 			for i, l := range ls {
 				out[i] = value.String(l)
@@ -524,7 +524,7 @@ func registerGraphFuncs() {
 			if gr == nil {
 				return value.NullValue, nil
 			}
-			return value.String(gr.Type), nil
+			return value.String(ev.Graph.TypeName(gr)), nil
 		}),
 	})
 	register(FuncDef{

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"strings"
 
 	"repro/internal/tagjson"
 	"repro/internal/value"
@@ -74,13 +74,13 @@ func checkStorable(v value.Value) error {
 }
 
 // props converts a property map for a snapshot.
-func props(in map[string]value.Value) (map[string]propValue, error) {
+func (g *Graph) props(in Props) (map[string]propValue, error) {
 	out := make(map[string]propValue, len(in))
-	for k, v := range in {
-		if err := checkStorable(v); err != nil {
+	for _, p := range in {
+		if err := checkStorable(p.Val); err != nil {
 			return nil, err
 		}
-		out[k] = propValue{v}
+		out[g.SymName(p.Key)] = propValue{p.Val}
 	}
 	return out, nil
 }
@@ -145,19 +145,19 @@ func writeJSONState(w io.Writer, g *Graph, epoch int64) error {
 	}
 	for _, id := range g.NodeIDs() {
 		n := g.Node(id)
-		p, err := props(n.Props)
+		p, err := g.props(n.Props)
 		if err != nil {
 			return err
 		}
-		out.Nodes = append(out.Nodes, jsonNode{ID: int64(id), Labels: n.SortedLabels(), Props: p})
+		out.Nodes = append(out.Nodes, jsonNode{ID: int64(id), Labels: g.LabelNames(n), Props: p})
 	}
 	for _, id := range g.RelIDs() {
 		r := g.Rel(id)
-		p, err := props(r.Props)
+		p, err := g.props(r.Props)
 		if err != nil {
 			return err
 		}
-		out.Rels = append(out.Rels, jsonRel{ID: int64(id), Type: r.Type, Src: int64(r.Src), Tgt: int64(r.Tgt), Props: p})
+		out.Rels = append(out.Rels, jsonRel{ID: int64(id), Type: g.TypeName(r), Src: int64(r.Src), Tgt: int64(r.Tgt), Props: p})
 	}
 	for _, k := range g.Indexes() {
 		out.Indexes = append(out.Indexes, jsonIndex{Label: k.Label, Prop: k.Prop})
@@ -190,20 +190,7 @@ func readJSONState(r io.Reader) (*Graph, int64, error) {
 		if g.HasNode(NodeID(jn.ID)) {
 			return nil, 0, fmt.Errorf("graph: duplicate node id %d", jn.ID)
 		}
-		n := &Node{
-			ID:     NodeID(jn.ID),
-			Labels: make(map[string]struct{}, len(jn.Labels)),
-			Props:  make(map[string]value.Value, len(jn.Props)),
-		}
-		for _, l := range jn.Labels {
-			n.Labels[l] = struct{}{}
-		}
-		for k, p := range jn.Props {
-			if !value.IsNull(p.v) {
-				n.Props[k] = p.v
-			}
-		}
-		g.restoreNode(n)
+		g.restoreNode(&Node{ID: NodeID(jn.ID), Labels: g.labelsOf(jn.Labels), Props: g.propsOf(propMap(jn.Props))})
 		if NodeID(jn.ID) > g.nextNode {
 			g.nextNode = NodeID(jn.ID)
 		}
@@ -221,19 +208,7 @@ func readJSONState(r io.Reader) (*Graph, int64, error) {
 		if !g.HasNode(NodeID(jr.Src)) || !g.HasNode(NodeID(jr.Tgt)) {
 			return nil, 0, fmt.Errorf("graph: relationship %d has dangling endpoints", jr.ID)
 		}
-		rel := &Rel{
-			ID:    RelID(jr.ID),
-			Type:  jr.Type,
-			Src:   NodeID(jr.Src),
-			Tgt:   NodeID(jr.Tgt),
-			Props: make(map[string]value.Value, len(jr.Props)),
-		}
-		for k, p := range jr.Props {
-			if !value.IsNull(p.v) {
-				rel.Props[k] = p.v
-			}
-		}
-		g.restoreRel(rel)
+		g.restoreRel(&Rel{ID: RelID(jr.ID), Type: g.intern(jr.Type), Src: NodeID(jr.Src), Tgt: NodeID(jr.Tgt), Props: g.propsOf(propMap(jr.Props))})
 		if RelID(jr.ID) > g.nextRel {
 			g.nextRel = RelID(jr.ID)
 		}
@@ -270,10 +245,10 @@ func (g *Graph) WriteDOT(w io.Writer, title string) error {
 		n := g.Node(id)
 		label := fmt.Sprintf("%d", id)
 		if len(n.Labels) > 0 {
-			label += "\n:" + joinSorted(n.Labels, ":")
+			label += "\n:" + strings.Join(g.LabelNames(n), ":")
 		}
 		if len(n.Props) > 0 {
-			label += "\n" + value.Map(n.PropMap()).String()
+			label += "\n" + g.PropMap(n.Props).String()
 		}
 		if _, err := fmt.Fprintf(w, "  n%d [label=%q];\n", id, label); err != nil {
 			return err
@@ -281,9 +256,9 @@ func (g *Graph) WriteDOT(w io.Writer, title string) error {
 	}
 	for _, id := range g.RelIDs() {
 		r := g.Rel(id)
-		label := ":" + r.Type
+		label := ":" + g.TypeName(r)
 		if len(r.Props) > 0 {
-			label += " " + value.Map(r.PropMap()).String()
+			label += " " + g.PropMap(r.Props).String()
 		}
 		if _, err := fmt.Fprintf(w, "  n%d -> n%d [label=%q];\n", r.Src, r.Tgt, label); err != nil {
 			return err
@@ -293,18 +268,11 @@ func (g *Graph) WriteDOT(w io.Writer, title string) error {
 	return err
 }
 
-func joinSorted(set map[string]struct{}, sep string) string {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
+// propMap unwraps decoded property values.
+func propMap(in map[string]propValue) value.Map {
+	m := make(value.Map, len(in))
+	for k, p := range in {
+		m[k] = p.v
 	}
-	sort.Strings(keys)
-	out := ""
-	for i, k := range keys {
-		if i > 0 {
-			out += sep
-		}
-		out += k
-	}
-	return out
+	return m
 }

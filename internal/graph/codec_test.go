@@ -66,13 +66,13 @@ func TestJSONSpecialFloats(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g2.Node(g2.NodeIDs()[0])
-	if !math.IsNaN(float64(n.Props["nan"].(value.Float))) {
+	if !math.IsNaN(float64(prop(g2, n.Props, "nan").(value.Float))) {
 		t.Error("NaN lost")
 	}
-	if !math.IsInf(float64(n.Props["pinf"].(value.Float)), 1) {
+	if !math.IsInf(float64(prop(g2, n.Props, "pinf").(value.Float)), 1) {
 		t.Error("+Inf lost")
 	}
-	if !math.IsInf(float64(n.Props["ninf"].(value.Float)), -1) {
+	if !math.IsInf(float64(prop(g2, n.Props, "ninf").(value.Float)), -1) {
 		t.Error("-Inf lost")
 	}
 }

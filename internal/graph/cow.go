@@ -39,7 +39,11 @@ package graph
 // canonical value strings and use a fixed fan-out hash directory
 // (strMap) with per-bucket node sets as the copy unit.
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"slices"
+	"sync/atomic"
+)
 
 // cowTagCounter allocates process-unique graph ownership tags.
 var cowTagCounter atomic.Uint64
@@ -47,20 +51,28 @@ var cowTagCounter atomic.Uint64
 func newCowTag() uint64 { return cowTagCounter.Add(1) }
 
 // shardBits sets the id-shard granularity: shards span 2^shardBits
-// consecutive ids, so a copy-on-write touch pays at most that many map
-// inserts while the clone-time directory copy is entities/2^shardBits.
-const shardBits = 9
+// consecutive ids, so a copy-on-write touch copies one fixed-size shard
+// while the clone-time directory copy is entities/2^shardBits pointers.
+const (
+	shardBits = 9
+	shardSize = 1 << shardBits
+)
 
-// idShard is one shared unit of an idMap: a plain map over a 2^shardBits
-// id range plus the tag of the graph generation that may write it.
+// idShard is one shared unit of an idMap: the values of a 2^shardBits
+// id range by offset, a presence bitmap, the number of ids present and
+// the tag of the graph generation that may write it. A copy is one
+// struct copy.
 type idShard[V any] struct {
-	m     map[int64]V
-	owner uint64
+	vals    [shardSize]V
+	present [shardSize / 64]uint64
+	n       int
+	owner   uint64
 }
 
 // idMap is a two-level map from positive int64 ids to values with
 // shard-granular copy-on-write. The directory slice is private to one
-// graph; shards are shared between graph generations until written.
+// graph; shards are shared between graph generations until written,
+// and a shard whose last id is deleted is released.
 type idMap[V any] struct {
 	shards []*idShard[V]
 	n      int
@@ -68,13 +80,17 @@ type idMap[V any] struct {
 
 // get returns the value stored for id.
 func (m *idMap[V]) get(id int64) (V, bool) {
-	si := int(id >> shardBits)
-	if si < 0 || si >= len(m.shards) || m.shards[si] == nil {
+	si := uint64(id >> shardBits)
+	if si >= uint64(len(m.shards)) || m.shards[si] == nil {
 		var zero V
 		return zero, false
 	}
-	v, ok := m.shards[si].m[id]
-	return v, ok
+	s, off := m.shards[si], id&(shardSize-1)
+	if s.present[off>>6]&(1<<(off&63)) == 0 {
+		var zero V
+		return zero, false
+	}
+	return s.vals[off], true
 }
 
 // size reports the number of stored entries.
@@ -90,14 +106,12 @@ func (m *idMap[V]) writable(tag uint64, id int64) *idShard[V] {
 	s := m.shards[si]
 	switch {
 	case s == nil:
-		s = &idShard[V]{m: make(map[int64]V), owner: tag}
+		s = &idShard[V]{owner: tag}
 		m.shards[si] = s
 	case s.owner != tag:
-		c := &idShard[V]{m: make(map[int64]V, len(s.m)), owner: tag}
-		for k, v := range s.m {
-			c.m[k] = v
-		}
-		s = c
+		c := *s
+		c.owner = tag
+		s = &c
 		m.shards[si] = s
 	}
 	return s
@@ -106,36 +120,67 @@ func (m *idMap[V]) writable(tag uint64, id int64) *idShard[V] {
 // put stores v under id, copying the containing shard first if shared.
 func (m *idMap[V]) put(tag uint64, id int64, v V) {
 	s := m.writable(tag, id)
-	if _, ok := s.m[id]; !ok {
+	off := id & (shardSize - 1)
+	if bit := uint64(1) << (off & 63); s.present[off>>6]&bit == 0 {
+		s.present[off>>6] |= bit
+		s.n++
 		m.n++
 	}
-	s.m[id] = v
+	s.vals[off] = v
 }
 
-// del removes id. Deleting an absent id is a no-op and copies nothing.
+// del removes id, releasing its shard when it was the shard's last id.
+// Deleting an absent id is a no-op and copies nothing.
 func (m *idMap[V]) del(tag uint64, id int64) {
-	si := int(id >> shardBits)
-	if si < 0 || si >= len(m.shards) || m.shards[si] == nil {
+	if _, ok := m.get(id); !ok {
 		return
 	}
-	if _, ok := m.shards[si].m[id]; !ok {
+	m.n--
+	si := int(id >> shardBits)
+	if m.shards[si].n == 1 {
+		m.shards[si] = nil
 		return
 	}
 	s := m.writable(tag, id)
-	delete(s.m, id)
-	m.n--
+	off := id & (shardSize - 1)
+	s.present[off>>6] &^= 1 << (off & 63)
+	var zero V
+	s.vals[off] = zero
+	s.n--
 }
 
-// each calls f for every entry, in no particular order (callers sort).
+// each calls f for every entry, in ascending id order.
 func (m *idMap[V]) each(f func(id int64, v V)) {
-	for _, s := range m.shards {
+	for si, s := range m.shards {
 		if s == nil {
 			continue
 		}
-		for k, v := range s.m {
-			f(k, v)
+		for w, word := range s.present {
+			for word != 0 {
+				off := w<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				f(int64(si)<<shardBits|int64(off), s.vals[off])
+			}
 		}
 	}
+}
+
+// sortedIDs returns every id m stores, in ascending order.
+func sortedIDs[ID ~int64, V any](m *idMap[V]) []ID {
+	out := make([]ID, 0, m.n)
+	m.each(func(id int64, _ V) { out = append(out, ID(id)) })
+	return out
+}
+
+// liveShards counts the shards the directory holds.
+func (m *idMap[V]) liveShards() int {
+	n := 0
+	for _, s := range m.shards {
+		if s != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // cloneShared returns an idMap sharing every shard with m. The caller's
@@ -202,12 +247,13 @@ func (g *Graph) adjRemove(m *idMap[*adjRow], id NodeID, rid RelID) {
 
 // labelSet is the per-label node-id set, sharded like every id-keyed
 // container so that adding one node to a 100k-node label copies one
-// shard, not the whole set.
+// shard, not the whole set. Its shards hold only the presence bitmap.
 type labelSet = idMap[struct{}]
 
 // mutableNode returns the stored node for id, first replacing a node
 // object shared with another epoch by a private copy (the node-level
-// copy-on-write unit: Labels and Props maps are mutated in place).
+// copy-on-write unit: its Labels and Props slices are mutated in
+// place).
 // It returns nil when the node does not exist.
 func (g *Graph) mutableNode(id NodeID) *Node {
 	n, ok := g.nodes.get(int64(id))
@@ -251,19 +297,19 @@ func (g *Graph) cloneCOW() *Graph {
 		rels:       g.rels.cloneShared(),
 		outgoing:   g.outgoing.cloneShared(),
 		incoming:   g.incoming.cloneShared(),
-		byLabel:    make(map[string]*labelSet, len(g.byLabel)),
+		byLabel:    make([]labelSet, len(g.byLabel)),
+		syms:       g.syms,
 		nextNode:   g.nextNode,
 		nextRel:    g.nextRel,
 		version:    g.version,
 		indexEpoch: g.indexEpoch,
 		stats:      g.stats.clone(),
 	}
-	for l, set := range g.byLabel {
-		cs := set.cloneShared()
-		ng.byLabel[l] = &cs
+	for l := range g.byLabel {
+		ng.byLabel[l] = g.byLabel[l].cloneShared()
 	}
 	if len(g.indexes) > 0 {
-		ng.indexes = make(map[IndexKey]*propIndex, len(g.indexes))
+		ng.indexes = make(map[idxKey]*propIndex, len(g.indexes))
 		for k, x := range g.indexes {
 			ng.indexes[k] = x.cloneShared()
 		}
@@ -285,11 +331,12 @@ type strShard struct {
 	owner uint64
 }
 
-// idSetCOW is one index bucket: the set of nodes storing one canonical
-// value, copied as a whole on first touch by a new graph generation
-// (buckets are small — IndexAvgBucket-sized — by construction).
+// idSetCOW is one index bucket: the ascending ids of the nodes storing
+// one canonical value, copied as a whole on first touch by a new graph
+// generation (buckets are small — IndexAvgBucket-sized — by
+// construction). Seeks hand the slice out as a read-only view.
 type idSetCOW struct {
-	m     map[NodeID]struct{}
+	ids   []NodeID
 	owner uint64
 }
 
@@ -309,20 +356,20 @@ func strShardIndex(k string) int {
 	return int(h % strShardCount)
 }
 
-// bucket returns the node set stored under key k, or nil.
-func (m *strMap) bucket(k string) map[NodeID]struct{} {
+// bucket returns the ascending node ids stored under key k, or nil.
+func (m *strMap) bucket(k string) []NodeID {
 	sh := m.shards[strShardIndex(k)]
 	if sh == nil {
 		return nil
 	}
 	if set := sh.m[k]; set != nil {
-		return set.m
+		return set.ids
 	}
 	return nil
 }
 
 // writableShard returns k's shard, copying a shared one first. The copy
-// duplicates only bucket pointers; bucket sets stay shared until
+// duplicates only bucket pointers; buckets stay shared until
 // writableBucket touches them.
 func (m *strMap) writableShard(tag uint64, k string) *strShard {
 	si := strShardIndex(k)
@@ -349,15 +396,11 @@ func (m *strMap) writableBucket(tag uint64, k string) (*strShard, *idSetCOW) {
 	set := sh.m[k]
 	switch {
 	case set == nil:
-		set = &idSetCOW{m: make(map[NodeID]struct{}), owner: tag}
+		set = &idSetCOW{owner: tag}
 		sh.m[k] = set
 		m.keys++
 	case set.owner != tag:
-		c := &idSetCOW{m: make(map[NodeID]struct{}, len(set.m)), owner: tag}
-		for n := range set.m {
-			c.m[n] = struct{}{}
-		}
-		set = c
+		set = &idSetCOW{ids: slices.Clone(set.ids), owner: tag}
 		sh.m[k] = set
 	}
 	return sh, set

@@ -21,11 +21,11 @@ func graphsEqual(t *testing.T, a, b *Graph, ctx string) {
 	}
 	for _, id := range a.NodeIDs() {
 		na, nb := a.Node(id), b.Node(id)
-		if !reflect.DeepEqual(na.Labels, nb.Labels) {
-			t.Fatalf("%s: node %d labels %v vs %v", ctx, id, na.Labels, nb.Labels)
+		if la, lb := a.LabelNames(na), b.LabelNames(nb); !reflect.DeepEqual(la, lb) {
+			t.Fatalf("%s: node %d labels %v vs %v", ctx, id, la, lb)
 		}
-		if !reflect.DeepEqual(na.Props, nb.Props) {
-			t.Fatalf("%s: node %d props %v vs %v", ctx, id, na.Props, nb.Props)
+		if pa, pb := a.PropMap(na.Props), b.PropMap(nb.Props); !reflect.DeepEqual(pa, pb) {
+			t.Fatalf("%s: node %d props %v vs %v", ctx, id, pa, pb)
 		}
 		if !relIDsEqual(a.Outgoing(id), b.Outgoing(id)) {
 			t.Fatalf("%s: node %d outgoing %v vs %v", ctx, id, a.Outgoing(id), b.Outgoing(id))
@@ -39,12 +39,12 @@ func graphsEqual(t *testing.T, a, b *Graph, ctx string) {
 	}
 	for _, id := range a.RelIDs() {
 		ra, rb := a.Rel(id), b.Rel(id)
-		if ra.Type != rb.Type || ra.Src != rb.Src || ra.Tgt != rb.Tgt {
+		if a.TypeName(ra) != b.TypeName(rb) || ra.Src != rb.Src || ra.Tgt != rb.Tgt {
 			t.Fatalf("%s: rel %d shape (%s %d->%d) vs (%s %d->%d)",
-				ctx, id, ra.Type, ra.Src, ra.Tgt, rb.Type, rb.Src, rb.Tgt)
+				ctx, id, a.TypeName(ra), ra.Src, ra.Tgt, b.TypeName(rb), rb.Src, rb.Tgt)
 		}
-		if !reflect.DeepEqual(ra.Props, rb.Props) {
-			t.Fatalf("%s: rel %d props %v vs %v", ctx, id, ra.Props, rb.Props)
+		if pa, pb := a.PropMap(ra.Props), b.PropMap(rb.Props); !reflect.DeepEqual(pa, pb) {
+			t.Fatalf("%s: rel %d props %v vs %v", ctx, id, pa, pb)
 		}
 	}
 	if !reflect.DeepEqual(a.Stats(), b.Stats()) {
@@ -273,7 +273,7 @@ func TestCommitPathsEquivalent(t *testing.T) {
 						default:
 						}
 						for _, id := range pin.Graph().NodeIDs() {
-							_ = pin.Graph().Node(id).SortedLabels()
+							_ = pin.Graph().LabelNames(pin.Graph().Node(id))
 							_ = pin.Graph().Outgoing(id)
 						}
 						_ = pin.Graph().Stats()
@@ -416,10 +416,10 @@ func TestInPlaceWriterRespectsOlderEpochSharing(t *testing.T) {
 	w2.Commit()
 
 	for _, old := range []*Graph{oldPin.Graph(), g1} {
-		if got := old.Node(n.ID).Props["v"]; got != value.Int(1) {
+		if got := prop(old, old.Node(n.ID).Props, "v"); got != value.Int(1) {
 			t.Fatalf("older epoch saw a later write: v = %v", got)
 		}
-		if old.Node(n.ID).HasLabel("X") {
+		if old.HasLabel(old.Node(n.ID), "X") {
 			t.Fatal("older epoch saw a later label write")
 		}
 		if len(old.NodeIDsByLabel("X")) != 0 {
@@ -430,7 +430,7 @@ func TestInPlaceWriterRespectsOlderEpochSharing(t *testing.T) {
 
 	cur := s.Acquire()
 	defer cur.Release()
-	if got := cur.Graph().Node(n.ID).Props["v"]; got != value.Int(99) {
+	if got := prop(cur.Graph(), cur.Graph().Node(n.ID).Props, "v"); got != value.Int(99) {
 		t.Fatalf("current epoch lost the write: v = %v", got)
 	}
 }

@@ -71,16 +71,16 @@ func TestChangeSetApply(t *testing.T) {
 	if err := cs.Apply(g); err != nil {
 		t.Fatal(err)
 	}
-	if g.Node(a.ID).Props["x"] != value.Int(10) {
+	if prop(g, g.Node(a.ID).Props, "x") != value.Int(10) {
 		t.Error("x not applied")
 	}
-	if _, has := g.Node(a.ID).Props["y"]; has {
+	if _, has := g.Prop(g.Node(a.ID).Props, "y"); has {
 		t.Error("y not removed")
 	}
-	if g.Rel(r.ID).Props["w"] != value.Int(20) {
+	if prop(g, g.Rel(r.ID).Props, "w") != value.Int(20) {
 		t.Error("rel prop not applied")
 	}
-	if !g.Node(a.ID).HasLabel("New") || g.Node(a.ID).HasLabel("Old") {
+	if !g.HasLabel(g.Node(a.ID), "New") || g.HasLabel(g.Node(a.ID), "Old") {
 		t.Error("labels not applied")
 	}
 }

@@ -79,7 +79,7 @@ func (d *Delta) Empty() bool {
 // lazily — on the first Snapshot.Delta call or, when OnCommit hooks
 // are registered, at commit time — so delta-free workloads never pay
 // the netting pass.
-func netDelta(entries []undoEntry) *Delta {
+func netDelta(g *Graph, entries []undoEntry) *Delta {
 	if len(entries) == 0 {
 		return nil
 	}
@@ -108,13 +108,13 @@ func netDelta(entries []undoEntry) *Delta {
 			rels[u.rel.ID]--
 			relChurn[u.rel.ID] = struct{}{}
 		case undoSetNodeProp:
-			props[PropTouch{Entity: NodeRef(u.id), Key: u.key}] = struct{}{}
+			props[PropTouch{Entity: NodeRef(u.id), Key: g.SymName(u.key)}] = struct{}{}
 		case undoSetRelProp:
-			props[PropTouch{Entity: RelRef(u.id), Key: u.key}] = struct{}{}
+			props[PropTouch{Entity: RelRef(u.id), Key: g.SymName(u.key)}] = struct{}{}
 		case undoAddLabel:
-			labels[NodeLabel{Node: u.id, Label: u.label}]++
+			labels[NodeLabel{Node: u.id, Label: g.SymName(u.label)}]++
 		case undoRemoveLabel:
-			labels[NodeLabel{Node: u.id, Label: u.label}]--
+			labels[NodeLabel{Node: u.id, Label: g.SymName(u.label)}]--
 		case undoCreateIndex:
 			indexes[u.key]++
 		case undoDropIndex:

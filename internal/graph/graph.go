@@ -27,6 +27,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/value"
@@ -39,61 +40,28 @@ type NodeID int64
 // RelID identifies a relationship.
 type RelID int64
 
-// Node is a stored node: a label set and a property map.
+// Node is a stored node: a label set and a property list, both over
+// the graph's interned names (symbols.go).
 type Node struct {
 	ID     NodeID
-	Labels map[string]struct{}
-	Props  map[string]value.Value
+	Labels Labels
+	Props  Props
 
 	// owner tags the graph generation that may mutate this node in
 	// place; other generations sharing it copy-on-write first (cow.go).
 	owner uint64
 }
 
-// HasLabel reports whether the node carries the given label.
-func (n *Node) HasLabel(label string) bool {
-	_, ok := n.Labels[label]
-	return ok
-}
-
-// SortedLabels returns the node's labels in sorted order.
-func (n *Node) SortedLabels() []string {
-	out := make([]string, 0, len(n.Labels))
-	for l := range n.Labels {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PropMap returns the node's properties as a value.Map (shallow copy).
-func (n *Node) PropMap() value.Map {
-	m := make(value.Map, len(n.Props))
-	for k, v := range n.Props {
-		m[k] = v
-	}
-	return m
-}
-
 // Rel is a stored relationship: exactly one type, one source, one target,
-// and a property map.
+// and a property list.
 type Rel struct {
 	ID       RelID
-	Type     string
+	Type     SymID
 	Src, Tgt NodeID
-	Props    map[string]value.Value
+	Props    Props
 
 	// owner is the copy-on-write generation tag, as on Node.
 	owner uint64
-}
-
-// PropMap returns the relationship's properties as a value.Map (shallow copy).
-func (r *Rel) PropMap() value.Map {
-	m := make(value.Map, len(r.Props))
-	for k, v := range r.Props {
-		m[k] = v
-	}
-	return m
 }
 
 // Graph is an in-memory property graph. It is not safe for concurrent
@@ -112,7 +80,11 @@ type Graph struct {
 
 	outgoing idMap[*adjRow]
 	incoming idMap[*adjRow]
-	byLabel  map[string]*labelSet
+	// byLabel is the label index: the node set of each label, by label
+	// id (empty for ids that are not labels or have no nodes).
+	byLabel []labelSet
+	// syms interns labels, relationship types and property keys.
+	syms *symbols
 
 	nextNode NodeID
 	nextRel  RelID
@@ -129,7 +101,7 @@ type Graph struct {
 	// indexes holds the property indexes (index.go), maintained
 	// incrementally by every mutation path; indexEpoch counts index
 	// creations/drops so cached match plans invalidate on schema change.
-	indexes    map[IndexKey]*propIndex
+	indexes    map[idxKey]*propIndex
 	indexEpoch int64
 
 	journal *Journal // non-nil while a statement's undo journal is active
@@ -137,10 +109,8 @@ type Graph struct {
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		tag:     newCowTag(),
-		byLabel: make(map[string]*labelSet),
-	}
+	tag := newCowTag()
+	return &Graph{tag: tag, syms: newSymbols(tag)}
 }
 
 // Version reports the structural mutation counter: it changes whenever
@@ -174,37 +144,26 @@ func (g *Graph) HasRel(id RelID) bool { _, ok := g.rels.get(int64(id)); return o
 
 // NodeIDs returns all node ids in ascending order. The deterministic order
 // is what makes legacy-mode scans reproducible for a given graph state.
-func (g *Graph) NodeIDs() []NodeID {
-	ids := make([]NodeID, 0, g.nodes.size())
-	g.nodes.each(func(id int64, _ *Node) {
-		ids = append(ids, NodeID(id))
-	})
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+func (g *Graph) NodeIDs() []NodeID { return sortedIDs[NodeID](&g.nodes) }
 
 // RelIDs returns all relationship ids in ascending order.
-func (g *Graph) RelIDs() []RelID {
-	ids := make([]RelID, 0, g.rels.size())
-	g.rels.each(func(id int64, _ *Rel) {
-		ids = append(ids, RelID(id))
-	})
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+func (g *Graph) RelIDs() []RelID { return sortedIDs[RelID](&g.rels) }
 
 // NodeIDsByLabel returns the ids of nodes carrying the label, ascending.
 func (g *Graph) NodeIDsByLabel(label string) []NodeID {
-	set := g.byLabel[label]
-	if set == nil {
+	id, ok := g.Sym(label)
+	if !ok {
 		return nil
 	}
-	ids := make([]NodeID, 0, set.size())
-	set.each(func(id int64, _ struct{}) {
-		ids = append(ids, NodeID(id))
-	})
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return g.NodeIDsByLabelID(id)
+}
+
+// NodeIDsByLabelID is NodeIDsByLabel for an interned label.
+func (g *Graph) NodeIDsByLabelID(label SymID) []NodeID {
+	if int(label) >= len(g.byLabel) || g.byLabel[label].size() == 0 {
+		return nil
+	}
+	return sortedIDs[NodeID](&g.byLabel[label])
 }
 
 // Outgoing returns the ids of relationships whose source is the node,
@@ -248,22 +207,9 @@ func (g *Graph) Degree(id NodeID) int {
 func (g *Graph) CreateNode(labels []string, props value.Map) *Node {
 	g.version++
 	g.nextNode++
-	n := &Node{
-		ID:     g.nextNode,
-		Labels: make(map[string]struct{}, len(labels)),
-		Props:  make(map[string]value.Value, len(props)),
-		owner:  g.tag,
-	}
-	for _, l := range labels {
-		n.Labels[l] = struct{}{}
-	}
-	for k, v := range props {
-		if !value.IsNull(v) {
-			n.Props[k] = v
-		}
-	}
+	n := &Node{ID: g.nextNode, Labels: g.labelsOf(labels), Props: g.propsOf(props), owner: g.tag}
 	g.nodes.put(g.tag, int64(n.ID), n)
-	for l := range n.Labels {
+	for _, l := range n.Labels {
 		g.indexLabel(l, n.ID)
 	}
 	g.indexNode(n, true)
@@ -288,19 +234,7 @@ func (g *Graph) CreateRel(src, tgt NodeID, relType string, props value.Map) (*Re
 		return nil, fmt.Errorf("graph: target node %d does not exist", tgt)
 	}
 	g.nextRel++
-	r := &Rel{
-		ID:    g.nextRel,
-		Type:  relType,
-		Src:   src,
-		Tgt:   tgt,
-		Props: make(map[string]value.Value, len(props)),
-		owner: g.tag,
-	}
-	for k, v := range props {
-		if !value.IsNull(v) {
-			r.Props[k] = v
-		}
-	}
+	r := &Rel{ID: g.nextRel, Type: g.intern(relType), Src: src, Tgt: tgt, Props: g.propsOf(props), owner: g.tag}
 	g.rels.put(g.tag, int64(r.ID), r)
 	// A freshly created id exceeds every stored one, so appending keeps
 	// the adjacency rows sorted.
@@ -371,7 +305,7 @@ func (g *Graph) removeNodeInternal(n *Node) {
 	g.statsNodeRels(n, -1)
 	g.indexNode(n, false)
 	g.nodes.del(g.tag, int64(n.ID))
-	for l := range n.Labels {
+	for _, l := range n.Labels {
 		g.unindexLabel(l, n.ID)
 	}
 	// Adjacency rows for the node are retained only if non-empty
@@ -405,18 +339,24 @@ func (g *Graph) SetNodeProp(id NodeID, key string, v value.Value) error {
 	if n == nil {
 		return fmt.Errorf("graph: node %d does not exist", id)
 	}
-	old, had := n.Props[key]
-	if g.journal != nil {
-		g.journal.record(undoSetNodeProp{id: id, key: key, old: old, had: had})
-	}
-	if value.IsNull(v) {
-		g.indexPropWrite(n, key, old, had, nil, false)
-		delete(n.Props, key)
-	} else {
-		g.indexPropWrite(n, key, old, had, v, true)
-		n.Props[key] = v
-	}
+	g.setNodeProp(n, g.intern(key), v, true)
 	return nil
+}
+
+// setNodeProp writes key on n (a node this generation owns), keeping
+// the indexes in step and, when journal is set, recording the undo.
+func (g *Graph) setNodeProp(n *Node, key SymID, v value.Value, journal bool) {
+	old, had := n.Props.Get(key)
+	if journal && g.journal != nil {
+		g.journal.record(undoSetNodeProp{id: n.ID, key: key, old: old, had: had})
+	}
+	has := v != nil && !value.IsNull(v)
+	g.indexPropWrite(n, key, old, had, v, has)
+	if has {
+		n.Props = n.Props.set(key, v)
+	} else {
+		n.Props = n.Props.del(key)
+	}
 }
 
 // SetRelProp sets (or, when v is null, removes) a relationship property.
@@ -425,14 +365,15 @@ func (g *Graph) SetRelProp(id RelID, key string, v value.Value) error {
 	if r == nil {
 		return fmt.Errorf("graph: relationship %d does not exist", id)
 	}
+	k := g.intern(key)
 	if g.journal != nil {
-		old, had := r.Props[key]
-		g.journal.record(undoSetRelProp{id: id, key: key, old: old, had: had})
+		old, had := r.Props.Get(k)
+		g.journal.record(undoSetRelProp{id: id, key: k, old: old, had: had})
 	}
 	if value.IsNull(v) {
-		delete(r.Props, key)
+		r.Props = r.Props.del(k)
 	} else {
-		r.Props[key] = v
+		r.Props = r.Props.set(k, v)
 	}
 	return nil
 }
@@ -443,53 +384,65 @@ func (g *Graph) AddLabel(id NodeID, label string) error {
 	if n == nil {
 		return fmt.Errorf("graph: node %d does not exist", id)
 	}
-	if _, has := n.Labels[label]; has {
+	l := g.intern(label)
+	if n.Labels.Has(l) {
 		return nil
 	}
 	if g.journal != nil {
-		g.journal.record(undoAddLabel{id: id, label: label})
+		g.journal.record(undoAddLabel{id: id, label: l})
 	}
-	n.Labels[label] = struct{}{}
-	g.indexLabel(label, id)
-	g.indexNodeLabel(n, label, true)
-	g.statsLabel(id, label, +1)
+	g.addLabel(n, l)
 	return nil
+}
+
+// addLabel gives n (owned, not carrying l) the label and updates the
+// label index, property indexes and statistics.
+func (g *Graph) addLabel(n *Node, l SymID) {
+	i, _ := slices.BinarySearch(n.Labels, l)
+	n.Labels = slices.Insert(n.Labels, i, l)
+	g.indexLabel(l, n.ID)
+	g.indexNodeLabel(n, l, true)
+	g.statsLabel(n.ID, l, +1)
 }
 
 // RemoveLabel removes a label from a node.
 func (g *Graph) RemoveLabel(id NodeID, label string) error {
-	n := g.mutableNode(id)
+	n := g.Node(id)
 	if n == nil {
 		return fmt.Errorf("graph: node %d does not exist", id)
 	}
-	if _, has := n.Labels[label]; !has {
+	l, ok := g.Sym(label)
+	if !ok || !n.Labels.Has(l) {
 		return nil
 	}
+	n = g.mutableNode(id)
 	if g.journal != nil {
-		g.journal.record(undoRemoveLabel{id: id, label: label})
+		g.journal.record(undoRemoveLabel{id: id, label: l})
 	}
-	g.statsLabel(id, label, -1)
-	g.indexNodeLabel(n, label, false)
-	delete(n.Labels, label)
-	g.unindexLabel(label, id)
+	g.removeLabel(n, l)
 	return nil
 }
 
-func (g *Graph) indexLabel(label string, id NodeID) {
-	set, ok := g.byLabel[label]
-	if !ok {
-		set = &labelSet{}
-		g.byLabel[label] = set
+// removeLabel is addLabel's inverse.
+func (g *Graph) removeLabel(n *Node, l SymID) {
+	g.statsLabel(n.ID, l, -1)
+	g.indexNodeLabel(n, l, false)
+	if i, ok := slices.BinarySearch(n.Labels, l); ok {
+		n.Labels = slices.Delete(n.Labels, i, i+1)
 	}
-	set.put(g.tag, int64(id), struct{}{})
+	g.unindexLabel(l, n.ID)
 }
 
-func (g *Graph) unindexLabel(label string, id NodeID) {
-	if set, ok := g.byLabel[label]; ok {
-		set.del(g.tag, int64(id))
-		if set.size() == 0 {
-			delete(g.byLabel, label)
-		}
+func (g *Graph) indexLabel(label SymID, id NodeID) {
+	for int(label) >= len(g.byLabel) {
+		g.byLabel = append(g.byLabel, labelSet{})
+	}
+	g.byLabel[label].put(g.tag, int64(id), struct{}{})
+}
+
+func (g *Graph) unindexLabel(label SymID, id NodeID) {
+	if int(label) < len(g.byLabel) {
+		g.byLabel[label].del(g.tag, int64(id))
 	}
 }
 
@@ -567,15 +520,15 @@ func (g *Graph) Clone() *Graph {
 	g.incoming.each(func(id int64, row *adjRow) {
 		ng.incoming.put(ng.tag, id, &adjRow{ids: append([]RelID(nil), row.ids...), owner: ng.tag})
 	})
-	for l, set := range g.byLabel {
-		ns := &labelSet{}
-		set.each(func(id int64, _ struct{}) {
-			ns.put(ng.tag, id, struct{}{})
+	ng.syms = g.syms.copyFor(ng.tag)
+	ng.byLabel = make([]labelSet, len(g.byLabel))
+	for l := range g.byLabel {
+		g.byLabel[l].each(func(id int64, _ struct{}) {
+			ng.byLabel[l].put(ng.tag, id, struct{}{})
 		})
-		ng.byLabel[l] = ns
 	}
 	if len(g.indexes) > 0 {
-		ng.indexes = make(map[IndexKey]*propIndex, len(g.indexes))
+		ng.indexes = make(map[idxKey]*propIndex, len(g.indexes))
 		for k, idx := range g.indexes {
 			ng.indexes[k] = idx.cloneDeep(ng.tag)
 		}
@@ -585,32 +538,11 @@ func (g *Graph) Clone() *Graph {
 }
 
 func copyNode(n *Node) *Node {
-	c := &Node{
-		ID:     n.ID,
-		Labels: make(map[string]struct{}, len(n.Labels)),
-		Props:  make(map[string]value.Value, len(n.Props)),
-	}
-	for l := range n.Labels {
-		c.Labels[l] = struct{}{}
-	}
-	for k, v := range n.Props {
-		c.Props[k] = v
-	}
-	return c
+	return &Node{ID: n.ID, Labels: slices.Clone(n.Labels), Props: slices.Clone(n.Props)}
 }
 
 func copyRel(r *Rel) *Rel {
-	c := &Rel{
-		ID:    r.ID,
-		Type:  r.Type,
-		Src:   r.Src,
-		Tgt:   r.Tgt,
-		Props: make(map[string]value.Value, len(r.Props)),
-	}
-	for k, v := range r.Props {
-		c.Props[k] = v
-	}
-	return c
+	return &Rel{ID: r.ID, Type: r.Type, Src: r.Src, Tgt: r.Tgt, Props: slices.Clone(r.Props)}
 }
 
 // restoreNode reinstates a node with its original id (journal rollback).
@@ -620,7 +552,7 @@ func (g *Graph) restoreNode(n *Node) {
 	g.version++
 	n.owner = g.tag
 	g.nodes.put(g.tag, int64(n.ID), n)
-	for l := range n.Labels {
+	for _, l := range n.Labels {
 		g.indexLabel(l, n.ID)
 	}
 	g.indexNode(n, true)

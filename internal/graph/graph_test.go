@@ -7,22 +7,29 @@ import (
 	"repro/internal/value"
 )
 
+// prop returns the value ps stores under the named key, nil when
+// absent.
+func prop(g *Graph, ps Props, key string) value.Value {
+	v, _ := g.Prop(ps, key)
+	return v
+}
+
 func TestCreateNode(t *testing.T) {
 	g := New()
 	n := g.CreateNode([]string{"Product", "New"}, value.Map{"id": value.Int(1), "gone": value.NullValue})
 	if g.NumNodes() != 1 {
 		t.Fatalf("NumNodes = %d", g.NumNodes())
 	}
-	if !n.HasLabel("Product") || !n.HasLabel("New") || n.HasLabel("User") {
+	if !g.HasLabel(n, "Product") || !g.HasLabel(n, "New") || g.HasLabel(n, "User") {
 		t.Error("labels wrong")
 	}
-	if got := n.SortedLabels(); len(got) != 2 || got[0] != "New" || got[1] != "Product" {
-		t.Errorf("SortedLabels = %v", got)
+	if got := g.LabelNames(n); len(got) != 2 || got[0] != "New" || got[1] != "Product" {
+		t.Errorf("LabelNames = %v", got)
 	}
-	if _, has := n.Props["gone"]; has {
+	if _, has := g.Prop(n.Props, "gone"); has {
 		t.Error("null property should not be stored")
 	}
-	if n.Props["id"] != value.Int(1) {
+	if prop(g, n.Props, "id") != value.Int(1) {
 		t.Error("id property missing")
 	}
 	if ids := g.NodeIDsByLabel("Product"); len(ids) != 1 || ids[0] != n.ID {
@@ -50,7 +57,7 @@ func TestCreateRelValidation(t *testing.T) {
 	if g.NumRels() != 1 {
 		t.Fatal("NumRels != 1")
 	}
-	if _, has := r.Props["nul"]; has {
+	if _, has := g.Prop(r.Props, "nul"); has {
 		t.Error("null rel property stored")
 	}
 	if out := g.Outgoing(a.ID); len(out) != 1 || out[0] != r.ID {
@@ -125,14 +132,14 @@ func TestSetAndRemoveProps(t *testing.T) {
 	if err := g.SetNodeProp(n.ID, "x", value.Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	if n.Props["x"] != value.Int(1) {
+	if prop(g, n.Props, "x") != value.Int(1) {
 		t.Error("prop not set")
 	}
 	// Setting null removes.
 	if err := g.SetNodeProp(n.ID, "x", value.NullValue); err != nil {
 		t.Fatal(err)
 	}
-	if _, has := n.Props["x"]; has {
+	if _, has := g.Prop(n.Props, "x"); has {
 		t.Error("null set should remove")
 	}
 	if err := g.SetNodeProp(999, "x", value.Int(1)); err == nil {
@@ -144,13 +151,13 @@ func TestSetAndRemoveProps(t *testing.T) {
 	if err := g.SetRelProp(r.ID, "w", value.Float(1.5)); err != nil {
 		t.Fatal(err)
 	}
-	if r.Props["w"] != value.Float(1.5) {
+	if prop(g, r.Props, "w") != value.Float(1.5) {
 		t.Error("rel prop not set")
 	}
 	if err := g.SetRelProp(r.ID, "w", value.NullValue); err != nil {
 		t.Fatal(err)
 	}
-	if _, has := r.Props["w"]; has {
+	if _, has := g.Prop(r.Props, "w"); has {
 		t.Error("null rel set should remove")
 	}
 	if err := g.SetRelProp(999, "w", value.Int(1)); err == nil {
@@ -198,7 +205,7 @@ func TestCloneIndependence(t *testing.T) {
 	c.CreateNode([]string{"Extra"}, nil)
 	c.DetachDeleteNode(b.ID)
 
-	if g.Node(a.ID).Props["x"] != value.Int(1) {
+	if prop(g, g.Node(a.ID).Props, "x") != value.Int(1) {
 		t.Error("clone mutation leaked into original (props)")
 	}
 	if g.NumNodes() != 2 || g.NumRels() != 1 {
@@ -255,13 +262,13 @@ func TestJournalRollback(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Errorf("Validate after rollback: %v", err)
 	}
-	if g.Node(keep.ID).Props["v"] != value.Int(1) {
+	if prop(g, g.Node(keep.ID).Props, "v") != value.Int(1) {
 		t.Error("prop not restored")
 	}
-	if !g.Node(keep.ID).HasLabel("Keep") || g.Node(keep.ID).HasLabel("Added") {
+	if !g.HasLabel(g.Node(keep.ID), "Keep") || g.HasLabel(g.Node(keep.ID), "Added") {
 		t.Error("labels not restored")
 	}
-	if g.Rel(relKept.ID) == nil || g.Rel(relKept.ID).Props["w"] != value.Int(5) {
+	if g.Rel(relKept.ID) == nil || prop(g, g.Rel(relKept.ID).Props, "w") != value.Int(5) {
 		t.Error("rel not restored")
 	}
 }

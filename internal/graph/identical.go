@@ -38,12 +38,12 @@ func Identical(a, b *Graph) error {
 		if len(na.Labels) != len(nb.Labels) {
 			return fmt.Errorf("node %d label sets differ", id)
 		}
-		for l := range na.Labels {
-			if _, ok := nb.Labels[l]; !ok {
+		for _, l := range a.LabelNames(na) {
+			if !b.HasLabel(nb, l) {
 				return fmt.Errorf("node %d missing label %q in second graph", id, l)
 			}
 		}
-		if err := identicalProps(na.Props, nb.Props); err != nil {
+		if err := identicalProps(a.PropMap(na.Props), b.PropMap(nb.Props)); err != nil {
 			return fmt.Errorf("node %d: %w", id, err)
 		}
 	}
@@ -52,11 +52,12 @@ func Identical(a, b *Graph) error {
 		if rb == nil {
 			return fmt.Errorf("relationship %d missing from second graph", id)
 		}
-		if ra.Type != rb.Type || ra.Src != rb.Src || ra.Tgt != rb.Tgt {
+		ta, tb := a.TypeName(ra), b.TypeName(rb)
+		if ta != tb || ra.Src != rb.Src || ra.Tgt != rb.Tgt {
 			return fmt.Errorf("relationship %d differs: %s(%d->%d) vs %s(%d->%d)",
-				id, ra.Type, ra.Src, ra.Tgt, rb.Type, rb.Src, rb.Tgt)
+				id, ta, ra.Src, ra.Tgt, tb, rb.Src, rb.Tgt)
 		}
-		if err := identicalProps(ra.Props, rb.Props); err != nil {
+		if err := identicalProps(a.PropMap(ra.Props), b.PropMap(rb.Props)); err != nil {
 			return fmt.Errorf("relationship %d: %w", id, err)
 		}
 	}
@@ -72,7 +73,7 @@ func Identical(a, b *Graph) error {
 	return nil
 }
 
-func identicalProps(a, b map[string]value.Value) error {
+func identicalProps(a, b value.Map) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("property counts differ: %d vs %d", len(a), len(b))
 	}

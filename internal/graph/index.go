@@ -36,6 +36,7 @@ package graph
 // id, a subset of the label scan's order, so result order is unchanged.
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/value"
@@ -45,6 +46,28 @@ import (
 type IndexKey struct {
 	Label string
 	Prop  string
+}
+
+// idxKey is an IndexKey over interned ids, the key of Graph.indexes.
+type idxKey struct{ label, prop SymID }
+
+// indexKey interns k's names.
+func (g *Graph) indexKey(k IndexKey) idxKey {
+	return idxKey{g.intern(k.Label), g.intern(k.Prop)}
+}
+
+// lookupIndex returns the index on (label, prop), if any.
+func (g *Graph) lookupIndex(label, prop string) (*propIndex, bool) {
+	l, ok := g.Sym(label)
+	if !ok {
+		return nil, false
+	}
+	p, ok := g.Sym(prop)
+	if !ok {
+		return nil, false
+	}
+	idx, ok := g.indexes[idxKey{l, p}]
+	return idx, ok
 }
 
 // propIndex is the hash index for one (label, property) pair: canonical
@@ -64,13 +87,12 @@ func newPropIndex() *propIndex {
 // tag, copying the touched directory shard and bucket if still shared.
 func (x *propIndex) add(tag uint64, id NodeID, v value.Value) {
 	k := value.Key(v)
-	if set := x.buckets.bucket(k); set != nil {
-		if _, dup := set[id]; dup {
-			return
-		}
+	if _, dup := slices.BinarySearch(x.buckets.bucket(k), id); dup {
+		return
 	}
 	_, set := x.buckets.writableBucket(tag, k)
-	set.m[id] = struct{}{}
+	i, _ := slices.BinarySearch(set.ids, id)
+	set.ids = slices.Insert(set.ids, i, id)
 	x.entries++
 }
 
@@ -78,17 +100,14 @@ func (x *propIndex) add(tag uint64, id NodeID, v value.Value) {
 // entry is actually present.
 func (x *propIndex) remove(tag uint64, id NodeID, v value.Value) {
 	k := value.Key(v)
-	cur := x.buckets.bucket(k)
-	if cur == nil {
-		return
-	}
-	if _, had := cur[id]; !had {
+	if _, had := slices.BinarySearch(x.buckets.bucket(k), id); !had {
 		return
 	}
 	sh, set := x.buckets.writableBucket(tag, k)
-	delete(set.m, id)
+	i, _ := slices.BinarySearch(set.ids, id)
+	set.ids = slices.Delete(set.ids, i, i+1)
 	x.entries--
-	if len(set.m) == 0 {
+	if len(set.ids) == 0 {
 		delete(sh.m, k)
 		x.buckets.keys--
 	}
@@ -111,11 +130,7 @@ func (x *propIndex) cloneDeep(tag uint64) *propIndex {
 		}
 		ns := &strShard{m: make(map[string]*idSetCOW, len(sh.m)), owner: tag}
 		for k, set := range sh.m {
-			cs := &idSetCOW{m: make(map[NodeID]struct{}, len(set.m)), owner: tag}
-			for n := range set.m {
-				cs.m[n] = struct{}{}
-			}
-			ns.m[k] = cs
+			ns.m[k] = &idSetCOW{ids: slices.Clone(set.ids), owner: tag}
 		}
 		c.buckets.shards[si] = ns
 	}
@@ -123,14 +138,14 @@ func (x *propIndex) cloneDeep(tag uint64) *propIndex {
 }
 
 // each calls f for every (canonical key, bucket) pair, in no particular
-// order. The bucket map must not be mutated.
-func (x *propIndex) each(f func(key string, bucket map[NodeID]struct{})) {
+// order. The bucket must not be mutated.
+func (x *propIndex) each(f func(key string, bucket []NodeID)) {
 	for _, sh := range x.buckets.shards {
 		if sh == nil {
 			continue
 		}
 		for k, set := range sh.m {
-			f(k, set.m)
+			f(k, set.ids)
 		}
 	}
 }
@@ -142,7 +157,7 @@ func (x *propIndex) each(f func(key string, bucket map[NodeID]struct{})) {
 // statement or transaction drops the index again.
 func (g *Graph) CreateIndex(label, prop string) bool {
 	key := IndexKey{Label: label, Prop: prop}
-	if _, exists := g.indexes[key]; exists {
+	if _, exists := g.lookupIndex(label, prop); exists {
 		return false
 	}
 	g.buildIndex(key)
@@ -157,15 +172,16 @@ func (g *Graph) CreateIndex(label, prop string) bool {
 // DROP INDEX undo path).
 func (g *Graph) buildIndex(key IndexKey) {
 	idx := newPropIndex()
-	for _, id := range g.NodeIDsByLabel(key.Label) {
-		if v, ok := g.Node(id).Props[key.Prop]; ok {
+	k := g.indexKey(key)
+	for _, id := range g.NodeIDsByLabelID(k.label) {
+		if v, ok := g.Node(id).Props.Get(k.prop); ok {
 			idx.add(g.tag, id, v)
 		}
 	}
 	if g.indexes == nil {
-		g.indexes = make(map[IndexKey]*propIndex)
+		g.indexes = make(map[idxKey]*propIndex)
 	}
-	g.indexes[key] = idx
+	g.indexes[k] = idx
 	g.version++
 	g.indexEpoch++
 }
@@ -175,7 +191,7 @@ func (g *Graph) buildIndex(key IndexKey) {
 // enclosing statement or transaction rebuilds the index.
 func (g *Graph) DropIndex(label, prop string) bool {
 	key := IndexKey{Label: label, Prop: prop}
-	if _, exists := g.indexes[key]; !exists {
+	if _, exists := g.lookupIndex(label, prop); !exists {
 		return false
 	}
 	g.removeIndex(key)
@@ -188,14 +204,14 @@ func (g *Graph) DropIndex(label, prop string) bool {
 // removeIndex uninstalls the index for key without journaling (shared
 // by DropIndex and the CREATE INDEX undo path).
 func (g *Graph) removeIndex(key IndexKey) {
-	delete(g.indexes, key)
+	delete(g.indexes, g.indexKey(key))
 	g.version++
 	g.indexEpoch++
 }
 
 // HasIndex reports whether a property index exists on (label, prop).
 func (g *Graph) HasIndex(label, prop string) bool {
-	_, ok := g.indexes[IndexKey{Label: label, Prop: prop}]
+	_, ok := g.lookupIndex(label, prop)
 	return ok
 }
 
@@ -204,7 +220,7 @@ func (g *Graph) HasIndex(label, prop string) bool {
 func (g *Graph) Indexes() []IndexKey {
 	out := make([]IndexKey, 0, len(g.indexes))
 	for k := range g.indexes {
-		out = append(out, k)
+		out = append(out, IndexKey{Label: g.SymName(k.label), Prop: g.SymName(k.prop)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Label != out[j].Label {
@@ -223,26 +239,21 @@ func (g *Graph) IndexEpoch() int64 { return g.indexEpoch }
 // NodeIDsByProp returns, in ascending order, the ids of nodes carrying
 // the label whose stored property equals v under value equivalence —
 // one bucket of the (label, prop) index. It returns nil when no such
-// index exists; callers gate on HasIndex.
+// index exists; callers gate on HasIndex. The slice is the index's own
+// bucket: a read-only view under the same contract as Outgoing.
 func (g *Graph) NodeIDsByProp(label, prop string, v value.Value) []NodeID {
-	idx, ok := g.indexes[IndexKey{Label: label, Prop: prop}]
+	idx, ok := g.lookupIndex(label, prop)
 	if !ok {
 		return nil
 	}
-	set := idx.buckets.bucket(value.Key(v))
-	ids := make([]NodeID, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return idx.buckets.bucket(value.Key(v))
 }
 
 // IndexAvgBucket estimates how many nodes an equality seek on the
 // (label, prop) index returns: total entries over distinct keys, O(1).
 // It returns 0 for an empty index and -1 when no index exists.
 func (g *Graph) IndexAvgBucket(label, prop string) float64 {
-	idx, ok := g.indexes[IndexKey{Label: label, Prop: prop}]
+	idx, ok := g.lookupIndex(label, prop)
 	if !ok {
 		return -1
 	}
@@ -264,7 +275,7 @@ func (g *Graph) indexNode(n *Node, add bool) {
 	if len(g.indexes) == 0 {
 		return
 	}
-	for l := range n.Labels {
+	for _, l := range n.Labels {
 		g.indexNodeLabel(n, l, add)
 	}
 }
@@ -272,15 +283,15 @@ func (g *Graph) indexNode(n *Node, add bool) {
 // indexNodeLabel adds or removes the node's entries in every index on
 // one label, for the properties the node actually stores. Called when
 // the node gains or loses the label.
-func (g *Graph) indexNodeLabel(n *Node, label string, add bool) {
+func (g *Graph) indexNodeLabel(n *Node, label SymID, add bool) {
 	if len(g.indexes) == 0 {
 		return
 	}
 	for key, idx := range g.indexes {
-		if key.Label != label {
+		if key.label != label {
 			continue
 		}
-		v, ok := n.Props[key.Prop]
+		v, ok := n.Props.Get(key.prop)
 		if !ok {
 			continue
 		}
@@ -296,12 +307,12 @@ func (g *Graph) indexNodeLabel(n *Node, label string, add bool) {
 // every index on (one of n's labels, prop). had/has mark whether the
 // property existed before/after (SET to null removes it). Called by
 // SetNodeProp and the journal's property undo.
-func (g *Graph) indexPropWrite(n *Node, prop string, old value.Value, had bool, new value.Value, has bool) {
+func (g *Graph) indexPropWrite(n *Node, prop SymID, old value.Value, had bool, new value.Value, has bool) {
 	if len(g.indexes) == 0 {
 		return
 	}
-	for l := range n.Labels {
-		idx, ok := g.indexes[IndexKey{Label: l, Prop: prop}]
+	for _, l := range n.Labels {
+		idx, ok := g.indexes[idxKey{l, prop}]
 		if !ok {
 			continue
 		}

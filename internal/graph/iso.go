@@ -39,19 +39,19 @@ func IsoMapping(a, b *Graph) map[NodeID]NodeID {
 
 func nodeSig(g *Graph, n *Node) string {
 	var sb strings.Builder
-	sb.WriteString(strings.Join(n.SortedLabels(), ","))
+	sb.WriteString(strings.Join(g.LabelNames(n), ","))
 	sb.WriteByte('|')
-	sb.WriteString(value.MapKey(n.PropMap()))
+	sb.WriteString(value.MapKey(g.PropMap(n.Props)))
 	// Local relationship structure: multiset of (dir, type, props) of
 	// incident relationships.
 	var inc []string
 	for _, rid := range g.Outgoing(n.ID) {
 		r := g.Rel(rid)
-		inc = append(inc, ">"+r.Type+value.MapKey(r.PropMap()))
+		inc = append(inc, ">"+g.TypeName(r)+value.MapKey(g.PropMap(r.Props)))
 	}
 	for _, rid := range g.Incoming(n.ID) {
 		r := g.Rel(rid)
-		inc = append(inc, "<"+r.Type+value.MapKey(r.PropMap()))
+		inc = append(inc, "<"+g.TypeName(r)+value.MapKey(g.PropMap(r.Props)))
 	}
 	sort.Strings(inc)
 	sb.WriteByte('|')
@@ -74,7 +74,7 @@ func Fingerprint(g *Graph) string {
 	for _, id := range g.RelIDs() {
 		r := g.Rel(id)
 		relSigs = append(relSigs, fmt.Sprintf("%s|%s|%s->%s",
-			r.Type, value.MapKey(r.PropMap()),
+			g.TypeName(r), value.MapKey(g.PropMap(r.Props)),
 			nodeSig(g, g.Node(r.Src)), nodeSig(g, g.Node(r.Tgt))))
 	}
 	sort.Strings(relSigs)
@@ -152,7 +152,7 @@ func relMultisetMatch(a, b *Graph, mapping map[NodeID]NodeID, src, tgt NodeID) b
 	for _, rid := range a.Outgoing(src) {
 		r := a.Rel(rid)
 		if r.Tgt == tgt {
-			aCount[key(r.Type, r.PropMap())]++
+			aCount[key(a.TypeName(r), a.PropMap(r.Props))]++
 		}
 	}
 	bCount := make(map[string]int)
@@ -160,7 +160,7 @@ func relMultisetMatch(a, b *Graph, mapping map[NodeID]NodeID, src, tgt NodeID) b
 	for _, rid := range b.Outgoing(bs) {
 		r := b.Rel(rid)
 		if r.Tgt == bt {
-			bCount[key(r.Type, r.PropMap())]++
+			bCount[key(b.TypeName(r), b.PropMap(r.Props))]++
 		}
 	}
 	if len(aCount) != len(bCount) {
@@ -183,12 +183,12 @@ func relsConsistent(a, b *Graph, mapping map[NodeID]NodeID) bool {
 	aEdges := make(map[edgeKey]int)
 	for _, rid := range a.RelIDs() {
 		r := a.Rel(rid)
-		aEdges[edgeKey{mapping[r.Src], mapping[r.Tgt], r.Type + "|" + value.MapKey(r.PropMap())}]++
+		aEdges[edgeKey{mapping[r.Src], mapping[r.Tgt], a.TypeName(r) + "|" + value.MapKey(a.PropMap(r.Props))}]++
 	}
 	bEdges := make(map[edgeKey]int)
 	for _, rid := range b.RelIDs() {
 		r := b.Rel(rid)
-		bEdges[edgeKey{r.Src, r.Tgt, r.Type + "|" + value.MapKey(r.PropMap())}]++
+		bEdges[edgeKey{r.Src, r.Tgt, b.TypeName(r) + "|" + value.MapKey(b.PropMap(r.Props))}]++
 	}
 	if len(aEdges) != len(bEdges) {
 		return false
@@ -226,21 +226,22 @@ func ComputeStats(g *Graph) Stats {
 		InDeg:    make(map[LabelType]int),
 	}
 	for _, id := range g.NodeIDs() {
-		for l := range g.Node(id).Labels {
+		for _, l := range g.LabelNames(g.Node(id)) {
 			s.Labels[l]++
 		}
 	}
 	for _, id := range g.RelIDs() {
 		r := g.Rel(id)
-		s.RelTypes[r.Type]++
+		t := g.TypeName(r)
+		s.RelTypes[t]++
 		if src := g.Node(r.Src); src != nil {
-			for l := range src.Labels {
-				s.OutDeg[LabelType{l, r.Type}]++
+			for _, l := range g.LabelNames(src) {
+				s.OutDeg[LabelType{l, t}]++
 			}
 		}
 		if tgt := g.Node(r.Tgt); tgt != nil {
-			for l := range tgt.Labels {
-				s.InDeg[LabelType{l, r.Type}]++
+			for _, l := range g.LabelNames(tgt) {
+				s.InDeg[LabelType{l, t}]++
 			}
 		}
 	}

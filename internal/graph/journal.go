@@ -147,28 +147,20 @@ func (u undoDeleteRel) undo(g *Graph) { g.restoreRel(u.rel) }
 
 type undoSetNodeProp struct {
 	id  NodeID
-	key string
+	key SymID
 	old value.Value
 	had bool
 }
 
 func (u undoSetNodeProp) undo(g *Graph) {
-	n := g.mutableNode(u.id)
-	if n == nil {
-		return
-	}
-	cur, has := n.Props[u.key]
-	g.indexPropWrite(n, u.key, cur, has, u.old, u.had)
-	if u.had {
-		n.Props[u.key] = u.old
-	} else {
-		delete(n.Props, u.key)
+	if n := g.mutableNode(u.id); n != nil {
+		g.setNodeProp(n, u.key, u.old, false)
 	}
 }
 
 type undoSetRelProp struct {
 	id  RelID
-	key string
+	key SymID
 	old value.Value
 	had bool
 }
@@ -179,40 +171,30 @@ func (u undoSetRelProp) undo(g *Graph) {
 		return
 	}
 	if u.had {
-		r.Props[u.key] = u.old
+		r.Props = r.Props.set(u.key, u.old)
 	} else {
-		delete(r.Props, u.key)
+		r.Props = r.Props.del(u.key)
 	}
 }
 
 type undoAddLabel struct {
 	id    NodeID
-	label string
+	label SymID
 }
 
 func (u undoAddLabel) undo(g *Graph) {
-	n := g.mutableNode(u.id)
-	if n == nil {
-		return
+	if n := g.mutableNode(u.id); n != nil {
+		g.removeLabel(n, u.label)
 	}
-	g.statsLabel(u.id, u.label, -1)
-	g.indexNodeLabel(n, u.label, false)
-	delete(n.Labels, u.label)
-	g.unindexLabel(u.label, u.id)
 }
 
 type undoRemoveLabel struct {
 	id    NodeID
-	label string
+	label SymID
 }
 
 func (u undoRemoveLabel) undo(g *Graph) {
-	n := g.mutableNode(u.id)
-	if n == nil {
-		return
+	if n := g.mutableNode(u.id); n != nil {
+		g.addLabel(n, u.label)
 	}
-	n.Labels[u.label] = struct{}{}
-	g.indexLabel(u.label, u.id)
-	g.indexNodeLabel(n, u.label, true)
-	g.statsLabel(u.id, u.label, +1)
 }

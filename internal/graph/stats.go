@@ -28,21 +28,27 @@ package graph
 // property-style test over random mutation/rollback sequences
 // (stats_test.go).
 
-// LabelType keys degree counters by endpoint label and relationship type.
+// LabelType names an (endpoint label, relationship type) pair of the
+// Stats snapshot.
 type LabelType struct {
 	Label string
 	Type  string
 }
 
-// statsCounters holds the incrementally maintained counters. Maps are
-// allocated lazily and entries are deleted when they reach zero, so two
-// graphs with equal content have equal (canonical) counters.
+// symPair keys degree counters by endpoint label id and relationship
+// type id.
+type symPair struct{ label, typ SymID }
+
+// statsCounters holds the incrementally maintained counters, keyed by
+// interned ids. Maps are allocated lazily and entries are deleted when
+// they reach zero, so two graphs with equal content have equal
+// (canonical) counters.
 type statsCounters struct {
-	relType  map[string]int    // relationships per type
-	out      map[LabelType]int // rels of Type whose source carries Label
-	in       map[LabelType]int // rels of Type whose target carries Label
-	outLabel map[string]int    // rels (any type) whose source carries Label
-	inLabel  map[string]int    // rels (any type) whose target carries Label
+	relType  map[SymID]int   // relationships per type
+	out      map[symPair]int // rels of typ whose source carries label
+	in       map[symPair]int // rels of typ whose target carries label
+	outLabel map[SymID]int   // rels (any type) whose source carries label
+	inLabel  map[SymID]int   // rels (any type) whose target carries label
 }
 
 func bump[K comparable](m map[K]int, k K, delta int) map[K]int {
@@ -58,6 +64,18 @@ func bump[K comparable](m map[K]int, k K, delta int) map[K]int {
 	return m
 }
 
+// statsEnd adjusts the counters of one endpoint label across one
+// relationship, for its source (out) or target side.
+func (s *statsCounters) statsEnd(label, typ SymID, out bool, delta int) {
+	if out {
+		s.out = bump(s.out, symPair{label, typ}, delta)
+		s.outLabel = bump(s.outLabel, label, delta)
+	} else {
+		s.in = bump(s.in, symPair{label, typ}, delta)
+		s.inLabel = bump(s.inLabel, label, delta)
+	}
+}
+
 // statsRel adjusts the counters for relationship r by delta (+1 on
 // create/restore, -1 on delete). Endpoint label contributions are
 // counted only for endpoints that currently exist; restoreNode and
@@ -66,15 +84,13 @@ func (g *Graph) statsRel(r *Rel, delta int) {
 	g.version++
 	g.stats.relType = bump(g.stats.relType, r.Type, delta)
 	if src := g.Node(r.Src); src != nil {
-		for l := range src.Labels {
-			g.stats.out = bump(g.stats.out, LabelType{l, r.Type}, delta)
-			g.stats.outLabel = bump(g.stats.outLabel, l, delta)
+		for _, l := range src.Labels {
+			g.stats.statsEnd(l, r.Type, true, delta)
 		}
 	}
 	if tgt := g.Node(r.Tgt); tgt != nil {
-		for l := range tgt.Labels {
-			g.stats.in = bump(g.stats.in, LabelType{l, r.Type}, delta)
-			g.stats.inLabel = bump(g.stats.inLabel, l, delta)
+		for _, l := range tgt.Labels {
+			g.stats.statsEnd(l, r.Type, false, delta)
 		}
 	}
 }
@@ -84,72 +100,51 @@ func (g *Graph) statsRel(r *Rel, delta int) {
 // appears (restore) or disappears (removal, including the unchecked
 // legacy deletion that leaves relationships dangling).
 func (g *Graph) statsNodeRels(n *Node, delta int) {
-	for _, rid := range g.Outgoing(n.ID) {
-		r := g.Rel(rid)
-		if r == nil {
-			continue
-		}
-		for l := range n.Labels {
-			g.stats.out = bump(g.stats.out, LabelType{l, r.Type}, delta)
-			g.stats.outLabel = bump(g.stats.outLabel, l, delta)
-		}
-	}
-	for _, rid := range g.Incoming(n.ID) {
-		r := g.Rel(rid)
-		if r == nil {
-			continue
-		}
-		for l := range n.Labels {
-			g.stats.in = bump(g.stats.in, LabelType{l, r.Type}, delta)
-			g.stats.inLabel = bump(g.stats.inLabel, l, delta)
-		}
+	for _, l := range n.Labels {
+		g.statsLabelRels(n.ID, l, delta)
 	}
 }
 
 // statsLabel adjusts the degree contribution of one label gained
 // (delta=+1) or lost (delta=-1) by node id, across its attached,
 // still-existing relationships.
-func (g *Graph) statsLabel(id NodeID, label string, delta int) {
+func (g *Graph) statsLabel(id NodeID, label SymID, delta int) {
 	g.version++
+	g.statsLabelRels(id, label, delta)
+}
+
+func (g *Graph) statsLabelRels(id NodeID, label SymID, delta int) {
 	for _, rid := range g.Outgoing(id) {
 		if r := g.Rel(rid); r != nil {
-			g.stats.out = bump(g.stats.out, LabelType{label, r.Type}, delta)
-			g.stats.outLabel = bump(g.stats.outLabel, label, delta)
+			g.stats.statsEnd(label, r.Type, true, delta)
 		}
 	}
 	for _, rid := range g.Incoming(id) {
 		if r := g.Rel(rid); r != nil {
-			g.stats.in = bump(g.stats.in, LabelType{label, r.Type}, delta)
-			g.stats.inLabel = bump(g.stats.inLabel, label, delta)
+			g.stats.statsEnd(label, r.Type, false, delta)
 		}
 	}
 }
 
 func (s statsCounters) clone() statsCounters {
-	cp := func(m map[string]int) map[string]int {
-		if len(m) == 0 {
-			return nil
-		}
-		out := make(map[string]int, len(m))
-		for k, v := range m {
-			out[k] = v
-		}
-		return out
+	return statsCounters{
+		relType:  cloneCounts(s.relType),
+		out:      cloneCounts(s.out),
+		in:       cloneCounts(s.in),
+		outLabel: cloneCounts(s.outLabel),
+		inLabel:  cloneCounts(s.inLabel),
 	}
-	c := statsCounters{relType: cp(s.relType), outLabel: cp(s.outLabel), inLabel: cp(s.inLabel)}
-	if len(s.out) > 0 {
-		c.out = make(map[LabelType]int, len(s.out))
-		for k, v := range s.out {
-			c.out[k] = v
-		}
+}
+
+func cloneCounts[K comparable](m map[K]int) map[K]int {
+	if len(m) == 0 {
+		return nil
 	}
-	if len(s.in) > 0 {
-		c.in = make(map[LabelType]int, len(s.in))
-		for k, v := range s.in {
-			c.in[k] = v
-		}
+	out := make(map[K]int, len(m))
+	for k, v := range m {
+		out[k] = v
 	}
-	return c
+	return out
 }
 
 // ---------------------------------------------------------------------
@@ -158,31 +153,53 @@ func (s statsCounters) clone() statsCounters {
 
 // NodeCountByLabel reports the number of nodes carrying the label, O(1).
 func (g *Graph) NodeCountByLabel(label string) int {
-	if set := g.byLabel[label]; set != nil {
-		return set.size()
+	id, ok := g.Sym(label)
+	if !ok || int(id) >= len(g.byLabel) {
+		return 0
 	}
-	return 0
+	return g.byLabel[id].size()
 }
 
 // RelCountByType reports the number of relationships of the type, O(1).
-func (g *Graph) RelCountByType(relType string) int { return g.stats.relType[relType] }
+func (g *Graph) RelCountByType(relType string) int {
+	id, ok := g.Sym(relType)
+	if !ok {
+		return 0
+	}
+	return g.stats.relType[id]
+}
 
 // OutRelCount reports how many relationships of relType have a source
 // node carrying label; relType "" means any type. O(1).
 func (g *Graph) OutRelCount(label, relType string) int {
-	if relType == "" {
-		return g.stats.outLabel[label]
-	}
-	return g.stats.out[LabelType{label, relType}]
+	return g.endCount(label, relType, true)
 }
 
 // InRelCount reports how many relationships of relType have a target
 // node carrying label; relType "" means any type. O(1).
 func (g *Graph) InRelCount(label, relType string) int {
-	if relType == "" {
-		return g.stats.inLabel[label]
+	return g.endCount(label, relType, false)
+}
+
+func (g *Graph) endCount(label, relType string, out bool) int {
+	l, ok := g.Sym(label)
+	if !ok {
+		return 0
 	}
-	return g.stats.in[LabelType{label, relType}]
+	if relType == "" {
+		if out {
+			return g.stats.outLabel[l]
+		}
+		return g.stats.inLabel[l]
+	}
+	t, ok := g.Sym(relType)
+	if !ok {
+		return 0
+	}
+	if out {
+		return g.stats.out[symPair{l, t}]
+	}
+	return g.stats.in[symPair{l, t}]
 }
 
 // AvgOutDegree estimates the average number of relType relationships
@@ -203,12 +220,9 @@ func (g *Graph) degreeCount(label, relType string, out bool) int {
 		if relType == "" {
 			return g.rels.size()
 		}
-		return g.stats.relType[relType]
+		return g.RelCountByType(relType)
 	}
-	if out {
-		return g.OutRelCount(label, relType)
-	}
-	return g.InRelCount(label, relType)
+	return g.endCount(label, relType, out)
 }
 
 func (g *Graph) nodeBase(label string) int {
@@ -233,22 +247,32 @@ func (g *Graph) Stats() Stats {
 	s := Stats{
 		Nodes:    g.nodes.size(),
 		Rels:     g.rels.size(),
-		Labels:   make(map[string]int, len(g.byLabel)),
+		Labels:   make(map[string]int),
 		RelTypes: make(map[string]int, len(g.stats.relType)),
 		OutDeg:   make(map[LabelType]int, len(g.stats.out)),
 		InDeg:    make(map[LabelType]int, len(g.stats.in)),
 	}
-	for l, set := range g.byLabel {
-		s.Labels[l] = set.size()
+	for l := range g.byLabel {
+		if n := g.byLabel[l].size(); n > 0 {
+			s.Labels[g.SymName(SymID(l))] = n
+		}
 	}
 	for t, c := range g.stats.relType {
-		s.RelTypes[t] = c
+		s.RelTypes[g.SymName(t)] = c
 	}
 	for k, c := range g.stats.out {
-		s.OutDeg[k] = c
+		s.OutDeg[LabelType{g.SymName(k.label), g.SymName(k.typ)}] = c
 	}
 	for k, c := range g.stats.in {
-		s.InDeg[k] = c
+		s.InDeg[LabelType{g.SymName(k.label), g.SymName(k.typ)}] = c
 	}
 	return s
+}
+
+// NodeCountByLabelID is NodeCountByLabel for an interned label.
+func (g *Graph) NodeCountByLabelID(label SymID) int {
+	if int(label) >= len(g.byLabel) {
+		return 0
+	}
+	return g.byLabel[label].size()
 }

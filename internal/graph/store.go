@@ -115,7 +115,7 @@ func (sn *Snapshot) Epoch() int64 { return sn.epoch }
 // transaction's journal on first call (safe under concurrent readers).
 func (sn *Snapshot) Delta() *Delta {
 	sn.deltaOnce.Do(func() {
-		sn.delta = netDelta(sn.deltaEntries)
+		sn.delta = netDelta(sn.g, sn.deltaEntries)
 		if sn.delta != nil {
 			sn.delta.Epoch = sn.epoch
 		}
@@ -301,7 +301,7 @@ func (w *WriteTxn) finish(entries []undoEntry) (int64, error) {
 		walErr error
 	)
 	if s.wal != nil {
-		d = netDelta(entries)
+		d = netDelta(w.g, entries)
 		rec := d
 		if rec == nil {
 			// Netting cancelled everything, but the epoch (and the id

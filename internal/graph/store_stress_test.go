@@ -75,7 +75,7 @@ func TestStoreReaderWriterStress(t *testing.T) {
 					}
 					if len(ids) > 0 {
 						probe := ids[rng.Intn(len(ids))]
-						v, ok := gg.Node(probe).Props["i"]
+						v, ok := gg.Prop(gg.Node(probe).Props, "i")
 						if !ok {
 							t.Errorf("reader %d: node %d lost its marker", r, probe)
 						} else if hits := gg.NodeIDsByProp("S", "i", v); len(hits) == 0 {

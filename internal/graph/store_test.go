@@ -216,7 +216,7 @@ func TestJournalMarkRollbackTo(t *testing.T) {
 	if g.HasNode(c.ID) {
 		t.Fatal("post-mark create survived RollbackTo")
 	}
-	if _, ok := g.Node(a.ID).Props["x"]; ok {
+	if _, ok := g.Prop(g.Node(a.ID).Props, "x"); ok {
 		t.Fatal("post-mark property write survived RollbackTo")
 	}
 	if len(g.NodeIDsByLabel("B")) != 1 {

@@ -554,18 +554,12 @@ func recordFromDelta(d *Delta, g *Graph) *walRecord {
 	}
 	for _, id := range d.NodesCreated {
 		n := g.Node(id)
-		wn := walNode{id: int64(id), labels: n.SortedLabels()}
-		for _, k := range sortedPropKeys(n.Props) {
-			wn.props = append(wn.props, walKV{key: k, val: n.Props[k]})
-		}
+		wn := walNode{id: int64(id), labels: g.LabelNames(n), props: g.sortedKVs(n.Props)}
 		rec.nodesCreated = append(rec.nodesCreated, wn)
 	}
 	for _, id := range d.RelsCreated {
 		r := g.Rel(id)
-		wr := walRel{id: int64(id), typ: r.Type, src: int64(r.Src), tgt: int64(r.Tgt)}
-		for _, k := range sortedPropKeys(r.Props) {
-			wr.props = append(wr.props, walKV{key: k, val: r.Props[k]})
-		}
+		wr := walRel{id: int64(id), typ: g.TypeName(r), src: int64(r.Src), tgt: int64(r.Tgt), props: g.sortedKVs(r.Props)}
 		rec.relsCreated = append(rec.relsCreated, wr)
 	}
 	for _, nl := range d.LabelsAdded {
@@ -578,11 +572,11 @@ func recordFromDelta(d *Delta, g *Graph) *walRecord {
 		p := walProp{rel: t.Entity.Kind == EntityRel, id: t.Entity.ID, key: t.Key}
 		if p.rel {
 			if r := g.Rel(RelID(p.id)); r != nil {
-				p.val, p.has = r.Props[p.key], hasKey(r.Props, p.key)
+				p.val, p.has = g.Prop(r.Props, p.key)
 			}
 		} else {
 			if n := g.Node(NodeID(p.id)); n != nil {
-				p.val, p.has = n.Props[p.key], hasKey(n.Props, p.key)
+				p.val, p.has = g.Prop(n.Props, p.key)
 			}
 		}
 		rec.props = append(rec.props, p)
@@ -592,18 +586,14 @@ func recordFromDelta(d *Delta, g *Graph) *walRecord {
 	return rec
 }
 
-func hasKey(m map[string]value.Value, k string) bool {
-	_, ok := m[k]
-	return ok
-}
-
-func sortedPropKeys(m map[string]value.Value) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// sortedKVs lists a property list by key name.
+func (g *Graph) sortedKVs(ps Props) []walKV {
+	var out []walKV
+	for _, p := range ps {
+		out = append(out, walKV{key: g.SymName(p.Key), val: p.Val})
 	}
-	sort.Strings(keys)
-	return keys
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
 }
 
 // encodeRecord serializes a record payload (framing is the caller's).
@@ -929,6 +919,18 @@ func decodeRecord(payload []byte) (*walRecord, error) {
 	return rec, nil
 }
 
+// kvProps interns a record's properties into a property list, skipping
+// nulls; a repeated key keeps its last non-null value.
+func (g *Graph) kvProps(kvs []walKV) Props {
+	var ps Props
+	for _, kv := range kvs {
+		if !value.IsNull(kv.val) {
+			ps = ps.set(g.intern(kv.key), kv.val)
+		}
+	}
+	return ps
+}
+
 // apply replays one record onto g, in the order the format defines:
 // deletions first (relationships before their endpoints), then
 // creations (nodes before relationships), label changes, property
@@ -955,20 +957,7 @@ func (rec *walRecord) apply(g *Graph) error {
 		if g.HasNode(NodeID(wn.id)) {
 			return fmt.Errorf("graph: wal creates duplicate node %d", wn.id)
 		}
-		n := &Node{
-			ID:     NodeID(wn.id),
-			Labels: make(map[string]struct{}, len(wn.labels)),
-			Props:  make(map[string]value.Value, len(wn.props)),
-		}
-		for _, l := range wn.labels {
-			n.Labels[l] = struct{}{}
-		}
-		for _, kv := range wn.props {
-			if !value.IsNull(kv.val) {
-				n.Props[kv.key] = kv.val
-			}
-		}
-		g.restoreNode(n)
+		g.restoreNode(&Node{ID: NodeID(wn.id), Labels: g.labelsOf(wn.labels), Props: g.kvProps(wn.props)})
 	}
 	for _, wr := range rec.relsCreated {
 		if g.HasRel(RelID(wr.id)) {
@@ -980,19 +969,7 @@ func (rec *walRecord) apply(g *Graph) error {
 		if !g.HasNode(NodeID(wr.src)) || !g.HasNode(NodeID(wr.tgt)) {
 			return fmt.Errorf("graph: wal relationship %d has dangling endpoints", wr.id)
 		}
-		r := &Rel{
-			ID:    RelID(wr.id),
-			Type:  wr.typ,
-			Src:   NodeID(wr.src),
-			Tgt:   NodeID(wr.tgt),
-			Props: make(map[string]value.Value, len(wr.props)),
-		}
-		for _, kv := range wr.props {
-			if !value.IsNull(kv.val) {
-				r.Props[kv.key] = kv.val
-			}
-		}
-		g.restoreRel(r)
+		g.restoreRel(&Rel{ID: RelID(wr.id), Type: g.intern(wr.typ), Src: NodeID(wr.src), Tgt: NodeID(wr.tgt), Props: g.kvProps(wr.props)})
 	}
 	for _, wl := range rec.labelsAdded {
 		if err := g.AddLabel(NodeID(wl.id), wl.label); err != nil {

@@ -72,7 +72,7 @@ func TestPlannerChoosesIndexSeekPushedEquality(t *testing.T) {
 		if len(res) != 1 {
 			t.Fatalf("WHERE %s: expected 1 pruned match, got %d", where, len(res))
 		}
-		if v, _ := res[0]["u"].(value.Node); g.Node(graph.NodeID(v.ID)).Props["v"] != value.Int(42) {
+		if v, _ := res[0]["u"].(value.Node); g.NodeProp(graph.NodeID(v.ID), "v") != value.Int(42) {
 			t.Fatalf("WHERE %s: wrong node matched", where)
 		}
 		if stats.NodeVisits != 1 {

@@ -154,7 +154,7 @@ func (m *Matcher) plansFor(parts []*ast.PatternPart, env expr.Env) []partPlan {
 		return m.planParts(parts, boundSet(env))
 	}
 	ver := m.Graph.Version()
-	if e := m.seen; e != nil && m.seenVer == ver && e.idxEpoch == m.Graph.IndexEpoch() && e.fits(parts, env) {
+	if e := m.seen; e != nil && m.seenVer == ver && e.idxEpoch == m.Graph.IndexEpoch() && e.symStamp == m.Graph.SymStamp() && e.fits(parts, env) {
 		return e.plans
 	}
 	if m.Slot == nil {
@@ -284,7 +284,7 @@ func (it *Iter) Reset(m *Matcher, parts []*ast.PatternPart, env expr.Env, ap *An
 		// anchors, no pruning — so every runtime error (mistyped
 		// binding, erroring property expression) surfaces exactly when
 		// and where it always did.
-		it.plans = naivePlans(parts)
+		it.plans = naivePlans(m.Graph, parts)
 	default:
 		it.plans = m.plansFor(parts, env)
 	}
@@ -425,7 +425,7 @@ func (it *Iter) enterPart(pi int) error {
 	}
 	m := it.m
 	pp := &it.plans[pi]
-	np := pp.part.Nodes[pp.anchor]
+	np, ns := pp.part.Nodes[pp.anchor], &pp.nodeSyms[pp.anchor]
 	f := frame{kind: anchorFrame, part: pi}
 	if pi == 0 && it.ap != nil {
 		f.nodes = it.ap.anchors
@@ -437,7 +437,7 @@ func (it *Iter) enterPart(pi int) error {
 				if err != nil || !ok {
 					return err
 				}
-				if ok, err = it.nodeSatisfies(id, np); err != nil || !ok {
+				if ok, err = it.nodeSatisfies(id, np, ns); err != nil || !ok {
 					return err
 				}
 				it.nodes[pi][pp.anchor] = id
@@ -452,7 +452,7 @@ func (it *Iter) enterPart(pi int) error {
 			f.nodes, seeked = m.seekCandidates(pp.seek, np, it.env)
 		}
 		if !seeked {
-			f.nodes = m.nodeCandidates(np)
+			f.nodes = m.nodeCandidates(np, ns)
 		}
 	}
 	it.push(f)
@@ -468,7 +468,7 @@ func (it *Iter) takeAnchor(i int) error {
 		it.m.Stats.NodeVisits++
 	}
 	pp := &it.plans[pi]
-	ok, err := it.nodeSatisfies(id, pp.part.Nodes[pp.anchor])
+	ok, err := it.nodeSatisfies(id, pp.part.Nodes[pp.anchor], &pp.nodeSyms[pp.anchor])
 	if err != nil || !ok {
 		return err
 	}
@@ -538,7 +538,7 @@ func (it *Iter) takeHop(i int) error {
 	pp := &it.plans[pi]
 	st := pp.steps[si]
 	rp := pp.part.Rels[st.rel]
-	ok, err := it.relSatisfies(c.rid, rp)
+	ok, err := it.relSatisfies(c.rid, rp, &pp.relSyms[st.rel])
 	if err != nil || !ok {
 		return err
 	}
@@ -556,7 +556,7 @@ func (it *Iter) takeHop(i int) error {
 			}
 		}
 	}
-	if ok, err = it.endNode(pp.part.Nodes[st.to], c.end); err != nil || !ok {
+	if ok, err = it.endNode(pp.part.Nodes[st.to], &pp.nodeSyms[st.to], c.end); err != nil || !ok {
 		return err
 	}
 	it.mark(i, true)
@@ -605,7 +605,8 @@ func (it *Iter) takeVarHop(i int) error {
 		}
 	}
 	pp := &it.plans[f.part]
-	ok, err := it.relSatisfies(c.rid, pp.part.Rels[pp.steps[f.step].rel])
+	rel := pp.steps[f.step].rel
+	ok, err := it.relSatisfies(c.rid, pp.part.Rels[rel], &pp.relSyms[rel])
 	if err != nil || !ok {
 		return err
 	}
@@ -639,7 +640,7 @@ func (it *Iter) takeEnd(i int) error {
 		}
 		it.bind(rp.Var, lst)
 	}
-	ok, err := it.endNode(pp.part.Nodes[st.to], at)
+	ok, err := it.endNode(pp.part.Nodes[st.to], &pp.nodeSyms[st.to], at)
 	if err != nil || !ok {
 		return err
 	}
@@ -650,20 +651,20 @@ func (it *Iter) takeEnd(i int) error {
 
 // relSatisfies checks a relationship candidate against the used set (in
 // Isomorphism mode), the pattern's types and its inline properties.
-func (it *Iter) relSatisfies(rid graph.RelID, rp *ast.RelPattern) (bool, error) {
+func (it *Iter) relSatisfies(rid graph.RelID, rp *ast.RelPattern, ss *slotSyms) (bool, error) {
 	if it.m.Mode == Isomorphism && it.used[rid] {
 		return false, nil
 	}
 	r := it.m.Graph.Rel(rid)
-	if r == nil || !typeMatches(r, rp.Types) {
+	if r == nil || !typeMatches(r, rp, ss) {
 		return false, nil
 	}
-	return it.propsSatisfy(r.Props, rp.Props)
+	return it.propsSatisfy(r.Props, rp.Props, ss.keys)
 }
 
 // endNode checks a hop's far endpoint against its node pattern. When
 // the pattern's variable is already bound, it must hold that node.
-func (it *Iter) endNode(np *ast.NodePattern, end graph.NodeID) (bool, error) {
+func (it *Iter) endNode(np *ast.NodePattern, ns *slotSyms, end graph.NodeID) (bool, error) {
 	if np.Var != "" {
 		if v, ok := it.env[np.Var]; ok {
 			id, ok, err := asNode(np, v)
@@ -672,7 +673,7 @@ func (it *Iter) endNode(np *ast.NodePattern, end graph.NodeID) (bool, error) {
 			}
 		}
 	}
-	return it.nodeSatisfies(end, np)
+	return it.nodeSatisfies(end, np, ns)
 }
 
 // asNode reads a node pattern variable's pre-bound value: null matches
@@ -723,17 +724,19 @@ func (it *Iter) path(pi int) value.Path {
 }
 
 // nodeCandidates uses the label index when the pattern names labels.
-func (m *Matcher) nodeCandidates(np *ast.NodePattern) []graph.NodeID {
-	if len(np.Labels) > 0 {
+func (m *Matcher) nodeCandidates(np *ast.NodePattern, ns *slotSyms) []graph.NodeID {
+	if ns.none {
+		return nil
+	}
+	if len(ns.names) > 0 {
 		// Use the most selective label.
-		best := m.Graph.NodeIDsByLabel(np.Labels[0])
-		for _, l := range np.Labels[1:] {
-			ids := m.Graph.NodeIDsByLabel(l)
-			if len(ids) < len(best) {
-				best = ids
+		best := ns.names[0]
+		for _, l := range ns.names[1:] {
+			if m.Graph.NodeCountByLabelID(l) < m.Graph.NodeCountByLabelID(best) {
+				best = l
 			}
 		}
-		return best
+		return m.Graph.NodeIDsByLabelID(best)
 	}
 	return m.Graph.NodeIDs()
 }
@@ -772,18 +775,18 @@ func (m *Matcher) seekCandidates(seek *seekPlan, np *ast.NodePattern, env expr.E
 // already bound, and then (unless naive) checks the pushed WHERE
 // conjuncts over the slot. A binding made here stays on the trail
 // whatever the outcome; the frame that took the candidate unwinds it.
-func (it *Iter) nodeSatisfies(id graph.NodeID, np *ast.NodePattern) (bool, error) {
+func (it *Iter) nodeSatisfies(id graph.NodeID, np *ast.NodePattern, ns *slotSyms) (bool, error) {
 	m := it.m
 	n := m.Graph.Node(id)
-	if n == nil {
+	if n == nil || ns.none {
 		return false, nil
 	}
-	for _, l := range np.Labels {
-		if !n.HasLabel(l) {
+	for _, l := range ns.names {
+		if !n.Labels.Has(l) {
 			return false, nil
 		}
 	}
-	ok, err := it.propsSatisfy(n.Props, np.Props)
+	ok, err := it.propsSatisfy(n.Props, np.Props, ns.keys)
 	if err != nil || !ok || np.Var == "" {
 		return ok, err
 	}
@@ -811,8 +814,9 @@ func (it *Iter) nodeSatisfies(id graph.NodeID, np *ast.NodePattern) (bool, error
 // map literal is compared entry by entry, with no map built: all its
 // values are evaluated first, in written order, so an error surfaces
 // as it does when the map is built, and a repeated key counts once, at
-// its last value. A parameter map goes through EvalPropMap.
-func (it *Iter) propsSatisfy(stored map[string]value.Value, props ast.Expr) (bool, error) {
+// its last value. keys are the literal's resolved keys. A parameter map
+// goes through EvalPropMap, its keys looked up by name.
+func (it *Iter) propsSatisfy(stored graph.Props, props ast.Expr, keys []graph.SymID) (bool, error) {
 	ml, isLit := props.(*ast.MapLit)
 	if !isLit {
 		if props == nil {
@@ -823,7 +827,11 @@ func (it *Iter) propsSatisfy(stored map[string]value.Value, props ast.Expr) (boo
 			return false, err
 		}
 		for k, wv := range want {
-			if !propEquals(stored, k, wv) {
+			id, ok := it.m.Graph.Sym(k)
+			if !ok {
+				id = noSym
+			}
+			if !propEquals(stored, id, wv) {
 				return false, nil
 			}
 		}
@@ -839,7 +847,7 @@ func (it *Iter) propsSatisfy(stored map[string]value.Value, props ast.Expr) (boo
 	}
 	it.vals = vals
 	for i, k := range ml.Keys {
-		if lastKey(ml.Keys, k) == i && !propEquals(stored, k, vals[i]) {
+		if lastKey(ml.Keys, k) == i && !propEquals(stored, keys[i], vals[i]) {
 			return false, nil
 		}
 	}
@@ -848,8 +856,8 @@ func (it *Iter) propsSatisfy(stored map[string]value.Value, props ast.Expr) (boo
 
 // propEquals reports whether stored property k, null when absent,
 // compares True to want.
-func propEquals(stored map[string]value.Value, k string, want value.Value) bool {
-	sv, ok := stored[k]
+func propEquals(stored graph.Props, k graph.SymID, want value.Value) bool {
+	sv, ok := stored.Get(k)
 	if !ok {
 		sv = value.NullValue
 	}
@@ -902,11 +910,13 @@ func (m *Matcher) relCandidates(out []relCandidate, rp *ast.RelPattern, at graph
 	return out
 }
 
-func typeMatches(r *graph.Rel, types []string) bool {
-	if len(types) == 0 {
+// typeMatches reports whether r has one of the slot's types (any type
+// when the pattern names none).
+func typeMatches(r *graph.Rel, rp *ast.RelPattern, ss *slotSyms) bool {
+	if len(rp.Types) == 0 {
 		return true
 	}
-	for _, t := range types {
+	for _, t := range ss.names {
 		if r.Type == t {
 			return true
 		}

@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/expr"
+	"repro/internal/graph"
 	"repro/internal/value"
 )
 
@@ -70,6 +71,73 @@ type partPlan struct {
 	est     float64 // estimated anchor candidate count
 	seek    *seekPlan
 	steps   []step
+	// nodeSyms and relSyms hold each slot's names resolved against the
+	// graph's symbol table (resolveSyms), by node and relationship slot.
+	nodeSyms []slotSyms
+	relSyms  []slotSyms
+}
+
+// slotSyms is one pattern slot's names as the graph's interned ids, so
+// candidate checks compare integers: a node slot's labels or a
+// relationship slot's types, and the keys of its inline map literal
+// (parallel to the literal's Keys, noSym for a key never interned).
+type slotSyms struct {
+	names []graph.SymID
+	keys  []graph.SymID
+	// none marks a slot no entity can satisfy: a node label or every
+	// relationship type named is not interned in the graph.
+	none bool
+}
+
+// noSym stands for a name the graph never interned: no stored property
+// has it as key.
+const noSym = ^graph.SymID(0)
+
+// resolveSyms fills the plans' slot names from g's symbol table. It
+// only looks names up, so the plans hold while g.SymStamp stands.
+func resolveSyms(g *graph.Graph, plans []partPlan) {
+	for i := range plans {
+		pp := &plans[i]
+		pp.nodeSyms = make([]slotSyms, len(pp.part.Nodes))
+		for j, np := range pp.part.Nodes {
+			ss := &pp.nodeSyms[j]
+			for _, l := range np.Labels {
+				id, ok := g.Sym(l)
+				ss.names = append(ss.names, id)
+				ss.none = ss.none || !ok
+			}
+			ss.keys = literalKeys(g, np.Props)
+		}
+		pp.relSyms = make([]slotSyms, len(pp.part.Rels))
+		for j, rp := range pp.part.Rels {
+			ss := &pp.relSyms[j]
+			for _, t := range rp.Types {
+				if id, ok := g.Sym(t); ok {
+					ss.names = append(ss.names, id)
+				}
+			}
+			ss.none = len(rp.Types) > 0 && len(ss.names) == 0
+			ss.keys = literalKeys(g, rp.Props)
+		}
+	}
+}
+
+// literalKeys resolves the keys of an inline map literal; any other
+// property expression has its keys resolved per evaluation.
+func literalKeys(g *graph.Graph, props ast.Expr) []graph.SymID {
+	ml, ok := props.(*ast.MapLit)
+	if !ok {
+		return nil
+	}
+	keys := make([]graph.SymID, len(ml.Keys))
+	for i, k := range ml.Keys {
+		id, ok := g.Sym(k)
+		if !ok {
+			id = noSym
+		}
+		keys[i] = id
+	}
+	return keys
 }
 
 // planParts orders the parts and picks an anchor and walk for each.
@@ -89,6 +157,7 @@ func (m *Matcher) planParts(parts []*ast.PatternPart, bound map[string]bool) []p
 		for i, part := range parts {
 			plans[i] = partPlan{part: part, origIdx: i, anchor: 0, est: m.anchorEstimate(part.Nodes[0], bound), steps: forwardSteps(part)}
 		}
+		resolveSyms(m.Graph, plans)
 		return plans
 	}
 	// Forced anchors (the planner-equivalence debug hook) and the
@@ -120,6 +189,7 @@ func (m *Matcher) planParts(parts []*ast.PatternPart, bound map[string]bool) []p
 			bound[v] = true
 		}
 	}
+	resolveSyms(m.Graph, plans)
 	return plans
 }
 
@@ -170,11 +240,12 @@ func forwardSteps(part *ast.PatternPart) []step {
 
 // naivePlans is the seed's enumeration: written part order, first-node
 // anchors, forward walks. Estimates are irrelevant for execution.
-func naivePlans(parts []*ast.PatternPart) []partPlan {
+func naivePlans(g *graph.Graph, parts []*ast.PatternPart) []partPlan {
 	plans := make([]partPlan, len(parts))
 	for i, part := range parts {
 		plans[i] = partPlan{part: part, origIdx: i, anchor: 0, steps: forwardSteps(part)}
 	}
+	resolveSyms(g, plans)
 	return plans
 }
 

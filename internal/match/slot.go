@@ -18,7 +18,8 @@ import (
 // A consult for another pattern or another set of bound names replans
 // and replaces the entry. A changed index epoch replans too: a new
 // index can enable a seek anchor (and a drop must disable one) without
-// any cardinality drift. A moved graph version recomputes the anchor
+// any cardinality drift, and a changed symbol table re-resolves the
+// pattern's labels, types and keys. A moved graph version recomputes the anchor
 // estimates (O(1) statistic reads per node slot) and keeps the plan
 // unless they drifted materially, so a legacy MERGE mutating the graph
 // between records keeps its plan while a skewed bulk load replans.
@@ -47,7 +48,9 @@ type slotEntry struct {
 	plans    []partPlan
 	est      []float64 // anchor estimates the plan was built from
 	idxEpoch int64
-	ver      atomic.Int64 // graph version the plan was last validated at
+	symStamp uint64 // symbol table the plans' names were resolved in
+
+	ver atomic.Int64 // graph version the plan was last validated at
 }
 
 // fits reports whether e is the plan of parts under env's bound names.
@@ -72,7 +75,7 @@ func (s *PlanSlot) plan(m *Matcher, parts []*ast.PatternPart, env expr.Env, ver 
 	outcome := miss
 	if e.fits(parts, env) {
 		outcome = invalidation
-		if e.idxEpoch == m.Graph.IndexEpoch() &&
+		if e.idxEpoch == m.Graph.IndexEpoch() && e.symStamp == m.Graph.SymStamp() &&
 			(e.ver.Load() == ver || !estimatesDrifted(e.est, m.estimateFingerprint(parts, boundSet(env)))) {
 			outcome = hit
 		}
@@ -87,7 +90,7 @@ func (s *PlanSlot) plan(m *Matcher, parts []*ast.PatternPart, env expr.Env, ver 
 		return e
 	}
 	bound := boundSet(env)
-	e = &slotEntry{parts: parts, bound: make([]string, 0, len(env)), idxEpoch: m.Graph.IndexEpoch()}
+	e = &slotEntry{parts: parts, bound: make([]string, 0, len(env)), idxEpoch: m.Graph.IndexEpoch(), symStamp: m.Graph.SymStamp()}
 	for k := range env {
 		e.bound = append(e.bound, k)
 	}
