@@ -243,3 +243,21 @@ func TestExportDOT(t *testing.T) {
 		t.Errorf("DOT output: %s", buf.String())
 	}
 }
+
+// A MATCH that rebinds a bound path variable is refused before it
+// runs, whichever walk the planner would choose (the engine's planner
+// tests check the naive walk too).
+func TestReboundPathVariableRefused(t *testing.T) {
+	db := Open()
+	if _, err := db.Exec(`CREATE (:A)-[:R {w: 1}]->(:B), (:C)`, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`WITH 1 AS p MATCH (a:A)-[{w: p}]->(b), p = (c:C) RETURN count(*) AS n`,
+		`MATCH p = (c:C) MATCH (a:A)-[{w: p}]->(b), p = (c) RETURN count(*) AS n`,
+	} {
+		if _, err := db.Exec(q, nil); err == nil || !strings.Contains(err.Error(), "variable `p` already declared") {
+			t.Errorf("%q: err = %v, want `p` already declared", q, err)
+		}
+	}
+}

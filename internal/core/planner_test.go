@@ -271,3 +271,38 @@ func TestPlannerAnchorsRareLabel(t *testing.T) {
 		t.Errorf("naive walk visited %d nodes; expected the full :Common scan", naiveNodes)
 	}
 }
+
+// TestReboundPathVariableRejected: a MATCH part that reads a path
+// variable sees its old value or the new path depending on whether it
+// is walked before or after the part that rebinds it, so the planned
+// and the naive walk returned different rows. Rebinding a bound path
+// variable is rejected at plan build instead, identically in both
+// planner modes.
+func TestReboundPathVariableRejected(t *testing.T) {
+	g := graph.New()
+	setup, err := parser.Parse(`UNWIND range(1, 3) AS i CREATE (:A)-[:R {w: 1}]->(:B) WITH count(*) AS c CREATE (:C)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEngine(Config{Dialect: DialectRevised}).ExecuteStatement(g, setup, nil); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		`WITH 1 AS p MATCH (a:A)-[{w: p}]->(b), p = (c:C) RETURN count(*) AS n`,
+		`MATCH p = (c:C) MATCH (a:A)-[{w: p}]->(b), p = (c) RETURN count(*) AS n`,
+		`WITH 1 AS p MATCH p = (a:A)-[{w: p}]->(b) RETURN count(*) AS n`,
+		`MATCH p = (a:A), p = (c:C) RETURN count(*) AS n`,
+	}
+	for _, q := range queries {
+		stmt, err := parser.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, naive := range []bool{false, true} {
+			_, err := NewEngine(Config{Dialect: DialectRevised, naivePlanner: naive}).ExecuteStatement(g.Clone(), stmt, nil)
+			if err == nil || !strings.Contains(err.Error(), "variable `p` already declared") {
+				t.Errorf("naive=%v %q: err = %v, want `p` already declared", naive, q, err)
+			}
+		}
+	}
+}

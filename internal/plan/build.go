@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/expr"
@@ -176,6 +177,9 @@ func (b *Builder) BuildQuery(clauses []ast.Clause, src Operator) (Operator, erro
 		var err error
 		switch cl := c.(type) {
 		case *ast.MatchClause:
+			if err := checkPathVars(cl.Pattern, cur.Columns()); err != nil {
+				return nil, err
+			}
 			cl = b.foldMatchClause(cl)
 			newVars := freshVars(match.PatternVariables(cl.Pattern), cur.Columns())
 			op := NewMatch(cur, cl, b.NewMatcher(b.Ev, cl.Pattern), b.Ev, newVars)
@@ -500,6 +504,23 @@ func freshVars(vars, cols []string) []string {
 		}
 	}
 	return out
+}
+
+// checkPathVars rejects a MATCH pattern that rebinds a path variable:
+// one bound on entry, or declared by two parts. A part that reads the
+// variable would see the old value or the new path depending on the
+// order the parts are walked in, so the planned and the naive walk
+// could disagree.
+func checkPathVars(parts []*ast.PatternPart, cols []string) error {
+	for i, part := range parts {
+		if part.Var == "" {
+			continue
+		}
+		if hasColumn(cols, part.Var) || slices.ContainsFunc(parts[:i], func(p *ast.PatternPart) bool { return p.Var == part.Var }) {
+			return fmt.Errorf("variable `%s` already declared", part.Var)
+		}
+	}
+	return nil
 }
 
 func hasColumn(cols []string, name string) bool {
