@@ -10,11 +10,12 @@
 # from a `git archive` copy in a temporary directory, runs ten pairs on
 # seeds 1-10 (odd seeds run base first, even seeds change first) into
 # bench-compare-out/base and bench-compare-out/change, and prints
-# `bench -compare` of the two sets. `make loc` prints each package's
+# `bench -compare` of the two sets; `make bench-record PR=<n>
+# BASE=<rev>` keeps them as BENCH_<n>.json. `make loc` prints each package's
 # non-test Go lines, blank and comment-only lines excluded, and the
 # total: the size yardstick of a simplification.
 
-.PHONY: all test vet race stress spill crash fuzz par props serve-race bench-smoke bench-compare docs-smoke loc
+.PHONY: all test vet race stress spill crash fuzz par props serve-race bench-smoke bench-compare bench-record docs-smoke loc
 
 all: test
 
@@ -162,6 +163,16 @@ bench-compare:
 		done; \
 	done; \
 	$$tmp/bench-change -compare $(OUT)/base/results.jsonl $(OUT)/change/results.jsonl
+
+# Records the last bench-compare as BENCH_<PR>.json at the repository
+# root: the environment, both commits, and per workload and gated metric
+# both sides' per-run values, medians, quartiles, pair wins and the
+# judge's verdict. CHANGE defaults to HEAD.
+PR ?=
+CHANGE ?= HEAD
+bench-record:
+	@test -n "$(PR)" -a -n "$(BASE)" || { echo "usage: make bench-record PR=<n> BASE=<rev> [CHANGE=<rev>]"; exit 2; }
+	go run ./cmd/bench-record -base $$(git rev-parse $(BASE)) -change $$(git rev-parse $(CHANGE)) -out BENCH_$(PR).json $(OUT)/base/results.jsonl $(OUT)/change/results.jsonl
 
 # Executes every runnable snippet of docs/language.md and the exported-
 # symbol godoc check, so documentation cannot rot. Both also run as part
