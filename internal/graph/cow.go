@@ -33,11 +33,22 @@ package graph
 // Entity ids are dense and monotonically allocated, so the id-keyed
 // containers (nodes, rels, adjacency, label sets) are two-level: a
 // private directory slice indexed by id>>shardBits pointing at shared
-// shards of up to 2^shardBits ids. Cloning copies the directory
-// (O(entities/2^shardBits) pointers — ~200 at 100k nodes); touching an
-// id copies one shard (O(2^shardBits)). Index buckets are keyed by
-// canonical value strings and use a fixed fan-out hash directory
-// (strMap) with per-bucket node sets as the copy unit.
+// shards of 2^shardBits ids. A shard is dense: a fixed array of values
+// by id offset and a 512-bit presence bitmap, so a lookup is two
+// indexings, iteration walks the bitmap in ascending id order, and a
+// copy-on-write copy is one struct copy (4 KiB of pointers for nodes,
+// the 64-byte bitmap alone for a label set). Cloning copies the
+// directory (O(entities/2^shardBits) pointers — ~200 at 100k nodes).
+// Ids are never reused, so deletes leave holes; a shard whose last id
+// is deleted is released, and the shards held stay bounded by the live
+// entities, not by the ids ever consumed.
+//
+// Labels, relationship types and property keys are interned in a
+// symbol table (symbols.go) shared copy-on-write the same way: a clone
+// shares it and the first new name a writer interns copies it. Index
+// buckets are keyed by canonical value strings and use a fixed fan-out
+// hash directory (strMap); each bucket is an ascending node-id slice,
+// the copy unit, handed to seeks as a read-only view.
 
 import (
 	"math/bits"

@@ -339,24 +339,22 @@ func (g *Graph) SetNodeProp(id NodeID, key string, v value.Value) error {
 	if n == nil {
 		return fmt.Errorf("graph: node %d does not exist", id)
 	}
-	g.setNodeProp(n, g.intern(key), v, true)
+	k := g.intern(key)
+	if g.journal != nil {
+		old, had := n.Props.Get(k)
+		g.journal.record(undoSetNodeProp{id: id, key: k, old: old, had: had})
+	}
+	g.setNodeProp(n, k, v)
 	return nil
 }
 
-// setNodeProp writes key on n (a node this generation owns), keeping
-// the indexes in step and, when journal is set, recording the undo.
-func (g *Graph) setNodeProp(n *Node, key SymID, v value.Value, journal bool) {
+// setNodeProp writes key on n, a node this generation owns, keeping
+// the property indexes in step; a null v removes the key.
+func (g *Graph) setNodeProp(n *Node, key SymID, v value.Value) {
 	old, had := n.Props.Get(key)
-	if journal && g.journal != nil {
-		g.journal.record(undoSetNodeProp{id: n.ID, key: key, old: old, had: had})
-	}
-	has := v != nil && !value.IsNull(v)
+	has := !value.IsNull(v)
 	g.indexPropWrite(n, key, old, had, v, has)
-	if has {
-		n.Props = n.Props.set(key, v)
-	} else {
-		n.Props = n.Props.del(key)
-	}
+	n.Props = n.Props.write(key, v)
 }
 
 // SetRelProp sets (or, when v is null, removes) a relationship property.
@@ -370,11 +368,7 @@ func (g *Graph) SetRelProp(id RelID, key string, v value.Value) error {
 		old, had := r.Props.Get(k)
 		g.journal.record(undoSetRelProp{id: id, key: k, old: old, had: had})
 	}
-	if value.IsNull(v) {
-		r.Props = r.Props.del(k)
-	} else {
-		r.Props = r.Props.set(k, v)
-	}
+	r.Props = r.Props.write(k, v)
 	return nil
 }
 

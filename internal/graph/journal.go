@@ -154,7 +154,7 @@ type undoSetNodeProp struct {
 
 func (u undoSetNodeProp) undo(g *Graph) {
 	if n := g.mutableNode(u.id); n != nil {
-		g.setNodeProp(n, u.key, u.old, false)
+		g.setNodeProp(n, u.key, u.old)
 	}
 }
 
@@ -166,14 +166,8 @@ type undoSetRelProp struct {
 }
 
 func (u undoSetRelProp) undo(g *Graph) {
-	r := g.mutableRel(u.id)
-	if r == nil {
-		return
-	}
-	if u.had {
-		r.Props = r.Props.set(u.key, u.old)
-	} else {
-		r.Props = r.Props.del(u.key)
+	if r := g.mutableRel(u.id); r != nil {
+		r.Props = r.Props.write(u.key, u.old)
 	}
 }
 

@@ -149,8 +149,11 @@ func (ps Props) set(key SymID, v value.Value) Props {
 	return slices.Insert(ps, i, Prop{Key: key, Val: v})
 }
 
-// del removes key's entry, if any.
-func (ps Props) del(key SymID) Props {
+// write stores v under key, or removes key when v is null.
+func (ps Props) write(key SymID, v value.Value) Props {
+	if !value.IsNull(v) {
+		return ps.set(key, v)
+	}
 	for i, p := range ps {
 		if p.Key == key {
 			return slices.Delete(ps, i, i+1)

@@ -452,7 +452,7 @@ func (it *Iter) enterPart(pi int) error {
 			f.nodes, seeked = m.seekCandidates(pp.seek, np, it.env)
 		}
 		if !seeked {
-			f.nodes = m.nodeCandidates(np, ns)
+			f.nodes = m.nodeCandidates(ns)
 		}
 	}
 	it.push(f)
@@ -656,7 +656,7 @@ func (it *Iter) relSatisfies(rid graph.RelID, rp *ast.RelPattern, ss *slotSyms) 
 		return false, nil
 	}
 	r := it.m.Graph.Rel(rid)
-	if r == nil || !typeMatches(r, rp, ss) {
+	if r == nil || !typeMatches(r, ss) {
 		return false, nil
 	}
 	return it.propsSatisfy(r.Props, rp.Props, ss.keys)
@@ -724,7 +724,7 @@ func (it *Iter) path(pi int) value.Path {
 }
 
 // nodeCandidates uses the label index when the pattern names labels.
-func (m *Matcher) nodeCandidates(np *ast.NodePattern, ns *slotSyms) []graph.NodeID {
+func (m *Matcher) nodeCandidates(ns *slotSyms) []graph.NodeID {
 	if ns.none {
 		return nil
 	}
@@ -912,9 +912,9 @@ func (m *Matcher) relCandidates(out []relCandidate, rp *ast.RelPattern, at graph
 
 // typeMatches reports whether r has one of the slot's types (any type
 // when the pattern names none).
-func typeMatches(r *graph.Rel, rp *ast.RelPattern, ss *slotSyms) bool {
-	if len(rp.Types) == 0 {
-		return true
+func typeMatches(r *graph.Rel, ss *slotSyms) bool {
+	if len(ss.names) == 0 {
+		return !ss.none
 	}
 	for _, t := range ss.names {
 		if r.Type == t {

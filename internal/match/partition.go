@@ -66,7 +66,7 @@ func (m *Matcher) PlanAnchors(parts []*ast.PatternPart, env expr.Env) (*AnchorPl
 			return nil, false
 		}
 	}
-	return &AnchorPlan{plans: plans, anchors: m.nodeCandidates(np, &p0.nodeSyms[p0.anchor])}, true
+	return &AnchorPlan{plans: plans, anchors: m.nodeCandidates(&p0.nodeSyms[p0.anchor])}, true
 }
 
 // Chunk returns the plan restricted to the anchor candidates
