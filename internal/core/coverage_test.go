@@ -140,7 +140,7 @@ func TestLegacySetRelAndEntityCopies(t *testing.T) {
 	r, _ := g.CreateRel(a.ID, b.ID, "T", map[string]value.Value{"w": value.Int(1)})
 
 	run(t, DialectCypher9, g, `MATCH ()-[r:T]->() SET r.w = 2, r.v = 3`)
-	if g.RelProp(r.ID, "w") != value.Int(2) || g.RelProp(r.ID, "v") != value.Int(3) {
+	if relProp(g, r.ID, "w") != value.Int(2) || relProp(g, r.ID, "v") != value.Int(3) {
 		t.Errorf("rel props = %v", g.Rel(r.ID).Props)
 	}
 	// Copy properties from a relationship into a node.
@@ -150,7 +150,7 @@ func TestLegacySetRelAndEntityCopies(t *testing.T) {
 	}
 	// Copy from a node into a relationship with +=.
 	run(t, DialectCypher9, g, `MATCH (x:A), ()-[r:T]->() SET r += x`)
-	if g.RelProp(r.ID, "w") != value.Int(2) {
+	if relProp(g, r.ID, "w") != value.Int(2) {
 		t.Errorf("rel props after += = %v", g.Rel(r.ID).Props)
 	}
 }
@@ -312,4 +312,10 @@ func TestMergeSameEndpointRewrite(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Error(err)
 	}
+}
+
+// relProp returns relationship id's property key, nil when absent.
+func relProp(g *graph.Graph, id graph.RelID, key string) value.Value {
+	v, _ := g.Prop(g.Rel(id).Props, key)
+	return v
 }

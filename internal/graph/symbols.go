@@ -244,12 +244,3 @@ func (g *Graph) NodeProp(id NodeID, key string) value.Value {
 	}
 	return nil
 }
-
-// RelProp is NodeProp for relationships.
-func (g *Graph) RelProp(id RelID, key string) value.Value {
-	if r := g.Rel(id); r != nil {
-		v, _ := g.Prop(r.Props, key)
-		return v
-	}
-	return nil
-}
