@@ -9,8 +9,9 @@
 //	go run ./cmd/bench-record -base <rev> -change <rev> -out BENCH_<n>.json \
 //	    bench-compare-out/base/results.jsonl bench-compare-out/change/results.jsonl
 //
-// `make bench-record PR=<n> BASE=<rev>` runs it on the last
-// bench-compare's output.
+// It runs from the repository root, where it reads the gated metrics
+// and their bounds from BENCHMARK.json. `make bench-record PR=<n>
+// BASE=<rev>` runs it on the last bench-compare's output.
 package main
 
 import (
@@ -67,24 +68,25 @@ type comparison struct {
 func main() {
 	base := flag.String("base", "", "base commit")
 	change := flag.String("change", "", "change commit")
-	out := flag.String("out", "", "output file (default stdout)")
-	spec := flag.String("benchmark", "BENCHMARK.json", "benchmark declaration holding the gated metrics")
+	out := flag.String("out", "", "output file")
 	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: bench-record -base <rev> -change <rev> [-out file] base/results.jsonl change/results.jsonl")
+	if flag.NArg() != 2 || *out == "" {
+		fmt.Fprintln(os.Stderr, "usage: bench-record -base <rev> -change <rev> -out file base/results.jsonl change/results.jsonl")
 		os.Exit(2)
 	}
-	if err := record(*spec, *base, *change, *out, flag.Arg(0), flag.Arg(1)); err != nil {
+	if err := record(*base, *change, *out, flag.Arg(0), flag.Arg(1)); err != nil {
 		fmt.Fprintln(os.Stderr, "bench-record:", err)
 		os.Exit(1)
 	}
 }
 
-func record(spec, baseRev, changeRev, out, basePath, changePath string) error {
+// record writes the comparison of the runs in basePath and changePath,
+// over the end-to-end metrics BENCHMARK.json gates, to out.
+func record(baseRev, changeRev, out, basePath, changePath string) error {
 	var decl struct {
 		EndToEnd []metricDef `json:"end_to_end"`
 	}
-	raw, err := os.ReadFile(spec)
+	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		return err
 	}
@@ -132,12 +134,7 @@ func record(spec, baseRev, changeRev, out, basePath, changePath string) error {
 	if err != nil {
 		return err
 	}
-	enc = append(enc, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(enc)
-		return err
-	}
-	return os.WriteFile(out, enc, 0o644)
+	return os.WriteFile(out, append(enc, '\n'), 0o644)
 }
 
 // compare pairs the two sides' runs of workload w by seed and judges

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/value"
@@ -122,4 +124,43 @@ func TestSymbolOrderIsInvisible(t *testing.T) {
 			t.Fatal("recovered graph saves different bytes")
 		}
 	}
+}
+
+// One Resolve cache word serves every goroutine evaluating an
+// expression node, whichever graph each one reads: graphs whose tables
+// number the name differently, or lack it, must each get their own
+// answer however the goroutines interleave.
+func TestResolveCacheSharedAcrossGraphs(t *testing.T) {
+	a, b, c := New(), New(), New()
+	a.CreateNode([]string{"K"}, value.Map{"x": value.Int(1)})
+	b.CreateNode([]string{"L", "M"}, value.Map{"y": value.Int(1), "x": value.Int(2)})
+	c.CreateNode([]string{"L"}, nil)
+	wantA, _ := a.Sym("x")
+	wantB, _ := b.Sym("x")
+	if wantA == wantB {
+		t.Fatal("x has the same id in both graphs; the test proves nothing")
+	}
+	var word atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if id, ok := a.Resolve("x", &word); !ok || id != wantA {
+					t.Errorf("a: Resolve(x) = %d, %v; want %d", id, ok, wantA)
+					return
+				}
+				if id, ok := b.Resolve("x", &word); !ok || id != wantB {
+					t.Errorf("b: Resolve(x) = %d, %v; want %d", id, ok, wantB)
+					return
+				}
+				if _, ok := c.Resolve("x", &word); ok {
+					t.Error("c: Resolve(x) found a key c never interned")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
