@@ -176,8 +176,8 @@ func (m *idMap[V]) each(f func(id int64, v V)) {
 	}
 }
 
-// sortedIDs returns every id m stores, in ascending order.
-func sortedIDs[ID ~int64, V any](m *idMap[V]) []ID {
+// ascendingIDs returns every id m stores, in ascending order.
+func ascendingIDs[ID ~int64, V any](m *idMap[V]) []ID {
 	out := make([]ID, 0, m.n)
 	m.each(func(id int64, _ V) { out = append(out, ID(id)) })
 	return out

@@ -144,10 +144,10 @@ func (g *Graph) HasRel(id RelID) bool { _, ok := g.rels.get(int64(id)); return o
 
 // NodeIDs returns all node ids in ascending order. The deterministic order
 // is what makes legacy-mode scans reproducible for a given graph state.
-func (g *Graph) NodeIDs() []NodeID { return sortedIDs[NodeID](&g.nodes) }
+func (g *Graph) NodeIDs() []NodeID { return ascendingIDs[NodeID](&g.nodes) }
 
 // RelIDs returns all relationship ids in ascending order.
-func (g *Graph) RelIDs() []RelID { return sortedIDs[RelID](&g.rels) }
+func (g *Graph) RelIDs() []RelID { return ascendingIDs[RelID](&g.rels) }
 
 // NodeIDsByLabel returns the ids of nodes carrying the label, ascending.
 func (g *Graph) NodeIDsByLabel(label string) []NodeID {
@@ -163,7 +163,7 @@ func (g *Graph) NodeIDsByLabelID(label SymID) []NodeID {
 	if int(label) >= len(g.byLabel) || g.byLabel[label].size() == 0 {
 		return nil
 	}
-	return sortedIDs[NodeID](&g.byLabel[label])
+	return ascendingIDs[NodeID](&g.byLabel[label])
 }
 
 // Outgoing returns the ids of relationships whose source is the node,
@@ -341,8 +341,8 @@ func (g *Graph) SetNodeProp(id NodeID, key string, v value.Value) error {
 	}
 	k := g.intern(key)
 	if g.journal != nil {
-		old, had := n.Props.Get(k)
-		g.journal.record(undoSetNodeProp{id: id, key: k, old: old, had: had})
+		old, _ := n.Props.Get(k)
+		g.journal.record(undoSetNodeProp{id: id, key: k, old: old})
 	}
 	g.setNodeProp(n, k, v)
 	return nil
@@ -365,8 +365,8 @@ func (g *Graph) SetRelProp(id RelID, key string, v value.Value) error {
 	}
 	k := g.intern(key)
 	if g.journal != nil {
-		old, had := r.Props.Get(k)
-		g.journal.record(undoSetRelProp{id: id, key: k, old: old, had: had})
+		old, _ := r.Props.Get(k)
+		g.journal.record(undoSetRelProp{id: id, key: k, old: old})
 	}
 	r.Props = r.Props.write(k, v)
 	return nil

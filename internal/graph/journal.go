@@ -145,11 +145,12 @@ type undoDeleteRel struct{ rel *Rel }
 
 func (u undoDeleteRel) undo(g *Graph) { g.restoreRel(u.rel) }
 
+// undoSetNodeProp restores a property's value; old is nil when the
+// property was absent (stored values are never nil or null).
 type undoSetNodeProp struct {
 	id  NodeID
 	key SymID
 	old value.Value
-	had bool
 }
 
 func (u undoSetNodeProp) undo(g *Graph) {
@@ -158,11 +159,11 @@ func (u undoSetNodeProp) undo(g *Graph) {
 	}
 }
 
+// undoSetRelProp is undoSetNodeProp for relationships.
 type undoSetRelProp struct {
 	id  RelID
 	key SymID
 	old value.Value
-	had bool
 }
 
 func (u undoSetRelProp) undo(g *Graph) {
