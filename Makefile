@@ -73,9 +73,13 @@ par:
 # invariance; a failure prints its seed and statement), the statement-
 # boundary invariant checked against the whole-graph Validate over the
 # same statements, and the golden sweeps that hold the pinned answers of
-# the deleted materializing interpreter.
+# the deleted materializing interpreter. Three tests specify the update
+# barrier, which hands its clause function a batch of its own that the
+# clause may write in place: the caller's driving table must come out
+# untouched, and the reported update stats (MERGE's, and SET's and
+# REMOVE's by kind in both dialects) must be the graph's actual deltas.
 props:
-	go test -race -count=1 -run 'TestOracle|TestClauseCompositionality|TestStatementInvariantMatchesValidate|TestLimitNeverStopsUpdates|TestGoldenCorpus|TestLegacyGoldenCorpus|TestStreamingMatchesMaterializing|TestExecutorTriEquivalenceGolden|TestStreamingPropertyRandomQueries' ./internal/core
+	go test -race -count=1 -run 'TestOracle|TestClauseCompositionality|TestStatementInvariantMatchesValidate|TestLimitNeverStopsUpdates|TestGoldenCorpus|TestLegacyGoldenCorpus|TestStreamingMatchesMaterializing|TestExecutorTriEquivalenceGolden|TestStreamingPropertyRandomQueries|TestExecuteWithTableLeavesDrivingTableUntouched|TestMergeStatsMatchGraphDeltas|TestUpdateStatsMatchGraphDeltas' ./internal/core
 	go test -race -count=1 -run 'TestCorpusExecutorSweep' ./internal/script
 
 # The server gate, under the race detector: the wire-protocol

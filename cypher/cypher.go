@@ -264,39 +264,42 @@ func (db *DB) WALStatus() (status WALStatus, ok bool) {
 // Dialect reports the database's dialect.
 func (db *DB) Dialect() Dialect { return db.engine.Config().Dialect }
 
-// Result is the outcome of a statement.
+// Result is the outcome of a statement. It holds the engine's result
+// table itself, not a copy.
 type Result struct {
-	cols  []string
-	rows  [][]Value
+	t     *table.Table
 	stats UpdateStats
 }
 
 // Columns returns the output column names.
-func (r *Result) Columns() []string { return append([]string(nil), r.cols...) }
+func (r *Result) Columns() []string { return r.t.Columns() }
 
 // NumRows reports the number of result records.
-func (r *Result) NumRows() int { return len(r.rows) }
+func (r *Result) NumRows() int { return r.t.Len() }
 
 // Row returns record i as a column-name map.
-func (r *Result) Row(i int) map[string]Value {
-	m := make(map[string]Value, len(r.cols))
-	for j, c := range r.cols {
-		m[c] = r.rows[i][j]
-	}
-	return m
-}
+func (r *Result) Row(i int) map[string]Value { return r.rowMap(r.t.Columns(), i) }
 
 // Rows returns all records as column-name maps.
 func (r *Result) Rows() []map[string]Value {
-	out := make([]map[string]Value, len(r.rows))
-	for i := range r.rows {
-		out[i] = r.Row(i)
+	cols := r.t.Columns()
+	out := make([]map[string]Value, r.t.Len())
+	for i := range out {
+		out[i] = r.rowMap(cols, i)
 	}
 	return out
 }
 
+func (r *Result) rowMap(cols []string, i int) map[string]Value {
+	m := make(map[string]Value, len(cols))
+	for _, c := range cols {
+		m[c] = r.t.Get(i, c)
+	}
+	return m
+}
+
 // Values returns record i as a slice in column order.
-func (r *Result) Values(i int) []Value { return append([]Value(nil), r.rows[i]...) }
+func (r *Result) Values(i int) []Value { return r.t.Values(i) }
 
 // Stats returns the update statistics of the statement.
 func (r *Result) Stats() UpdateStats { return r.stats }
@@ -388,11 +391,7 @@ func (db *DB) Parse(query string) error {
 }
 
 func wrapResult(res *core.Result) *Result {
-	out := &Result{cols: res.Table.Columns(), stats: res.Stats}
-	for i := 0; i < res.Table.Len(); i++ {
-		out.rows = append(out.rows, res.Table.Values(i))
-	}
-	return out
+	return &Result{t: res.Table, stats: res.Stats}
 }
 
 func convertParams(params map[string]any) (map[string]value.Value, error) {

@@ -2,11 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/expr"
 	"repro/internal/graph"
-	"repro/internal/table"
+	"repro/internal/plan"
 	"repro/internal/value"
 )
 
@@ -18,44 +19,21 @@ import (
 //
 // CREATE behaves identically in both dialects because it never reads the
 // pattern against the graph; each record creates fresh instances.
-func (x *executor) execCreate(cl *ast.CreateClause, t *table.Table) (*table.Table, error) {
-	newVars := freshVarsForCreate(cl.Pattern, t)
-	out := table.New(append(t.Columns(), newVars...)...)
-	for _, i := range x.rowOrder(t) {
-		env := expr.Env(t.Row(i))
-		env2, err := x.createInstance(cl.Pattern, env, false)
-		if err != nil {
+func (x *executor) execCreate(cl *ast.CreateClause, in *plan.Batch, cols []string) (*plan.Batch, error) {
+	fresh := cols[len(in.Columns()):]
+	out := plan.NewBatch(cols, in.Len())
+	env := make(expr.Env, len(cols))
+	for _, i := range x.rowOrder(in.Len()) {
+		loadRow(env, in, i, fresh)
+		if err := x.createInstance(cl.Pattern, env, false, nil); err != nil {
 			return nil, err
 		}
-		out.AppendMap(env2)
+		out.AppendEnv(env)
 	}
 	return out, nil
 }
 
-// freshVarsForCreate lists the named variables a CREATE/MERGE pattern
-// introduces beyond the existing columns.
-func freshVarsForCreate(parts []*ast.PatternPart, t *table.Table) []string {
-	var out []string
-	seen := make(map[string]bool)
-	add := func(name string) {
-		if name != "" && !seen[name] && !t.HasColumn(name) {
-			seen[name] = true
-			out = append(out, name)
-		}
-	}
-	for _, part := range parts {
-		add(part.Var)
-		for i, n := range part.Nodes {
-			add(n.Var)
-			if i < len(part.Rels) {
-				add(part.Rels[i].Var)
-			}
-		}
-	}
-	return out
-}
-
-// createdEntity records one entity created by createInstanceTracked,
+// createdEntity records one entity created by createInstance,
 // together with its pattern position (part index plus node- or rel-slot
 // index). Positions are what the Weak Collapse and Collapse strategies
 // of Section 6 condition on.
@@ -67,32 +45,28 @@ type createdEntity struct {
 	slot   int
 }
 
-// createInstance creates one instance of the pattern tuple for the given
-// environment, returning the environment extended with the new bindings.
-// When reuseBound is false, a bound node variable is reused as an
-// endpoint only if its pattern carries no labels or properties (Cypher's
-// rule for CREATE); MERGE creation passes reuseBound=true for the same
-// behaviour (bound variables always anchor).
-func (x *executor) createInstance(parts []*ast.PatternPart, env expr.Env, reuseBound bool) (expr.Env, error) {
-	env2, _, err := x.createInstanceTracked(parts, env, reuseBound)
-	return env2, err
-}
-
-// createInstanceTracked is createInstance with position tracking of the
-// newly created entities, used by the MERGE collapse strategies.
-func (x *executor) createInstanceTracked(parts []*ast.PatternPart, env expr.Env, reuseBound bool) (expr.Env, []createdEntity, error) {
-	var created []createdEntity
-	out := make(expr.Env, len(env)+4)
-	for k, v := range env {
-		out[k] = v
-	}
+// createInstance creates one instance of the pattern tuple for the
+// environment env, binding the pattern's new entities into env. When
+// reuseBound is false, a bound node variable is reused as an endpoint
+// only if its pattern carries no labels or properties (Cypher's rule for
+// CREATE); MERGE creation passes reuseBound=true for the same behaviour
+// (bound variables always anchor). A non-nil track receives each new
+// entity with its pattern position, which the MERGE collapse strategies
+// of Section 6 condition on.
+func (x *executor) createInstance(parts []*ast.PatternPart, env expr.Env, reuseBound bool, track *[]createdEntity) error {
+	// A path variable bound on entry is an error when its part is
+	// reached; only the first such part can be.
+	declared := slices.IndexFunc(parts, func(p *ast.PatternPart) bool {
+		_, bound := env[p.Var]
+		return p.Var != "" && bound
+	})
 	for partIdx, part := range parts {
 		var pathNodes []int64
 		var pathRels []int64
 
 		resolveNode := func(np *ast.NodePattern, slot int) (graph.NodeID, error) {
 			if np.Var != "" {
-				if bound, ok := out[np.Var]; ok {
+				if bound, ok := env[np.Var]; ok {
 					nv, isNode := bound.(value.Node)
 					if !isNode {
 						if value.IsNull(bound) {
@@ -106,28 +80,32 @@ func (x *executor) createInstanceTracked(parts []*ast.PatternPart, env expr.Env,
 					return graph.NodeID(nv.ID), nil
 				}
 			}
-			props, err := x.ev.EvalPropMap(np.Props, out)
+			props, err := x.ev.EvalPropMap(np.Props, env)
 			if err != nil {
 				return 0, err
 			}
 			n := x.graph.CreateNode(np.Labels, props)
 			x.stats.NodesCreated++
-			created = append(created, createdEntity{isNode: true, nodeID: n.ID, part: partIdx, slot: slot})
+			if track != nil {
+				*track = append(*track, createdEntity{isNode: true, nodeID: n.ID, part: partIdx, slot: slot})
+			}
 			if np.Var != "" {
-				out[np.Var] = value.Node{ID: int64(n.ID)}
+				env[np.Var] = value.Node{ID: int64(n.ID)}
 			}
 			return n.ID, nil
 		}
 
 		prev, err := resolveNode(part.Nodes[0], 0)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		pathNodes = append(pathNodes, int64(prev))
+		if part.Var != "" {
+			pathNodes = append(pathNodes, int64(prev))
+		}
 		for ri, rp := range part.Rels {
 			next, err := resolveNode(part.Nodes[ri+1], ri+1)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			src, tgt := prev, next
 			// An undirected relationship (legal only in legacy MERGE
@@ -135,32 +113,36 @@ func (x *executor) createInstanceTracked(parts []*ast.PatternPart, env expr.Env,
 			if rp.Direction == ast.DirIn {
 				src, tgt = next, prev
 			}
-			props, err := x.ev.EvalPropMap(rp.Props, out)
+			props, err := x.ev.EvalPropMap(rp.Props, env)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			r, err := x.graph.CreateRel(src, tgt, rp.Types[0], props)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			x.stats.RelsCreated++
-			created = append(created, createdEntity{isNode: false, relID: r.ID, part: partIdx, slot: ri})
-			if rp.Var != "" {
-				if _, bound := out[rp.Var]; bound {
-					return nil, nil, fmt.Errorf("relationship variable `%s` already declared", rp.Var)
-				}
-				out[rp.Var] = value.Rel{ID: int64(r.ID)}
+			if track != nil {
+				*track = append(*track, createdEntity{isNode: false, relID: r.ID, part: partIdx, slot: ri})
 			}
-			pathNodes = append(pathNodes, int64(next))
-			pathRels = append(pathRels, int64(r.ID))
+			if rp.Var != "" {
+				if _, bound := env[rp.Var]; bound {
+					return fmt.Errorf("relationship variable `%s` already declared", rp.Var)
+				}
+				env[rp.Var] = value.Rel{ID: int64(r.ID)}
+			}
+			if part.Var != "" {
+				pathNodes = append(pathNodes, int64(next))
+				pathRels = append(pathRels, int64(r.ID))
+			}
 			prev = next
 		}
+		if partIdx == declared {
+			return fmt.Errorf("path variable `%s` already declared", part.Var)
+		}
 		if part.Var != "" {
-			if _, bound := env[part.Var]; bound {
-				return nil, nil, fmt.Errorf("path variable `%s` already declared", part.Var)
-			}
-			out[part.Var] = value.Path{Nodes: pathNodes, Rels: pathRels}
+			env[part.Var] = value.Path{Nodes: pathNodes, Rels: pathRels}
 		}
 	}
-	return out, created, nil
+	return nil
 }

@@ -19,8 +19,12 @@
 // Every statement lowers to one streaming operator plan (package plan):
 // reading clauses stream batch by batch, and each update clause runs
 // behind a barrier that hands the dialect's clause function its whole
-// driving table. Seeded property oracles and pinned golden corpora in
-// this package's tests specify the results.
+// driving table as one columnar plan.Batch. A clause function walks the
+// rows the way the read operators do, loading each into one reused
+// environment, and writes its output rows into a batch over the columns
+// the plan gave it (plan.WriteColumns); a clause that adds no column
+// returns its input. Seeded property oracles and pinned golden corpora
+// in this package's tests specify the results.
 //
 // A statement executes under a journal: any error rolls the graph back to
 // its pre-statement state, giving statements all-or-nothing semantics.
@@ -29,6 +33,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/ast"
@@ -478,48 +483,81 @@ func (x *executor) matcherFor(ev *expr.Evaluator, parts []*ast.PatternPart) *mat
 	}
 }
 
-// clause applies one update clause to a materialized driving table —
-// the [[C]](G, T) of the paper, with the graph mutated in place. It is
-// the plan's Write hook, and FOREACH applies its body clauses through
-// it.
-func (x *executor) clause(c ast.Clause, t *table.Table) (*table.Table, error) {
+// clause applies one update clause to a driving batch — the
+// [[C]](G, T) of the paper, with the graph mutated in place — and
+// returns the clause's output batch over cols (see plan.WriteColumns).
+// It is the plan's Write hook, and FOREACH applies its body clauses
+// through it. SET, REMOVE, DELETE and FOREACH return in itself.
+func (x *executor) clause(c ast.Clause, in *plan.Batch, cols []string) (*plan.Batch, error) {
+	legacy := x.cfg.Dialect == DialectCypher9
+	var err error
 	switch cl := c.(type) {
 	case *ast.CreateClause:
-		return x.execCreate(cl, t)
-	case *ast.SetClause:
-		if x.cfg.Dialect == DialectCypher9 {
-			return x.execSetLegacy(cl.Items, t)
-		}
-		return x.execSetRevised(cl.Items, t)
-	case *ast.RemoveClause:
-		if x.cfg.Dialect == DialectCypher9 {
-			return x.execRemoveLegacy(cl, t)
-		}
-		return x.execRemoveRevised(cl, t)
-	case *ast.DeleteClause:
-		if x.cfg.Dialect == DialectCypher9 {
-			return x.execDeleteLegacy(cl, t)
-		}
-		return x.execDeleteRevised(cl, t)
+		return x.execCreate(cl, in, cols)
 	case *ast.MergeClause:
-		return x.execMerge(cl, t)
+		return x.execMerge(cl, in, cols)
+	case *ast.SetClause:
+		if legacy {
+			err = x.execSetLegacy(cl.Items, in)
+		} else {
+			err = x.execSetRevised(cl.Items, in)
+		}
+	case *ast.RemoveClause:
+		if legacy {
+			err = x.execRemoveLegacy(cl, in)
+		} else {
+			err = x.execRemoveRevised(cl, in)
+		}
+	case *ast.DeleteClause:
+		if legacy {
+			err = x.execDeleteLegacy(cl, in)
+		} else {
+			err = x.execDeleteRevised(cl, in)
+		}
 	case *ast.ForeachClause:
-		return x.execForeach(cl, t)
+		err = x.execForeach(cl, in)
 	default:
-		return nil, fmt.Errorf("unsupported clause %T", c)
+		err = fmt.Errorf("unsupported clause %T", c)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return in, nil
 }
 
-// rowOrder yields row indices in the configured scan order (legacy mode).
-func (x *executor) rowOrder(t *table.Table) []int {
-	idx := make([]int, t.Len())
+// rowOrder yields the indices of n rows in the configured scan order
+// (legacy mode).
+func (x *executor) rowOrder(n int) []int {
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	if x.cfg.ScanOrder == ScanReverse {
-		for i, j := 0, len(idx)-1; i < j; i, j = i+1, j-1 {
-			idx[i], idx[j] = idx[j], idx[i]
-		}
+		slices.Reverse(idx)
 	}
 	return idx
+}
+
+// loadRow loads row i of in into env, the clause's one scratch
+// environment, and unbinds fresh, the variables the clause binds per
+// row, so no binding of the previous row survives into this one.
+func loadRow(env expr.Env, in *plan.Batch, i int, fresh []string) {
+	in.LoadEnv(env, i)
+	for _, v := range fresh {
+		delete(env, v)
+	}
+}
+
+// applyChanges installs a revised-dialect change set and counts it by
+// kind: property writes (a removal writes null), label additions and
+// label removals.
+func (x *executor) applyChanges(cs *graph.ChangeSet) error {
+	props, added, removed := cs.Counts()
+	if err := cs.Apply(x.graph); err != nil {
+		return err
+	}
+	x.stats.PropsSet += props
+	x.stats.LabelsAdded += added
+	x.stats.LabelsRemoved += removed
+	return nil
 }

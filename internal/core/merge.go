@@ -2,19 +2,20 @@ package core
 
 import (
 	"fmt"
-	"maps"
+	"math"
 	"strconv"
 	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/expr"
 	"repro/internal/graph"
-	"repro/internal/table"
+	"repro/internal/match"
+	"repro/internal/plan"
 	"repro/internal/value"
 )
 
 // execMerge dispatches a MERGE clause to the configured strategy.
-func (x *executor) execMerge(cl *ast.MergeClause, t *table.Table) (*table.Table, error) {
+func (x *executor) execMerge(cl *ast.MergeClause, in *plan.Batch, cols []string) (*plan.Batch, error) {
 	strategy := x.cfg.MergeStrategy
 	if strategy == StrategyFromForm {
 		switch cl.Form {
@@ -30,9 +31,9 @@ func (x *executor) execMerge(cl *ast.MergeClause, t *table.Table) (*table.Table,
 		}
 	}
 	if strategy == StrategyLegacy {
-		return x.execMergeLegacy(cl, t)
+		return x.execMergeLegacy(cl, in, cols)
 	}
-	return x.execMergeAtomicFamily(cl, t, strategy)
+	return x.execMergeAtomicFamily(cl, in, cols, strategy)
 }
 
 // execMergeAtomicFamily implements the deterministic MERGE semantics of
@@ -49,148 +50,109 @@ func (x *executor) execMerge(cl *ast.MergeClause, t *table.Table) (*table.Table,
 //	Strong Collapse relationship collapse across positions too
 //	                (MERGE SAME; Definitions 1 and 2).
 //
-// The output table is T_match ⊎ T_create with created-entity references
-// rewritten to class representatives.
-func (x *executor) execMergeAtomicFamily(cl *ast.MergeClause, t *table.Table, strategy MergeStrategy) (*table.Table, error) {
-	newVars := freshVarsForCreate(cl.Pattern, t)
-	out := table.New(append(t.Columns(), newVars...)...)
+// The output table is T_match ⊎ T_create in input-record order, with
+// created-entity references rewritten to class representatives.
+func (x *executor) execMergeAtomicFamily(cl *ast.MergeClause, in *plan.Batch, cols []string, strategy MergeStrategy) (*plan.Batch, error) {
+	nIn := len(in.Columns())
+	fresh := cols[nIn:]
+	out := plan.NewBatch(cols, in.Len())
+	env := make(expr.Env, len(cols))
 
-	// Phase 1: match everything against the input graph.
+	// Phase 1: match every record against the input graph. A record's
+	// matches go straight to the output; a failing record leaves a row
+	// whose fresh columns phase 2 fills.
 	m := x.matcherFor(x.ev, cl.Pattern)
-	outcomes := make([]mergeOutcome, 0, t.Len())
-	for i := 0; i < t.Len(); i++ {
-		env := expr.Env(t.Row(i))
-		matches, err := m.Match(cl.Pattern, env)
+	var it match.Iter
+	sink := out.AppendEnv
+	var fails []mergeFail
+	for i := 0; i < in.Len(); i++ {
+		in.LoadEnv(env, i)
+		it.Reset(m, cl.Pattern, env, nil)
+		n, err := it.Next(math.MaxInt, sink)
 		if err != nil {
 			return nil, err
 		}
-		outcomes = append(outcomes, mergeOutcome{row: i, matches: matches})
+		if n == 0 {
+			fails = append(fails, mergeFail{in: i, out: out.Len()})
+			out.AppendEnv(env)
+		}
 	}
 
-	// Phase 2: create for the failing records.
+	// Phase 2: create for the failing records, one instance per record
+	// (Atomic) or per group of records agreeing on the pattern's
+	// expressions (every other strategy).
 	var allCreated []createdEntity
-	createEnvs := make(map[int]expr.Env) // row index -> created bindings
-	groups := make(map[string]expr.Env)  // grouping key -> shared bindings
-	var matchRows, createRows int
-
-	for _, oc := range outcomes {
-		if len(oc.matches) > 0 {
-			continue
+	groups := make(map[string]int) // grouping key -> output row of the group's instance
+	setFresh := func(row int) {
+		for k, v := range fresh {
+			out.Column(nIn + k)[row] = env[v]
 		}
-		env := expr.Env(t.Row(oc.row))
-		if strategy == StrategyGrouping || strategy == StrategyWeakCollapse ||
-			strategy == StrategyCollapse || strategy == StrategyStrongCollapse {
+	}
+	for _, f := range fails {
+		loadRow(env, in, f.in, fresh)
+		if strategy != StrategyAtomic {
 			key, err := x.mergeGroupKey(cl.Pattern, env)
 			if err != nil {
 				return nil, err
 			}
 			if shared, ok := groups[key]; ok {
-				// Reuse the group's created entities for this record.
-				env2 := maps.Clone(env)
-				for _, v := range newVars {
-					if bv, ok := shared[v]; ok {
-						env2[v] = bv
-					}
+				for k, v := range fresh {
+					env[v] = out.Value(shared, nIn+k)
 				}
-				createEnvs[oc.row] = env2
+				setFresh(f.out)
 				continue
 			}
-			env2, created, err := x.createInstanceTracked(cl.Pattern, env, true)
-			if err != nil {
-				return nil, err
-			}
-			allCreated = append(allCreated, created...)
-			groups[key] = env2
-			createEnvs[oc.row] = env2
-			continue
+			groups[key] = f.out
 		}
-		// Atomic: one instance per record.
-		env2, created, err := x.createInstanceTracked(cl.Pattern, env, true)
-		if err != nil {
+		if err := x.createInstance(cl.Pattern, env, true, &allCreated); err != nil {
 			return nil, err
 		}
-		allCreated = append(allCreated, created...)
-		createEnvs[oc.row] = env2
+		setFresh(f.out)
 	}
 
-	// Phase 3: collapse (Weak/Collapse/Strong only).
-	var nodeRemap map[graph.NodeID]graph.NodeID
-	var relRemap map[graph.RelID]graph.RelID
+	// Phase 3: collapse (Weak/Collapse/Strong only), rewriting the
+	// created rows' references to the class representatives.
 	if strategy == StrategyWeakCollapse || strategy == StrategyCollapse || strategy == StrategyStrongCollapse {
-		var err error
-		nodeRemap, relRemap, err = x.collapseCreated(allCreated, strategy)
+		nodeRemap, relRemap, err := x.collapseCreated(allCreated, strategy)
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	// Phase 4: assemble T_match ⊎ T_create in input-record order,
-	// rewriting references to collapsed entities.
-	for _, oc := range outcomes {
-		if len(oc.matches) > 0 {
-			for _, me := range oc.matches {
-				out.AppendMap(me)
-				matchRows++
+		for j := range cols {
+			col := out.Column(j)
+			for _, f := range fails {
+				col[f.out] = remapValue(col[f.out], nodeRemap, relRemap)
 			}
-			continue
 		}
-		env := createEnvs[oc.row]
-		if nodeRemap != nil {
-			remapped := make(expr.Env, len(env))
-			for k, v := range env {
-				remapped[k] = remapValue(v, nodeRemap, relRemap)
-			}
-			env = remapped
-		}
-		out.AppendMap(env)
-		createRows++
 	}
 
 	// ON CREATE / ON MATCH (legal in the Cypher 9 dialect only; the
-	// revised validator rejects them) are applied as atomic SET passes.
+	// revised validator rejects them) are applied as one atomic SET
+	// pass over the output rows.
 	if len(cl.OnCreate) > 0 || len(cl.OnMatch) > 0 {
-		if err := x.applyOnSets(cl, out, outcomes, t); err != nil {
+		cs := graph.NewChangeSet()
+		for r, next := 0, 0; r < out.Len(); r++ {
+			items := cl.OnMatch
+			if next < len(fails) && fails[next].out == r {
+				items = cl.OnCreate
+				next++
+			}
+			out.LoadEnv(env, r)
+			for _, item := range items {
+				if err := x.collectSetItem(cs, item, env); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if err := x.applyChanges(cs); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// mergeOutcome records, per input record, the matches found against the
-// input graph (empty means the record is in T_fail).
-type mergeOutcome struct {
-	row     int
-	matches []expr.Env
-}
-
-// applyOnSets runs ON MATCH SET over matched rows and ON CREATE SET over
-// created rows, using the atomic (conflict-checked) SET semantics.
-func (x *executor) applyOnSets(cl *ast.MergeClause, out *table.Table, outcomes []mergeOutcome, t *table.Table) error {
-	cs := graph.NewChangeSet()
-	rowIdx := 0
-	for _, oc := range outcomes {
-		if len(oc.matches) > 0 {
-			for range oc.matches {
-				env := expr.Env(out.Row(rowIdx))
-				for _, item := range cl.OnMatch {
-					if err := x.collectSetItem(cs, item, env); err != nil {
-						return err
-					}
-				}
-				rowIdx++
-			}
-			continue
-		}
-		env := expr.Env(out.Row(rowIdx))
-		for _, item := range cl.OnCreate {
-			if err := x.collectSetItem(cs, item, env); err != nil {
-				return err
-			}
-		}
-		rowIdx++
-	}
-	return cs.Apply(x.graph)
-}
+// mergeFail places a record that matched nothing: its row in the
+// driving batch and the output row its created bindings fill.
+type mergeFail struct{ in, out int }
 
 // mergeGroupKey canonically encodes the values of all expressions
 // appearing in the pattern for one record: bound variables used in the

@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/expr"
 	"repro/internal/graph"
-	"repro/internal/table"
+	"repro/internal/match"
+	"repro/internal/plan"
 	"repro/internal/value"
 )
 
@@ -21,16 +24,17 @@ import (
 // one item at a time. This is exactly the behaviour of Example 1 (the
 // "swap" that degenerates into two sequential assignments) and Example 2
 // (order-dependent final values when matches overlap).
-func (x *executor) execSetLegacy(items []ast.SetItem, t *table.Table) (*table.Table, error) {
-	for _, i := range x.rowOrder(t) {
-		env := expr.Env(t.Row(i))
+func (x *executor) execSetLegacy(items []ast.SetItem, in *plan.Batch) error {
+	env := make(expr.Env, len(in.Columns()))
+	for _, i := range x.rowOrder(in.Len()) {
+		in.LoadEnv(env, i)
 		for _, item := range items {
 			if err := x.applySetItemLegacy(item, env); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return t, nil
+	return nil
 }
 
 func (x *executor) applySetItemLegacy(item ast.SetItem, env expr.Env) error {
@@ -176,44 +180,45 @@ func (x *executor) entityPropKeys(target value.Value) ([]string, error) {
 }
 
 // execRemoveLegacy removes labels and properties immediately per record.
-func (x *executor) execRemoveLegacy(cl *ast.RemoveClause, t *table.Table) (*table.Table, error) {
-	for _, i := range x.rowOrder(t) {
-		env := expr.Env(t.Row(i))
+func (x *executor) execRemoveLegacy(cl *ast.RemoveClause, in *plan.Batch) error {
+	env := make(expr.Env, len(in.Columns()))
+	for _, i := range x.rowOrder(in.Len()) {
+		in.LoadEnv(env, i)
 		for _, item := range cl.Items {
 			switch it := item.(type) {
 			case *ast.RemoveProp:
 				target, err := x.ev.Eval(it.Target, env)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if err := x.legacySetProp(target, it.Key, value.NullValue); err != nil {
-					return nil, err
+					return err
 				}
 			case *ast.RemoveLabels:
 				target, ok := env[it.Var]
 				if !ok {
-					return nil, fmt.Errorf("variable `%s` not defined", it.Var)
+					return fmt.Errorf("variable `%s` not defined", it.Var)
 				}
 				if value.IsNull(target) {
 					continue
 				}
 				n, ok := target.(value.Node)
 				if !ok {
-					return nil, fmt.Errorf("REMOVE label target must be a node, got %s", target.Kind())
+					return fmt.Errorf("REMOVE label target must be a node, got %s", target.Kind())
 				}
 				if x.graph.Node(graph.NodeID(n.ID)) == nil {
 					continue
 				}
 				for _, l := range it.Labels {
 					if err := x.graph.RemoveLabel(graph.NodeID(n.ID), l); err != nil {
-						return nil, err
+						return err
 					}
 					x.stats.LabelsRemoved++
 				}
 			}
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // execDeleteLegacy deletes entities immediately per record. Deleting a
@@ -222,20 +227,21 @@ func (x *executor) execRemoveLegacy(cl *ast.RemoveClause, t *table.Table) (*tabl
 // ExecuteWithTable plays the role of Neo4j's commit-time check. Deleted
 // entities remain referenced by the driving table, which is how the
 // Section 4.2 query can go on to SET and RETURN a deleted node.
-func (x *executor) execDeleteLegacy(cl *ast.DeleteClause, t *table.Table) (*table.Table, error) {
-	for _, i := range x.rowOrder(t) {
-		env := expr.Env(t.Row(i))
+func (x *executor) execDeleteLegacy(cl *ast.DeleteClause, in *plan.Batch) error {
+	env := make(expr.Env, len(in.Columns()))
+	for _, i := range x.rowOrder(in.Len()) {
+		in.LoadEnv(env, i)
 		for _, e := range cl.Exprs {
 			v, err := x.ev.Eval(e, env)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if err := x.legacyDeleteValue(v, cl.Detach); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return t, nil
+	return nil
 }
 
 func (x *executor) legacyDeleteValue(v value.Value, detach bool) error {
@@ -282,76 +288,80 @@ func (x *executor) legacyDeleteValue(v value.Value, detach bool) error {
 // execMergeLegacy is the Cypher 9 MERGE: per record, match-or-create
 // against the live graph. Because earlier records' creations are visible
 // to later records, the result depends on the scan order — the
-// nondeterminism of Example 3 / Figure 6.
-func (x *executor) execMergeLegacy(cl *ast.MergeClause, t *table.Table) (*table.Table, error) {
-	newVars := freshVarsForCreate(cl.Pattern, t)
-	out := table.New(append(t.Columns(), newVars...)...)
+// nondeterminism of Example 3 / Figure 6. A record's matches are all
+// written to the output before ON MATCH SET runs over them.
+func (x *executor) execMergeLegacy(cl *ast.MergeClause, in *plan.Batch, cols []string) (*plan.Batch, error) {
+	fresh := cols[len(in.Columns()):]
+	out := plan.NewBatch(cols, in.Len())
+	env := make(expr.Env, len(cols))
 	m := x.matcherFor(x.ev, cl.Pattern)
-	for _, i := range x.rowOrder(t) {
-		env := expr.Env(t.Row(i))
-		matches, err := m.Match(cl.Pattern, env)
-		if err != nil {
+	var it match.Iter
+	sink := out.AppendEnv
+	for _, i := range x.rowOrder(in.Len()) {
+		loadRow(env, in, i, fresh)
+		from := out.Len()
+		it.Reset(m, cl.Pattern, env, nil)
+		if _, err := it.Next(math.MaxInt, sink); err != nil {
 			return nil, err
 		}
-		if len(matches) > 0 {
-			for _, me := range matches {
+		if out.Len() > from {
+			for r := from; r < out.Len() && len(cl.OnMatch) > 0; r++ {
+				out.LoadEnv(env, r)
 				for _, item := range cl.OnMatch {
-					if err := x.applySetItemLegacy(item, me); err != nil {
+					if err := x.applySetItemLegacy(item, env); err != nil {
 						return nil, err
 					}
 				}
-				out.AppendMap(me)
 			}
 			continue
 		}
-		env2, err := x.createInstance(cl.Pattern, env, true)
-		if err != nil {
+		if err := x.createInstance(cl.Pattern, env, true, nil); err != nil {
 			return nil, err
 		}
 		for _, item := range cl.OnCreate {
-			if err := x.applySetItemLegacy(item, env2); err != nil {
+			if err := x.applySetItemLegacy(item, env); err != nil {
 				return nil, err
 			}
 		}
-		out.AppendMap(env2)
+		out.AppendEnv(env)
 	}
 	return out, nil
 }
 
 // execForeach expands each record by the list elements and runs the body
-// update clauses over the expanded table, then restores the original
-// table (FOREACH introduces no bindings downstream).
-func (x *executor) execForeach(cl *ast.ForeachClause, t *table.Table) (*table.Table, error) {
-	if t.HasColumn(cl.Var) {
-		return nil, fmt.Errorf("variable `%s` already declared", cl.Var)
+// update clauses over the expanded table, each over the columns
+// plan.WriteColumns gives it; the driving table passes through
+// unchanged (FOREACH introduces no bindings downstream).
+func (x *executor) execForeach(cl *ast.ForeachClause, in *plan.Batch) error {
+	if slices.Contains(in.Columns(), cl.Var) {
+		return fmt.Errorf("variable `%s` already declared", cl.Var)
 	}
-	expanded := table.New(append(t.Columns(), cl.Var)...)
-	for _, i := range x.rowOrder(t) {
-		env := expr.Env(t.Row(i))
+	cur := plan.NewBatch(slices.Concat(in.Columns(), []string{cl.Var}), in.Len())
+	env := make(expr.Env, len(in.Columns())+1)
+	for _, i := range x.rowOrder(in.Len()) {
+		in.LoadEnv(env, i)
+		delete(env, cl.Var)
 		v, err := x.ev.Eval(cl.List, env)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if value.IsNull(v) {
 			continue
 		}
 		lst, ok := value.AsList(v)
 		if !ok {
-			return nil, fmt.Errorf("FOREACH expects a list, got %s", v.Kind())
+			return fmt.Errorf("FOREACH expects a list, got %s", v.Kind())
 		}
 		for _, el := range lst {
-			row := t.Row(i)
-			row[cl.Var] = el
-			expanded.AppendMap(row)
+			env[cl.Var] = el
+			cur.AppendEnv(env)
 		}
 	}
-	cur := expanded
 	var err error
 	for _, body := range cl.Body {
-		cur, err = x.clause(body, cur)
-		if err != nil {
-			return nil, err
+		if cur, err = x.clause(body, cur, plan.WriteColumns(body, cur.Columns())); err != nil {
+			return err
 		}
 	}
-	return t, nil
+	return nil
 }

@@ -6,7 +6,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/expr"
 	"repro/internal/graph"
-	"repro/internal/table"
+	"repro/internal/plan"
 	"repro/internal/value"
 )
 
@@ -20,22 +20,18 @@ import (
 // collected over the whole driving table, conflicting property writes
 // abort the statement (Example 2), and the collected changes are applied
 // in one step — so Example 1's swap reads both old values.
-func (x *executor) execSetRevised(items []ast.SetItem, t *table.Table) (*table.Table, error) {
+func (x *executor) execSetRevised(items []ast.SetItem, in *plan.Batch) error {
 	cs := graph.NewChangeSet()
-	for i := 0; i < t.Len(); i++ {
-		env := expr.Env(t.Row(i))
+	env := make(expr.Env, len(in.Columns()))
+	for i := 0; i < in.Len(); i++ {
+		in.LoadEnv(env, i)
 		for _, item := range items {
 			if err := x.collectSetItem(cs, item, env); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	n := cs.Len()
-	if err := cs.Apply(x.graph); err != nil {
-		return nil, err
-	}
-	x.stats.PropsSet += n // approximate: counts label changes too
-	return t, nil
+	return x.applyChanges(cs)
 }
 
 // collectSetItem records the changes a single SET item induces for one
@@ -154,38 +150,39 @@ func entityRef(target value.Value, clause string) (graph.EntityRef, bool, error)
 // execRemoveRevised collects all removals and applies them atomically.
 // Removals cannot conflict (Section 8.2), so no conflict errors arise
 // from REMOVE alone.
-func (x *executor) execRemoveRevised(cl *ast.RemoveClause, t *table.Table) (*table.Table, error) {
+func (x *executor) execRemoveRevised(cl *ast.RemoveClause, in *plan.Batch) error {
 	cs := graph.NewChangeSet()
-	for i := 0; i < t.Len(); i++ {
-		env := expr.Env(t.Row(i))
+	env := make(expr.Env, len(in.Columns()))
+	for i := 0; i < in.Len(); i++ {
+		in.LoadEnv(env, i)
 		for _, item := range cl.Items {
 			switch it := item.(type) {
 			case *ast.RemoveProp:
 				target, err := x.ev.Eval(it.Target, env)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				ref, ok, err := entityRef(target, "REMOVE")
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if !ok {
 					continue
 				}
 				if err := cs.RemoveProp(ref, it.Key); err != nil {
-					return nil, err
+					return err
 				}
 			case *ast.RemoveLabels:
 				target, ok := env[it.Var]
 				if !ok {
-					return nil, fmt.Errorf("variable `%s` not defined", it.Var)
+					return fmt.Errorf("variable `%s` not defined", it.Var)
 				}
 				if value.IsNull(target) {
 					continue
 				}
 				n, isNode := target.(value.Node)
 				if !isNode {
-					return nil, fmt.Errorf("REMOVE label target must be a node, got %s", target.Kind())
+					return fmt.Errorf("REMOVE label target must be a node, got %s", target.Kind())
 				}
 				for _, l := range it.Labels {
 					cs.RemoveLabel(graph.NodeID(n.ID), l)
@@ -193,30 +190,26 @@ func (x *executor) execRemoveRevised(cl *ast.RemoveClause, t *table.Table) (*tab
 			}
 		}
 	}
-	n := cs.Len()
-	if err := cs.Apply(x.graph); err != nil {
-		return nil, err
-	}
-	x.stats.LabelsRemoved += n
-	return t, nil
+	return x.applyChanges(cs)
 }
 
 // execDeleteRevised implements the strict semantics of Section 7: all
 // entities to delete are collected first; DETACH expands to attached
 // relationships; plain DELETE errors if a dangling relationship would
 // remain; everything is removed in one step, and every reference to a
-// deleted entity in the driving table is replaced by null.
-func (x *executor) execDeleteRevised(cl *ast.DeleteClause, t *table.Table) (*table.Table, error) {
+// deleted entity in the driving batch is replaced by null, in place.
+func (x *executor) execDeleteRevised(cl *ast.DeleteClause, in *plan.Batch) error {
 	ds := graph.NewDeleteSet()
-	for i := 0; i < t.Len(); i++ {
-		env := expr.Env(t.Row(i))
+	env := make(expr.Env, len(in.Columns()))
+	for i := 0; i < in.Len(); i++ {
+		in.LoadEnv(env, i)
 		for _, e := range cl.Exprs {
 			v, err := x.ev.Eval(e, env)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if err := collectDelete(ds, v); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -224,25 +217,22 @@ func (x *executor) execDeleteRevised(cl *ast.DeleteClause, t *table.Table) (*tab
 		ds.Expand(x.graph)
 	}
 	if err := ds.Check(x.graph); err != nil {
-		return nil, fmt.Errorf("DELETE would leave dangling relationships: %w (use DETACH DELETE)", err)
+		return fmt.Errorf("DELETE would leave dangling relationships: %w (use DETACH DELETE)", err)
 	}
 	nodesBefore, relsBefore := x.graph.NumNodes(), x.graph.NumRels()
 	if err := ds.Apply(x.graph); err != nil {
-		return nil, err
+		return err
 	}
 	x.stats.NodesDeleted += nodesBefore - x.graph.NumNodes()
 	x.stats.RelsDeleted += relsBefore - x.graph.NumRels()
 
-	// Null out references to deleted entities everywhere in the table.
-	out := t.CloneEmpty()
-	for i := 0; i < t.Len(); i++ {
-		row := t.Values(i)
-		for j, v := range row {
-			row[j] = nullDeleted(v, ds)
+	for j := range in.Columns() {
+		col := in.Column(j)
+		for i, v := range col {
+			col[i] = nullDeleted(v, ds)
 		}
-		out.AppendRow(row...)
 	}
-	return out, nil
+	return nil
 }
 
 func collectDelete(ds *graph.DeleteSet, v value.Value) error {

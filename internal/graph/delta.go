@@ -80,16 +80,16 @@ func NewChangeSet() *ChangeSet {
 	}
 }
 
-// Len reports the number of accumulated changes.
-func (c *ChangeSet) Len() int {
-	n := len(c.props)
+// Counts reports the accumulated changes by kind: property writes (a
+// removal writes null), label additions and label removals.
+func (c *ChangeSet) Counts() (props, added, removed int) {
 	for _, s := range c.addLabels {
-		n += len(s)
+		added += len(s)
 	}
 	for _, s := range c.remLabels {
-		n += len(s)
+		removed += len(s)
 	}
-	return n
+	return len(c.props), added, removed
 }
 
 // SetProp records the assignment of v (null meaning removal) to a

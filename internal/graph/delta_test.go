@@ -65,8 +65,8 @@ func TestChangeSetApply(t *testing.T) {
 	cs.SetProp(RelRef(r.ID), "w", value.Int(20))
 	cs.AddLabel(a.ID, "New")
 	cs.RemoveLabel(a.ID, "Old")
-	if cs.Len() != 5 {
-		t.Errorf("Len = %d, want 5", cs.Len())
+	if p, a, r := cs.Counts(); p != 3 || a != 1 || r != 1 {
+		t.Errorf("Counts = %d, %d, %d; want 3, 1, 1", p, a, r)
 	}
 	if err := cs.Apply(g); err != nil {
 		t.Fatal(err)

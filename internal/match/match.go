@@ -96,7 +96,7 @@ type Matcher struct {
 	seen    *slotEntry
 	seenVer int64
 
-	// it is the iterator Match and MatchExists reuse across calls.
+	// it is the iterator Match reuses across calls.
 	it Iter
 }
 
@@ -109,10 +109,11 @@ func (m *Matcher) SetPushdown(pd *Pushdown) {
 	m.NodePreds, m.RelPreds, m.PrePreds = pd.Node, pd.Rel, pd.Pre
 }
 
-// Match enumerates all matches eagerly, collecting them into a slice,
-// for callers that need the full set: the MERGE clauses decide between
-// matching and creating per record. Each match is its own map; env is
-// not written.
+// Match enumerates all matches eagerly, collecting them into a slice.
+// Each match is its own map; env is not written. The engine itself
+// reads matches through an Iter's sink (the Match operator and the
+// MERGE clauses), so no match costs it a map; Match is the eager form
+// the package's tests state their expectations in.
 func (m *Matcher) Match(parts []*ast.PatternPart, env expr.Env) ([]expr.Env, error) {
 	m.it.Reset(m, parts, env, nil)
 	var res []expr.Env
@@ -120,13 +121,6 @@ func (m *Matcher) Match(parts []*ast.PatternPart, env expr.Env) ([]expr.Env, err
 		return nil, err
 	}
 	return res, nil
-}
-
-// MatchExists reports whether at least one match exists (early exit).
-func (m *Matcher) MatchExists(parts []*ast.PatternPart, env expr.Env) (bool, error) {
-	m.it.Reset(m, parts, env, nil)
-	n, err := m.it.Next(1, func(expr.Env) {})
-	return n > 0 && err == nil, err
 }
 
 // prePredsExclude reports whether a pre-predicate rules env out.

@@ -323,19 +323,6 @@ func TestNamedPathBinding(t *testing.T) {
 	}
 }
 
-func TestMatchExists(t *testing.T) {
-	g, _ := figure1()
-	m := matcher(g)
-	ok, err := m.MatchExists(patternOf(t, "(v:Vendor)"), expr.Env{})
-	if err != nil || !ok {
-		t.Error("vendor should exist")
-	}
-	ok, err = m.MatchExists(patternOf(t, "(v:Nope)"), expr.Env{})
-	if err != nil || ok {
-		t.Error("Nope should not exist")
-	}
-}
-
 func TestPatternVariables(t *testing.T) {
 	pat := patternOf(t, "pth = (a)-[r:T]->(b), (a)-[:U]->(c)")
 	vars := PatternVariables(pat)

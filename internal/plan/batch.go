@@ -34,7 +34,10 @@ type Batch struct {
 	n    int
 }
 
-func newBatch(cols []string, capacity int) *Batch {
+// NewBatch returns an empty batch over cols with room for capacity
+// rows per column. The update clause functions build their output
+// batches with it.
+func NewBatch(cols []string, capacity int) *Batch {
 	b := &Batch{cols: cols, vals: make([][]value.Value, len(cols))}
 	for j := range b.vals {
 		b.vals[j] = make([]value.Value, 0, capacity)
@@ -58,9 +61,15 @@ func (b *Batch) Columns() []string { return b.cols }
 // Value returns column j of row i.
 func (b *Batch) Value(i, j int) value.Value { return b.vals[j][i] }
 
-// appendEnv appends one row given as an environment, normalizing:
+// Column returns column j's values, one per row. The slice is the
+// batch's own storage: a write to a cell writes the batch. Only the
+// owner of a batch may write it (the update barrier owns the batch it
+// hands its clause function).
+func (b *Batch) Column(j int) []value.Value { return b.vals[j] }
+
+// AppendEnv appends one row given as an environment, normalizing:
 // missing or nil columns become explicit nulls.
-func (b *Batch) appendEnv(env expr.Env) {
+func (b *Batch) AppendEnv(env expr.Env) {
 	for j, c := range b.cols {
 		v, ok := env[c]
 		if !ok || v == nil {
@@ -96,11 +105,23 @@ func (b *Batch) appendRowFrom(src *Batch, i int) {
 	b.n++
 }
 
-// slice returns a view of rows [from, to) sharing column storage.
+// appendBatch appends all rows of src, a batch over the same columns,
+// copying its values into b's own column slices. Source environments
+// are dropped.
+func (b *Batch) appendBatch(src *Batch) {
+	for j := range b.vals {
+		b.vals[j] = append(b.vals[j], src.vals[j][:src.n]...)
+	}
+	b.n += src.n
+}
+
+// slice returns a view of rows [from, to) sharing column storage. The
+// view's columns are capped at to, so an append to one cannot write
+// the rows after it.
 func (b *Batch) slice(from, to int) *Batch {
 	out := &Batch{cols: b.cols, vals: make([][]value.Value, len(b.vals)), n: to - from}
 	for j := range b.vals {
-		out.vals[j] = b.vals[j][from:to]
+		out.vals[j] = b.vals[j][from:to:to]
 	}
 	if b.src != nil {
 		out.src = b.src[from:to]
@@ -117,12 +138,14 @@ func (b *Batch) Env(i int) expr.Env {
 	return env
 }
 
-// loadEnv overwrites the batch's columns of env with row i's values.
-// Operators reuse one scratch environment across the rows of a batch:
-// this is safe because nothing retains or writes the environment it is
-// handed — expression binders push scope frames beside it, and a match
-// iterator copies it into an environment of its own (match.Iter.Reset).
-func (b *Batch) loadEnv(env expr.Env, i int) {
+// LoadEnv overwrites the batch's columns of env with row i's values.
+// Operators and the update clause functions reuse one scratch
+// environment across the rows of a batch: this is safe because nothing
+// retains the environment it is handed — expression binders push scope
+// frames beside it, and a match iterator copies it into an environment
+// of its own (match.Iter.Reset). Only the environment's owner writes it
+// (CREATE and MERGE bind the entities they create in place).
+func (b *Batch) LoadEnv(env expr.Env, i int) {
 	for j, c := range b.cols {
 		env[c] = b.vals[j][i]
 	}
@@ -274,7 +297,7 @@ func (o *Unit) NextBatch(max int) (*Batch, bool, error) {
 		return nil, false, nil
 	}
 	o.done = true
-	b := newBatch(nil, 1)
+	b := NewBatch(nil, 1)
 	b.n = 1
 	return o.emit(b)
 }
@@ -290,7 +313,7 @@ func (o *TableScan) NextBatch(max int) (*Batch, bool, error) {
 	if end > o.end {
 		end = o.end
 	}
-	b := newBatch(o.cols, end-o.pos)
+	b := NewBatch(o.cols, end-o.pos)
 	o.t.ReadColumns(o.pos, end, b.vals)
 	b.n = end - o.pos
 	o.pos = end
@@ -310,7 +333,7 @@ func (o *TableScan) NextBatch(max int) (*Batch, bool, error) {
 // enumeration.
 func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
-	out := newBatch(o.cols, demandCap(o.last, max))
+	out := NewBatch(o.cols, demandCap(o.last, max))
 	o.out = out
 	for out.n < max {
 		if o.it.Done() {
@@ -328,7 +351,7 @@ func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 				}
 				o.in, o.inIdx = in, 0
 			}
-			o.in.loadEnv(o.curRow, o.inIdx)
+			o.in.LoadEnv(o.curRow, o.inIdx)
 			o.inIdx++
 			o.emitted = 0
 			o.it.Reset(o.matcher, o.cl.Pattern, o.curRow, o.ap)
@@ -339,8 +362,8 @@ func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 		}
 		o.emitted += n
 		if o.it.Done() && o.cl.Optional && o.emitted == 0 {
-			// appendEnv fills the unbound pattern variables with nulls.
-			out.appendEnv(o.curRow)
+			// AppendEnv fills the unbound pattern variables with nulls.
+			out.AppendEnv(o.curRow)
 		}
 	}
 	return o.emit(out)
@@ -357,7 +380,7 @@ func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 // contributes nothing and a non-list value unwinds as a single element.
 func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
-	out := newBatch(o.cols, demandCap(o.last, max))
+	out := NewBatch(o.cols, demandCap(o.last, max))
 	nchild := len(o.cols) - 1
 	for out.n < max {
 		if o.idx < len(o.elems) {
@@ -397,7 +420,7 @@ func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 		if o.scratch == nil {
 			o.scratch = make(expr.Env, len(o.cols)+4)
 		}
-		o.in.loadEnv(o.scratch, o.inIdx)
+		o.in.LoadEnv(o.scratch, o.inIdx)
 		v, err := o.ev.Eval(o.cl.Expr, o.scratch)
 		if err != nil {
 			return nil, false, err
@@ -422,7 +445,7 @@ func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 // until the batch is full, so early exit stops reading mid-file.
 func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
-	out := newBatch(o.cols, demandCap(o.last, max))
+	out := NewBatch(o.cols, demandCap(o.last, max))
 	nchild := len(o.cols) - 1
 	for out.n < max {
 		if o.reader != nil {
@@ -462,7 +485,7 @@ func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 		if o.scratch == nil {
 			o.scratch = make(expr.Env, len(o.cols)+4)
 		}
-		o.in.loadEnv(o.scratch, o.inIdx)
+		o.in.LoadEnv(o.scratch, o.inIdx)
 		urlVal, err := o.ev.Eval(o.cl.URL, o.scratch)
 		if err != nil {
 			return nil, false, err
@@ -500,7 +523,7 @@ func (o *Filter) NextBatch(max int) (*Batch, bool, error) {
 		}
 		sel := o.selbuf[:0]
 		for i := 0; i < in.n; i++ {
-			in.loadEnv(o.scratch, i)
+			in.LoadEnv(o.scratch, i)
 			keep, err := o.ev.EvalBool(o.pred, o.scratch)
 			if err != nil {
 				return nil, false, err
@@ -516,7 +539,7 @@ func (o *Filter) NextBatch(max int) (*Batch, bool, error) {
 		if len(sel) == in.n {
 			return o.emit(in)
 		}
-		out := newBatch(in.cols, len(sel))
+		out := NewBatch(in.cols, len(sel))
 		for _, i := range sel {
 			out.appendRowFrom(in, i)
 		}
@@ -538,9 +561,9 @@ func (o *Project) NextBatch(max int) (*Batch, bool, error) {
 		o.scratch = make(expr.Env, len(in.cols))
 		o.outScratch = make(expr.Env, len(o.items))
 	}
-	out := newBatch(o.cols, in.n)
+	out := NewBatch(o.cols, in.n)
 	for i := 0; i < in.n; i++ {
-		in.loadEnv(o.scratch, i)
+		in.LoadEnv(o.scratch, i)
 		for _, it := range o.items {
 			v, err := o.ev.Eval(it.Expr, o.scratch)
 			if err != nil {
@@ -548,7 +571,7 @@ func (o *Project) NextBatch(max int) (*Batch, bool, error) {
 			}
 			o.outScratch[it.Alias] = v
 		}
-		out.appendEnv(o.outScratch)
+		out.AppendEnv(o.outScratch)
 		if o.keepSrc {
 			out.src = append(out.src, in.Env(i))
 		}
@@ -647,7 +670,7 @@ func (o *Sort) NextBatch(max int) (*Batch, bool, error) {
 		o.filled = true
 	}
 	max = clampMax(max)
-	b := newBatch(o.cols, demandCap(o.last, max))
+	b := NewBatch(o.cols, demandCap(o.last, max))
 	for b.n < max {
 		r, ok, err := o.next1()
 		if err != nil {
@@ -674,30 +697,25 @@ func (o *Aggregate) NextBatch(max int) (*Batch, bool, error) {
 		return nil, false, nil
 	}
 	max = clampMax(max)
-	b := newBatch(o.cols, min(max, len(o.out)-o.idx))
+	b := NewBatch(o.cols, min(max, len(o.out)-o.idx))
 	for b.n < max && o.idx < len(o.out) {
-		b.appendEnv(o.out[o.idx])
+		b.AppendEnv(o.out[o.idx])
 		o.idx++
 	}
 	return o.emit(b)
 }
 
-// NextBatch implements Operator, replaying the update's output table
-// in columnar batches.
+// NextBatch implements Operator, emitting the update's output batch as
+// views of its rows, with no copy.
 func (o *Apply) NextBatch(max int) (*Batch, bool, error) {
 	if err := o.fill(); err != nil {
 		return nil, false, err
 	}
-	if o.outIdx >= o.out.Len() {
+	if o.outIdx >= o.out.n {
 		return nil, false, nil
 	}
-	end := o.outIdx + clampMax(max)
-	if end > o.out.Len() {
-		end = o.out.Len()
-	}
-	b := newBatch(o.cols, end-o.outIdx)
-	o.out.ReadColumns(o.outIdx, end, b.vals)
-	b.n = end - o.outIdx
+	end := min(o.outIdx+clampMax(max), o.out.n)
+	b := o.out.slice(o.outIdx, end)
 	o.outIdx = end
 	return o.emit(b)
 }

@@ -24,10 +24,12 @@ type Builder struct {
 	// parts, bound to the given evaluator (parallel workers pass their
 	// private evaluator; the serial pipeline passes Ev).
 	NewMatcher func(ev *expr.Evaluator, parts []*ast.PatternPart) *match.Matcher
-	// Write applies an update clause to a materialized driving table
-	// and returns the clause's output table (the [[C]](G, T) of the
-	// paper, with the graph mutated in place).
-	Write func(c ast.Clause, in *table.Table) (*table.Table, error)
+	// Write applies update clause c to the driving batch in, which the
+	// calling Apply barrier owns, and returns the clause's output batch
+	// over cols, the output columns planned by WriteColumns (the
+	// [[C]](G, T) of the paper, with the graph mutated in place). A
+	// clause that adds no column may return in itself, written or not.
+	Write func(c ast.Clause, in *Batch, cols []string) (*Batch, error)
 	// MemoryBudget caps the accounted bytes the statement's barriers
 	// (Sort, Aggregate, Distinct) may hold in memory before spilling to
 	// temp files. Zero or negative means unlimited (no accounting).
@@ -270,21 +272,17 @@ func (b *Builder) anchorSegSource(op *Match, newVars []string) *anchorSource {
 	}
 }
 
-// buildWrite wraps an update clause in an Apply barrier, predicting its
-// output columns (CREATE and MERGE extend the table with the pattern's
-// fresh variables; SET, REMOVE, DELETE and FOREACH preserve columns).
+// buildWrite wraps an update clause in an Apply barrier over the
+// clause's planned output columns (see WriteColumns).
 func (b *Builder) buildWrite(child Operator, c ast.Clause) (Operator, error) {
 	if b.Write == nil {
 		return nil, fmt.Errorf("unsupported clause %T", c)
 	}
-	cols := append([]string(nil), child.Columns()...)
 	label := fmt.Sprintf("%T", c)
 	switch cl := c.(type) {
 	case *ast.CreateClause:
-		cols = append(cols, freshVars(patternVarsCreateOrder(cl.Pattern), cols)...)
 		label = "CREATE"
 	case *ast.MergeClause:
-		cols = append(cols, freshVars(patternVarsCreateOrder(cl.Pattern), cols)...)
 		label = cl.Form.String()
 	case *ast.SetClause:
 		label = "SET"
@@ -298,8 +296,27 @@ func (b *Builder) buildWrite(child Operator, c ast.Clause) (Operator, error) {
 	case *ast.ForeachClause:
 		label = "FOREACH"
 	}
-	fn := func(in *table.Table) (*table.Table, error) { return b.Write(c, in) }
+	cols := WriteColumns(c, child.Columns())
+	fn := func(in *Batch) (*Batch, error) { return b.Write(c, in, cols) }
 	return NewApply(child, label, cols, fn), nil
+}
+
+// WriteColumns is the output column set of update clause c over a
+// driving table with columns in: CREATE and MERGE extend it with their
+// pattern's fresh variables, in the order they bind them; SET, REMOVE,
+// DELETE and FOREACH keep it. It is the one statement of the rule, for
+// the plan's barriers and for FOREACH bodies alike.
+func WriteColumns(c ast.Clause, in []string) []string {
+	var parts []*ast.PatternPart
+	switch cl := c.(type) {
+	case *ast.CreateClause:
+		parts = cl.Pattern
+	case *ast.MergeClause:
+		parts = cl.Pattern
+	default:
+		return in
+	}
+	return slices.Concat(in, freshVars(patternVarsCreateOrder(parts), in))
 }
 
 func (b *Builder) buildProjection(child Operator, proj *ast.Projection, where ast.Expr, seg *segBuild) (Operator, error) {

@@ -171,7 +171,7 @@ func NewMatch(child Operator, cl *ast.MatchClause, m *match.Matcher, ev *expr.Ev
 		pushed:  match.NewPushdown(cl.Where, cl.Pattern, child.Columns()),
 		curRow:  make(expr.Env, len(child.Columns())),
 	}
-	o.sink = func(me expr.Env) { o.out.appendEnv(me) }
+	o.sink = func(me expr.Env) { o.out.AppendEnv(me) }
 	o.matcher.Stats = &o.visits
 	o.matcher.SetPushdown(o.pushed)
 	if cl.Where != nil {
@@ -598,37 +598,43 @@ func (o *Aggregate) Name() string {
 	return "Aggregate[barrier]" + describeItems(o.items) + barrierSuffix(o.rows, o.batches, o.PeakBytes(), o.SpillRuns())
 }
 
-// Apply is the update barrier: it materializes its child into a driving
-// table (in stream order — exactly the table clause-at-a-time evaluation
-// would hand the clause) and applies an update-clause function to it,
-// then streams the clause's output table. The barrier is what preserves
-// the legacy dialect's record-order-dependent semantics (Section 4,
-// Example 3) and the revised dialect's two-phase ChangeSet semantics
-// under the streaming executor.
+// Apply is the update barrier: it drains its child into one driving
+// batch (in stream order — exactly the table clause-at-a-time
+// evaluation would hand the clause), applies an update-clause function
+// to it, then streams the clause's output batch. The barrier is what
+// preserves the legacy dialect's record-order-dependent semantics
+// (Section 4, Example 3) and the revised dialect's two-phase ChangeSet
+// semantics under the streaming executor.
+//
+// The driving batch's column slices are the barrier's own: values are
+// appended into fresh slices, never into a producer's, so the clause
+// function may write its cells (revised DELETE nulls deleted
+// references in place) without touching an upstream batch or the
+// statement's initial table.
 type Apply struct {
 	base
 	label string
-	fn    func(*table.Table) (*table.Table, error)
+	fn    func(*Batch) (*Batch, error)
 
-	out    *table.Table
+	out    *Batch
 	outIdx int
 	done   bool
 }
 
-// NewApply builds an update barrier over child. cols is the planner's
-// prediction of the clause's output columns; fn's result must match.
-func NewApply(child Operator, label string, cols []string, fn func(*table.Table) (*table.Table, error)) *Apply {
+// NewApply builds an update barrier over child. cols is the clause's
+// output column set (see WriteColumns); fn returns its output batch
+// over exactly those columns.
+func NewApply(child Operator, label string, cols []string, fn func(*Batch) (*Batch, error)) *Apply {
 	return &Apply{base: base{child: child, cols: cols}, label: label, fn: fn}
 }
 
-// fill materializes the child batch-at-a-time (one row-slice
-// allocation per record, no per-record map) and applies the update
+// fill drains the child into the driving batch and applies the update
 // function, once. Stream order is preserved.
 func (o *Apply) fill() error {
 	if o.done {
 		return nil
 	}
-	in := table.New(o.child.Columns()...)
+	in := NewBatch(o.child.Columns(), 0)
 	for {
 		b, ok, err := o.child.NextBatch(BatchTarget)
 		if err != nil {
@@ -637,20 +643,11 @@ func (o *Apply) fill() error {
 		if !ok {
 			break
 		}
-		in.AppendColumns(b.vals, b.n)
+		in.appendBatch(b)
 	}
 	out, err := o.fn(in)
 	if err != nil {
 		return err
-	}
-	got := out.Columns()
-	if len(got) != len(o.cols) {
-		return internalErrorf("%s produced columns %v, planner predicted %v", o.label, got, o.cols)
-	}
-	for i := range got {
-		if got[i] != o.cols[i] {
-			return internalErrorf("%s produced columns %v, planner predicted %v", o.label, got, o.cols)
-		}
 	}
 	o.out, o.done = out, true
 	return nil

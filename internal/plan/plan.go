@@ -18,11 +18,13 @@
 //     MERGE, FOREACH). Updates consume their entire driving table before
 //     any downstream clause runs, in both dialects: the legacy Cypher 9
 //     semantics is record-order dependent (the paper's Section 4,
-//     Example 3), so the barrier hands the update function a fully
-//     materialized table in exactly the order the stream produced, and
-//     the revised dialect's two-phase ChangeSet semantics needs the full
-//     table for conflict detection anyway. LIMIT never stops an update:
-//     a LIMIT 0 still applies the update barriers below it.
+//     Example 3), so the barrier drains its input into one columnar
+//     batch of its own, in exactly the order the stream produced, and
+//     hands it to the update function, which returns the clause's
+//     output batch; the revised dialect's two-phase ChangeSet semantics
+//     needs the whole table for conflict detection anyway. LIMIT never
+//     stops an update: a LIMIT 0 still applies the update barriers
+//     below it.
 //
 // Row order is deterministic end to end: every streaming operator
 // preserves its input order and the pull discipline reproduces the
@@ -45,7 +47,6 @@
 package plan
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/table"
@@ -110,11 +111,4 @@ func Explain(root Operator) string {
 	}
 	rec(root, "", "")
 	return strings.TrimRight(sb.String(), "\n")
-}
-
-// internalErrorf marks invariant violations of the planner itself
-// (e.g. an update clause producing columns the planner did not
-// predict); user-level errors never use it.
-func internalErrorf(format string, args ...any) error {
-	return fmt.Errorf("plan: internal error: "+format, args...)
 }

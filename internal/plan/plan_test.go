@@ -25,7 +25,7 @@ func (o *countingScan) NextBatch(max int) (*Batch, bool, error) {
 	if k <= 0 {
 		return nil, false, nil
 	}
-	b := newBatch(o.Columns(), k)
+	b := NewBatch(o.Columns(), k)
 	for i := 0; i < k; i++ {
 		b.vals[0] = append(b.vals[0], value.Int(int64(o.pulls+i)))
 	}

@@ -535,7 +535,7 @@ func (o *Sort) fill() (err error) {
 					scratch[k] = v
 				}
 			}
-			b.loadEnv(scratch, i)
+			b.LoadEnv(scratch, i)
 			r := spillRow{seq: seq, keys: make([]value.Value, len(o.sorts)), vals: b.rowVals(i)}
 			seq++
 			for s, item := range o.sorts {
@@ -725,7 +725,7 @@ func (o *Aggregate) fill() (err error) {
 		}
 		for i := 0; i < b.n; i++ {
 			n++
-			b.loadEnv(scratch, i)
+			b.LoadEnv(scratch, i)
 			keyVals := make([]value.Value, len(keyItems))
 			for k, ki := range keyItems {
 				v, err2 := o.ev.Eval(o.items[ki].Expr, scratch)
@@ -932,7 +932,7 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 			in.src = nil
 			return o.emit(in)
 		}
-		out := newBatch(in.cols, len(sel))
+		out := NewBatch(in.cols, len(sel))
 		for j := range out.vals {
 			for _, i := range sel {
 				out.vals[j] = append(out.vals[j], in.vals[j][i])
@@ -950,7 +950,7 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 		}
 	}
 	max = clampMax(max)
-	b := newBatch(o.cols, demandCap(o.last, max))
+	b := NewBatch(o.cols, demandCap(o.last, max))
 	for b.n < max {
 		r, ok, err := o.merged.next()
 		if err != nil {

@@ -49,7 +49,7 @@ func (o *errAfter) NextBatch(max int) (*Batch, bool, error) {
 	if k <= 0 {
 		return nil, false, fmt.Errorf("synthetic source failure")
 	}
-	b := newBatch(o.Columns(), k)
+	b := NewBatch(o.Columns(), k)
 	for i := 0; i < k; i++ {
 		o.i++
 		b.vals[0] = append(b.vals[0], value.Int(int64(o.i)))
@@ -446,7 +446,7 @@ func TestOperatorClosesChildOnce(t *testing.T) {
 			return NewAggregate(c, []Item{{Expr: &ast.FuncCall{Name: "count", Star: true}, Alias: "n"}}, []string{"n"}, ev)
 		},
 		"Update": func(c Operator) Operator {
-			return NewApply(c, "SET", []string{"x"}, func(in *table.Table) (*table.Table, error) { return in, nil })
+			return NewApply(c, "SET", []string{"x"}, func(in *Batch) (*Batch, error) { return in, nil })
 		},
 		"Discard": func(c Operator) Operator { return NewDiscard(c) },
 	}

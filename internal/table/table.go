@@ -116,19 +116,6 @@ func (t *Table) ReadColumns(from, to int, dst [][]value.Value) {
 	}
 }
 
-// AppendMap adds a record given as a map; missing columns become null.
-func (t *Table) AppendMap(m map[string]value.Value) {
-	row := make([]value.Value, len(t.cols))
-	for i, c := range t.cols {
-		if v, ok := m[c]; ok && v != nil {
-			row[i] = v
-		} else {
-			row[i] = value.NullValue
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
 // Get returns the value of the named column in row i (null for a missing
 // column, which arises when legacy FOREACH bodies reference outer rows).
 func (t *Table) Get(i int, col string) value.Value {
@@ -155,20 +142,6 @@ func (t *Table) Set(i int, col string, v value.Value) {
 	t.rows[i][j] = v
 }
 
-// Row returns row i as a map from column names to values. The map is
-// freshly allocated; mutating it does not affect the table.
-func (t *Table) Row(i int) map[string]value.Value {
-	m := make(map[string]value.Value, len(t.cols))
-	for j, c := range t.cols {
-		v := t.rows[i][j]
-		if v == nil {
-			v = value.NullValue
-		}
-		m[c] = v
-	}
-	return m
-}
-
 // Values returns row i as a value slice in column order (not aliased).
 func (t *Table) Values(i int) []value.Value {
 	out := make([]value.Value, len(t.cols))
@@ -192,9 +165,6 @@ func (t *Table) Clone() *Table {
 	}
 	return n
 }
-
-// CloneEmpty returns an empty table with the same columns.
-func (t *Table) CloneEmpty() *Table { return New(t.cols...) }
 
 // Reverse reverses the row order in place (the "bottom-up" evaluation
 // order of Example 3).

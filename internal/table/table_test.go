@@ -16,7 +16,7 @@ func TestUnit(t *testing.T) {
 func TestAppendAndGet(t *testing.T) {
 	tb := New("a", "b")
 	tb.AppendRow(value.Int(1), value.String("x"))
-	tb.AppendMap(map[string]value.Value{"b": value.Int(2)})
+	tb.AppendRow(value.NullValue, value.Int(2))
 	if tb.Len() != 2 {
 		t.Fatal("len")
 	}
@@ -24,7 +24,7 @@ func TestAppendAndGet(t *testing.T) {
 		t.Error("row 0")
 	}
 	if !value.IsNull(tb.Get(1, "a")) || tb.Get(1, "b") != value.Int(2) {
-		t.Error("row 1: missing map column should be null")
+		t.Error("row 1")
 	}
 	if !value.IsNull(tb.Get(0, "zzz")) {
 		t.Error("missing column should read null")
@@ -52,21 +52,17 @@ func TestDuplicateColumnPanics(t *testing.T) {
 	New("a", "a")
 }
 
-func TestRowAndValues(t *testing.T) {
+func TestValues(t *testing.T) {
 	tb := New("x", "y")
 	tb.AppendRow(value.Int(1), value.NullValue)
-	m := tb.Row(0)
-	if m["x"] != value.Int(1) || !value.IsNull(m["y"]) {
-		t.Error("Row map")
-	}
 	vs := tb.Values(0)
 	if vs[0] != value.Int(1) || !value.IsNull(vs[1]) {
 		t.Error("Values")
 	}
-	// Mutating the returned map must not affect the table.
-	m["x"] = value.Int(99)
+	// Mutating the returned slice must not affect the table.
+	vs[0] = value.Int(99)
 	if tb.Get(0, "x") != value.Int(1) {
-		t.Error("Row map aliased")
+		t.Error("Values aliased")
 	}
 }
 
@@ -87,10 +83,6 @@ func TestCloneIndependence(t *testing.T) {
 	c.AppendRow(value.Int(3))
 	if tb.Get(0, "x") != value.Int(1) || tb.Len() != 1 {
 		t.Error("clone aliased")
-	}
-	e := tb.CloneEmpty()
-	if e.Len() != 0 || !e.HasColumn("x") {
-		t.Error("CloneEmpty")
 	}
 }
 
