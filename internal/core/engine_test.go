@@ -433,3 +433,33 @@ func TestExecuteWithTable(t *testing.T) {
 		t.Errorf("nodes = %d", g.NumNodes())
 	}
 }
+
+// TestResultPathAllocations bounds what a statement's rows cost on the
+// way from the driving table to the result: RETURN x over a 10 000-row
+// table must allocate fewer than 0.1 times per row. The scan emits
+// views of the table's columns and the result adopts and appends the
+// plan's columns, so what remains is per batch, not per row; a row
+// slice per result row would cost ten times the bound.
+func TestResultPathAllocations(t *testing.T) {
+	const rows = 10000
+	t0 := table.New("x")
+	for i := range rows {
+		t0.AppendRow(value.Int(int64(i)))
+	}
+	stmt, err := parser.Parse(`RETURN x`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(Config{Dialect: DialectRevised, Parallelism: 1})
+	g := graph.New()
+	allocs := testing.AllocsPerRun(20, func() {
+		res, err := eng.ExecuteWithTable(g, stmt, nil, t0)
+		if err != nil || res.Table.Len() != rows {
+			t.Fatalf("RETURN x: %v", err)
+		}
+	})
+	t.Logf("%.0f allocations for %d rows (%.3f per row)", allocs, rows, allocs/rows)
+	if allocs/rows >= 0.1 {
+		t.Errorf("%.0f allocations for %d rows, want fewer than %d", allocs, rows, rows/10)
+	}
+}

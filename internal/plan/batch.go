@@ -19,18 +19,18 @@ const BatchTarget = 256
 // variable reads exactly like a null table cell. A batch is produced by
 // one operator and owned by its consumer; it is never reused after
 // being handed off. A batch whose row count is unknown when it is
-// started begins small (see demandCap) and grows by append.
+// started begins small (see demandCap) and grows by append. Driving
+// tables and statement results store their rows in the same layout
+// (see package table), so a scan emits views of its table's columns
+// and Collect adopts its batches' columns.
 //
-// src optionally carries the pre-projection source environment of each
-// row so a downstream Sort can evaluate ORDER BY keys over input
-// variables (Cypher allows this when the projection neither aggregates
-// nor deduplicates). Project sets it when asked to (keepSrc); Filter,
-// Skip, Limit, Union and Exchange pass it through; every other
-// operator drops it.
+// A Project under ORDER BY carries the input columns no alias shadows
+// as hidden trailing columns, sharing the input's column slices, so
+// the Sort above can evaluate its keys over the pre-projection
+// variables; the Sort emits only the projected prefix.
 type Batch struct {
 	cols []string
 	vals [][]value.Value
-	src  []expr.Env
 	n    int
 }
 
@@ -93,21 +93,16 @@ func (b *Batch) appendVals(vals []value.Value) {
 	b.n++
 }
 
-// appendRowFrom appends row i of src, including its source environment
-// when present.
+// appendRowFrom appends row i of src, a batch over the same columns.
 func (b *Batch) appendRowFrom(src *Batch, i int) {
 	for j := range b.vals {
 		b.vals[j] = append(b.vals[j], src.vals[j][i])
-	}
-	if src.src != nil {
-		b.src = append(b.src, src.src[i])
 	}
 	b.n++
 }
 
 // appendBatch appends all rows of src, a batch over the same columns,
-// copying its values into b's own column slices. Source environments
-// are dropped.
+// copying its values into b's own column slices.
 func (b *Batch) appendBatch(src *Batch) {
 	for j := range b.vals {
 		b.vals[j] = append(b.vals[j], src.vals[j][:src.n]...)
@@ -123,19 +118,7 @@ func (b *Batch) slice(from, to int) *Batch {
 	for j := range b.vals {
 		out.vals[j] = b.vals[j][from:to:to]
 	}
-	if b.src != nil {
-		out.src = b.src[from:to]
-	}
 	return out
-}
-
-// Env materializes row i as a fresh normalized environment.
-func (b *Batch) Env(i int) expr.Env {
-	env := make(expr.Env, len(b.cols))
-	for j, c := range b.cols {
-		env[c] = b.vals[j][i]
-	}
-	return env
 }
 
 // LoadEnv overwrites the batch's columns of env with row i's values.
@@ -151,10 +134,10 @@ func (b *Batch) LoadEnv(env expr.Env, i int) {
 	}
 }
 
-// rowVals copies row i into a fresh value slice in column order.
-func (b *Batch) rowVals(i int) []value.Value {
-	out := make([]value.Value, len(b.cols))
-	for j := range b.cols {
+// rowVals copies the first w columns of row i into a fresh value slice.
+func (b *Batch) rowVals(i, w int) []value.Value {
+	out := make([]value.Value, w)
+	for j := range out {
 		out[j] = b.vals[j][i]
 	}
 	return out
@@ -302,20 +285,14 @@ func (o *Unit) NextBatch(max int) (*Batch, bool, error) {
 	return o.emit(b)
 }
 
-// NextBatch implements Operator: rows [pos, end) of the row-major table
-// are copied into the batch's columns, with no per-row map.
+// NextBatch implements Operator: rows [pos, end) of the table, as a
+// view of its columns with no copy.
 func (o *TableScan) NextBatch(max int) (*Batch, bool, error) {
-	max = clampMax(max)
 	if o.pos >= o.end {
 		return nil, false, nil
 	}
-	end := o.pos + max
-	if end > o.end {
-		end = o.end
-	}
-	b := NewBatch(o.cols, end-o.pos)
-	o.t.ReadColumns(o.pos, end, b.vals)
-	b.n = end - o.pos
+	end := min(o.pos+clampMax(max), o.end)
+	b := o.all.slice(o.pos, end)
 	o.pos = end
 	return o.emit(b)
 }
@@ -547,11 +524,10 @@ func (o *Filter) NextBatch(max int) (*Batch, bool, error) {
 	}
 }
 
-// NextBatch implements Operator. Items are evaluated over a reused
-// scratch environment and written into fresh output columns; the only
-// per-row allocation on the hot path is the values themselves. With
-// keepSrc each input row's environment is materialized and attached so
-// a downstream Sort can evaluate ORDER BY keys over it.
+// NextBatch implements Operator. Items are evaluated over a scratch
+// environment reused across rows and written straight into fresh
+// output columns; the hidden columns after them are the input's own
+// column slices, shared with no copy.
 func (o *Project) NextBatch(max int) (*Batch, bool, error) {
 	in, ok, err := o.child.NextBatch(max)
 	if err != nil || !ok {
@@ -559,22 +535,26 @@ func (o *Project) NextBatch(max int) (*Batch, bool, error) {
 	}
 	if o.scratch == nil {
 		o.scratch = make(expr.Env, len(in.cols))
-		o.outScratch = make(expr.Env, len(o.items))
 	}
-	out := NewBatch(o.cols, in.n)
+	out := &Batch{cols: o.cols, vals: make([][]value.Value, len(o.cols)), n: in.n}
+	for j := range o.items {
+		out.vals[j] = make([]value.Value, in.n)
+	}
 	for i := 0; i < in.n; i++ {
 		in.LoadEnv(o.scratch, i)
-		for _, it := range o.items {
+		for j, it := range o.items {
 			v, err := o.ev.Eval(it.Expr, o.scratch)
 			if err != nil {
 				return nil, false, err
 			}
-			o.outScratch[it.Alias] = v
+			if v == nil {
+				v = nullValue
+			}
+			out.vals[j][i] = v
 		}
-		out.AppendEnv(o.outScratch)
-		if o.keepSrc {
-			out.src = append(out.src, in.Env(i))
-		}
+	}
+	for k, j := range o.hidden {
+		out.vals[len(o.items)+k] = in.vals[j]
 	}
 	return o.emit(out)
 }
@@ -684,24 +664,20 @@ func (o *Sort) NextBatch(max int) (*Batch, bool, error) {
 	return o.emit(b)
 }
 
-// NextBatch implements Operator, replaying the finalized groups in
-// batches.
+// NextBatch implements Operator, emitting the finalized groups as
+// views of the output batch, with no copy.
 func (o *Aggregate) NextBatch(max int) (*Batch, bool, error) {
-	if !o.done {
+	if o.out == nil {
 		if err := o.fill(); err != nil {
 			return nil, false, err
 		}
-		o.done = true
 	}
-	if o.idx >= len(o.out) {
+	if o.idx >= o.out.n {
 		return nil, false, nil
 	}
-	max = clampMax(max)
-	b := NewBatch(o.cols, min(max, len(o.out)-o.idx))
-	for b.n < max && o.idx < len(o.out) {
-		b.AppendEnv(o.out[o.idx])
-		o.idx++
-	}
+	end := min(o.idx+clampMax(max), o.out.n)
+	b := o.out.slice(o.idx, end)
+	o.idx = end
 	return o.emit(b)
 }
 
@@ -802,7 +778,7 @@ func remapBatch(b *Batch, cols []string) *Batch {
 	if same {
 		return b
 	}
-	out := &Batch{cols: cols, vals: make([][]value.Value, len(cols)), src: b.src, n: b.n}
+	out := &Batch{cols: cols, vals: make([][]value.Value, len(cols)), n: b.n}
 	for j, c := range cols {
 		for k, bc := range b.cols {
 			if bc == c {

@@ -67,10 +67,10 @@ func (b *Builder) newSegment(src Operator) *segBuild {
 	}
 	switch op := src.(type) {
 	case *TableScan:
-		if op.t.Len() < 2*scanMorselRows {
+		if op.all.n < 2*scanMorselRows {
 			return nil // too small for the fan-out to pay for itself
 		}
-		return &segBuild{source: newScanSource(op.t)}
+		return &segBuild{source: &scanSource{all: op.all, chunk: scanMorselRows}}
 	case *Unit:
 		return &segBuild{}
 	}
@@ -368,13 +368,16 @@ func (b *Builder) buildProjection(child Operator, proj *ast.Projection, where as
 	} else {
 		// ORDER BY over a plain projection may also reference the
 		// pre-projection variables (the projection is row-to-row), so
-		// keep each record's source environment until the sort — unless
-		// DISTINCT breaks the correspondence first.
-		keepSrc := len(proj.OrderBy) > 0 && !proj.Distinct
-		cur = NewProject(child, items, cols, b.Ev, keepSrc)
+		// those no alias shadows ride along to the Sort as hidden
+		// columns — unless DISTINCT breaks the correspondence first.
+		pcols := cols
+		if len(orderBy) > 0 && !proj.Distinct {
+			pcols = slices.Concat(cols, freshVars(child.Columns(), cols))
+		}
+		cur = NewProject(child, items, pcols, b.Ev)
 		if seg.alive() && seg.source != nil {
 			seg.stages = append(seg.stages, func(c Operator, w *workerCtx) Operator {
-				return NewProject(c, items, cols, w.ev, keepSrc)
+				return NewProject(c, items, pcols, w.ev)
 			})
 		} else {
 			seg.kill()
@@ -391,7 +394,7 @@ func (b *Builder) buildProjection(child Operator, proj *ast.Projection, where as
 		// the Sort consumes the exchange's ordered gather with its
 		// serial intake.
 		cur = b.endSeg(seg, cur)
-		s := NewSort(cur, orderBy, b.Ev)
+		s := NewSort(cur, orderBy, cols, b.Ev)
 		s.budget = b.bud
 		cur = s
 	}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/expr"
@@ -100,25 +101,29 @@ func NewUnit() *Unit { return &Unit{} }
 func (o *Unit) Name() string { return "Unit" + o.stats() }
 
 // TableScan streams the records of a pre-built driving table (the
-// ExecuteWithTable entry point of the Section 6 experiments, and the
-// output side of every materialization barrier). A table-scan morsel is
-// a TableScan over rows [pos, end) of the shared table (see
-// scanSource).
+// ExecuteWithTable entry point of the Section 6 experiments) as views of
+// the table's columns, with no copy. A table-scan morsel is a TableScan
+// over rows [pos, end) of the shared table (see scanSource).
 type TableScan struct {
 	base
-	t   *table.Table
+	all *Batch // the whole table, sharing its storage
 	pos int
 	end int
 }
 
 // NewTableScan returns a scan over t.
 func NewTableScan(t *table.Table) *TableScan {
-	return &TableScan{base: base{cols: t.Columns()}, t: t, end: t.Len()}
+	cols := t.Columns()
+	all := &Batch{cols: cols, vals: make([][]value.Value, len(cols)), n: t.Len()}
+	for j := range all.vals {
+		all.vals[j] = t.Column(j)
+	}
+	return &TableScan{base: base{cols: all.cols}, all: all, end: all.n}
 }
 
 // Name implements Operator.
 func (o *TableScan) Name() string {
-	return fmt.Sprintf("Scan(%d×%d)", o.t.Len(), len(o.cols)) + o.stats()
+	return fmt.Sprintf("Scan(%d×%d)", o.all.n, len(o.cols)) + o.stats()
 }
 
 // ---------------------------------------------------------------------
@@ -334,24 +339,30 @@ type Item struct {
 	Alias string
 }
 
-// Project evaluates a non-aggregating projection record by record. With
-// keepSrc it attaches each input environment to the output row so a
-// downstream Sort can evaluate ORDER BY keys over pre-projection
-// variables (legal when the projection neither aggregates nor
-// deduplicates — the cardinality is unchanged).
+// Project evaluates a non-aggregating projection record by record. Its
+// columns are the items' aliases, optionally followed by hidden input
+// columns that ride along unchanged: under ORDER BY the builder adds the
+// input variables no alias shadows, which the Sort may read (legal when
+// the projection neither aggregates nor deduplicates — the cardinality
+// is unchanged) and drops.
 type Project struct {
 	base
-	items   []Item
-	ev      *expr.Evaluator
-	keepSrc bool
+	items  []Item
+	ev     *expr.Evaluator
+	hidden []int // input column of each column after the items
 
-	scratch    expr.Env
-	outScratch expr.Env
+	scratch expr.Env
 }
 
-// NewProject builds a Project over child.
-func NewProject(child Operator, items []Item, cols []string, ev *expr.Evaluator, keepSrc bool) *Project {
-	return &Project{base: base{child: child, cols: cols}, items: items, ev: ev, keepSrc: keepSrc}
+// NewProject builds a Project over child. cols holds the items' aliases
+// in order, then the names of any input columns to carry as hidden
+// columns.
+func NewProject(child Operator, items []Item, cols []string, ev *expr.Evaluator) *Project {
+	o := &Project{base: base{child: child, cols: cols}, items: items, ev: ev}
+	for _, c := range cols[len(items):] {
+		o.hidden = append(o.hidden, slices.Index(child.Columns(), c))
+	}
+	return o
 }
 
 // Name implements Operator.
@@ -498,11 +509,11 @@ func (o *Limit) Name() string {
 // ---------------------------------------------------------------------
 
 // Sort is a materialization barrier implementing ORDER BY as an
-// external sort: rows accumulate in memory (keys computed at intake,
-// which may reference pre-projection variables when rows carry their
-// source environments — see Project.keepSrc); under a memory budget,
-// full runs are sorted and spilled to temp files and replay is a k-way
-// merge. A unique intake sequence number breaks ties, reproducing the
+// external sort: rows accumulate in memory (keys computed at intake
+// over all the child's columns, the hidden ones a Project carries for
+// it included; only the Sort's own columns are kept); under a memory
+// budget, full runs are sorted and spilled to temp files and replay is
+// a k-way merge. A unique intake sequence number breaks ties, reproducing the
 // stable in-memory order exactly. Its intake is serial at every degree:
 // over an Exchange it drains the ordered gather, like Aggregate and
 // Distinct, so it sees, holds and spills what the serial plan's Sort
@@ -520,9 +531,11 @@ type Sort struct {
 	merged *runMerger
 }
 
-// NewSort builds a Sort barrier over child.
-func NewSort(child Operator, sorts []*ast.SortItem, ev *expr.Evaluator) *Sort {
-	return &Sort{base: over(child), sorts: sorts, ev: ev}
+// NewSort builds a Sort barrier over child whose output columns are
+// cols, a prefix of the child's (the child's columns after it are
+// hidden columns the keys may read).
+func NewSort(child Operator, sorts []*ast.SortItem, cols []string, ev *expr.Evaluator) *Sort {
+	return &Sort{base: base{child: child, cols: cols}, sorts: sorts, ev: ev}
 }
 
 // Close implements Operator. It releases the sort's state: any run
@@ -559,16 +572,16 @@ func (o *Sort) Name() string {
 // projection: records group by the non-aggregating items, aggregates
 // accumulate per group, and one row per group is emitted in
 // first-appearance order. Zero input records with no grouping keys
-// produce the single global group (count(*) = 0).
+// produce the single global group (count(*) = 0). The finalized groups
+// are written into one output batch, nil until fill has run.
 type Aggregate struct {
 	base
 	memAccount
 	items []Item
 	ev    *expr.Evaluator
 
-	out  []expr.Env
-	idx  int
-	done bool
+	out *Batch
+	idx int
 
 	spilling bool
 	parts    []*spillFile

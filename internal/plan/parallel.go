@@ -39,7 +39,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/expr"
 	"repro/internal/match"
-	"repro/internal/table"
 )
 
 const (
@@ -86,29 +85,24 @@ type morselSource interface {
 // ---------------------------------------------------------------------
 
 // scanSource splits a driving table into contiguous row ranges, each a
-// TableScan over the table shared read-only with the serial prototype
-// scan.
+// TableScan over the table's columns, which every morsel shares
+// read-only with the serial prototype scan.
 type scanSource struct {
-	t     *table.Table
-	cols  []string
+	all   *Batch
 	chunk int
 }
 
-func newScanSource(t *table.Table) *scanSource {
-	return &scanSource{t: t, cols: t.Columns(), chunk: scanMorselRows}
-}
-
 func (s *scanSource) morsels() int {
-	return (s.t.Len() + s.chunk - 1) / s.chunk
+	return (s.all.n + s.chunk - 1) / s.chunk
 }
 
 func (s *scanSource) operator(i int, _ *workerCtx) Operator {
 	lo := i * s.chunk
-	return &TableScan{base: base{cols: s.cols}, t: s.t, pos: lo, end: min(lo+s.chunk, s.t.Len())}
+	return &TableScan{base: base{cols: s.all.cols}, all: s.all, pos: lo, end: min(lo+s.chunk, s.all.n)}
 }
 
 func (s *scanSource) label() string {
-	return fmt.Sprintf("scan-morsels(%d rows × chunk %d)", s.t.Len(), s.chunk)
+	return fmt.Sprintf("scan-morsels(%d rows × chunk %d)", s.all.n, s.chunk)
 }
 
 // ---------------------------------------------------------------------

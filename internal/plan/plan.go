@@ -74,8 +74,8 @@ type Operator interface {
 
 // Collect executes a plan to completion, materializing its output into
 // a table (the engine's statement boundary). Close is always called.
-// It pulls columnar batches and appends them without per-row map
-// allocation.
+// The table adopts the first batch's columns and appends the later
+// batches' to them, so nothing is allocated per row.
 func Collect(root Operator) (*table.Table, error) {
 	defer root.Close()
 	out := table.New(root.Columns()...)

@@ -117,7 +117,7 @@ func TestFilterAndProject(t *testing.T) {
 	pred := &ast.BinaryOp{Op: ast.OpGeq, Left: &ast.Variable{Name: "x"}, Right: intLit(8)}
 	proj := NewProject(NewFilter(src, pred, ev),
 		[]Item{{Expr: &ast.BinaryOp{Op: ast.OpMul, Left: &ast.Variable{Name: "x"}, Right: intLit(2)}, Alias: "y"}},
-		[]string{"y"}, ev, false)
+		[]string{"y"}, ev)
 	out, err := Collect(proj)
 	if err != nil {
 		t.Fatal(err)

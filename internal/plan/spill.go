@@ -455,20 +455,14 @@ func spillRowBytes(r spillRow) int64 {
 	return n
 }
 
-func envApproxBytes(e expr.Env) int64 {
+// rowBytes is the accounted size of a row held by name: each value
+// with its column name, as a map entry would hold it.
+func rowBytes(cols []string, vals []value.Value) int64 {
 	n := int64(48)
-	for k, v := range e {
-		n += 16 + int64(len(k)) + value.ApproxSize(v)
+	for j, v := range vals {
+		n += 16 + int64(len(cols[j])) + value.ApproxSize(v)
 	}
 	return n
-}
-
-func envFromVals(cols []string, vals []value.Value) expr.Env {
-	env := make(expr.Env, len(cols))
-	for j, c := range cols {
-		env[c] = vals[j]
-	}
-	return env
 }
 
 // ---------------------------------------------------------------------
@@ -501,8 +495,8 @@ func sortSpillRows(rows []spillRow, less func(a, b spillRow) bool) {
 
 // fill is the Sort's intake, one loop over the child's batches like
 // Aggregate's and Distinct's. Each row's sort keys are evaluated over
-// its source environment overlaid with its columns, and its sequence
-// number is its intake position, so the comparator's seq tie-break
+// all its columns, hidden ones included, and only the Sort's own
+// columns are kept; its sequence number is its intake position, so the comparator's seq tie-break
 // reproduces sort.SliceStable. Over budget, the pending rows are sorted
 // and spilled as one run, and the runs are compacted into one when they
 // reach maxMergeWidth. At the end the pending rows replay alone, or
@@ -530,13 +524,8 @@ func (o *Sort) fill() (err error) {
 			break
 		}
 		for i := 0; i < b.n; i++ {
-			if b.src != nil && b.src[i] != nil {
-				for k, v := range b.src[i] {
-					scratch[k] = v
-				}
-			}
 			b.LoadEnv(scratch, i)
-			r := spillRow{seq: seq, keys: make([]value.Value, len(o.sorts)), vals: b.rowVals(i)}
+			r := spillRow{seq: seq, keys: make([]value.Value, len(o.sorts)), vals: b.rowVals(i, len(o.cols))}
 			seq++
 			for s, item := range o.sorts {
 				v, err := o.ev.Eval(item.Expr, scratch)
@@ -651,12 +640,13 @@ func (o *Aggregate) fill() (err error) {
 		})
 	}
 
+	cols := o.child.Columns()
 	type group struct {
-		rep      expr.Env
+		rep      []value.Value // the group's first row, over cols
 		aggs     []expr.Aggregator
 		firstSeq int64
 	}
-	newGroup := func(rep expr.Env, seq int64) (*group, error) {
+	newGroup := func(rep []value.Value, seq int64) (*group, error) {
 		grp := &group{rep: rep, firstSeq: seq}
 		for _, f := range aggCalls {
 			agg, err := expr.NewAggregator(f.Name, f.Distinct, f.Star)
@@ -691,27 +681,35 @@ func (o *Aggregate) fill() (err error) {
 		}
 		return nil
 	}
-	finalize := func(grp *group) (expr.Env, error) {
+	// finalize evaluates the items over a group's representative row and
+	// its aggregates' results, appending the output row to out.
+	repEnv := make(expr.Env, len(cols))
+	finalize := func(grp *group, out *Batch) error {
 		aggResults := make(map[ast.Expr]value.Value, len(aggCalls))
 		for ai, f := range aggCalls {
 			aggResults[f] = grp.aggs[ai].Result()
 		}
 		o.ev.AggResults = aggResults
 		defer func() { o.ev.AggResults = nil }()
-		out := make(expr.Env, len(o.items))
-		for _, it := range o.items {
-			v, err := o.ev.Eval(it.Expr, grp.rep)
-			if err != nil {
-				return nil, err
-			}
-			out[it.Alias] = v
+		for j, v := range grp.rep {
+			repEnv[cols[j]] = v
 		}
-		return out, nil
+		for j, it := range o.items {
+			v, err := o.ev.Eval(it.Expr, repEnv)
+			if err != nil {
+				return err
+			}
+			if v == nil {
+				v = nullValue
+			}
+			out.vals[j] = append(out.vals[j], v)
+		}
+		out.n++
+		return nil
 	}
 
 	groups := make(map[string]*group)
 	var order []string
-	cols := o.child.Columns()
 	scratch := make(expr.Env, len(cols))
 	n := 0
 	seq := int64(0)
@@ -738,20 +736,20 @@ func (o *Aggregate) fill() (err error) {
 			grp, resident := groups[key]
 			if !resident {
 				if o.spilling {
-					if err2 := o.parts[spillPart(key)].add(spillRow{seq: seq, key: key, vals: b.rowVals(i)}); err2 != nil {
+					if err2 := o.parts[spillPart(key)].add(spillRow{seq: seq, key: key, vals: b.rowVals(i, len(cols))}); err2 != nil {
 						return err2
 					}
 					seq++
 					continue
 				}
-				grp, err = newGroup(b.Env(i), seq)
+				grp, err = newGroup(b.rowVals(i, len(cols)), seq)
 				if err != nil {
 					return err
 				}
 				groups[key] = grp
 				order = append(order, key)
 				if o.budget.limited() {
-					o.charge(int64(len(key)) + envApproxBytes(grp.rep) + 96)
+					o.charge(int64(len(key)) + rowBytes(cols, grp.rep) + 96)
 					if o.budget.over() && !o.spilling {
 						if o.parts, err = openSpillParts(); err != nil {
 							return err
@@ -769,7 +767,7 @@ func (o *Aggregate) fill() (err error) {
 
 	// Zero input rows with no grouping keys: a single global group.
 	if n == 0 && len(keyItems) == 0 {
-		grp, err2 := newGroup(expr.Env{}, 0)
+		grp, err2 := newGroup(nil, 0)
 		if err2 != nil {
 			return err2
 		}
@@ -777,27 +775,25 @@ func (o *Aggregate) fill() (err error) {
 		order = append(order, "_")
 	}
 
+	out := NewBatch(o.cols, len(order))
 	for _, key := range order {
-		env, err2 := finalize(groups[key])
-		if err2 != nil {
-			return err2
+		if err := finalize(groups[key], out); err != nil {
+			return err
 		}
-		o.out = append(o.out, env)
 	}
 	if !o.spilling {
+		o.out = out
 		return nil
 	}
 
 	// Deferred phase: process each partition alone. Group keys hash to
 	// exactly one partition, so a partition's groups are complete and
 	// disjoint from everything else. Finalized output rows accumulate
-	// in o.out like any result set — the budget bounds barrier state,
-	// not the statement's output.
-	type outGroup struct {
-		firstSeq int64
-		env      expr.Env
-	}
-	var deferred []outGroup
+	// in a batch of their own like any result set — the budget bounds
+	// barrier state, not the statement's output — and join the
+	// residents' in first-occurrence order at the end.
+	deferred := NewBatch(o.cols, 0)
+	var firstSeqs []int64
 	parts := o.parts
 	o.parts = nil
 	defer func() {
@@ -832,7 +828,7 @@ func (o *Aggregate) fill() (err error) {
 			}
 			grp, ok2 := pgroups[r.key]
 			if !ok2 {
-				grp, err = newGroup(envFromVals(cols, r.vals), r.seq)
+				grp, err = newGroup(r.vals, r.seq)
 				if err != nil {
 					st.close()
 					return err
@@ -840,7 +836,7 @@ func (o *Aggregate) fill() (err error) {
 				pgroups[r.key] = grp
 				porder = append(porder, r.key)
 				if o.budget.limited() {
-					o.charge(int64(len(r.key)) + envApproxBytes(grp.rep) + 96)
+					o.charge(int64(len(r.key)) + rowBytes(cols, grp.rep) + 96)
 				}
 			}
 			if err = addRow(grp, scratch); err != nil {
@@ -850,19 +846,23 @@ func (o *Aggregate) fill() (err error) {
 		}
 		st.close()
 		for _, key := range porder {
-			env, err2 := finalize(pgroups[key])
-			if err2 != nil {
-				return err2
+			if err := finalize(pgroups[key], deferred); err != nil {
+				return err
 			}
-			deferred = append(deferred, outGroup{firstSeq: pgroups[key].firstSeq, env: env})
+			firstSeqs = append(firstSeqs, pgroups[key].firstSeq)
 		}
 		// Release this partition's accounted state before the next.
 		o.release(o.held.Load() - partStart)
 	}
-	sort.Slice(deferred, func(i, j int) bool { return deferred[i].firstSeq < deferred[j].firstSeq })
-	for _, g := range deferred {
-		o.out = append(o.out, g.env)
+	perm := make([]int, deferred.n)
+	for i := range perm {
+		perm[i] = i
 	}
+	sort.Slice(perm, func(a, b int) bool { return firstSeqs[perm[a]] < firstSeqs[perm[b]] })
+	for _, i := range perm {
+		out.appendRowFrom(deferred, i)
+	}
+	o.out = out
 	return nil
 }
 
@@ -905,7 +905,7 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 				continue
 			}
 			if o.spilling {
-				if err := o.parts[spillPart(key)].add(spillRow{seq: seq, key: key, vals: in.rowVals(i)}); err != nil {
+				if err := o.parts[spillPart(key)].add(spillRow{seq: seq, key: key, vals: in.rowVals(i, len(in.cols))}); err != nil {
 					return nil, false, err
 				}
 				continue
@@ -927,9 +927,6 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 			continue
 		}
 		if len(sel) == in.n {
-			// Distinct breaks the row/source-record correspondence, so
-			// the source environments must not travel past it.
-			in.src = nil
 			return o.emit(in)
 		}
 		out := NewBatch(in.cols, len(sel))

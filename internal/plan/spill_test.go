@@ -180,7 +180,7 @@ func collectSorted(t *testing.T, n int, bud *budget) (*table.Table, *Sort) {
 	t.Helper()
 	ev := &expr.Evaluator{}
 	s := NewSort(NewTableScan(sortInput(n)),
-		[]*ast.SortItem{{Expr: &ast.Variable{Name: "x"}}}, ev)
+		[]*ast.SortItem{{Expr: &ast.Variable{Name: "x"}}}, []string{"x", "y"}, ev)
 	s.budget = bud
 	out, err := Collect(s)
 	if err != nil {
@@ -297,7 +297,7 @@ func TestSpillingAggregateMatchesInMemory(t *testing.T) {
 func TestSpillFilesFreedOnChildError(t *testing.T) {
 	ev := &expr.Evaluator{}
 	// Enough rows to force several runs before the child fails.
-	s := NewSort(&errAfter{n: 300}, []*ast.SortItem{{Expr: &ast.Variable{Name: "x"}}}, ev)
+	s := NewSort(&errAfter{n: 300}, []*ast.SortItem{{Expr: &ast.Variable{Name: "x"}}}, []string{"x"}, ev)
 	s.budget = newBudget(1)
 	if _, err := Collect(s); err == nil || !strings.Contains(err.Error(), "synthetic source failure") {
 		t.Fatalf("Collect err = %v, want synthetic source failure", err)
@@ -310,7 +310,7 @@ func TestSpillFilesFreedOnChildError(t *testing.T) {
 func TestSpillFilesFreedOnEarlyLimitClose(t *testing.T) {
 	ev := &expr.Evaluator{}
 	s := NewSort(NewTableScan(sortInput(500)),
-		[]*ast.SortItem{{Expr: &ast.Variable{Name: "x"}}}, ev)
+		[]*ast.SortItem{{Expr: &ast.Variable{Name: "x"}}}, []string{"x", "y"}, ev)
 	s.budget = newBudget(1)
 	lim := NewLimit(s, &ast.Literal{Value: int64(3)}, ev)
 	out, err := Collect(lim)
@@ -437,11 +437,11 @@ func TestOperatorClosesChildOnce(t *testing.T) {
 			return NewLoadCSV(c, &ast.LoadCSVClause{URL: &ast.Literal{Value: csvPath}, Var: "row"}, ev)
 		},
 		"Filter":   func(c Operator) Operator { return NewFilter(c, &ast.Literal{Value: true}, ev) },
-		"Project":  func(c Operator) Operator { return NewProject(c, items, []string{"x"}, ev, false) },
+		"Project":  func(c Operator) Operator { return NewProject(c, items, []string{"x"}, ev) },
 		"Distinct": func(c Operator) Operator { return NewDistinct(c) },
 		"Skip":     func(c Operator) Operator { return NewSkip(c, intLit(1), ev) },
 		"Limit":    func(c Operator) Operator { return NewLimit(c, intLit(1), ev) },
-		"Sort":     func(c Operator) Operator { return NewSort(c, []*ast.SortItem{{Expr: x}}, ev) },
+		"Sort":     func(c Operator) Operator { return NewSort(c, []*ast.SortItem{{Expr: x}}, c.Columns(), ev) },
 		"Aggregate": func(c Operator) Operator {
 			return NewAggregate(c, []Item{{Expr: &ast.FuncCall{Name: "count", Star: true}, Alias: "n"}}, []string{"n"}, ev)
 		},
@@ -471,7 +471,7 @@ func TestOperatorClosesChildOnce(t *testing.T) {
 func TestBarrierCloseMidSpillFreesFiles(t *testing.T) {
 	ev := &expr.Evaluator{}
 	x := &ast.Variable{Name: "x"}
-	s := NewSort(NewTableScan(sortInput(500)), []*ast.SortItem{{Expr: x}}, ev)
+	s := NewSort(NewTableScan(sortInput(500)), []*ast.SortItem{{Expr: x}}, []string{"x", "y"}, ev)
 	s.budget = newBudget(1)
 	d := NewDistinct(NewTableScan(sortInput(500)))
 	d.budget = newBudget(1)

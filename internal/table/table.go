@@ -3,6 +3,13 @@
 // record maps a fixed set of column names to values; a table is an ordered
 // bag of such records.
 //
+// A table stores its records column by column, in the layout of the
+// executor's batches (plan.Batch): one value slice per column, every
+// cell an explicit value (absent values are nulls, never nil). A scan
+// hands out views of those slices and the executor's result collection
+// adopts its batches' slices, so rows cross the statement boundary in
+// either direction without being copied.
+//
 // Although tables are semantically unordered bags, the implementation
 // keeps an explicit row order: the legacy Cypher 9 semantics processes
 // updates record by record, and the paper's Example 3 shows that the
@@ -13,177 +20,129 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/value"
 )
 
-// Table is a bag of records over a fixed column set.
+// Table is a bag of records over a fixed column set: vals[j][i] is
+// record i's value in column j.
 type Table struct {
-	cols   []string
-	colIdx map[string]int
-	rows   [][]value.Value
+	cols []string
+	vals [][]value.Value
+	n    int
 }
 
 // New returns an empty table with the given columns.
 func New(cols ...string) *Table {
-	t := &Table{cols: append([]string(nil), cols...), colIdx: make(map[string]int, len(cols))}
-	for i, c := range t.cols {
-		if _, dup := t.colIdx[c]; dup {
+	for i, c := range cols {
+		if slices.Contains(cols[:i], c) {
 			panic(fmt.Sprintf("table: duplicate column %q", c))
 		}
-		t.colIdx[c] = i
 	}
-	return t
-}
-
-// Unit returns the table containing a single empty record T(), the
-// starting point of query evaluation (Section 8.1).
-func Unit() *Table {
-	t := New()
-	t.rows = append(t.rows, nil)
-	return t
+	return &Table{cols: slices.Clone(cols), vals: make([][]value.Value, len(cols))}
 }
 
 // Columns returns the column names in order.
-func (t *Table) Columns() []string { return append([]string(nil), t.cols...) }
-
-// HasColumn reports whether the column exists.
-func (t *Table) HasColumn(name string) bool {
-	_, ok := t.colIdx[name]
-	return ok
-}
+func (t *Table) Columns() []string { return slices.Clone(t.cols) }
 
 // Len reports the number of records.
-func (t *Table) Len() int { return len(t.rows) }
+func (t *Table) Len() int { return t.n }
+
+// Column returns column j's values, one per record. The slice is the
+// table's storage, capped at Len: callers read it and never write it.
+func (t *Table) Column(j int) []value.Value { return t.vals[j][:t.n:t.n] }
 
 // AppendRow adds a record given as a value slice in column order.
-// The row is copied.
+// The values are copied; nil becomes null.
 func (t *Table) AppendRow(vals ...value.Value) {
 	if len(vals) != len(t.cols) {
 		panic(fmt.Sprintf("table: row width %d != %d columns", len(vals), len(t.cols)))
 	}
-	row := make([]value.Value, len(vals))
-	for i, v := range vals {
+	for j, v := range vals {
 		if v == nil {
 			v = value.NullValue
 		}
-		row[i] = v
+		t.vals[j] = append(t.vals[j], v)
 	}
-	t.rows = append(t.rows, row)
+	t.n++
 }
 
-// AppendColumns adds n records given as columnar slices (cols[j][r] is
-// row r of column j, matching the table's column order), transposing
-// into the table's row-major layout. This is the batch append used by
-// the vectorized executor's Collect: one row-slice allocation per
-// record, no per-record map.
+// AppendColumns adds n records given as columns in the table's column
+// order (cols[j][r] is record r's value in column j), none of them nil.
+// An empty table adopts the column slices instead of copying them, so
+// the caller must not write them afterwards; a later append to the
+// table copies them first, since each is capped at n.
 func (t *Table) AppendColumns(cols [][]value.Value, n int) {
 	if len(cols) != len(t.cols) {
 		panic(fmt.Sprintf("table: batch width %d != %d columns", len(cols), len(t.cols)))
 	}
-	for r := 0; r < n; r++ {
-		row := make([]value.Value, len(cols))
-		for j := range cols {
-			v := cols[j][r]
-			if v == nil {
-				v = value.NullValue
-			}
-			row[j] = v
-		}
-		t.rows = append(t.rows, row)
-	}
-}
-
-// ReadColumns appends rows [from, to) to dst, a columnar buffer with
-// one slice per column in table order (dst[j] receives column j's
-// values). This is the batch read used by the vectorized table scan:
-// values are appended without per-row map or slice allocation. Nil
-// cells are surfaced as null, matching Get.
-func (t *Table) ReadColumns(from, to int, dst [][]value.Value) {
-	if len(dst) != len(t.cols) {
-		panic(fmt.Sprintf("table: batch width %d != %d columns", len(dst), len(t.cols)))
-	}
-	for i := from; i < to; i++ {
-		row := t.rows[i]
-		for j := range dst {
-			v := row[j]
-			if v == nil {
-				v = value.NullValue
-			}
-			dst[j] = append(dst[j], v)
+	for j, c := range cols {
+		if t.n == 0 {
+			t.vals[j] = c[:n:n]
+		} else {
+			t.vals[j] = append(t.vals[j][:t.n], c[:n]...)
 		}
 	}
+	t.n += n
 }
 
 // Get returns the value of the named column in row i (null for a missing
 // column, which arises when legacy FOREACH bodies reference outer rows).
 func (t *Table) Get(i int, col string) value.Value {
-	j, ok := t.colIdx[col]
-	if !ok {
+	j := slices.Index(t.cols, col)
+	if j < 0 {
 		return value.NullValue
 	}
-	v := t.rows[i][j]
-	if v == nil {
-		return value.NullValue
-	}
-	return v
-}
-
-// Set overwrites the value of the named column in row i.
-func (t *Table) Set(i int, col string, v value.Value) {
-	j, ok := t.colIdx[col]
-	if !ok {
-		panic(fmt.Sprintf("table: no column %q", col))
-	}
-	if v == nil {
-		v = value.NullValue
-	}
-	t.rows[i][j] = v
+	return t.vals[j][i]
 }
 
 // Values returns row i as a value slice in column order (not aliased).
 func (t *Table) Values(i int) []value.Value {
 	out := make([]value.Value, len(t.cols))
 	for j := range t.cols {
-		v := t.rows[i][j]
-		if v == nil {
-			v = value.NullValue
-		}
-		out[j] = v
+		out[j] = t.vals[j][i]
 	}
 	return out
 }
 
-// Clone returns a deep copy of the table structure (values are shared,
-// rows are not).
+// Clone returns a copy of the table with columns of its own (the values
+// are shared).
 func (t *Table) Clone() *Table {
-	n := New(t.cols...)
-	n.rows = make([][]value.Value, len(t.rows))
-	for i, r := range t.rows {
-		n.rows[i] = append([]value.Value(nil), r...)
+	c := New(t.cols...)
+	for j := range t.vals {
+		c.vals[j] = slices.Clone(t.Column(j))
 	}
-	return n
+	c.n = t.n
+	return c
 }
 
-// Reverse reverses the row order in place (the "bottom-up" evaluation
-// order of Example 3).
+// Reverse reverses the row order (the "bottom-up" evaluation order of
+// Example 3).
 func (t *Table) Reverse() {
-	for i, j := 0, len(t.rows)-1; i < j; i, j = i+1, j-1 {
-		t.rows[i], t.rows[j] = t.rows[j], t.rows[i]
+	perm := make([]int, t.n)
+	for i := range perm {
+		perm[i] = t.n - 1 - i
 	}
+	t.Permute(perm)
 }
 
-// Permute reorders rows by the given permutation of indices.
+// Permute reorders rows by the given permutation of indices: row i
+// becomes old row perm[i]. The table gets new column slices, so a
+// table sharing this one's storage (a statement result over a driving
+// table) is never written.
 func (t *Table) Permute(perm []int) {
-	if len(perm) != len(t.rows) {
+	if len(perm) != t.n {
 		panic("table: bad permutation length")
 	}
-	out := make([][]value.Value, len(t.rows))
-	for i, p := range perm {
-		out[i] = t.rows[p]
+	for j, col := range t.vals {
+		out := make([]value.Value, t.n)
+		for i, p := range perm {
+			out[i] = col[p]
+		}
+		t.vals[j] = out
 	}
-	t.rows = out
 }
 
 // String renders the table for debugging and the REPL.
@@ -191,14 +150,10 @@ func (t *Table) String() string {
 	var sb strings.Builder
 	sb.WriteString(strings.Join(t.cols, " | "))
 	sb.WriteString("\n")
-	for i := range t.rows {
-		var parts []string
+	parts := make([]string, len(t.cols))
+	for i := 0; i < t.n; i++ {
 		for j := range t.cols {
-			v := t.rows[i][j]
-			if v == nil {
-				v = value.NullValue
-			}
-			parts = append(parts, v.String())
+			parts[j] = t.vals[j][i].String()
 		}
 		sb.WriteString(strings.Join(parts, " | "))
 		sb.WriteString("\n")

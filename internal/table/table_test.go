@@ -6,13 +6,6 @@ import (
 	"repro/internal/value"
 )
 
-func TestUnit(t *testing.T) {
-	u := Unit()
-	if u.Len() != 1 || len(u.Columns()) != 0 {
-		t.Fatalf("Unit: %d rows, %d cols", u.Len(), len(u.Columns()))
-	}
-}
-
 func TestAppendAndGet(t *testing.T) {
 	tb := New("a", "b")
 	tb.AppendRow(value.Int(1), value.String("x"))
@@ -28,9 +21,6 @@ func TestAppendAndGet(t *testing.T) {
 	}
 	if !value.IsNull(tb.Get(0, "zzz")) {
 		t.Error("missing column should read null")
-	}
-	if !tb.HasColumn("a") || tb.HasColumn("zzz") {
-		t.Error("HasColumn")
 	}
 }
 
@@ -66,22 +56,14 @@ func TestValues(t *testing.T) {
 	}
 }
 
-func TestSet(t *testing.T) {
-	tb := New("x")
-	tb.AppendRow(value.Int(1))
-	tb.Set(0, "x", value.Int(5))
-	if tb.Get(0, "x") != value.Int(5) {
-		t.Error("Set")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	tb := New("x")
 	tb.AppendRow(value.Int(1))
 	c := tb.Clone()
-	c.Set(0, "x", value.Int(2))
+	c.Permute([]int{0})
 	c.AppendRow(value.Int(3))
-	if tb.Get(0, "x") != value.Int(1) || tb.Len() != 1 {
+	tb.AppendRow(value.Int(2))
+	if tb.Get(1, "x") != value.Int(2) || c.Get(1, "x") != value.Int(3) || c.Len() != 2 {
 		t.Error("clone aliased")
 	}
 }
@@ -106,5 +88,30 @@ func TestString(t *testing.T) {
 	tb.AppendRow(value.Int(1))
 	if tb.String() == "" {
 		t.Error("empty render")
+	}
+}
+
+// TestAdoptedColumnsAreNeverWritten checks the sharing rules of the
+// columnar layout: an empty table adopts the columns it is given, and
+// neither a later append nor a reordering writes them.
+func TestAdoptedColumnsAreNeverWritten(t *testing.T) {
+	src := make([]value.Value, 3, 8)
+	for i := range src {
+		src[i] = value.Int(int64(i))
+	}
+	tb := New("x")
+	tb.AppendColumns([][]value.Value{src}, 3)
+	if tb.Len() != 3 || &tb.Column(0)[0] != &src[0] {
+		t.Fatal("an empty table should adopt the columns it is given")
+	}
+	tb.AppendColumns([][]value.Value{{value.Int(9)}}, 1)
+	tb.AppendRow(value.Int(10))
+	tb.Reverse()
+	tb.Permute([]int{1, 0, 2, 3, 4})
+	if got := src[:cap(src)]; got[0] != value.Int(0) || got[2] != value.Int(2) || got[3] != nil {
+		t.Errorf("adopted storage written: %v", got)
+	}
+	if tb.Get(0, "x") != value.Int(9) || tb.Get(1, "x") != value.Int(10) || tb.Get(4, "x") != value.Int(0) {
+		t.Errorf("table after append and reorder:\n%s", tb)
 	}
 }
