@@ -77,9 +77,11 @@ func (s graphState) deltas(after graphState) (props, added, removed int) {
 // CREATE / ON MATCH statements in both dialects and under each MERGE
 // strategy, and requires the reported stats to be the graph's actual
 // deltas: nodes and relationships gained, and the properties written
-// and labels added and removed on entities that existed before. Every
-// write here changes the graph, so counting writes and counting changes
-// agree.
+// and labels added and removed on entities that existed before. A label
+// counts only when it changes the node (SET of a label the node has,
+// REMOVE of one it lacks, count nothing); a property write counts per
+// written item, and every property write here changes the graph, so
+// the two agree.
 func TestUpdateStatsMatchGraphDeltas(t *testing.T) {
 	setup := `CREATE (:A{p: 1})-[:R{w: 1}]->(:B), (:M{k: 1}), (:X{k: 1}), (:X{k: 2})`
 	merge := `MATCH (x:X) WITH x, x.k AS k MERGE (a:M{k: k}) ON CREATE SET x.c = 1 ON MATCH SET x.m = 1`
@@ -91,6 +93,8 @@ func TestUpdateStatsMatchGraphDeltas(t *testing.T) {
 		{`MATCH (n:A) SET n:L`, both},
 		{`MATCH (n:A) REMOVE n.p`, both},
 		{`MATCH (n:A) REMOVE n:A`, both},
+		{`MATCH (n:A) SET n:A`, both},
+		{`MATCH (n:A) REMOVE n:B`, both},
 		{`MATCH (n:A) SET n.q = n.p + 1, n:L, n.p = 5`, both},
 		{`MATCH (n:A) REMOVE n:A, n.p SET n:K`, both},
 		{`MATCH ()-[r:R]->() SET r.w = 2, r.v = 1`, both},

@@ -549,11 +549,11 @@ func loadRow(env expr.Env, in *plan.Batch, i int, fresh []string) {
 }
 
 // applyChanges installs a revised-dialect change set and counts it by
-// kind: property writes (a removal writes null), label additions and
-// label removals.
+// kind: property writes (a removal writes null), and the label
+// additions and removals that changed a node.
 func (x *executor) applyChanges(cs *graph.ChangeSet) error {
-	props, added, removed := cs.Counts()
-	if err := cs.Apply(x.graph); err != nil {
+	props, added, removed, err := cs.Apply(x.graph)
+	if err != nil {
 		return err
 	}
 	x.stats.PropsSet += props

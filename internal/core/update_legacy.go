@@ -75,6 +75,9 @@ func (x *executor) applySetItemLegacy(item ast.SetItem, env expr.Env) error {
 			return nil // deleted node: legacy silently ignores (Section 4.2)
 		}
 		for _, l := range it.Labels {
+			if x.graph.HasLabel(x.graph.Node(graph.NodeID(n.ID)), l) {
+				continue // counts only a label the node gains
+			}
 			if err := x.graph.AddLabel(graph.NodeID(n.ID), l); err != nil {
 				return err
 			}
@@ -210,6 +213,9 @@ func (x *executor) execRemoveLegacy(cl *ast.RemoveClause, in *plan.Batch) error 
 					continue
 				}
 				for _, l := range it.Labels {
+					if !x.graph.HasLabel(x.graph.Node(graph.NodeID(n.ID)), l) {
+						continue // counts only a label the node loses
+					}
 					if err := x.graph.RemoveLabel(graph.NodeID(n.ID), l); err != nil {
 						return err
 					}

@@ -80,18 +80,6 @@ func NewChangeSet() *ChangeSet {
 	}
 }
 
-// Counts reports the accumulated changes by kind: property writes (a
-// removal writes null), label additions and label removals.
-func (c *ChangeSet) Counts() (props, added, removed int) {
-	for _, s := range c.addLabels {
-		added += len(s)
-	}
-	for _, s := range c.remLabels {
-		removed += len(s)
-	}
-	return len(c.props), added, removed
-}
-
 // SetProp records the assignment of v (null meaning removal) to a
 // property. Recording the same value twice is permitted; recording a
 // different value for an already-recorded (entity, key) pair is a
@@ -140,40 +128,49 @@ func (c *ChangeSet) RemoveLabel(id NodeID, label string) {
 	set[label] = struct{}{}
 }
 
-// Apply installs all accumulated changes into g. Changes to entities that
-// no longer exist are an error (the engine nulls references to deleted
-// entities before SET can see them, so this indicates an engine bug).
-func (c *ChangeSet) Apply(g *Graph) error {
+// Apply installs all accumulated changes into g and reports them by
+// kind. Every recorded property write counts, a removal writing null,
+// as Neo4j's propertiesSet counts them; a label counts only when it
+// changed the node, so adding a label the node carries or removing one
+// it lacks is not counted. Changes to entities that no longer exist are
+// an error (the engine nulls references to deleted entities before SET
+// can see them, so this indicates an engine bug).
+func (c *ChangeSet) Apply(g *Graph) (props, added, removed int, err error) {
 	for _, k := range c.propOrder {
 		v := c.props[k]
 		switch k.entity.Kind {
 		case EntityNode:
-			if err := g.SetNodeProp(NodeID(k.entity.ID), k.key, v); err != nil {
-				return err
-			}
+			err = g.SetNodeProp(NodeID(k.entity.ID), k.key, v)
 		case EntityRel:
-			if err := g.SetRelProp(RelID(k.entity.ID), k.key, v); err != nil {
-				return err
-			}
+			err = g.SetRelProp(RelID(k.entity.ID), k.key, v)
+		}
+		if err != nil {
+			return 0, 0, 0, err
 		}
 	}
 	for _, id := range sortedNodeKeys(c.addLabels) {
-		labels := sortedStringSet(c.addLabels[id])
-		for _, l := range labels {
-			if err := g.AddLabel(id, l); err != nil {
-				return err
+		for _, l := range sortedStringSet(c.addLabels[id]) {
+			if n := g.Node(id); n != nil && g.HasLabel(n, l) {
+				continue
 			}
+			if err := g.AddLabel(id, l); err != nil {
+				return 0, 0, 0, err
+			}
+			added++
 		}
 	}
 	for _, id := range sortedNodeKeys(c.remLabels) {
-		labels := sortedStringSet(c.remLabels[id])
-		for _, l := range labels {
-			if err := g.RemoveLabel(id, l); err != nil {
-				return err
+		for _, l := range sortedStringSet(c.remLabels[id]) {
+			if n := g.Node(id); n != nil && !g.HasLabel(n, l) {
+				continue
 			}
+			if err := g.RemoveLabel(id, l); err != nil {
+				return 0, 0, 0, err
+			}
+			removed++
 		}
 	}
-	return nil
+	return len(c.props), added, removed, nil
 }
 
 func sortedNodeKeys[V any](m map[NodeID]V) []NodeID {

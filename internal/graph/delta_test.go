@@ -57,6 +57,7 @@ func TestChangeSetApply(t *testing.T) {
 	g := New()
 	a := g.CreateNode([]string{"Old"}, value.Map{"x": value.Int(1), "y": value.Int(2)})
 	b := g.CreateNode(nil, nil)
+	kept := g.CreateNode([]string{"Kept"}, nil)
 	r, _ := g.CreateRel(a.ID, b.ID, "T", value.Map{"w": value.Int(1)})
 
 	cs := NewChangeSet()
@@ -65,11 +66,14 @@ func TestChangeSetApply(t *testing.T) {
 	cs.SetProp(RelRef(r.ID), "w", value.Int(20))
 	cs.AddLabel(a.ID, "New")
 	cs.RemoveLabel(a.ID, "Old")
-	if p, a, r := cs.Counts(); p != 3 || a != 1 || r != 1 {
-		t.Errorf("Counts = %d, %d, %d; want 3, 1, 1", p, a, r)
-	}
-	if err := cs.Apply(g); err != nil {
+	cs.AddLabel(kept.ID, "Kept") // already there: not counted
+	cs.RemoveLabel(b.ID, "Old")  // not there: not counted
+	p, added, removed, err := cs.Apply(g)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if p != 3 || added != 1 || removed != 1 {
+		t.Errorf("Apply counted %d, %d, %d; want 3, 1, 1", p, added, removed)
 	}
 	if prop(g, g.Node(a.ID).Props, "x") != value.Int(10) {
 		t.Error("x not applied")
@@ -89,12 +93,12 @@ func TestChangeSetApplyMissingEntity(t *testing.T) {
 	g := New()
 	cs := NewChangeSet()
 	cs.SetProp(NodeRef(42), "x", value.Int(1))
-	if err := cs.Apply(g); err == nil {
+	if _, _, _, err := cs.Apply(g); err == nil {
 		t.Error("apply to missing node should fail")
 	}
 	cs2 := NewChangeSet()
 	cs2.SetProp(RelRef(42), "x", value.Int(1))
-	if err := cs2.Apply(g); err == nil {
+	if _, _, _, err := cs2.Apply(g); err == nil {
 		t.Error("apply to missing rel should fail")
 	}
 }
