@@ -159,11 +159,12 @@ func TestConcurrentReadersSingleWriter(t *testing.T) {
 
 	// The writer keeps committing/rolling back transactions until every
 	// reader has finished its checks, so the two sides genuinely
-	// overlap regardless of scheduling.
+	// overlap regardless of scheduling, and until it has made at least
+	// one commit and one rollback, however fast the readers were.
 	sess := db.Session()
 	defer sess.Close()
 	rolledBack := 0
-	for i := 0; !done.Load(); i++ {
+	for i := 0; !done.Load() || committed.Load() == 0 || rolledBack == 0; i++ {
 		if _, err := sess.Exec(`BEGIN`, nil); err != nil {
 			t.Fatal(err)
 		}
