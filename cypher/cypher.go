@@ -292,8 +292,8 @@ func (r *Result) Rows() []map[string]Value {
 
 func (r *Result) rowMap(cols []string, i int) map[string]Value {
 	m := make(map[string]Value, len(cols))
-	for _, c := range cols {
-		m[c] = r.t.Get(i, c)
+	for j, c := range cols {
+		m[c] = r.t.Column(j)[i]
 	}
 	return m
 }

@@ -455,8 +455,10 @@ func spillRowBytes(r spillRow) int64 {
 	return n
 }
 
-// rowBytes is the accounted size of a row held by name: each value
-// with its column name, as a map entry would hold it.
+// rowBytes is the accounted size of a group's representative row: a
+// header plus each value with its column name. The estimate is the one
+// the barriers' spill points and PROFILE peaks were tuned and pinned
+// with.
 func rowBytes(cols []string, vals []value.Value) int64 {
 	n := int64(48)
 	for j, v := range vals {
@@ -496,8 +498,8 @@ func sortSpillRows(rows []spillRow, less func(a, b spillRow) bool) {
 // fill is the Sort's intake, one loop over the child's batches like
 // Aggregate's and Distinct's. Each row's sort keys are evaluated over
 // all its columns, hidden ones included, and only the Sort's own
-// columns are kept; its sequence number is its intake position, so the comparator's seq tie-break
-// reproduces sort.SliceStable. Over budget, the pending rows are sorted
+// columns are kept; its sequence number is its intake position, so the
+// comparator's seq tie-break reproduces sort.SliceStable. Over budget, the pending rows are sorted
 // and spilled as one run, and the runs are compacted into one when they
 // reach maxMergeWidth. At the end the pending rows replay alone, or
 // merged with the spilled runs. Runs live in o.runs until the merge

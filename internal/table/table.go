@@ -82,7 +82,7 @@ func (t *Table) AppendColumns(cols [][]value.Value, n int) {
 		if t.n == 0 {
 			t.vals[j] = c[:n:n]
 		} else {
-			t.vals[j] = append(t.vals[j][:t.n], c[:n]...)
+			t.vals[j] = append(t.vals[j], c[:n]...)
 		}
 	}
 	t.n += n
