@@ -44,11 +44,12 @@ stress:
 # The spill suites under the race detector: forced-spill equivalence
 # (tiny budgets make every barrier take the external-sort / hash-
 # partition path), temp-file cleanup on error and early-LIMIT close,
-# ORDER BY's scope over a spilling Sort, and the executor sweep over
-# the script corpus.
+# ORDER BY's scope over a spilling Sort, ORDER BY … SKIP … LIMIT against
+# the sliced unbounded sort, and the executor sweep over the script
+# corpus.
 spill:
 	go test -race -run 'TestExternalSort|TestSpilling|TestSpillFiles|TestSpillCodec|TestOperator' ./internal/plan
-	go test -race -run 'TestTinyBudgetSpillEquivalence|TestBudgetBoundsBarrierPeak|TestExecutorTriEquivalence|TestOrderByScope' ./internal/core
+	go test -race -run 'TestTinyBudgetSpillEquivalence|TestBudgetBoundsBarrierPeak|TestExecutorTriEquivalence|TestOrderByScope|TestSortLimitIsSliceOfSort' ./internal/core
 	go test -race -run 'TestCorpusExecutorSweep' ./internal/script
 	go test -race -run 'TestWithMemoryBudget|TestProfile' ./cypher
 
@@ -57,13 +58,14 @@ spill:
 # budget, bit-identical output required), error/cancellation draining
 # with zero live spill files, the barrier memory bound at degrees 1/2/8
 # (the Sort's peak and spill runs must equal the serial run's), ORDER
-# BY's scope over a projection run per morsel, the concurrent spill-registry and budget bookkeeping hammer, anchor chunks
+# BY's scope over a projection run per morsel, ORDER BY … SKIP … LIMIT
+# against the sliced unbounded sort, the concurrent spill-registry and budget bookkeeping hammer, anchor chunks
 # of one match plan enumerated concurrently (their concatenation must be the
 # serial enumeration), and the script-corpus sweep whose configs
 # include the parallel executor. Degrees are set explicitly in the
 # tests, so this gate is meaningful even on single-core CI runners.
 par:
-	go test -race -run 'TestParallel|TestBudgetBoundsBarrierPeak|TestOrderByScope' ./internal/core
+	go test -race -run 'TestParallel|TestBudgetBoundsBarrierPeak|TestOrderByScope|TestSortLimitIsSliceOfSort' ./internal/core
 	go test -race -run 'TestSpillBookkeepingConcurrent|TestBudgetShrinkClampConcurrent' ./internal/plan
 	go test -race -run 'TestAnchorChunksConcurrent' ./internal/match
 	go test -race -run 'TestCorpusExecutorSweep' ./internal/script
