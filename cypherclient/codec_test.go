@@ -269,7 +269,7 @@ func TestServedPointReadAllocs(t *testing.T) {
 	}
 	served := testing.AllocsPerRun(500, exec(func(p map[string]any) error { _, err := c.Exec(q, p); return err }))
 	local := testing.AllocsPerRun(500, exec(func(p map[string]any) error { _, err := sess.Exec(q, p); return err }))
-	const bound, localBound = 30, 51
+	const bound, localBound = 30, 49
 	wire := served - local
 	t.Logf("the wire adds %.0f allocations per point read (%.0f served, %.0f on a session)", wire, served, local)
 	if wire > bound {

@@ -463,3 +463,46 @@ func TestResultPathAllocations(t *testing.T) {
 		t.Errorf("%.0f allocations for %d rows, want fewer than %d", allocs, rows, rows/10)
 	}
 }
+
+// TestBarrierIntakeAllocations bounds what the serial barriers above a
+// pipeline cost per input row: grouping 10 000 driving rows into 10
+// groups with count(*), sum and count(DISTINCT …), RETURN DISTINCT over
+// the same rows, and ORDER BY … LIMIT 5 over them must each allocate
+// fewer than 0.1 times per row. Grouping and DISTINCT keys are appended
+// to reused buffers and looked up without a copy, so only a new key
+// allocates; the bounded Sort drops a row that cannot reach the output
+// before it copies anything. A key string, key slice or row copy per
+// input row would cost ten times the bound.
+func TestBarrierIntakeAllocations(t *testing.T) {
+	const rows = 10000
+	t0 := table.New("g", "x")
+	for i := range rows {
+		t0.AppendRow(value.Int(int64(i%10)), value.Int(int64(i%100)))
+	}
+	cases := []struct {
+		q    string
+		want int
+	}{
+		{`RETURN g, count(*) AS c, sum(x) AS s, count(DISTINCT x) AS d`, 10},
+		{`RETURN DISTINCT g, x`, 100},
+		{`RETURN x ORDER BY x LIMIT 5`, 5},
+	}
+	eng := NewEngine(Config{Dialect: DialectRevised, Parallelism: 1})
+	g := graph.New()
+	for _, c := range cases {
+		stmt, err := parser.Parse(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			res, err := eng.ExecuteWithTable(g, stmt, nil, t0)
+			if err != nil || res.Table.Len() != c.want {
+				t.Fatalf("%s: %v", c.q, err)
+			}
+		})
+		t.Logf("%s: %.0f allocations for %d rows (%.3f per row)", c.q, allocs, rows, allocs/rows)
+		if allocs/rows >= 0.1 {
+			t.Errorf("%s: %.0f allocations for %d rows, want fewer than %d", c.q, allocs, rows, rows/10)
+		}
+	}
+}

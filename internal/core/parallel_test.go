@@ -215,7 +215,7 @@ func TestParallelCancellationDrainsWorkers(t *testing.T) {
 		// rows and Close cancels the in-flight morsels.
 		{`MATCH (u:U) RETURN u.i AS i LIMIT 3`, false},
 		// ORDER BY + LIMIT with a tiny budget: the Sort over the
-		// gather spills runs; LIMIT abandons the merge early.
+		// gather keeps only the 5 rows of its bound.
 		{`MATCH (u:U) RETURN u.i AS i ORDER BY u.g, i LIMIT 5`, false},
 		// Error mid-stream while workers are fanned out.
 		{`MATCH (u:U) RETURN 1 / (u.i - 2900) AS v ORDER BY v`, true},
@@ -236,6 +236,29 @@ func TestParallelCancellationDrainsWorkers(t *testing.T) {
 		if live := plan.SpillFilesLive(); live != 0 {
 			t.Fatalf("case %d (%s): %d spill files still live", ci, tc.q, live)
 		}
+	}
+	// ORDER BY + LIMIT whose bound alone exceeds the budget: the bounded
+	// Sort still spills runs, and LIMIT abandons their merge early.
+	const spilling = `MATCH (u:U) RETURN u.i AS i ORDER BY u.g, i LIMIT 500`
+	stmt, err := parser.Parse(spilling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root plan.Operator
+	cfg := Config{Dialect: DialectRevised, Parallelism: 8, MemoryBudget: 1 << 10}
+	cfg.onPlan = func(op plan.Operator) { root = op }
+	res, err := NewEngine(cfg).ExecuteStatement(g, stmt, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", spilling, err)
+	}
+	if res.Table.Len() != 500 {
+		t.Fatalf("%s: %d rows, want 500", spilling, res.Table.Len())
+	}
+	if !sortSpilled(root) {
+		t.Fatalf("%s: the Sort did not spill:\n%s", spilling, plan.Explain(root))
+	}
+	if live := plan.SpillFilesLive(); live != 0 {
+		t.Fatalf("%s: %d spill files still live", spilling, live)
 	}
 	// Workers must drain: allow the runtime a moment to retire exited
 	// goroutines, then require no residue beyond the baseline.

@@ -22,8 +22,8 @@ import (
 // output. The reference order is the serial unbounded ORDER BY's,
 // which every arm must reproduce too. The counts cover 0, 1, 20, 100,
 // more than the input, the largest integer, and pairs whose sum
-// overflows. Each statement runs serially, at degree 2 and under a
-// spill-forcing budget, with and without the degree.
+// overflows. Each statement runs serially and at degree 2, each with
+// and without a spill-forcing budget.
 func TestSortLimitIsSliceOfSort(t *testing.T) {
 	const n = 2600 // enough rows for scan morsels at degree 2
 	keyPool := []value.Value{

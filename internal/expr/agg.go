@@ -55,28 +55,33 @@ func NewAggregator(name string, distinct, star bool) (Aggregator, error) {
 	return inner, nil
 }
 
+// distinctAgg feeds its inner aggregator each distinct value once. The
+// value's key is appended to a buffer reused across rows and looked up
+// as seen[string(buf)], which does not allocate; only a new value's
+// key is copied into the set.
 type distinctAgg struct {
 	seen  map[string]bool
 	inner Aggregator
+	buf   []byte
 }
 
 func (d *distinctAgg) Add(v value.Value) error {
-	k := value.Key(v)
-	if d.seen[k] {
+	d.buf = value.AppendKey(d.buf[:0], v)
+	if d.seen[string(d.buf)] {
 		return nil
 	}
-	d.seen[k] = true
+	d.seen[string(d.buf)] = true
 	return d.inner.Add(v)
 }
 
 func (d *distinctAgg) Result() value.Value { return d.inner.Result() }
 
 func (d *distinctAgg) Retains(v value.Value) int64 {
-	k := value.Key(v)
-	if d.seen[k] {
+	d.buf = value.AppendKey(d.buf[:0], v)
+	if d.seen[string(d.buf)] {
 		return 0
 	}
-	return 48 + int64(len(k)) + d.inner.Retains(v)
+	return 48 + int64(len(d.buf)) + d.inner.Retains(v)
 }
 
 type countAgg struct {

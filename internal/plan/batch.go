@@ -569,11 +569,12 @@ func (o *Distinct) NextBatch(max int) (*Batch, bool, error) {
 // the remaining skip count, so the child hands out no more rows than
 // the skipped ones plus those this pull returns.
 func (o *Skip) NextBatch(max int) (*Batch, bool, error) {
-	if !o.ready {
-		if err := o.ensure(); err != nil {
+	if !o.skipped {
+		rem, err := o.cnt.eval()
+		if err != nil {
 			return nil, false, countErr(o.child, err)
 		}
-		rem := o.n
+		o.skipped = true
 		for rem > 0 {
 			want := rem
 			if want > BatchTarget {
@@ -607,14 +608,13 @@ func (o *Skip) NextBatch(max int) (*Batch, bool, error) {
 // remaining row allowance, so upstream operators (Match enumeration in
 // particular) never do more than one batch of excess work.
 func (o *Limit) NextBatch(max int) (*Batch, bool, error) {
-	if !o.ready {
-		if err := o.ensure(); err != nil {
-			return nil, false, countErr(o.child, err)
-		}
+	n, err := o.cnt.eval()
+	if err != nil {
+		return nil, false, countErr(o.child, err)
 	}
-	rem := int64(o.n) - o.rows
+	rem := int64(n) - o.rows
 	if rem <= 0 {
-		if o.n == 0 && !o.applied {
+		if n == 0 && !o.applied {
 			// LIMIT 0 keeps no rows, but the update clauses below it still
 			// apply in full.
 			o.applied = true

@@ -389,22 +389,33 @@ func (b *Builder) buildProjection(child Operator, proj *ast.Projection, where as
 		d.budget = b.bud
 		cur = d
 	}
+	var sorter *Sort
 	if len(orderBy) > 0 {
 		// Sort is a barrier like Aggregate: the segment ends here and
 		// the Sort consumes the exchange's ordered gather with its
 		// serial intake.
 		cur = b.endSeg(seg, cur)
-		s := NewSort(cur, orderBy, cols, b.Ev)
-		s.budget = b.bud
-		cur = s
+		sorter = NewSort(cur, orderBy, cols, b.Ev)
+		sorter.budget = b.bud
+		cur = sorter
 	}
+	// The Sort reads the counts of the Skip and Limit above it to bound
+	// its intake.
 	if proj.Skip != nil {
 		cur = b.endSeg(seg, cur)
-		cur = NewSkip(cur, proj.Skip, b.Ev)
+		skip := NewSkip(cur, proj.Skip, b.Ev)
+		if sorter != nil {
+			sorter.skip = skip.cnt
+		}
+		cur = skip
 	}
 	if proj.Limit != nil {
 		cur = b.endSeg(seg, cur)
-		cur = NewLimit(cur, proj.Limit, b.Ev)
+		limit := NewLimit(cur, proj.Limit, b.Ev)
+		if sorter != nil {
+			sorter.limit = limit.cnt
+		}
+		cur = limit
 	}
 	if where != nil {
 		if seg.alive() && seg.source != nil {

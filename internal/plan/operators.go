@@ -389,8 +389,10 @@ type Distinct struct {
 	memAccount
 	seen map[string]bool
 
-	// Pull and spill state (see spill.go).
+	// Pull and spill state (see spill.go). keybuf holds a row's values
+	// and keyBytes their key, both reused across rows.
 	keybuf   []value.Value
+	keyBytes []byte
 	selbuf   []int
 	seq      int64
 	drained  bool
@@ -427,42 +429,53 @@ func (o *Distinct) Name() string {
 	return "Distinct" + barrierSuffix(o.rows, o.batches, o.PeakBytes(), o.SpillRuns())
 }
 
+// count is a SKIP or LIMIT count: an expression over parameters only
+// (no variables are in scope), evaluated once, on first use. Skip,
+// Limit and a bounded Sort all read their counts through eval; the
+// builder hands a Sort the very counts of the Skip and Limit above it,
+// so its bound is the value they apply.
+type count struct {
+	kw   string // SKIP or LIMIT, for the error
+	expr ast.Expr
+	ev   *expr.Evaluator
+	n    int
+	err  error
+	done bool
+}
+
+// eval returns the count, evaluating it on the first call. A count that
+// is not a non-negative integer is an error, on every call.
+func (c *count) eval() (int, error) {
+	if !c.done {
+		c.done = true
+		v, err := c.ev.Eval(c.expr, expr.Env{})
+		if err != nil {
+			c.err = err
+		} else if n, ok := value.AsInt(v); !ok || n < 0 {
+			c.err = fmt.Errorf("%s expects a non-negative integer, got %s", c.kw, v)
+		} else {
+			c.n = int(n)
+		}
+	}
+	return c.n, c.err
+}
+
 // Skip drops the first n records; Limit stops after n. Both evaluate
-// their count expression lazily on first pull (parameters only — the
-// expression has no variables in scope).
+// their count lazily on first pull.
 type Skip struct {
 	base
-	expr  ast.Expr
-	ev    *expr.Evaluator
-	n     int
-	ready bool
+	cnt     *count
+	skipped bool
 }
 
 // NewSkip builds a Skip over child.
 func NewSkip(child Operator, e ast.Expr, ev *expr.Evaluator) *Skip {
-	return &Skip{base: over(child), expr: e, ev: ev}
-}
-
-// ensure evaluates the count expression once, on first pull.
-func (o *Skip) ensure() error {
-	if o.ready {
-		return nil
-	}
-	v, err := o.ev.Eval(o.expr, expr.Env{})
-	if err != nil {
-		return err
-	}
-	s, ok := value.AsInt(v)
-	if !ok || s < 0 {
-		return fmt.Errorf("SKIP expects a non-negative integer, got %s", v)
-	}
-	o.n, o.ready = int(s), true
-	return nil
+	return &Skip{base: over(child), cnt: &count{kw: "SKIP", expr: e, ev: ev}}
 }
 
 // Name implements Operator.
 func (o *Skip) Name() string {
-	return fmt.Sprintf("Skip(%s)", o.expr.String()) + o.stats()
+	return fmt.Sprintf("Skip(%s)", o.cnt.expr.String()) + o.stats()
 }
 
 // Limit forwards at most n records, then reports end of stream without
@@ -470,38 +483,18 @@ func (o *Skip) Name() string {
 // enumeration.
 type Limit struct {
 	base
-	expr    ast.Expr
-	ev      *expr.Evaluator
-	n       int
-	ready   bool
+	cnt     *count
 	applied bool // LIMIT 0 has run the update clauses below it
 }
 
 // NewLimit builds a Limit over child.
 func NewLimit(child Operator, e ast.Expr, ev *expr.Evaluator) *Limit {
-	return &Limit{base: over(child), expr: e, ev: ev}
-}
-
-// ensure evaluates the count expression once, on first pull.
-func (o *Limit) ensure() error {
-	if o.ready {
-		return nil
-	}
-	v, err := o.ev.Eval(o.expr, expr.Env{})
-	if err != nil {
-		return err
-	}
-	l, ok := value.AsInt(v)
-	if !ok || l < 0 {
-		return fmt.Errorf("LIMIT expects a non-negative integer, got %s", v)
-	}
-	o.n, o.ready = int(l), true
-	return nil
+	return &Limit{base: over(child), cnt: &count{kw: "LIMIT", expr: e, ev: ev}}
 }
 
 // Name implements Operator.
 func (o *Limit) Name() string {
-	return fmt.Sprintf("Limit(%s)", o.expr.String()) + o.stats()
+	return fmt.Sprintf("Limit(%s)", o.cnt.expr.String()) + o.stats()
 }
 
 // ---------------------------------------------------------------------
@@ -518,11 +511,22 @@ func (o *Limit) Name() string {
 // over an Exchange it drains the ordered gather, like Aggregate and
 // Distinct, so it sees, holds and spills what the serial plan's Sort
 // does. See fill/next1 in spill.go.
+//
+// Under a LIMIT the Sort is bounded: only the first skip+limit rows of
+// its total order can reach the output, so it keeps at most that many
+// (about twice as many between cuts) and drops at intake every row that
+// does not sort before the kept bound-th row. Under a budget it cuts to
+// the bound before it decides to spill, so a bounded Sort spills only
+// when the bound's rows alone exceed the budget.
 type Sort struct {
 	base
 	memAccount
 	sorts []*ast.SortItem
 	ev    *expr.Evaluator
+
+	// skip and limit are the counts of the Skip and Limit above, nil
+	// when the projection has none (see bound).
+	skip, limit *count
 
 	filled bool
 	mem    []spillRow

@@ -2,13 +2,16 @@ package plan
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -471,39 +474,75 @@ func rowBytes(cols []string, vals []value.Value) int64 {
 // External sort (Sort barrier)
 // ---------------------------------------------------------------------
 
-// sortRowLess orders spill rows by the ORDER BY keys with the global
-// intake sequence as final tie-break. Because every row has a unique
-// seq the order is total, so a plain sort.Slice of a run — and any
-// merge of runs under the same comparator — reproduces exactly the
-// order sort.SliceStable over the whole input would have produced.
-func sortRowLess(sorts []*ast.SortItem) func(a, b spillRow) bool {
-	return func(a, b spillRow) bool {
-		for s, item := range sorts {
-			c := value.CompareOrder(a.keys[s], b.keys[s])
-			if item.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
+// compareKeys compares two rows' ORDER BY keys in the sort's order.
+func compareKeys(sorts []*ast.SortItem, a, b []value.Value) int {
+	for s, item := range sorts {
+		c := value.CompareOrder(a[s], b[s])
+		if item.Desc {
+			c = -c
 		}
-		return a.seq < b.seq
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// sortRowCompare orders spill rows by the ORDER BY keys with the global
+// intake sequence as final tie-break. Because every row has a unique
+// seq the order is total, so an unstable sort of a run — and any merge
+// of runs under the same comparator — reproduces exactly the order a
+// stable sort over the whole input would have produced.
+func sortRowCompare(sorts []*ast.SortItem) func(a, b spillRow) int {
+	return func(a, b spillRow) int {
+		if c := compareKeys(sorts, a.keys, b.keys); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
 	}
 }
 
-func sortSpillRows(rows []spillRow, less func(a, b spillRow) bool) {
-	sort.Slice(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
+// bound is how many leading rows of the sorted order the Skip and Limit
+// above can return: skip+limit, saturating at the largest int. A Sort
+// without a LIMIT above it, or whose counts are invalid, is unbounded
+// (ok is false); the Skip or Limit then reports the count's error.
+func (o *Sort) bound() (n int, ok bool) {
+	if o.limit == nil {
+		return 0, false
+	}
+	l, err := o.limit.eval()
+	if err != nil {
+		return 0, false
+	}
+	s := 0
+	if o.skip != nil {
+		if s, err = o.skip.eval(); err != nil {
+			return 0, false
+		}
+	}
+	if s > math.MaxInt-l {
+		return math.MaxInt, true
+	}
+	return s + l, true
 }
 
 // fill is the Sort's intake, one loop over the child's batches like
-// Aggregate's and Distinct's. Each row's sort keys are evaluated over
-// all its columns, hidden ones included, and only the Sort's own
-// columns are kept; its sequence number is its intake position, so the
-// comparator's seq tie-break reproduces sort.SliceStable. Over budget, the pending rows are sorted
-// and spilled as one run, and the runs are compacted into one when they
-// reach maxMergeWidth. At the end the pending rows replay alone, or
-// merged with the spilled runs. Runs live in o.runs until the merge
-// takes them, so the defer discards them on any error.
+// Aggregate's and Distinct's. Each row's sort keys are evaluated into a
+// reused slice over all its columns, hidden ones included, and only the
+// Sort's own columns are kept; its sequence number is its intake
+// position, so the comparator's seq tie-break reproduces a stable sort.
+//
+// A bounded Sort (see bound) drops a row whose keys do not sort before
+// those of the kept bound-th row before it copies anything: that row has
+// bound rows ahead of it already. When the pending rows reach twice the
+// bound they are sorted and cut to the bound, which sets that row.
+//
+// Over budget, a bounded Sort first cuts its pending rows to the bound;
+// if it is still over, the pending rows are sorted and spilled as one
+// run, and the runs are compacted into one when they reach
+// maxMergeWidth. At the end the pending rows replay alone, or merged
+// with the spilled runs. Runs live in o.runs until the merge takes
+// them, so the defer discards them on any error.
 func (o *Sort) fill() (err error) {
 	defer func() {
 		if err != nil {
@@ -513,10 +552,35 @@ func (o *Sort) fill() (err error) {
 			o.runs = nil
 		}
 	}()
-	less := sortRowLess(o.sorts)
+	compare := sortRowCompare(o.sorts)
+	less := func(a, b spillRow) bool { return compare(a, b) < 0 }
+	bound, bounded := o.bound()
+	cutAt := bound
+	if bound <= math.MaxInt/2 {
+		cutAt = 2 * bound
+	}
+	ns := len(o.sorts)
 	scratch := make(expr.Env, len(o.child.Columns())+4)
+	keys := make([]value.Value, ns)
 	var pend []spillRow
 	var pendBytes, seq int64
+	var lastKept []value.Value // keys of the kept bound-th row, once cut
+	cut := func() {
+		slices.SortFunc(pend, compare)
+		if o.budget.limited() {
+			var nb int64
+			for _, r := range pend[bound:] {
+				nb += spillRowBytes(r)
+			}
+			pendBytes -= nb
+			o.release(nb)
+		}
+		clear(pend[bound:])
+		pend = pend[:bound]
+		if bound > 0 {
+			lastKept = pend[bound-1].keys
+		}
+	}
 	for {
 		b, ok, err := o.child.NextBatch(BatchTarget)
 		if err != nil {
@@ -527,26 +591,42 @@ func (o *Sort) fill() (err error) {
 		}
 		for i := 0; i < b.n; i++ {
 			b.LoadEnv(scratch, i)
-			r := spillRow{seq: seq, keys: make([]value.Value, len(o.sorts)), vals: b.rowVals(i, len(o.cols))}
-			seq++
 			for s, item := range o.sorts {
 				v, err := o.ev.Eval(item.Expr, scratch)
 				if err != nil {
 					return err
 				}
-				r.keys[s] = v
+				keys[s] = v
 			}
-			pend = append(pend, r)
-			if !o.budget.limited() {
+			seq++
+			if bounded && (bound == 0 || lastKept != nil && compareKeys(o.sorts, keys, lastKept) >= 0) {
 				continue
 			}
-			nb := spillRowBytes(r)
-			pendBytes += nb
-			o.charge(nb)
+			row := make([]value.Value, ns+len(o.cols))
+			copy(row, keys)
+			for j := range o.cols {
+				row[ns+j] = b.vals[j][i]
+			}
+			r := spillRow{seq: seq, keys: row[:ns:ns], vals: row[ns:]}
+			pend = append(pend, r)
+			if o.budget.limited() {
+				nb := spillRowBytes(r)
+				pendBytes += nb
+				o.charge(nb)
+			}
+			if bounded && len(pend) >= cutAt {
+				cut()
+			}
 			if !o.budget.over() || len(pend) < minSpillRows {
 				continue
 			}
-			sortSpillRows(pend, less)
+			if bounded && len(pend) > bound {
+				cut()
+				if !o.budget.over() || len(pend) < minSpillRows {
+					continue
+				}
+			}
+			slices.SortFunc(pend, compare)
 			f, err := writeRun(pend)
 			if err != nil {
 				return err
@@ -554,6 +634,7 @@ func (o *Sort) fill() (err error) {
 			o.runs = append(o.runs, f)
 			o.spills.Add(1)
 			o.release(pendBytes)
+			clear(pend)
 			pend, pendBytes = pend[:0], 0
 			if len(o.runs) >= maxMergeWidth {
 				merged, err := compactRuns(o.runs, less)
@@ -565,7 +646,10 @@ func (o *Sort) fill() (err error) {
 			}
 		}
 	}
-	sortSpillRows(pend, less)
+	slices.SortFunc(pend, compare)
+	if bounded && len(pend) > bound {
+		pend = pend[:bound]
+	}
 	if len(o.runs) == 0 {
 		o.mem = pend
 		return nil
@@ -686,8 +770,8 @@ func (o *Aggregate) fill() (err error) {
 	// finalize evaluates the items over a group's representative row and
 	// its aggregates' results, appending the output row to out.
 	repEnv := make(expr.Env, len(cols))
+	aggResults := make(map[ast.Expr]value.Value, len(aggCalls))
 	finalize := func(grp *group, out *Batch) error {
-		aggResults := make(map[ast.Expr]value.Value, len(aggCalls))
 		for ai, f := range aggCalls {
 			aggResults[f] = grp.aggs[ai].Result()
 		}
@@ -713,6 +797,8 @@ func (o *Aggregate) fill() (err error) {
 	groups := make(map[string]*group)
 	var order []string
 	scratch := make(expr.Env, len(cols))
+	keyVals := make([]value.Value, len(keyItems))
+	var keyBytes []byte
 	n := 0
 	seq := int64(0)
 	for {
@@ -726,7 +812,6 @@ func (o *Aggregate) fill() (err error) {
 		for i := 0; i < b.n; i++ {
 			n++
 			b.LoadEnv(scratch, i)
-			keyVals := make([]value.Value, len(keyItems))
 			for k, ki := range keyItems {
 				v, err2 := o.ev.Eval(o.items[ki].Expr, scratch)
 				if err2 != nil {
@@ -734,9 +819,10 @@ func (o *Aggregate) fill() (err error) {
 				}
 				keyVals[k] = v
 			}
-			key := value.KeyList(keyVals)
-			grp, resident := groups[key]
+			keyBytes = value.AppendKeyList(keyBytes[:0], keyVals)
+			grp, resident := groups[string(keyBytes)]
 			if !resident {
+				key := string(keyBytes)
 				if o.spilling {
 					if err2 := o.parts[spillPart(key)].add(spillRow{seq: seq, key: key, vals: b.rowVals(i, len(cols))}); err2 != nil {
 						return err2
@@ -900,12 +986,13 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 			for j := range o.keybuf {
 				o.keybuf[j] = in.vals[j][i]
 			}
-			key := value.KeyList(o.keybuf)
+			o.keyBytes = value.AppendKeyList(o.keyBytes[:0], o.keybuf)
 			seq := o.seq
 			o.seq++
-			if o.seen[key] {
+			if o.seen[string(o.keyBytes)] {
 				continue
 			}
+			key := string(o.keyBytes)
 			if o.spilling {
 				if err := o.parts[spillPart(key)].add(spillRow{seq: seq, key: key, vals: in.rowVals(i, len(in.cols))}); err != nil {
 					return nil, false, err

@@ -3,113 +3,114 @@ package value
 import (
 	"math"
 	"strconv"
-	"strings"
 )
 
 // Key renders a canonical encoding of v such that Key(a) == Key(b) exactly
-// when Equivalent(a, b). It is used for grouping (DISTINCT, aggregation
-// keys, the Grouping MERGE strategy) and for bucketing candidates in the
-// MERGE SAME collapse pass.
+// when Equivalent(a, b). It is used for property-index buckets, the
+// Grouping MERGE strategy and the MERGE SAME collapse pass; the barriers
+// that group every input row (DISTINCT, aggregation keys, count(DISTINCT
+// …)) append the same encoding to a reused buffer with AppendKey and
+// AppendKeyList instead.
 //
 // Numeric values that are equivalent across Int/Float (e.g. 1 and 1.0)
 // share a key; NaN has its own key; null has its own key.
 func Key(v Value) string {
-	var b strings.Builder
-	writeKey(&b, v)
-	return b.String()
+	return string(AppendKey(make([]byte, 0, 64), v))
 }
 
-// KeyList renders the canonical key of a tuple of values, used for
-// multi-column grouping.
-func KeyList(vs []Value) string {
-	var b strings.Builder
+// AppendKeyList appends the canonical key of a tuple of values to b and
+// returns the extended buffer: each element's Key followed by a unit
+// separator, so two tuples share a key exactly when they are
+// element-wise equivalent. A caller that reuses b across rows encodes a
+// grouping key without allocating, and can look it up in a map with
+// m[string(b)], which does not allocate either.
+func AppendKeyList(b []byte, vs []Value) []byte {
 	for _, v := range vs {
-		writeKey(&b, v)
-		b.WriteByte(0x1f) // unit separator between tuple elements
+		b = AppendKey(b, v)
+		b = append(b, 0x1f) // unit separator between tuple elements
 	}
-	return b.String()
+	return b
 }
 
-func writeKey(b *strings.Builder, v Value) {
+// AppendKey appends Key(v) to b and returns the extended buffer.
+func AppendKey(b []byte, v Value) []byte {
 	if v == nil {
-		b.WriteString("0:")
-		return
+		return append(b, "0:"...)
 	}
 	switch x := v.(type) {
 	case Null:
-		b.WriteString("0:")
+		b = append(b, "0:"...)
 	case Bool:
 		if x {
-			b.WriteString("b:1")
+			b = append(b, "b:1"...)
 		} else {
-			b.WriteString("b:0")
+			b = append(b, "b:0"...)
 		}
 	case Int:
-		writeNumericKey(b, float64(x), int64(x), true)
+		b = appendNumericKey(b, float64(x), int64(x), true)
 	case Float:
 		f := float64(x)
 		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 && !math.IsInf(f, 0) {
-			writeNumericKey(b, f, int64(f), true)
+			b = appendNumericKey(b, f, int64(f), true)
 		} else {
-			writeNumericKey(b, f, 0, false)
+			b = appendNumericKey(b, f, 0, false)
 		}
 	case String:
-		b.WriteString("s:")
-		b.WriteString(strconv.Quote(string(x)))
+		b = append(b, "s:"...)
+		b = strconv.AppendQuote(b, string(x))
 	case Node:
-		b.WriteString("n:")
-		b.WriteString(strconv.FormatInt(x.ID, 10))
+		b = append(b, "n:"...)
+		b = strconv.AppendInt(b, x.ID, 10)
 	case Rel:
-		b.WriteString("r:")
-		b.WriteString(strconv.FormatInt(x.ID, 10))
+		b = append(b, "r:"...)
+		b = strconv.AppendInt(b, x.ID, 10)
 	case Path:
-		b.WriteString("p:[")
+		b = append(b, "p:["...)
 		for i, n := range x.Nodes {
 			if i > 0 {
-				b.WriteString(",")
-				b.WriteString(strconv.FormatInt(x.Rels[i-1], 10))
-				b.WriteString(",")
+				b = append(b, ',')
+				b = strconv.AppendInt(b, x.Rels[i-1], 10)
+				b = append(b, ',')
 			}
-			b.WriteString(strconv.FormatInt(n, 10))
+			b = strconv.AppendInt(b, n, 10)
 		}
-		b.WriteString("]")
+		b = append(b, ']')
 	case List:
-		b.WriteString("l:[")
+		b = append(b, "l:["...)
 		for i, e := range x {
 			if i > 0 {
-				b.WriteByte(';')
+				b = append(b, ';')
 			}
-			writeKey(b, e)
+			b = AppendKey(b, e)
 		}
-		b.WriteString("]")
+		b = append(b, ']')
 	case Map:
-		b.WriteString("m:{")
+		b = append(b, "m:{"...)
 		for i, k := range x.Keys() {
 			if i > 0 {
-				b.WriteByte(';')
+				b = append(b, ';')
 			}
-			b.WriteString(strconv.Quote(k))
-			b.WriteByte('=')
-			writeKey(b, x[k])
+			b = strconv.AppendQuote(b, k)
+			b = append(b, '=')
+			b = AppendKey(b, x[k])
 		}
-		b.WriteString("}")
+		b = append(b, '}')
 	}
+	return b
 }
 
-func writeNumericKey(b *strings.Builder, f float64, i int64, integral bool) {
+func appendNumericKey(b []byte, f float64, i int64, integral bool) []byte {
 	switch {
 	case math.IsNaN(f):
-		b.WriteString("d:nan")
+		return append(b, "d:nan"...)
 	case math.IsInf(f, 1):
-		b.WriteString("d:+inf")
+		return append(b, "d:+inf"...)
 	case math.IsInf(f, -1):
-		b.WriteString("d:-inf")
+		return append(b, "d:-inf"...)
 	case integral:
-		b.WriteString("d:")
-		b.WriteString(strconv.FormatInt(i, 10))
+		return strconv.AppendInt(append(b, "d:"...), i, 10)
 	default:
-		b.WriteString("d:")
-		b.WriteString(strconv.FormatUint(math.Float64bits(f), 16))
+		return strconv.AppendUint(append(b, "d:"...), math.Float64bits(f), 16)
 	}
 }
 
@@ -118,21 +119,19 @@ func writeNumericKey(b *strings.Builder, f float64, i int64, integral bool) {
 // the collapsibility relations (Definitions 1 and 2 of the paper), where
 // iota(n, k) = null means key k is not present.
 func MapKey(m Map) string {
-	var b strings.Builder
-	b.WriteString("{")
+	b := []byte{'{'}
 	first := true
 	for _, k := range m.Keys() {
 		if IsNull(m[k]) {
 			continue
 		}
 		if !first {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
 		first = false
-		b.WriteString(strconv.Quote(k))
-		b.WriteByte('=')
-		writeKey(&b, m[k])
+		b = strconv.AppendQuote(b, k)
+		b = append(b, '=')
+		b = AppendKey(b, m[k])
 	}
-	b.WriteString("}")
-	return b.String()
+	return string(append(b, '}'))
 }
