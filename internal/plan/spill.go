@@ -504,26 +504,27 @@ func sortRowCompare(sorts []*ast.SortItem) func(a, b spillRow) int {
 
 // bound is how many leading rows of the sorted order the Skip and Limit
 // above can return: skip+limit, saturating at the largest int. A Sort
-// without a LIMIT above it, or whose counts are invalid, is unbounded
-// (ok is false); the Skip or Limit then reports the count's error.
-func (o *Sort) bound() (n int, ok bool) {
+// without a LIMIT above it, or whose counts are invalid, reads the
+// largest int too and keeps every row; the Skip or Limit then reports
+// the count's error.
+func (o *Sort) bound() int {
 	if o.limit == nil {
-		return 0, false
+		return math.MaxInt
 	}
 	l, err := o.limit.eval()
 	if err != nil {
-		return 0, false
+		return math.MaxInt
 	}
 	s := 0
 	if o.skip != nil {
 		if s, err = o.skip.eval(); err != nil {
-			return 0, false
+			return math.MaxInt
 		}
 	}
 	if s > math.MaxInt-l {
-		return math.MaxInt, true
+		return math.MaxInt
 	}
-	return s + l, true
+	return s + l
 }
 
 // fill is the Sort's intake, one loop over the child's batches like
@@ -532,12 +533,12 @@ func (o *Sort) bound() (n int, ok bool) {
 // Sort's own columns are kept; its sequence number is its intake
 // position, so the comparator's seq tie-break reproduces a stable sort.
 //
-// A bounded Sort (see bound) drops a row whose keys do not sort before
-// those of the kept bound-th row before it copies anything: that row has
+// The Sort drops a row whose keys do not sort before those of the kept
+// bound-th row (see bound) before it copies anything: that row has
 // bound rows ahead of it already. When the pending rows reach twice the
 // bound they are sorted and cut to the bound, which sets that row.
 //
-// Over budget, a bounded Sort first cuts its pending rows to the bound;
+// Over budget, the Sort first cuts its pending rows to the bound;
 // if it is still over, the pending rows are sorted and spilled as one
 // run, and the runs are compacted into one when they reach
 // maxMergeWidth. At the end the pending rows replay alone, or merged
@@ -554,7 +555,7 @@ func (o *Sort) fill() (err error) {
 	}()
 	compare := sortRowCompare(o.sorts)
 	less := func(a, b spillRow) bool { return compare(a, b) < 0 }
-	bound, bounded := o.bound()
+	bound := o.bound()
 	cutAt := bound
 	if bound <= math.MaxInt/2 {
 		cutAt = 2 * bound
@@ -599,7 +600,7 @@ func (o *Sort) fill() (err error) {
 				keys[s] = v
 			}
 			seq++
-			if bounded && (bound == 0 || lastKept != nil && compareKeys(o.sorts, keys, lastKept) >= 0) {
+			if bound == 0 || lastKept != nil && compareKeys(o.sorts, keys, lastKept) >= 0 {
 				continue
 			}
 			row := make([]value.Value, ns+len(o.cols))
@@ -614,13 +615,13 @@ func (o *Sort) fill() (err error) {
 				pendBytes += nb
 				o.charge(nb)
 			}
-			if bounded && len(pend) >= cutAt {
+			if len(pend) >= cutAt {
 				cut()
 			}
 			if !o.budget.over() || len(pend) < minSpillRows {
 				continue
 			}
-			if bounded && len(pend) > bound {
+			if len(pend) > bound {
 				cut()
 				if !o.budget.over() || len(pend) < minSpillRows {
 					continue
@@ -647,7 +648,7 @@ func (o *Sort) fill() (err error) {
 		}
 	}
 	slices.SortFunc(pend, compare)
-	if bounded && len(pend) > bound {
+	if len(pend) > bound {
 		pend = pend[:bound]
 	}
 	if len(o.runs) == 0 {
