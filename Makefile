@@ -9,9 +9,11 @@
 # builds it for <rev> and for the working tree's tracked changes, each
 # from a `git archive` copy in a temporary directory, runs ten pairs on
 # seeds 1-10 (odd seeds run base first, even seeds change first) into
-# bench-compare-out/base and bench-compare-out/change, and prints
-# `bench -compare` of the two sets; `make bench-record PR=<n>
-# BASE=<rev>` keeps them as BENCH_<n>.json. `make loc` prints each package's
+# bench-compare-out/base and bench-compare-out/change, saving
+# /proc/loadavg as bench-compare-out/loadavg-start and loadavg-end
+# before and after, and prints `bench -compare` of the two sets; `make
+# bench-record PR=<n> BASE=<rev>` keeps them, with the host's CPU and
+# those load averages, as BENCH_<n>.json. `make loc` prints each package's
 # non-test Go lines, blank and comment-only lines excluded, and the
 # total: the size yardstick of a simplification.
 
@@ -45,11 +47,12 @@ stress:
 # (tiny budgets make every barrier take the external-sort / hash-
 # partition path), temp-file cleanup on error and early-LIMIT close,
 # ORDER BY's scope over a spilling Sort, ORDER BY … SKIP … LIMIT against
-# the sliced unbounded sort, and the executor sweep over the script
+# the sliced unbounded sort, a spilling bounded Sort cutting its
+# compacted runs to the bound, and the executor sweep over the script
 # corpus.
 spill:
 	go test -race -run 'TestExternalSort|TestSpilling|TestSpillFiles|TestSpillCodec|TestOperator' ./internal/plan
-	go test -race -run 'TestTinyBudgetSpillEquivalence|TestBudgetBoundsBarrierPeak|TestExecutorTriEquivalence|TestOrderByScope|TestSortLimitIsSliceOfSort' ./internal/core
+	go test -race -run 'TestTinyBudgetSpillEquivalence|TestBudgetBoundsBarrierPeak|TestExecutorTriEquivalence|TestOrderByScope|TestSortLimitIsSliceOfSort|TestSpillingBoundedSortCutsRuns' ./internal/core
 	go test -race -run 'TestCorpusExecutorSweep' ./internal/script
 	go test -race -run 'TestWithMemoryBudget|TestProfile' ./cypher
 
@@ -163,12 +166,14 @@ bench-compare:
 	go -C $$tmp/base/bench build -o $$tmp/bench-base .; \
 	go -C $$tmp/change/bench build -o $$tmp/bench-change .; \
 	rm -rf $(OUT)/base $(OUT)/change; \
+	mkdir -p $(OUT); cat /proc/loadavg > $(OUT)/loadavg-start 2>/dev/null || true; \
 	for s in 1 2 3 4 5 6 7 8 9 10; do \
 		if [ $$((s % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi; \
 		for side in $$order; do \
 			(cd $$tmp/$$side/bench && $$tmp/bench-$$side -workload $(WORKLOAD) -seed $$s -out $(OUT)/$$side); \
 		done; \
 	done; \
+	cat /proc/loadavg > $(OUT)/loadavg-end 2>/dev/null || true; \
 	$$tmp/bench-change -compare $(OUT)/base/results.jsonl $(OUT)/change/results.jsonl
 
 # Records the last bench-compare as BENCH_<PR>.json at the repository

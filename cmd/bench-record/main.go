@@ -1,10 +1,11 @@
 // Command bench-record turns the two result sets of a paired benchmark
 // run (`make bench-compare`) into one JSON record of the comparison: the
-// environment, both commits, and per workload and gated end-to-end
-// metric the per-run values of both sides, their medians and quartiles,
-// how many seed pairs the change won, and the verdict of the
-// benchmark's own judge (regressed, unresolved or ok against the
-// metric's bound in BENCHMARK.json).
+// environment, the host (CPU model and clock, and the load average when
+// the paired runs started and ended), both commits, and per workload and
+// gated end-to-end metric the per-run values of both sides, their
+// medians and quartiles, how many seed pairs the change won, and the
+// verdict of the benchmark's own judge (regressed, unresolved or ok
+// against the metric's bound in BENCHMARK.json).
 //
 //	go run ./cmd/bench-record -base <rev> -change <rev> -out BENCH_<n>.json \
 //	    bench-compare-out/base/results.jsonl bench-compare-out/change/results.jsonl
@@ -20,7 +21,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 )
 
 type metricDef struct {
@@ -37,6 +41,53 @@ type run struct {
 	Correct  bool                               `json:"correct"`
 	Failed   int                                `json:"failed"`
 	Metrics  map[string]struct{ Value float64 } `json:"metrics"`
+}
+
+// document is one BENCH_*.json record. Host is absent from the records
+// written before it existed, which still parse.
+type document struct {
+	Env         map[string]any `json:"env"`
+	Host        *host          `json:"host,omitempty"`
+	Base        string         `json:"base_commit"`
+	Change      string         `json:"change_commit"`
+	Failed      [2]int         `json:"failed"`
+	Correct     bool           `json:"correct"`
+	Comparisons []comparison   `json:"comparisons"`
+}
+
+// host tells apart machines whose benchmark environment blocks agree
+// (the same core count and Go version): the CPU model and clock from
+// /proc/cpuinfo, read when the record is written, and the load average
+// bench-compare saved when the paired runs started and ended. A field
+// the host cannot supply is empty.
+type host struct {
+	CPUModel     string  `json:"cpu_model"`
+	CPUMHz       float64 `json:"cpu_mhz"`
+	LoadAvgStart string  `json:"loadavg_start"`
+	LoadAvgEnd   string  `json:"loadavg_end"`
+}
+
+// readHost reads the host's CPU and the load averages bench-compare
+// saved in dir, the directory of the two result sets.
+func readHost(dir string) *host {
+	h := &host{LoadAvgStart: readLine(filepath.Join(dir, "loadavg-start")), LoadAvgEnd: readLine(filepath.Join(dir, "loadavg-end"))}
+	for _, line := range strings.Split(readLine("/proc/cpuinfo"), "\n") {
+		k, v, _ := strings.Cut(line, ":")
+		switch k, v = strings.TrimSpace(k), strings.TrimSpace(v); {
+		case k == "model name" && h.CPUModel == "":
+			h.CPUModel = v
+		case k == "cpu MHz" && h.CPUMHz == 0:
+			h.CPUMHz, _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	return h
+}
+
+// readLine returns a file's contents without the trailing newline, or
+// "" when it cannot be read.
+func readLine(path string) string {
+	raw, _ := os.ReadFile(path)
+	return strings.TrimSpace(string(raw))
 }
 
 type side struct {
@@ -101,14 +152,7 @@ func record(baseRev, changeRev, out, basePath, changePath string) error {
 	if err != nil {
 		return err
 	}
-	doc := struct {
-		Env         map[string]any `json:"env"`
-		Base        string         `json:"base_commit"`
-		Change      string         `json:"change_commit"`
-		Failed      [2]int         `json:"failed"`
-		Correct     bool           `json:"correct"`
-		Comparisons []comparison   `json:"comparisons"`
-	}{Base: baseRev, Change: changeRev, Correct: true}
+	doc := document{Host: readHost(filepath.Dir(filepath.Dir(basePath))), Base: baseRev, Change: changeRev, Correct: true}
 	var workloads []string
 	for _, r := range append(a, b...) {
 		if !slices.Contains(workloads, r.Workload) {

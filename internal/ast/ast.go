@@ -7,6 +7,7 @@
 package ast
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -156,6 +157,18 @@ type ReturnItem struct {
 	Alias string // empty means use the expression text
 }
 
+// Column is the item's output column: its alias, else the name of the
+// variable it returns, else its expression text.
+func (it *ReturnItem) Column() string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	if v, ok := it.Expr.(*Variable); ok {
+		return v.Name
+	}
+	return it.Expr.String()
+}
+
 // WithClause is WITH <projection> [WHERE <expr>].
 type WithClause struct {
 	Projection
@@ -223,6 +236,7 @@ type SetProp struct {
 // SetAllProps is SET <var> = <expr> (replace) or SET <var> += <expr> (merge).
 type SetAllProps struct {
 	Var   string
+	Slot  int // Var's row slot (see Names)
 	Value Expr
 	Add   bool // true for +=
 }
@@ -230,6 +244,7 @@ type SetAllProps struct {
 // SetLabels is SET <var>:Label1:Label2.
 type SetLabels struct {
 	Var    string
+	Slot   int // Var's row slot (see Names)
 	Labels []string
 }
 
@@ -253,6 +268,7 @@ type RemoveProp struct {
 // RemoveLabels is REMOVE <var>:Label1:Label2.
 type RemoveLabels struct {
 	Var    string
+	Slot   int // Var's row slot (see Names)
 	Labels []string
 }
 
@@ -328,6 +344,7 @@ const (
 // patterns separated by relationship patterns.
 type PatternPart struct {
 	Var   string // path variable; empty if unnamed
+	Slot  int    // Var's row slot (see Names)
 	Nodes []*NodePattern
 	Rels  []*RelPattern // len == len(Nodes)-1
 }
@@ -335,6 +352,7 @@ type PatternPart struct {
 // NodePattern is ( var? :Label* {props}? ).
 type NodePattern struct {
 	Var    string
+	Slot   int // Var's row slot (see Names)
 	Labels []string
 	Props  Expr // nil, a MapLit, or a Parameter
 }
@@ -342,6 +360,7 @@ type NodePattern struct {
 // RelPattern is -[ var? :TYPE|TYPE2* {props}? *min..max? ]-> etc.
 type RelPattern struct {
 	Var       string
+	Slot      int // Var's row slot (see Names)
 	Types     []string
 	Props     Expr
 	Direction Direction
@@ -371,9 +390,11 @@ type Const struct {
 	Val value.Value
 }
 
-// Variable references a binding in the driving table.
+// Variable references a binding in the driving table, or a binder's
+// element (list comprehension, quantifier, reduce).
 type Variable struct {
 	Name string
+	Slot int // Name's row slot (see Names)
 }
 
 // Parameter is $name.
@@ -495,6 +516,7 @@ type CaseExpr struct {
 // ListComprehension is [x IN list WHERE pred | proj].
 type ListComprehension struct {
 	Var   string
+	Slot  int // Var's row slot (see Names)
 	List  Expr
 	Where Expr // may be nil
 	Proj  Expr // may be nil (identity)
@@ -528,17 +550,20 @@ func (q QuantKind) String() string {
 type Quantifier struct {
 	Kind  QuantKind
 	Var   string
+	Slot  int // Var's row slot (see Names)
 	List  Expr
 	Where Expr
 }
 
 // Reduce is reduce(acc = init, x IN list | expr).
 type Reduce struct {
-	Acc  string
-	Init Expr
-	Var  string
-	List Expr
-	Expr Expr
+	Acc     string
+	AccSlot int // Acc's row slot (see Names)
+	Init    Expr
+	Var     string
+	Slot    int // Var's row slot (see Names)
+	List    Expr
+	Expr    Expr
 }
 
 func (*Literal) expr()           {}
@@ -641,78 +666,33 @@ func Walk(e Expr, f func(Expr) bool) {
 // quantifiers or reduce within their bodies.
 func Variables(e Expr) []string {
 	var out []string
-	seen := make(map[string]bool)
-	var visit func(e Expr, bound map[string]bool)
-	visit = func(e Expr, bound map[string]bool) {
-		if e == nil {
-			return
-		}
-		switch x := e.(type) {
-		case *Variable:
-			if !bound[x.Name] && !seen[x.Name] {
-				seen[x.Name] = true
-				out = append(out, x.Name)
+	var visit func(e Expr, bound []string)
+	visit = func(e Expr, bound []string) {
+		inner := func(names ...string) []string { return append(bound[:len(bound):len(bound)], names...) }
+		Walk(e, func(x Expr) bool {
+			switch y := x.(type) {
+			case *Variable:
+				if !slices.Contains(bound, y.Name) && !slices.Contains(out, y.Name) {
+					out = append(out, y.Name)
+				}
+			case *ListComprehension:
+				visit(y.List, bound)
+				visit(y.Where, inner(y.Var))
+				visit(y.Proj, inner(y.Var))
+				return false
+			case *Quantifier:
+				visit(y.List, bound)
+				visit(y.Where, inner(y.Var))
+				return false
+			case *Reduce:
+				visit(y.Init, bound)
+				visit(y.List, bound)
+				visit(y.Expr, inner(y.Acc, y.Var))
+				return false
 			}
-		case *ListComprehension:
-			visit(x.List, bound)
-			inner := withBound(bound, x.Var)
-			visit(x.Where, inner)
-			visit(x.Proj, inner)
-		case *Quantifier:
-			visit(x.List, bound)
-			visit(x.Where, withBound(bound, x.Var))
-		case *Reduce:
-			visit(x.Init, bound)
-			visit(x.List, bound)
-			visit(x.Expr, withBound(bound, x.Acc, x.Var))
-		case *PropAccess:
-			visit(x.Expr, bound)
-		case *Index:
-			visit(x.Expr, bound)
-			visit(x.Index, bound)
-		case *Slice:
-			visit(x.Expr, bound)
-			visit(x.From, bound)
-			visit(x.To, bound)
-		case *UnaryOp:
-			visit(x.Expr, bound)
-		case *BinaryOp:
-			visit(x.Left, bound)
-			visit(x.Right, bound)
-		case *IsNull:
-			visit(x.Expr, bound)
-		case *ListLit:
-			for _, el := range x.Elems {
-				visit(el, bound)
-			}
-		case *MapLit:
-			for _, v := range x.Vals {
-				visit(v, bound)
-			}
-		case *FuncCall:
-			for _, a := range x.Args {
-				visit(a, bound)
-			}
-		case *CaseExpr:
-			visit(x.Test, bound)
-			for i := range x.Whens {
-				visit(x.Whens[i], bound)
-				visit(x.Thens[i], bound)
-			}
-			visit(x.Else, bound)
-		}
+			return true
+		})
 	}
-	visit(e, map[string]bool{})
+	visit(e, nil)
 	return out
-}
-
-func withBound(bound map[string]bool, names ...string) map[string]bool {
-	inner := make(map[string]bool, len(bound)+len(names))
-	for k := range bound {
-		inner[k] = true
-	}
-	for _, n := range names {
-		inner[n] = true
-	}
-	return inner
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/ast"
-	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/plan"
 	"repro/internal/value"
@@ -20,15 +19,15 @@ import (
 // CREATE behaves identically in both dialects because it never reads the
 // pattern against the graph; each record creates fresh instances.
 func (x *executor) execCreate(cl *ast.CreateClause, in *plan.Batch, cols []string) (*plan.Batch, error) {
-	fresh := cols[len(in.Columns()):]
+	row, outSlots := x.rowOver(cols)
+	inSlots := outSlots[:len(in.Columns())]
 	out := plan.NewBatch(cols, in.Len())
-	env := make(expr.Env, len(cols))
 	for _, i := range x.rowOrder(in.Len()) {
-		loadRow(env, in, i, fresh)
-		if err := x.createInstance(cl.Pattern, env, false, nil); err != nil {
+		in.Load(row, i, inSlots)
+		if err := x.createInstance(cl.Pattern, row, false, nil); err != nil {
 			return nil, err
 		}
-		out.AppendEnv(env)
+		out.AppendRow(row, outSlots)
 	}
 	return out, nil
 }
@@ -46,19 +45,18 @@ type createdEntity struct {
 }
 
 // createInstance creates one instance of the pattern tuple for the
-// environment env, binding the pattern's new entities into env. When
+// record row, binding the pattern's new entities into row. When
 // reuseBound is false, a bound node variable is reused as an endpoint
 // only if its pattern carries no labels or properties (Cypher's rule for
 // CREATE); MERGE creation passes reuseBound=true for the same behaviour
 // (bound variables always anchor). A non-nil track receives each new
 // entity with its pattern position, which the MERGE collapse strategies
 // of Section 6 condition on.
-func (x *executor) createInstance(parts []*ast.PatternPart, env expr.Env, reuseBound bool, track *[]createdEntity) error {
+func (x *executor) createInstance(parts []*ast.PatternPart, row []value.Value, reuseBound bool, track *[]createdEntity) error {
 	// A path variable bound on entry is an error when its part is
 	// reached; only the first such part can be.
 	declared := slices.IndexFunc(parts, func(p *ast.PatternPart) bool {
-		_, bound := env[p.Var]
-		return p.Var != "" && bound
+		return p.Var != "" && row[p.Slot] != nil
 	})
 	for partIdx, part := range parts {
 		var pathNodes []int64
@@ -66,7 +64,7 @@ func (x *executor) createInstance(parts []*ast.PatternPart, env expr.Env, reuseB
 
 		resolveNode := func(np *ast.NodePattern, slot int) (graph.NodeID, error) {
 			if np.Var != "" {
-				if bound, ok := env[np.Var]; ok {
+				if bound := row[np.Slot]; bound != nil {
 					nv, isNode := bound.(value.Node)
 					if !isNode {
 						if value.IsNull(bound) {
@@ -80,7 +78,7 @@ func (x *executor) createInstance(parts []*ast.PatternPart, env expr.Env, reuseB
 					return graph.NodeID(nv.ID), nil
 				}
 			}
-			props, err := x.ev.EvalPropMap(np.Props, env)
+			props, err := x.ev.EvalPropMap(np.Props, row)
 			if err != nil {
 				return 0, err
 			}
@@ -90,7 +88,7 @@ func (x *executor) createInstance(parts []*ast.PatternPart, env expr.Env, reuseB
 				*track = append(*track, createdEntity{isNode: true, nodeID: n.ID, part: partIdx, slot: slot})
 			}
 			if np.Var != "" {
-				env[np.Var] = value.Node{ID: int64(n.ID)}
+				row[np.Slot] = value.Node{ID: int64(n.ID)}
 			}
 			return n.ID, nil
 		}
@@ -113,7 +111,7 @@ func (x *executor) createInstance(parts []*ast.PatternPart, env expr.Env, reuseB
 			if rp.Direction == ast.DirIn {
 				src, tgt = next, prev
 			}
-			props, err := x.ev.EvalPropMap(rp.Props, env)
+			props, err := x.ev.EvalPropMap(rp.Props, row)
 			if err != nil {
 				return err
 			}
@@ -126,10 +124,10 @@ func (x *executor) createInstance(parts []*ast.PatternPart, env expr.Env, reuseB
 				*track = append(*track, createdEntity{isNode: false, relID: r.ID, part: partIdx, slot: ri})
 			}
 			if rp.Var != "" {
-				if _, bound := env[rp.Var]; bound {
+				if row[rp.Slot] != nil {
 					return fmt.Errorf("relationship variable `%s` already declared", rp.Var)
 				}
-				env[rp.Var] = value.Rel{ID: int64(r.ID)}
+				row[rp.Slot] = value.Rel{ID: int64(r.ID)}
 			}
 			if part.Var != "" {
 				pathNodes = append(pathNodes, int64(next))
@@ -141,7 +139,7 @@ func (x *executor) createInstance(parts []*ast.PatternPart, env expr.Env, reuseB
 			return fmt.Errorf("path variable `%s` already declared", part.Var)
 		}
 		if part.Var != "" {
-			env[part.Var] = value.Path{Nodes: pathNodes, Rels: pathRels}
+			row[part.Slot] = value.Path{Nodes: pathNodes, Rels: pathRels}
 		}
 	}
 	return nil

@@ -20,10 +20,10 @@
 // reading clauses stream batch by batch, and each update clause runs
 // behind a barrier that hands the dialect's clause function its whole
 // driving table as one columnar plan.Batch. A clause function walks the
-// rows the way the read operators do, loading each into one reused
-// environment, and writes its output rows into a batch over the columns
-// the plan gave it (plan.WriteColumns); a clause that adds no column
-// returns its input. Seeded property oracles and pinned golden corpora
+// rows the way the read operators do, loading each into one reused slot
+// row (see ast.Names), and writes its output rows into a batch over the
+// columns the plan gave it (plan.WriteColumns); a clause that adds no
+// column returns its input. Seeded property oracles and pinned golden corpora
 // in this package's tests specify the results.
 //
 // A statement executes under a journal: any error rolls the graph back to
@@ -32,6 +32,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -382,6 +383,14 @@ func (e *Engine) executeUnionPar(g *graph.Graph, p *Prepared, params map[string]
 // Write hook closes over this executor, so update barriers apply the
 // dialect-selected clause functions and accumulate stats here.
 func (x *executor) buildPlan(t0 *table.Table, par int) (plan.Operator, error) {
+	if t0 != nil {
+		// The table may have columns the statement does not mention;
+		// they are numbered in a copy, as the prepared table is shared.
+		x.ev.Names = maps.Clone(x.ev.Names)
+		for _, c := range t0.Columns() {
+			x.ev.Names.Slot(c)
+		}
+	}
 	b := &plan.Builder{
 		Ev:           x.ev,
 		NewMatcher:   x.matcherFor,
@@ -465,13 +474,14 @@ type executor struct {
 }
 
 func (e *Engine) newExecutor(g *graph.Graph, p *Prepared, params map[string]value.Value) *executor {
-	return &executor{cfg: e.cfg, prep: p, graph: g, ev: &expr.Evaluator{Graph: g, Params: params}}
+	return &executor{cfg: e.cfg, prep: p, graph: g, ev: &expr.Evaluator{Graph: g, Params: params, Names: p.names}}
 }
 
 // matcherFor builds a matcher for one of the statement's patterns,
 // reading the pattern's plan slot and bound to the given evaluator —
 // the executor's own for serial pipelines and update clauses, a
-// worker's private clone inside a parallel exchange.
+// worker's private clone inside a parallel exchange. Its user sets its
+// bound slots.
 func (x *executor) matcherFor(ev *expr.Evaluator, parts []*ast.PatternPart) *match.Matcher {
 	return &match.Matcher{
 		Graph:       x.graph,
@@ -538,14 +548,10 @@ func (x *executor) rowOrder(n int) []int {
 	return idx
 }
 
-// loadRow loads row i of in into env, the clause's one scratch
-// environment, and unbinds fresh, the variables the clause binds per
-// row, so no binding of the previous row survives into this one.
-func loadRow(env expr.Env, in *plan.Batch, i int, fresh []string) {
-	in.LoadEnv(env, i)
-	for _, v := range fresh {
-		delete(env, v)
-	}
+// rowOver returns a clause function's one row and the slots of cols,
+// the columns it loads into it.
+func (x *executor) rowOver(cols []string) ([]value.Value, []int) {
+	return x.ev.Row(), x.ev.Names.Slots(cols)
 }
 
 // applyChanges installs a revised-dialect change set and counts it by

@@ -200,3 +200,37 @@ func TestPushdownNeverPrunesErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestBinderShadowsColumnInProjection runs binders whose variable is a
+// column of the row they evaluate over, through whole statements: one
+// Project item (and one WHERE, one UPDATE item) reads the column after
+// the binder that shadowed it, in every executor shape, and a MATCH's
+// pattern variable shadowed in its own WHERE still binds afterwards.
+func TestBinderShadowsColumnInProjection(t *testing.T) {
+	g := graph.New()
+	run(t, DialectRevised, g, `CREATE (:B{v: 1}), (:B{v: 2})`)
+	for _, c := range []struct{ q, want string }{
+		{`UNWIND [1, 2] AS x RETURN [x IN [10, 20] | x] + [x] AS l ORDER BY l`, "[10, 20, 1]|[10, 20, 2]"},
+		{`UNWIND [1, 2] AS x WITH x WHERE any(x IN [7] WHERE x = 7) AND x > 1 RETURN x`, "2"},
+		{`UNWIND [3] AS x RETURN reduce(x = 0, x IN [1, 2] | x) + x AS r`, "5"},
+		{`MATCH (n:B) WHERE all(n IN [1] WHERE n = 1) RETURN n.v + size([n IN [0, 0] | n]) AS v ORDER BY v`, "3|4"},
+		{`MATCH (n:B) SET n.w = [n IN [n.v] | n * 10][0] + n.v RETURN n.w AS w ORDER BY w`, "11|22"},
+	} {
+		for _, cfg := range []Config{{Dialect: DialectRevised, Parallelism: 1}, {Dialect: DialectRevised, Parallelism: 2}, {Dialect: DialectCypher9}} {
+			res, err := runCfg(t, cfg, g, c.q, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", c.q, err)
+			}
+			var got []string
+			for i := range res.Table.Len() {
+				got = append(got, renderValue(res.Table.Values(i)[0]))
+			}
+			if strings.Join(got, "|") != c.want {
+				t.Errorf("%s (parallelism %d, %s): %s, want %s", c.q, cfg.Parallelism, cfg.Dialect, strings.Join(got, "|"), c.want)
+			}
+		}
+	}
+	if _, err := runErr(DialectRevised, g, `UNWIND [1] AS y RETURN [x IN [y] | x] + [x] AS l`); err == nil || !strings.Contains(err.Error(), "`x` not defined") {
+		t.Errorf("a binder variable read after its binder: error %v, want x not defined", err)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/ast"
-	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/plan"
@@ -54,60 +53,63 @@ func (x *executor) execMerge(cl *ast.MergeClause, in *plan.Batch, cols []string)
 // created-entity references rewritten to class representatives.
 func (x *executor) execMergeAtomicFamily(cl *ast.MergeClause, in *plan.Batch, cols []string, strategy MergeStrategy) (*plan.Batch, error) {
 	nIn := len(in.Columns())
-	fresh := cols[nIn:]
+	row, outSlots := x.rowOver(cols)
+	inSlots := outSlots[:nIn]
 	out := plan.NewBatch(cols, in.Len())
-	env := make(expr.Env, len(cols))
 
 	// Phase 1: match every record against the input graph. A record's
 	// matches go straight to the output; a failing record leaves a row
 	// whose fresh columns phase 2 fills.
 	m := x.matcherFor(x.ev, cl.Pattern)
+	m.Bound = inSlots
 	var it match.Iter
-	sink := out.AppendEnv
+	sink := func(r []value.Value) { out.AppendRow(r, outSlots) }
 	var fails []mergeFail
 	for i := 0; i < in.Len(); i++ {
-		in.LoadEnv(env, i)
-		it.Reset(m, cl.Pattern, env, nil)
+		in.Load(row, i, inSlots)
+		it.Reset(m, cl.Pattern, row, nil)
 		n, err := it.Next(math.MaxInt, sink)
 		if err != nil {
 			return nil, err
 		}
 		if n == 0 {
 			fails = append(fails, mergeFail{in: i, out: out.Len()})
-			out.AppendEnv(env)
+			sink(row)
 		}
 	}
 
 	// Phase 2: create for the failing records, one instance per record
 	// (Atomic) or per group of records agreeing on the pattern's
-	// expressions (every other strategy).
+	// expressions (every other strategy). A record copies its fresh
+	// columns from the output row of its group's instance.
 	var allCreated []createdEntity
 	groups := make(map[string]int) // grouping key -> output row of the group's instance
-	setFresh := func(row int) {
-		for k, v := range fresh {
-			out.Column(nIn + k)[row] = env[v]
-		}
-	}
 	for _, f := range fails {
-		loadRow(env, in, f.in, fresh)
+		in.Load(row, f.in, inSlots)
+		src := f.out
 		if strategy != StrategyAtomic {
-			key, err := x.mergeGroupKey(cl.Pattern, env)
+			key, err := x.mergeGroupKey(cl.Pattern, row)
 			if err != nil {
 				return nil, err
 			}
 			if shared, ok := groups[key]; ok {
-				for k, v := range fresh {
-					env[v] = out.Value(shared, nIn+k)
-				}
-				setFresh(f.out)
-				continue
+				src = shared
 			}
-			groups[key] = f.out
+			groups[key] = src
 		}
-		if err := x.createInstance(cl.Pattern, env, true, &allCreated); err != nil {
-			return nil, err
+		if src == f.out {
+			if err := x.createInstance(cl.Pattern, row, true, &allCreated); err != nil {
+				return nil, err
+			}
+			for k, s := range outSlots[nIn:] {
+				out.Column(nIn + k)[f.out] = row[s]
+			}
+			continue
 		}
-		setFresh(f.out)
+		for j := nIn; j < len(cols); j++ {
+			col := out.Column(j)
+			col[f.out] = col[src]
+		}
 	}
 
 	// Phase 3: collapse (Weak/Collapse/Strong only), rewriting the
@@ -136,9 +138,9 @@ func (x *executor) execMergeAtomicFamily(cl *ast.MergeClause, in *plan.Batch, co
 				items = cl.OnCreate
 				next++
 			}
-			out.LoadEnv(env, r)
+			out.Load(row, r, outSlots)
 			for _, item := range items {
-				if err := x.collectSetItem(cs, item, env); err != nil {
+				if err := x.collectSetItem(cs, item, row); err != nil {
 					return nil, err
 				}
 			}
@@ -158,19 +160,19 @@ type mergeFail struct{ in, out int }
 // appearing in the pattern for one record: bound variables used in the
 // pattern and every property map, under value equivalence (so nulls
 // group together, matching Example 5's discussion of Grouping MERGE).
-func (x *executor) mergeGroupKey(parts []*ast.PatternPart, env expr.Env) (string, error) {
+func (x *executor) mergeGroupKey(parts []*ast.PatternPart, row []value.Value) (string, error) {
 	var sb strings.Builder
 	for _, part := range parts {
-		writeSlotKey := func(varName string, props ast.Expr) error {
+		writeSlotKey := func(varName string, slot int, props ast.Expr) error {
 			if varName != "" {
-				if bound, ok := env[varName]; ok {
+				if bound := row[slot]; bound != nil {
 					sb.WriteString("b=")
 					sb.WriteString(value.Key(bound))
 					sb.WriteByte(0x1f)
 					return nil
 				}
 			}
-			m, err := x.ev.EvalPropMap(props, env)
+			m, err := x.ev.EvalPropMap(props, row)
 			if err != nil {
 				return err
 			}
@@ -180,11 +182,11 @@ func (x *executor) mergeGroupKey(parts []*ast.PatternPart, env expr.Env) (string
 			return nil
 		}
 		for i, np := range part.Nodes {
-			if err := writeSlotKey(np.Var, np.Props); err != nil {
+			if err := writeSlotKey(np.Var, np.Slot, np.Props); err != nil {
 				return "", err
 			}
-			if i < len(part.Rels) {
-				if err := writeSlotKey(part.Rels[i].Var, part.Rels[i].Props); err != nil {
+			if rp := part.Rels; i < len(rp) {
+				if err := writeSlotKey(rp[i].Var, rp[i].Slot, rp[i].Props); err != nil {
 					return "", err
 				}
 			}

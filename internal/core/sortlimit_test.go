@@ -124,3 +124,53 @@ func sortSpilled(root plan.Operator) bool {
 	}
 	return false
 }
+
+// TestSpillingBoundedSortCutsRuns holds a bounded Sort whose bound's
+// rows alone exceed the budget to the bound: each compacted run is cut
+// to the bound and its last row's keys drop every later row that sorts
+// after them at intake, so the Sort spills at most two thirds of the
+// runs of the same ORDER BY without LIMIT, which writes every row (a
+// run is minSpillRows rows at this budget). The rows are still the
+// unbounded order's first 500.
+func TestSpillingBoundedSortCutsRuns(t *testing.T) {
+	g := parallelTestGraph(t, 3000)
+	run := func(q string) (*table.Table, int64) {
+		t.Helper()
+		stmt, err := parser.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var root plan.Operator
+		cfg := Config{Dialect: DialectRevised, Parallelism: 1, MemoryBudget: 1 << 10}
+		cfg.onPlan = func(op plan.Operator) { root = op }
+		res, err := NewEngine(cfg).ExecuteStatement(g, stmt, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var runs int64
+		for _, s := range collectSpillers(root) {
+			if op, ok := s.(*plan.Sort); ok {
+				runs += op.SpillRuns()
+			}
+		}
+		return res.Table, runs
+	}
+	const order = `MATCH (u:U) RETURN u.i AS i ORDER BY u.g, i`
+	all, unbounded := run(order)
+	top, bounded := run(order + ` LIMIT 500`)
+	t.Logf("spill-runs: %d bounded, %d unbounded", bounded, unbounded)
+	if top.Len() != 500 {
+		t.Fatalf("%d rows, want 500", top.Len())
+	}
+	for i := range top.Len() {
+		if top.Get(i, "i") != all.Get(i, "i") {
+			t.Fatalf("row %d = %v, the unbounded order's is %v", i, top.Get(i, "i"), all.Get(i, "i"))
+		}
+	}
+	if bounded == 0 || 3*bounded > 2*unbounded {
+		t.Errorf("the bounded Sort spilled %d runs, the unbounded %d: want some, and at most two thirds", bounded, unbounded)
+	}
+	if live := plan.SpillFilesLive(); live != 0 {
+		t.Fatalf("%d spill files still live", live)
+	}
+}

@@ -9,50 +9,33 @@ import (
 	"repro/internal/parser"
 )
 
-// Prepared is a statement ready to run: the parsed AST plus one match
-// plan slot per MATCH and MERGE pattern it contains, in every UNION
-// member and FOREACH body. The statement cache hands every session the
-// same Prepared for the same text, so all executions of the text share
-// its slots; a plan lives as long as its statement.
+// Prepared is a statement ready to run: the parsed AST with every
+// variable resolved to its row slot, the name table that numbers them
+// (see ast.Names), and one match plan slot per MATCH and MERGE pattern
+// it contains, in every UNION member and FOREACH body. The statement
+// cache hands every session the same Prepared for the same text, so all
+// executions of the text share its slots; a plan lives as long as its
+// statement.
 //
-// Sharing is sound because execution never mutates the AST: the engine,
-// the plan builder and the matcher treat it as read-only (pushdown
-// classification and folding produce per-execution copies).
+// Sharing is sound because execution never mutates the AST: prepare
+// writes the row slots before the statement is shared, and the engine,
+// the plan builder and the matcher treat it as read-only afterwards
+// (pushdown classification and folding produce per-execution copies).
 type Prepared struct {
 	*ast.Statement
-	slots []patternSlot
+	names ast.Names
+	slots map[*ast.PatternPart]*match.PlanSlot // by the pattern's first part
 }
 
-// patternSlot is the plan slot of the pattern whose first part is part0.
-type patternSlot struct {
-	part0 *ast.PatternPart
-	slot  *match.PlanSlot
-}
-
-// prepare gives each MATCH and MERGE pattern of stmt a fresh plan slot
-// counted in counts.
+// prepare resolves stmt's variables to row slots and gives each MATCH
+// and MERGE pattern of stmt a fresh plan slot counted in counts.
 func prepare(stmt *ast.Statement, counts *match.PlanCounts) *Prepared {
-	p := &Prepared{Statement: stmt}
-	var walk func([]ast.Clause)
-	walk = func(clauses []ast.Clause) {
-		for _, c := range clauses {
-			var parts []*ast.PatternPart
-			switch cl := c.(type) {
-			case *ast.MatchClause:
-				parts = cl.Pattern
-			case *ast.MergeClause:
-				parts = cl.Pattern
-			case *ast.ForeachClause:
-				walk(cl.Body)
-			}
-			if len(parts) > 0 {
-				p.slots = append(p.slots, patternSlot{parts[0], match.NewPlanSlot(counts)})
-			}
+	p := &Prepared{Statement: stmt, names: ast.Names{}, slots: map[*ast.PatternPart]*match.PlanSlot{}}
+	p.names.Resolve(stmt, func(parts []*ast.PatternPart) {
+		if len(parts) > 0 {
+			p.slots[parts[0]] = match.NewPlanSlot(counts)
 		}
-	}
-	for _, q := range stmt.Queries {
-		walk(q.Clauses)
-	}
+	})
 	return p
 }
 
@@ -62,12 +45,7 @@ func (p *Prepared) slot(parts []*ast.PatternPart) *match.PlanSlot {
 	if len(parts) == 0 {
 		return nil
 	}
-	for _, s := range p.slots {
-		if s.part0 == parts[0] {
-			return s.slot
-		}
-	}
-	return nil
+	return p.slots[parts[0]]
 }
 
 // stmtCache caches prepared statements by query text, so hot queries
@@ -145,7 +123,7 @@ func (c *stmtCache) stats() (hits, misses int64, plans match.PlanStats) {
 	filled := 0
 	for el := c.order.Front(); el != nil; el = el.Next() {
 		for _, s := range el.Value.(*stmtCacheEntry).stmt.slots {
-			if s.slot.Filled() {
+			if s.Filled() {
 				filled++
 			}
 		}

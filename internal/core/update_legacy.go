@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/ast"
-	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/plan"
@@ -25,11 +24,11 @@ import (
 // "swap" that degenerates into two sequential assignments) and Example 2
 // (order-dependent final values when matches overlap).
 func (x *executor) execSetLegacy(items []ast.SetItem, in *plan.Batch) error {
-	env := make(expr.Env, len(in.Columns()))
+	row, slots := x.rowOver(in.Columns())
 	for _, i := range x.rowOrder(in.Len()) {
-		in.LoadEnv(env, i)
+		in.Load(row, i, slots)
 		for _, item := range items {
-			if err := x.applySetItemLegacy(item, env); err != nil {
+			if err := x.applySetItemLegacy(item, row); err != nil {
 				return err
 			}
 		}
@@ -37,32 +36,32 @@ func (x *executor) execSetLegacy(items []ast.SetItem, in *plan.Batch) error {
 	return nil
 }
 
-func (x *executor) applySetItemLegacy(item ast.SetItem, env expr.Env) error {
+func (x *executor) applySetItemLegacy(item ast.SetItem, row []value.Value) error {
 	switch it := item.(type) {
 	case *ast.SetProp:
-		target, err := x.ev.Eval(it.Target, env)
+		target, err := x.ev.Eval(it.Target, row)
 		if err != nil {
 			return err
 		}
-		v, err := x.ev.Eval(it.Value, env)
+		v, err := x.ev.Eval(it.Value, row)
 		if err != nil {
 			return err
 		}
 		return x.legacySetProp(target, it.Key, v)
 	case *ast.SetAllProps:
-		target, ok := env[it.Var]
-		if !ok {
-			return fmt.Errorf("variable `%s` not defined", it.Var)
+		target, err := bound(row, it.Slot, it.Var)
+		if err != nil {
+			return err
 		}
-		v, err := x.ev.Eval(it.Value, env)
+		v, err := x.ev.Eval(it.Value, row)
 		if err != nil {
 			return err
 		}
 		return x.legacySetAllProps(target, v, it.Add)
 	case *ast.SetLabels:
-		target, ok := env[it.Var]
-		if !ok {
-			return fmt.Errorf("variable `%s` not defined", it.Var)
+		target, err := bound(row, it.Slot, it.Var)
+		if err != nil {
+			return err
 		}
 		if value.IsNull(target) {
 			return nil
@@ -184,13 +183,13 @@ func (x *executor) entityPropKeys(target value.Value) ([]string, error) {
 
 // execRemoveLegacy removes labels and properties immediately per record.
 func (x *executor) execRemoveLegacy(cl *ast.RemoveClause, in *plan.Batch) error {
-	env := make(expr.Env, len(in.Columns()))
+	row, slots := x.rowOver(in.Columns())
 	for _, i := range x.rowOrder(in.Len()) {
-		in.LoadEnv(env, i)
+		in.Load(row, i, slots)
 		for _, item := range cl.Items {
 			switch it := item.(type) {
 			case *ast.RemoveProp:
-				target, err := x.ev.Eval(it.Target, env)
+				target, err := x.ev.Eval(it.Target, row)
 				if err != nil {
 					return err
 				}
@@ -198,9 +197,9 @@ func (x *executor) execRemoveLegacy(cl *ast.RemoveClause, in *plan.Batch) error 
 					return err
 				}
 			case *ast.RemoveLabels:
-				target, ok := env[it.Var]
-				if !ok {
-					return fmt.Errorf("variable `%s` not defined", it.Var)
+				target, err := bound(row, it.Slot, it.Var)
+				if err != nil {
+					return err
 				}
 				if value.IsNull(target) {
 					continue
@@ -234,11 +233,11 @@ func (x *executor) execRemoveLegacy(cl *ast.RemoveClause, in *plan.Batch) error 
 // entities remain referenced by the driving table, which is how the
 // Section 4.2 query can go on to SET and RETURN a deleted node.
 func (x *executor) execDeleteLegacy(cl *ast.DeleteClause, in *plan.Batch) error {
-	env := make(expr.Env, len(in.Columns()))
+	row, slots := x.rowOver(in.Columns())
 	for _, i := range x.rowOrder(in.Len()) {
-		in.LoadEnv(env, i)
+		in.Load(row, i, slots)
 		for _, e := range cl.Exprs {
-			v, err := x.ev.Eval(e, env)
+			v, err := x.ev.Eval(e, row)
 			if err != nil {
 				return err
 			}
@@ -297,39 +296,40 @@ func (x *executor) legacyDeleteValue(v value.Value, detach bool) error {
 // nondeterminism of Example 3 / Figure 6. A record's matches are all
 // written to the output before ON MATCH SET runs over them.
 func (x *executor) execMergeLegacy(cl *ast.MergeClause, in *plan.Batch, cols []string) (*plan.Batch, error) {
-	fresh := cols[len(in.Columns()):]
+	row, outSlots := x.rowOver(cols)
+	inSlots := outSlots[:len(in.Columns())]
 	out := plan.NewBatch(cols, in.Len())
-	env := make(expr.Env, len(cols))
 	m := x.matcherFor(x.ev, cl.Pattern)
+	m.Bound = inSlots
 	var it match.Iter
-	sink := out.AppendEnv
+	sink := func(r []value.Value) { out.AppendRow(r, outSlots) }
 	for _, i := range x.rowOrder(in.Len()) {
-		loadRow(env, in, i, fresh)
+		in.Load(row, i, inSlots)
 		from := out.Len()
-		it.Reset(m, cl.Pattern, env, nil)
+		it.Reset(m, cl.Pattern, row, nil)
 		if _, err := it.Next(math.MaxInt, sink); err != nil {
 			return nil, err
 		}
 		if out.Len() > from {
 			for r := from; r < out.Len() && len(cl.OnMatch) > 0; r++ {
-				out.LoadEnv(env, r)
+				out.Load(row, r, outSlots)
 				for _, item := range cl.OnMatch {
-					if err := x.applySetItemLegacy(item, env); err != nil {
+					if err := x.applySetItemLegacy(item, row); err != nil {
 						return nil, err
 					}
 				}
 			}
 			continue
 		}
-		if err := x.createInstance(cl.Pattern, env, true, nil); err != nil {
+		if err := x.createInstance(cl.Pattern, row, true, nil); err != nil {
 			return nil, err
 		}
 		for _, item := range cl.OnCreate {
-			if err := x.applySetItemLegacy(item, env); err != nil {
+			if err := x.applySetItemLegacy(item, row); err != nil {
 				return nil, err
 			}
 		}
-		out.AppendEnv(env)
+		sink(row)
 	}
 	return out, nil
 }
@@ -343,11 +343,11 @@ func (x *executor) execForeach(cl *ast.ForeachClause, in *plan.Batch) error {
 		return fmt.Errorf("variable `%s` already declared", cl.Var)
 	}
 	cur := plan.NewBatch(slices.Concat(in.Columns(), []string{cl.Var}), in.Len())
-	env := make(expr.Env, len(in.Columns())+1)
+	row, curSlots := x.rowOver(cur.Columns())
+	inSlots, varSlot := curSlots[:len(in.Columns())], curSlots[len(in.Columns())]
 	for _, i := range x.rowOrder(in.Len()) {
-		in.LoadEnv(env, i)
-		delete(env, cl.Var)
-		v, err := x.ev.Eval(cl.List, env)
+		in.Load(row, i, inSlots)
+		v, err := x.ev.Eval(cl.List, row)
 		if err != nil {
 			return err
 		}
@@ -359,8 +359,8 @@ func (x *executor) execForeach(cl *ast.ForeachClause, in *plan.Batch) error {
 			return fmt.Errorf("FOREACH expects a list, got %s", v.Kind())
 		}
 		for _, el := range lst {
-			env[cl.Var] = el
-			cur.AppendEnv(env)
+			row[varSlot] = el
+			cur.AppendRow(row, curSlots)
 		}
 	}
 	var err error

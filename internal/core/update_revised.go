@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
-	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/plan"
 	"repro/internal/value"
@@ -22,11 +21,11 @@ import (
 // in one step — so Example 1's swap reads both old values.
 func (x *executor) execSetRevised(items []ast.SetItem, in *plan.Batch) error {
 	cs := graph.NewChangeSet()
-	env := make(expr.Env, len(in.Columns()))
+	row, slots := x.rowOver(in.Columns())
 	for i := 0; i < in.Len(); i++ {
-		in.LoadEnv(env, i)
+		in.Load(row, i, slots)
 		for _, item := range items {
-			if err := x.collectSetItem(cs, item, env); err != nil {
+			if err := x.collectSetItem(cs, item, row); err != nil {
 				return err
 			}
 		}
@@ -37,10 +36,10 @@ func (x *executor) execSetRevised(items []ast.SetItem, in *plan.Batch) error {
 // collectSetItem records the changes a single SET item induces for one
 // record into the change set, evaluating all expressions against the
 // input graph.
-func (x *executor) collectSetItem(cs *graph.ChangeSet, item ast.SetItem, env expr.Env) error {
+func (x *executor) collectSetItem(cs *graph.ChangeSet, item ast.SetItem, row []value.Value) error {
 	switch it := item.(type) {
 	case *ast.SetProp:
-		target, err := x.ev.Eval(it.Target, env)
+		target, err := x.ev.Eval(it.Target, row)
 		if err != nil {
 			return err
 		}
@@ -48,21 +47,21 @@ func (x *executor) collectSetItem(cs *graph.ChangeSet, item ast.SetItem, env exp
 		if err != nil || !ok {
 			return err
 		}
-		v, err := x.ev.Eval(it.Value, env)
+		v, err := x.ev.Eval(it.Value, row)
 		if err != nil {
 			return err
 		}
 		return cs.SetProp(ref, it.Key, v)
 	case *ast.SetAllProps:
-		target, ok := env[it.Var]
-		if !ok {
-			return fmt.Errorf("variable `%s` not defined", it.Var)
+		target, err := bound(row, it.Slot, it.Var)
+		if err != nil {
+			return err
 		}
 		ref, ok, err := entityRef(target, "SET")
 		if err != nil || !ok {
 			return err
 		}
-		v, err := x.ev.Eval(it.Value, env)
+		v, err := x.ev.Eval(it.Value, row)
 		if err != nil {
 			return err
 		}
@@ -90,9 +89,9 @@ func (x *executor) collectSetItem(cs *graph.ChangeSet, item ast.SetItem, env exp
 		}
 		return nil
 	case *ast.SetLabels:
-		target, ok := env[it.Var]
-		if !ok {
-			return fmt.Errorf("variable `%s` not defined", it.Var)
+		target, err := bound(row, it.Slot, it.Var)
+		if err != nil {
+			return err
 		}
 		if value.IsNull(target) {
 			return nil
@@ -131,6 +130,14 @@ func (x *executor) coerceToPropMap(v value.Value) (value.Map, error) {
 	}
 }
 
+// bound returns the value row binds in slot, the slot of variable name.
+func bound(row []value.Value, slot int, name string) (value.Value, error) {
+	if v := row[slot]; v != nil {
+		return v, nil
+	}
+	return nil, fmt.Errorf("variable `%s` not defined", name)
+}
+
 // entityRef converts a SET/REMOVE target value to an entity reference.
 // ok=false (with nil error) means the target is null and the item is
 // skipped, following SQL convention.
@@ -152,13 +159,13 @@ func entityRef(target value.Value, clause string) (graph.EntityRef, bool, error)
 // from REMOVE alone.
 func (x *executor) execRemoveRevised(cl *ast.RemoveClause, in *plan.Batch) error {
 	cs := graph.NewChangeSet()
-	env := make(expr.Env, len(in.Columns()))
+	row, slots := x.rowOver(in.Columns())
 	for i := 0; i < in.Len(); i++ {
-		in.LoadEnv(env, i)
+		in.Load(row, i, slots)
 		for _, item := range cl.Items {
 			switch it := item.(type) {
 			case *ast.RemoveProp:
-				target, err := x.ev.Eval(it.Target, env)
+				target, err := x.ev.Eval(it.Target, row)
 				if err != nil {
 					return err
 				}
@@ -173,9 +180,9 @@ func (x *executor) execRemoveRevised(cl *ast.RemoveClause, in *plan.Batch) error
 					return err
 				}
 			case *ast.RemoveLabels:
-				target, ok := env[it.Var]
-				if !ok {
-					return fmt.Errorf("variable `%s` not defined", it.Var)
+				target, err := bound(row, it.Slot, it.Var)
+				if err != nil {
+					return err
 				}
 				if value.IsNull(target) {
 					continue
@@ -200,11 +207,11 @@ func (x *executor) execRemoveRevised(cl *ast.RemoveClause, in *plan.Batch) error
 // deleted entity in the driving batch is replaced by null, in place.
 func (x *executor) execDeleteRevised(cl *ast.DeleteClause, in *plan.Batch) error {
 	ds := graph.NewDeleteSet()
-	env := make(expr.Env, len(in.Columns()))
+	row, slots := x.rowOver(in.Columns())
 	for i := 0; i < in.Len(); i++ {
-		in.LoadEnv(env, i)
+		in.Load(row, i, slots)
 		for _, e := range cl.Exprs {
-			v, err := x.ev.Eval(e, env)
+			v, err := x.ev.Eval(e, row)
 			if err != nil {
 				return err
 			}

@@ -13,27 +13,27 @@ func TestEvalPropMap(t *testing.T) {
 	ev := &Evaluator{Graph: g}
 
 	// nil expression -> empty map.
-	m, err := ev.EvalPropMap(nil, Env{})
+	m, err := ev.EvalPropMap(nil, nil)
 	if err != nil || len(m) != 0 {
 		t.Errorf("nil prop map: %v, %v", m, err)
 	}
 
 	e, _ := parser.ParseExpr(`{a: 1, b: 'x'}`)
-	m, err = ev.EvalPropMap(e, Env{})
+	m, err = ev.EvalPropMap(e, nil)
 	if err != nil || m["a"] != value.Int(1) {
 		t.Errorf("prop map: %v, %v", m, err)
 	}
 
 	// Non-map expression errors.
 	e2, _ := parser.ParseExpr(`42`)
-	if _, err := ev.EvalPropMap(e2, Env{}); err == nil {
+	if _, err := ev.EvalPropMap(e2, nil); err == nil {
 		t.Error("non-map should error")
 	}
 
 	// Parameter-backed map.
 	ev.Params = map[string]value.Value{"p": value.Map{"k": value.Int(9)}}
 	e3, _ := parser.ParseExpr(`$p`)
-	m, err = ev.EvalPropMap(e3, Env{})
+	m, err = ev.EvalPropMap(e3, nil)
 	if err != nil || m["k"] != value.Int(9) {
 		t.Errorf("param prop map: %v, %v", m, err)
 	}

@@ -18,15 +18,14 @@ import (
 	"repro/internal/value"
 )
 
-// Env is an assignment of values to variable names (a driving-table
-// record). Binder-introduced variables (comprehensions, quantifiers,
-// reduce) live in scope frames during evaluation and never appear here.
-type Env map[string]value.Value
-
-// Evaluator evaluates expressions against a graph and parameters.
+// Evaluator evaluates expressions against a graph and parameters, over
+// rows laid out by a statement's name table: an expression's variables
+// read their row slots (see ast.Names).
 type Evaluator struct {
 	Graph  *graph.Graph
 	Params map[string]value.Value
+	// Names is the statement's name table, the layout of its rows.
+	Names ast.Names
 
 	// AggResults, when non-nil, maps aggregate FuncCall nodes to their
 	// precomputed per-group results; the projection machinery in the
@@ -41,12 +40,15 @@ type Evaluator struct {
 	Budget *int64
 }
 
-// Eval evaluates e under env.
-func (ev *Evaluator) Eval(e ast.Expr, env Env) (value.Value, error) {
-	return ev.eval(e, scope{env: env})
-}
+// Row returns a row over the evaluator's names with every slot unbound.
+func (ev *Evaluator) Row() []value.Value { return make([]value.Value, len(ev.Names)) }
 
-func (ev *Evaluator) eval(e ast.Expr, sc scope) (value.Value, error) {
+// Eval evaluates e under row. A binder writes its variable's slot of
+// row while its body evaluates and restores it before returning, so the
+// caller sees row unchanged. A slot past the end of row reads as
+// unbound, and a binder whose slot lies there evaluates over a longer
+// copy, so a closed expression evaluates under a nil row.
+func (ev *Evaluator) Eval(e ast.Expr, row []value.Value) (value.Value, error) {
 	if ev.Budget != nil {
 		if *ev.Budget <= 0 {
 			return nil, fmt.Errorf("expression evaluation budget exhausted")
@@ -59,11 +61,10 @@ func (ev *Evaluator) eval(e ast.Expr, sc scope) (value.Value, error) {
 	case *ast.Const:
 		return x.Val, nil
 	case *ast.Variable:
-		v, ok := sc.lookup(x.Name)
-		if !ok {
-			return nil, fmt.Errorf("variable `%s` not defined", x.Name)
+		if x.Slot < len(row) && row[x.Slot] != nil {
+			return row[x.Slot], nil
 		}
-		return v, nil
+		return nil, fmt.Errorf("variable `%s` not defined", x.Name)
 	case *ast.Parameter:
 		v, ok := ev.Params[x.Name]
 		if !ok {
@@ -71,21 +72,21 @@ func (ev *Evaluator) eval(e ast.Expr, sc scope) (value.Value, error) {
 		}
 		return v, nil
 	case *ast.PropAccess:
-		base, err := ev.eval(x.Expr, sc)
+		base, err := ev.Eval(x.Expr, row)
 		if err != nil {
 			return nil, err
 		}
 		return ev.propValue(base, x.Key, &x.KeySym)
 	case *ast.Index:
-		return ev.evalIndex(x, sc)
+		return ev.evalIndex(x, row)
 	case *ast.Slice:
-		return ev.evalSlice(x, sc)
+		return ev.evalSlice(x, row)
 	case *ast.UnaryOp:
-		return ev.evalUnary(x, sc)
+		return ev.evalUnary(x, row)
 	case *ast.BinaryOp:
-		return ev.evalBinary(x, sc)
+		return ev.evalBinary(x, row)
 	case *ast.IsNull:
-		v, err := ev.eval(x.Expr, sc)
+		v, err := ev.Eval(x.Expr, row)
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +98,7 @@ func (ev *Evaluator) eval(e ast.Expr, sc scope) (value.Value, error) {
 	case *ast.ListLit:
 		out := make(value.List, len(x.Elems))
 		for i, el := range x.Elems {
-			v, err := ev.eval(el, sc)
+			v, err := ev.Eval(el, row)
 			if err != nil {
 				return nil, err
 			}
@@ -107,7 +108,7 @@ func (ev *Evaluator) eval(e ast.Expr, sc scope) (value.Value, error) {
 	case *ast.MapLit:
 		out := make(value.Map, len(x.Keys))
 		for i, k := range x.Keys {
-			v, err := ev.eval(x.Vals[i], sc)
+			v, err := ev.Eval(x.Vals[i], row)
 			if err != nil {
 				return nil, err
 			}
@@ -121,15 +122,15 @@ func (ev *Evaluator) eval(e ast.Expr, sc scope) (value.Value, error) {
 			}
 			return nil, fmt.Errorf("aggregate %s() used outside an aggregating projection", x.Name)
 		}
-		return ev.evalFunc(x, sc)
+		return ev.evalFunc(x, row)
 	case *ast.CaseExpr:
-		return ev.evalCase(x, sc)
+		return ev.evalCase(x, row)
 	case *ast.ListComprehension:
-		return ev.evalListComp(x, sc)
+		return ev.evalListComp(x, row)
 	case *ast.Quantifier:
-		return ev.evalQuantifier(x, sc)
+		return ev.evalQuantifier(x, row)
 	case *ast.Reduce:
-		return ev.evalReduce(x, sc)
+		return ev.evalReduce(x, row)
 	default:
 		return nil, fmt.Errorf("unsupported expression %T", e)
 	}
@@ -137,12 +138,8 @@ func (ev *Evaluator) eval(e ast.Expr, sc scope) (value.Value, error) {
 
 // EvalBool evaluates a predicate expression to a truth value. Non-boolean
 // non-null results are an error.
-func (ev *Evaluator) EvalBool(e ast.Expr, env Env) (value.Tri, error) {
-	return ev.evalBool(e, scope{env: env})
-}
-
-func (ev *Evaluator) evalBool(e ast.Expr, sc scope) (value.Tri, error) {
-	v, err := ev.eval(e, sc)
+func (ev *Evaluator) EvalBool(e ast.Expr, row []value.Value) (value.Tri, error) {
+	v, err := ev.Eval(e, row)
 	if err != nil {
 		return value.Unknown, err
 	}
@@ -156,11 +153,11 @@ func (ev *Evaluator) evalBool(e ast.Expr, sc scope) (value.Tri, error) {
 // EvalPropMap evaluates a node/relationship property-map expression
 // (a map literal or parameter) to a value.Map. A nil expression yields an
 // empty map.
-func (ev *Evaluator) EvalPropMap(e ast.Expr, env Env) (value.Map, error) {
+func (ev *Evaluator) EvalPropMap(e ast.Expr, row []value.Value) (value.Map, error) {
 	if e == nil {
 		return value.Map{}, nil
 	}
-	v, err := ev.Eval(e, env)
+	v, err := ev.Eval(e, row)
 	if err != nil {
 		return nil, err
 	}
@@ -236,12 +233,12 @@ func (ev *Evaluator) storedProp(ps graph.Props, key string, cache *atomic.Uint64
 	return value.NullValue
 }
 
-func (ev *Evaluator) evalIndex(x *ast.Index, sc scope) (value.Value, error) {
-	base, err := ev.eval(x.Expr, sc)
+func (ev *Evaluator) evalIndex(x *ast.Index, row []value.Value) (value.Value, error) {
+	base, err := ev.Eval(x.Expr, row)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := ev.eval(x.Index, sc)
+	idx, err := ev.Eval(x.Index, row)
 	if err != nil {
 		return nil, err
 	}
@@ -281,8 +278,8 @@ func (ev *Evaluator) evalIndex(x *ast.Index, sc scope) (value.Value, error) {
 	}
 }
 
-func (ev *Evaluator) evalSlice(x *ast.Slice, sc scope) (value.Value, error) {
-	base, err := ev.eval(x.Expr, sc)
+func (ev *Evaluator) evalSlice(x *ast.Slice, row []value.Value) (value.Value, error) {
+	base, err := ev.Eval(x.Expr, row)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +292,7 @@ func (ev *Evaluator) evalSlice(x *ast.Slice, sc scope) (value.Value, error) {
 	}
 	from, to := int64(0), int64(len(lst))
 	if x.From != nil {
-		v, err := ev.eval(x.From, sc)
+		v, err := ev.Eval(x.From, row)
 		if err != nil {
 			return nil, err
 		}
@@ -307,7 +304,7 @@ func (ev *Evaluator) evalSlice(x *ast.Slice, sc scope) (value.Value, error) {
 		}
 	}
 	if x.To != nil {
-		v, err := ev.eval(x.To, sc)
+		v, err := ev.Eval(x.To, row)
 		if err != nil {
 			return nil, err
 		}
@@ -339,22 +336,22 @@ func (ev *Evaluator) evalSlice(x *ast.Slice, sc scope) (value.Value, error) {
 	return out, nil
 }
 
-func (ev *Evaluator) evalUnary(x *ast.UnaryOp, sc scope) (value.Value, error) {
+func (ev *Evaluator) evalUnary(x *ast.UnaryOp, row []value.Value) (value.Value, error) {
 	switch x.Op {
 	case ast.OpNot:
-		t, err := ev.evalBool(x.Expr, sc)
+		t, err := ev.EvalBool(x.Expr, row)
 		if err != nil {
 			return nil, err
 		}
 		return t.Not().Value(), nil
 	case ast.OpNeg:
-		v, err := ev.eval(x.Expr, sc)
+		v, err := ev.Eval(x.Expr, row)
 		if err != nil {
 			return nil, err
 		}
 		return value.Neg(v)
 	default: // OpPos
-		v, err := ev.eval(x.Expr, sc)
+		v, err := ev.Eval(x.Expr, row)
 		if err != nil {
 			return nil, err
 		}
@@ -365,16 +362,16 @@ func (ev *Evaluator) evalUnary(x *ast.UnaryOp, sc scope) (value.Value, error) {
 	}
 }
 
-func (ev *Evaluator) evalBinary(x *ast.BinaryOp, sc scope) (value.Value, error) {
+func (ev *Evaluator) evalBinary(x *ast.BinaryOp, row []value.Value) (value.Value, error) {
 	switch x.Op {
 	case ast.OpAnd, ast.OpOr, ast.OpXor:
-		return ev.evalLogic(x, sc)
+		return ev.evalLogic(x, row)
 	}
-	l, err := ev.eval(x.Left, sc)
+	l, err := ev.Eval(x.Left, row)
 	if err != nil {
 		return nil, err
 	}
-	r, err := ev.eval(x.Right, sc)
+	r, err := ev.Eval(x.Right, row)
 	if err != nil {
 		return nil, err
 	}
@@ -414,8 +411,8 @@ func (ev *Evaluator) evalBinary(x *ast.BinaryOp, sc scope) (value.Value, error) 
 
 // evalLogic evaluates AND/OR/XOR with Kleene semantics, short-circuiting
 // when the left operand already determines the result.
-func (ev *Evaluator) evalLogic(x *ast.BinaryOp, sc scope) (value.Value, error) {
-	lt, err := ev.evalBool(x.Left, sc)
+func (ev *Evaluator) evalLogic(x *ast.BinaryOp, row []value.Value) (value.Value, error) {
+	lt, err := ev.EvalBool(x.Left, row)
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +426,7 @@ func (ev *Evaluator) evalLogic(x *ast.BinaryOp, sc scope) (value.Value, error) {
 			return value.Bool(true), nil
 		}
 	}
-	rt, err := ev.evalBool(x.Right, sc)
+	rt, err := ev.EvalBool(x.Right, row)
 	if err != nil {
 		return nil, err
 	}
@@ -488,40 +485,40 @@ func evalStringPredicate(op ast.BinaryOpKind, l, r value.Value) (value.Value, er
 	}
 }
 
-func (ev *Evaluator) evalCase(x *ast.CaseExpr, sc scope) (value.Value, error) {
+func (ev *Evaluator) evalCase(x *ast.CaseExpr, row []value.Value) (value.Value, error) {
 	if x.Test != nil {
-		test, err := ev.eval(x.Test, sc)
+		test, err := ev.Eval(x.Test, row)
 		if err != nil {
 			return nil, err
 		}
 		for i, w := range x.Whens {
-			wv, err := ev.eval(w, sc)
+			wv, err := ev.Eval(w, row)
 			if err != nil {
 				return nil, err
 			}
 			if value.Equal(test, wv) == value.True {
-				return ev.eval(x.Thens[i], sc)
+				return ev.Eval(x.Thens[i], row)
 			}
 		}
 	} else {
 		for i, w := range x.Whens {
-			t, err := ev.evalBool(w, sc)
+			t, err := ev.EvalBool(w, row)
 			if err != nil {
 				return nil, err
 			}
 			if t == value.True {
-				return ev.eval(x.Thens[i], sc)
+				return ev.Eval(x.Thens[i], row)
 			}
 		}
 	}
 	if x.Else != nil {
-		return ev.eval(x.Else, sc)
+		return ev.Eval(x.Else, row)
 	}
 	return value.NullValue, nil
 }
 
-func (ev *Evaluator) evalListComp(x *ast.ListComprehension, sc scope) (value.Value, error) {
-	src, err := ev.eval(x.List, sc)
+func (ev *Evaluator) evalListComp(x *ast.ListComprehension, row []value.Value) (value.Value, error) {
+	src, err := ev.Eval(x.List, row)
 	if err != nil {
 		return nil, err
 	}
@@ -532,11 +529,13 @@ func (ev *Evaluator) evalListComp(x *ast.ListComprehension, sc scope) (value.Val
 	if !ok {
 		return nil, fmt.Errorf("type error: comprehension over %s", src.Kind())
 	}
+	row = withSlot(row, x.Slot)
+	defer restore(row, x.Slot, row[x.Slot])
 	out := make(value.List, 0, len(lst))
 	for _, el := range lst {
-		inner := sc.bind(x.Var, el)
+		row[x.Slot] = el
 		if x.Where != nil {
-			t, err := ev.evalBool(x.Where, inner)
+			t, err := ev.EvalBool(x.Where, row)
 			if err != nil {
 				return nil, err
 			}
@@ -545,7 +544,7 @@ func (ev *Evaluator) evalListComp(x *ast.ListComprehension, sc scope) (value.Val
 			}
 		}
 		if x.Proj != nil {
-			v, err := ev.eval(x.Proj, inner)
+			v, err := ev.Eval(x.Proj, row)
 			if err != nil {
 				return nil, err
 			}
@@ -557,8 +556,8 @@ func (ev *Evaluator) evalListComp(x *ast.ListComprehension, sc scope) (value.Val
 	return out, nil
 }
 
-func (ev *Evaluator) evalQuantifier(x *ast.Quantifier, sc scope) (value.Value, error) {
-	src, err := ev.eval(x.List, sc)
+func (ev *Evaluator) evalQuantifier(x *ast.Quantifier, row []value.Value) (value.Value, error) {
+	src, err := ev.Eval(x.List, row)
 	if err != nil {
 		return nil, err
 	}
@@ -569,9 +568,12 @@ func (ev *Evaluator) evalQuantifier(x *ast.Quantifier, sc scope) (value.Value, e
 	if !ok {
 		return nil, fmt.Errorf("type error: quantifier over %s", src.Kind())
 	}
+	row = withSlot(row, x.Slot)
+	defer restore(row, x.Slot, row[x.Slot])
 	trues, unknowns := 0, 0
 	for _, el := range lst {
-		t, err := ev.evalBool(x.Where, sc.bind(x.Var, el))
+		row[x.Slot] = el
+		t, err := ev.EvalBool(x.Where, row)
 		if err != nil {
 			return nil, err
 		}
@@ -616,12 +618,12 @@ func (ev *Evaluator) evalQuantifier(x *ast.Quantifier, sc scope) (value.Value, e
 	}
 }
 
-func (ev *Evaluator) evalReduce(x *ast.Reduce, sc scope) (value.Value, error) {
-	acc, err := ev.eval(x.Init, sc)
+func (ev *Evaluator) evalReduce(x *ast.Reduce, row []value.Value) (value.Value, error) {
+	acc, err := ev.Eval(x.Init, row)
 	if err != nil {
 		return nil, err
 	}
-	src, err := ev.eval(x.List, sc)
+	src, err := ev.Eval(x.List, row)
 	if err != nil {
 		return nil, err
 	}
@@ -632,15 +634,30 @@ func (ev *Evaluator) evalReduce(x *ast.Reduce, sc scope) (value.Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("type error: reduce over %s", src.Kind())
 	}
+	row = withSlot(withSlot(row, x.AccSlot), x.Slot)
+	defer restore(row, x.AccSlot, row[x.AccSlot])
+	defer restore(row, x.Slot, row[x.Slot])
 	for _, el := range lst {
 		// The element binding is innermost: when the accumulator and
-		// element share a name, the element shadows (matching the
-		// map-based semantics this replaced).
-		inner := sc.bind(x.Acc, acc).bind(x.Var, el)
-		acc, err = ev.eval(x.Expr, inner)
+		// element share a name, and so a slot, the element shadows.
+		row[x.AccSlot] = acc
+		row[x.Slot] = el
+		acc, err = ev.Eval(x.Expr, row)
 		if err != nil {
 			return nil, err
 		}
 	}
 	return acc, nil
 }
+
+// withSlot returns row, or a longer copy of it when slot s lies past
+// its end.
+func withSlot(row []value.Value, s int) []value.Value {
+	if s < len(row) {
+		return row
+	}
+	return append(row[:len(row):len(row)], make([]value.Value, s+1-len(row))...)
+}
+
+// restore writes v back into slot s of row: a binder's deferred undo.
+func restore(row []value.Value, s int, v value.Value) { row[s] = v }

@@ -4,10 +4,29 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/graph"
 	"repro/internal/parser"
 	"repro/internal/value"
 )
+
+// Env is a record by variable name, as the tests state it.
+type Env = map[string]value.Value
+
+// rowOf resolves e's names and env's into ev's name table and lays env
+// out as a row over it.
+func rowOf(ev *Evaluator, e ast.Expr, env Env) []value.Value {
+	ev.Names = ast.Names{}
+	for name := range env {
+		ev.Names.Slot(name)
+	}
+	ev.Names.Expr(e)
+	row := ev.Row()
+	for name, v := range env {
+		row[ev.Names[name]] = v
+	}
+	return row
+}
 
 // evalStr parses and evaluates an expression against an optional graph
 // and environment.
@@ -20,11 +39,8 @@ func evalStr(t *testing.T, src string, g *graph.Graph, env Env, params map[strin
 	if g == nil {
 		g = graph.New()
 	}
-	if env == nil {
-		env = Env{}
-	}
 	ev := &Evaluator{Graph: g, Params: params}
-	return ev.Eval(e, env)
+	return ev.Eval(e, rowOf(ev, e, env))
 }
 
 func mustEval(t *testing.T, src string, g *graph.Graph, env Env) value.Value {
@@ -263,7 +279,64 @@ func TestUnboundVariable(t *testing.T) {
 func TestEvalBoolTypeError(t *testing.T) {
 	ev := &Evaluator{Graph: graph.New()}
 	e, _ := parser.ParseExpr("1 + 1")
-	if _, err := ev.EvalBool(e, Env{}); err == nil {
+	if _, err := ev.EvalBool(e, nil); err == nil {
 		t.Error("integer predicate should error")
+	}
+}
+
+// TestBinderScopingOverSlots pins how binders share slots with the row:
+// a binder variable and a row column of the same name are one slot, so
+// the binder writes it for its body and must restore it afterwards —
+// on success and on error — for the rest of the expression and the
+// row's owner.
+func TestBinderScopingOverSlots(t *testing.T) {
+	x := Env{"x": value.Int(5)}
+	ints := func(vs ...int64) value.List {
+		out := value.List{}
+		for _, v := range vs {
+			out = append(out, value.Int(v))
+		}
+		return out
+	}
+	for _, c := range []struct {
+		src  string
+		env  Env
+		want value.Value
+	}{
+		// A comprehension shadows the column x; the item reads x after it.
+		{"[x IN [10, 20] | x] + [x]", x, ints(10, 20, 5)},
+		{"any(x IN [1] WHERE x = 1) AND x = 5", x, value.Bool(true)},
+		{"reduce(a = 0, x IN [1, 2] | a + x) + x", x, value.Int(8)},
+		// Nested comprehensions reusing one name: the inner binding is
+		// innermost and the outer one is back after it.
+		{"[x IN [1, 2] | [x IN [10, 20] | x] + [x]]", nil, value.List{ints(10, 20, 1), ints(10, 20, 2)}},
+		{"[x IN [1, 2] | [y IN [0] | x] + [x IN [7] | x]]", x, value.List{ints(1, 7), ints(2, 7)}},
+		// The accumulator and the element share a name, and so a slot:
+		// the element binding is innermost.
+		{"reduce(x = 0, x IN [1, 2, 3] | x)", nil, value.Int(3)},
+		{"reduce(x = 10, x IN [1, 2] | x + 1)", x, value.Int(3)},
+	} {
+		if got := mustEval(t, c.src, nil, c.env); !value.Equivalent(got, c.want) {
+			t.Errorf("%s = %v, want %v", c.src, got, c.want)
+		}
+	}
+	// A binder variable used after its binder is unbound there.
+	for _, src := range []string{"[x IN [1] | x] + [x]", "reduce(a = 0, x IN [1] | a) + x", "all(x IN [1] WHERE x > 0) AND x > 0"} {
+		if _, err := evalStr(t, src, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "`x` not defined") {
+			t.Errorf("%s: error %v, want x not defined", src, err)
+		}
+	}
+	// A binder that errors restores its slot before the error returns.
+	ev := &Evaluator{Graph: graph.New()}
+	e, err := parser.ParseExpr("[x IN [1, 0] | 1 / x]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := rowOf(ev, e, x)
+	if _, err := ev.Eval(e, row); err == nil {
+		t.Fatal("1 / 0 should error")
+	}
+	if got := row[ev.Names["x"]]; got != value.Int(5) {
+		t.Errorf("x after a failed comprehension = %v, want 5", got)
 	}
 }

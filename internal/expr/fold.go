@@ -162,20 +162,20 @@ func foldChildren(e ast.Expr, ev *Evaluator) (ast.Expr, bool) {
 		where, ch2 := foldExpr(x.Where, ev)
 		proj, ch3 := foldExpr(x.Proj, ev)
 		if ch1 || ch2 || ch3 {
-			return &ast.ListComprehension{Var: x.Var, List: lst, Where: where, Proj: proj}, true
+			return &ast.ListComprehension{Var: x.Var, Slot: x.Slot, List: lst, Where: where, Proj: proj}, true
 		}
 	case *ast.Quantifier:
 		lst, ch1 := foldExpr(x.List, ev)
 		where, ch2 := foldExpr(x.Where, ev)
 		if ch1 || ch2 {
-			return &ast.Quantifier{Kind: x.Kind, Var: x.Var, List: lst, Where: where}, true
+			return &ast.Quantifier{Kind: x.Kind, Var: x.Var, Slot: x.Slot, List: lst, Where: where}, true
 		}
 	case *ast.Reduce:
 		init, ch1 := foldExpr(x.Init, ev)
 		lst, ch2 := foldExpr(x.List, ev)
 		body, ch3 := foldExpr(x.Expr, ev)
 		if ch1 || ch2 || ch3 {
-			return &ast.Reduce{Acc: x.Acc, Init: init, Var: x.Var, List: lst, Expr: body}, true
+			return &ast.Reduce{Acc: x.Acc, AccSlot: x.AccSlot, Init: init, Var: x.Var, Slot: x.Slot, List: lst, Expr: body}, true
 		}
 	}
 	return e, false

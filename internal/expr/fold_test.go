@@ -15,6 +15,7 @@ func parseExpr(t *testing.T, src string) ast.Expr {
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
+	ast.Names{}.Expr(e)
 	return e
 }
 
@@ -80,9 +81,9 @@ func TestFoldErrorPreservation(t *testing.T) {
 		"true OR 1 / 0 = 1",
 	} {
 		e := parseExpr(t, src)
-		wantV, wantErr := ev.Eval(e, Env{})
+		wantV, wantErr := ev.Eval(e, nil)
 		folded := Fold(e, ev)
-		gotV, gotErr := ev.Eval(folded, Env{})
+		gotV, gotErr := ev.Eval(folded, nil)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Errorf("%q: error changed across folding: %v vs %v", src, wantErr, gotErr)
 			continue

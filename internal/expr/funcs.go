@@ -14,7 +14,7 @@ import (
 // registry: resolve the name (case-insensitively), validate the arity
 // before evaluating any argument so every function reports the uniform
 // registry message, then evaluate arguments left to right and apply.
-func (ev *Evaluator) evalFunc(f *ast.FuncCall, sc scope) (value.Value, error) {
+func (ev *Evaluator) evalFunc(f *ast.FuncCall, row []value.Value) (value.Value, error) {
 	def := LookupFunc(f.Name)
 	if def == nil {
 		if ast.AggregateFuncs[f.Name] {
@@ -27,7 +27,7 @@ func (ev *Evaluator) evalFunc(f *ast.FuncCall, sc scope) (value.Value, error) {
 	}
 	args := make([]value.Value, len(f.Args))
 	for i, a := range f.Args {
-		v, err := ev.eval(a, sc)
+		v, err := ev.Eval(a, row)
 		if err != nil {
 			return nil, err
 		}

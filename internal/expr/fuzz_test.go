@@ -10,8 +10,8 @@ import (
 )
 
 // FuzzExprEval throws arbitrary strings at the expression pipeline:
-// whatever parses must evaluate without panicking, and folding must be
-// invisible — Fold(e) evaluates to the same value or the same
+// whatever parses must evaluate, over a slot row that binds n, without
+// panicking, and folding must be invisible — Fold(e) evaluates to the same value or the same
 // error-ness as e, so constant folding can never turn an error into a
 // value (which would let a pushed predicate prune a row the unfolded
 // plan would have errored on) or a value into an error.
@@ -39,6 +39,10 @@ func FuzzExprEval(f *testing.F) {
 		"exists(1, 2)",
 		"noSuchFn(1)",
 		"'a' STARTS WITH null",
+		"[n IN [1, 2] | n] + [n.age]",
+		"[x IN [1, 2] | [x IN [10, 20] | x] + [x]]",
+		"reduce(x = 0, x IN [1, 2, 3] | x)",
+		"[x IN [1] | x] + [x]",
 	} {
 		f.Add(seed)
 	}
@@ -67,13 +71,14 @@ func FuzzExprEval(f *testing.F) {
 		budget := func() *int64 { b := int64(steps); return &b }
 		b1 := budget()
 		ev := &Evaluator{Graph: g, Params: params, Budget: b1}
-		v1, err1 := ev.Eval(e, env)
+		row := rowOf(ev, e, env)
+		v1, err1 := ev.Eval(e, row)
 		b2 := budget()
 		ev.Budget = b2
 		folded := Fold(e, ev)
 		b3 := budget()
 		ev.Budget = b3
-		v2, err2 := ev.Eval(folded, env)
+		v2, err2 := ev.Eval(folded, row)
 		if *b1 <= 0 || *b2 <= 0 || *b3 <= 0 {
 			return
 		}

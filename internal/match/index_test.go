@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/value"
 )
@@ -28,27 +27,27 @@ func TestPlannerChoosesIndexSeekInlineProps(t *testing.T) {
 	m := matcher(g)
 	var stats Stats
 	m.Stats = &stats
-	res := multiset(t, m, `(u:U {v: 42})`, expr.Env{})
+	res := multiset(t, m, `(u:U {v: 42})`, Env{})
 	if len(res) != 1 {
 		t.Fatalf("expected 1 match, got %d", len(res))
 	}
 	if stats.NodeVisits != 1 {
 		t.Errorf("index seek visited %d nodes, want 1", stats.NodeVisits)
 	}
-	if d := m.DescribePlan(patternOf(t, `(u:U {v: 42})`), nil); !strings.Contains(d, "index-seek(:U.v)") {
+	if d := m.DescribePlan(patternOf(t, `(u:U {v: 42})`)); !strings.Contains(d, "index-seek(:U.v)") {
 		t.Errorf("DescribePlan missing index-seek: %s", d)
 	}
 
 	g.DropIndex("U", "v")
 	stats = Stats{}
-	res2 := multiset(t, m, `(u:U {v: 42})`, expr.Env{})
+	res2 := multiset(t, m, `(u:U {v: 42})`, Env{})
 	if len(res2) != 1 || res2[0] != res[0] {
 		t.Fatalf("results diverged after DROP INDEX: %v vs %v", res2, res)
 	}
 	if stats.NodeVisits != 100 {
 		t.Errorf("label scan visited %d nodes, want 100", stats.NodeVisits)
 	}
-	if d := m.DescribePlan(patternOf(t, `(u:U {v: 42})`), nil); strings.Contains(d, "index-seek") {
+	if d := m.DescribePlan(patternOf(t, `(u:U {v: 42})`)); strings.Contains(d, "index-seek") {
 		t.Errorf("DescribePlan still shows index-seek after drop: %s", d)
 	}
 }
@@ -65,7 +64,7 @@ func TestPlannerChoosesIndexSeekPushedEquality(t *testing.T) {
 		m.Stats = &stats
 		parts := patternOf(t, `(u:U)`)
 		m.SetPushdown(NewPushdown(mustExpr(t, where), parts, nil))
-		res, err := m.Match(parts, expr.Env{})
+		res, err := m.Match(parts, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +85,7 @@ func TestPlannerChoosesIndexSeekPushedEquality(t *testing.T) {
 	m.Stats = &stats
 	parts := patternOf(t, `(u:U)`)
 	m.SetPushdown(NewPushdown(mustExpr(t, `u.v = u.v`), parts, nil))
-	if _, err := m.Match(parts, expr.Env{}); err != nil {
+	if _, err := m.Match(parts, Env{}); err != nil {
 		t.Fatal(err)
 	}
 	if stats.NodeVisits != 100 {
@@ -104,7 +103,7 @@ func TestPlanCacheInvalidatesOnIndexEpoch(t *testing.T) {
 	var stats Stats
 	m.Stats = &stats
 
-	if got := multiset(t, m, `(u:U {v: 7})`, expr.Env{}); len(got) != 1 {
+	if got := multiset(t, m, `(u:U {v: 7})`, Env{}); len(got) != 1 {
 		t.Fatalf("expected 1 match, got %d", len(got))
 	}
 	if stats.NodeVisits != 100 {
@@ -113,7 +112,7 @@ func TestPlanCacheInvalidatesOnIndexEpoch(t *testing.T) {
 
 	g.CreateIndex("U", "v")
 	stats = Stats{}
-	if got := multiset(t, m, `(u:U {v: 7})`, expr.Env{}); len(got) != 1 {
+	if got := multiset(t, m, `(u:U {v: 7})`, Env{}); len(got) != 1 {
 		t.Fatalf("expected 1 match, got %d", len(got))
 	}
 	if stats.NodeVisits != 1 {
@@ -122,7 +121,7 @@ func TestPlanCacheInvalidatesOnIndexEpoch(t *testing.T) {
 
 	g.DropIndex("U", "v")
 	stats = Stats{}
-	if got := multiset(t, m, `(u:U {v: 7})`, expr.Env{}); len(got) != 1 {
+	if got := multiset(t, m, `(u:U {v: 7})`, Env{}); len(got) != 1 {
 		t.Fatalf("expected 1 match, got %d", len(got))
 	}
 	if stats.NodeVisits != 100 {
@@ -139,7 +138,7 @@ func TestIndexSeekNullAndNaN(t *testing.T) {
 	g.CreateNode([]string{"U"}, value.Map{"v": value.Float(mathNaN())})
 	g.CreateIndex("U", "v")
 
-	for _, env := range []expr.Env{{"x": value.NullValue}, {"x": value.Float(mathNaN())}} {
+	for _, env := range []Env{{"x": value.NullValue}, {"x": value.Float(mathNaN())}} {
 		m := matcher(g)
 		parts := patternOf(t, `(u:U)`)
 		m.SetPushdown(NewPushdown(mustExpr(t, `u.v = x`), parts, []string{"x"}))
@@ -188,10 +187,10 @@ func TestIndexSeekMultisetEqualsScanRandom(t *testing.T) {
 			}
 		}
 		for _, p := range patterns {
-			scan := multiset(t, matcher(g), p, expr.Env{})
+			scan := multiset(t, matcher(g), p, Env{})
 			g.CreateIndex("U", "v")
 			g.CreateIndex("U", "w")
-			seeked := multiset(t, matcher(g), p, expr.Env{})
+			seeked := multiset(t, matcher(g), p, Env{})
 			g.DropIndex("U", "v")
 			g.DropIndex("U", "w")
 			if strings.Join(scan, "\n") != strings.Join(seeked, "\n") {

@@ -17,14 +17,14 @@ import (
 
 // drain runs one enumeration to the end in Next calls of at most max
 // rows and returns the matches, the visit counters and the error.
-func drain(t *testing.T, it *Iter, m *Matcher, parts []*ast.PatternPart, env expr.Env, ap *AnchorPlan, max int) ([]string, Stats, error) {
+func drain(t *testing.T, it *Iter, m *Matcher, parts []*ast.PatternPart, env Env, ap *AnchorPlan, max int) ([]string, Stats, error) {
 	t.Helper()
 	var st Stats
 	m.Stats = &st
-	it.Reset(m, parts, env, ap)
+	it.Reset(m, parts, seed(m, env), ap)
 	var out []string
 	for {
-		n, err := it.Next(max, func(e expr.Env) { out = append(out, envKey(e)) })
+		n, err := it.Next(max, func(row []value.Value) { out = append(out, envKey(envOf(row))) })
 		if n > max {
 			t.Errorf("Next(%d) returned %d rows", max, n)
 		}
@@ -70,7 +70,7 @@ func TestIterResumption(t *testing.T) {
 	rel := func(i int) value.Value { return value.Rel{ID: int64(rs[i])} }
 	cases := []struct {
 		pattern string
-		env     expr.Env
+		env     Env
 	}{
 		{`(x)-[:T*0..]->(y)`, nil},
 		{`(x:A)-[:T*2]->(y)`, nil},
@@ -84,29 +84,29 @@ func TestIterResumption(t *testing.T) {
 		{`(x)-[r1:T]->(y)-[r2:T]->(z)-[r3:T]->(x)`, nil},
 		{`(x)-[a:T*1..2]->(y)-[b:T*1..2]->(z)`, nil},
 		{`(x:A)-[:T{w: 1}]->(y), (z:B)`, nil},
-		{`(u)-[:T]->(v)`, expr.Env{"u": node(1)}},
-		{`(u)-[:T]->(v)`, expr.Env{"u": value.NullValue}},
-		{`(u)-[:T]->(v)`, expr.Env{"u": value.Int(1)}},
-		{`(x)-[:T]->(v)-[:T]->(u)`, expr.Env{"u": value.Int(1)}},
-		{`(x)-[r:T]->(y)`, expr.Env{"r": rel(1)}},
-		{`(x)-[r:T]->(y)`, expr.Env{"r": value.NullValue}},
-		{`(x)-[r:T]->(y)`, expr.Env{"r": value.Int(1)}},
-		{`(x)-[r:T*1..2]->(y)`, expr.Env{"r": value.NullValue}},
-		{`(x)-[:T]->(y)-[r:T]->(z)`, expr.Env{"r": rel(3), "x": node(1)}},
-		{`(x)-[r:T*0..2]-(y:B)`, expr.Env{"k": value.Int(7)}},
-		{`p = (x:A {i: p})-[:T]->(y), (y)-[:T]->(z)`, expr.Env{"p": value.Int(0), "k": value.Int(7)}},
+		{`(u)-[:T]->(v)`, Env{"u": node(1)}},
+		{`(u)-[:T]->(v)`, Env{"u": value.NullValue}},
+		{`(u)-[:T]->(v)`, Env{"u": value.Int(1)}},
+		{`(x)-[:T]->(v)-[:T]->(u)`, Env{"u": value.Int(1)}},
+		{`(x)-[r:T]->(y)`, Env{"r": rel(1)}},
+		{`(x)-[r:T]->(y)`, Env{"r": value.NullValue}},
+		{`(x)-[r:T]->(y)`, Env{"r": value.Int(1)}},
+		{`(x)-[r:T*1..2]->(y)`, Env{"r": value.NullValue}},
+		{`(x)-[:T]->(y)-[r:T]->(z)`, Env{"r": rel(3), "x": node(1)}},
+		{`(x)-[r:T*0..2]-(y:B)`, Env{"k": value.Int(7)}},
+		{`p = (x:A {i: p})-[:T]->(y), (y)-[:T]->(z)`, Env{"p": value.Int(0), "k": value.Int(7)}},
 	}
 	filters := []struct {
 		name string
-		make func() func(expr.Env) (bool, error)
+		make func() func([]value.Value) (bool, error)
 	}{
-		{"none", func() func(expr.Env) (bool, error) { return nil }},
-		{"half", func() func(expr.Env) (bool, error) {
-			return func(e expr.Env) (bool, error) { return len(envKey(e))%2 == 0, nil }
+		{"none", func() func([]value.Value) (bool, error) { return nil }},
+		{"half", func() func([]value.Value) (bool, error) {
+			return func(row []value.Value) (bool, error) { return len(envKey(envOf(row)))%2 == 0, nil }
 		}},
-		{"error", func() func(expr.Env) (bool, error) {
+		{"error", func() func([]value.Value) (bool, error) {
 			calls := 0
-			return func(expr.Env) (bool, error) {
+			return func([]value.Value) (bool, error) {
 				if calls++; calls == 5 {
 					return false, errors.New("filter failed")
 				}
@@ -125,14 +125,14 @@ func TestIterResumption(t *testing.T) {
 	errText := func(err error) string { return fmt.Sprint(err) }
 	for _, c := range cases {
 		parts := patternOf(t, c.pattern)
-		seed := envKey(c.env)
+		seedKey := envKey(c.env)
 		for _, cfg := range configs {
 			for _, f := range filters {
 				name := fmt.Sprintf("%s/%v/%s/%s", c.pattern, c.env, cfg.name, f.name)
 				seedKept := func(after string) {
 					t.Helper()
-					if got := envKey(c.env); got != seed {
-						t.Fatalf("%s: seed env %s after %s, was %s", name, got, after, seed)
+					if got := envKey(c.env); got != seedKey {
+						t.Fatalf("%s: seed env %s after %s, was %s", name, got, after, seedKey)
 					}
 				}
 				var ref Iter
@@ -151,8 +151,8 @@ func TestIterResumption(t *testing.T) {
 				// iterator and matcher, and on a fresh iterator.
 				m := cfg.m()
 				it := Iter{Filter: f.make()}
-				it.Reset(m, parts, c.env, nil)
-				if _, err := it.Next(1, func(expr.Env) {}); err != nil && wantErr == nil {
+				it.Reset(m, parts, seed(m, c.env), nil)
+				if _, err := it.Next(1, func([]value.Value) {}); err != nil && wantErr == nil {
 					t.Fatalf("%s: first batch: %v", name, err)
 				}
 				seedKept("an abandoned walk")
@@ -210,16 +210,17 @@ func TestAnchorChunksConcurrent(t *testing.T) {
 				return &Iter{}
 			}
 			ev := &expr.Evaluator{Graph: g}
-			return &Iter{Filter: func(e expr.Env) (bool, error) {
-				ok, err := ev.EvalBool(where, e)
+			return &Iter{Filter: func(row []value.Value) (bool, error) {
+				ok, err := ev.EvalBool(where, row)
 				return ok == value.True, err
 			}}
 		}
-		ap, ok := newMatcher().PlanAnchors(parts, expr.Env{})
+		am := newMatcher()
+		ap, ok := am.PlanAnchors(parts, seed(am, nil))
 		if !ok {
 			t.Fatalf("%s: not partitionable", c.pattern)
 		}
-		serial, serialSt, _ := drain(t, newIter(), newMatcher(), parts, expr.Env{}, nil, math.MaxInt)
+		serial, serialSt, _ := drain(t, newIter(), newMatcher(), parts, Env{}, nil, math.MaxInt)
 		if len(serial) == 0 {
 			t.Fatalf("%s: no matches", c.pattern)
 		}
@@ -235,7 +236,7 @@ func TestAnchorChunksConcurrent(t *testing.T) {
 				go func(i int) {
 					defer wg.Done()
 					chunk := ap.Chunk(i*size, min((i+1)*size, len(anchors)))
-					got[i], stats[i], errs[i] = drain(t, newIter(), newMatcher(), parts, expr.Env{}, chunk, 5)
+					got[i], stats[i], errs[i] = drain(t, newIter(), newMatcher(), parts, Env{}, chunk, 5)
 				}(i)
 			}
 			wg.Wait()
@@ -267,7 +268,7 @@ func TestAnchorChunksConcurrent(t *testing.T) {
 // hop over no relationships, costs at most one allocation per
 // candidate, the boxed node value.
 func TestPerCandidateAllocations(t *testing.T) {
-	allocs := func(n int, pattern, where string, env expr.Env) float64 {
+	allocs := func(n int, pattern, where string, env Env) float64 {
 		g := graph.New()
 		for i := 0; i < n; i++ {
 			g.CreateNode([]string{"U"}, value.Map{"w": value.Int(0), "v": value.Int(int64(i))})
@@ -287,12 +288,12 @@ func TestPerCandidateAllocations(t *testing.T) {
 	const small, large = 10, 1000
 	for _, c := range []struct {
 		pattern, where string
-		env            expr.Env
+		env            Env
 		per            float64 // allocations allowed per candidate
 	}{
-		{`(u:U {w: 0, v: x})`, ``, expr.Env{"x": value.Int(-1)}, 0},
-		{`(u:U)`, `u.w = 1`, expr.Env{}, 1},
-		{`(u:U)-[:T]->(v)`, ``, expr.Env{}, 1},
+		{`(u:U {w: 0, v: x})`, ``, Env{"x": value.Int(-1)}, 0},
+		{`(u:U)`, `u.w = 1`, Env{}, 1},
+		{`(u:U)-[:T]->(v)`, ``, Env{}, 1},
 	} {
 		a, b := allocs(small, c.pattern, c.where, c.env), allocs(large, c.pattern, c.where, c.env)
 		t.Logf("%s %s: %.0f allocations at n=%d, %.0f at n=%d", c.pattern, c.where, a, small, b, large)

@@ -26,8 +26,6 @@ package match
 
 import (
 	"fmt"
-	"maps"
-	"math"
 	"slices"
 
 	"repro/internal/ast"
@@ -87,6 +85,11 @@ type Matcher struct {
 	RelPreds  map[*ast.RelPattern][]ast.Expr
 	PrePreds  []ast.Expr
 
+	// Bound lists the row slots a seed row binds on entry: the slots of
+	// the driving columns, fixed for the matcher's life. It keys the
+	// plan, with the pattern.
+	Bound []int
+
 	// Slot holds the pattern's plan (see PlanSlot); nil makes a private
 	// one on first use. seen is the slot entry this matcher last
 	// validated and seenVer the graph version it validated it at: while
@@ -95,9 +98,6 @@ type Matcher struct {
 	Slot    *PlanSlot
 	seen    *slotEntry
 	seenVer int64
-
-	// it is the iterator Match reuses across calls.
-	it Iter
 }
 
 // SetPushdown installs the pushed predicates of a classified WHERE.
@@ -109,28 +109,14 @@ func (m *Matcher) SetPushdown(pd *Pushdown) {
 	m.NodePreds, m.RelPreds, m.PrePreds = pd.Node, pd.Rel, pd.Pre
 }
 
-// Match enumerates all matches eagerly, collecting them into a slice.
-// Each match is its own map; env is not written. The engine itself
-// reads matches through an Iter's sink (the Match operator and the
-// MERGE clauses), so no match costs it a map; Match is the eager form
-// the package's tests state their expectations in.
-func (m *Matcher) Match(parts []*ast.PatternPart, env expr.Env) ([]expr.Env, error) {
-	m.it.Reset(m, parts, env, nil)
-	var res []expr.Env
-	if _, err := m.it.Next(math.MaxInt, func(me expr.Env) { res = append(res, maps.Clone(me)) }); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// prePredsExclude reports whether a pre-predicate rules env out.
+// prePredsExclude reports whether a pre-predicate rules row out.
 // Pre-predicates reference only already-bound variables: when one is
-// definitively not true, no extension of env can pass the full WHERE,
+// definitively not true, no extension of row can pass the full WHERE,
 // so enumeration is skipped wholesale. Errors defer to the consumer's
 // WHERE evaluation over complete rows.
-func (m *Matcher) prePredsExclude(env expr.Env) bool {
+func (m *Matcher) prePredsExclude(row []value.Value) bool {
 	for _, p := range m.PrePreds {
-		tri, err := m.Ev.EvalBool(p, env)
+		tri, err := m.Ev.EvalBool(p, row)
 		if err == nil && tri != value.True {
 			return true
 		}
@@ -138,52 +124,63 @@ func (m *Matcher) prePredsExclude(env expr.Env) bool {
 	return false
 }
 
-// plansFor returns the execution plan for parts under env's bound
-// variables. The per-record path takes no lock, does no atomic add and
-// allocates nothing: it reuses the entry this matcher validated last
-// while the graph version is unchanged, and consults the slot only
+// plansFor returns the execution plan for parts under the matcher's
+// bound slots. The per-record path takes no lock, does no atomic add
+// and allocates nothing: it reuses the entry this matcher validated
+// last while the graph version is unchanged, and consults the slot only
 // otherwise. The test hooks bypass the slot.
-func (m *Matcher) plansFor(parts []*ast.PatternPart, env expr.Env) []partPlan {
+func (m *Matcher) plansFor(parts []*ast.PatternPart) []partPlan {
 	if m.ForceAnchor != nil || m.DisablePlan {
-		return m.planParts(parts, boundSet(env))
+		return m.planParts(parts, m.entryBound())
 	}
 	ver := m.Graph.Version()
-	if e := m.seen; e != nil && m.seenVer == ver && e.idxEpoch == m.Graph.IndexEpoch() && e.symStamp == m.Graph.SymStamp() && e.fits(parts, env) {
+	if e := m.seen; e != nil && m.seenVer == ver && e.idxEpoch == m.Graph.IndexEpoch() && e.symStamp == m.Graph.SymStamp() && e.fits(parts, m.Bound) {
 		return e.plans
 	}
 	if m.Slot == nil {
 		m.Slot = NewPlanSlot(nil)
 	}
-	m.seen, m.seenVer = m.Slot.plan(m, parts, env, ver), ver
+	m.seen, m.seenVer = m.Slot.plan(m, parts, ver), ver
 	return m.seen.plans
 }
 
+// entryBound returns a fresh set of the matcher's bound slots, which the
+// planner extends as it binds pattern variables.
+func (m *Matcher) entryBound() map[int]bool {
+	bound := make(map[int]bool, len(m.Bound))
+	for _, s := range m.Bound {
+		bound[s] = true
+	}
+	return bound
+}
+
 // Iter is a resumable enumeration of the matches of a pattern tuple
-// that extend one environment. It walks the planned parts depth first
-// over an explicit stack of frames — a part's anchor candidates, a
-// single hop's relationship candidates, one level of a variable-length
-// search — so Next can return after any match and later resume where it
-// stopped, all on the caller's goroutine.
+// that extend one seed slot row (see ast.Names). It walks the planned
+// parts depth first over an explicit stack of frames — a part's anchor
+// candidates, a single hop's relationship candidates, one level of a
+// variable-length search — so Next can return after any match and
+// later resume where it stopped, all on the caller's goroutine.
 //
-// The iterator owns one environment and binds into it in place: a taken
-// candidate sets its variables there and records them on a trail. Every
-// frame holds the trail length it was pushed at; before it takes its
-// next candidate or is popped, it unwinds the trail to that mark and
-// undoes the marks its taken candidate set in the isomorphism `used`
-// set. Pushed WHERE conjuncts, inline property maps and the Filter all
-// evaluate against that live environment, so visiting a candidate
-// builds no map.
+// The iterator owns one row and binds into it in place: a taken
+// candidate sets its variables' slots there and records them on a
+// trail. Every frame holds the trail length it was pushed at; before it
+// takes its next candidate or is popped, it unwinds the trail to that
+// mark. Pushed WHERE conjuncts, inline property maps and the Filter all
+// evaluate against that live row, so visiting a candidate builds
+// nothing. In Isomorphism mode a candidate relationship must not be one
+// a frame below the top took: the frames hold the pattern's few taken
+// relationships, so the check scans them.
 //
 // The zero Iter is exhausted; Reset starts an enumeration. The stack,
-// the environment and the scratch storage are reused across Resets, so
-// an operator keeps one Iter for all its driving rows.
+// the row and the scratch storage are reused across Resets, so an
+// operator keeps one Iter for all its driving rows.
 type Iter struct {
 	// Filter, when non-nil, is applied to every match (the clause's
 	// WHERE): Next passes on only the matches it reports true for, and
 	// an error from it ends the enumeration with that error. Like the
-	// sink, it sees the live environment and must not keep or write it.
-	// Reset keeps it.
-	Filter func(expr.Env) (bool, error)
+	// sink, it sees the live row and must not keep or write it (a
+	// binder's write is undone before it returns). Reset keeps it.
+	Filter func([]value.Value) (bool, error)
 
 	m     *Matcher
 	plans []partPlan
@@ -193,39 +190,35 @@ type Iter struct {
 	// naiveRequired).
 	naive bool
 	stack []frame
-	// used holds the relationships bound by the taken candidates of the
-	// frames on the stack.
-	used map[graph.RelID]bool
 	// nodes and rels are each part's current slot bindings: the nodes
 	// steps start from, and the relationships of a path value.
 	nodes [][]graph.NodeID
 	rels  [][][]graph.RelID
-	// env is the seed's bindings plus those of the taken candidates of
+	// row is the seed's bindings plus those of the taken candidates of
 	// the frames on the stack; trail lists the latter in binding order.
-	env   expr.Env
+	row   []value.Value
 	trail []binding
 	// vals holds a map literal's entry values while propsSatisfy
 	// compares them.
 	vals []value.Value
 	// sink receives the current Next call's matches; n counts them.
-	sink func(expr.Env)
+	sink func([]value.Value)
 	n    int
 	err  error
 }
 
-// binding is one trail entry: a variable a taken candidate bound and
-// what it replaced. Only a path variable can replace a binding — the
-// seed may bind it, and the part rebinds it.
+// binding is one trail entry: a slot a taken candidate bound and what
+// it held before (nil: unbound). Only a path variable can replace a
+// binding — the seed may bind it, and the part rebinds it.
 type binding struct {
-	name string
+	slot int
 	old  value.Value
-	had  bool
 }
 
 type frameKind uint8
 
 const (
-	rootFrame   frameKind = iota // one candidate: the seed env entering part 0
+	rootFrame   frameKind = iota // one candidate: the seed row entering part 0
 	anchorFrame                  // node candidates of a part's anchor slot
 	hopFrame                     // relationship candidates of a single-hop step
 	varFrame                     // one level of a variable-length step's search
@@ -238,8 +231,7 @@ const (
 // path at the frame's node before any longer path is tried.
 type frame struct {
 	kind       frameKind
-	preBound   bool // hop frames: env already binds the relationship variable
-	marked     bool // the taken candidate's relationships are in Iter.used
+	preBound   bool // hop frames: the row already binds the relationship variable
 	part, step int
 	depth      int          // var frames: hops taken so far in this step
 	at         graph.NodeID // var frames: the node this level expands from
@@ -249,25 +241,20 @@ type frame struct {
 	rels       []relCandidate
 }
 
-// Reset starts it over the matches of parts that extend env. Variables
-// bound in env constrain the match; the matches also bind the pattern's
-// unbound variables (a named path binds a value.Path). Reset copies env
-// into the iterator's own environment and never writes env. A non-nil
-// ap — from PlanAnchors over parts, or a Chunk of it — supplies the plan
-// and restricts the first planned part's anchor slot to ap's candidates.
-func (it *Iter) Reset(m *Matcher, parts []*ast.PatternPart, env expr.Env, ap *AnchorPlan) {
+// Reset starts it over the matches of parts that extend row, a row over
+// the statement's names whose bound slots are m.Bound. Those variables
+// constrain the match; the matches also bind the pattern's unbound
+// variables (a named path binds a value.Path). Reset copies row into
+// the iterator's own row and never writes row. A non-nil ap — from
+// PlanAnchors over parts, or a Chunk of it — supplies the plan and
+// restricts the first planned part's anchor slot to ap's candidates.
+func (it *Iter) Reset(m *Matcher, parts []*ast.PatternPart, row []value.Value, ap *AnchorPlan) {
 	it.m, it.ap, it.err = m, ap, nil
 	it.stack, it.trail = it.stack[:0], it.trail[:0]
-	clear(it.used)
-	if it.env == nil {
-		it.env = make(expr.Env, len(env)+4)
-	} else {
-		clear(it.env)
-	}
-	maps.Copy(it.env, env)
-	env = it.env
-	it.naive = ap == nil && (m.DisablePlan || m.naiveRequired(parts, env))
-	if !it.naive && m.prePredsExclude(env) {
+	it.row = append(it.row[:0], row...)
+	row = it.row
+	it.naive = ap == nil && (m.DisablePlan || m.naiveRequired(parts, row))
+	if !it.naive && m.prePredsExclude(row) {
 		return
 	}
 	switch {
@@ -280,7 +267,7 @@ func (it *Iter) Reset(m *Matcher, parts []*ast.PatternPart, env expr.Env, ap *An
 		// and where it always did.
 		it.plans = naivePlans(m.Graph, parts)
 	default:
-		it.plans = m.plansFor(parts, env)
+		it.plans = m.plansFor(parts)
 	}
 	it.nodes = resize(it.nodes, len(it.plans))
 	it.rels = resize(it.rels, len(it.plans))
@@ -302,11 +289,11 @@ func resize[T any](s []T, n int) []T {
 // Next passes up to max further matches, in enumeration order, to sink
 // and returns how many it passed. It stops right after the max-th, so
 // no candidate past it is visited; fewer than max means the enumeration
-// is over. sink sees the iterator's live environment, valid only until
-// it returns: it must copy what it keeps and must not write it. On an
+// is over. sink sees the iterator's live row, valid only until it
+// returns: it must copy what it keeps and must not write it. On an
 // error Next returns the number of matches passed before it with the
 // error, and every later call returns the error alone.
-func (it *Iter) Next(max int, sink func(expr.Env)) (int, error) {
+func (it *Iter) Next(max int, sink func([]value.Value)) (int, error) {
 	it.sink, it.n = sink, 0
 	for it.n < max && len(it.stack) > 0 && it.err == nil {
 		it.err = it.advance()
@@ -319,14 +306,11 @@ func (it *Iter) Next(max int, sink func(expr.Env)) (int, error) {
 func (it *Iter) Done() bool { return len(it.stack) == 0 || it.err != nil }
 
 // advance takes the top frame's next candidate, or pops the frame when
-// it has none left. Either way the frame first clears the marks and
-// unwinds the bindings of the candidate it took before.
+// it has none left. Either way the frame first unwinds the bindings of
+// the candidate it took before.
 func (it *Iter) advance() error {
 	top := len(it.stack) - 1
 	f := &it.stack[top]
-	if f.marked {
-		it.mark(top, false)
-	}
 	it.unwind(f.mark)
 	switch f.kind {
 	case rootFrame:
@@ -363,56 +347,36 @@ func (it *Iter) push(f frame) {
 	it.stack = append(it.stack, f)
 }
 
-// bind sets name to v in the live environment and records it on the
-// trail.
-func (it *Iter) bind(name string, v value.Value) {
-	old, had := it.env[name]
-	it.trail = append(it.trail, binding{name: name, old: old, had: had})
-	it.env[name] = v
+// bind sets slot s of the live row to v and records it on the trail.
+func (it *Iter) bind(s int, v value.Value) {
+	it.trail = append(it.trail, binding{slot: s, old: it.row[s]})
+	it.row[s] = v
 }
 
 // unwind undoes the bindings recorded past trail length mark, newest
 // first.
 func (it *Iter) unwind(mark int) {
 	for i := len(it.trail) - 1; i >= mark; i-- {
-		if b := it.trail[i]; b.had {
-			it.env[b.name] = b.old
-		} else {
-			delete(it.env, b.name)
-		}
+		it.row[it.trail[i].slot] = it.trail[i].old
 	}
 	it.trail = it.trail[:mark]
 }
 
-// mark sets or clears, in the used set, the relationships frame i's
-// taken candidate bound: a hop's relationship, or every relationship of
-// the path a variable-length level stopped at (its ancestors' hops).
-func (it *Iter) mark(i int, on bool) {
-	f := &it.stack[i]
-	f.marked = on
-	if f.kind == hopFrame {
-		it.setUsed(f.rels[f.pos-1].rid, on)
-		return
+// used reports whether a frame below the top took relationship rid. A
+// frame below the top has finished taking its candidate: a hop frame's
+// relationship is bound, and a var frame's is a hop of a path, either
+// one ended by a stop entry above it or the one the top frame extends.
+func (it *Iter) used(rid graph.RelID) bool {
+	for _, f := range it.stack[:len(it.stack)-1] {
+		if (f.kind == hopFrame || f.kind == varFrame) && f.pos > 0 && f.rels[f.pos-1].rid == rid {
+			return true
+		}
 	}
-	for j := i - f.depth; j < i; j++ {
-		a := &it.stack[j]
-		it.setUsed(a.rels[a.pos-1].rid, on)
-	}
+	return false
 }
 
-func (it *Iter) setUsed(rid graph.RelID, on bool) {
-	if !on {
-		delete(it.used, rid)
-		return
-	}
-	if it.used == nil {
-		it.used = make(map[graph.RelID]bool)
-	}
-	it.used[rid] = true
-}
-
-// enterPart starts part pi, or emits the live environment once every
-// part is matched.
+// enterPart starts part pi, or emits the live row once every part is
+// matched.
 func (it *Iter) enterPart(pi int) error {
 	if pi == len(it.plans) {
 		return it.emit()
@@ -425,7 +389,7 @@ func (it *Iter) enterPart(pi int) error {
 		f.nodes = it.ap.anchors
 	} else {
 		if np.Var != "" {
-			if v, ok := it.env[np.Var]; ok {
+			if v := it.row[np.Slot]; v != nil {
 				// Pre-bound variable: check, do not enumerate.
 				id, ok, err := asNode(np, v)
 				if err != nil || !ok {
@@ -443,7 +407,7 @@ func (it *Iter) enterPart(pi int) error {
 		// semantically invisible.
 		seeked := false
 		if pp.seek != nil {
-			f.nodes, seeked = m.seekCandidates(pp.seek, np, it.env)
+			f.nodes, seeked = m.seekCandidates(pp.seek, np, it.row)
 		}
 		if !seeked {
 			f.nodes = m.nodeCandidates(ns)
@@ -477,7 +441,7 @@ func (it *Iter) enterStep(pi, si int) error {
 	pp := &it.plans[pi]
 	if si == len(pp.steps) {
 		if pp.part.Var != "" {
-			it.bind(pp.part.Var, it.path(pi))
+			it.bind(pp.part.Slot, it.path(pi))
 		}
 		return it.enterPart(pi + 1)
 	}
@@ -487,7 +451,7 @@ func (it *Iter) enterStep(pi, si int) error {
 	f := frame{kind: hopFrame, part: pi, step: si}
 	var preBound *graph.RelID
 	if rp.Var != "" {
-		if v, ok := it.env[rp.Var]; ok {
+		if v := it.row[rp.Slot]; v != nil {
 			if rp.VarLength {
 				return fmt.Errorf("variable-length relationship variable `%s` cannot be pre-bound", rp.Var)
 			}
@@ -520,8 +484,8 @@ func (it *Iter) spare() []relCandidate {
 	return nil
 }
 
-// takeHop binds hop frame i's next relationship and its far node, marks
-// the relationship used and continues with the next step.
+// takeHop binds hop frame i's next relationship and its far node and
+// continues with the next step.
 func (it *Iter) takeHop(i int) error {
 	f := &it.stack[i]
 	c, pi, si, preBound := f.rels[f.pos-1], f.part, f.step, f.preBound
@@ -537,14 +501,14 @@ func (it *Iter) takeHop(i int) error {
 		return err
 	}
 	if rp.Var != "" && !preBound {
-		it.bind(rp.Var, value.Rel{ID: int64(c.rid)})
+		it.bind(rp.Slot, value.Rel{ID: int64(c.rid)})
 	}
 	// Pushed WHERE conjuncts over the relationship slot prune before the
 	// far endpoint is even considered (same contract as the node
 	// predicates in nodeSatisfies).
 	if !it.naive && rp.Var != "" && len(m.RelPreds) > 0 {
 		for _, p := range m.RelPreds[rp] {
-			tri, err := m.Ev.EvalBool(p, it.env)
+			tri, err := m.Ev.EvalBool(p, it.row)
 			if err == nil && tri != value.True {
 				return nil
 			}
@@ -553,7 +517,6 @@ func (it *Iter) takeHop(i int) error {
 	if ok, err = it.endNode(pp.part.Nodes[st.to], &pp.nodeSyms[st.to], c.end); err != nil || !ok {
 		return err
 	}
-	it.mark(i, true)
 	it.nodes[pi][st.to] = c.end
 	if pp.part.Var != "" {
 		it.rels[pi][st.rel] = append(it.rels[pi][st.rel][:0], c.rid)
@@ -586,7 +549,7 @@ func (it *Iter) pushLevel(f frame, at graph.NodeID, depth int) {
 // takeVarHop extends var frame i's path by its next relationship and
 // pushes the level beyond it. Relationships are unique within a path in
 // both modes, which guarantees termination; in Isomorphism mode they
-// also respect the clause-wide used set.
+// are also unique clause-wide (see used).
 func (it *Iter) takeVarHop(i int) error {
 	f := &it.stack[i]
 	c := f.rels[f.pos-1]
@@ -610,8 +573,7 @@ func (it *Iter) takeVarHop(i int) error {
 
 // takeEnd ends var frame i's path at its node: it binds the path's
 // relationships (in written order, whichever way the walk ran), checks
-// the far node pattern, marks the relationships used and continues with
-// the next step.
+// the far node pattern and continues with the next step.
 func (it *Iter) takeEnd(i int) error {
 	f := &it.stack[i]
 	pi, si, at := f.part, f.step, f.at
@@ -632,21 +594,20 @@ func (it *Iter) takeEnd(i int) error {
 		for k, rid := range path {
 			lst[k] = value.Rel{ID: int64(rid)}
 		}
-		it.bind(rp.Var, lst)
+		it.bind(rp.Slot, lst)
 	}
 	ok, err := it.endNode(pp.part.Nodes[st.to], &pp.nodeSyms[st.to], at)
 	if err != nil || !ok {
 		return err
 	}
-	it.mark(i, true)
 	it.nodes[pi][st.to] = at
 	return it.enterStep(pi, si+1)
 }
 
-// relSatisfies checks a relationship candidate against the used set (in
-// Isomorphism mode), the pattern's types and its inline properties.
+// relSatisfies checks a relationship candidate against the taken ones
+// (in Isomorphism mode), the pattern's types and its inline properties.
 func (it *Iter) relSatisfies(rid graph.RelID, rp *ast.RelPattern, ss *slotSyms) (bool, error) {
-	if it.m.Mode == Isomorphism && it.used[rid] {
+	if it.m.Mode == Isomorphism && it.used(rid) {
 		return false, nil
 	}
 	r := it.m.Graph.Rel(rid)
@@ -660,7 +621,7 @@ func (it *Iter) relSatisfies(rid graph.RelID, rp *ast.RelPattern, ss *slotSyms) 
 // the pattern's variable is already bound, it must hold that node.
 func (it *Iter) endNode(np *ast.NodePattern, ns *slotSyms, end graph.NodeID) (bool, error) {
 	if np.Var != "" {
-		if v, ok := it.env[np.Var]; ok {
+		if v := it.row[np.Slot]; v != nil {
 			id, ok, err := asNode(np, v)
 			if err != nil || !ok || id != end {
 				return false, err
@@ -684,18 +645,18 @@ func asNode(np *ast.NodePattern, v value.Value) (graph.NodeID, bool, error) {
 }
 
 // emit counts a complete match and, when it passes the Filter, passes
-// the live environment to Next's sink.
+// the live row to Next's sink.
 func (it *Iter) emit() error {
 	if it.m.Stats != nil {
 		it.m.Stats.Emitted++
 	}
 	if it.Filter != nil {
-		keep, err := it.Filter(it.env)
+		keep, err := it.Filter(it.row)
 		if err != nil || !keep {
 			return err
 		}
 	}
-	it.sink(it.env)
+	it.sink(it.row)
 	it.n++
 	return nil
 }
@@ -736,7 +697,7 @@ func (m *Matcher) nodeCandidates(ns *slotSyms) []graph.NodeID {
 }
 
 // seekCandidates resolves an index seek for one driving record: it
-// evaluates the seek value against env — for a seek from the inline
+// evaluates the seek value against row — for a seek from the inline
 // property map, only the seek key's entry — and returns the matching
 // index bucket in ascending id order. The second result is false when
 // the seek cannot be executed — the value expression errored (errors
@@ -745,13 +706,13 @@ func (m *Matcher) nodeCandidates(ns *slotSyms) []graph.NodeID {
 // null seek value returns an empty candidate set: `prop = null` is
 // never true, and an inline `{prop: null}` entry matches no stored
 // property.
-func (m *Matcher) seekCandidates(seek *seekPlan, np *ast.NodePattern, env expr.Env) ([]graph.NodeID, bool) {
+func (m *Matcher) seekCandidates(seek *seekPlan, np *ast.NodePattern, row []value.Value) ([]graph.NodeID, bool) {
 	val := seek.val
 	if seek.fromProps {
 		ml := np.Props.(*ast.MapLit)
 		val = ml.Vals[lastKey(ml.Keys, seek.prop)]
 	}
-	v, err := m.Ev.Eval(val, env)
+	v, err := m.Ev.Eval(val, row)
 	if err != nil {
 		return nil, false
 	}
@@ -784,8 +745,8 @@ func (it *Iter) nodeSatisfies(id graph.NodeID, np *ast.NodePattern, ns *slotSyms
 	if err != nil || !ok || np.Var == "" {
 		return ok, err
 	}
-	if _, bound := it.env[np.Var]; !bound {
-		it.bind(np.Var, value.Node{ID: int64(id)})
+	if it.row[np.Slot] == nil {
+		it.bind(np.Slot, value.Node{ID: int64(id)})
 	}
 	// Pushed WHERE conjuncts over this slot alone prune the candidate
 	// before any expansion happens. A conjunct that is false or null
@@ -794,7 +755,7 @@ func (it *Iter) nodeSatisfies(id graph.NodeID, np *ast.NodePattern, ns *slotSyms
 	// full WHERE over complete rows.
 	if !it.naive && len(m.NodePreds) > 0 {
 		for _, p := range m.NodePreds[np] {
-			tri, err := m.Ev.EvalBool(p, it.env)
+			tri, err := m.Ev.EvalBool(p, it.row)
 			if err == nil && tri != value.True {
 				return false, nil
 			}
@@ -816,7 +777,7 @@ func (it *Iter) propsSatisfy(stored graph.Props, props ast.Expr, keys []graph.Sy
 		if props == nil {
 			return true, nil
 		}
-		want, err := it.m.Ev.EvalPropMap(props, it.env)
+		want, err := it.m.Ev.EvalPropMap(props, it.row)
 		if err != nil {
 			return false, err
 		}
@@ -833,7 +794,7 @@ func (it *Iter) propsSatisfy(stored graph.Props, props ast.Expr, keys []graph.Sy
 	}
 	vals := it.vals[:0]
 	for _, e := range ml.Vals {
-		v, err := it.m.Ev.Eval(e, it.env)
+		v, err := it.m.Ev.Eval(e, it.row)
 		if err != nil {
 			return false, err
 		}
@@ -919,25 +880,32 @@ func typeMatches(r *graph.Rel, ss *slotSyms) bool {
 }
 
 // PatternVariables lists the variables a pattern tuple would bind, in
-// first-appearance order: path variables, node variables, relationship
-// variables.
+// the order CREATE and MERGE bind them: per part, the path variable,
+// then node and relationship variables interleaved left to right.
 func PatternVariables(parts []*ast.PatternPart) []string {
 	var out []string
-	seen := make(map[string]bool)
-	add := func(name string) {
-		if name != "" && !seen[name] {
-			seen[name] = true
-			out = append(out, name)
-		}
-	}
 	for _, part := range parts {
-		add(part.Var)
-		for i, n := range part.Nodes {
-			add(n.Var)
-			if i < len(part.Rels) {
-				add(part.Rels[i].Var)
+		eachVar(part, func(name string, _ int) {
+			if !slices.Contains(out, name) {
+				out = append(out, name)
 			}
-		}
+		})
 	}
 	return out
+}
+
+// eachVar calls f with the name and slot of each variable part
+// declares, in PatternVariables order.
+func eachVar(part *ast.PatternPart, f func(name string, slot int)) {
+	if part.Var != "" {
+		f(part.Var, part.Slot)
+	}
+	for i, np := range part.Nodes {
+		if np.Var != "" {
+			f(np.Var, np.Slot)
+		}
+		if i < len(part.Rels) && part.Rels[i].Var != "" {
+			f(part.Rels[i].Var, part.Rels[i].Slot)
+		}
+	}
 }

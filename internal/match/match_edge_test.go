@@ -1,9 +1,11 @@
 package match
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
-	"repro/internal/expr"
+	"repro/internal/ast"
 	"repro/internal/graph"
 	"repro/internal/value"
 )
@@ -17,7 +19,7 @@ func TestPreBoundRelVariable(t *testing.T) {
 	m := matcher(g)
 
 	// A bound rel variable restricts candidates to exactly that rel.
-	env := expr.Env{"r": value.Rel{ID: int64(r1.ID)}}
+	env := Env{"r": value.Rel{ID: int64(r1.ID)}}
 	res, err := m.Match(patternOf(t, "(x)-[r:T]->(y)"), env)
 	if err != nil {
 		t.Fatal(err)
@@ -30,13 +32,13 @@ func TestPreBoundRelVariable(t *testing.T) {
 	}
 
 	// Bound to null: no matches.
-	res, err = m.Match(patternOf(t, "(x)-[r:T]->(y)"), expr.Env{"r": value.NullValue})
+	res, err = m.Match(patternOf(t, "(x)-[r:T]->(y)"), Env{"r": value.NullValue})
 	if err != nil || len(res) != 0 {
 		t.Errorf("null rel binding: %d, %v", len(res), err)
 	}
 
 	// Bound to a non-rel: error.
-	if _, err := m.Match(patternOf(t, "(x)-[r:T]->(y)"), expr.Env{"r": value.Int(1)}); err == nil {
+	if _, err := m.Match(patternOf(t, "(x)-[r:T]->(y)"), Env{"r": value.Int(1)}); err == nil {
 		t.Error("non-rel binding should error")
 	}
 
@@ -53,7 +55,7 @@ func TestVarLengthPreBoundErrors(t *testing.T) {
 	b := g.CreateNode(nil, nil)
 	r, _ := g.CreateRel(a.ID, b.ID, "T", nil)
 	m := matcher(g)
-	env := expr.Env{"rs": value.Rel{ID: int64(r.ID)}}
+	env := Env{"rs": value.Rel{ID: int64(r.ID)}}
 	if _, err := m.Match(patternOf(t, "(x)-[rs:T*1..2]->(y)"), env); err == nil {
 		t.Error("pre-bound var-length variable should error")
 	}
@@ -67,17 +69,17 @@ func TestEndNodeBoundMismatch(t *testing.T) {
 	g.CreateRel(a.ID, b.ID, "T", nil)
 	m := matcher(g)
 	// y is bound to c, but the only T-rel ends at b: no match, no error.
-	env := expr.Env{"y": value.Node{ID: int64(c.ID)}}
+	env := Env{"y": value.Node{ID: int64(c.ID)}}
 	res, err := m.Match(patternOf(t, "(x)-[:T]->(y)"), env)
 	if err != nil || len(res) != 0 {
 		t.Errorf("mismatched end binding: %d, %v", len(res), err)
 	}
 	// y bound to a non-node: error only when reachable.
-	if _, err := m.Match(patternOf(t, "(x)-[:T]->(y)"), expr.Env{"y": value.Int(1)}); err == nil {
+	if _, err := m.Match(patternOf(t, "(x)-[:T]->(y)"), Env{"y": value.Int(1)}); err == nil {
 		t.Error("non-node end binding should error")
 	}
 	// y bound to null: no matches.
-	res, err = m.Match(patternOf(t, "(x)-[:T]->(y)"), expr.Env{"y": value.NullValue})
+	res, err = m.Match(patternOf(t, "(x)-[:T]->(y)"), Env{"y": value.NullValue})
 	if err != nil || len(res) != 0 {
 		t.Errorf("null end binding: %d, %v", len(res), err)
 	}
@@ -93,7 +95,7 @@ func TestVarLengthRelPropsFilter(t *testing.T) {
 	g.CreateRel(ids[1], ids[2], "T", value.Map{"w": value.Int(2)})
 	m := matcher(g)
 	// Only w:1 edges are traversable: a single 1-hop path.
-	res, err := m.Match(patternOf(t, "(x)-[:T*1..2 {w:1}]->(y)"), expr.Env{})
+	res, err := m.Match(patternOf(t, "(x)-[:T*1..2 {w:1}]->(y)"), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestVarLengthZeroHops(t *testing.T) {
 	a := g.CreateNode([]string{"X"}, nil)
 	m := matcher(g)
 	// *0.. includes the empty path where start = end.
-	res, err := m.Match(patternOf(t, "(x:X)-[:T*0..1]->(y)"), expr.Env{})
+	res, err := m.Match(patternOf(t, "(x:X)-[:T*0..1]->(y)"), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func TestPropsErrorPropagation(t *testing.T) {
 	g.CreateNode([]string{"A"}, nil)
 	m := matcher(g)
 	// A property expression referencing an unbound variable errors.
-	if _, err := m.Match(patternOf(t, "(x:A{k: nosuch.prop})"), expr.Env{}); err == nil {
+	if _, err := m.Match(patternOf(t, "(x:A{k: nosuch.prop})"), Env{}); err == nil {
 		t.Error("bad property expression should error")
 	}
 }
@@ -137,7 +139,7 @@ func TestMultipleLabelsUseSmallestIndex(t *testing.T) {
 	}
 	n := g.CreateNode([]string{"Common", "Rare"}, nil)
 	m := matcher(g)
-	res, err := m.Match(patternOf(t, "(x:Common:Rare)"), expr.Env{})
+	res, err := m.Match(patternOf(t, "(x:Common:Rare)"), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +154,78 @@ func TestMatchEmitsDeterministicOrder(t *testing.T) {
 		g.CreateNode([]string{"N"}, value.Map{"i": value.Int(int64(i))})
 	}
 	m := matcher(g)
-	res, _ := m.Match(patternOf(t, "(x:N)"), expr.Env{})
+	res, _ := m.Match(patternOf(t, "(x:N)"), Env{})
 	for i := 1; i < len(res); i++ {
 		prev := res[i-1]["x"].(value.Node).ID
 		cur := res[i]["x"].(value.Node).ID
 		if prev >= cur {
 			t.Fatal("match enumeration must be in ascending id order")
+		}
+	}
+}
+
+// TestVarLengthBesideSingleHops pins the match counts of patterns in
+// which a single hop could reuse one of a variable-length path's
+// relationships, over a directed 2-cycle and a directed triangle. Under
+// Isomorphism the hop must avoid every relationship of the path (and
+// the path every relationship of the hop); under Homomorphism only the
+// path's own relationships stay distinct. Each count holds for the
+// planned walk, the naive walk and a walk anchored at every node slot,
+// so the hop is taken both before and after the path.
+func TestVarLengthBesideSingleHops(t *testing.T) {
+	cycle := func(n int) *graph.Graph {
+		g := graph.New()
+		var ids []graph.NodeID
+		for range n {
+			ids = append(ids, g.CreateNode([]string{"N"}, nil).ID)
+		}
+		for i := range ids {
+			if _, err := g.CreateRel(ids[i], ids[(i+1)%n], "T", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	for _, c := range []struct {
+		graph      string
+		n          int
+		pattern    string
+		iso, homom int
+	}{
+		{"2-cycle", 2, `(a)-[*]->(b)-[r]->(c)`, 2, 4},
+		{"2-cycle", 2, `(a)-[r]-(b)-[*2..3]-(c)`, 0, 8},
+		{"triangle", 3, `(a)-[*]->(b)-[r]->(c)`, 6, 9},
+		{"triangle", 3, `(a)-[r]-(b)-[*2..3]-(c)`, 6, 24},
+	} {
+		g := cycle(c.n)
+		for mode, want := range map[Mode]int{Isomorphism: c.iso, Homomorphism: c.homom} {
+			walk := func(set func(m *Matcher)) *Matcher {
+				m := matcher(g)
+				m.Mode = mode
+				set(m)
+				return m
+			}
+			walks := map[string]*Matcher{
+				"planned": walk(func(*Matcher) {}),
+				"naive":   walk(func(m *Matcher) { m.DisablePlan = true }),
+			}
+			for anchor := range patternOf(t, c.pattern)[0].Nodes {
+				walks[fmt.Sprintf("anchor %d", anchor)] = walk(func(m *Matcher) {
+					m.ForceAnchor = func(int, *ast.PatternPart) int { return anchor }
+				})
+			}
+			var ref []string
+			for name, m := range walks {
+				got := multiset(t, m, c.pattern, Env{})
+				if len(got) != want {
+					t.Errorf("%s %s mode %d %s: %d matches, want %d", c.graph, c.pattern, mode, name, len(got), want)
+				}
+				if ref == nil {
+					ref = got
+				} else if strings.Join(got, "\n") != strings.Join(ref, "\n") {
+					t.Errorf("%s %s mode %d %s: matches differ from another walk's", c.graph, c.pattern, mode, name)
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,8 @@ package match
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -41,13 +43,62 @@ func figure1() (*graph.Graph, map[string]graph.NodeID) {
 	return g, ids
 }
 
+// Env is a record by variable name, as the tests state it; the helpers
+// below translate it to and from the iterator's slot rows.
+type Env = map[string]value.Value
+
+// testNames is the name table every test pattern and expression
+// resolves into, so any of them evaluates over any test row.
+var testNames = ast.Names{}
+
 func patternOf(t *testing.T, src string) []*ast.PatternPart {
 	t.Helper()
 	stmt, err := parser.Parse("MATCH " + src + " RETURN 1")
 	if err != nil {
 		t.Fatalf("parse pattern %q: %v", src, err)
 	}
-	return stmt.Queries[0].Clauses[0].(*ast.MatchClause).Pattern
+	parts := stmt.Queries[0].Clauses[0].(*ast.MatchClause).Pattern
+	testNames.Pattern(parts)
+	return parts
+}
+
+// seed lays env out as a row over testNames and makes its bound slots
+// m's.
+func seed(m *Matcher, env Env) []value.Value {
+	for name := range env {
+		testNames.Slot(name)
+	}
+	row := make([]value.Value, len(testNames))
+	m.Bound = nil
+	for name, v := range env {
+		row[testNames[name]] = v
+		m.Bound = append(m.Bound, testNames[name])
+	}
+	slices.Sort(m.Bound)
+	return row
+}
+
+// envOf reads a row back as a record of the names it binds.
+func envOf(row []value.Value) Env {
+	env := Env{}
+	for name, s := range testNames {
+		if s < len(row) && row[s] != nil {
+			env[name] = row[s]
+		}
+	}
+	return env
+}
+
+// Match enumerates the matches of parts that extend env, each as a
+// record by name.
+func (m *Matcher) Match(parts []*ast.PatternPart, env Env) ([]Env, error) {
+	var it Iter
+	it.Reset(m, parts, seed(m, env), nil)
+	var res []Env
+	if _, err := it.Next(math.MaxInt, func(row []value.Value) { res = append(res, envOf(row)) }); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 func matcher(g *graph.Graph) *Matcher {
@@ -57,22 +108,22 @@ func matcher(g *graph.Graph) *Matcher {
 func TestMatchSingleNode(t *testing.T) {
 	g, _ := figure1()
 	m := matcher(g)
-	res, err := m.Match(patternOf(t, "(p:Product)"), expr.Env{})
+	res, err := m.Match(patternOf(t, "(p:Product)"), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 3 {
 		t.Errorf("products = %d, want 3", len(res))
 	}
-	res, _ = m.Match(patternOf(t, "(p:Product{name:'laptop'})"), expr.Env{})
+	res, _ = m.Match(patternOf(t, "(p:Product{name:'laptop'})"), Env{})
 	if len(res) != 1 {
 		t.Errorf("laptop = %d, want 1", len(res))
 	}
-	res, _ = m.Match(patternOf(t, "(n)"), expr.Env{})
+	res, _ = m.Match(patternOf(t, "(n)"), Env{})
 	if len(res) != 6 {
 		t.Errorf("all nodes = %d, want 6", len(res))
 	}
-	res, _ = m.Match(patternOf(t, "(n:Nope)"), expr.Env{})
+	res, _ = m.Match(patternOf(t, "(n:Nope)"), Env{})
 	if len(res) != 0 {
 		t.Errorf("missing label = %d", len(res))
 	}
@@ -85,7 +136,7 @@ func TestPaperQuery1Matching(t *testing.T) {
 	g, ids := figure1()
 	m := matcher(g)
 	pat := patternOf(t, "(p:Product)<-[:OFFERS]-(v:Vendor)-[:OFFERS]->(q:Product)")
-	res, err := m.Match(pat, expr.Env{})
+	res, err := m.Match(pat, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +160,7 @@ func TestHomomorphismAllowsRelReuse(t *testing.T) {
 	m := matcher(g)
 	m.Mode = Homomorphism
 	pat := patternOf(t, "(p:Product)<-[:OFFERS]-(v:Vendor)-[:OFFERS]->(q:Product)")
-	res, err := m.Match(pat, expr.Env{})
+	res, err := m.Match(pat, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +174,15 @@ func TestHomomorphismAllowsRelReuse(t *testing.T) {
 func TestDirections(t *testing.T) {
 	g, ids := figure1()
 	m := matcher(g)
-	out, _ := m.Match(patternOf(t, "(v:Vendor)-[:OFFERS]->(p)"), expr.Env{})
+	out, _ := m.Match(patternOf(t, "(v:Vendor)-[:OFFERS]->(p)"), Env{})
 	if len(out) != 2 {
 		t.Errorf("outgoing = %d", len(out))
 	}
-	in, _ := m.Match(patternOf(t, "(p)<-[:OFFERS]-(v:Vendor)"), expr.Env{})
+	in, _ := m.Match(patternOf(t, "(p)<-[:OFFERS]-(v:Vendor)"), Env{})
 	if len(in) != 2 {
 		t.Errorf("incoming = %d", len(in))
 	}
-	both, _ := m.Match(patternOf(t, "(u:User{id:89})-[:ORDERED]-(p)"), expr.Env{})
+	both, _ := m.Match(patternOf(t, "(u:User{id:89})-[:ORDERED]-(p)"), Env{})
 	if len(both) != 2 {
 		t.Errorf("undirected from u1 = %d", len(both))
 	}
@@ -143,7 +194,7 @@ func TestSelfLoopUndirectedNoDuplicate(t *testing.T) {
 	n := g.CreateNode([]string{"X"}, nil)
 	g.CreateRel(n.ID, n.ID, "LOOP", nil)
 	m := matcher(g)
-	res, _ := m.Match(patternOf(t, "(a:X)-[r]-(b)"), expr.Env{})
+	res, _ := m.Match(patternOf(t, "(a:X)-[r]-(b)"), Env{})
 	if len(res) != 1 {
 		t.Errorf("self loop undirected matches = %d, want 1", len(res))
 	}
@@ -152,7 +203,7 @@ func TestSelfLoopUndirectedNoDuplicate(t *testing.T) {
 func TestPreBoundVariables(t *testing.T) {
 	g, ids := figure1()
 	m := matcher(g)
-	env := expr.Env{"u": value.Node{ID: int64(ids["u1"])}}
+	env := Env{"u": value.Node{ID: int64(ids["u1"])}}
 	res, err := m.Match(patternOf(t, "(u)-[:ORDERED]->(p)"), env)
 	if err != nil {
 		t.Fatal(err)
@@ -161,12 +212,12 @@ func TestPreBoundVariables(t *testing.T) {
 		t.Errorf("u1 orders = %d, want 2", len(res))
 	}
 	// Bound to null: no matches, no error.
-	res, err = m.Match(patternOf(t, "(u)-[:ORDERED]->(p)"), expr.Env{"u": value.NullValue})
+	res, err = m.Match(patternOf(t, "(u)-[:ORDERED]->(p)"), Env{"u": value.NullValue})
 	if err != nil || len(res) != 0 {
 		t.Errorf("null binding: %d, %v", len(res), err)
 	}
 	// Bound to a non-node: error.
-	if _, err := m.Match(patternOf(t, "(u)"), expr.Env{"u": value.Int(1)}); err == nil {
+	if _, err := m.Match(patternOf(t, "(u)"), Env{"u": value.Int(1)}); err == nil {
 		t.Error("non-node binding should error")
 	}
 	// Bound node must still satisfy labels.
@@ -181,7 +232,7 @@ func TestSharedVariableJoin(t *testing.T) {
 	m := matcher(g)
 	// Two parts sharing p: vendors and users connected through a product.
 	pat := patternOf(t, "(v:Vendor)-[:OFFERS]->(p), (u:User)-[:ORDERED]->(p)")
-	res, err := m.Match(pat, expr.Env{})
+	res, err := m.Match(pat, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +245,7 @@ func TestSharedVariableJoin(t *testing.T) {
 func TestRelVariableAndTypeAlternatives(t *testing.T) {
 	g, _ := figure1()
 	m := matcher(g)
-	res, err := m.Match(patternOf(t, "(a)-[r:OFFERS|ORDERED]->(b)"), expr.Env{})
+	res, err := m.Match(patternOf(t, "(a)-[r:OFFERS|ORDERED]->(b)"), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +266,12 @@ func TestRelPropsFilter(t *testing.T) {
 	g.CreateRel(a.ID, b.ID, "T", value.Map{"w": value.Int(1)})
 	g.CreateRel(a.ID, b.ID, "T", value.Map{"w": value.Int(2)})
 	m := matcher(g)
-	res, _ := m.Match(patternOf(t, "(a)-[r:T{w:2}]->(b)"), expr.Env{})
+	res, _ := m.Match(patternOf(t, "(a)-[r:T{w:2}]->(b)"), Env{})
 	if len(res) != 1 {
 		t.Errorf("prop-filtered rels = %d, want 1", len(res))
 	}
 	// A null-valued pattern property never matches (ternary equality).
-	res, _ = m.Match(patternOf(t, "(a)-[r:T{w:null}]->(b)"), expr.Env{})
+	res, _ = m.Match(patternOf(t, "(a)-[r:T{w:null}]->(b)"), Env{})
 	if len(res) != 0 {
 		t.Errorf("null prop filter matched %d", len(res))
 	}
@@ -238,27 +289,27 @@ func TestVarLength(t *testing.T) {
 	}
 	m := matcher(g)
 
-	res, err := m.Match(patternOf(t, "(a{i:0})-[:NEXT*]->(b)"), expr.Env{})
+	res, err := m.Match(patternOf(t, "(a{i:0})-[:NEXT*]->(b)"), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 3 {
 		t.Errorf("*: %d paths, want 3", len(res))
 	}
-	res, _ = m.Match(patternOf(t, "(a{i:0})-[:NEXT*2]->(b)"), expr.Env{})
+	res, _ = m.Match(patternOf(t, "(a{i:0})-[:NEXT*2]->(b)"), Env{})
 	if len(res) != 1 {
 		t.Errorf("*2: %d, want 1", len(res))
 	}
-	res, _ = m.Match(patternOf(t, "(a{i:0})-[:NEXT*1..2]->(b)"), expr.Env{})
+	res, _ = m.Match(patternOf(t, "(a{i:0})-[:NEXT*1..2]->(b)"), Env{})
 	if len(res) != 2 {
 		t.Errorf("*1..2: %d, want 2", len(res))
 	}
-	res, _ = m.Match(patternOf(t, "(a{i:0})-[:NEXT*0..]->(b)"), expr.Env{})
+	res, _ = m.Match(patternOf(t, "(a{i:0})-[:NEXT*0..]->(b)"), Env{})
 	if len(res) != 4 {
 		t.Errorf("*0..: %d, want 4 (incl. empty path)", len(res))
 	}
 	// Var-length var binds to the list of relationships.
-	res, _ = m.Match(patternOf(t, "(a{i:0})-[rs:NEXT*2]->(b)"), expr.Env{})
+	res, _ = m.Match(patternOf(t, "(a{i:0})-[rs:NEXT*2]->(b)"), Env{})
 	if lst, ok := res[0]["rs"].(value.List); !ok || len(lst) != 2 {
 		t.Errorf("rs binding = %#v", res[0]["rs"])
 	}
@@ -272,7 +323,7 @@ func TestVarLengthLoopTerminates(t *testing.T) {
 	v := g.CreateNode(nil, nil)
 	g.CreateRel(v.ID, v.ID, "L", nil)
 	m := matcher(g)
-	res, err := m.Match(patternOf(t, "(v)-[*]->(v)"), expr.Env{})
+	res, err := m.Match(patternOf(t, "(v)-[*]->(v)"), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,12 +341,12 @@ func TestIsomorphismAcrossParts(t *testing.T) {
 	// Two rel slots, only one relationship: no iso match, one homo match
 	// per orientation combination.
 	pat := patternOf(t, "(a)-[r1:T]->(b), (c)-[r2:T]->(d)")
-	res, _ := m.Match(pat, expr.Env{})
+	res, _ := m.Match(pat, Env{})
 	if len(res) != 0 {
 		t.Errorf("iso: %d, want 0", len(res))
 	}
 	m.Mode = Homomorphism
-	res, _ = m.Match(pat, expr.Env{})
+	res, _ = m.Match(pat, Env{})
 	if len(res) != 1 {
 		t.Errorf("homo: %d, want 1", len(res))
 	}
@@ -304,7 +355,7 @@ func TestIsomorphismAcrossParts(t *testing.T) {
 func TestNamedPathBinding(t *testing.T) {
 	g, ids := figure1()
 	m := matcher(g)
-	res, err := m.Match(patternOf(t, "pth = (u:User{id:89})-[:ORDERED]->(p{name:'laptop'})"), expr.Env{})
+	res, err := m.Match(patternOf(t, "pth = (u:User{id:89})-[:ORDERED]->(p{name:'laptop'})"), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +397,7 @@ func TestPropsReferencingEarlierBindings(t *testing.T) {
 	g.CreateRel(a.ID, c.ID, "T", nil)
 	m := matcher(g)
 	// The far node's property map references the first node's binding.
-	res, err := m.Match(patternOf(t, "(x:A)-[:T]->(y:B{k: x.k})"), expr.Env{})
+	res, err := m.Match(patternOf(t, "(x:A)-[:T]->(y:B{k: x.k})"), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,10 +426,10 @@ func TestRepeatedInlineKeyLastWins(t *testing.T) {
 			{`(n:L{k:2,k:1})`, one.ID},
 		} {
 			m := matcher(g)
-			if d := m.DescribePlan(patternOf(t, c.pattern), nil); strings.Contains(d, "index-seek") != indexed {
+			if d := m.DescribePlan(patternOf(t, c.pattern)); strings.Contains(d, "index-seek") != indexed {
 				t.Fatalf("indexed=%v %s: plan %s", indexed, c.pattern, d)
 			}
-			res, err := m.Match(patternOf(t, c.pattern), expr.Env{})
+			res, err := m.Match(patternOf(t, c.pattern), Env{})
 			if err != nil {
 				t.Fatalf("indexed=%v %s: %v", indexed, c.pattern, err)
 			}
@@ -394,7 +445,7 @@ func TestRepeatedInlineKeyLastWins(t *testing.T) {
 // the seed.
 func TestMatchResultsIndependent(t *testing.T) {
 	g, _ := figure1()
-	seed := expr.Env{"k": value.Int(7)}
+	seed := Env{"k": value.Int(7)}
 	res, err := matcher(g).Match(patternOf(t, "(u:User)-[:ORDERED]->(p)"), seed)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +479,7 @@ func TestPreBoundPathVariable(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		m := matcher(g)
 		m.DisablePlan = naive
-		rows := func(pattern string, env expr.Env) []string {
+		rows := func(pattern string, env Env) []string {
 			res, err := m.Match(patternOf(t, pattern), env)
 			if err != nil {
 				t.Fatalf("%s: %v", pattern, err)
@@ -440,8 +491,8 @@ func TestPreBoundPathVariable(t *testing.T) {
 			sort.Strings(out)
 			return out
 		}
-		got := rows(`p = (x:A)-[:T {w: p}]->(y)`, expr.Env{"p": value.Int(1)})
-		want := rows(`p = (x:A)-[:T {w: q}]->(y)`, expr.Env{"p": value.Int(1), "q": value.Int(1)})
+		got := rows(`p = (x:A)-[:T {w: p}]->(y)`, Env{"p": value.Int(1)})
+		want := rows(`p = (x:A)-[:T {w: q}]->(y)`, Env{"p": value.Int(1), "q": value.Int(1)})
 		if len(want) < 2 || strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("naive=%v: got %d matches, want %d:\n%s\nwant\n%s", naive, len(got), len(want), strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}

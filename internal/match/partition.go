@@ -3,9 +3,10 @@
 // The planner anchors the first planned part at its most selective node
 // slot and enumerates that slot's candidates in ascending id order; the
 // rest of the search is a pure function of each anchor candidate (every
-// frame of the Iter clears its isomorphism marks before its next
-// candidate). Splitting the candidate list into contiguous chunks and
-// enumerating each chunk independently therefore produces exactly the
+// frame of the Iter unwinds its bindings before its next candidate, and
+// the relationships the search has taken live on its frames).
+// Splitting the candidate list into contiguous chunks and enumerating
+// each chunk independently therefore produces exactly the
 // corresponding subsequences of the serial enumeration — which is what
 // lets the executor fan anchor candidates out as morsels over a pinned
 // immutable snapshot and gather the results back in morsel order,
@@ -14,8 +15,8 @@ package match
 
 import (
 	"repro/internal/ast"
-	"repro/internal/expr"
 	"repro/internal/graph"
+	"repro/internal/value"
 )
 
 // AnchorPlan is a planned, partitionable pattern enumeration: the
@@ -31,28 +32,28 @@ type AnchorPlan struct {
 // caller partitions it; slices index the returned list directly.
 func (ap *AnchorPlan) Anchors() []graph.NodeID { return ap.anchors }
 
-// PlanAnchors plans parts for env's bound variables and, when the
+// PlanAnchors plans parts for the matcher's bound slots and, when the
 // enumeration is partitionable by anchor candidate, returns the shared
 // plan plus the first planned part's candidate list. It returns
 // ok=false — and the caller must enumerate serially — when any
 // per-row dimension could differ from the build-time plan:
 //
 //   - the naive seed walk is (or could become) required: DisablePlan,
-//     ForceAnchor test hooks, or naiveRequired on the seed env;
+//     ForceAnchor test hooks, or naiveRequired on the seed row;
 //   - the first part anchors on a pre-bound variable or an index seek
 //     (both are evaluated per driving record, and a seek's bucket is
 //     tiny anyway — nothing worth partitioning).
 //
 // The plan is computed against the current graph; callers must execute
 // it on the same (immutable snapshot) graph.
-func (m *Matcher) PlanAnchors(parts []*ast.PatternPart, env expr.Env) (*AnchorPlan, bool) {
+func (m *Matcher) PlanAnchors(parts []*ast.PatternPart, row []value.Value) (*AnchorPlan, bool) {
 	if m.DisablePlan || m.ForceAnchor != nil || len(parts) == 0 {
 		return nil, false
 	}
-	if m.naiveRequired(parts, env) {
+	if m.naiveRequired(parts, row) {
 		return nil, false
 	}
-	plans := m.plansFor(parts, env)
+	plans := m.plansFor(parts)
 	if len(plans) == 0 {
 		return nil, false
 	}
@@ -61,10 +62,8 @@ func (m *Matcher) PlanAnchors(parts []*ast.PatternPart, env expr.Env) (*AnchorPl
 	if p0.seek != nil {
 		return nil, false
 	}
-	if np.Var != "" {
-		if _, bound := env[np.Var]; bound {
-			return nil, false
-		}
+	if np.Var != "" && row[np.Slot] != nil {
+		return nil, false
 	}
 	return &AnchorPlan{plans: plans, anchors: m.nodeCandidates(&p0.nodeSyms[p0.anchor])}, true
 }

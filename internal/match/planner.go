@@ -141,10 +141,10 @@ func literalKeys(g *graph.Graph, props ast.Expr) []graph.SymID {
 }
 
 // planParts orders the parts and picks an anchor and walk for each.
-// bound is the set of variables already bound when enumeration starts
-// (the driving-table columns); variables bound by earlier parts extend
-// it as the greedy order is fixed.
-func (m *Matcher) planParts(parts []*ast.PatternPart, bound map[string]bool) []partPlan {
+// bound is the set of slots already bound when enumeration starts (the
+// driving-table columns); variables bound by earlier parts extend it as
+// the greedy order is fixed.
+func (m *Matcher) planParts(parts []*ast.PatternPart, bound map[int]bool) []partPlan {
 	// Inline property maps may reference pattern variables bound by the
 	// written left-to-right walk, e.g. (x:A)-[:T]->(y {k: x.k}). Any
 	// other slot order would evaluate such a map before its dependency
@@ -185,9 +185,7 @@ func (m *Matcher) planParts(parts []*ast.PatternPart, bound map[string]bool) []p
 		}
 		plans = append(plans, best)
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		for _, v := range PatternVariables([]*ast.PatternPart{best.part}) {
-			bound[v] = true
-		}
+		eachVar(best.part, func(_ string, slot int) { bound[slot] = true })
 	}
 	resolveSyms(m.Graph, plans)
 	return plans
@@ -196,12 +194,14 @@ func (m *Matcher) planParts(parts []*ast.PatternPart, bound map[string]bool) []p
 // dependentProps reports whether any inline property map in parts
 // references a pattern variable that is not already bound on entry —
 // the condition under which slot evaluation order is observable.
-func dependentProps(parts []*ast.PatternPart, bound map[string]bool) bool {
+func dependentProps(parts []*ast.PatternPart, bound map[int]bool) bool {
 	vars := make(map[string]bool)
-	for _, v := range PatternVariables(parts) {
-		if !bound[v] {
-			vars[v] = true
-		}
+	for _, part := range parts {
+		eachVar(part, func(name string, slot int) {
+			if !bound[slot] {
+				vars[name] = true
+			}
+		})
 	}
 	refs := func(e ast.Expr) bool {
 		if e == nil {
@@ -262,23 +262,23 @@ func naivePlans(g *graph.Graph, parts []*ast.PatternPart) []partPlan {
 //
 // The check reads the row's actual values, so a mis-typed binding only
 // forces the naive walk for the rows that have it.
-func (m *Matcher) naiveRequired(parts []*ast.PatternPart, env expr.Env) bool {
+func (m *Matcher) naiveRequired(parts []*ast.PatternPart, row []value.Value) bool {
 	for _, part := range parts {
 		for _, np := range part.Nodes {
 			if np.Var != "" {
-				if v, ok := env[np.Var]; ok && !value.IsNull(v) {
+				if v := row[np.Slot]; v != nil && !value.IsNull(v) {
 					if _, isNode := v.(value.Node); !isNode {
 						return true
 					}
 				}
 			}
-			if m.propsFallible(parts, np.Props, env) {
+			if m.propsFallible(parts, np.Props, row) {
 				return true
 			}
 		}
 		for _, rp := range part.Rels {
 			if rp.Var != "" {
-				if v, ok := env[rp.Var]; ok {
+				if v := row[rp.Slot]; v != nil {
 					if rp.VarLength {
 						// Pre-bound var-length variables are an error
 						// (even null): surface it in seed order.
@@ -291,7 +291,7 @@ func (m *Matcher) naiveRequired(parts []*ast.PatternPart, env expr.Env) bool {
 					}
 				}
 			}
-			if m.propsFallible(parts, rp.Props, env) {
+			if m.propsFallible(parts, rp.Props, row) {
 				return true
 			}
 		}
@@ -307,13 +307,13 @@ func (m *Matcher) naiveRequired(parts []*ast.PatternPart, env expr.Env) bool {
 // variables, guaranteed for node/relationship slot variables); and
 // parameters that are present and hold maps. Anything else is
 // conservatively fallible.
-func (m *Matcher) propsFallible(parts []*ast.PatternPart, props ast.Expr, env expr.Env) bool {
+func (m *Matcher) propsFallible(parts []*ast.PatternPart, props ast.Expr, row []value.Value) bool {
 	switch p := props.(type) {
 	case nil:
 		return false
 	case *ast.MapLit:
 		for _, v := range p.Vals {
-			if m.propValueFallible(parts, v, env) {
+			if m.propValueFallible(parts, v, row) {
 				return true
 			}
 		}
@@ -332,7 +332,7 @@ func (m *Matcher) propsFallible(parts []*ast.PatternPart, props ast.Expr, env ex
 	return true
 }
 
-func (m *Matcher) propValueFallible(parts []*ast.PatternPart, e ast.Expr, env expr.Env) bool {
+func (m *Matcher) propValueFallible(parts []*ast.PatternPart, e ast.Expr, row []value.Value) bool {
 	switch x := e.(type) {
 	case *ast.Literal:
 		return false
@@ -353,7 +353,7 @@ func (m *Matcher) propValueFallible(parts []*ast.PatternPart, e ast.Expr, env ex
 		_, ok := m.Ev.Params[x.Name]
 		return !ok
 	case *ast.Variable:
-		if _, ok := env[x.Name]; ok {
+		if row[x.Slot] != nil {
 			return false
 		}
 		return !isSlotVar(parts, x.Name)
@@ -362,7 +362,7 @@ func (m *Matcher) propValueFallible(parts []*ast.PatternPart, e ast.Expr, env ex
 		if !isVar {
 			return true
 		}
-		if bv, ok := env[v.Name]; ok {
+		if bv := row[v.Slot]; bv != nil {
 			switch bv.(type) {
 			case value.Node, value.Rel, value.Map, value.Null:
 				return false
@@ -372,7 +372,7 @@ func (m *Matcher) propValueFallible(parts []*ast.PatternPart, e ast.Expr, env ex
 		return !isSlotVar(parts, v.Name)
 	case *ast.ListLit:
 		for _, el := range x.Elems {
-			if m.propValueFallible(parts, el, env) {
+			if m.propValueFallible(parts, el, row) {
 				return true
 			}
 		}
@@ -401,7 +401,7 @@ func isSlotVar(parts []*ast.PatternPart, name string) bool {
 }
 
 // planPart picks the anchor slot for one part and lays out the walk.
-func (m *Matcher) planPart(part *ast.PatternPart, origIdx int, bound map[string]bool) partPlan {
+func (m *Matcher) planPart(part *ast.PatternPart, origIdx int, bound map[int]bool) partPlan {
 	anchor := -1
 	var seek *seekPlan
 	if m.ForceAnchor != nil {
@@ -434,11 +434,11 @@ func (m *Matcher) planPart(part *ast.PatternPart, origIdx int, bound map[string]
 
 // estimateFingerprint captures the statistics inputs of a plan: the
 // anchor estimate of every node slot of every part, in written order,
-// against the entry-bound variable set. A PlanSlot re-validates its
+// against the entry-bound slot set. A PlanSlot re-validates its
 // plan by recomputing this vector (O(1) statistic reads per slot) and
 // checking it for drift, instead of discarding the plan on every
 // structural version bump.
-func (m *Matcher) estimateFingerprint(parts []*ast.PatternPart, bound map[string]bool) []float64 {
+func (m *Matcher) estimateFingerprint(parts []*ast.PatternPart, bound map[int]bool) []float64 {
 	var fp []float64
 	for _, part := range parts {
 		for _, np := range part.Nodes {
@@ -482,8 +482,8 @@ func estimatesDrifted(old, cur []float64) bool {
 
 // anchorEstimate scores a node slot: the estimated number of candidate
 // nodes enumeration would start from. Lower is better.
-func (m *Matcher) anchorEstimate(np *ast.NodePattern, bound map[string]bool) float64 {
-	if np.Var != "" && bound[np.Var] {
+func (m *Matcher) anchorEstimate(np *ast.NodePattern, bound map[int]bool) float64 {
+	if np.Var != "" && bound[np.Slot] {
 		// A bound variable is a single candidate (or an immediate miss).
 		return 0.5
 	}
@@ -523,9 +523,9 @@ func (m *Matcher) anchorEstimate(np *ast.NodePattern, bound map[string]bool) flo
 // per-candidate checks, so it can never visit more than the scan. The
 // returned estimate is the scan estimate capped by the bucket size, so
 // part ordering sees the tighter bound.
-func (m *Matcher) anchorChoice(np *ast.NodePattern, bound map[string]bool) (float64, *seekPlan) {
+func (m *Matcher) anchorChoice(np *ast.NodePattern, bound map[int]bool) (float64, *seekPlan) {
 	est := m.anchorEstimate(np, bound)
-	if m.DisablePlan || (np.Var != "" && bound[np.Var]) {
+	if m.DisablePlan || (np.Var != "" && bound[np.Slot]) {
 		return est, nil
 	}
 	best, seek := math.Inf(1), (*seekPlan)(nil)
@@ -958,16 +958,12 @@ func (p *Pushdown) Describe() string {
 // ---------------------------------------------------------------------
 
 // DescribePlan renders the plan the matcher would choose for the given
-// pattern with the given variables bound: the part execution order
-// (indices into the written pattern), each part's anchor, and the
-// estimated anchor cardinalities. Statistics are read at call time, so
-// the description matches what execution would do on the current graph.
-func (m *Matcher) DescribePlan(parts []*ast.PatternPart, outer []string) string {
-	bound := make(map[string]bool, len(outer))
-	for _, c := range outer {
-		bound[c] = true
-	}
-	plans := m.planParts(parts, bound)
+// pattern under its bound slots: the part execution order (indices into
+// the written pattern), each part's anchor, and the estimated anchor
+// cardinalities. Statistics are read at call time, so the description
+// matches what execution would do on the current graph.
+func (m *Matcher) DescribePlan(parts []*ast.PatternPart) string {
+	plans := m.planParts(parts, m.entryBound())
 	order := make([]string, len(plans))
 	anchors := make([]string, len(plans))
 	ests := make([]string, len(plans))

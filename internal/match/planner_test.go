@@ -22,11 +22,13 @@ func mustExpr(t *testing.T, src string) ast.Expr {
 	if err != nil {
 		t.Fatalf("parse expr %q: %v", src, err)
 	}
-	return stmt.Queries[0].Clauses[0].(*ast.MatchClause).Where
+	where := stmt.Queries[0].Clauses[0].(*ast.MatchClause).Where
+	testNames.Expr(where)
+	return where
 }
 
 // envKey renders one match environment order-insensitively.
-func envKey(e expr.Env) string {
+func envKey(e Env) string {
 	keys := make([]string, 0, len(e))
 	for k := range e {
 		keys = append(keys, k)
@@ -42,7 +44,7 @@ func envKey(e expr.Env) string {
 	return sb.String()
 }
 
-func multiset(t *testing.T, m *Matcher, pattern string, env expr.Env) []string {
+func multiset(t *testing.T, m *Matcher, pattern string, env Env) []string {
 	t.Helper()
 	res, err := m.Match(patternOf(t, pattern), env)
 	if err != nil {
@@ -105,8 +107,8 @@ func TestPlannedMatchesNaiveRandomGraphs(t *testing.T) {
 			planned := &Matcher{Graph: g, Ev: &expr.Evaluator{Graph: g}, Mode: mode}
 			naive := &Matcher{Graph: g, Ev: &expr.Evaluator{Graph: g}, Mode: mode, DisablePlan: true}
 			for _, pat := range patterns {
-				got := multiset(t, planned, pat, expr.Env{})
-				want := multiset(t, naive, pat, expr.Env{})
+				got := multiset(t, planned, pat, Env{})
+				want := multiset(t, naive, pat, Env{})
 				if len(got) != len(want) {
 					t.Fatalf("seed=%d mode=%v %s: planned %d matches, naive %d",
 						seed, mode, pat, len(got), len(want))
@@ -139,14 +141,14 @@ func TestForcedAnchorsSweepMultiset(t *testing.T) {
 		}
 	}
 	pat := `(x:A)-[:R]->(y:B)-[:S]->(z:C)`
-	base := multiset(t, &Matcher{Graph: g, Ev: &expr.Evaluator{Graph: g}}, pat, expr.Env{})
+	base := multiset(t, &Matcher{Graph: g, Ev: &expr.Evaluator{Graph: g}}, pat, Env{})
 	if len(base) != 2 {
 		t.Fatalf("base matches = %d, want 2", len(base))
 	}
 	for anchor := 0; anchor < 3; anchor++ {
 		m := &Matcher{Graph: g, Ev: &expr.Evaluator{Graph: g},
 			ForceAnchor: func(int, *ast.PatternPart) int { return anchor }}
-		got := multiset(t, m, pat, expr.Env{})
+		got := multiset(t, m, pat, Env{})
 		if fmt.Sprint(got) != fmt.Sprint(base) {
 			t.Errorf("anchor=%d multiset diverged:\n%v\nvs\n%v", anchor, got, base)
 		}
@@ -243,12 +245,12 @@ func TestPushdownErrorsDeferred(t *testing.T) {
 	m.SetPushdown(NewPushdown(where, parts, nil))
 	// The pushdown evaluates a.v + 1 on the bad candidate too; the
 	// error must be swallowed (candidate kept, pruned by no edge).
-	it := Iter{Filter: func(e expr.Env) (bool, error) {
-		ok, err := m.Ev.EvalBool(where, e)
+	it := Iter{Filter: func(row []value.Value) (bool, error) {
+		ok, err := m.Ev.EvalBool(where, row)
 		return ok == value.True, err
 	}}
-	it.Reset(m, parts, expr.Env{}, nil)
-	n, err := it.Next(math.MaxInt, func(expr.Env) {})
+	it.Reset(m, parts, seed(m, nil), nil)
+	n, err := it.Next(math.MaxInt, func([]value.Value) {})
 	if err != nil {
 		t.Fatalf("pushed predicate error leaked: %v", err)
 	}
@@ -269,7 +271,7 @@ func TestDescribePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &Matcher{Graph: g, Ev: &expr.Evaluator{Graph: g}}
-	desc := m.DescribePlan(patternOf(t, `(c:Common)-[:R]->(r:Rare)`), nil)
+	desc := m.DescribePlan(patternOf(t, `(c:Common)-[:R]->(r:Rare)`))
 	for _, want := range []string{"order=[0]", "anchor=[r]", "est=[1]"} {
 		if !strings.Contains(desc, want) {
 			t.Errorf("DescribePlan missing %q: %s", want, desc)
@@ -291,7 +293,7 @@ func TestPlanCacheSurvivesUndriftedMutation(t *testing.T) {
 	}
 	m := &Matcher{Graph: g, Ev: &expr.Evaluator{Graph: g}}
 	parts := patternOf(t, "(a:A)-[:R]->(b:B)")
-	plans1 := m.plansFor(parts, expr.Env{})
+	plans1 := m.plansFor(parts)
 	if plans1[0].anchor != 0 {
 		t.Fatalf("anchor = %d, want 0 (the rare :A slot)", plans1[0].anchor)
 	}
@@ -300,7 +302,7 @@ func TestPlanCacheSurvivesUndriftedMutation(t *testing.T) {
 	if g.Version() == ver {
 		t.Fatal("mutation did not bump the version")
 	}
-	plans2 := m.plansFor(parts, expr.Env{})
+	plans2 := m.plansFor(parts)
 	if &plans1[0] != &plans2[0] {
 		t.Error("undrifted version bump discarded the cached plan")
 	}
@@ -328,7 +330,7 @@ func TestPlanCacheSurvivesRolledBackTxn(t *testing.T) {
 	snap := s.Acquire()
 	m := &Matcher{Graph: snap.Graph(), Ev: &expr.Evaluator{Graph: snap.Graph()}}
 	parts := patternOf(t, "(a:A{v:1})-[:R]->(b:B)")
-	plans1 := m.plansFor(parts, expr.Env{})
+	plans1 := m.plansFor(parts)
 	if plans1[0].seek == nil {
 		t.Fatal("expected an index-seek anchor on :A(v)")
 	}
@@ -357,7 +359,7 @@ func TestPlanCacheSurvivesRolledBackTxn(t *testing.T) {
 	// statement would: the cached plan must survive.
 	m.Graph = after.Graph()
 	m.Ev = &expr.Evaluator{Graph: after.Graph()}
-	plans2 := m.plansFor(parts, expr.Env{})
+	plans2 := m.plansFor(parts)
 	if &plans1[0] != &plans2[0] {
 		t.Error("rolled-back transaction invalidated the cached plan")
 	}
@@ -380,7 +382,7 @@ func TestPlanCacheReplansOnStatsDrift(t *testing.T) {
 	}
 	m := &Matcher{Graph: g, Ev: &expr.Evaluator{Graph: g}}
 	parts := patternOf(t, "(a:A)-[:R]->(b:B)")
-	plans := m.plansFor(parts, expr.Env{})
+	plans := m.plansFor(parts)
 	if plans[0].anchor != 0 {
 		t.Fatalf("pre-load anchor = %d, want 0 (:A is rare)", plans[0].anchor)
 	}
@@ -388,7 +390,7 @@ func TestPlanCacheReplansOnStatsDrift(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		g.CreateNode([]string{"A"}, nil)
 	}
-	plans = m.plansFor(parts, expr.Env{})
+	plans = m.plansFor(parts)
 	if plans[0].anchor != 1 {
 		t.Errorf("post-load anchor = %d, want 1 (:B is now rare); stale plan survived the drift", plans[0].anchor)
 	}
@@ -396,7 +398,7 @@ func TestPlanCacheReplansOnStatsDrift(t *testing.T) {
 	if _, err := g.CreateRel(g.NodeIDsByLabel("A")[0], g.NodeIDsByLabel("B")[0], "R", nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Match(parts, expr.Env{})
+	res, err := m.Match(parts, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 package match
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/ast"
-	"repro/internal/expr"
 )
 
 // PlanSlot holds the latest plan of one pattern tuple. The engine's
@@ -15,7 +15,7 @@ import (
 // slot makes a private one on first use.
 //
 // The slot keeps one entry: the plan plus the stamps it is valid under.
-// A consult for another pattern or another set of bound names replans
+// A consult for another pattern or another set of bound slots replans
 // and replaces the entry. A changed index epoch replans too: a new
 // index can enable a seek anchor (and a drop must disable one) without
 // any cardinality drift, and a changed symbol table re-resolves the
@@ -44,7 +44,7 @@ func (s *PlanSlot) Filled() bool { return s.cur.Load() != nil }
 // slotEntry is one plan with its validity stamps.
 type slotEntry struct {
 	parts    []*ast.PatternPart
-	bound    []string // the names bound on entry, in no particular order
+	bound    []int // the slots bound on entry (Matcher.Bound)
 	plans    []partPlan
 	est      []float64 // anchor estimates the plan was built from
 	idxEpoch int64
@@ -53,30 +53,22 @@ type slotEntry struct {
 	ver atomic.Int64 // graph version the plan was last validated at
 }
 
-// fits reports whether e is the plan of parts under env's bound names.
-func (e *slotEntry) fits(parts []*ast.PatternPart, env expr.Env) bool {
-	if e == nil || len(e.parts) != len(parts) || len(e.bound) != len(env) ||
-		(len(parts) > 0 && e.parts[0] != parts[0]) {
-		return false
-	}
-	for _, name := range e.bound {
-		if _, ok := env[name]; !ok {
-			return false
-		}
-	}
-	return true
+// fits reports whether e is the plan of parts under the bound slots.
+func (e *slotEntry) fits(parts []*ast.PatternPart, bound []int) bool {
+	return e != nil && len(e.parts) == len(parts) && (len(parts) == 0 || e.parts[0] == parts[0]) &&
+		slices.Equal(e.bound, bound)
 }
 
-// plan returns a valid plan for parts under env's bound names against
-// m's graph at version ver, replanning and publishing a replacement
-// entry when the current one does not fit or is stale.
-func (s *PlanSlot) plan(m *Matcher, parts []*ast.PatternPart, env expr.Env, ver int64) *slotEntry {
+// plan returns a valid plan for parts under m's bound slots against m's
+// graph at version ver, replanning and publishing a replacement entry
+// when the current one does not fit or is stale.
+func (s *PlanSlot) plan(m *Matcher, parts []*ast.PatternPart, ver int64) *slotEntry {
 	e := s.cur.Load()
 	outcome := miss
-	if e.fits(parts, env) {
+	if e.fits(parts, m.Bound) {
 		outcome = invalidation
 		if e.idxEpoch == m.Graph.IndexEpoch() && e.symStamp == m.Graph.SymStamp() &&
-			(e.ver.Load() == ver || !estimatesDrifted(e.est, m.estimateFingerprint(parts, boundSet(env)))) {
+			(e.ver.Load() == ver || !estimatesDrifted(e.est, m.estimateFingerprint(parts, m.entryBound()))) {
 			outcome = hit
 		}
 	}
@@ -89,25 +81,13 @@ func (s *PlanSlot) plan(m *Matcher, parts []*ast.PatternPart, env expr.Env, ver 
 		}
 		return e
 	}
-	bound := boundSet(env)
-	e = &slotEntry{parts: parts, bound: make([]string, 0, len(env)), idxEpoch: m.Graph.IndexEpoch(), symStamp: m.Graph.SymStamp()}
-	for k := range env {
-		e.bound = append(e.bound, k)
-	}
+	bound := m.entryBound()
+	e = &slotEntry{parts: parts, bound: m.Bound, idxEpoch: m.Graph.IndexEpoch(), symStamp: m.Graph.SymStamp()}
 	e.est = m.estimateFingerprint(parts, bound)
 	e.plans = m.planParts(parts, bound) // mutates bound; fingerprint first
 	e.ver.Store(ver)
 	s.cur.Store(e)
 	return e
-}
-
-// boundSet returns the set of variables env binds.
-func boundSet(env expr.Env) map[string]bool {
-	bound := make(map[string]bool, len(env))
-	for k := range env {
-		bound[k] = true
-	}
-	return bound
 }
 
 // Outcomes of a slot consult, indexing PlanCounts.
@@ -126,7 +106,7 @@ type PlanStats struct {
 	// revalidated against drifted-but-tolerable statistics.
 	Hits int64
 	// Misses counts consults that planned because the slot was empty or
-	// held the plan of another pattern or bound-name set.
+	// held the plan of another pattern or bound-slot set.
 	Misses int64
 	// Invalidations counts consults that found the slot's plan stale —
 	// the statistics drifted beyond tolerance or the index epoch

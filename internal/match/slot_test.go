@@ -27,7 +27,7 @@ func TestPlanCacheInvalidationRemovesEntry(t *testing.T) {
 		parts := patternOf(t, "(a:A)-[:R]->(b:B)")
 		consult := func() []partPlan {
 			m := &Matcher{Graph: g, Ev: &expr.Evaluator{Graph: g}, Slot: slot}
-			return m.plansFor(parts, expr.Env{})
+			return m.plansFor(parts)
 		}
 		first := consult()
 		if again := consult(); &again[0] != &first[0] {
@@ -67,14 +67,15 @@ func TestPlanSlotHitsAllocateNothing(t *testing.T) {
 	a := g.CreateNode([]string{"A"}, nil)
 	g.CreateNode([]string{"B"}, nil)
 	parts := patternOf(t, "(a:A)-[:R]->(b:B)")
-	env := expr.Env{"a": value.Node{ID: int64(a.ID)}}
+	env := Env{"a": value.Node{ID: int64(a.ID)}}
 	slot := NewPlanSlot(new(PlanCounts))
 	m := &Matcher{Graph: g, Ev: &expr.Evaluator{Graph: g}, Slot: slot}
-	m.plansFor(parts, env)
-	if n := testing.AllocsPerRun(100, func() { m.plansFor(parts, env) }); n != 0 {
+	seed(m, env)
+	m.plansFor(parts)
+	if n := testing.AllocsPerRun(100, func() { m.plansFor(parts) }); n != 0 {
 		t.Errorf("per-record reuse: %.0f allocations", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { m.seen = nil; m.plansFor(parts, env) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { m.seen = nil; m.plansFor(parts) }); n != 0 {
 		t.Errorf("slot hit: %.0f allocations", n)
 	}
 }

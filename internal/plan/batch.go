@@ -24,6 +24,12 @@ const BatchTarget = 256
 // (see package table), so a scan emits views of its table's columns
 // and Collect adopts its batches' columns.
 //
+// Expressions do not evaluate over a batch but over a slot row, a
+// []value.Value laid out by the statement's ast.Names: an operator maps
+// its input columns to slots once, at build, loads a batch row into its
+// one reused row with Load, and a producer that binds into a row (a
+// match, a CREATE) appends it back with AppendRow.
+//
 // A Project under ORDER BY carries the input columns no alias shadows
 // as hidden trailing columns, sharing the input's column slices, so
 // the Sort above can evaluate its keys over the pre-projection
@@ -67,12 +73,12 @@ func (b *Batch) Value(i, j int) value.Value { return b.vals[j][i] }
 // hands its clause function).
 func (b *Batch) Column(j int) []value.Value { return b.vals[j] }
 
-// AppendEnv appends one row given as an environment, normalizing:
-// missing or nil columns become explicit nulls.
-func (b *Batch) AppendEnv(env expr.Env) {
-	for j, c := range b.cols {
-		v, ok := env[c]
-		if !ok || v == nil {
+// AppendRow appends one row given as a slot row: column j takes the
+// value row holds at slots[j], an unbound slot appending null.
+func (b *Batch) AppendRow(row []value.Value, slots []int) {
+	for j, s := range slots {
+		v := row[s]
+		if v == nil {
 			v = nullValue
 		}
 		b.vals[j] = append(b.vals[j], v)
@@ -121,17 +127,88 @@ func (b *Batch) slice(from, to int) *Batch {
 	return out
 }
 
-// LoadEnv overwrites the batch's columns of env with row i's values.
-// Operators and the update clause functions reuse one scratch
-// environment across the rows of a batch: this is safe because nothing
-// retains the environment it is handed — expression binders push scope
-// frames beside it, and a match iterator copies it into an environment
-// of its own (match.Iter.Reset). Only the environment's owner writes it
-// (CREATE and MERGE bind the entities they create in place).
-func (b *Batch) LoadEnv(env expr.Env, i int) {
-	for j, c := range b.cols {
-		env[c] = b.vals[j][i]
+// Load makes row hold row i of the batch: slot slots[j] takes column
+// j's value and every other slot is unbound. Operators and the update
+// clause functions reuse one row across the rows of a batch: this is
+// safe because nothing retains the row it is handed — an expression
+// binder restores the slot it writes, and a match iterator copies the
+// row into one of its own (match.Iter.Reset). Only the row's owner
+// writes it (CREATE and MERGE bind the entities they create in place).
+func (b *Batch) Load(row []value.Value, i int, slots []int) {
+	clear(row)
+	for j, s := range slots {
+		row[s] = b.vals[j][i]
 	}
+}
+
+// scratch is an operator's evaluation row over its input's columns.
+type scratch struct {
+	row   []value.Value
+	slots []int // input column j's slot
+}
+
+func newScratch(ev *expr.Evaluator, cols []string) scratch {
+	return scratch{row: ev.Row(), slots: ev.Names.Slots(cols)}
+}
+
+// load loads row i of b, a batch over the input's columns, and returns
+// the row.
+func (s *scratch) load(b *Batch, i int) []value.Value {
+	b.Load(s.row, i, s.slots)
+	return s.row
+}
+
+// loadVals loads a row given as values in input column order (none:
+// every slot unbound).
+func (s *scratch) loadVals(vals []value.Value) []value.Value {
+	clear(s.row)
+	for j, v := range vals {
+		s.row[s.slots[j]] = v
+	}
+	return s.row
+}
+
+// input reads an operator's child row by row into the operator's
+// evaluation row: b is the current input batch and i the index after
+// the current row's.
+type input struct {
+	scratch
+	b    *Batch
+	i    int
+	done bool
+}
+
+// next loads the child's next row, pulling a batch of up to max rows
+// when the current one is used up; false means the child is exhausted.
+func (in *input) next(child Operator, max int) (bool, error) {
+	if in.b == nil || in.i >= in.b.n {
+		if in.done {
+			return false, nil
+		}
+		b, ok, err := child.NextBatch(max)
+		if err != nil || !ok {
+			in.done = err == nil
+			return false, err
+		}
+		in.b, in.i = b, 0
+	}
+	in.load(in.b, in.i)
+	in.i++
+	return true, nil
+}
+
+// appendWith appends to out the current input row extended by v, an
+// unbound v as null: the output row of Unwind and LoadCSV.
+func (in *input) appendWith(out *Batch, v value.Value) {
+	n := len(in.b.vals)
+	for j := range n {
+		out.vals[j] = append(out.vals[j], in.b.vals[j][in.i-1])
+	}
+	if v == nil {
+		v = nullValue
+	}
+	out.vals[n] = append(out.vals[n], v)
+	out.n++
 }
 
 // rowVals copies the first w columns of row i into a fresh value slice.
@@ -302,36 +379,26 @@ func (o *TableScan) NextBatch(max int) (*Batch, bool, error) {
 // ---------------------------------------------------------------------
 
 // NextBatch implements Operator. Each input row, loaded into one
-// reused environment, resets the operator's match iterator, which fills
-// the output batch with up to the rows it still needs, on this
-// goroutine; each match is appended straight into the output columns
-// from the iterator's live environment, with no map per match. Input is
-// pulled with the consumer's max so a LIMIT above still bounds
-// enumeration.
+// reused row, resets the operator's match iterator, which fills the
+// output batch with up to the rows it still needs, on this goroutine;
+// each match is appended straight into the output columns from the
+// iterator's live row. Input is pulled with the consumer's max so a
+// LIMIT above still bounds enumeration.
 func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
 	out := NewBatch(o.cols, demandCap(o.last, max))
 	o.out = out
 	for out.n < max {
 		if o.it.Done() {
-			if o.in == nil || o.inIdx >= o.in.n {
-				if o.inDone {
-					break
-				}
-				in, ok, err := o.child.NextBatch(max)
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
-					o.inDone = true
-					break
-				}
-				o.in, o.inIdx = in, 0
+			ok, err := o.in.next(o.child, max)
+			if err != nil {
+				return nil, false, err
 			}
-			o.in.LoadEnv(o.curRow, o.inIdx)
-			o.inIdx++
+			if !ok {
+				break
+			}
 			o.emitted = 0
-			o.it.Reset(o.matcher, o.cl.Pattern, o.curRow, o.ap)
+			o.it.Reset(o.matcher, o.cl.Pattern, o.in.row, o.ap)
 		}
 		n, err := o.it.Next(max-out.n, o.sink)
 		if err != nil {
@@ -339,8 +406,8 @@ func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 		}
 		o.emitted += n
 		if o.it.Done() && o.cl.Optional && o.emitted == 0 {
-			// AppendEnv fills the unbound pattern variables with nulls.
-			out.AppendEnv(o.curRow)
+			// AppendRow fills the unbound pattern variables with nulls.
+			out.AppendRow(o.in.row, o.outSlots)
 		}
 	}
 	return o.emit(out)
@@ -351,59 +418,33 @@ func (o *Match) NextBatch(max int) (*Batch, bool, error) {
 // ---------------------------------------------------------------------
 
 // NextBatch implements Operator: output rows are written straight into
-// the output columns — the input row's values are copied columnar, with
-// no per-row environment map — and the list expression is evaluated
-// once per input row over a reused scratch environment. A null list
-// contributes nothing and a non-list value unwinds as a single element.
+// the output columns — the input row's values are copied columnar — and
+// the list expression is evaluated once per input row over a reused
+// row. A null list contributes nothing and a non-list value unwinds as
+// a single element.
 func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
 	out := NewBatch(o.cols, demandCap(o.last, max))
-	nchild := len(o.cols) - 1
 	for out.n < max {
 		if o.idx < len(o.elems) {
-			take := len(o.elems) - o.idx
-			if take > max-out.n {
-				take = max - out.n
-			}
-			for k := 0; k < take; k++ {
-				for j := 0; j < nchild; j++ {
-					out.vals[j] = append(out.vals[j], o.in.vals[j][o.inRow])
-				}
-				v := o.elems[o.idx+k]
-				if v == nil {
-					v = nullValue
-				}
-				out.vals[nchild] = append(out.vals[nchild], v)
-				out.n++
+			take := min(len(o.elems)-o.idx, max-out.n)
+			for _, v := range o.elems[o.idx : o.idx+take] {
+				o.in.appendWith(out, v)
 			}
 			o.idx += take
 			continue
 		}
-		if o.in == nil || o.inIdx >= o.in.n {
-			if o.inDone {
-				break
-			}
-			in, ok, err := o.child.NextBatch(max)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				o.inDone = true
-				break
-			}
-			o.in, o.inIdx = in, 0
-			continue
-		}
-		if o.scratch == nil {
-			o.scratch = make(expr.Env, len(o.cols)+4)
-		}
-		o.in.LoadEnv(o.scratch, o.inIdx)
-		v, err := o.ev.Eval(o.cl.Expr, o.scratch)
+		ok, err := o.in.next(o.child, max)
 		if err != nil {
 			return nil, false, err
 		}
-		o.inRow = o.inIdx
-		o.inIdx++
+		if !ok {
+			break
+		}
+		v, err := o.ev.Eval(o.cl.Expr, o.in.row)
+		if err != nil {
+			return nil, false, err
+		}
 		switch lv := v.(type) {
 		case value.Null:
 			// contributes no rows
@@ -423,7 +464,6 @@ func (o *Unwind) NextBatch(max int) (*Batch, bool, error) {
 func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 	max = clampMax(max)
 	out := NewBatch(o.cols, demandCap(o.last, max))
-	nchild := len(o.cols) - 1
 	for out.n < max {
 		if o.reader != nil {
 			v, ok, err := o.reader.Next()
@@ -431,39 +471,20 @@ func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 				return nil, false, err
 			}
 			if ok {
-				for j := 0; j < nchild; j++ {
-					out.vals[j] = append(out.vals[j], o.in.vals[j][o.inRow])
-				}
-				if v == nil {
-					v = nullValue
-				}
-				out.vals[nchild] = append(out.vals[nchild], v)
-				out.n++
+				o.in.appendWith(out, v)
 				continue
 			}
 			o.reader.Close()
 			o.reader = nil
 		}
-		if o.in == nil || o.inIdx >= o.in.n {
-			if o.inDone {
-				break
-			}
-			in, ok, err := o.child.NextBatch(max)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				o.inDone = true
-				break
-			}
-			o.in, o.inIdx = in, 0
-			continue
+		ok, err := o.in.next(o.child, max)
+		if err != nil {
+			return nil, false, err
 		}
-		if o.scratch == nil {
-			o.scratch = make(expr.Env, len(o.cols)+4)
+		if !ok {
+			break
 		}
-		o.in.LoadEnv(o.scratch, o.inIdx)
-		urlVal, err := o.ev.Eval(o.cl.URL, o.scratch)
+		urlVal, err := o.ev.Eval(o.cl.URL, o.in.row)
 		if err != nil {
 			return nil, false, err
 		}
@@ -475,8 +496,6 @@ func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		o.inRow = o.inIdx
-		o.inIdx++
 		o.reader = r
 	}
 	return o.emit(out)
@@ -486,22 +505,18 @@ func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 // NextBatch: Filter / Project / Distinct / Skip / Limit
 // ---------------------------------------------------------------------
 
-// NextBatch implements Operator. The predicate is evaluated over a
-// scratch environment reused across rows; a batch that passes in full
-// is forwarded without copying.
+// NextBatch implements Operator. The predicate is evaluated over a row
+// reused across rows; a batch that passes in full is forwarded without
+// copying.
 func (o *Filter) NextBatch(max int) (*Batch, bool, error) {
 	for {
 		in, ok, err := o.child.NextBatch(max)
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if o.scratch == nil {
-			o.scratch = make(expr.Env, len(in.cols))
-		}
 		sel := o.selbuf[:0]
 		for i := 0; i < in.n; i++ {
-			in.LoadEnv(o.scratch, i)
-			keep, err := o.ev.EvalBool(o.pred, o.scratch)
+			keep, err := o.ev.EvalBool(o.pred, o.sc.load(in, i))
 			if err != nil {
 				return nil, false, err
 			}
@@ -524,26 +539,23 @@ func (o *Filter) NextBatch(max int) (*Batch, bool, error) {
 	}
 }
 
-// NextBatch implements Operator. Items are evaluated over a scratch
-// environment reused across rows and written straight into fresh
-// output columns; the hidden columns after them are the input's own
-// column slices, shared with no copy.
+// NextBatch implements Operator. Items are evaluated over a row reused
+// across rows and written straight into fresh output columns; the
+// hidden columns after them are the input's own column slices, shared
+// with no copy.
 func (o *Project) NextBatch(max int) (*Batch, bool, error) {
 	in, ok, err := o.child.NextBatch(max)
 	if err != nil || !ok {
 		return nil, false, err
-	}
-	if o.scratch == nil {
-		o.scratch = make(expr.Env, len(in.cols))
 	}
 	out := &Batch{cols: o.cols, vals: make([][]value.Value, len(o.cols)), n: in.n}
 	for j := range o.items {
 		out.vals[j] = make([]value.Value, in.n)
 	}
 	for i := 0; i < in.n; i++ {
-		in.LoadEnv(o.scratch, i)
+		row := o.sc.load(in, i)
 		for j, it := range o.items {
-			v, err := o.ev.Eval(it.Expr, o.scratch)
+			v, err := o.ev.Eval(it.Expr, row)
 			if err != nil {
 				return nil, false, err
 			}

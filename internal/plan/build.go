@@ -81,7 +81,7 @@ func (b *Builder) newSegment(src Operator) *segBuild {
 // evaluator sharing the graph snapshot and parameters but nothing
 // mutable.
 func (b *Builder) newWorkerCtx() *workerCtx {
-	ev := &expr.Evaluator{Graph: b.Ev.Graph, Params: b.Ev.Params}
+	ev := &expr.Evaluator{Graph: b.Ev.Graph, Params: b.Ev.Params, Names: b.Ev.Names}
 	return &workerCtx{ev: ev, mf: b.NewMatcher}
 }
 
@@ -201,7 +201,7 @@ func (b *Builder) BuildQuery(clauses []ast.Clause, src Operator) (Operator, erro
 			}
 			cur = op
 		case *ast.UnwindClause:
-			if hasColumn(cur.Columns(), cl.Var) {
+			if slices.Contains(cur.Columns(), cl.Var) {
 				return nil, fmt.Errorf("variable `%s` already declared", cl.Var)
 			}
 			cl = b.foldUnwindClause(cl)
@@ -214,7 +214,7 @@ func (b *Builder) BuildQuery(clauses []ast.Clause, src Operator) (Operator, erro
 				seg.kill()
 			}
 		case *ast.LoadCSVClause:
-			if hasColumn(cur.Columns(), cl.Var) {
+			if slices.Contains(cur.Columns(), cl.Var) {
 				return nil, fmt.Errorf("variable `%s` already declared", cl.Var)
 			}
 			// CSV reading is a serial file cursor: it terminates the
@@ -260,7 +260,7 @@ func (b *Builder) anchorSegSource(op *Match, newVars []string) *anchorSource {
 	if op.cl.Optional {
 		return nil
 	}
-	ap, ok := op.matcher.PlanAnchors(op.cl.Pattern, expr.Env{})
+	ap, ok := op.matcher.PlanAnchors(op.cl.Pattern, op.in.row)
 	if !ok || len(ap.Anchors()) < 2*minAnchorChunk {
 		return nil
 	}
@@ -316,11 +316,11 @@ func WriteColumns(c ast.Clause, in []string) []string {
 	default:
 		return in
 	}
-	return slices.Concat(in, freshVars(patternVarsCreateOrder(parts), in))
+	return slices.Concat(in, freshVars(match.PatternVariables(parts), in))
 }
 
 func (b *Builder) buildProjection(child Operator, proj *ast.Projection, where ast.Expr, seg *segBuild) (Operator, error) {
-	items, err := expandItems(proj, child.Columns())
+	items, err := expandItems(proj, child.Columns(), b.Ev.Names)
 	if err != nil {
 		return nil, err
 	}
@@ -478,59 +478,27 @@ func (b *Builder) foldSortItems(items []*ast.SortItem) []*ast.SortItem {
 }
 
 // expandItems resolves * and default aliases against the columns in
-// scope.
-func expandItems(proj *ast.Projection, cols []string) ([]Item, error) {
+// scope, whose slots names gives.
+func expandItems(proj *ast.Projection, cols []string, names ast.Names) ([]Item, error) {
 	var items []Item
 	if proj.Star {
 		if len(cols) == 0 && len(proj.Items) == 0 {
 			return nil, fmt.Errorf("RETURN * is not allowed when there are no variables in scope")
 		}
 		for _, c := range cols {
-			items = append(items, Item{Expr: &ast.Variable{Name: c}, Alias: c})
+			items = append(items, Item{Expr: &ast.Variable{Name: c, Slot: names[c]}, Alias: c})
 		}
 	}
 	for _, it := range proj.Items {
-		alias := it.Alias
-		if alias == "" {
-			if v, ok := it.Expr.(*ast.Variable); ok {
-				alias = v.Name
-			} else {
-				alias = it.Expr.String()
-			}
-		}
-		items = append(items, Item{Expr: it.Expr, Alias: alias})
+		items = append(items, Item{Expr: it.Expr, Alias: it.Column()})
 	}
 	return items, nil
-}
-
-// patternVarsCreateOrder lists a pattern tuple's variables in the order
-// CREATE/MERGE bind them: per part, the path variable, then node and
-// relationship variables interleaved left to right.
-func patternVarsCreateOrder(parts []*ast.PatternPart) []string {
-	var out []string
-	seen := make(map[string]bool)
-	add := func(name string) {
-		if name != "" && !seen[name] {
-			seen[name] = true
-			out = append(out, name)
-		}
-	}
-	for _, part := range parts {
-		add(part.Var)
-		for i, n := range part.Nodes {
-			add(n.Var)
-			if i < len(part.Rels) {
-				add(part.Rels[i].Var)
-			}
-		}
-	}
-	return out
 }
 
 func freshVars(vars, cols []string) []string {
 	var out []string
 	for _, v := range vars {
-		if !hasColumn(cols, v) {
+		if !slices.Contains(cols, v) {
 			out = append(out, v)
 		}
 	}
@@ -547,18 +515,9 @@ func checkPathVars(parts []*ast.PatternPart, cols []string) error {
 		if part.Var == "" {
 			continue
 		}
-		if hasColumn(cols, part.Var) || slices.ContainsFunc(parts[:i], func(p *ast.PatternPart) bool { return p.Var == part.Var }) {
+		if slices.Contains(cols, part.Var) || slices.ContainsFunc(parts[:i], func(p *ast.PatternPart) bool { return p.Var == part.Var }) {
 			return fmt.Errorf("variable `%s` already declared", part.Var)
 		}
 	}
 	return nil
-}
-
-func hasColumn(cols []string, name string) bool {
-	for _, c := range cols {
-		if c == name {
-			return true
-		}
-	}
-	return false
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/expr"
@@ -146,20 +147,18 @@ type Match struct {
 	// matches whose first planned part anchors in its chunk ap.
 	ap *match.AnchorPlan
 
-	// Pull state (see NextBatch in batch.go): the current input batch
-	// and the next row of it to expand, the input row being expanded
-	// (one environment reused for every row), its match iterator (reset
-	// for every input row) and how many matches it has emitted
-	// (OPTIONAL MATCH pads a row that emitted none). sink appends the
-	// iterator's matches to out, the batch NextBatch is filling.
-	in      *Batch
-	inIdx   int
-	inDone  bool
-	curRow  expr.Env
-	it      match.Iter
-	emitted int
-	out     *Batch
-	sink    func(expr.Env)
+	// Pull state (see NextBatch in batch.go): the input row being
+	// expanded, its match iterator (reset for every input row) and how
+	// many matches it has emitted (OPTIONAL MATCH pads a row that
+	// emitted none). sink appends the iterator's matches through
+	// outSlots, the output columns' slots, to out, the batch NextBatch
+	// is filling.
+	in       input
+	outSlots []int
+	it       match.Iter
+	emitted  int
+	out      *Batch
+	sink     func([]value.Value)
 }
 
 // NewMatch builds a Match operator over child. newVars are the pattern
@@ -174,14 +173,16 @@ func NewMatch(child Operator, cl *ast.MatchClause, m *match.Matcher, ev *expr.Ev
 		cl:      cl,
 		matcher: m,
 		pushed:  match.NewPushdown(cl.Where, cl.Pattern, child.Columns()),
-		curRow:  make(expr.Env, len(child.Columns())),
 	}
-	o.sink = func(me expr.Env) { o.out.AppendEnv(me) }
+	o.outSlots = ev.Names.Slots(o.cols)
+	o.in.scratch = scratch{row: ev.Row(), slots: o.outSlots[:len(child.Columns())]}
+	o.sink = func(row []value.Value) { o.out.AppendRow(row, o.outSlots) }
 	o.matcher.Stats = &o.visits
+	o.matcher.Bound = o.in.slots
 	o.matcher.SetPushdown(o.pushed)
 	if cl.Where != nil {
-		o.it.Filter = func(me expr.Env) (bool, error) {
-			ok, err := ev.EvalBool(cl.Where, me)
+		o.it.Filter = func(row []value.Value) (bool, error) {
+			ok, err := ev.EvalBool(cl.Where, row)
 			return ok == value.True, err
 		}
 	}
@@ -203,7 +204,7 @@ func (o *Match) Name() string {
 		parts = append(parts, p.String())
 	}
 	s := fmt.Sprintf("%s(%s)", kw, joinTrunc(parts, 60))
-	s += " " + o.matcher.DescribePlan(o.cl.Pattern, o.child.Columns())
+	s += " " + o.matcher.DescribePlan(o.cl.Pattern)
 	if !o.pushed.Empty() {
 		s += " pushed=" + o.pushed.Describe()
 	}
@@ -218,13 +219,7 @@ func (o *Match) Name() string {
 func (o *Match) MatchStats() match.Stats { return o.visits }
 
 func joinTrunc(parts []string, max int) string {
-	s := ""
-	for i, p := range parts {
-		if i > 0 {
-			s += ", "
-		}
-		s += p
-	}
+	s := strings.Join(parts, ", ")
 	if len(s) > max {
 		r := []rune(s)
 		if len(r) > max-1 {
@@ -246,22 +241,17 @@ type Unwind struct {
 	cl *ast.UnwindClause
 	ev *expr.Evaluator
 
-	// Pull state (see NextBatch in batch.go): the current input batch,
-	// the next row of it to expand, the row the live element list came
-	// from, the list and the next element of it to emit, and a scratch
-	// environment for evaluating the list expression.
-	in      *Batch
-	inIdx   int
-	inDone  bool
-	inRow   int
-	elems   value.List
-	idx     int
-	scratch expr.Env
+	// Pull state (see NextBatch in batch.go): the input row the live
+	// element list came from, and the list and the next element of it
+	// to emit.
+	in    input
+	elems value.List
+	idx   int
 }
 
 // NewUnwind builds an Unwind operator over child.
 func NewUnwind(child Operator, cl *ast.UnwindClause, ev *expr.Evaluator) *Unwind {
-	return &Unwind{base: over(child, cl.Var), cl: cl, ev: ev}
+	return &Unwind{base: over(child, cl.Var), cl: cl, ev: ev, in: input{scratch: newScratch(ev, child.Columns())}}
 }
 
 // Name implements Operator.
@@ -279,19 +269,15 @@ type LoadCSV struct {
 	cl *ast.LoadCSVClause
 	ev *expr.Evaluator
 
-	// Pull state (see NextBatch in batch.go), as in Unwind; reader is
-	// the open file of input row inRow.
-	in      *Batch
-	inIdx   int
-	inDone  bool
-	inRow   int
-	reader  *CSVReader
-	scratch expr.Env
+	// Pull state (see NextBatch in batch.go): the input row and the
+	// open file it named.
+	in     input
+	reader *CSVReader
 }
 
 // NewLoadCSV builds a LoadCSV operator over child.
 func NewLoadCSV(child Operator, cl *ast.LoadCSVClause, ev *expr.Evaluator) *LoadCSV {
-	return &LoadCSV{base: over(child, cl.Var), cl: cl, ev: ev}
+	return &LoadCSV{base: over(child, cl.Var), cl: cl, ev: ev, in: input{scratch: newScratch(ev, child.Columns())}}
 }
 
 // Close implements Operator: it also closes the open CSV file.
@@ -319,13 +305,13 @@ type Filter struct {
 	pred ast.Expr
 	ev   *expr.Evaluator
 
-	scratch expr.Env
-	selbuf  []int
+	sc     scratch
+	selbuf []int
 }
 
 // NewFilter builds a Filter over child.
 func NewFilter(child Operator, pred ast.Expr, ev *expr.Evaluator) *Filter {
-	return &Filter{base: over(child), pred: pred, ev: ev}
+	return &Filter{base: over(child), pred: pred, ev: ev, sc: newScratch(ev, child.Columns())}
 }
 
 // Name implements Operator.
@@ -351,14 +337,14 @@ type Project struct {
 	ev     *expr.Evaluator
 	hidden []int // input column of each column after the items
 
-	scratch expr.Env
+	sc scratch
 }
 
 // NewProject builds a Project over child. cols holds the items' aliases
 // in order, then the names of any input columns to carry as hidden
 // columns.
 func NewProject(child Operator, items []Item, cols []string, ev *expr.Evaluator) *Project {
-	o := &Project{base: base{child: child, cols: cols}, items: items, ev: ev}
+	o := &Project{base: base{child: child, cols: cols}, items: items, ev: ev, sc: newScratch(ev, child.Columns())}
 	for _, c := range cols[len(items):] {
 		o.hidden = append(o.hidden, slices.Index(child.Columns(), c))
 	}
@@ -448,7 +434,7 @@ type count struct {
 func (c *count) eval() (int, error) {
 	if !c.done {
 		c.done = true
-		v, err := c.ev.Eval(c.expr, expr.Env{})
+		v, err := c.ev.Eval(c.expr, nil)
 		if err != nil {
 			c.err = err
 		} else if n, ok := value.AsInt(v); !ok || n < 0 {

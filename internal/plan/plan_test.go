@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/expr"
+	"repro/internal/graph"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -39,9 +40,16 @@ func (o *countingScan) Children() []Operator { return nil }
 
 func intLit(n int64) ast.Expr { return &ast.Literal{Value: n} }
 
+// testNames lays out the tests' rows. x is slot 0, the zero Slot of
+// the tests' hand-built Variables, which all name x.
+var testNames = ast.Names{"x": 0, "y": 1, "n": 2, "k": 3, "row": 4}
+
+// testEv returns an evaluator over testNames and graph g (nil: none).
+func testEv(g *graph.Graph) *expr.Evaluator { return &expr.Evaluator{Graph: g, Names: testNames} }
+
 func TestLimitPullsExactlyK(t *testing.T) {
 	src := &countingScan{n: 1000, col: "x"}
-	lim := NewLimit(src, intLit(5), &expr.Evaluator{})
+	lim := NewLimit(src, intLit(5), testEv(nil))
 	out, err := Collect(lim)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +64,7 @@ func TestLimitPullsExactlyK(t *testing.T) {
 
 func TestLimitZeroPullsNothing(t *testing.T) {
 	src := &countingScan{n: 1000, col: "x"}
-	out, err := Collect(NewLimit(src, intLit(0), &expr.Evaluator{}))
+	out, err := Collect(NewLimit(src, intLit(0), testEv(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +78,7 @@ func TestLimitZeroPullsNothing(t *testing.T) {
 
 func TestSkipLimitComposition(t *testing.T) {
 	src := &countingScan{n: 100, col: "x"}
-	ev := &expr.Evaluator{}
+	ev := testEv(nil)
 	root := NewLimit(NewSkip(src, intLit(10), ev), intLit(3), ev)
 	out, err := Collect(root)
 	if err != nil {
@@ -113,7 +121,7 @@ func TestDistinctStreamsFirstOccurrences(t *testing.T) {
 
 func TestFilterAndProject(t *testing.T) {
 	src := &countingScan{n: 10, col: "x"}
-	ev := &expr.Evaluator{}
+	ev := testEv(nil)
 	pred := &ast.BinaryOp{Op: ast.OpGeq, Left: &ast.Variable{Name: "x"}, Right: intLit(8)}
 	proj := NewProject(NewFilter(src, pred, ev),
 		[]Item{{Expr: &ast.BinaryOp{Op: ast.OpMul, Left: &ast.Variable{Name: "x"}, Right: intLit(2)}, Alias: "y"}},
@@ -144,7 +152,7 @@ func TestUnionSequencesMembers(t *testing.T) {
 
 func TestExplainRendersTree(t *testing.T) {
 	src := &countingScan{n: 10, col: "x"}
-	ev := &expr.Evaluator{}
+	ev := testEv(nil)
 	root := NewLimit(NewDistinct(src), intLit(3), ev)
 	out := Explain(root)
 	lines := strings.Split(out, "\n")
@@ -161,7 +169,7 @@ func TestExplainRendersTree(t *testing.T) {
 
 func TestCollectClosesAfterError(t *testing.T) {
 	src := &countingScan{n: 10, col: "x"}
-	ev := &expr.Evaluator{}
+	ev := testEv(nil)
 	// LIMIT 'x' is a type error surfaced on first pull.
 	_, err := Collect(NewLimit(src, &ast.Literal{Value: "x"}, ev))
 	if err == nil || !strings.Contains(err.Error(), "LIMIT expects a non-negative integer") {

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestSpillBookkeepingConcurrent(t *testing.T) {
 						fail(err)
 						return
 					}
-					merged, err := compactRuns([]*spillFile{sf, sf2}, func(a, c spillRow) bool { return a.seq < c.seq })
+					merged, _, err := compactRuns([]*spillFile{sf, sf2}, func(a, c spillRow) bool { return a.seq < c.seq }, math.MaxInt)
 					if err != nil {
 						fail(err)
 						return

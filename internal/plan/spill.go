@@ -376,12 +376,14 @@ func writeRun(rows []spillRow) (*spillFile, error) {
 	return f, nil
 }
 
-// compactRuns merges sorted runs into one bigger run on disk, bounding
-// the number of files the final merge must hold open. Merging sorted
-// runs yields a sorted run under the same comparator (the seq
-// tie-break keeps it total), so compaction never perturbs the final
-// order.
-func compactRuns(runs []*spillFile, less func(a, b spillRow) bool) (*spillFile, error) {
+// compactRuns merges sorted runs into one bigger run on disk of at most
+// limit rows, bounding the number of files the final merge must hold
+// open. Merging sorted runs yields a sorted run under the same
+// comparator (the seq tie-break keeps it total), so compaction never
+// perturbs the final order; a row after the limit-th has limit rows
+// before it. When the run reaches limit rows, the keys of its last row
+// are returned too.
+func compactRuns(runs []*spillFile, less func(a, b spillRow) bool, limit int) (*spillFile, []value.Value, error) {
 	srcs := make([]mergeSource, 0, len(runs))
 	for _, f := range runs {
 		st, err := f.stream()
@@ -389,25 +391,26 @@ func compactRuns(runs []*spillFile, less func(a, b spillRow) bool) (*spillFile, 
 			for _, s := range srcs {
 				s.close()
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		srcs = append(srcs, st)
 	}
 	m, err := newRunMerger(srcs, less)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out, err := newSpillFile()
 	if err != nil {
 		m.close()
-		return nil, err
+		return nil, nil, err
 	}
-	for {
+	var last []value.Value
+	for out.n < limit {
 		r, ok, err := m.next()
 		if err != nil {
 			m.close()
 			out.discard()
-			return nil, err
+			return nil, nil, err
 		}
 		if !ok {
 			break
@@ -415,11 +418,15 @@ func compactRuns(runs []*spillFile, less func(a, b spillRow) bool) (*spillFile, 
 		if err := out.add(r); err != nil {
 			m.close()
 			out.discard()
-			return nil, err
+			return nil, nil, err
 		}
+		last = r.keys
 	}
 	m.close()
-	return out, nil
+	if out.n < limit {
+		last = nil
+	}
+	return out, last, nil
 }
 
 func openSpillParts() ([]*spillFile, error) {
@@ -541,8 +548,10 @@ func (o *Sort) bound() int {
 // Over budget, the Sort first cuts its pending rows to the bound;
 // if it is still over, the pending rows are sorted and spilled as one
 // run, and the runs are compacted into one when they reach
-// maxMergeWidth. At the end the pending rows replay alone, or merged
-// with the spilled runs. Runs live in o.runs until the merge takes
+// maxMergeWidth. A compacted run is cut to the bound too, and when it
+// holds that many rows its last row's keys become the drop threshold if
+// they sort before the kept bound-th row's. At the end the pending rows
+// replay alone, or merged with the spilled runs. Runs live in o.runs until the merge takes
 // them, so the defer discards them on any error.
 func (o *Sort) fill() (err error) {
 	defer func() {
@@ -561,7 +570,7 @@ func (o *Sort) fill() (err error) {
 		cutAt = 2 * bound
 	}
 	ns := len(o.sorts)
-	scratch := make(expr.Env, len(o.child.Columns())+4)
+	sc := newScratch(o.ev, o.child.Columns())
 	keys := make([]value.Value, ns)
 	var pend []spillRow
 	var pendBytes, seq int64
@@ -591,9 +600,9 @@ func (o *Sort) fill() (err error) {
 			break
 		}
 		for i := 0; i < b.n; i++ {
-			b.LoadEnv(scratch, i)
+			in := sc.load(b, i)
 			for s, item := range o.sorts {
-				v, err := o.ev.Eval(item.Expr, scratch)
+				v, err := o.ev.Eval(item.Expr, in)
 				if err != nil {
 					return err
 				}
@@ -638,12 +647,15 @@ func (o *Sort) fill() (err error) {
 			clear(pend)
 			pend, pendBytes = pend[:0], 0
 			if len(o.runs) >= maxMergeWidth {
-				merged, err := compactRuns(o.runs, less)
+				merged, kept, err := compactRuns(o.runs, less, bound)
 				o.runs = nil // compactRuns closed them
 				if err != nil {
 					return err
 				}
 				o.runs = []*spillFile{merged}
+				if kept != nil && (lastKept == nil || compareKeys(o.sorts, kept, lastKept) < 0) {
+					lastKept = kept
+				}
 			}
 		}
 	}
@@ -744,7 +756,7 @@ func (o *Aggregate) fill() (err error) {
 		}
 		return grp, nil
 	}
-	addRow := func(grp *group, env expr.Env) error {
+	addRow := func(grp *group, row []value.Value) error {
 		for ai, f := range aggCalls {
 			var v value.Value = nullValue
 			if !f.Star {
@@ -752,7 +764,7 @@ func (o *Aggregate) fill() (err error) {
 					return fmt.Errorf("%s() expects 1 argument", f.Name)
 				}
 				var err error
-				v, err = o.ev.Eval(f.Args[0], env)
+				v, err = o.ev.Eval(f.Args[0], row)
 				if err != nil {
 					return err
 				}
@@ -770,7 +782,7 @@ func (o *Aggregate) fill() (err error) {
 	}
 	// finalize evaluates the items over a group's representative row and
 	// its aggregates' results, appending the output row to out.
-	repEnv := make(expr.Env, len(cols))
+	sc := newScratch(o.ev, cols)
 	aggResults := make(map[ast.Expr]value.Value, len(aggCalls))
 	finalize := func(grp *group, out *Batch) error {
 		for ai, f := range aggCalls {
@@ -778,11 +790,9 @@ func (o *Aggregate) fill() (err error) {
 		}
 		o.ev.AggResults = aggResults
 		defer func() { o.ev.AggResults = nil }()
-		for j, v := range grp.rep {
-			repEnv[cols[j]] = v
-		}
+		row := sc.loadVals(grp.rep)
 		for j, it := range o.items {
-			v, err := o.ev.Eval(it.Expr, repEnv)
+			v, err := o.ev.Eval(it.Expr, row)
 			if err != nil {
 				return err
 			}
@@ -797,7 +807,6 @@ func (o *Aggregate) fill() (err error) {
 
 	groups := make(map[string]*group)
 	var order []string
-	scratch := make(expr.Env, len(cols))
 	keyVals := make([]value.Value, len(keyItems))
 	var keyBytes []byte
 	n := 0
@@ -812,9 +821,9 @@ func (o *Aggregate) fill() (err error) {
 		}
 		for i := 0; i < b.n; i++ {
 			n++
-			b.LoadEnv(scratch, i)
+			row := sc.load(b, i)
 			for k, ki := range keyItems {
-				v, err2 := o.ev.Eval(o.items[ki].Expr, scratch)
+				v, err2 := o.ev.Eval(o.items[ki].Expr, row)
 				if err2 != nil {
 					return err2
 				}
@@ -847,7 +856,7 @@ func (o *Aggregate) fill() (err error) {
 					}
 				}
 			}
-			if err = addRow(grp, scratch); err != nil {
+			if err = addRow(grp, row); err != nil {
 				return err
 			}
 			seq++
@@ -912,9 +921,7 @@ func (o *Aggregate) fill() (err error) {
 			if !ok {
 				break
 			}
-			for j, c := range cols {
-				scratch[c] = r.vals[j]
-			}
+			row := sc.loadVals(r.vals)
 			grp, ok2 := pgroups[r.key]
 			if !ok2 {
 				grp, err = newGroup(r.vals, r.seq)
@@ -928,7 +935,7 @@ func (o *Aggregate) fill() (err error) {
 					o.charge(int64(len(r.key)) + rowBytes(cols, grp.rep) + 96)
 				}
 			}
-			if err = addRow(grp, scratch); err != nil {
+			if err = addRow(grp, row); err != nil {
 				st.close()
 				return err
 			}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/table"
@@ -178,7 +177,7 @@ func sortInput(n int) *table.Table {
 
 func collectSorted(t *testing.T, n int, bud *budget) (*table.Table, *Sort) {
 	t.Helper()
-	ev := &expr.Evaluator{}
+	ev := testEv(nil)
 	s := NewSort(NewTableScan(sortInput(n)),
 		[]*ast.SortItem{{Expr: &ast.Variable{Name: "x"}}}, []string{"x", "y"}, ev)
 	s.budget = bud
@@ -257,7 +256,7 @@ func TestSpillingAggregateMatchesInMemory(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tbl.AppendRow(value.Int(int64(i % 131)))
 	}
-	ev := &expr.Evaluator{}
+	ev := testEv(nil)
 	items := []Item{
 		{Expr: &ast.Variable{Name: "x"}, Alias: "x"},
 		{Expr: &ast.FuncCall{Name: "count", Star: true}, Alias: "n"},
@@ -295,7 +294,7 @@ func TestSpillingAggregateMatchesInMemory(t *testing.T) {
 // ---------------------------------------------------------------------
 
 func TestSpillFilesFreedOnChildError(t *testing.T) {
-	ev := &expr.Evaluator{}
+	ev := testEv(nil)
 	// Enough rows to force several runs before the child fails.
 	s := NewSort(&errAfter{n: 300}, []*ast.SortItem{{Expr: &ast.Variable{Name: "x"}}}, []string{"x"}, ev)
 	s.budget = newBudget(1)
@@ -308,7 +307,7 @@ func TestSpillFilesFreedOnChildError(t *testing.T) {
 }
 
 func TestSpillFilesFreedOnEarlyLimitClose(t *testing.T) {
-	ev := &expr.Evaluator{}
+	ev := testEv(nil)
 	s := NewSort(NewTableScan(sortInput(500)),
 		[]*ast.SortItem{{Expr: &ast.Variable{Name: "x"}}}, []string{"x", "y"}, ev)
 	s.budget = newBudget(1)
@@ -341,7 +340,7 @@ func TestSpillFilesFreedOnEarlyLimitClose(t *testing.T) {
 func TestUnwindNextBatchRespectsMax(t *testing.T) {
 	src := &countingScan{n: 10, col: "x"}
 	list := &ast.ListLit{Elems: []ast.Expr{intLit(1), intLit(2), intLit(3)}}
-	u := NewUnwind(src, &ast.UnwindClause{Expr: list, Var: "k"}, &expr.Evaluator{})
+	u := NewUnwind(src, &ast.UnwindClause{Expr: list, Var: "k"}, testEv(nil))
 	defer u.Close()
 	b, ok, err := u.NextBatch(4)
 	if err != nil || !ok || b.Len() != 4 {
@@ -377,8 +376,8 @@ func TestUnwindNextBatchRespectsMax(t *testing.T) {
 func TestUnwindNextBatchEarlyExit(t *testing.T) {
 	src := &countingScan{n: 1000, col: "x"}
 	list := &ast.ListLit{Elems: []ast.Expr{intLit(1), intLit(2)}}
-	u := NewUnwind(src, &ast.UnwindClause{Expr: list, Var: "k"}, &expr.Evaluator{})
-	lim := NewLimit(u, intLit(6), &expr.Evaluator{})
+	u := NewUnwind(src, &ast.UnwindClause{Expr: list, Var: "k"}, testEv(nil))
+	lim := NewLimit(u, intLit(6), testEv(nil))
 	out, err := Collect(lim)
 	if err != nil {
 		t.Fatal(err)
@@ -421,11 +420,11 @@ func (o *closeCounter) Close() { o.closes++ }
 // counting child (Collect closes it), then closes it again: the child
 // must see exactly one Close.
 func TestOperatorClosesChildOnce(t *testing.T) {
-	ev := &expr.Evaluator{Graph: graph.New()}
+	ev := testEv(graph.New())
 	x := &ast.Variable{Name: "x"}
 	csvPath := writeCSV(t, "1\n2\n")
 	items := []Item{{Expr: x, Alias: "x"}}
-	pattern := []*ast.PatternPart{{Nodes: []*ast.NodePattern{{Var: "n"}}}}
+	pattern := []*ast.PatternPart{{Nodes: []*ast.NodePattern{{Var: "n", Slot: testNames["n"]}}}}
 	ops := map[string]func(Operator) Operator{
 		"Match": func(c Operator) Operator {
 			return NewMatch(c, &ast.MatchClause{Pattern: pattern}, &match.Matcher{Graph: ev.Graph, Ev: ev}, ev, []string{"n"})
@@ -469,7 +468,7 @@ func TestOperatorClosesChildOnce(t *testing.T) {
 // LIMIT 1), Aggregate after its intake failed mid-spill. No spill file
 // may outlive the first Close.
 func TestBarrierCloseMidSpillFreesFiles(t *testing.T) {
-	ev := &expr.Evaluator{}
+	ev := testEv(nil)
 	x := &ast.Variable{Name: "x"}
 	s := NewSort(NewTableScan(sortInput(500)), []*ast.SortItem{{Expr: x}}, []string{"x", "y"}, ev)
 	s.budget = newBudget(1)
