@@ -34,7 +34,8 @@ func TestOldRecordsParse(t *testing.T) {
 }
 
 // TestReadHostLoadAverages reads the load averages bench-compare saves
-// beside the two result sets, and tolerates their absence.
+// beside the two result sets, and tolerates their absence. The CPU
+// fields depend on the host and are logged.
 func TestReadHostLoadAverages(t *testing.T) {
 	dir := t.TempDir()
 	if h := readHost(dir); h.LoadAvgStart != "" || h.LoadAvgEnd != "" {
@@ -49,8 +50,10 @@ func TestReadHostLoadAverages(t *testing.T) {
 	if h.LoadAvgStart != "0.50 0.40 0.30 1/100 7" || h.LoadAvgEnd != "1.00 0.60 0.35 2/101 9" {
 		t.Errorf("load averages %q and %q", h.LoadAvgStart, h.LoadAvgEnd)
 	}
-	if _, err := os.Stat("/proc/cpuinfo"); err == nil && h.CPUModel == "" {
-		t.Error("/proc/cpuinfo exists but no CPU model was read")
+	// Not every cpuinfo names the model (arm64 Linux lists implementer
+	// and part instead), so only one that does must yield it.
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil && bytes.Contains(info, []byte("model name")) && h.CPUModel == "" {
+		t.Error("/proc/cpuinfo names a model but none was read")
 	}
 	t.Logf("host: %+v", *h)
 }

@@ -480,12 +480,13 @@ func (e *Engine) newExecutor(g *graph.Graph, p *Prepared, params map[string]valu
 // matcherFor builds a matcher for one of the statement's patterns,
 // reading the pattern's plan slot and bound to the given evaluator —
 // the executor's own for serial pipelines and update clauses, a
-// worker's private clone inside a parallel exchange. Its user sets its
-// bound slots.
-func (x *executor) matcherFor(ev *expr.Evaluator, parts []*ast.PatternPart) *match.Matcher {
+// worker's private clone inside a parallel exchange — with the slots a
+// seed row binds on entry.
+func (x *executor) matcherFor(ev *expr.Evaluator, parts []*ast.PatternPart, bound []int) *match.Matcher {
 	return &match.Matcher{
 		Graph:       x.graph,
 		Ev:          ev,
+		Bound:       bound,
 		Mode:        x.cfg.MatchMode,
 		Slot:        x.prep.slot(parts),
 		DisablePlan: x.cfg.naivePlanner,

@@ -60,8 +60,7 @@ func (x *executor) execMergeAtomicFamily(cl *ast.MergeClause, in *plan.Batch, co
 	// Phase 1: match every record against the input graph. A record's
 	// matches go straight to the output; a failing record leaves a row
 	// whose fresh columns phase 2 fills.
-	m := x.matcherFor(x.ev, cl.Pattern)
-	m.Bound = inSlots
+	m := x.matcherFor(x.ev, cl.Pattern, inSlots)
 	var it match.Iter
 	sink := func(r []value.Value) { out.AppendRow(r, outSlots) }
 	var fails []mergeFail

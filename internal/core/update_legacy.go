@@ -299,8 +299,7 @@ func (x *executor) execMergeLegacy(cl *ast.MergeClause, in *plan.Batch, cols []s
 	row, outSlots := x.rowOver(cols)
 	inSlots := outSlots[:len(in.Columns())]
 	out := plan.NewBatch(cols, in.Len())
-	m := x.matcherFor(x.ev, cl.Pattern)
-	m.Bound = inSlots
+	m := x.matcherFor(x.ev, cl.Pattern, inSlots)
 	var it match.Iter
 	sink := func(r []value.Value) { out.AppendRow(r, outSlots) }
 	for _, i := range x.rowOrder(in.Len()) {

@@ -43,11 +43,10 @@ type Evaluator struct {
 // Row returns a row over the evaluator's names with every slot unbound.
 func (ev *Evaluator) Row() []value.Value { return make([]value.Value, len(ev.Names)) }
 
-// Eval evaluates e under row. A binder writes its variable's slot of
-// row while its body evaluates and restores it before returning, so the
-// caller sees row unchanged. A slot past the end of row reads as
-// unbound, and a binder whose slot lies there evaluates over a longer
-// copy, so a closed expression evaluates under a nil row.
+// Eval evaluates e under row, a row over the evaluator's names (see
+// Row). A binder writes its variable's slot of row while its body
+// evaluates and restores it before returning, so the caller sees row
+// unchanged.
 func (ev *Evaluator) Eval(e ast.Expr, row []value.Value) (value.Value, error) {
 	if ev.Budget != nil {
 		if *ev.Budget <= 0 {
@@ -61,8 +60,8 @@ func (ev *Evaluator) Eval(e ast.Expr, row []value.Value) (value.Value, error) {
 	case *ast.Const:
 		return x.Val, nil
 	case *ast.Variable:
-		if x.Slot < len(row) && row[x.Slot] != nil {
-			return row[x.Slot], nil
+		if v := row[x.Slot]; v != nil {
+			return v, nil
 		}
 		return nil, fmt.Errorf("variable `%s` not defined", x.Name)
 	case *ast.Parameter:
@@ -529,7 +528,6 @@ func (ev *Evaluator) evalListComp(x *ast.ListComprehension, row []value.Value) (
 	if !ok {
 		return nil, fmt.Errorf("type error: comprehension over %s", src.Kind())
 	}
-	row = withSlot(row, x.Slot)
 	defer restore(row, x.Slot, row[x.Slot])
 	out := make(value.List, 0, len(lst))
 	for _, el := range lst {
@@ -568,7 +566,6 @@ func (ev *Evaluator) evalQuantifier(x *ast.Quantifier, row []value.Value) (value
 	if !ok {
 		return nil, fmt.Errorf("type error: quantifier over %s", src.Kind())
 	}
-	row = withSlot(row, x.Slot)
 	defer restore(row, x.Slot, row[x.Slot])
 	trues, unknowns := 0, 0
 	for _, el := range lst {
@@ -634,7 +631,6 @@ func (ev *Evaluator) evalReduce(x *ast.Reduce, row []value.Value) (value.Value, 
 	if !ok {
 		return nil, fmt.Errorf("type error: reduce over %s", src.Kind())
 	}
-	row = withSlot(withSlot(row, x.AccSlot), x.Slot)
 	defer restore(row, x.AccSlot, row[x.AccSlot])
 	defer restore(row, x.Slot, row[x.Slot])
 	for _, el := range lst {
@@ -648,15 +644,6 @@ func (ev *Evaluator) evalReduce(x *ast.Reduce, row []value.Value) (value.Value, 
 		}
 	}
 	return acc, nil
-}
-
-// withSlot returns row, or a longer copy of it when slot s lies past
-// its end.
-func withSlot(row []value.Value, s int) []value.Value {
-	if s < len(row) {
-		return row
-	}
-	return append(row[:len(row):len(row)], make([]value.Value, s+1-len(row))...)
 }
 
 // restore writes v back into slot s of row: a binder's deferred undo.

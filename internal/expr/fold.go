@@ -45,7 +45,7 @@ func foldExpr(e ast.Expr, ev *Evaluator) (ast.Expr, bool) {
 		return e, false
 	}
 	if foldable(e) {
-		if v, err := ev.Eval(e, nil); err == nil {
+		if v, err := ev.Eval(e, ev.Row()); err == nil {
 			return &ast.Const{Val: v}, true
 		}
 	}

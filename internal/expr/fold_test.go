@@ -9,20 +9,23 @@ import (
 	"repro/internal/value"
 )
 
-func parseExpr(t *testing.T, src string) ast.Expr {
+// parseExpr parses src and resolves its names into a fresh table,
+// which it returns.
+func parseExpr(t *testing.T, src string) (ast.Expr, ast.Names) {
 	t.Helper()
 	e, err := parser.ParseExpr(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	ast.Names{}.Expr(e)
-	return e
+	names := ast.Names{}
+	names.Expr(e)
+	return e, names
 }
 
 func foldStr(t *testing.T, src string) ast.Expr {
 	t.Helper()
-	ev := &Evaluator{Graph: graph.New()}
-	return Fold(parseExpr(t, src), ev)
+	e, names := parseExpr(t, src)
+	return Fold(e, &Evaluator{Graph: graph.New(), Names: names})
 }
 
 func TestFoldCollapsesClosedPureSubtrees(t *testing.T) {
@@ -58,7 +61,7 @@ func TestFoldLeavesOpenOrUnsafeSubtreesAlone(t *testing.T) {
 		"toUpper(5) = 'x'", // errors inside a comparison
 		"labels(n)",        // graph reader on a row variable
 	} {
-		e := parseExpr(t, src)
+		e, _ := parseExpr(t, src)
 		folded := Fold(e, &Evaluator{Graph: graph.New()})
 		if folded.String() != e.String() {
 			t.Errorf("Fold(%q) = %q, want unchanged", src, folded.String())
@@ -80,7 +83,7 @@ func TestFoldErrorPreservation(t *testing.T) {
 		"CASE WHEN 1 = 1 THEN 2 ELSE 1 / 0 END",
 		"true OR 1 / 0 = 1",
 	} {
-		e := parseExpr(t, src)
+		e, _ := parseExpr(t, src)
 		wantV, wantErr := ev.Eval(e, nil)
 		folded := Fold(e, ev)
 		gotV, gotErr := ev.Eval(folded, nil)
@@ -95,14 +98,14 @@ func TestFoldErrorPreservation(t *testing.T) {
 }
 
 func TestFoldReturnsSamePointerWhenNothingFolds(t *testing.T) {
-	e := parseExpr(t, "n.age > $min")
+	e, _ := parseExpr(t, "n.age > $min")
 	if folded := Fold(e, &Evaluator{Graph: graph.New()}); folded != e {
 		t.Error("Fold should return the identical node when nothing changed")
 	}
 }
 
 func TestFoldDoesNotMutateInput(t *testing.T) {
-	e := parseExpr(t, "n.age > 10 + 20")
+	e, _ := parseExpr(t, "n.age > 10 + 20")
 	before := e.String()
 	folded := Fold(e, &Evaluator{Graph: graph.New()})
 	if e.String() != before {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,13 +16,14 @@ import (
 	"repro/internal/value"
 )
 
-// drain runs one enumeration to the end in Next calls of at most max
-// rows and returns the matches, the visit counters and the error.
-func drain(t *testing.T, it *Iter, m *Matcher, parts []*ast.PatternPart, env Env, ap *AnchorPlan, max int) ([]string, Stats, error) {
+// drain runs one enumeration of the matches extending the seed row to
+// the end in Next calls of at most max rows and returns the matches,
+// the visit counters and the error.
+func drain(t *testing.T, it *Iter, m *Matcher, parts []*ast.PatternPart, row []value.Value, ap *AnchorPlan, max int) ([]string, Stats, error) {
 	t.Helper()
 	var st Stats
 	m.Stats = &st
-	it.Reset(m, parts, seed(m, env), ap)
+	it.Reset(m, parts, bind(m, row), ap)
 	var out []string
 	for {
 		n, err := it.Next(max, func(row []value.Value) { out = append(out, envKey(envOf(row))) })
@@ -62,7 +64,7 @@ func resumeGraph() (*graph.Graph, []graph.NodeID, []graph.RelID) {
 // filter, draining with any batch size yields the same match sequence,
 // the same error and the same visit counters. It also abandons an
 // iterator mid-enumeration and reuses it and its matcher: a stale
-// relationship mark or binding would change the rerun. The seed env
+// relationship mark or binding would change the rerun. The seed row
 // must come out of every drain, abandoned walk and error unchanged.
 func TestIterResumption(t *testing.T) {
 	g, ns, rs := resumeGraph()
@@ -125,23 +127,24 @@ func TestIterResumption(t *testing.T) {
 	errText := func(err error) string { return fmt.Sprint(err) }
 	for _, c := range cases {
 		parts := patternOf(t, c.pattern)
-		seedKey := envKey(c.env)
+		row := rowOf(c.env)
+		kept := slices.Clone(row)
 		for _, cfg := range configs {
 			for _, f := range filters {
 				name := fmt.Sprintf("%s/%v/%s/%s", c.pattern, c.env, cfg.name, f.name)
 				seedKept := func(after string) {
 					t.Helper()
-					if got := envKey(c.env); got != seedKey {
-						t.Fatalf("%s: seed env %s after %s, was %s", name, got, after, seedKey)
+					if !slices.Equal(row, kept) {
+						t.Fatalf("%s: seed row %v after %s, was %v", name, row, after, kept)
 					}
 				}
 				var ref Iter
 				ref.Filter = f.make()
-				want, wantSt, wantErr := drain(t, &ref, cfg.m(), parts, c.env, nil, math.MaxInt)
+				want, wantSt, wantErr := drain(t, &ref, cfg.m(), parts, row, nil, math.MaxInt)
 				seedKept("a full drain")
 				for _, max := range []int{1, 2, 3, 7, 256} {
 					it := Iter{Filter: f.make()}
-					got, st, err := drain(t, &it, cfg.m(), parts, c.env, nil, max)
+					got, st, err := drain(t, &it, cfg.m(), parts, row, nil, max)
 					if strings.Join(got, "\n") != strings.Join(want, "\n") || errText(err) != errText(wantErr) || st != wantSt {
 						t.Fatalf("%s max=%d:\n got %d rows, err %v, %+v\nwant %d rows, err %v, %+v",
 							name, max, len(got), err, st, len(want), wantErr, wantSt)
@@ -151,14 +154,14 @@ func TestIterResumption(t *testing.T) {
 				// iterator and matcher, and on a fresh iterator.
 				m := cfg.m()
 				it := Iter{Filter: f.make()}
-				it.Reset(m, parts, seed(m, c.env), nil)
+				it.Reset(m, parts, bind(m, row), nil)
 				if _, err := it.Next(1, func([]value.Value) {}); err != nil && wantErr == nil {
 					t.Fatalf("%s: first batch: %v", name, err)
 				}
 				seedKept("an abandoned walk")
 				for _, rerun := range []*Iter{&it, {}} {
 					rerun.Filter = f.make()
-					got, _, err := drain(t, rerun, m, parts, c.env, nil, 2)
+					got, _, err := drain(t, rerun, m, parts, row, nil, 2)
 					if strings.Join(got, "\n") != strings.Join(want, "\n") || errText(err) != errText(wantErr) {
 						t.Fatalf("%s: rerun after an abandoned iterator got %d rows, err %v; want %d rows, err %v",
 							name, len(got), err, len(want), wantErr)
@@ -220,7 +223,7 @@ func TestAnchorChunksConcurrent(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: not partitionable", c.pattern)
 		}
-		serial, serialSt, _ := drain(t, newIter(), newMatcher(), parts, Env{}, nil, math.MaxInt)
+		serial, serialSt, _ := drain(t, newIter(), newMatcher(), parts, rowOf(nil), nil, math.MaxInt)
 		if len(serial) == 0 {
 			t.Fatalf("%s: no matches", c.pattern)
 		}
@@ -236,7 +239,7 @@ func TestAnchorChunksConcurrent(t *testing.T) {
 				go func(i int) {
 					defer wg.Done()
 					chunk := ap.Chunk(i*size, min((i+1)*size, len(anchors)))
-					got[i], stats[i], errs[i] = drain(t, newIter(), newMatcher(), parts, Env{}, chunk, 5)
+					got[i], stats[i], errs[i] = drain(t, newIter(), newMatcher(), parts, rowOf(nil), chunk, 5)
 				}(i)
 			}
 			wg.Wait()

@@ -3,7 +3,6 @@ package match
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -62,21 +61,32 @@ func patternOf(t *testing.T, src string) []*ast.PatternPart {
 	return parts
 }
 
-// seed lays env out as a row over testNames and makes its bound slots
-// m's.
-func seed(m *Matcher, env Env) []value.Value {
+// rowOf lays env out as a row over testNames.
+func rowOf(env Env) []value.Value {
 	for name := range env {
 		testNames.Slot(name)
 	}
 	row := make([]value.Value, len(testNames))
-	m.Bound = nil
 	for name, v := range env {
 		row[testNames[name]] = v
-		m.Bound = append(m.Bound, testNames[name])
 	}
-	slices.Sort(m.Bound)
 	return row
 }
+
+// bind makes the slots row binds m's bound slots and returns row.
+func bind(m *Matcher, row []value.Value) []value.Value {
+	m.Bound = nil
+	for s, v := range row {
+		if v != nil {
+			m.Bound = append(m.Bound, s)
+		}
+	}
+	return row
+}
+
+// seed lays env out as a row over testNames and makes its bound slots
+// m's.
+func seed(m *Matcher, env Env) []value.Value { return bind(m, rowOf(env)) }
 
 // envOf reads a row back as a record of the names it binds.
 func envOf(row []value.Value) Env {

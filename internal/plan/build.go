@@ -10,6 +10,11 @@ import (
 	"repro/internal/table"
 )
 
+// MatcherFunc returns a fresh matcher for parts, bound to ev (the
+// serial pipeline's evaluator or a parallel worker's private one) and
+// to the slots a seed row binds on entry.
+type MatcherFunc func(ev *expr.Evaluator, parts []*ast.PatternPart, bound []int) *match.Matcher
+
 // Builder lowers parsed statements into operator trees. The engine
 // supplies the evaluator, a matcher factory (so each Match operator
 // carries its own visit counters and reads its pattern's plan slot),
@@ -20,10 +25,8 @@ type Builder struct {
 	// Ev evaluates expressions; shared with the engine's update clauses
 	// so parameters behave identically in both.
 	Ev *expr.Evaluator
-	// NewMatcher returns a fresh matcher for one MATCH operator over
-	// parts, bound to the given evaluator (parallel workers pass their
-	// private evaluator; the serial pipeline passes Ev).
-	NewMatcher func(ev *expr.Evaluator, parts []*ast.PatternPart) *match.Matcher
+	// NewMatcher returns a fresh matcher for one MATCH operator.
+	NewMatcher MatcherFunc
 	// Write applies update clause c to the driving batch in, which the
 	// calling Apply barrier owns, and returns the clause's output batch
 	// over cols, the output columns planned by WriteColumns (the
@@ -184,7 +187,7 @@ func (b *Builder) BuildQuery(clauses []ast.Clause, src Operator) (Operator, erro
 			}
 			cl = b.foldMatchClause(cl)
 			newVars := freshVars(match.PatternVariables(cl.Pattern), cur.Columns())
-			op := NewMatch(cur, cl, b.NewMatcher(b.Ev, cl.Pattern), b.Ev, newVars)
+			op := NewMatch(cur, cl, b.NewMatcher, b.Ev, newVars)
 			if seg.alive() && seg.source == nil {
 				// A segment waiting on the unit source: this first MATCH
 				// either supplies anchor morsels or the segment dies (a
@@ -196,7 +199,7 @@ func (b *Builder) BuildQuery(clauses []ast.Clause, src Operator) (Operator, erro
 				}
 			} else if seg.alive() {
 				seg.stages = append(seg.stages, func(child Operator, w *workerCtx) Operator {
-					return NewMatch(child, cl, w.mf(w.ev, cl.Pattern), w.ev, newVars)
+					return NewMatch(child, cl, w.mf, w.ev, newVars)
 				})
 			}
 			cur = op

@@ -166,19 +166,19 @@ type Match struct {
 // decidable on a single pattern slot are pushed into the matcher, which
 // uses them to prune candidates during expansion; the full WHERE is
 // still evaluated on every complete match, so pushdown never changes
-// results (see match.Pushdown).
-func NewMatch(child Operator, cl *ast.MatchClause, m *match.Matcher, ev *expr.Evaluator, newVars []string) *Match {
+// results (see match.Pushdown). The matcher comes from mf, bound to ev
+// and to the slots of the child's columns.
+func NewMatch(child Operator, cl *ast.MatchClause, mf MatcherFunc, ev *expr.Evaluator, newVars []string) *Match {
 	o := &Match{
-		base:    over(child, newVars...),
-		cl:      cl,
-		matcher: m,
-		pushed:  match.NewPushdown(cl.Where, cl.Pattern, child.Columns()),
+		base:   over(child, newVars...),
+		cl:     cl,
+		pushed: match.NewPushdown(cl.Where, cl.Pattern, child.Columns()),
 	}
 	o.outSlots = ev.Names.Slots(o.cols)
 	o.in.scratch = scratch{row: ev.Row(), slots: o.outSlots[:len(child.Columns())]}
 	o.sink = func(row []value.Value) { o.out.AppendRow(row, o.outSlots) }
+	o.matcher = mf(ev, cl.Pattern, o.in.slots)
 	o.matcher.Stats = &o.visits
-	o.matcher.Bound = o.in.slots
 	o.matcher.SetPushdown(o.pushed)
 	if cl.Where != nil {
 		o.it.Filter = func(row []value.Value) (bool, error) {
@@ -434,7 +434,7 @@ type count struct {
 func (c *count) eval() (int, error) {
 	if !c.done {
 		c.done = true
-		v, err := c.ev.Eval(c.expr, nil)
+		v, err := c.ev.Eval(c.expr, c.ev.Row())
 		if err != nil {
 			c.err = err
 		} else if n, ok := value.AsInt(v); !ok || n < 0 {

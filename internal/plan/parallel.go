@@ -62,7 +62,7 @@ const (
 // the pattern's plan slot, which every worker shares.
 type workerCtx struct {
 	ev *expr.Evaluator
-	mf func(ev *expr.Evaluator, parts []*ast.PatternPart) *match.Matcher
+	mf MatcherFunc
 }
 
 // stageFn rebuilds one pipeline stage over a morsel's source chain,
@@ -131,7 +131,7 @@ func (s *anchorSource) morsels() int {
 func (s *anchorSource) operator(i int, w *workerCtx) Operator {
 	anchors := s.ap.Anchors()
 	lo := i * s.chunk
-	m := NewMatch(NewUnit(), s.cl, w.mf(w.ev, s.cl.Pattern), w.ev, s.newVars)
+	m := NewMatch(NewUnit(), s.cl, w.mf, w.ev, s.newVars)
 	m.ap = s.ap.Chunk(lo, min(lo+s.chunk, len(anchors)))
 	return m
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/table"
@@ -427,7 +428,9 @@ func TestOperatorClosesChildOnce(t *testing.T) {
 	pattern := []*ast.PatternPart{{Nodes: []*ast.NodePattern{{Var: "n", Slot: testNames["n"]}}}}
 	ops := map[string]func(Operator) Operator{
 		"Match": func(c Operator) Operator {
-			return NewMatch(c, &ast.MatchClause{Pattern: pattern}, &match.Matcher{Graph: ev.Graph, Ev: ev}, ev, []string{"n"})
+			return NewMatch(c, &ast.MatchClause{Pattern: pattern}, func(ev *expr.Evaluator, _ []*ast.PatternPart, bound []int) *match.Matcher {
+				return &match.Matcher{Graph: ev.Graph, Ev: ev, Bound: bound}
+			}, ev, []string{"n"})
 		},
 		"Unwind": func(c Operator) Operator {
 			return NewUnwind(c, &ast.UnwindClause{Expr: &ast.ListLit{Elems: []ast.Expr{x}}, Var: "k"}, ev)
