@@ -46,12 +46,14 @@ stress:
 # The spill suites under the race detector: forced-spill equivalence
 # (tiny budgets make every barrier take the external-sort / hash-
 # partition path), temp-file cleanup on error and early-LIMIT close,
-# ORDER BY's scope over a spilling Sort, ORDER BY … SKIP … LIMIT against
-# the sliced unbounded sort, a spilling bounded Sort cutting its
-# compacted runs to the bound, and the executor sweep over the script
-# corpus.
+# each barrier closed mid-spill (the Distinct and the Aggregate also
+# part-way through replaying their merged runs) with no file left and
+# the budget returned, ORDER BY's scope over a spilling Sort, ORDER BY …
+# SKIP … LIMIT against the sliced unbounded sort, a spilling bounded
+# Sort cutting its compacted runs to the bound, and the executor sweep
+# over the script corpus.
 spill:
-	go test -race -run 'TestExternalSort|TestSpilling|TestSpillFiles|TestSpillCodec|TestOperator' ./internal/plan
+	go test -race -run 'TestExternalSort|TestSpilling|TestSpillFiles|TestSpillCodec|TestOperator|TestBarrierCloseMidSpillFreesFiles' ./internal/plan
 	go test -race -run 'TestTinyBudgetSpillEquivalence|TestBudgetBoundsBarrierPeak|TestExecutorTriEquivalence|TestOrderByScope|TestSortLimitIsSliceOfSort|TestSpillingBoundedSortCutsRuns' ./internal/core
 	go test -race -run 'TestCorpusExecutorSweep' ./internal/script
 	go test -race -run 'TestWithMemoryBudget|TestProfile' ./cypher

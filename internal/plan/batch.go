@@ -502,7 +502,7 @@ func (o *LoadCSV) NextBatch(max int) (*Batch, bool, error) {
 }
 
 // ---------------------------------------------------------------------
-// NextBatch: Filter / Project / Distinct / Skip / Limit
+// NextBatch: Filter / Project / Skip / Limit
 // ---------------------------------------------------------------------
 
 // NextBatch implements Operator. The predicate is evaluated over a row
@@ -569,12 +569,6 @@ func (o *Project) NextBatch(max int) (*Batch, bool, error) {
 		out.vals[len(o.items)+k] = in.vals[j]
 	}
 	return o.emit(out)
-}
-
-// NextBatch implements Operator; see distinctNextBatch in spill.go for
-// the spilling seen-set.
-func (o *Distinct) NextBatch(max int) (*Batch, bool, error) {
-	return o.distinctNextBatch(max)
 }
 
 // NextBatch implements Operator. The skip phase pulls batches sized to
@@ -661,28 +655,20 @@ func (o *Sort) NextBatch(max int) (*Batch, bool, error) {
 		}
 		o.filled = true
 	}
-	max = clampMax(max)
-	b := NewBatch(o.cols, demandCap(o.last, max))
-	for b.n < max {
-		r, ok, err := o.next1()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		b.appendVals(r.vals)
-	}
-	return o.emit(b)
+	return o.replay(o.spill.merged, max)
 }
 
 // NextBatch implements Operator, emitting the finalized groups as
-// views of the output batch, with no copy.
+// views of the output batch, with no copy, or, after an overflow, the
+// merge of that batch's rows with the spilled groups.
 func (o *Aggregate) NextBatch(max int) (*Batch, bool, error) {
 	if o.out == nil {
 		if err := o.fill(); err != nil {
 			return nil, false, err
 		}
+	}
+	if o.spill.merged != nil {
+		return o.replay(o.spill.merged, max)
 	}
 	if o.idx >= o.out.n {
 		return nil, false, nil

@@ -368,23 +368,22 @@ func describeItems(items []Item) string {
 // first occurrences in order. Unlike Sort it needs no barrier: the
 // first occurrence can be forwarded the moment it arrives. Its
 // seen-set, however, is barrier-like state: under a memory budget it
-// is capped and overflow keys spill to hash partitions (see
-// distinctNextBatch in spill.go).
+// stops growing at overflow, and rows of new keys take the hashing
+// barriers' overflow path, as Aggregate's do (see NextBatch in
+// spill.go).
 type Distinct struct {
 	base
 	memAccount
 	seen map[string]bool
 
-	// Pull and spill state (see spill.go). keybuf holds a row's values
-	// and keyBytes their key, both reused across rows.
+	// Pull state. keybuf holds a row's values and keyBytes their key,
+	// both reused across rows.
 	keybuf   []value.Value
 	keyBytes []byte
 	selbuf   []int
 	seq      int64
 	drained  bool
-	spilling bool
-	parts    []*spillFile
-	merged   *runMerger
+	spill    overflow
 }
 
 // NewDistinct builds a Distinct over child.
@@ -398,14 +397,7 @@ func NewDistinct(child Operator) *Distinct {
 // files still on disk (early-LIMIT abandonment, errors) are removed
 // and the accounted budget is returned.
 func (o *Distinct) Close() {
-	if o.merged != nil {
-		o.merged.close()
-		o.merged = nil
-	}
-	for _, p := range o.parts {
-		p.discard()
-	}
-	o.parts = nil
+	o.spill.close()
 	o.releaseAll()
 	o.base.Close()
 }
@@ -496,7 +488,7 @@ func (o *Limit) Name() string {
 // stable in-memory order exactly. Its intake is serial at every degree:
 // over an Exchange it drains the ordered gather, like Aggregate and
 // Distinct, so it sees, holds and spills what the serial plan's Sort
-// does. See fill/next1 in spill.go.
+// does. See fill in spill.go.
 //
 // Under a LIMIT the Sort is bounded: only the first skip+limit rows of
 // its total order can reach the output, so it keeps at most that many
@@ -515,10 +507,7 @@ type Sort struct {
 	skip, limit *count
 
 	filled bool
-	mem    []spillRow
-	memIdx int
-	runs   []*spillFile
-	merged *runMerger
+	spill  overflow
 }
 
 // NewSort builds a Sort barrier over child whose output columns are
@@ -532,15 +521,7 @@ func NewSort(child Operator, sorts []*ast.SortItem, cols []string, ev *expr.Eval
 // files still on disk (early-LIMIT abandonment, errors) are removed
 // and the accounted budget is returned.
 func (o *Sort) Close() {
-	if o.merged != nil {
-		o.merged.close()
-		o.merged = nil
-	}
-	for _, f := range o.runs {
-		f.discard()
-	}
-	o.runs = nil
-	o.mem = nil
+	o.spill.close()
 	o.releaseAll()
 	o.base.Close()
 }
@@ -563,18 +544,21 @@ func (o *Sort) Name() string {
 // accumulate per group, and one row per group is emitted in
 // first-appearance order. Zero input records with no grouping keys
 // produce the single global group (count(*) = 0). The finalized groups
-// are written into one output batch, nil until fill has run.
+// of the admitted keys are written into one output batch, nil until
+// fill has run, and emitted as views of it. Under a memory budget the
+// groups stop growing at overflow and rows of new keys take the
+// hashing barriers' overflow path, as Distinct's do: their groups are
+// finalized one partition at a time into runs on disk, and the output
+// is those runs merged with the batch's rows (see fill in spill.go).
 type Aggregate struct {
 	base
 	memAccount
 	items []Item
 	ev    *expr.Evaluator
 
-	out *Batch
-	idx int
-
-	spilling bool
-	parts    []*spillFile
+	out   *Batch
+	idx   int
+	spill overflow
 }
 
 // NewAggregate builds an Aggregate barrier over child.
@@ -588,10 +572,7 @@ func NewAggregate(child Operator, items []Item, cols []string, ev *expr.Evaluato
 // files still on disk (early-LIMIT abandonment, errors) are removed
 // and the accounted budget is returned.
 func (o *Aggregate) Close() {
-	for _, p := range o.parts {
-		p.discard()
-	}
-	o.parts = nil
+	o.spill.close()
 	o.releaseAll()
 	o.base.Close()
 }

@@ -40,8 +40,9 @@
 // Barriers account the bytes they hold against an optional per-
 // statement memory budget (see Builder.MemoryBudget): when over
 // budget, Sort spills sorted runs to temp files and merges them back,
-// and Aggregate/Distinct cap their hash state and spill overflow keys
-// to hash partitions processed one at a time. Results — including row
+// and Aggregate/Distinct cap their hash state and send overflow keys
+// through one shared path: hash partitions processed one at a time
+// into runs, merged back in first-appearance order. Results — including row
 // order and DISTINCT's first-occurrence choice — are identical with
 // and without spilling; only peak memory changes.
 package plan

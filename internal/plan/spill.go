@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -28,11 +27,10 @@ import (
 // under absurdly small budgets (so peak memory is budget plus at most
 // minSpillRows rows of slack); maxMergeWidth bounds simultaneously
 // open run files — when exceeded, existing runs are compacted into one
-// by an intermediate merge. spillParts is the hash-partition fan-out
-// of the spilling Aggregate/Distinct: each deferred partition is
-// processed alone, so their resident state is roughly 1/spillParts of
-// the overflowed key space (single-level partitioning, documented
-// limitation).
+// by an intermediate merge. spillParts is the fan-out of a hashing
+// barrier's overflow: its pass runs over one partition at a time, so
+// the state it holds is roughly 1/spillParts of the overflowed key
+// space (single-level partitioning, documented limitation).
 const (
 	minSpillRows  = 16
 	maxMergeWidth = 16
@@ -384,16 +382,9 @@ func writeRun(rows []spillRow) (*spillFile, error) {
 // before it. When the run reaches limit rows, the keys of its last row
 // are returned too.
 func compactRuns(runs []*spillFile, less func(a, b spillRow) bool, limit int) (*spillFile, []value.Value, error) {
-	srcs := make([]mergeSource, 0, len(runs))
-	for _, f := range runs {
-		st, err := f.stream()
-		if err != nil {
-			for _, s := range srcs {
-				s.close()
-			}
-			return nil, nil, err
-		}
-		srcs = append(srcs, st)
+	srcs, err := streamRuns(runs)
+	if err != nil {
+		return nil, nil, err
 	}
 	m, err := newRunMerger(srcs, less)
 	if err != nil {
@@ -429,25 +420,153 @@ func compactRuns(runs []*spillFile, less func(a, b spillRow) bool, limit int) (*
 	return out, last, nil
 }
 
-func openSpillParts() ([]*spillFile, error) {
-	parts := make([]*spillFile, spillParts)
-	for i := range parts {
-		f, err := newSpillFile()
+// streamRuns opens every run for reading. On error no run is left: the
+// streams opened so far are closed and the other runs discarded.
+func streamRuns(runs []*spillFile) ([]mergeSource, error) {
+	srcs := make([]mergeSource, 0, len(runs)+1)
+	for i, f := range runs {
+		st, err := f.stream()
 		if err != nil {
-			for _, p := range parts[:i] {
-				p.discard()
+			for _, s := range srcs {
+				s.close()
+			}
+			for _, f := range runs[i+1:] {
+				f.discard()
 			}
 			return nil, err
 		}
-		parts[i] = f
+		srcs = append(srcs, st)
 	}
-	return parts, nil
+	return srcs, nil
 }
 
-func spillPart(key string) int {
+// ---------------------------------------------------------------------
+// Overflow: a barrier's spilled state
+// ---------------------------------------------------------------------
+
+// overflow holds what a barrier spilled, from its first file to the
+// merge that replays it, and close removes every file left at any
+// stage. The Sort writes its sorted runs to runs itself. A hashing
+// barrier (Aggregate, Distinct) that overflows opens spillParts
+// partition files and routes each row of a key it did not admit to one
+// of them by that key. settle then runs the barrier's pass over one
+// partition at a time and writes the rows the pass outputs, each
+// tagged with the sequence number of its key's first row, to a run.
+// Either way merge replays the runs merged with the barrier's rows
+// still in memory.
+type overflow struct {
+	opened bool // the partitions were opened: the barrier overflowed
+	parts  []*spillFile
+	runs   []*spillFile
+	merged mergeSource
+}
+
+// open creates the partition files, on the first call only.
+func (v *overflow) open() error {
+	if v.opened {
+		return nil
+	}
+	v.opened = true
+	for range spillParts {
+		f, err := newSpillFile()
+		if err != nil {
+			return err
+		}
+		v.parts = append(v.parts, f)
+	}
+	return nil
+}
+
+// route appends r to the partition of its key.
+func (v *overflow) route(r spillRow) error {
 	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % spillParts)
+	h.Write([]byte(r.key))
+	return v.parts[h.Sum32()%spillParts].add(r)
+}
+
+// settle runs pass over each partition in turn, counting it as one of
+// m's spill runs. pass reads the partition's rows in intake order and
+// writes its output rows to run; what it charged to m is released
+// before the next partition. Keys never span partitions, so each pass
+// sees all of its keys' rows. The runs then merge back by sequence
+// number with mem, the barrier's output for its admitted keys.
+func (v *overflow) settle(m *memAccount, mem []spillRow, pass func(part *spillStream, run *spillFile) error) error {
+	for _, p := range v.parts {
+		part, err := p.stream()
+		if err != nil {
+			return err
+		}
+		m.spills.Add(1)
+		run, err := newSpillFile()
+		if err != nil {
+			part.close()
+			return err
+		}
+		v.runs = append(v.runs, run)
+		held := m.held.Load()
+		err = pass(part, run)
+		part.close()
+		m.release(m.held.Load() - held)
+		if err != nil {
+			return err
+		}
+	}
+	v.parts = nil
+	return v.merge(mem, func(a, b spillRow) bool { return a.seq < b.seq })
+}
+
+// merge sets merged to the runs merged under less with mem, rows in
+// memory already in that order, as one more source; without runs,
+// merged is mem alone.
+func (v *overflow) merge(mem []spillRow, less func(a, b spillRow) bool) error {
+	if len(v.runs) == 0 {
+		v.merged = &memStream{rows: mem}
+		return nil
+	}
+	srcs, err := streamRuns(v.runs)
+	v.runs = nil
+	if err != nil {
+		return err
+	}
+	m, err := newRunMerger(append(srcs, &memStream{rows: mem}), less)
+	if err != nil {
+		return err
+	}
+	v.merged = m
+	return nil
+}
+
+// close removes every spill file still held. Idempotent.
+func (v *overflow) close() {
+	if v.merged != nil {
+		v.merged.close()
+		v.merged = nil
+	}
+	for _, f := range slices.Concat(v.parts, v.runs) {
+		f.discard()
+	}
+	v.parts, v.runs = nil, nil
+}
+
+// replay emits the next batch of at most max rows of src, a barrier's
+// merged output; a closed barrier has none left.
+func (o *base) replay(src mergeSource, max int) (*Batch, bool, error) {
+	if src == nil {
+		return nil, false, nil
+	}
+	max = clampMax(max)
+	b := NewBatch(o.cols, demandCap(o.last, max))
+	for b.n < max {
+		r, ok, err := src.next()
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			break
+		}
+		b.appendVals(r.vals)
+	}
+	return o.emit(b)
 }
 
 // ---------------------------------------------------------------------
@@ -551,17 +670,9 @@ func (o *Sort) bound() int {
 // maxMergeWidth. A compacted run is cut to the bound too, and when it
 // holds that many rows its last row's keys become the drop threshold if
 // they sort before the kept bound-th row's. At the end the pending rows
-// replay alone, or merged with the spilled runs. Runs live in o.runs until the merge takes
-// them, so the defer discards them on any error.
-func (o *Sort) fill() (err error) {
-	defer func() {
-		if err != nil {
-			for _, f := range o.runs {
-				f.discard()
-			}
-			o.runs = nil
-		}
-	}()
+// replay merged with the spilled runs, or alone. The runs are held in
+// o.spill, whose close removes them on any error.
+func (o *Sort) fill() error {
 	compare := sortRowCompare(o.sorts)
 	less := func(a, b spillRow) bool { return compare(a, b) < 0 }
 	bound := o.bound()
@@ -641,18 +752,18 @@ func (o *Sort) fill() (err error) {
 			if err != nil {
 				return err
 			}
-			o.runs = append(o.runs, f)
+			o.spill.runs = append(o.spill.runs, f)
 			o.spills.Add(1)
 			o.release(pendBytes)
 			clear(pend)
 			pend, pendBytes = pend[:0], 0
-			if len(o.runs) >= maxMergeWidth {
-				merged, kept, err := compactRuns(o.runs, less, bound)
-				o.runs = nil // compactRuns closed them
+			if len(o.spill.runs) >= maxMergeWidth {
+				merged, kept, err := compactRuns(o.spill.runs, less, bound)
+				o.spill.runs = nil // compactRuns consumed them
 				if err != nil {
 					return err
 				}
-				o.runs = []*spillFile{merged}
+				o.spill.runs = []*spillFile{merged}
 				if kept != nil && (lastKept == nil || compareKeys(o.sorts, kept, lastKept) < 0) {
 					lastKept = kept
 				}
@@ -663,38 +774,7 @@ func (o *Sort) fill() (err error) {
 	if len(pend) > bound {
 		pend = pend[:bound]
 	}
-	if len(o.runs) == 0 {
-		o.mem = pend
-		return nil
-	}
-	srcs := make([]mergeSource, 0, len(o.runs)+1)
-	for i, f := range o.runs {
-		st, err := f.stream()
-		if err != nil {
-			for _, s := range srcs {
-				s.close()
-			}
-			o.runs = o.runs[i+1:] // f discarded itself; defer discards the rest
-			return err
-		}
-		srcs = append(srcs, st)
-	}
-	o.runs = nil // ownership moved to the merge streams
-	o.merged, err = newRunMerger(append(srcs, &memStream{rows: pend}), less)
-	return err
-}
-
-// next1 replays one row of the sorted output.
-func (o *Sort) next1() (spillRow, bool, error) {
-	if o.merged != nil {
-		return o.merged.next()
-	}
-	if o.memIdx >= len(o.mem) {
-		return spillRow{}, false, nil
-	}
-	r := o.mem[o.memIdx]
-	o.memIdx++
-	return r, true, nil
+	return o.spill.merge(pend, less)
 }
 
 // ---------------------------------------------------------------------
@@ -702,28 +782,14 @@ func (o *Sort) next1() (spillRow, bool, error) {
 // ---------------------------------------------------------------------
 
 // fill drains the child into a resident hash of groups. When the
-// budget overflows, no further resident groups are admitted: rows of
-// already-resident keys keep aggregating in place, rows of new keys
-// spill to hash partitions by group key. Each partition is then
-// processed alone (its groups are disjoint from the residents' and
-// from other partitions'), so deferred state is roughly 1/spillParts
-// of the overflowed key space at a time.
-//
-// Output order is first-appearance of the group key: residents were
-// all admitted before the first spilled row (admission stops at
-// overflow), so every deferred group's first occurrence is later than
-// every resident's — emitting residents in admission order, then
-// deferred groups sorted by their first-occurrence sequence, is
-// exactly the order the in-memory operator produces.
-func (o *Aggregate) fill() (err error) {
-	defer func() {
-		if err != nil {
-			for _, p := range o.parts {
-				p.discard()
-			}
-			o.parts = nil
-		}
-	}()
+// budget overflows, no further groups are admitted: rows of admitted
+// keys keep aggregating in place, and rows of new keys are routed to
+// the overflow's partitions. Without overflow the finalized groups
+// form o.out in first-appearance order. With it, the overflow's pass
+// groups and finalizes one partition at a time into a run, and the
+// runs merge with the finalized resident groups by each group's first
+// sequence number: first-appearance order again.
+func (o *Aggregate) fill() error {
 	var keyItems []int
 	var aggCalls []*ast.FuncCall
 	for idx, it := range o.items {
@@ -781,10 +847,11 @@ func (o *Aggregate) fill() (err error) {
 		return nil
 	}
 	// finalize evaluates the items over a group's representative row and
-	// its aggregates' results, appending the output row to out.
+	// its aggregates' results into outRow.
 	sc := newScratch(o.ev, cols)
 	aggResults := make(map[ast.Expr]value.Value, len(aggCalls))
-	finalize := func(grp *group, out *Batch) error {
+	outRow := make([]value.Value, len(o.items))
+	finalize := func(grp *group) error {
 		for ai, f := range aggCalls {
 			aggResults[f] = grp.aggs[ai].Result()
 		}
@@ -799,22 +866,21 @@ func (o *Aggregate) fill() (err error) {
 			if v == nil {
 				v = nullValue
 			}
-			out.vals[j] = append(out.vals[j], v)
+			outRow[j] = v
 		}
-		out.n++
 		return nil
 	}
 
 	groups := make(map[string]*group)
-	var order []string
+	var order []*group
 	keyVals := make([]value.Value, len(keyItems))
 	var keyBytes []byte
 	n := 0
 	seq := int64(0)
 	for {
-		b, ok, err2 := o.child.NextBatch(BatchTarget)
-		if err2 != nil {
-			return err2
+		b, ok, err := o.child.NextBatch(BatchTarget)
+		if err != nil {
+			return err
 		}
 		if !ok {
 			break
@@ -823,9 +889,9 @@ func (o *Aggregate) fill() (err error) {
 			n++
 			row := sc.load(b, i)
 			for k, ki := range keyItems {
-				v, err2 := o.ev.Eval(o.items[ki].Expr, row)
-				if err2 != nil {
-					return err2
+				v, err := o.ev.Eval(o.items[ki].Expr, row)
+				if err != nil {
+					return err
 				}
 				keyVals[k] = v
 			}
@@ -833,30 +899,28 @@ func (o *Aggregate) fill() (err error) {
 			grp, resident := groups[string(keyBytes)]
 			if !resident {
 				key := string(keyBytes)
-				if o.spilling {
-					if err2 := o.parts[spillPart(key)].add(spillRow{seq: seq, key: key, vals: b.rowVals(i, len(cols))}); err2 != nil {
-						return err2
+				if o.spill.opened {
+					if err := o.spill.route(spillRow{seq: seq, key: key, vals: b.rowVals(i, len(cols))}); err != nil {
+						return err
 					}
 					seq++
 					continue
 				}
-				grp, err = newGroup(b.rowVals(i, len(cols)), seq)
-				if err != nil {
+				if grp, err = newGroup(b.rowVals(i, len(cols)), seq); err != nil {
 					return err
 				}
 				groups[key] = grp
-				order = append(order, key)
+				order = append(order, grp)
 				if o.budget.limited() {
 					o.charge(int64(len(key)) + rowBytes(cols, grp.rep) + 96)
-					if o.budget.over() && !o.spilling {
-						if o.parts, err = openSpillParts(); err != nil {
+					if o.budget.over() {
+						if err := o.spill.open(); err != nil {
 							return err
 						}
-						o.spilling = true
 					}
 				}
 			}
-			if err = addRow(grp, row); err != nil {
+			if err := addRow(grp, row); err != nil {
 				return err
 			}
 			seq++
@@ -865,98 +929,64 @@ func (o *Aggregate) fill() (err error) {
 
 	// Zero input rows with no grouping keys: a single global group.
 	if n == 0 && len(keyItems) == 0 {
-		grp, err2 := newGroup(nil, 0)
-		if err2 != nil {
-			return err2
+		grp, err := newGroup(nil, 0)
+		if err != nil {
+			return err
 		}
-		groups["_"] = grp
-		order = append(order, "_")
+		order = append(order, grp)
 	}
 
 	out := NewBatch(o.cols, len(order))
-	for _, key := range order {
-		if err := finalize(groups[key], out); err != nil {
+	for _, grp := range order {
+		if err := finalize(grp); err != nil {
 			return err
 		}
+		out.appendVals(outRow)
 	}
-	if !o.spilling {
-		o.out = out
-		return nil
-	}
-
-	// Deferred phase: process each partition alone. Group keys hash to
-	// exactly one partition, so a partition's groups are complete and
-	// disjoint from everything else. Finalized output rows accumulate
-	// in a batch of their own like any result set — the budget bounds
-	// barrier state, not the statement's output — and join the
-	// residents' in first-occurrence order at the end.
-	deferred := NewBatch(o.cols, 0)
-	var firstSeqs []int64
-	parts := o.parts
-	o.parts = nil
-	defer func() {
-		if err != nil {
-			for _, p := range parts {
-				p.discard()
-			}
+	if o.spill.opened {
+		mem := make([]spillRow, out.n)
+		for i, grp := range order {
+			mem[i] = spillRow{seq: grp.firstSeq, vals: out.rowVals(i, len(o.cols))}
 		}
-	}()
-	for pi, p := range parts {
-		st, err2 := p.stream()
-		if err2 != nil {
-			parts[pi] = nil
-			return err2
-		}
-		parts[pi] = nil
-		o.spills.Add(1)
-		pgroups := make(map[string]*group)
-		var porder []string
-		partStart := o.held.Load()
-		for {
-			r, ok, err2 := st.next()
-			if err2 != nil {
-				st.close()
-				return err2
-			}
-			if !ok {
-				break
-			}
-			row := sc.loadVals(r.vals)
-			grp, ok2 := pgroups[r.key]
-			if !ok2 {
-				grp, err = newGroup(r.vals, r.seq)
+		err := o.spill.settle(&o.memAccount, mem, func(part *spillStream, run *spillFile) error {
+			groups := make(map[string]*group)
+			var order []*group
+			for {
+				r, ok, err := part.next()
 				if err != nil {
-					st.close()
 					return err
 				}
-				pgroups[r.key] = grp
-				porder = append(porder, r.key)
-				if o.budget.limited() {
-					o.charge(int64(len(r.key)) + rowBytes(cols, grp.rep) + 96)
+				if !ok {
+					break
+				}
+				grp := groups[r.key]
+				if grp == nil {
+					if grp, err = newGroup(r.vals, r.seq); err != nil {
+						return err
+					}
+					groups[r.key] = grp
+					order = append(order, grp)
+					if o.budget.limited() {
+						o.charge(int64(len(r.key)) + rowBytes(cols, grp.rep) + 96)
+					}
+				}
+				if err := addRow(grp, sc.loadVals(r.vals)); err != nil {
+					return err
 				}
 			}
-			if err = addRow(grp, row); err != nil {
-				st.close()
-				return err
+			for _, grp := range order {
+				if err := finalize(grp); err != nil {
+					return err
+				}
+				if err := run.add(spillRow{seq: grp.firstSeq, vals: outRow}); err != nil {
+					return err
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		st.close()
-		for _, key := range porder {
-			if err := finalize(pgroups[key], deferred); err != nil {
-				return err
-			}
-			firstSeqs = append(firstSeqs, pgroups[key].firstSeq)
-		}
-		// Release this partition's accounted state before the next.
-		o.release(o.held.Load() - partStart)
-	}
-	perm := make([]int, deferred.n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool { return firstSeqs[perm[a]] < firstSeqs[perm[b]] })
-	for _, i := range perm {
-		out.appendRowFrom(deferred, i)
 	}
 	o.out = out
 	return nil
@@ -966,20 +996,16 @@ func (o *Aggregate) fill() (err error) {
 // Spilling DISTINCT
 // ---------------------------------------------------------------------
 
-// distinctNextBatch implements DISTINCT. Under budget (and always
-// without one) it streams first occurrences as they arrive. On overflow the
-// seen-set stops growing: rows whose key is resident are duplicates
-// and are dropped; rows with new keys spill (with their intake
-// sequence number) to hash partitions. After the child is exhausted,
-// each partition is processed alone — first occurrence per key within
-// a partition is decidable in file order, which is seq order — and the
-// survivors, re-spilled per partition, are merged back by seq.
-//
-// Every spilled row's seq is greater than every streamed row's (the
-// seen-set stops admitting at overflow), so streamed-then-merged
-// output is globally in first-occurrence order: identical to the
+// NextBatch implements Operator. It streams first occurrences as they
+// arrive. When the budget overflows, the seen-set stops growing: rows
+// of a seen key are duplicates and are dropped, and rows of new keys
+// are routed, with their intake sequence numbers, to the overflow's
+// partitions. Once the child is drained, the overflow's pass (firsts)
+// keeps the first row of each key, one partition at a time, and the
+// kept rows merge back by sequence number. Every routed row came after
+// every streamed one, so the output is in first-occurrence order: the
 // unbudgeted run's.
-func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
+func (o *Distinct) NextBatch(max int) (*Batch, bool, error) {
 	for !o.drained {
 		in, ok, err := o.child.NextBatch(max)
 		if err != nil {
@@ -1001,8 +1027,8 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 				continue
 			}
 			key := string(o.keyBytes)
-			if o.spilling {
-				if err := o.parts[spillPart(key)].add(spillRow{seq: seq, key: key, vals: in.rowVals(i, len(in.cols))}); err != nil {
+			if o.spill.opened {
+				if err := o.spill.route(spillRow{seq: seq, key: key, vals: in.rowVals(i, len(in.cols))}); err != nil {
 					return nil, false, err
 				}
 				continue
@@ -1010,11 +1036,10 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 			o.seen[key] = true
 			if o.budget.limited() {
 				o.charge(int64(len(key)) + 48)
-				if o.budget.over() && !o.spilling {
-					if o.parts, err = openSpillParts(); err != nil {
+				if o.budget.over() {
+					if err := o.spill.open(); err != nil {
 						return nil, false, err
 					}
-					o.spilling = true
 				}
 			}
 			sel = append(sel, i)
@@ -1035,102 +1060,35 @@ func (o *Distinct) distinctNextBatch(max int) (*Batch, bool, error) {
 		out.n = len(sel)
 		return o.emit(out)
 	}
-	if !o.spilling {
+	if !o.spill.opened {
 		return nil, false, nil
 	}
-	if o.merged == nil {
-		if err := o.buildDeferred(); err != nil {
+	if o.spill.merged == nil {
+		if err := o.spill.settle(&o.memAccount, nil, o.firsts); err != nil {
 			return nil, false, err
 		}
 	}
-	max = clampMax(max)
-	b := NewBatch(o.cols, demandCap(o.last, max))
-	for b.n < max {
-		r, ok, err := o.merged.next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		b.appendVals(r.vals)
-	}
-	return o.emit(b)
+	return o.replay(o.spill.merged, max)
 }
 
-// buildDeferred runs the per-partition survivor pass and sets up the
-// seq-order merge of the survivor files. Only one partition's seen-set
-// is resident at a time.
-func (o *Distinct) buildDeferred() (err error) {
-	var srcs []mergeSource
-	defer func() {
-		if err != nil {
-			for _, s := range srcs {
-				s.close()
-			}
+// firsts is Distinct's pass over one partition: it writes the first row
+// of each key to run.
+func (o *Distinct) firsts(part *spillStream, run *spillFile) error {
+	seen := make(map[string]bool)
+	for {
+		r, ok, err := part.next()
+		if err != nil || !ok {
+			return err
 		}
-	}()
-	parts := o.parts
-	o.parts = nil
-	defer func() {
-		if err != nil {
-			for _, p := range parts {
-				p.discard()
-			}
+		if seen[r.key] {
+			continue
 		}
-	}()
-	for pi, p := range parts {
-		st, err2 := p.stream()
-		if err2 != nil {
-			parts[pi] = nil
-			return err2
+		seen[r.key] = true
+		if o.budget.limited() {
+			o.charge(int64(len(r.key)) + 48)
 		}
-		parts[pi] = nil
-		o.spills.Add(1)
-		surv, err2 := newSpillFile()
-		if err2 != nil {
-			st.close()
-			return err2
+		if err := run.add(spillRow{seq: r.seq, vals: r.vals}); err != nil {
+			return err
 		}
-		pseen := make(map[string]bool)
-		pheld := int64(0)
-		for {
-			r, ok, err2 := st.next()
-			if err2 != nil {
-				st.close()
-				surv.discard()
-				return err2
-			}
-			if !ok {
-				break
-			}
-			if pseen[r.key] {
-				continue
-			}
-			pseen[r.key] = true
-			if o.budget.limited() {
-				nb := int64(len(r.key)) + 48
-				pheld += nb
-				o.charge(nb)
-			}
-			if err2 := surv.add(spillRow{seq: r.seq, vals: r.vals}); err2 != nil {
-				st.close()
-				surv.discard()
-				return err2
-			}
-		}
-		st.close()
-		// Release this partition's seen-set before the next.
-		o.release(pheld)
-		ss, err2 := surv.stream()
-		if err2 != nil {
-			return err2
-		}
-		srcs = append(srcs, ss)
 	}
-	o.merged, err = newRunMerger(srcs, func(a, b spillRow) bool { return a.seq < b.seq })
-	if err != nil {
-		srcs = nil // newRunMerger closed them
-	}
-	return err
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/match"
+	"repro/internal/parser"
 	"repro/internal/table"
 	"repro/internal/value"
 )
@@ -251,41 +253,63 @@ func TestSpillingDistinctKeepsFirstOccurrenceOrder(t *testing.T) {
 	}
 }
 
+// TestSpillingAggregateMatchesInMemory requires a spilled aggregation,
+// whose deferred groups are finalized to disk and merged back, to equal
+// the unbudgeted run bit for bit: group order, floats (NaN included) and
+// every value kind its aggregates return, at a budget that admits one
+// group and at one that admits a few.
 func TestSpillingAggregateMatchesInMemory(t *testing.T) {
-	tbl := table.New("x")
+	tbl := table.New("x", "nd", "rl", "pt", "mp", "f", "d", "mx")
 	const n = 800
-	for i := 0; i < n; i++ {
-		tbl.AppendRow(value.Int(int64(i % 131)))
+	for i := range int64(n) {
+		mixed := []value.Value{value.Int(i % 9), value.String(fmt.Sprint(i % 11)), value.Float(float64(i%13) / 3), value.Bool(i%2 == 0), value.NullValue}[i%5]
+		tbl.AppendRow(value.Int(i%131), value.Node{ID: i % 50}, value.Rel{ID: i},
+			value.Path{Nodes: []int64{i, i + 1}, Rels: []int64{i}},
+			value.Map{"nan": value.Float(math.NaN()), "i": value.Int(i)},
+			value.Float(float64(i)/7), value.Int(i%5), mixed)
 	}
-	ev := testEv(nil)
-	items := []Item{
-		{Expr: &ast.Variable{Name: "x"}, Alias: "x"},
-		{Expr: &ast.FuncCall{Name: "count", Star: true}, Alias: "n"},
+	names := ast.Names{}
+	var items []Item
+	var cols []string
+	for _, src := range []string{
+		"x", "count(*)", "collect(nd)", "collect(rl)", "collect(pt)", "collect(mp)",
+		"avg(f)", "stdev(f)", "count(DISTINCT d)", "min(mx)",
+	} {
+		e, err := parser.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names.Expr(e)
+		items = append(items, Item{Expr: e, Alias: fmt.Sprint("c", len(cols))})
+		cols = append(cols, fmt.Sprint("c", len(cols)))
 	}
-	cols := []string{"x", "n"}
+	ev := &expr.Evaluator{Names: names}
 	want, err := Collect(NewAggregate(NewTableScan(tbl.Clone()), items, cols, ev))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAggregate(NewTableScan(tbl), items, cols, ev)
-	a.budget = newBudget(1)
-	got, err := Collect(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SpillRuns() == 0 {
-		t.Fatal("budget=1 aggregate did not spill")
-	}
-	if live := SpillFilesLive(); live != 0 {
-		t.Fatalf("%d spill files still live after Collect", live)
-	}
-	if got.Len() != want.Len() {
-		t.Fatalf("groups = %d, want %d", got.Len(), want.Len())
-	}
-	for i := 0; i < want.Len(); i++ {
-		if got.Get(i, "x") != want.Get(i, "x") || got.Get(i, "n") != want.Get(i, "n") {
-			t.Fatalf("group %d = (%v,%v), want (%v,%v)", i,
-				got.Get(i, "x"), got.Get(i, "n"), want.Get(i, "x"), want.Get(i, "n"))
+	for _, limit := range []int64{1, 4 << 10} {
+		a := NewAggregate(NewTableScan(tbl.Clone()), items, cols, ev)
+		a.budget = newBudget(limit)
+		got, err := Collect(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.SpillRuns() == 0 {
+			t.Fatalf("budget=%d aggregate did not spill", limit)
+		}
+		if live := SpillFilesLive(); live != 0 {
+			t.Fatalf("budget=%d: %d spill files still live after Collect", limit, live)
+		}
+		if got.Len() != want.Len() {
+			t.Fatalf("budget=%d: groups = %d, want %d", limit, got.Len(), want.Len())
+		}
+		for i := 0; i < want.Len(); i++ {
+			for _, c := range cols {
+				if !sameValue(got.Get(i, c), want.Get(i, c)) {
+					t.Fatalf("budget=%d: group %d column %s (%s) = %#v, want %#v", limit, i, c, items[slices.Index(cols, c)].Expr, got.Get(i, c), want.Get(i, c))
+				}
+			}
 		}
 	}
 }
@@ -466,37 +490,61 @@ func TestOperatorClosesChildOnce(t *testing.T) {
 }
 
 // TestBarrierCloseMidSpillFreesFiles closes each spilling barrier while
-// it still holds spill state, then closes it again: Sort part-way
-// through its merge and Distinct with its partitions open (both under
-// LIMIT 1), Aggregate after its intake failed mid-spill. No spill file
-// may outlive the first Close.
+// it still holds spill state, then closes it again. Under LIMIT 1 the
+// Sort is part-way through its merge and the Distinct, whose first row
+// is resident, still has its partitions open; one Aggregate's intake
+// fails mid-spill. Under LIMIT 5, more rows than the one admitted key
+// yields and fewer than the output holds, a Distinct and an Aggregate
+// are part-way through replaying their merged runs. No spill file may
+// outlive the first Close, and the budget must be returned in full.
 func TestBarrierCloseMidSpillFreesFiles(t *testing.T) {
 	ev := testEv(nil)
 	x := &ast.Variable{Name: "x"}
 	s := NewSort(NewTableScan(sortInput(500)), []*ast.SortItem{{Expr: x}}, []string{"x", "y"}, ev)
-	s.budget = newBudget(1)
 	d := NewDistinct(NewTableScan(sortInput(500)))
-	d.budget = newBudget(1)
 	a := NewAggregate(&errAfter{n: 300}, []Item{{Expr: x, Alias: "x"}}, []string{"x"}, ev)
-	a.budget = newBudget(1)
-	for name, op := range map[string]Operator{"Sort": s, "Distinct": d, "Aggregate": a} {
-		_, err := Collect(NewLimit(op, intLit(1), ev))
-		if name == "Aggregate" {
+	dm := NewDistinct(NewTableScan(sortInput(500)))
+	am := NewAggregate(NewTableScan(sortInput(500)), []Item{{Expr: x, Alias: "x"}}, []string{"x"}, ev)
+	cases := []struct {
+		name  string
+		op    Operator
+		acct  *memAccount
+		limit int64
+	}{
+		{"Sort", s, &s.memAccount, 1},
+		{"Distinct", d, &d.memAccount, 1},
+		{"Aggregate", a, &a.memAccount, 1},
+		{"Distinct/merge", dm, &dm.memAccount, 5},
+		{"Aggregate/merge", am, &am.memAccount, 5},
+	}
+	for _, c := range cases {
+		c.acct.budget = newBudget(1)
+		out, err := Collect(NewLimit(c.op, intLit(c.limit), ev))
+		if c.op == a {
 			if err == nil || !strings.Contains(err.Error(), "synthetic source failure") {
 				t.Fatalf("Aggregate err = %v, want synthetic source failure", err)
 			}
 		} else if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", c.name, err)
+		} else if out.Len() != int(c.limit) {
+			t.Fatalf("%s: %d rows, want %d", c.name, out.Len(), c.limit)
 		}
 		if live := SpillFilesLive(); live != 0 {
-			t.Fatalf("%s: %d spill files still live after Close", name, live)
+			t.Fatalf("%s: %d spill files still live after Close", c.name, live)
 		}
-		op.Close()
+		if used := c.acct.budget.used.Load(); used != 0 {
+			t.Fatalf("%s: budget holds %d bytes after Close", c.name, used)
+		}
+		c.op.Close()
 		if live := SpillFilesLive(); live != 0 {
-			t.Fatalf("%s: %d spill files live after a second Close", name, live)
+			t.Fatalf("%s: %d spill files live after a second Close", c.name, live)
 		}
 	}
-	if s.SpillRuns() == 0 || !d.spilling || !a.spilling {
-		t.Fatalf("a barrier did not spill: sort runs %d, distinct %v, aggregate %v", s.SpillRuns(), d.spilling, a.spilling)
+	if s.SpillRuns() == 0 || !d.spill.opened || !a.spill.opened {
+		t.Fatalf("a barrier did not spill: sort runs %d, distinct %v, aggregate %v", s.SpillRuns(), d.spill.opened, a.spill.opened)
+	}
+	// The merge cases settled every partition before their LIMIT was met.
+	if dm.SpillRuns() != spillParts || am.SpillRuns() != spillParts {
+		t.Fatalf("merge cases settled %d and %d partitions, want %d", dm.SpillRuns(), am.SpillRuns(), spillParts)
 	}
 }
