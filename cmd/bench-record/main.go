@@ -5,7 +5,11 @@
 // gated end-to-end metric the per-run values of both sides, their
 // medians and quartiles, how many seed pairs the change won, and the
 // verdict of the benchmark's own judge (regressed, unresolved or ok
-// against the metric's bound in BENCHMARK.json).
+// against the metric's bound in BENCHMARK.json). It also records the
+// ungated diagnostics that name which statement or which memory figure
+// moved — every `*_p50_ms` (per statement class and window), live_heap_mb
+// and num_gc — with both sides' per-run values, medians and the
+// change/base ratio of the medians, and no verdict.
 //
 //	go run ./cmd/bench-record -base <rev> -change <rev> -out BENCH_<n>.json \
 //	    bench-compare-out/base/results.jsonl bench-compare-out/change/results.jsonl
@@ -33,18 +37,21 @@ type metricDef struct {
 	Bound  float64 `json:"bound"`
 }
 
+type metrics map[string]struct{ Value float64 }
+
 type run struct {
-	Workload string                             `json:"workload"`
-	Trace    int                                `json:"trace"`
-	Seed     int64                              `json:"seed"`
-	Env      map[string]any                     `json:"env"`
-	Correct  bool                               `json:"correct"`
-	Failed   int                                `json:"failed"`
-	Metrics  map[string]struct{ Value float64 } `json:"metrics"`
+	Workload    string         `json:"workload"`
+	Trace       int            `json:"trace"`
+	Seed        int64          `json:"seed"`
+	Env         map[string]any `json:"env"`
+	Correct     bool           `json:"correct"`
+	Failed      int            `json:"failed"`
+	Metrics     metrics        `json:"metrics"`
+	Diagnostics metrics        `json:"diagnostics"`
 }
 
-// document is one BENCH_*.json record. Host is absent from the records
-// written before it existed, which still parse.
+// document is one BENCH_*.json record. Host and Diagnostics are absent
+// from the records written before they existed, which still parse.
 type document struct {
 	Env         map[string]any `json:"env"`
 	Host        *host          `json:"host,omitempty"`
@@ -53,6 +60,7 @@ type document struct {
 	Failed      [2]int         `json:"failed"`
 	Correct     bool           `json:"correct"`
 	Comparisons []comparison   `json:"comparisons"`
+	Diagnostics []diagnostic   `json:"diagnostics,omitempty"`
 }
 
 // host tells apart machines whose benchmark environment blocks agree
@@ -116,6 +124,25 @@ type comparison struct {
 	Verdict string `json:"verdict"`
 }
 
+// diagnostic is one ungated diagnostic of one workload, paired by seed
+// like a comparison but judged by nothing. Ratio is the change's median
+// over the base's, absent when the base's median is zero.
+type diagnostic struct {
+	Workload string   `json:"workload"`
+	Metric   string   `json:"metric"`
+	Seeds    []int64  `json:"seeds"`
+	Base     side     `json:"base"`
+	Change   side     `json:"change"`
+	Ratio    *float64 `json:"ratio,omitempty"`
+}
+
+// recorded reports whether a diagnostic goes into the record: the p50
+// latencies, per statement class and over the window, and the heap and
+// collection counts.
+func recorded(name string) bool {
+	return strings.HasSuffix(name, "_p50_ms") || name == "live_heap_mb" || name == "num_gc"
+}
+
 func main() {
 	base := flag.String("base", "", "base commit")
 	change := flag.String("change", "", "change commit")
@@ -173,6 +200,7 @@ func record(baseRev, changeRev, out, basePath, changePath string) error {
 				doc.Comparisons = append(doc.Comparisons, c)
 			}
 		}
+		doc.Diagnostics = append(doc.Diagnostics, diagnostics(w, a, b)...)
 	}
 	enc, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -181,36 +209,76 @@ func record(baseRev, changeRev, out, basePath, changePath string) error {
 	return os.WriteFile(out, append(enc, '\n'), 0o644)
 }
 
-// compare pairs the two sides' runs of workload w by seed and judges
-// them as the benchmark's -compare does.
-func compare(def metricDef, w string, a, b []run) (comparison, bool) {
-	c := comparison{Workload: w, Metric: def.Name, Better: def.Better, Bound: def.Bound}
-	failed := 0
+// pair collects metric name of workload w, read through pick, from both
+// sides' runs paired by seed, with the change side's failed operations
+// in those runs.
+func pair(w, name string, a, b []run, pick func(run) metrics) (seeds []int64, base, change side, failed int) {
 	byseed := map[int64]float64{}
 	for _, r := range a {
-		if m, ok := r.Metrics[def.Name]; ok && r.Workload == w {
+		if m, ok := pick(r)[name]; ok && r.Workload == w {
 			byseed[r.Seed] = m.Value
 		}
 	}
 	for _, r := range b {
-		m, ok := r.Metrics[def.Name]
-		base, paired := byseed[r.Seed]
+		m, ok := pick(r)[name]
+		v, paired := byseed[r.Seed]
 		if !ok || !paired || r.Workload != w {
 			continue
 		}
 		failed += r.Failed
-		c.Seeds = append(c.Seeds, r.Seed)
-		c.Base.Values = append(c.Base.Values, base)
-		c.Change.Values = append(c.Change.Values, m.Value)
-		if (def.Better == "higher") == (m.Value > base) && m.Value != base {
-			c.Wins++
+		seeds = append(seeds, r.Seed)
+		base.Values = append(base.Values, v)
+		change.Values = append(change.Values, m.Value)
+	}
+	if len(seeds) > 0 {
+		base.fill()
+		change.fill()
+	}
+	return seeds, base, change, failed
+}
+
+// diagnostics pairs every recorded diagnostic of workload w, in name
+// order.
+func diagnostics(w string, a, b []run) []diagnostic {
+	var names []string
+	for _, r := range a {
+		for name := range r.Diagnostics {
+			if r.Workload == w && recorded(name) && !slices.Contains(names, name) {
+				names = append(names, name)
+			}
 		}
 	}
+	slices.Sort(names)
+	var out []diagnostic
+	for _, name := range names {
+		d := diagnostic{Workload: w, Metric: name}
+		d.Seeds, d.Base, d.Change, _ = pair(w, name, a, b, func(r run) metrics { return r.Diagnostics })
+		if len(d.Seeds) == 0 {
+			continue
+		}
+		if d.Base.Median != 0 {
+			ratio := d.Change.Median / d.Base.Median
+			d.Ratio = &ratio
+		}
+		out = append(out, d)
+	}
+	return out
+}
+
+// compare pairs the two sides' runs of workload w by seed and judges
+// them as the benchmark's -compare does.
+func compare(def metricDef, w string, a, b []run) (comparison, bool) {
+	c := comparison{Workload: w, Metric: def.Name, Better: def.Better, Bound: def.Bound}
+	var failed int
+	c.Seeds, c.Base, c.Change, failed = pair(w, def.Name, a, b, func(r run) metrics { return r.Metrics })
 	if len(c.Seeds) == 0 {
 		return c, false
 	}
-	c.Base.fill()
-	c.Change.fill()
+	for i, v := range c.Change.Values {
+		if base := c.Base.Values[i]; (def.Better == "higher") == (v > base) && v != base {
+			c.Wins++
+		}
+	}
 	c.Worse = (c.Change.Median - c.Base.Median) / c.Base.Median
 	if def.Better == "higher" {
 		c.Worse = -c.Worse

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -56,4 +57,48 @@ func TestReadHostLoadAverages(t *testing.T) {
 		t.Error("/proc/cpuinfo names a model but none was read")
 	}
 	t.Logf("host: %+v", *h)
+}
+
+// TestDiagnosticsPairedWithoutVerdict pairs the recorded diagnostics of
+// one workload by seed: the p50 latencies, live_heap_mb and num_gc, in
+// name order, with their medians and the change/base ratio, and leaves
+// out other diagnostics, other workloads and a ratio over a zero base.
+func TestDiagnosticsPairedWithoutVerdict(t *testing.T) {
+	runOf := func(w string, seed int64, vals map[string]float64) run {
+		r := run{Workload: w, Seed: seed, Diagnostics: metrics{}}
+		for k, v := range vals {
+			r.Diagnostics[k] = struct{ Value float64 }{v}
+		}
+		return r
+	}
+	a := []run{
+		runOf("w", 1, map[string]float64{"scan_p50_ms": 2, "live_heap_mb": 10, "num_gc": 0, "gc_pause_ms_total": 1}),
+		runOf("w", 2, map[string]float64{"scan_p50_ms": 4, "live_heap_mb": 12, "num_gc": 0}),
+		runOf("other", 1, map[string]float64{"other_p50_ms": 1}),
+	}
+	b := []run{
+		runOf("w", 2, map[string]float64{"scan_p50_ms": 3, "live_heap_mb": 12, "num_gc": 1}),
+		runOf("w", 1, map[string]float64{"scan_p50_ms": 1, "live_heap_mb": 10, "num_gc": 1}),
+	}
+	got := diagnostics("w", a, b)
+	var names []string
+	for _, d := range got {
+		names = append(names, d.Metric)
+	}
+	if want := []string{"live_heap_mb", "num_gc", "scan_p50_ms"}; !slices.Equal(names, want) {
+		t.Fatalf("diagnostics %v, want %v", names, want)
+	}
+	scan := got[2]
+	if !slices.Equal(scan.Seeds, []int64{2, 1}) || !slices.Equal(scan.Base.Values, []float64{4, 2}) || !slices.Equal(scan.Change.Values, []float64{3, 1}) {
+		t.Errorf("scan_p50_ms paired as seeds %v, base %v, change %v", scan.Seeds, scan.Base.Values, scan.Change.Values)
+	}
+	if scan.Base.Median != 3 || scan.Change.Median != 2 || scan.Ratio == nil || *scan.Ratio != 2.0/3 {
+		t.Errorf("scan_p50_ms medians %v/%v, ratio %v", scan.Base.Median, scan.Change.Median, scan.Ratio)
+	}
+	if got[1].Ratio != nil {
+		t.Errorf("num_gc over a zero base has ratio %v", *got[1].Ratio)
+	}
+	if _, err := json.Marshal(document{Diagnostics: got}); err != nil {
+		t.Error(err)
+	}
 }
