@@ -28,12 +28,14 @@
 //	B20 served QPS: N concurrent wire clients vs one, plan slots shared across sessions
 //	B21 expression-heavy pipelines: plan-time constant folding and purity-aware pushdown
 //	B22 embedded point read: the fixed per-statement cost of an indexed one-row MATCH
+//	B23 hop-bound aggregates: single hops over typed adjacency on a mixed-type graph
 package repro_test
 
 import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -893,6 +895,59 @@ func BenchmarkB22PointRead(b *testing.B) {
 		if res.NumRows() != 1 {
 			b.Fatalf("rows = %d, want 1", res.NumRows())
 		}
+	}
+}
+
+// hopBenchGraph builds B23's graph: users in eight countries, each
+// following ten random users and posting three posts that random users
+// like, so FOLLOWS, POSTED and LIKES rows interleave in every user's
+// adjacency and a typed hop must skip the other types.
+func hopBenchGraph(users int) *graph.Graph {
+	rng := rand.New(rand.NewSource(1))
+	g := graph.New()
+	ids := make([]graph.NodeID, users)
+	for i := range ids {
+		ids[i] = g.CreateNode([]string{"User"}, value.Map{"id": value.Int(int64(i)), "country": value.Int(int64(i % 8))}).ID
+	}
+	for _, u := range ids {
+		for k := 0; k < 3; k++ {
+			p := g.CreateNode([]string{"Post"}, value.Map{"score": value.Int(rng.Int63n(100))}).ID
+			mustRel(g, u, p, "POSTED")
+			mustRel(g, ids[rng.Intn(users)], p, "LIKES")
+		}
+		for k := 0; k < 10; k++ {
+			mustRel(g, u, ids[rng.Intn(users)], "FOLLOWS")
+		}
+	}
+	return g
+}
+
+func mustRel(g *graph.Graph, src, tgt graph.NodeID, typ string) {
+	if _, err := g.CreateRel(src, tgt, typ, nil); err != nil {
+		panic(err)
+	}
+}
+
+// BenchmarkB23Hop times the hop-bound statement shapes of the
+// embedded-analytic workload's heaviest classes, serially, over
+// hopBenchGraph: follower_top (a typed incoming hop to a labelled end,
+// grouped and cut by ORDER BY … LIMIT) and join_aggregate (a typed
+// outgoing hop whose end's property joins the start's). Nearly all of
+// the per-row work is the hop: candidates from the adjacency row, the
+// type test, and the end's presence and label test.
+func BenchmarkB23Hop(b *testing.B) {
+	g := hopBenchGraph(2000)
+	cfg := core.Config{Dialect: core.DialectRevised, Parallelism: 1}
+	for _, c := range []struct{ name, query string }{
+		{"follower_top", `MATCH (v:User)<-[:FOLLOWS]-(:User) RETURN v.id AS id, count(*) AS n ORDER BY n DESC, id LIMIT 10`},
+		{"join_aggregate", `MATCH (u:User)-[:FOLLOWS]->(v:User) WHERE u.country = v.country RETURN u.country AS c, count(*) AS n ORDER BY c`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				execBench(b, cfg, g, c.query, nil)
+			}
+		})
 	}
 }
 

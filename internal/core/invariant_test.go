@@ -61,7 +61,12 @@ func TestStatementInvariantMatchesValidate(t *testing.T) {
 						c.fail(t, "CheckDangling vs Validate", s.src, got, want)
 					}
 				}
+				// Rolling the statement back restores its deleted
+				// relationships, adjacency entries included.
 				j.Rollback()
+				if verr := g.Validate(); verr != nil {
+					c.fail(t, "invariant after rollback", s.src, verr.Error(), "a valid graph")
+				}
 
 				_, err := sess.ExecuteWithTable(stmt, nil, clone(s.t0))
 				if err != nil && strings.Contains(err.Error(), "left the graph inconsistent") {

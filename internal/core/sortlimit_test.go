@@ -174,3 +174,58 @@ func TestSpillingBoundedSortCutsRuns(t *testing.T) {
 		t.Fatalf("%d spill files still live", live)
 	}
 }
+
+// TestSpillingBoundedSortCutsRunsEarly pins when a spilling bounded
+// Sort takes its first drop threshold: as soon as the rows spilled
+// since a compaction last cut at the bound reach the bound, not at the
+// maxMergeWidth-th run. Intake in key order makes the first threshold
+// drop every later row, so the spilled runs count the rows read before
+// it: 32 for ORDER BY i LIMIT 500 (46 when the threshold waited for the
+// third maxMergeWidth compaction) and 34 for ORDER BY u.g, i LIMIT 100
+// (45). Interleaved keys keep spilling after the first threshold, and
+// ORDER BY u.g, i LIMIT 500 stays at 96 runs either way. Each answer is
+// still the unbounded order's first rows.
+func TestSpillingBoundedSortCutsRunsEarly(t *testing.T) {
+	g := parallelTestGraph(t, 3000)
+	cfg := Config{Dialect: DialectRevised, Parallelism: 1, MemoryBudget: 1 << 10}
+	for _, tc := range []struct {
+		order string
+		limit int
+		runs  int64
+	}{
+		{`MATCH (u:U) RETURN u.i AS i ORDER BY i`, 500, 32},
+		{`MATCH (u:U) RETURN u.i AS i ORDER BY u.g, i`, 100, 34},
+		{`MATCH (u:U) RETURN u.i AS i ORDER BY u.g, i`, 500, 96},
+	} {
+		all, err := runCfg(t, Config{Dialect: DialectRevised}, g, tc.order, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var root plan.Operator
+		cfg.onPlan = func(op plan.Operator) { root = op }
+		top, err := runCfg(t, cfg, g, fmt.Sprintf("%s LIMIT %d", tc.order, tc.limit), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs int64
+		for _, s := range collectSpillers(root) {
+			if op, ok := s.(*plan.Sort); ok {
+				runs += op.SpillRuns()
+			}
+		}
+		if runs != tc.runs {
+			t.Errorf("%s LIMIT %d: %d spill runs, want %d", tc.order, tc.limit, runs, tc.runs)
+		}
+		if top.Table.Len() != tc.limit {
+			t.Fatalf("%s LIMIT %d: %d rows", tc.order, tc.limit, top.Table.Len())
+		}
+		for i := range top.Table.Len() {
+			if got, want := top.Table.Get(i, "i"), all.Table.Get(i, "i"); got != want {
+				t.Fatalf("%s LIMIT %d: row %d = %v, the unbounded order's is %v", tc.order, tc.limit, i, got, want)
+			}
+		}
+	}
+	if live := plan.SpillFilesLive(); live != 0 {
+		t.Fatalf("%d spill files still live", live)
+	}
+}

@@ -1,15 +1,16 @@
 package graph
 
 import (
-	"fmt"
-	"sort"
+	"bytes"
+	"cmp"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
-
-	"repro/internal/value"
 )
 
-func sortedAscending(ids []RelID) bool {
-	return sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] })
+func sortedAscending(row []AdjEntry) bool {
+	return slices.IsSortedFunc(row, func(x, y AdjEntry) int { return cmp.Compare(x.Rel, y.Rel) })
 }
 
 // Adjacency lists are maintained sorted on insert so Outgoing/Incoming
@@ -69,47 +70,158 @@ func TestDetachDeleteWithSharedAdjacency(t *testing.T) {
 	g := New()
 	a := g.CreateNode(nil, nil)
 	b := g.CreateNode(nil, nil)
+	var rels []RelID
 	for i := 0; i < 5; i++ {
-		if _, err := g.CreateRel(a.ID, b.ID, "T", nil); err != nil {
+		r, err := g.CreateRel(a.ID, b.ID, "T", nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.CreateRel(b.ID, a.ID, "U", nil); err != nil {
+		u, err := g.CreateRel(b.ID, a.ID, "U", nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		rels = append(rels, r.ID, u.ID)
 	}
 	// Self-loops exercise the same-list mutation path.
 	if _, err := g.CreateRel(a.ID, a.ID, "S", nil); err != nil {
 		t.Fatal(err)
 	}
-	g.DetachDeleteNode(a.ID)
-	if err := g.Validate(); err != nil {
+
+	// A reader pins the hub's rows; the writer deletes relationships on
+	// the shared hub, restores them by rolling back, deletes them again
+	// and commits. The pinned rows must not change at any point.
+	store := NewStore(g)
+	pin := store.Acquire()
+	defer pin.Release()
+	pg := pin.Graph()
+	pinned := func() [4][]AdjEntry {
+		return [4][]AdjEntry{slices.Clone(pg.Outgoing(a.ID)), slices.Clone(pg.Incoming(a.ID)), slices.Clone(pg.Outgoing(b.ID)), slices.Clone(pg.Incoming(b.ID))}
+	}
+	before := pinned()
+	w := store.BeginWrite()
+	wg := w.Graph()
+	mark := w.Journal().Mark()
+	for _, rid := range rels[2:7] {
+		wg.DeleteRel(rid)
+	}
+	if !reflect.DeepEqual(pinned(), before) {
+		t.Fatal("pinned rows changed under the writer's deletes")
+	}
+	w.Journal().RollbackTo(mark)
+	checkRowsRebuilt(t, wg, "writer after rollback")
+	wg.DetachDeleteNode(a.ID)
+	if !reflect.DeepEqual(pinned(), before) {
+		t.Fatal("pinned rows changed under the writer's restore and detach delete")
+	}
+	if _, err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if g.NumRels() != 0 || g.NumNodes() != 1 {
-		t.Fatalf("got %d nodes / %d rels after detach delete", g.NumNodes(), g.NumRels())
+	if !reflect.DeepEqual(pinned(), before) {
+		t.Fatal("pinned rows changed after the writer committed")
+	}
+	checkRowsRebuilt(t, pg, "pinned snapshot")
+	if err := pg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	after := store.Acquire()
+	defer after.Release()
+	if err := after.Graph().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if ng := after.Graph(); ng.NumRels() != 0 || ng.NumNodes() != 1 {
+		t.Fatalf("got %d nodes / %d rels after detach delete", ng.NumNodes(), ng.NumRels())
 	}
 }
 
-// BenchmarkAdjacency is the regression benchmark for the Outgoing /
-// Incoming hot path: before caching, every call sort-copied the
-// adjacency slice (O(d log d) per call); now it returns the maintained
-// slice in O(1).
-func BenchmarkAdjacency(b *testing.B) {
-	for _, degree := range []int{16, 256, 4096} {
-		g := New()
-		hub := g.CreateNode([]string{"Hub"}, nil)
-		for i := 0; i < degree; i++ {
-			other := g.CreateNode(nil, value.Map{"i": value.Int(int64(i))})
-			if _, err := g.CreateRel(hub.ID, other.ID, "T", nil); err != nil {
-				b.Fatal(err)
-			}
+// Entries are derived state: after journal rollback, a codec round
+// trip and Clone, every row must equal a rebuild from the
+// relationships, types and far ends included.
+func TestAdjacencyEntriesMatchRebuild(t *testing.T) {
+	g := New()
+	var nodes []NodeID
+	for i := 0; i < 6; i++ {
+		nodes = append(nodes, g.CreateNode(nil, nil).ID)
+	}
+	types := []string{"A", "B", "C"}
+	var rels []RelID
+	for i := 0; i < 30; i++ {
+		src, tgt := nodes[i%6], nodes[(i*7)%6]
+		r, err := g.CreateRel(src, tgt, types[i%3], nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("degree=%d", degree), func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				total += len(g.Outgoing(hub.ID))
-			}
-			_ = total
-		})
+		rels = append(rels, r.ID)
+	}
+	j := g.BeginJournal()
+	for _, rid := range rels[5:20] {
+		g.DeleteRel(rid)
+	}
+	g.DetachDeleteNode(nodes[2])
+	if _, err := g.CreateRel(nodes[0], nodes[1], "D", nil); err != nil {
+		t.Fatal(err)
+	}
+	checkRowsRebuilt(t, g, "mid-statement")
+	j.Rollback()
+	checkRowsRebuilt(t, g, "after rollback")
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	checkRowsRebuilt(t, g.Clone(), "clone")
+	var buf bytes.Buffer
+	if err := g.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRowsRebuilt(t, dec, "decoded")
+	for _, id := range g.NodeIDs() {
+		if !entriesEqual(g, dec, g.Outgoing(id), dec.Outgoing(id)) || !entriesEqual(g, dec, g.Incoming(id), dec.Incoming(id)) {
+			t.Fatalf("node %d: decoded rows differ", id)
+		}
+	}
+}
+
+// Validate reads the rows too: an entry whose far end, type or
+// presence disagrees with its relationship is reported.
+func TestValidateChecksAdjacency(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		plant func(g *Graph, a, b NodeID, r RelID)
+		want  string
+	}{
+		{"wrong far end", func(g *Graph, a, b NodeID, r RelID) {
+			g.adjWritable(&g.outgoing, a).entries[0].Other = a
+		}, "does not match"},
+		{"wrong type", func(g *Graph, a, b NodeID, r RelID) {
+			g.adjWritable(&g.incoming, b).entries[0].Type = g.intern("OTHER")
+		}, "does not match"},
+		{"missing entry", func(g *Graph, a, b NodeID, r RelID) {
+			g.adjRemove(&g.incoming, b, r)
+		}, "in rows hold 0 entries for 1 relationships"},
+		{"entry of a deleted relationship", func(g *Graph, a, b NodeID, r RelID) {
+			g.rels.del(g.tag, int64(r))
+			g.adjRemove(&g.incoming, b, r)
+		}, "names missing relationship"},
+		{"duplicate entry", func(g *Graph, a, b NodeID, r RelID) {
+			row := g.adjWritable(&g.outgoing, a)
+			row.entries = append(row.entries, row.entries[0])
+		}, "not strictly ascending"},
+	} {
+		g := New()
+		a, b := g.CreateNode(nil, nil).ID, g.CreateNode(nil, nil).ID
+		r, err := g.CreateRel(a, b, "T", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: before planting: %v", tc.name, err)
+		}
+		tc.plant(g, a, b, r.ID)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

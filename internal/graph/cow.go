@@ -91,17 +91,21 @@ type idMap[V any] struct {
 
 // get returns the value stored for id.
 func (m *idMap[V]) get(id int64) (V, bool) {
+	if !m.has(id) {
+		var zero V
+		return zero, false
+	}
+	return m.shards[id>>shardBits].vals[id&(shardSize-1)], true
+}
+
+// has reports whether id is stored, reading only the presence bitmap.
+func (m *idMap[V]) has(id int64) bool {
 	si := uint64(id >> shardBits)
 	if si >= uint64(len(m.shards)) || m.shards[si] == nil {
-		var zero V
-		return zero, false
+		return false
 	}
-	s, off := m.shards[si], id&(shardSize-1)
-	if s.present[off>>6]&(1<<(off&63)) == 0 {
-		var zero V
-		return zero, false
-	}
-	return s.vals[off], true
+	off := id & (shardSize - 1)
+	return m.shards[si].present[off>>6]&(1<<(off&63)) != 0
 }
 
 // size reports the number of stored entries.
@@ -202,13 +206,14 @@ func (m *idMap[V]) cloneShared() idMap[V] {
 	return idMap[V]{shards: append([]*idShard[V](nil), m.shards...), n: m.n}
 }
 
-// adjRow is one node's cached sorted adjacency list (out or in). The
-// slice is the copy-on-write unit: rows are shared across epochs and
-// copied before the first append/remove by a new graph generation, so a
-// published snapshot's adjacency is never resliced under a reader.
+// adjRow is one node's cached adjacency row (out or in): its entries
+// in ascending relationship id order. The slice is the copy-on-write
+// unit: rows are shared across epochs and copied before the first
+// append/remove by a new graph generation, so a published snapshot's
+// adjacency is never resliced under a reader.
 type adjRow struct {
-	ids   []RelID
-	owner uint64
+	entries []AdjEntry
+	owner   uint64
 }
 
 // adjWritable returns a mutable adjacency row for id, creating an empty
@@ -220,40 +225,30 @@ func (g *Graph) adjWritable(m *idMap[*adjRow], id NodeID) *adjRow {
 		row = &adjRow{owner: g.tag}
 		m.put(g.tag, int64(id), row)
 	case row.owner != g.tag:
-		row = &adjRow{ids: append([]RelID(nil), row.ids...), owner: g.tag}
+		row = &adjRow{entries: slices.Clone(row.entries), owner: g.tag}
 		m.put(g.tag, int64(id), row)
 	}
 	return row
 }
 
-// adjIDs returns the (read-only) adjacency list stored for id.
-func adjIDs(m *idMap[*adjRow], id NodeID) []RelID {
+// adjEntries returns the (read-only) adjacency row stored for id.
+func adjEntries(m *idMap[*adjRow], id NodeID) []AdjEntry {
 	row, ok := m.get(int64(id))
 	if !ok {
 		return nil
 	}
-	return row.ids
+	return row.entries
 }
 
-// adjRemove deletes rid from id's adjacency list, copying the row only
-// when rid is actually present.
+// adjRemove deletes rid's entry from id's adjacency row, copying the
+// row only when the entry is actually present.
 func (g *Graph) adjRemove(m *idMap[*adjRow], id NodeID, rid RelID) {
-	row, ok := m.get(int64(id))
+	i, ok := entryIndex(adjEntries(m, id), rid)
 	if !ok {
 		return
 	}
-	found := false
-	for _, x := range row.ids {
-		if x == rid {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return
-	}
-	row = g.adjWritable(m, id)
-	row.ids = removeRelID(row.ids, rid)
+	row := g.adjWritable(m, id)
+	row.entries = slices.Delete(row.entries, i, i+1)
 }
 
 // labelSet is the per-label node-id set, sharded like every id-keyed

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/value"
@@ -27,10 +28,10 @@ func graphsEqual(t *testing.T, a, b *Graph, ctx string) {
 		if pa, pb := a.PropMap(na.Props), b.PropMap(nb.Props); !reflect.DeepEqual(pa, pb) {
 			t.Fatalf("%s: node %d props %v vs %v", ctx, id, pa, pb)
 		}
-		if !relIDsEqual(a.Outgoing(id), b.Outgoing(id)) {
+		if !entriesEqual(a, b, a.Outgoing(id), b.Outgoing(id)) {
 			t.Fatalf("%s: node %d outgoing %v vs %v", ctx, id, a.Outgoing(id), b.Outgoing(id))
 		}
-		if !relIDsEqual(a.Incoming(id), b.Incoming(id)) {
+		if !entriesEqual(a, b, a.Incoming(id), b.Incoming(id)) {
 			t.Fatalf("%s: node %d incoming %v vs %v", ctx, id, a.Incoming(id), b.Incoming(id))
 		}
 	}
@@ -61,16 +62,46 @@ func graphsEqual(t *testing.T, a, b *Graph, ctx string) {
 // relIDsEqual compares adjacency lists element-wise, treating nil and
 // empty as equal (a copied-then-emptied row and a never-present row are
 // the same observable state).
-func relIDsEqual(a, b []RelID) bool {
-	if len(a) != len(b) {
-		return false
+// entriesEqual compares two adjacency rows of graphs a and b, whose
+// symbol tables may number the same type differently.
+func entriesEqual(a, b *Graph, ea, eb []AdjEntry) bool {
+	return slices.EqualFunc(ea, eb, func(x, y AdjEntry) bool {
+		return x.Rel == y.Rel && x.Other == y.Other && a.SymName(x.Type) == b.SymName(y.Type)
+	})
+}
+
+// rebuiltRows recomputes every adjacency row from the relationships
+// alone, in ascending id order: what incremental maintenance must hold.
+func rebuiltRows(g *Graph) (out, in map[NodeID][]AdjEntry) {
+	out, in = map[NodeID][]AdjEntry{}, map[NodeID][]AdjEntry{}
+	for _, id := range g.RelIDs() {
+		r := g.Rel(id)
+		out[r.Src] = append(out[r.Src], AdjEntry{Rel: id, Other: r.Tgt, Type: r.Type})
+		in[r.Tgt] = append(in[r.Tgt], AdjEntry{Rel: id, Other: r.Src, Type: r.Type})
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return out, in
+}
+
+// checkRowsRebuilt asserts g's non-empty adjacency rows equal a
+// from-scratch rebuild from its relationships.
+func checkRowsRebuilt(t *testing.T, g *Graph, ctx string) {
+	t.Helper()
+	out, in := rebuiltRows(g)
+	for _, side := range []struct {
+		name string
+		rows *idMap[*adjRow]
+		want map[NodeID][]AdjEntry
+	}{{"out", &g.outgoing, out}, {"in", &g.incoming, in}} {
+		got := map[NodeID][]AdjEntry{}
+		side.rows.each(func(id int64, row *adjRow) {
+			if len(row.entries) > 0 {
+				got[NodeID(id)] = row.entries
+			}
+		})
+		if !reflect.DeepEqual(got, side.want) {
+			t.Fatalf("%s: %s rows %v, rebuilt %v", ctx, side.name, got, side.want)
 		}
 	}
-	return true
 }
 
 // checkGraphInvariants asserts the incrementally maintained structures
@@ -83,6 +114,7 @@ func checkGraphInvariants(t *testing.T, g *Graph, ctx string) {
 		t.Fatalf("%s: incremental stats %+v, recount %+v", ctx, got, want)
 	}
 	checkIndexes(t, g, ctx)
+	checkRowsRebuilt(t, g, ctx)
 }
 
 // cowTestOps returns the operation generator shared by the equivalence

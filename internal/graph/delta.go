@@ -246,11 +246,11 @@ func (d *DeleteSet) Rels() []RelID {
 // (DETACH DELETE).
 func (d *DeleteSet) Expand(g *Graph) {
 	for id := range d.nodes {
-		for _, rid := range g.Outgoing(id) {
-			d.rels[rid] = struct{}{}
+		for _, e := range g.Outgoing(id) {
+			d.rels[e.Rel] = struct{}{}
 		}
-		for _, rid := range g.Incoming(id) {
-			d.rels[rid] = struct{}{}
+		for _, e := range g.Incoming(id) {
+			d.rels[e.Rel] = struct{}{}
 		}
 	}
 }
@@ -263,13 +263,13 @@ func (d *DeleteSet) Check(g *Graph) error {
 			continue
 		}
 		attached := 0
-		for _, rid := range g.Outgoing(id) {
-			if !d.HasRel(rid) {
+		for _, e := range g.Outgoing(id) {
+			if !d.HasRel(e.Rel) {
 				attached++
 			}
 		}
-		for _, rid := range g.Incoming(id) {
-			if !d.HasRel(rid) {
+		for _, e := range g.Incoming(id) {
+			if !d.HasRel(e.Rel) {
 				attached++
 			}
 		}

@@ -26,9 +26,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/value"
 )
@@ -62,6 +62,17 @@ type Rel struct {
 
 	// owner is the copy-on-write generation tag, as on Node.
 	owner uint64
+}
+
+// AdjEntry is one relationship in a node's adjacency row: its id, its
+// type and its far end — the target in an outgoing row, the source in
+// an incoming one. A relationship's type and endpoints never change
+// while it exists, so an entry stays valid for the relationship's
+// lifetime, and a hop reads both without loading the relationship.
+type AdjEntry struct {
+	Rel   RelID
+	Other NodeID
+	Type  SymID
 }
 
 // Graph is an in-memory property graph. It is not safe for concurrent
@@ -137,10 +148,16 @@ func (g *Graph) Rel(id RelID) *Rel {
 }
 
 // HasNode reports whether a node with the given id exists.
-func (g *Graph) HasNode(id NodeID) bool { _, ok := g.nodes.get(int64(id)); return ok }
+func (g *Graph) HasNode(id NodeID) bool { return g.nodes.has(int64(id)) }
 
 // HasRel reports whether a relationship with the given id exists.
-func (g *Graph) HasRel(id RelID) bool { _, ok := g.rels.get(int64(id)); return ok }
+func (g *Graph) HasRel(id RelID) bool { return g.rels.has(int64(id)) }
+
+// HasLabelID reports whether node id carries the interned label. It
+// reads the label index's presence bit and does not load the node.
+func (g *Graph) HasLabelID(id NodeID, label SymID) bool {
+	return int(label) < len(g.byLabel) && g.byLabel[label].has(int64(id))
+}
 
 // NodeIDs returns all node ids in ascending order. The deterministic order
 // is what makes legacy-mode scans reproducible for a given graph state.
@@ -166,33 +183,38 @@ func (g *Graph) NodeIDsByLabelID(label SymID) []NodeID {
 	return ascendingIDs[NodeID](&g.byLabel[label])
 }
 
-// Outgoing returns the ids of relationships whose source is the node,
-// in ascending order. The returned slice is the store's own adjacency
-// list — a read-only view that is invalidated by the next mutation of
+// Outgoing returns the adjacency entries of the relationships whose
+// source is the node, in ascending relationship id order; an entry's
+// Other is the target. The returned slice is the store's own adjacency
+// row — a read-only view that is invalidated by the next mutation of
 // the graph; callers must not modify it or hold it across writes.
-// (Adjacency lists are maintained sorted on insert: ids are monotonic,
-// so creation appends in order, and deletion/restore preserve order.)
-func (g *Graph) Outgoing(id NodeID) []RelID {
-	return adjIDs(&g.outgoing, id)
+// (Rows are maintained sorted on insert: ids are monotonic, so
+// creation appends in order, and deletion/restore preserve order.)
+func (g *Graph) Outgoing(id NodeID) []AdjEntry {
+	return adjEntries(&g.outgoing, id)
 }
 
-// Incoming returns the ids of relationships whose target is the node,
-// in ascending order, under the same read-only-view contract as
-// Outgoing.
-func (g *Graph) Incoming(id NodeID) []RelID {
-	return adjIDs(&g.incoming, id)
+// Incoming returns the adjacency entries of the relationships whose
+// target is the node, in ascending relationship id order; an entry's
+// Other is the source. The same read-only-view contract as Outgoing
+// holds.
+func (g *Graph) Incoming(id NodeID) []AdjEntry {
+	return adjEntries(&g.incoming, id)
 }
 
-// insertRelIDSorted inserts id into an ascending slice, keeping it
-// sorted. Restores (rollback, codec decode) may reinstate a
-// relationship with an id smaller than later-created survivors, so a
-// plain append would break the sorted-adjacency invariant.
-func insertRelIDSorted(ids []RelID, id RelID) []RelID {
-	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
+// entryIndex finds rid's entry in an ascending row: its index, or where
+// it would be inserted and false.
+func entryIndex(row []AdjEntry, rid RelID) (int, bool) {
+	return slices.BinarySearchFunc(row, rid, func(e AdjEntry, rid RelID) int { return cmp.Compare(e.Rel, rid) })
+}
+
+// insertEntrySorted inserts e into an ascending row, keeping it sorted.
+// Restores (rollback, codec decode) may reinstate a relationship with
+// an id smaller than later-created survivors, so a plain append would
+// break the sorted-adjacency invariant.
+func insertEntrySorted(row []AdjEntry, e AdjEntry) []AdjEntry {
+	i, _ := entryIndex(row, e.Rel)
+	return slices.Insert(row, i, e)
 }
 
 // Degree reports the total number of relationships attached to the node
@@ -239,9 +261,9 @@ func (g *Graph) CreateRel(src, tgt NodeID, relType string, props value.Map) (*Re
 	// A freshly created id exceeds every stored one, so appending keeps
 	// the adjacency rows sorted.
 	out := g.adjWritable(&g.outgoing, src)
-	out.ids = append(out.ids, r.ID)
+	out.entries = append(out.entries, AdjEntry{Rel: r.ID, Other: tgt, Type: r.Type})
 	in := g.adjWritable(&g.incoming, tgt)
-	in.ids = append(in.ids, r.ID)
+	in.entries = append(in.entries, AdjEntry{Rel: r.ID, Other: src, Type: r.Type})
 	g.statsRel(r, +1)
 	if g.journal != nil {
 		g.journal.record(undoCreateRel{id: r.ID})
@@ -310,10 +332,10 @@ func (g *Graph) removeNodeInternal(n *Node) {
 	}
 	// Adjacency rows for the node are retained only if non-empty
 	// (dangling rels keep referring to the removed node id).
-	if len(adjIDs(&g.outgoing, n.ID)) == 0 {
+	if len(adjEntries(&g.outgoing, n.ID)) == 0 {
 		g.outgoing.del(g.tag, int64(n.ID))
 	}
-	if len(adjIDs(&g.incoming, n.ID)) == 0 {
+	if len(adjEntries(&g.incoming, n.ID)) == 0 {
 		g.incoming.del(g.tag, int64(n.ID))
 	}
 }
@@ -323,12 +345,12 @@ func (g *Graph) DetachDeleteNode(id NodeID) {
 	if !g.HasNode(id) {
 		return
 	}
-	// Copy the adjacency lists before deleting: DeleteRel mutates them.
-	for _, rid := range append([]RelID(nil), g.Outgoing(id)...) {
-		g.DeleteRel(rid)
+	// Copy the adjacency rows before deleting: DeleteRel mutates them.
+	for _, e := range slices.Clone(g.Outgoing(id)) {
+		g.DeleteRel(e.Rel)
 	}
-	for _, rid := range append([]RelID(nil), g.Incoming(id)...) {
-		g.DeleteRel(rid)
+	for _, e := range slices.Clone(g.Incoming(id)) {
+		g.DeleteRel(e.Rel)
 	}
 	g.DeleteNodeUnchecked(id)
 }
@@ -440,15 +462,6 @@ func (g *Graph) unindexLabel(label SymID, id NodeID) {
 	}
 }
 
-func removeRelID(ids []RelID, id RelID) []RelID {
-	for i, x := range ids {
-		if x == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
-}
-
 // DanglingError reports a deletion that would leave (or has left)
 // relationships without an endpoint.
 type DanglingError struct {
@@ -463,15 +476,60 @@ func (e *DanglingError) Error() string {
 
 // Validate checks the structural invariant that every relationship's
 // endpoints exist, returning the violation of the lowest relationship
-// id. It walks the whole graph; statement boundaries use the journal's
-// CheckDangling instead, and Validate is its test oracle.
+// id, and then that the adjacency rows match the relationships (see
+// validateRows). It walks the whole graph; statement boundaries use the
+// journal's CheckDangling instead, and Validate is its test oracle.
 func (g *Graph) Validate() error {
 	for _, id := range g.RelIDs() {
 		if err := g.Rel(id).danglingError(g); err != nil {
 			return err
 		}
 	}
-	return nil
+	if err := g.validateRows(&g.outgoing, "out"); err != nil {
+		return err
+	}
+	return g.validateRows(&g.incoming, "in")
+}
+
+// validateRows checks one side's adjacency rows against the
+// relationships: every entry names a live relationship whose source
+// (out rows) or target (in rows) is the row's node, with the
+// relationship's type and far end, entries ascend strictly by id, and
+// the rows hold one entry per relationship. A relationship has one
+// source and one target, so it then has exactly one entry per side.
+// A row of an absent node is one a legacy DeleteNodeUnchecked left;
+// its entries are dangling relationships, which Validate reports first.
+func (g *Graph) validateRows(rows *idMap[*adjRow], side string) error {
+	var err error
+	n := 0
+	rows.each(func(id int64, row *adjRow) {
+		for i, e := range row.entries {
+			if err != nil {
+				return
+			}
+			r := g.Rel(e.Rel)
+			near, far := NodeID(0), NodeID(0)
+			if r != nil {
+				near, far = r.Src, r.Tgt
+				if side == "in" {
+					near, far = far, near
+				}
+			}
+			switch {
+			case r == nil:
+				err = fmt.Errorf("graph: node %d's %s row names missing relationship %d", id, side, e.Rel)
+			case i > 0 && row.entries[i-1].Rel >= e.Rel:
+				err = fmt.Errorf("graph: node %d's %s row is not strictly ascending at relationship %d", id, side, e.Rel)
+			case near != NodeID(id) || far != e.Other || r.Type != e.Type:
+				err = fmt.Errorf("graph: node %d's %s row entry %+v does not match relationship %d (%d)-[%d]->(%d)", id, side, e, r.ID, r.Src, r.Type, r.Tgt)
+			}
+		}
+		n += len(row.entries)
+	})
+	if err == nil && n != g.NumRels() {
+		err = fmt.Errorf("graph: %s rows hold %d entries for %d relationships", side, n, g.NumRels())
+	}
+	return err
 }
 
 // danglingError reports r's missing endpoint in g, source first, or nil.
@@ -509,10 +567,10 @@ func (g *Graph) Clone() *Graph {
 		ng.rels.put(ng.tag, id, c)
 	})
 	g.outgoing.each(func(id int64, row *adjRow) {
-		ng.outgoing.put(ng.tag, id, &adjRow{ids: append([]RelID(nil), row.ids...), owner: ng.tag})
+		ng.outgoing.put(ng.tag, id, &adjRow{entries: slices.Clone(row.entries), owner: ng.tag})
 	})
 	g.incoming.each(func(id int64, row *adjRow) {
-		ng.incoming.put(ng.tag, id, &adjRow{ids: append([]RelID(nil), row.ids...), owner: ng.tag})
+		ng.incoming.put(ng.tag, id, &adjRow{entries: slices.Clone(row.entries), owner: ng.tag})
 	})
 	ng.syms = g.syms.copyFor(ng.tag)
 	ng.byLabel = make([]labelSet, len(g.byLabel))
@@ -562,8 +620,8 @@ func (g *Graph) restoreRel(r *Rel) {
 	r.owner = g.tag
 	g.rels.put(g.tag, int64(r.ID), r)
 	out := g.adjWritable(&g.outgoing, r.Src)
-	out.ids = insertRelIDSorted(out.ids, r.ID)
+	out.entries = insertEntrySorted(out.entries, AdjEntry{Rel: r.ID, Other: r.Tgt, Type: r.Type})
 	in := g.adjWritable(&g.incoming, r.Tgt)
-	in.ids = insertRelIDSorted(in.ids, r.ID)
+	in.entries = insertEntrySorted(in.entries, AdjEntry{Rel: r.ID, Other: r.Src, Type: r.Type})
 	g.statsRel(r, +1)
 }

@@ -60,10 +60,10 @@ func TestCreateRelValidation(t *testing.T) {
 	if _, has := g.Prop(r.Props, "nul"); has {
 		t.Error("null rel property stored")
 	}
-	if out := g.Outgoing(a.ID); len(out) != 1 || out[0] != r.ID {
+	if out := g.Outgoing(a.ID); len(out) != 1 || out[0] != (AdjEntry{Rel: r.ID, Other: b.ID, Type: r.Type}) {
 		t.Errorf("Outgoing = %v", out)
 	}
-	if in := g.Incoming(b.ID); len(in) != 1 || in[0] != r.ID {
+	if in := g.Incoming(b.ID); len(in) != 1 || in[0] != (AdjEntry{Rel: r.ID, Other: a.ID, Type: r.Type}) {
 		t.Errorf("Incoming = %v", in)
 	}
 	if g.Degree(a.ID) != 1 || g.Degree(b.ID) != 1 {

@@ -45,13 +45,11 @@ func nodeSig(g *Graph, n *Node) string {
 	// Local relationship structure: multiset of (dir, type, props) of
 	// incident relationships.
 	var inc []string
-	for _, rid := range g.Outgoing(n.ID) {
-		r := g.Rel(rid)
-		inc = append(inc, ">"+g.TypeName(r)+value.MapKey(g.PropMap(r.Props)))
+	for _, e := range g.Outgoing(n.ID) {
+		inc = append(inc, ">"+g.SymName(e.Type)+value.MapKey(g.PropMap(g.Rel(e.Rel).Props)))
 	}
-	for _, rid := range g.Incoming(n.ID) {
-		r := g.Rel(rid)
-		inc = append(inc, "<"+g.TypeName(r)+value.MapKey(g.PropMap(r.Props)))
+	for _, e := range g.Incoming(n.ID) {
+		inc = append(inc, "<"+g.SymName(e.Type)+value.MapKey(g.PropMap(g.Rel(e.Rel).Props)))
 	}
 	sort.Strings(inc)
 	sb.WriteByte('|')
@@ -149,18 +147,16 @@ func partialConsistent(a, b *Graph, mapping map[NodeID]NodeID, newest NodeID) bo
 func relMultisetMatch(a, b *Graph, mapping map[NodeID]NodeID, src, tgt NodeID) bool {
 	key := func(t string, props value.Map) string { return t + "|" + value.MapKey(props) }
 	aCount := make(map[string]int)
-	for _, rid := range a.Outgoing(src) {
-		r := a.Rel(rid)
-		if r.Tgt == tgt {
-			aCount[key(a.TypeName(r), a.PropMap(r.Props))]++
+	for _, e := range a.Outgoing(src) {
+		if e.Other == tgt {
+			aCount[key(a.SymName(e.Type), a.PropMap(a.Rel(e.Rel).Props))]++
 		}
 	}
 	bCount := make(map[string]int)
 	bs, bt := mapping[src], mapping[tgt]
-	for _, rid := range b.Outgoing(bs) {
-		r := b.Rel(rid)
-		if r.Tgt == bt {
-			bCount[key(b.TypeName(r), b.PropMap(r.Props))]++
+	for _, e := range b.Outgoing(bs) {
+		if e.Other == bt {
+			bCount[key(b.SymName(e.Type), b.PropMap(b.Rel(e.Rel).Props))]++
 		}
 	}
 	if len(aCount) != len(bCount) {

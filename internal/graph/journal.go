@@ -75,10 +75,10 @@ func (j *Journal) CheckDangling(mark int) error {
 		if !ok || g.HasNode(u.node.ID) {
 			continue
 		}
-		for _, ids := range [2][]RelID{g.Outgoing(u.node.ID), g.Incoming(u.node.ID)} {
+		for _, row := range [2][]AdjEntry{g.Outgoing(u.node.ID), g.Incoming(u.node.ID)} {
 			// Rows are sorted, so only their first id can be the lowest.
-			if len(ids) > 0 && (first == 0 || ids[0] < first) {
-				first = ids[0]
+			if len(row) > 0 && (first == 0 || row[0].Rel < first) {
+				first = row[0].Rel
 			}
 		}
 	}

@@ -114,15 +114,11 @@ func (g *Graph) statsLabel(id NodeID, label SymID, delta int) {
 }
 
 func (g *Graph) statsLabelRels(id NodeID, label SymID, delta int) {
-	for _, rid := range g.Outgoing(id) {
-		if r := g.Rel(rid); r != nil {
-			g.stats.statsEnd(label, r.Type, true, delta)
-		}
+	for _, e := range g.Outgoing(id) {
+		g.stats.statsEnd(label, e.Type, true, delta)
 	}
-	for _, rid := range g.Incoming(id) {
-		if r := g.Rel(rid); r != nil {
-			g.stats.statsEnd(label, r.Type, false, delta)
-		}
+	for _, e := range g.Incoming(id) {
+		g.stats.statsEnd(label, e.Type, false, delta)
 	}
 }
 

@@ -238,7 +238,7 @@ type frame struct {
 	pos        int
 	mark       int // len(Iter.trail) when the frame was pushed
 	nodes      []graph.NodeID
-	rels       []relCandidate
+	rels       []graph.AdjEntry
 }
 
 // Reset starts it over the matches of parts that extend row, a row over
@@ -368,7 +368,7 @@ func (it *Iter) unwind(mark int) {
 // one ended by a stop entry above it or the one the top frame extends.
 func (it *Iter) used(rid graph.RelID) bool {
 	for _, f := range it.stack[:len(it.stack)-1] {
-		if (f.kind == hopFrame || f.kind == varFrame) && f.pos > 0 && f.rels[f.pos-1].rid == rid {
+		if (f.kind == hopFrame || f.kind == varFrame) && f.pos > 0 && f.rels[f.pos-1].Rel == rid {
 			return true
 		}
 	}
@@ -477,7 +477,7 @@ func (it *Iter) enterStep(pi, si int) error {
 
 // spare returns, emptied, the candidate storage the frame that last
 // occupied the next stack slot left behind.
-func (it *Iter) spare() []relCandidate {
+func (it *Iter) spare() []graph.AdjEntry {
 	if n := len(it.stack); n < cap(it.stack) {
 		return it.stack[:n+1][n].rels[:0]
 	}
@@ -496,12 +496,12 @@ func (it *Iter) takeHop(i int) error {
 	pp := &it.plans[pi]
 	st := pp.steps[si]
 	rp := pp.part.Rels[st.rel]
-	ok, err := it.relSatisfies(c.rid, rp, &pp.relSyms[st.rel])
+	ok, err := it.relSatisfies(c, rp, &pp.relSyms[st.rel])
 	if err != nil || !ok {
 		return err
 	}
 	if rp.Var != "" && !preBound {
-		it.bind(rp.Slot, value.Rel{ID: int64(c.rid)})
+		it.bind(rp.Slot, value.Rel{ID: int64(c.Rel)})
 	}
 	// Pushed WHERE conjuncts over the relationship slot prune before the
 	// far endpoint is even considered (same contract as the node
@@ -514,12 +514,12 @@ func (it *Iter) takeHop(i int) error {
 			}
 		}
 	}
-	if ok, err = it.endNode(pp.part.Nodes[st.to], &pp.nodeSyms[st.to], c.end); err != nil || !ok {
+	if ok, err = it.endNode(pp.part.Nodes[st.to], &pp.nodeSyms[st.to], c.Other); err != nil || !ok {
 		return err
 	}
-	it.nodes[pi][st.to] = c.end
+	it.nodes[pi][st.to] = c.Other
 	if pp.part.Var != "" {
-		it.rels[pi][st.rel] = append(it.rels[pi][st.rel][:0], c.rid)
+		it.rels[pi][st.rel] = append(it.rels[pi][st.rel][:0], c.Rel)
 	}
 	return it.enterStep(pi, si+1)
 }
@@ -557,17 +557,17 @@ func (it *Iter) takeVarHop(i int) error {
 		it.m.Stats.RelVisits++
 	}
 	for j := i - f.depth; j < i; j++ {
-		if a := &it.stack[j]; a.rels[a.pos-1].rid == c.rid {
+		if a := &it.stack[j]; a.rels[a.pos-1].Rel == c.Rel {
 			return nil
 		}
 	}
 	pp := &it.plans[f.part]
 	rel := pp.steps[f.step].rel
-	ok, err := it.relSatisfies(c.rid, pp.part.Rels[rel], &pp.relSyms[rel])
+	ok, err := it.relSatisfies(c, pp.part.Rels[rel], &pp.relSyms[rel])
 	if err != nil || !ok {
 		return err
 	}
-	it.pushLevel(frame{part: f.part, step: f.step}, c.end, f.depth+1)
+	it.pushLevel(frame{part: f.part, step: f.step}, c.Other, f.depth+1)
 	return nil
 }
 
@@ -583,7 +583,7 @@ func (it *Iter) takeEnd(i int) error {
 	path := it.rels[pi][st.rel][:0]
 	for j := i - f.depth; j < i; j++ {
 		a := &it.stack[j]
-		path = append(path, a.rels[a.pos-1].rid)
+		path = append(path, a.rels[a.pos-1].Rel)
 	}
 	if st.reversed {
 		slices.Reverse(path)
@@ -606,15 +606,19 @@ func (it *Iter) takeEnd(i int) error {
 
 // relSatisfies checks a relationship candidate against the taken ones
 // (in Isomorphism mode), the pattern's types and its inline properties.
-func (it *Iter) relSatisfies(rid graph.RelID, rp *ast.RelPattern, ss *slotSyms) (bool, error) {
-	if it.m.Mode == Isomorphism && it.used(rid) {
+// The type comes from the adjacency entry; the relationship itself is
+// loaded only when the pattern has inline properties.
+func (it *Iter) relSatisfies(c graph.AdjEntry, rp *ast.RelPattern, ss *slotSyms) (bool, error) {
+	if it.m.Mode == Isomorphism && it.used(c.Rel) {
 		return false, nil
 	}
-	r := it.m.Graph.Rel(rid)
-	if r == nil || !typeMatches(r, ss) {
+	if !typeMatches(c.Type, ss) {
 		return false, nil
 	}
-	return it.propsSatisfy(r.Props, rp.Props, ss.keys)
+	if rp.Props == nil {
+		return true, nil
+	}
+	return it.propsSatisfy(it.m.Graph.Rel(c.Rel).Props, rp.Props, ss.keys)
 }
 
 // endNode checks a hop's far endpoint against its node pattern. When
@@ -728,22 +732,32 @@ func (m *Matcher) seekCandidates(seek *seekPlan, np *ast.NodePattern, row []valu
 // nodeSatisfies checks a node against a node pattern's labels and
 // inline properties, binds the pattern's variable to it unless it is
 // already bound, and then (unless naive) checks the pushed WHERE
-// conjuncts over the slot. A binding made here stays on the trail
-// whatever the outcome; the frame that took the candidate unwinds it.
+// conjuncts over the slot. Presence and labels are read from the
+// graph's bitmaps (HasNode, HasLabelID), so a hop's far end — which
+// may be a node a legacy DeleteNodeUnchecked removed earlier in the
+// statement — is tested without loading it; the *Node is loaded only
+// when the pattern has inline properties. A binding made here stays on
+// the trail whatever the outcome; the frame that took the candidate
+// unwinds it.
 func (it *Iter) nodeSatisfies(id graph.NodeID, np *ast.NodePattern, ns *slotSyms) (bool, error) {
 	m := it.m
-	n := m.Graph.Node(id)
-	if n == nil || ns.none {
+	g := m.Graph
+	if ns.none || !g.HasNode(id) {
 		return false, nil
 	}
 	for _, l := range ns.names {
-		if !n.Labels.Has(l) {
+		if !g.HasLabelID(id, l) {
 			return false, nil
 		}
 	}
-	ok, err := it.propsSatisfy(n.Props, np.Props, ns.keys)
-	if err != nil || !ok || np.Var == "" {
-		return ok, err
+	if np.Props != nil {
+		ok, err := it.propsSatisfy(g.Node(id).Props, np.Props, ns.keys)
+		if err != nil || !ok {
+			return ok, err
+		}
+	}
+	if np.Var == "" {
+		return true, nil
 	}
 	if it.row[np.Slot] == nil {
 		it.bind(np.Slot, value.Node{ID: int64(id)})
@@ -830,49 +844,58 @@ func lastKey(keys []string, key string) int {
 	return -1
 }
 
-type relCandidate struct {
-	rid graph.RelID
-	end graph.NodeID
-}
-
-// relCandidates appends to out the (relationship, far-endpoint) pairs
-// consistent with the pattern's direction, starting at node `at`;
-// reversed flips the direction for right-to-left traversal.
-func (m *Matcher) relCandidates(out []relCandidate, rp *ast.RelPattern, at graph.NodeID, preBound *graph.RelID, reversed bool) []relCandidate {
-	add := func(rid graph.RelID, end graph.NodeID) {
-		if preBound != nil && rid != *preBound {
-			return
-		}
-		out = append(out, relCandidate{rid: rid, end: end})
-	}
+// relCandidates appends to out the adjacency entries of node `at`
+// consistent with the pattern's direction — the outgoing row, the
+// incoming row, or both — so each candidate carries its relationship,
+// type and far end and the hop loads neither the relationship nor the
+// neighbour; reversed flips the direction for right-to-left traversal.
+// A pre-bound relationship keeps only its own entry. The entries are
+// copied into the frame's reused spare storage rather than walked in
+// place: no write lands between two pulls of a live iterator today
+// (MERGE and the legacy updates drain theirs before writing), but a
+// walk by index into the row would silently depend on that.
+func (m *Matcher) relCandidates(out []graph.AdjEntry, rp *ast.RelPattern, at graph.NodeID, preBound *graph.RelID, reversed bool) []graph.AdjEntry {
 	dir := effectiveDir(rp.Direction, reversed)
 	if dir == ast.DirOut || dir == ast.DirBoth {
-		for _, rid := range m.Graph.Outgoing(at) {
-			add(rid, m.Graph.Rel(rid).Tgt)
-		}
+		out = appendEntries(out, m.Graph.Outgoing(at), preBound)
 	}
-	if dir == ast.DirIn || dir == ast.DirBoth {
-		for _, rid := range m.Graph.Incoming(at) {
-			r := m.Graph.Rel(rid)
-			// A self-loop was already produced by the outgoing scan in
-			// DirBoth mode.
-			if dir == ast.DirBoth && r.Src == r.Tgt {
-				continue
+	if dir == ast.DirIn {
+		out = appendEntries(out, m.Graph.Incoming(at), preBound)
+	}
+	if dir == ast.DirBoth {
+		for _, e := range m.Graph.Incoming(at) {
+			// The outgoing scan already produced every self-loop, whose
+			// incoming entry names `at` as its source.
+			if e.Other != at && (preBound == nil || e.Rel == *preBound) {
+				out = append(out, e)
 			}
-			add(rid, r.Src)
 		}
 	}
 	return out
 }
 
-// typeMatches reports whether r has one of the slot's types (any type
+// appendEntries appends row to out, or only preBound's entry when it
+// is non-nil.
+func appendEntries(out, row []graph.AdjEntry, preBound *graph.RelID) []graph.AdjEntry {
+	if preBound == nil {
+		return append(out, row...)
+	}
+	for _, e := range row {
+		if e.Rel == *preBound {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// typeMatches reports whether typ is one of the slot's types (any type
 // when the pattern names none).
-func typeMatches(r *graph.Rel, ss *slotSyms) bool {
+func typeMatches(typ graph.SymID, ss *slotSyms) bool {
 	if len(ss.names) == 0 {
 		return !ss.none
 	}
 	for _, t := range ss.names {
-		if r.Type == t {
+		if typ == t {
 			return true
 		}
 	}

@@ -667,9 +667,14 @@ func (o *Sort) bound() int {
 // Over budget, the Sort first cuts its pending rows to the bound;
 // if it is still over, the pending rows are sorted and spilled as one
 // run, and the runs are compacted into one when they reach
-// maxMergeWidth. A compacted run is cut to the bound too, and when it
-// holds that many rows its last row's keys become the drop threshold if
-// they sort before the kept bound-th row's. At the end the pending rows
+// maxMergeWidth, or when the rows spilled since a compaction last cut
+// at the bound reach the bound. A compacted run is cut to the bound
+// too, and when it holds that many rows its last row's keys become the
+// drop threshold if they sort before the kept bound-th row's.
+// Compacting once per bound rows spilled sets that threshold as soon
+// as the runs hold the bound, and writes at most bound rows per bound
+// rows spilled: at most twice the spilled rows, besides the
+// maxMergeWidth compactions. At the end the pending rows
 // replay merged with the spilled runs, or alone. The runs are held in
 // o.spill, whose close removes them on any error.
 func (o *Sort) fill() error {
@@ -686,6 +691,7 @@ func (o *Sort) fill() error {
 	var pend []spillRow
 	var pendBytes, seq int64
 	var lastKept []value.Value // keys of the kept bound-th row, once cut
+	spilled := 0               // rows spilled since a compaction last cut at the bound
 	cut := func() {
 		slices.SortFunc(pend, compare)
 		if o.budget.limited() {
@@ -755,15 +761,19 @@ func (o *Sort) fill() error {
 			o.spill.runs = append(o.spill.runs, f)
 			o.spills.Add(1)
 			o.release(pendBytes)
+			spilled += len(pend)
 			clear(pend)
 			pend, pendBytes = pend[:0], 0
-			if len(o.spill.runs) >= maxMergeWidth {
+			if len(o.spill.runs) >= maxMergeWidth || len(o.spill.runs) > 1 && spilled >= bound {
 				merged, kept, err := compactRuns(o.spill.runs, less, bound)
 				o.spill.runs = nil // compactRuns consumed them
 				if err != nil {
 					return err
 				}
 				o.spill.runs = []*spillFile{merged}
+				if kept != nil {
+					spilled = 0
+				}
 				if kept != nil && (lastKept == nil || compareKeys(o.sorts, kept, lastKept) < 0) {
 					lastKept = kept
 				}
