@@ -86,8 +86,14 @@ par:
 # clause may write in place: the caller's driving table must come out
 # untouched, and the reported update stats (MERGE's, and SET's and
 # REMOVE's by kind in both dialects) must be the graph's actual deltas.
+# Three more specify preparing a statement once (its dialect verdict
+# and folded constants are worked out with the statement's text and
+# reused by every execution): folded items keep their column names,
+# an invalid statement gives the same error on every path, cache hit
+# or miss, embedded or served, and one AST prepared again and again on
+# engines of both dialects gives the same results.
 props:
-	go test -race -count=1 -run 'TestOracle|TestClauseCompositionality|TestStatementInvariantMatchesValidate|TestLimitNeverStopsUpdates|TestGoldenCorpus|TestLegacyGoldenCorpus|TestStreamingMatchesMaterializing|TestExecutorTriEquivalenceGolden|TestStreamingPropertyRandomQueries|TestExecuteWithTableLeavesDrivingTableUntouched|TestMergeStatsMatchGraphDeltas|TestUpdateStatsMatchGraphDeltas' ./internal/core
+	go test -race -count=1 -run 'TestOracle|TestClauseCompositionality|TestStatementInvariantMatchesValidate|TestLimitNeverStopsUpdates|TestGoldenCorpus|TestLegacyGoldenCorpus|TestStreamingMatchesMaterializing|TestExecutorTriEquivalenceGolden|TestStreamingPropertyRandomQueries|TestExecuteWithTableLeavesDrivingTableUntouched|TestMergeStatsMatchGraphDeltas|TestUpdateStatsMatchGraphDeltas|TestPrepare' ./internal/core
 	go test -race -count=1 -run 'TestCorpusExecutorSweep' ./internal/script
 
 # The server gate, under the race detector: the wire-protocol
@@ -125,7 +131,8 @@ crash:
 # server's frames and value tags, the client's replies. Each must reject
 # or round-trip canonically, never panic.
 # The expression fuzzer additionally proves folding is invisible:
-# whatever parses evaluates to the same value/error folded or not.
+# whatever parses evaluates to the same value/error folded (without a
+# graph or parameters, as a statement is prepared) or not.
 fuzz:
 	go test -run '^$$' -fuzz FuzzWALRecordRoundTrip -fuzztime 15s ./internal/graph
 	go test -run '^$$' -fuzz FuzzBinaryValueRoundTrip -fuzztime 15s ./internal/graph

@@ -26,7 +26,7 @@
 //	B18 durable commit latency: WAL off / no-sync / grouped fsync / fsync-per-commit
 //	B19 morsel-parallel read scaling: worker degrees 1/2/4/8 on scan-, match-, sort- and per-row-match pipelines
 //	B20 served QPS: N concurrent wire clients vs one, plan slots shared across sessions
-//	B21 expression-heavy pipelines: plan-time constant folding and purity-aware pushdown
+//	B21 expression-heavy pipelines: constant folding and purity-aware pushdown
 //	B22 embedded point read: the fixed per-statement cost of an indexed one-row MATCH
 //	B23 hop-bound aggregates: single hops over typed adjacency on a mixed-type graph
 package repro_test
@@ -823,9 +823,10 @@ func BenchmarkB20ServerConcurrentClients(b *testing.B) {
 // registry-gated conjunct pair in the WHERE, which the planner pushes
 // into the scan. Folded vs unfolded: the filter threshold is a
 // parameter-free pure subtree (size of a literal string) in the folded
-// variant, so the planner collapses it to a constant at plan time; the
-// unfolded variant routes the same value through a parameter, which
-// folding never touches, so the subtree re-evaluates on every row.
+// variant, so the engine collapses it to a constant when it prepares
+// the statement; the unfolded variant routes the same value through a
+// parameter, which folding never touches, so the subtree re-evaluates
+// on every row.
 func BenchmarkB21ExpressionPipeline(b *testing.B) {
 	const n = 100000
 	g := graph.New()

@@ -314,7 +314,8 @@ func (r *Result) Stats() UpdateStats { return r.stats }
 // BEGIN/COMMIT/ROLLBACK are session state and are rejected here; use
 // DB.Session for explicit transactions.
 func (db *DB) Exec(query string, params map[string]any) (*Result, error) {
-	return db.exec(query, nil, params)
+	res, _, err := db.Session().run(runAutoCommit, query, nil, params)
+	return res, err
 }
 
 // ExecTable runs a statement against an explicit driving table instead
@@ -322,26 +323,8 @@ func (db *DB) Exec(query string, params map[string]any) (*Result, error) {
 // experiments, where "the input table is already populated". Build the
 // table with NewTable.
 func (db *DB) ExecTable(query string, t *Table, params map[string]any) (*Result, error) {
-	return db.exec(query, t.t, params)
-}
-
-func (db *DB) exec(query string, t0 *table.Table, params map[string]any) (*Result, error) {
-	stmt, err := db.engine.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	if stmt.TxnControl != ast.TxnNone {
-		return nil, fmt.Errorf("%s outside a session: DB.Exec statements auto-commit; open a Session for explicit transactions", stmt.TxnControl)
-	}
-	vparams, err := convertParams(params)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.NewSession(db.engine, db.store).ExecuteWithTable(stmt, vparams, t0)
-	if err != nil {
-		return nil, err
-	}
-	return wrapResult(res), nil
+	res, _, err := db.Session().run(runAutoCommit, query, t.t, params)
+	return res, err
 }
 
 // Explain returns the streaming operator plan for a statement without
@@ -351,11 +334,7 @@ func (db *DB) exec(query string, t0 *table.Table, params map[string]any) (*Resul
 // materialization points (ORDER BY, aggregation) and
 // `[barrier:writer-lock]` marking every update clause.
 func (db *DB) Explain(query string) (string, error) {
-	stmt, err := db.engine.Parse(query)
-	if err != nil {
-		return "", err
-	}
-	return core.NewSession(db.engine, db.store).Explain(stmt, nil)
+	return db.Session().Explain(query)
 }
 
 // Profile runs a statement on the streaming executor and returns its
@@ -365,19 +344,7 @@ func (db *DB) Explain(query string) (string, error) {
 // in force. Unlike Explain, Profile EXECUTES the statement — updates
 // apply exactly as with Exec.
 func (db *DB) Profile(query string, params map[string]any) (*Result, string, error) {
-	stmt, err := db.engine.Parse(query)
-	if err != nil {
-		return nil, "", err
-	}
-	vparams, err := convertParams(params)
-	if err != nil {
-		return nil, "", err
-	}
-	res, planText, err := core.NewSession(db.engine, db.store).Profile(stmt, vparams)
-	if err != nil {
-		return nil, "", err
-	}
-	return wrapResult(res), planText, nil
+	return db.Session().Profile(query, params)
 }
 
 // Parse checks a statement for syntactic and dialect validity without
@@ -387,11 +354,7 @@ func (db *DB) Parse(query string) error {
 	if err != nil {
 		return err
 	}
-	return core.Validate(stmt.Statement, db.engine.Config().Dialect)
-}
-
-func wrapResult(res *core.Result) *Result {
-	return &Result{t: res.Table, stats: res.Stats}
+	return stmt.Err()
 }
 
 func convertParams(params map[string]any) (map[string]value.Value, error) {
@@ -653,24 +616,58 @@ func (db *DB) Session() *Session {
 	return &Session{cs: core.NewSession(db.engine, db.store)}
 }
 
-// Exec parses and runs one statement in the session, including the
-// transaction-control statements BEGIN, COMMIT and ROLLBACK.
-func (s *Session) Exec(query string, params map[string]any) (*Result, error) {
+// runMode selects what run does with a statement.
+type runMode int
+
+const (
+	runExec       runMode = iota // execute, transaction control included
+	runAutoCommit                // execute, refusing transaction control (DB.Exec)
+	runExplain                   // render the plan, execute nothing
+	runProfile                   // execute and render the annotated plan
+)
+
+// run is the one statement path of DB and Session: it parses query
+// through the shared statement cache, converts params, and executes,
+// explains or profiles the statement under the session's lock over the
+// driving table t0 (nil means the unit table).
+func (s *Session) run(mode runMode, query string, t0 *table.Table, params map[string]any) (*Result, string, error) {
 	stmt, err := s.cs.Parse(query)
 	if err != nil {
-		return nil, err
+		return nil, "", err
+	}
+	if mode == runAutoCommit && stmt.TxnControl != ast.TxnNone {
+		return nil, "", fmt.Errorf("%s outside a session: DB.Exec statements auto-commit; open a Session for explicit transactions", stmt.TxnControl)
 	}
 	vparams, err := convertParams(params)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.cs.Execute(stmt, vparams)
-	if err != nil {
-		return nil, err
+	var res *core.Result
+	var planText string
+	switch mode {
+	case runExplain:
+		planText, err = s.cs.Explain(stmt, vparams)
+	case runProfile:
+		res, planText, err = s.cs.Profile(stmt, vparams)
+	default:
+		res, err = s.cs.ExecuteWithTable(stmt, vparams, t0)
 	}
-	return wrapResult(res), nil
+	if err != nil {
+		return nil, "", err
+	}
+	if res == nil {
+		return nil, planText, nil
+	}
+	return &Result{t: res.Table, stats: res.Stats}, planText, nil
+}
+
+// Exec parses and runs one statement in the session, including the
+// transaction-control statements BEGIN, COMMIT and ROLLBACK.
+func (s *Session) Exec(query string, params map[string]any) (*Result, error) {
+	res, _, err := s.run(runExec, query, nil, params)
+	return res, err
 }
 
 // Begin opens an explicit transaction (equivalent to Exec("BEGIN")).
@@ -706,34 +703,15 @@ func (s *Session) InTransaction() bool {
 // against the graph state the statement would actually run on (the open
 // transaction's working graph, or the latest committed snapshot).
 func (s *Session) Explain(query string) (string, error) {
-	stmt, err := s.cs.Parse(query)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cs.Explain(stmt, nil)
+	_, planText, err := s.run(runExplain, query, nil, nil)
+	return planText, err
 }
 
 // Profile runs a statement in the session (inside the open transaction,
 // if any) and returns its result together with the operator plan
 // annotated with observed execution counters. See DB.Profile.
 func (s *Session) Profile(query string, params map[string]any) (*Result, string, error) {
-	stmt, err := s.cs.Parse(query)
-	if err != nil {
-		return nil, "", err
-	}
-	vparams, err := convertParams(params)
-	if err != nil {
-		return nil, "", err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	res, planText, err := s.cs.Profile(stmt, vparams)
-	if err != nil {
-		return nil, "", err
-	}
-	return wrapResult(res), planText, nil
+	return s.run(runProfile, query, nil, params)
 }
 
 // Stats summarizes the graph state the session's next statement would

@@ -223,7 +223,7 @@ func FuzzReplyDecode(f *testing.F) {
 // peers counted, less those of the same statement run on a session.
 // The struct-and-map codecs this replaced added 115 (194 served against
 // 79 on a session); the typed codecs add 15. The session's own count
-// (65) is bounded too, so the engine's per-statement fixed cost cannot
+// (47) is bounded too, so the engine's per-statement fixed cost cannot
 // grow unnoticed.
 func TestServedPointReadAllocs(t *testing.T) {
 	db := cypher.Open()
@@ -269,7 +269,7 @@ func TestServedPointReadAllocs(t *testing.T) {
 	}
 	served := testing.AllocsPerRun(500, exec(func(p map[string]any) error { _, err := c.Exec(q, p); return err }))
 	local := testing.AllocsPerRun(500, exec(func(p map[string]any) error { _, err := sess.Exec(q, p); return err }))
-	const bound, localBound = 30, 48
+	const bound, localBound = 30, 47
 	wire := served - local
 	t.Logf("the wire adds %.0f allocations per point read (%.0f served, %.0f on a session)", wire, served, local)
 	if wire > bound {

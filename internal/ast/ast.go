@@ -380,7 +380,7 @@ type Literal struct {
 	Value any
 }
 
-// Const is a plan-time constant: the result of evaluating a closed,
+// Const is a folded constant: the result of evaluating a closed,
 // pure, deterministic subtree during the constant-folding pass
 // (internal/expr.Fold). The parser never produces one. Unlike Literal
 // it carries an already-computed runtime value, so lists, maps and

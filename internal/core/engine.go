@@ -234,7 +234,7 @@ func (e *Engine) Config() Config { return e.cfg }
 // Prepared, and so share its plan slots, for the same query text. The
 // AST must be treated as read-only (every execution path does).
 func (e *Engine) Parse(query string) (*Prepared, error) {
-	return e.stmts.parse(query)
+	return e.stmts.parse(query, e.cfg)
 }
 
 // CacheStats summarizes the engine's statement cache and the plan slots
@@ -275,16 +275,12 @@ func (e *Engine) ExecuteWithTable(g *graph.Graph, stmt *ast.Statement, params ma
 	if stmt.TxnControl != ast.TxnNone {
 		return nil, fmt.Errorf("%s requires a session (transaction control is session state)", stmt.TxnControl)
 	}
-	if !e.cfg.skipValidation {
-		if err := Validate(stmt, e.cfg.Dialect); err != nil {
-			return nil, err
-		}
-	}
-	if params == nil {
-		params = map[string]value.Value{}
+	p := prepare(stmt, e.cfg, &e.stmts.plans)
+	if p.err != nil {
+		return nil, p.err
 	}
 	j := g.BeginJournal()
-	res, err := e.executeUnion(g, prepare(stmt, &e.stmts.plans), params, t0)
+	res, err := e.executeUnion(g, p, params, t0)
 	if err != nil {
 		j.Rollback()
 		return nil, err
@@ -408,7 +404,7 @@ func (x *executor) buildPlan(t0 *table.Table, par int) (plan.Operator, error) {
 // under the writer lock with journaled update barriers; the tree below
 // tags each update barrier with [barrier:writer-lock].
 func (e *Engine) ExplainStatement(g *graph.Graph, stmt *ast.Statement, params map[string]value.Value) (string, error) {
-	return e.explainStatement(g, prepare(stmt, &e.stmts.plans), params, false)
+	return e.explainStatement(g, prepare(stmt, e.cfg, &e.stmts.plans), params, false)
 }
 
 // explainStatement is ExplainStatement with the session's transaction
@@ -429,13 +425,8 @@ func (e *Engine) explainStatement(g *graph.Graph, p *Prepared, params map[string
 		}
 		return fmt.Sprintf("%s\n%s[barrier:writer-lock](:%s(%s))", header, op, stmt.Index.Label, stmt.Index.Prop), nil
 	}
-	if !e.cfg.skipValidation {
-		if err := Validate(stmt, e.cfg.Dialect); err != nil {
-			return "", err
-		}
-	}
-	if params == nil {
-		params = map[string]value.Value{}
+	if p.err != nil {
+		return "", p.err
 	}
 	x := e.newExecutor(g, p, params)
 	par := e.parallelism(stmt)

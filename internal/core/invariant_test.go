@@ -47,7 +47,7 @@ func TestStatementInvariantMatchesValidate(t *testing.T) {
 				}
 			}
 			for _, s := range c.statements() {
-				stmt := prepare(c.parse(t, s.src), nil)
+				stmt := prepare(c.parse(t, s.src), e.cfg, nil)
 				working := published
 				if inTxn {
 					working = sess.txn.w.Graph

@@ -79,13 +79,8 @@ func (s *Session) ExecuteWithTable(stmt *Prepared, params map[string]value.Value
 	if stmt.TxnControl != ast.TxnNone {
 		return s.executeTxnControl(stmt.TxnControl)
 	}
-	if !s.e.cfg.skipValidation {
-		if err := Validate(stmt.Statement, s.e.cfg.Dialect); err != nil {
-			return nil, err
-		}
-	}
-	if params == nil {
-		params = map[string]value.Value{}
+	if stmt.err != nil {
+		return nil, stmt.err
 	}
 	if s.txn != nil {
 		return s.executeInTxn(stmt, params, t0)

@@ -452,13 +452,18 @@ func runE10(r *Report) error {
 		{"MERGE SAME with undirected rel", `MERGE SAME (a:A)-[:T]-(b:B)`, false, false},
 		{"CREATE with undirected rel", `CREATE (a)-[:T]-(b)`, false, false},
 	}
+	e9 := core.NewEngine(core.Config{Dialect: core.DialectCypher9})
+	eR := core.NewEngine(core.Config{Dialect: core.DialectRevised})
 	for _, c := range cases {
-		stmt, err := parser.Parse(c.src)
+		p9, err := e9.Parse(c.src)
 		if err != nil {
 			return fmt.Errorf("parse %q: %w", c.src, err)
 		}
-		got9 := core.Validate(stmt, core.DialectCypher9) == nil
-		gotR := core.Validate(stmt, core.DialectRevised) == nil
+		pR, err := eR.Parse(c.src)
+		if err != nil {
+			return fmt.Errorf("parse %q: %w", c.src, err)
+		}
+		got9, gotR := p9.Err() == nil, pR.Err() == nil
 		r.check(got9 == c.cypher9 && gotR == c.revised,
 			"%-38s Cypher9 %-6v (want %v)   Figure-10 %-6v (want %v)",
 			c.desc+":", got9, c.cypher9, gotR, c.revised)

@@ -5,7 +5,7 @@ import (
 )
 
 // Fold returns e with closed, pure, deterministic subtrees replaced by
-// plan-time constants (ast.Const), recursing into the children of any
+// constants (ast.Const), recursing into the children of any
 // node that cannot fold whole. The result is semantically
 // indistinguishable from e:
 //
@@ -21,14 +21,14 @@ import (
 //     are preserved because an erroring operand stays unfolded while a
 //     successfully folded one yields the same value the runtime would.
 //
-// Folding happens at plan build time, after parameters are bound but
-// without reading them (parameters never fold), and it never rewrites
-// pattern nodes: a folded clause keeps the statement's Pattern, by
-// which the engine finds the pattern's match plan slot.
+// Folding happens once per statement text, when the engine prepares
+// it (before any execution, so ev needs neither a graph nor
+// parameters: a closed subtree reads neither, and parameters never
+// fold), and it never rewrites pattern nodes, by which the engine finds
+// a pattern's match plan slot.
 //
-// The input tree is never mutated: rewritten nodes are fresh copies, so
-// folding composes with the engine-wide statement cache sharing one AST
-// across sessions.
+// The input tree is never mutated: rewritten nodes are fresh copies,
+// and Fold of an already folded tree returns it unchanged.
 func Fold(e ast.Expr, ev *Evaluator) ast.Expr {
 	out, _ := foldExpr(e, ev)
 	return out
@@ -52,8 +52,9 @@ func foldExpr(e ast.Expr, ev *Evaluator) (ast.Expr, bool) {
 	return foldChildren(e, ev)
 }
 
-// foldable reports whether e is a closed candidate: evaluating it at
-// plan time is guaranteed to observe nothing execution would not.
+// foldable reports whether e is a closed candidate: evaluating it
+// before execution is guaranteed to observe nothing execution would
+// not.
 func foldable(e ast.Expr) bool {
 	if len(ast.Variables(e)) > 0 {
 		return false
@@ -141,8 +142,9 @@ func foldChildren(e ast.Expr, ev *Evaluator) (ast.Expr, bool) {
 		}
 	case *ast.FuncCall:
 		// Aggregate calls are intentionally rebuilt-free: the caller
-		// (internal/plan) skips items containing aggregates because the
-		// aggregation machinery keys results by FuncCall node identity.
+		// (the engine's prepare) skips expressions containing aggregates
+		// because the aggregation machinery keys results by FuncCall node
+		// identity.
 		if args, ch := foldList(x.Args, ev); ch {
 			return &ast.FuncCall{Name: x.Name, Distinct: x.Distinct, Star: x.Star, Args: args}, true
 		}

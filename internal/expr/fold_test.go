@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ast"
@@ -22,10 +23,64 @@ func parseExpr(t *testing.T, src string) (ast.Expr, ast.Names) {
 	return e, names
 }
 
+// foldStr folds src as the engine does when it prepares a statement:
+// with an evaluator that has no graph and no parameters.
 func foldStr(t *testing.T, src string) ast.Expr {
 	t.Helper()
 	e, names := parseExpr(t, src)
-	return Fold(e, &Evaluator{Graph: graph.New(), Names: names})
+	return Fold(e, &Evaluator{Names: names})
+}
+
+// TestFoldPureCallsWithoutGraph folds a call to every Pure and
+// Deterministic function, at each arity it accepts up to three, over
+// literal arguments of every kind, with an evaluator like the engine's
+// when it prepares a statement: no graph, no parameters. No call may
+// panic, the fold must be the one an evaluator with a graph and
+// parameters gives, and the folded call must evaluate as the call does.
+func TestFoldPureCallsWithoutGraph(t *testing.T) {
+	var lits []ast.Expr
+	for _, src := range []string{"null", "true", "7", "-2.5", "'ab'", "[1, 'a', null]", "{k: 1}"} {
+		e, _ := parseExpr(t, src)
+		lits = append(lits, e)
+	}
+	full := &Evaluator{Graph: graph.New(), Params: map[string]value.Value{"p": value.Int(1)}}
+	prep := &Evaluator{}
+	calls := 0
+	for _, d := range Defs() {
+		if !d.Pure || !d.Deterministic {
+			continue
+		}
+		hi := d.MaxArgs
+		if hi < 0 || hi > 3 {
+			hi = max(d.MinArgs, 3)
+		}
+		for arity := d.MinArgs; arity <= hi; arity++ {
+			args := make([]ast.Expr, arity)
+			var each func(i int)
+			each = func(i int) {
+				if i < arity {
+					for _, l := range lits {
+						args[i] = l
+						each(i + 1)
+					}
+					return
+				}
+				call := &ast.FuncCall{Name: d.Name, Args: slices.Clone(args)}
+				calls++
+				folded := Fold(call, prep)
+				if want := Fold(call, full); folded.String() != want.String() {
+					t.Fatalf("%s: folds to %s without a graph, %s with one", call, folded, want)
+				}
+				v1, err1 := full.Eval(call, nil)
+				v2, err2 := full.Eval(folded, nil)
+				if (err1 == nil) != (err2 == nil) || err1 == nil && !value.Equivalent(v1, v2) {
+					t.Fatalf("%s: %v, %v unfolded; %v, %v folded", call, v1, err1, v2, err2)
+				}
+			}
+			each(0)
+		}
+	}
+	t.Logf("%d calls folded", calls)
 }
 
 func TestFoldCollapsesClosedPureSubtrees(t *testing.T) {

@@ -11,10 +11,13 @@ import (
 
 // FuzzExprEval throws arbitrary strings at the expression pipeline:
 // whatever parses must evaluate, over a slot row that binds n, without
-// panicking, and folding must be invisible — Fold(e) evaluates to the same value or the same
-// error-ness as e, so constant folding can never turn an error into a
-// value (which would let a pushed predicate prune a row the unfolded
-// plan would have errored on) or a value into an error.
+// panicking, and folding must be invisible — Fold(e) evaluates to the
+// same value or the same error-ness as e, so constant folding can never
+// turn an error into a value (which would let a pushed predicate prune
+// a row the unfolded plan would have errored on) or a value into an
+// error. It folds as the engine does when it prepares a statement, with
+// an evaluator that has no graph and no parameters, and evaluates the
+// folded tree with the full one.
 func FuzzExprEval(f *testing.F) {
 	for _, seed := range []string{
 		"1 + 2 * 3",
@@ -74,8 +77,7 @@ func FuzzExprEval(f *testing.F) {
 		row := rowOf(ev, e, env)
 		v1, err1 := ev.Eval(e, row)
 		b2 := budget()
-		ev.Budget = b2
-		folded := Fold(e, ev)
+		folded := Fold(e, &Evaluator{Names: ev.Names, Budget: b2})
 		b3 := budget()
 		ev.Budget = b3
 		v2, err2 := ev.Eval(folded, row)

@@ -14,7 +14,7 @@ import (
 // FuncDef is the registry entry for one scalar function: its canonical
 // name, arity bounds, semantic metadata and implementation. The
 // metadata is what the planner consumes — see internal/match (pushdown
-// totality) and Fold (plan-time constant folding) — so the flags must
+// totality) and Fold (constant folding when a statement is prepared) — so the flags must
 // be conservative: understating Pure/Total/Deterministic only loses an
 // optimization, overstating one changes query results.
 type FuncDef struct {
@@ -26,7 +26,7 @@ type FuncDef struct {
 	MinArgs, MaxArgs int
 	// Pure: the result depends only on the argument values — no graph
 	// reads, no clock, no randomness. Pure+Deterministic functions are
-	// eligible for plan-time constant folding.
+	// eligible for constant folding.
 	Pure bool
 	// Total: evaluation never returns an error, for arguments of any
 	// kind (null-in/null-out is fine; a type error is not).

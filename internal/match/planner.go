@@ -908,7 +908,7 @@ func totalCall(f *ast.FuncCall, defined, entity map[string]bool, boolCtx bool) b
 }
 
 // totalOperand reports whether e evaluates without error on any
-// complete match row: literals, plan-time constants, defined variables,
+// complete match row: literals, folded constants, defined variables,
 // property access on a variable that is guaranteed to hold an entity
 // (property access on nulls and entities is total; on scalars it
 // type-errors), and calls of total registry functions over total

@@ -185,7 +185,6 @@ func (b *Builder) BuildQuery(clauses []ast.Clause, src Operator) (Operator, erro
 			if err := checkPathVars(cl.Pattern, cur.Columns()); err != nil {
 				return nil, err
 			}
-			cl = b.foldMatchClause(cl)
 			newVars := freshVars(match.PatternVariables(cl.Pattern), cur.Columns())
 			op := NewMatch(cur, cl, b.NewMatcher, b.Ev, newVars)
 			if seg.alive() && seg.source == nil {
@@ -207,7 +206,6 @@ func (b *Builder) BuildQuery(clauses []ast.Clause, src Operator) (Operator, erro
 			if slices.Contains(cur.Columns(), cl.Var) {
 				return nil, fmt.Errorf("variable `%s` already declared", cl.Var)
 			}
-			cl = b.foldUnwindClause(cl)
 			cur = NewUnwind(cur, cl, b.Ev)
 			if seg.alive() && seg.source != nil {
 				seg.stages = append(seg.stages, func(child Operator, w *workerCtx) Operator {
@@ -327,20 +325,6 @@ func (b *Builder) buildProjection(child Operator, proj *ast.Projection, where as
 	if err != nil {
 		return nil, err
 	}
-	// Constant-fold after aliasing: default column names come from the
-	// ORIGINAL expression text, so folding cannot rename a column.
-	// Items containing aggregates are skipped wholesale because the
-	// aggregation machinery keys per-group results by FuncCall node
-	// identity.
-	for i := range items {
-		if !ast.ContainsAggregate(items[i].Expr) {
-			items[i].Expr = b.fold(items[i].Expr)
-		}
-	}
-	orderBy := b.foldSortItems(proj.OrderBy)
-	if where != nil && !ast.ContainsAggregate(where) {
-		where = b.fold(where)
-	}
 	cols := make([]string, len(items))
 	seen := make(map[string]bool, len(items))
 	for i, it := range items {
@@ -374,7 +358,7 @@ func (b *Builder) buildProjection(child Operator, proj *ast.Projection, where as
 		// those no alias shadows ride along to the Sort as hidden
 		// columns — unless DISTINCT breaks the correspondence first.
 		pcols := cols
-		if len(orderBy) > 0 && !proj.Distinct {
+		if len(proj.OrderBy) > 0 && !proj.Distinct {
 			pcols = slices.Concat(cols, freshVars(child.Columns(), cols))
 		}
 		cur = NewProject(child, items, pcols, b.Ev)
@@ -393,12 +377,12 @@ func (b *Builder) buildProjection(child Operator, proj *ast.Projection, where as
 		cur = d
 	}
 	var sorter *Sort
-	if len(orderBy) > 0 {
+	if len(proj.OrderBy) > 0 {
 		// Sort is a barrier like Aggregate: the segment ends here and
 		// the Sort consumes the exchange's ordered gather with its
 		// serial intake.
 		cur = b.endSeg(seg, cur)
-		sorter = NewSort(cur, orderBy, cols, b.Ev)
+		sorter = NewSort(cur, proj.OrderBy, cols, b.Ev)
 		sorter.budget = b.bud
 		cur = sorter
 	}
@@ -429,55 +413,6 @@ func (b *Builder) buildProjection(child Operator, proj *ast.Projection, where as
 		cur = NewFilter(cur, where, b.Ev)
 	}
 	return cur, nil
-}
-
-// fold runs the expression constant-folding pass (see expr.Fold); the
-// result is semantically identical, with closed pure subtrees collapsed
-// to plan-time constants that EXPLAIN renders in place of the original
-// text.
-func (b *Builder) fold(e ast.Expr) ast.Expr {
-	if e == nil || b.Ev == nil {
-		return e
-	}
-	return expr.Fold(e, b.Ev)
-}
-
-// foldMatchClause folds a MATCH clause's WHERE. The folded clause is a
-// shallow copy sharing the original Pattern slice, so the Match
-// operator's matcher finds the pattern's plan slot in the prepared
-// statement.
-func (b *Builder) foldMatchClause(cl *ast.MatchClause) *ast.MatchClause {
-	folded := b.fold(cl.Where)
-	if folded == cl.Where {
-		return cl
-	}
-	return &ast.MatchClause{Optional: cl.Optional, Pattern: cl.Pattern, Where: folded}
-}
-
-func (b *Builder) foldUnwindClause(cl *ast.UnwindClause) *ast.UnwindClause {
-	folded := b.fold(cl.Expr)
-	if folded == cl.Expr {
-		return cl
-	}
-	return &ast.UnwindClause{Expr: folded, Var: cl.Var}
-}
-
-func (b *Builder) foldSortItems(items []*ast.SortItem) []*ast.SortItem {
-	out := items
-	for i, it := range items {
-		if ast.ContainsAggregate(it.Expr) {
-			continue
-		}
-		folded := b.fold(it.Expr)
-		if folded == it.Expr {
-			continue
-		}
-		if len(out) == len(items) && &out[0] == &items[0] {
-			out = append([]*ast.SortItem(nil), items...)
-		}
-		out[i] = &ast.SortItem{Expr: folded, Desc: it.Desc}
-	}
-	return out
 }
 
 // expandItems resolves * and default aliases against the columns in
