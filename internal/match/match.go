@@ -875,12 +875,26 @@ func (m *Matcher) relCandidates(out []graph.AdjEntry, rp *ast.RelPattern, ss *sl
 // appendEntries appends the entries of row whose type ss accepts to
 // out, or only preBound's entry when it is non-nil.
 func appendEntries(out, row []graph.AdjEntry, ss *slotSyms, preBound *graph.RelID) []graph.AdjEntry {
-	if preBound == nil && len(ss.names) == 0 && !ss.none {
-		return append(out, row...)
-	}
-	for _, e := range row {
-		if (preBound == nil || e.Rel == *preBound) && typeMatches(e.Type, ss) {
-			out = append(out, e)
+	switch {
+	case preBound != nil:
+		for _, e := range row {
+			if e.Rel == *preBound && typeMatches(e.Type, ss) {
+				out = append(out, e)
+			}
+		}
+	case len(ss.names) == 0:
+		if !ss.none {
+			out = append(out, row...)
+		}
+	default:
+		// Room for the whole row first, as copying it would take: one
+		// entry at a time, a hub's row would regrow the storage by
+		// doubling.
+		out = slices.Grow(out, len(row))
+		for _, e := range row {
+			if typeMatches(e.Type, ss) {
+				out = append(out, e)
+			}
 		}
 	}
 	return out
