@@ -165,3 +165,30 @@ func TestPrepareSharedASTAcrossDialects(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareKeepsLargeConstantsUnfolded: a folded constant lives as
+// long as its text stays cached, so a closed expression whose value is
+// large stays as written and is evaluated when the statement runs,
+// while a small one still folds.
+func TestPrepareKeepsLargeConstantsUnfolded(t *testing.T) {
+	sess := core.NewSession(core.NewEngine(core.Config{Dialect: core.DialectRevised}), graph.NewStore(graph.New()))
+	defer sess.Close()
+	p, err := sess.Parse(`UNWIND range(1, 1000000) AS x RETURN count(*) AS n, 1 + 2 AS k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clauses := p.Queries[0].Clauses
+	if e := clauses[0].(*ast.UnwindClause).Expr; e.String() != "range(1, 1000000)" {
+		t.Errorf("the UNWIND list was prepared as %T %.40s, want it as written", e, e)
+	}
+	if e := clauses[1].(*ast.ReturnClause).Items[1].Expr; e.String() != "3" {
+		t.Errorf("1 + 2 was prepared as %s, want it folded to 3", e)
+	}
+	res, err := sess.Execute(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Table.String(); got != "n | k\n1000000 | 3\n" {
+		t.Errorf("got\n%s", got)
+	}
+}

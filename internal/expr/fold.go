@@ -2,7 +2,16 @@ package expr
 
 import (
 	"repro/internal/ast"
+	"repro/internal/value"
 )
+
+// maxFoldSize bounds a folded constant: a closed subtree whose value
+// holds more than this many list elements, map entries and string bytes
+// in all is left as written, to be evaluated when it runs. A folded
+// constant lives as long as its statement text stays cached, and a few
+// characters of text, such as range(1, 10000000), can ask for a value
+// of any size.
+const maxFoldSize = 1024
 
 // Fold returns e with closed, pure, deterministic subtrees replaced by
 // constants (ast.Const), recursing into the children of any
@@ -20,6 +29,8 @@ import (
 //     errors, and short-circuit (AND/OR) and branch (CASE) semantics
 //     are preserved because an erroring operand stays unfolded while a
 //     successfully folded one yields the same value the runtime would.
+//   - A candidate whose value is larger than maxFoldSize is left whole,
+//     so no statement keeps a constant much larger than its text.
 //
 // Folding happens once per statement text, when the engine prepares
 // it (before any execution, so ev needs neither a graph nor
@@ -45,11 +56,44 @@ func foldExpr(e ast.Expr, ev *Evaluator) (ast.Expr, bool) {
 		return e, false
 	}
 	if foldable(e) {
-		if v, err := ev.Eval(e, ev.Row()); err == nil {
+		v, err := ev.Eval(e, ev.Row())
+		if err == nil && foldRoom(v, maxFoldSize) >= 0 {
 			return &ast.Const{Val: v}, true
+		}
+		if err == nil {
+			// Too large to keep. Its children are closed too, and folding
+			// them would evaluate their large values again, level by level.
+			return e, false
 		}
 	}
 	return foldChildren(e, ev)
+}
+
+// foldRoom returns what is left of room once v's list elements, map
+// entries and string bytes are counted against it; it stops counting
+// once the result is negative.
+func foldRoom(v value.Value, room int) int {
+	switch x := v.(type) {
+	case value.String:
+		room -= len(x)
+	case value.List:
+		room -= len(x)
+		for _, e := range x {
+			if room < 0 {
+				break
+			}
+			room = foldRoom(e, room)
+		}
+	case value.Map:
+		room -= len(x)
+		for _, e := range x {
+			if room < 0 {
+				break
+			}
+			room = foldRoom(e, room)
+		}
+	}
+	return room
 }
 
 // foldable reports whether e is a closed candidate: evaluating it

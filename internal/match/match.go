@@ -470,7 +470,7 @@ func (it *Iter) enterStep(pi, si int) error {
 		it.pushLevel(f, at, 0)
 		return nil
 	}
-	f.rels = it.m.relCandidates(it.spare(), rp, &pp.relSyms[st.rel], at, preBound, st.reversed)
+	f.rels = it.m.relCandidates(it.spare(), rp, at, preBound, st.reversed)
 	it.push(f)
 	return nil
 }
@@ -541,7 +541,7 @@ func (it *Iter) pushLevel(f frame, at graph.NodeID, depth int) {
 		f.pos = -1
 	}
 	if rp.MaxHops < 0 || depth < rp.MaxHops {
-		f.rels = it.m.relCandidates(it.spare(), rp, &it.plans[f.part].relSyms[st.rel], at, nil, st.reversed)
+		f.rels = it.m.relCandidates(it.spare(), rp, at, nil, st.reversed)
 	}
 	it.push(f)
 }
@@ -605,11 +605,14 @@ func (it *Iter) takeEnd(i int) error {
 }
 
 // relSatisfies checks a relationship candidate against the taken ones
-// (in Isomorphism mode) and the pattern's inline properties; its type
-// was tested when relCandidates copied it. The relationship itself is
+// (in Isomorphism mode), the pattern's types and its inline properties.
+// The type comes from the adjacency entry; the relationship itself is
 // loaded only when the pattern has inline properties.
 func (it *Iter) relSatisfies(c graph.AdjEntry, rp *ast.RelPattern, ss *slotSyms) (bool, error) {
 	if it.m.Mode == Isomorphism && it.used(c.Rel) {
+		return false, nil
+	}
+	if !typeMatches(c.Type, ss) {
 		return false, nil
 	}
 	if rp.Props == nil {
@@ -843,28 +846,27 @@ func lastKey(keys []string, key string) int {
 
 // relCandidates appends to out the adjacency entries of node `at`
 // consistent with the pattern's direction — the outgoing row, the
-// incoming row, or both — and with its types, ss, so each candidate
-// carries its relationship, type and far end and the hop loads neither
-// the relationship nor the neighbour; reversed flips the direction for
-// right-to-left traversal. A pattern that names no type takes the whole
-// row; a pre-bound relationship keeps only its own entry. The entries
-// are copied into the frame's reused spare storage rather than walked
-// in place: no write lands between two pulls of a live iterator today
+// incoming row, or both — so each candidate carries its relationship,
+// type and far end and the hop loads neither the relationship nor the
+// neighbour; reversed flips the direction for right-to-left traversal.
+// A pre-bound relationship keeps only its own entry. The entries are
+// copied into the frame's reused spare storage rather than walked in
+// place: no write lands between two pulls of a live iterator today
 // (MERGE and the legacy updates drain theirs before writing), but a
 // walk by index into the row would silently depend on that.
-func (m *Matcher) relCandidates(out []graph.AdjEntry, rp *ast.RelPattern, ss *slotSyms, at graph.NodeID, preBound *graph.RelID, reversed bool) []graph.AdjEntry {
+func (m *Matcher) relCandidates(out []graph.AdjEntry, rp *ast.RelPattern, at graph.NodeID, preBound *graph.RelID, reversed bool) []graph.AdjEntry {
 	dir := effectiveDir(rp.Direction, reversed)
 	if dir == ast.DirOut || dir == ast.DirBoth {
-		out = appendEntries(out, m.Graph.Outgoing(at), ss, preBound)
+		out = appendEntries(out, m.Graph.Outgoing(at), preBound)
 	}
 	if dir == ast.DirIn {
-		out = appendEntries(out, m.Graph.Incoming(at), ss, preBound)
+		out = appendEntries(out, m.Graph.Incoming(at), preBound)
 	}
 	if dir == ast.DirBoth {
 		for _, e := range m.Graph.Incoming(at) {
 			// The outgoing scan already produced every self-loop, whose
 			// incoming entry names `at` as its source.
-			if e.Other != at && (preBound == nil || e.Rel == *preBound) && typeMatches(e.Type, ss) {
+			if e.Other != at && (preBound == nil || e.Rel == *preBound) {
 				out = append(out, e)
 			}
 		}
@@ -872,29 +874,15 @@ func (m *Matcher) relCandidates(out []graph.AdjEntry, rp *ast.RelPattern, ss *sl
 	return out
 }
 
-// appendEntries appends the entries of row whose type ss accepts to
-// out, or only preBound's entry when it is non-nil.
-func appendEntries(out, row []graph.AdjEntry, ss *slotSyms, preBound *graph.RelID) []graph.AdjEntry {
-	switch {
-	case preBound != nil:
-		for _, e := range row {
-			if e.Rel == *preBound && typeMatches(e.Type, ss) {
-				out = append(out, e)
-			}
-		}
-	case len(ss.names) == 0:
-		if !ss.none {
-			out = append(out, row...)
-		}
-	default:
-		// Room for the whole row first, as copying it would take: one
-		// entry at a time, a hub's row would regrow the storage by
-		// doubling.
-		out = slices.Grow(out, len(row))
-		for _, e := range row {
-			if typeMatches(e.Type, ss) {
-				out = append(out, e)
-			}
+// appendEntries appends row to out, or only preBound's entry when it
+// is non-nil.
+func appendEntries(out, row []graph.AdjEntry, preBound *graph.RelID) []graph.AdjEntry {
+	if preBound == nil {
+		return append(out, row...)
+	}
+	for _, e := range row {
+		if e.Rel == *preBound {
+			out = append(out, e)
 		}
 	}
 	return out

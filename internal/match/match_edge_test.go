@@ -229,36 +229,3 @@ func TestVarLengthBesideSingleHops(t *testing.T) {
 		}
 	}
 }
-
-// TestTypedCandidatesCopyInOneAllocation: a typed hop copies only the
-// row's entries of its types, into storage sized for the whole row at
-// once, as copying the whole row would be; appending the entries one
-// by one regrew a hub's storage by doubling: eleven allocations and
-// about twice the bytes for this row.
-func TestTypedCandidatesCopyInOneAllocation(t *testing.T) {
-	g := graph.New()
-	hub := g.CreateNode(nil, nil).ID
-	for i := 0; i < 1000; i++ {
-		typ := "F"
-		if i%4 == 0 {
-			typ = "L"
-		}
-		if _, err := g.CreateRel(g.CreateNode(nil, nil).ID, hub, typ, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f, _ := g.Sym("F")
-	ss := &slotSyms{names: []graph.SymID{f}}
-	rp := &ast.RelPattern{Direction: ast.DirIn, Types: []string{"F"}}
-	m := &Matcher{Graph: g}
-	var out []graph.AdjEntry
-	allocs := testing.AllocsPerRun(10, func() { out = m.relCandidates(nil, rp, ss, hub, nil, false) })
-	if len(out) != 750 {
-		t.Fatalf("%d candidates, want the 750 :F entries", len(out))
-	}
-	// One allocation; a race-enabled build makes slices.Grow's zeroed
-	// tail a second one.
-	if allocs > 2 {
-		t.Errorf("copying the candidates took %v allocations, want one", allocs)
-	}
-}
