@@ -899,6 +899,37 @@ func BenchmarkB22PointRead(b *testing.B) {
 	}
 }
 
+// BenchmarkB24AdhocPointRead is B22 with its literal inlined and a
+// unique trailing comment on every text, as clients that build their
+// own texts send it: no text repeats, so each is served by the
+// statement cache's template for the shape (lexed, its literal bound)
+// rather than by its text. The texts are built before the timer.
+func BenchmarkB24AdhocPointRead(b *testing.B) {
+	db := cypher.Open()
+	for _, q := range []string{`UNWIND range(0, 999) AS i CREATE (:User{id: i, name: 'u' + toString(i)})`, `CREATE INDEX ON :User(id)`} {
+		if _, err := db.Exec(q, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sess := db.Session()
+	defer sess.Close()
+	texts := make([]string, b.N)
+	for i := range texts {
+		texts[i] = fmt.Sprintf(`MATCH (u:User{id: %d}) RETURN u.name AS name // q%d`, i%1000, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sess.Exec(texts[i], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.NumRows() != 1 {
+			b.Fatalf("rows = %d, want 1", res.NumRows())
+		}
+	}
+}
+
 // hopBenchGraph builds B23's graph: users in eight countries, each
 // following ten random users and posting three posts that random users
 // like, so FOLLOWS, POSTED and LIKES rows interleave in every user's

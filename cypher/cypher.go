@@ -513,6 +513,24 @@ type CacheStats = core.CacheStats
 // many — plan once.
 func (db *DB) CacheStats() CacheStats { return db.engine.CacheStats() }
 
+// Statement is a statement parsed and prepared through the database's
+// shared statement cache, ready for Session.ExecStatement. A server
+// classifies a statement and runs it from one cache lookup through it.
+type Statement struct {
+	p *core.Prepared
+}
+
+// Prepare parses query through the shared statement cache without
+// executing it. A statement the dialect refuses prepares; running it
+// returns the dialect's error.
+func (db *DB) Prepare(query string) (Statement, error) {
+	p, err := db.engine.Parse(query)
+	if err != nil {
+		return Statement{}, err
+	}
+	return Statement{p: p}, nil
+}
+
 // StatementInfo classifies a parsed statement for schedulers (the
 // server uses it to route statements through writer-admission
 // backpressure without executing them first).
@@ -525,19 +543,14 @@ type StatementInfo struct {
 	TxnControl string
 }
 
-// ClassifyStatement parses query (through the shared statement cache)
-// and reports whether it updates the graph and whether it is
-// transaction control, without executing it.
-func (db *DB) ClassifyStatement(query string) (StatementInfo, error) {
-	stmt, err := db.engine.Parse(query)
-	if err != nil {
-		return StatementInfo{}, err
+// Info reports whether the statement updates the graph and whether it
+// is transaction control.
+func (st Statement) Info() StatementInfo {
+	info := StatementInfo{Updating: st.p.Updating()}
+	if st.p.TxnControl != ast.TxnNone {
+		info.TxnControl = st.p.TxnControl.String()
 	}
-	info := StatementInfo{Updating: stmt.Updating()}
-	if stmt.TxnControl != ast.TxnNone {
-		info.TxnControl = stmt.TxnControl.String()
-	}
-	return info, nil
+	return info
 }
 
 // PinnedSnapshots reports how many reader snapshots of the current
@@ -631,10 +644,20 @@ const (
 // explains or profiles the statement under the session's lock over the
 // driving table t0 (nil means the unit table).
 func (s *Session) run(mode runMode, query string, t0 *table.Table, params map[string]any) (*Result, string, error) {
-	stmt, err := s.cs.Parse(query)
+	parse := s.cs.Parse
+	if mode == runExplain || mode == runProfile {
+		// The rendered plan prints the text's own literals.
+		parse = s.cs.Engine().ParseOwn
+	}
+	stmt, err := parse(query)
 	if err != nil {
 		return nil, "", err
 	}
+	return s.runPrepared(mode, stmt, t0, params)
+}
+
+// runPrepared is run with the statement already prepared.
+func (s *Session) runPrepared(mode runMode, stmt *core.Prepared, t0 *table.Table, params map[string]any) (*Result, string, error) {
 	if mode == runAutoCommit && stmt.TxnControl != ast.TxnNone {
 		return nil, "", fmt.Errorf("%s outside a session: DB.Exec statements auto-commit; open a Session for explicit transactions", stmt.TxnControl)
 	}
@@ -667,6 +690,13 @@ func (s *Session) run(mode runMode, query string, t0 *table.Table, params map[st
 // transaction-control statements BEGIN, COMMIT and ROLLBACK.
 func (s *Session) Exec(query string, params map[string]any) (*Result, error) {
 	res, _, err := s.run(runExec, query, nil, params)
+	return res, err
+}
+
+// ExecStatement runs a statement prepared by DB.Prepare in the session,
+// as Exec runs its text.
+func (s *Session) ExecStatement(st Statement, params map[string]any) (*Result, error) {
+	res, _, err := s.runPrepared(runExec, st.p, nil, params)
 	return res, err
 }
 

@@ -233,23 +233,42 @@ func (e *Engine) Config() Config { return e.cfg }
 // statement cache: all sessions of the engine receive the same
 // Prepared, and so share its plan slots, for the same query text. The
 // AST must be treated as read-only (every execution path does).
+//
+// A text that differs from a cached one only in the literals of its
+// inline property maps receives a handle on that text's Prepared (see
+// stmtCache) carrying its own literals' values, so it shares the plan
+// slots too.
 func (e *Engine) Parse(query string) (*Prepared, error) {
-	return e.stmts.parse(query, e.cfg)
+	return e.stmts.parse(query, e.cfg, false)
+}
+
+// ParseOwn is Parse for a statement that must carry its text's own
+// literals, as EXPLAIN and PROFILE print them: a text that is not cached
+// itself is parsed and prepared on its own, never served from another
+// text's template.
+func (e *Engine) ParseOwn(query string) (*Prepared, error) {
+	return e.stmts.parse(query, e.cfg, true)
 }
 
 // CacheStats summarizes the engine's statement cache and the plan slots
 // of its statements.
 type CacheStats struct {
 	// StmtHits / StmtMisses count statement-cache lookups by outcome.
+	// A lookup served by a template, for a text that differs from a
+	// cached one only in the literals of its inline property maps,
+	// counts as a statement hit: it neither parses nor plans.
 	StmtHits, StmtMisses int64
+	// StmtEntries counts the statement cache's entries: cached texts
+	// and templates.
+	StmtEntries int
 	// Plan carries the plan-slot counters.
 	Plan match.PlanStats
 }
 
 // CacheStats returns the engine's current cache counters.
 func (e *Engine) CacheStats() CacheStats {
-	h, m, plans := e.stmts.stats()
-	return CacheStats{StmtHits: h, StmtMisses: m, Plan: plans}
+	h, m, n, plans := e.stmts.stats()
+	return CacheStats{StmtHits: h, StmtMisses: m, StmtEntries: n, Plan: plans}
 }
 
 // Result is the output of a statement: the table produced by RETURN (or
@@ -465,7 +484,7 @@ type executor struct {
 }
 
 func (e *Engine) newExecutor(g *graph.Graph, p *Prepared, params map[string]value.Value) *executor {
-	return &executor{cfg: e.cfg, prep: p, graph: g, ev: &expr.Evaluator{Graph: g, Params: params, Names: p.names}}
+	return &executor{cfg: e.cfg, prep: p, graph: g, ev: &expr.Evaluator{Graph: g, Params: params, Names: p.names, Binds: p.binds}}
 }
 
 // matcherFor builds a matcher for one of the statement's patterns,

@@ -26,6 +26,10 @@ type Evaluator struct {
 	Params map[string]value.Value
 	// Names is the statement's name table, the layout of its rows.
 	Names ast.Names
+	// Binds holds the values of the statement's bound literals (see
+	// ast.Literal.Bind) for the text being executed; nil evaluates every
+	// literal to its own value.
+	Binds []value.Value
 
 	// AggResults, when non-nil, maps aggregate FuncCall nodes to their
 	// precomputed per-group results; the projection machinery in the
@@ -56,6 +60,12 @@ func (ev *Evaluator) Eval(e ast.Expr, row []value.Value) (value.Value, error) {
 	}
 	switch x := e.(type) {
 	case *ast.Literal:
+		if x.Bind > 0 && ev.Binds != nil {
+			return ev.Binds[x.Bind-1], nil
+		}
+		if x.Val != nil {
+			return x.Val, nil
+		}
 		return literalValue(x)
 	case *ast.Const:
 		return x.Val, nil
@@ -167,6 +177,8 @@ func (ev *Evaluator) EvalPropMap(e ast.Expr, row []value.Value) (value.Map, erro
 	return m, nil
 }
 
+// literalValue converts the value of a literal built by hand, without
+// ast.LiteralOf.
 func literalValue(l *ast.Literal) (value.Value, error) {
 	switch v := l.Value.(type) {
 	case nil:

@@ -340,3 +340,32 @@ func TestBinderScopingOverSlots(t *testing.T) {
 		t.Errorf("x after a failed comprehension = %v, want 5", got)
 	}
 }
+
+// A literal's runtime value is converted once, at parse: evaluating an
+// int too large for the runtime's preallocated small values, a float
+// or a string allocates nothing, and neither does reading a bound
+// literal's value from the evaluator's bindings.
+func TestLiteralEvalAllocatesNothing(t *testing.T) {
+	ev := &Evaluator{Graph: graph.New()}
+	for _, src := range []string{"4711", "2.5", "'ann'"} {
+		e, err := parser.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { ev.Eval(e, nil) }); n != 0 {
+			t.Errorf("evaluating %s allocates %v times", src, n)
+		}
+	}
+	bound := &Evaluator{Graph: graph.New(), Binds: []value.Value{value.Int(1 << 20)}}
+	lit := ast.LiteralOf(value.Int(4711))
+	lit.Bind = 1
+	if v, _ := bound.Eval(lit, nil); v != value.Int(1<<20) {
+		t.Errorf("bound literal evaluates to %v, want its binding", v)
+	}
+	if v, _ := ev.Eval(lit, nil); v != value.Int(4711) {
+		t.Errorf("bound literal without bindings evaluates to %v, want its own value", v)
+	}
+	if n := testing.AllocsPerRun(100, func() { bound.Eval(lit, nil) }); n != 0 {
+		t.Errorf("evaluating a bound literal allocates %v times", n)
+	}
+}

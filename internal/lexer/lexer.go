@@ -44,7 +44,9 @@ func New(src string) *Lexer {
 // including EOF, or the first lexical error.
 func Tokenize(src string) ([]token.Token, error) {
 	lx := New(src)
-	var out []token.Token
+	// Dense statement text runs at about one token per two and a half
+	// bytes, so this rarely regrows; the tokens die with the parse.
+	out := make([]token.Token, 0, len(src)/2+2)
 	for {
 		t := lx.Next()
 		if t.Type == token.Illegal {
@@ -57,31 +59,34 @@ func Tokenize(src string) ([]token.Token, error) {
 	}
 }
 
-func (l *Lexer) peek() rune {
-	if l.off >= len(l.src) {
-		return 0
+// runeAt decodes the rune at byte offset off and its width; past the
+// end it returns 0. ASCII takes no decoding.
+func (l *Lexer) runeAt(off int) (rune, int) {
+	if off >= len(l.src) {
+		return 0, 0
 	}
-	r, _ := utf8.DecodeRuneInString(l.src[l.off:])
+	if c := l.src[off]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[off:])
+}
+
+func (l *Lexer) peek() rune {
+	r, _ := l.runeAt(l.off)
 	return r
 }
 
 func (l *Lexer) peek2() rune {
-	if l.off >= len(l.src) {
-		return 0
-	}
-	_, w := utf8.DecodeRuneInString(l.src[l.off:])
-	if l.off+w >= len(l.src) {
-		return 0
-	}
-	r, _ := utf8.DecodeRuneInString(l.src[l.off+w:])
+	_, w := l.runeAt(l.off)
+	r, _ := l.runeAt(l.off + w)
 	return r
 }
 
 func (l *Lexer) advance() rune {
-	if l.off >= len(l.src) {
+	r, w := l.runeAt(l.off)
+	if w == 0 {
 		return 0
 	}
-	r, w := utf8.DecodeRuneInString(l.src[l.off:])
 	l.off += w
 	if r == '\n' {
 		l.line++
@@ -112,7 +117,7 @@ func (l *Lexer) Next() token.Token {
 		return token.Token{Type: token.EOF, Pos: pos}
 	case isIdentStart(r):
 		return l.scanIdent(pos)
-	case unicode.IsDigit(r):
+	case isDigit(r):
 		return l.scanNumber(pos)
 	case r == '\'' || r == '"':
 		return l.scanString(pos)
@@ -151,7 +156,7 @@ func (l *Lexer) Next() token.Token {
 			l.advance()
 			return simple(token.DotDot)
 		}
-		if unicode.IsDigit(l.peek()) {
+		if isDigit(l.peek()) {
 			return l.scanFloatFraction(pos)
 		}
 		return simple(token.Dot)
@@ -228,41 +233,84 @@ func (l *Lexer) skipSpaceAndComments() {
 }
 
 func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+	if r < utf8.RuneSelf {
+		return r == '_' || 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z'
+	}
+	return unicode.IsLetter(r)
 }
 
 func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+	return isIdentStart(r) || isDigit(r)
 }
 
-func (l *Lexer) scanIdent(pos token.Position) token.Token {
-	var sb strings.Builder
-	for isIdentPart(l.peek()) {
-		sb.WriteRune(l.advance())
+// isDigit is unicode.IsDigit with an ASCII fast path: a non-ASCII
+// decimal digit lexes as part of a number or name too.
+func isDigit(r rune) bool {
+	if r < utf8.RuneSelf {
+		return '0' <= r && r <= '9'
 	}
-	lit := sb.String()
+	return unicode.IsDigit(r)
+}
+
+// The scanners below take a token's text as a substring of the source
+// wherever it is spelled there verbatim, so lexing allocates nothing
+// per token; only an escape in a string or backquoted name builds a
+// new string.
+
+func (l *Lexer) scanIdent(pos token.Position) token.Token {
+	start := l.off
+	for isIdentPart(l.peek()) {
+		l.advance()
+	}
+	lit := l.src[start:l.off]
 	return token.Token{Type: token.Lookup(lit), Lit: lit, Pos: pos}
 }
 
 func (l *Lexer) scanBackquoted(pos token.Position) token.Token {
 	l.advance() // consume `
-	var sb strings.Builder
+	start := l.off
+	var sb *strings.Builder // non-nil once an escaped backquote is seen
 	for {
 		r := l.peek()
 		if r == 0 {
 			return l.errorf(pos, "unterminated backquoted identifier")
 		}
+		at := l.off
 		l.advance()
-		if r == '`' {
-			if l.peek() == '`' { // escaped backquote
-				l.advance()
-				sb.WriteRune('`')
-				continue
-			}
-			return token.Token{Type: token.Ident, Lit: sb.String(), Pos: pos}
+		if r != '`' {
+			sb = l.keepRune(sb, start, at, r)
+			continue
 		}
+		if l.peek() == '`' { // escaped backquote
+			if sb == nil {
+				sb = &strings.Builder{}
+				sb.WriteString(l.src[start:l.off])
+			} else {
+				sb.WriteRune('`')
+			}
+			l.advance()
+			continue
+		}
+		if sb == nil {
+			return token.Token{Type: token.Ident, Lit: l.src[start : l.off-1], Pos: pos}
+		}
+		return token.Token{Type: token.Ident, Lit: sb.String(), Pos: pos}
+	}
+}
+
+// keepRune adds r, read at byte offset at of a quoted token whose text
+// began at start, to the token's text. Verbatim text stays a substring
+// (sb nil); a malformed byte decodes to utf8.RuneError, which the text
+// spells as U+FFFD, so it starts a builder.
+func (l *Lexer) keepRune(sb *strings.Builder, start, at int, r rune) *strings.Builder {
+	if sb == nil && r == utf8.RuneError {
+		sb = &strings.Builder{}
+		sb.WriteString(l.src[start:at])
+	}
+	if sb != nil {
 		sb.WriteRune(r)
 	}
+	return sb
 }
 
 func (l *Lexer) scanParam(pos token.Position) token.Token {
@@ -275,55 +323,55 @@ func (l *Lexer) scanParam(pos token.Position) token.Token {
 		}
 		return token.Token{Type: token.Param, Lit: t.Lit, Pos: pos}
 	}
-	if !isIdentStart(r) && !unicode.IsDigit(r) {
+	if !isIdentStart(r) && !isDigit(r) {
 		return l.errorf(pos, "invalid parameter name")
 	}
-	var sb strings.Builder
+	start := l.off
 	for isIdentPart(l.peek()) {
-		sb.WriteRune(l.advance())
+		l.advance()
 	}
-	return token.Token{Type: token.Param, Lit: sb.String(), Pos: pos}
+	return token.Token{Type: token.Param, Lit: l.src[start:l.off], Pos: pos}
 }
 
 func (l *Lexer) scanNumber(pos token.Position) token.Token {
-	var sb strings.Builder
+	start := l.off
 	isFloat := false
 	// Hex literal.
 	if l.peek() == '0' && (l.peek2() == 'x' || l.peek2() == 'X') {
-		sb.WriteRune(l.advance())
-		sb.WriteRune(l.advance())
+		l.advance()
+		l.advance()
 		for isHexDigit(l.peek()) {
-			sb.WriteRune(l.advance())
+			l.advance()
 		}
-		if sb.Len() == 2 {
+		if l.off-start == 2 {
 			return l.errorf(pos, "malformed hex literal")
 		}
-		return token.Token{Type: token.Int, Lit: sb.String(), Pos: pos}
+		return token.Token{Type: token.Int, Lit: l.src[start:l.off], Pos: pos}
 	}
-	for unicode.IsDigit(l.peek()) {
-		sb.WriteRune(l.advance())
+	for isDigit(l.peek()) {
+		l.advance()
 	}
 	// A fraction: avoid consuming the range operator "..".
-	if l.peek() == '.' && unicode.IsDigit(l.peek2()) {
+	if l.peek() == '.' && isDigit(l.peek2()) {
 		isFloat = true
-		sb.WriteRune(l.advance())
-		for unicode.IsDigit(l.peek()) {
-			sb.WriteRune(l.advance())
+		l.advance()
+		for isDigit(l.peek()) {
+			l.advance()
 		}
 	}
 	if l.peek() == 'e' || l.peek() == 'E' {
 		next := l.peek2()
-		if unicode.IsDigit(next) || next == '+' || next == '-' {
+		if isDigit(next) || next == '+' || next == '-' {
 			isFloat = true
-			sb.WriteRune(l.advance()) // e
+			l.advance() // e
 			if l.peek() == '+' || l.peek() == '-' {
-				sb.WriteRune(l.advance())
+				l.advance()
 			}
-			if !unicode.IsDigit(l.peek()) {
+			if !isDigit(l.peek()) {
 				return l.errorf(pos, "malformed exponent")
 			}
-			for unicode.IsDigit(l.peek()) {
-				sb.WriteRune(l.advance())
+			for isDigit(l.peek()) {
+				l.advance()
 			}
 		}
 	}
@@ -331,39 +379,47 @@ func (l *Lexer) scanNumber(pos token.Position) token.Token {
 	if isFloat {
 		t = token.Float
 	}
-	return token.Token{Type: t, Lit: sb.String(), Pos: pos}
+	return token.Token{Type: t, Lit: l.src[start:l.off], Pos: pos}
 }
 
 // scanFloatFraction handles literals beginning with '.', e.g. ".5".
 // The leading dot has already been consumed.
 func (l *Lexer) scanFloatFraction(pos token.Position) token.Token {
-	var sb strings.Builder
-	sb.WriteString("0.")
-	for unicode.IsDigit(l.peek()) {
-		sb.WriteRune(l.advance())
+	start := l.off
+	for isDigit(l.peek()) {
+		l.advance()
 	}
-	return token.Token{Type: token.Float, Lit: sb.String(), Pos: pos}
+	return token.Token{Type: token.Float, Lit: "0." + l.src[start:l.off], Pos: pos}
 }
 
 func isHexDigit(r rune) bool {
-	return unicode.IsDigit(r) || (r >= 'a' && r <= 'f') || (r >= 'A' && r <= 'F')
+	return isDigit(r) || (r >= 'a' && r <= 'f') || (r >= 'A' && r <= 'F')
 }
 
 func (l *Lexer) scanString(pos token.Position) token.Token {
 	quote := l.advance()
-	var sb strings.Builder
+	start := l.off
+	var sb *strings.Builder // non-nil once an escape is seen
 	for {
 		r := l.peek()
 		if r == 0 || r == '\n' {
 			return l.errorf(pos, "unterminated string literal")
 		}
+		at := l.off
 		l.advance()
 		if r == quote {
+			if sb == nil {
+				return token.Token{Type: token.String, Lit: l.src[start : l.off-1], Pos: pos}
+			}
 			return token.Token{Type: token.String, Lit: sb.String(), Pos: pos}
 		}
 		if r != '\\' {
-			sb.WriteRune(r)
+			sb = l.keepRune(sb, start, at, r)
 			continue
+		}
+		if sb == nil {
+			sb = &strings.Builder{}
+			sb.WriteString(l.src[start:at])
 		}
 		esc := l.advance()
 		switch esc {

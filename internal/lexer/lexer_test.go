@@ -218,3 +218,12 @@ RETURN v`
 		t.Error("first token")
 	}
 }
+
+// Tokens take their text from the source: a statement without escapes
+// costs the token slice and nothing per token.
+func TestTokenizeAllocatesOnlyTheSlice(t *testing.T) {
+	src := "MATCH (u:User{id:4711, name:'ann', w:1.5})-[:KNOWS*1..3]->(v) WHERE v.name <> $p RETURN u.name AS name // q1-7"
+	if n := testing.AllocsPerRun(100, func() { Tokenize(src) }); n != 1 {
+		t.Errorf("Tokenize allocates %v times, want 1", n)
+	}
+}

@@ -1,11 +1,13 @@
 package parser
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/token"
+	"repro/internal/value"
 )
 
 // Expression grammar, loosest to tightest:
@@ -203,32 +205,24 @@ func (p *parser) parsePostfix(e ast.Expr) ast.Expr {
 func (p *parser) parseAtom() ast.Expr {
 	t := p.cur()
 	switch t.Type {
-	case token.Int:
+	case token.Int, token.Float, token.String:
 		p.next()
-		n, err := strconv.ParseInt(t.Lit, 0, 64)
+		v, err := LiteralValue(t)
 		if err != nil {
-			p.errorf("invalid integer literal %q", t.Lit)
+			p.errorf("%s", err)
 		}
-		return &ast.Literal{Value: n}
-	case token.Float:
-		p.next()
-		f, err := strconv.ParseFloat(t.Lit, 64)
-		if err != nil {
-			p.errorf("invalid float literal %q", t.Lit)
-		}
-		return &ast.Literal{Value: f}
-	case token.String:
-		p.next()
-		return &ast.Literal{Value: t.Lit}
+		lit := ast.LiteralOf(v)
+		p.lits = append(p.lits, LiteralToken{Lit: lit, Tok: p.pos - 1})
+		return lit
 	case token.TRUE:
 		p.next()
-		return &ast.Literal{Value: true}
+		return ast.LiteralOf(value.Bool(true))
 	case token.FALSE:
 		p.next()
-		return &ast.Literal{Value: false}
+		return ast.LiteralOf(value.Bool(false))
 	case token.NULL:
 		p.next()
-		return &ast.Literal{Value: nil}
+		return ast.LiteralOf(value.NullValue)
 	case token.Param:
 		p.next()
 		return &ast.Parameter{Name: t.Lit}
@@ -384,4 +378,28 @@ func (p *parser) parseReduce() ast.Expr {
 	r.Expr = p.parseExpr()
 	p.expect(token.RParen)
 	return r
+}
+
+// LiteralValue converts an Int, Float or String token to the value its
+// literal denotes. The parser and the statement cache's literal
+// bindings both convert through it, so a bound literal takes the value
+// a fresh parse of its text would give it.
+func LiteralValue(t token.Token) (value.Value, error) {
+	switch t.Type {
+	case token.Int:
+		n, err := strconv.ParseInt(t.Lit, 0, 64)
+		if err != nil {
+			return nil, fmt.Errorf("invalid integer literal %q", t.Lit)
+		}
+		return value.Int(n), nil
+	case token.Float:
+		f, err := strconv.ParseFloat(t.Lit, 64)
+		if err != nil {
+			return nil, fmt.Errorf("invalid float literal %q", t.Lit)
+		}
+		return value.Float(f), nil
+	case token.String:
+		return value.String(t.Lit), nil
+	}
+	return nil, fmt.Errorf("%s is not a literal", t.Type)
 }

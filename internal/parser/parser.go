@@ -35,26 +35,42 @@ func (e *Error) Error() string {
 type parser struct {
 	toks []token.Token
 	pos  int
+	lits []LiteralToken // the Int, Float and String literals built so far
+}
+
+// LiteralToken is a literal the parser built from an Int, Float or
+// String token, with the token's index in the parsed token slice.
+type LiteralToken struct {
+	Lit *ast.Literal
+	Tok int
 }
 
 // Parse parses a complete Cypher statement.
-func Parse(src string) (stmt *ast.Statement, err error) {
+func Parse(src string) (*ast.Statement, error) {
 	toks, err := lexer.Tokenize(src)
 	if err != nil {
 		return nil, err
 	}
+	stmt, _, err := ParseTokens(toks)
+	return stmt, err
+}
+
+// ParseTokens parses a complete statement from toks, the output of
+// lexer.Tokenize, and also returns every literal it built from an Int,
+// Float or String token, in token order.
+func ParseTokens(toks []token.Token) (stmt *ast.Statement, lits []LiteralToken, err error) {
 	p := &parser{toks: toks}
 	defer func() {
 		if r := recover(); r != nil {
 			if pe, ok := r.(*Error); ok {
-				stmt, err = nil, pe
+				stmt, lits, err = nil, nil, pe
 				return
 			}
 			panic(r)
 		}
 	}()
 	stmt = p.parseStatement()
-	return stmt, nil
+	return stmt, p.lits, nil
 }
 
 // ParseExpr parses a single expression (used by tests and the REPL).

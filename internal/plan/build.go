@@ -84,7 +84,7 @@ func (b *Builder) newSegment(src Operator) *segBuild {
 // evaluator sharing the graph snapshot and parameters but nothing
 // mutable.
 func (b *Builder) newWorkerCtx() *workerCtx {
-	ev := &expr.Evaluator{Graph: b.Ev.Graph, Params: b.Ev.Params, Names: b.Ev.Names}
+	ev := &expr.Evaluator{Graph: b.Ev.Graph, Params: b.Ev.Params, Names: b.Ev.Names, Binds: b.Ev.Binds}
 	return &workerCtx{ev: ev, mf: b.NewMatcher}
 }
 

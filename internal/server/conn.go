@@ -116,10 +116,13 @@ func (c *conn) handleRun(msg *Message) bool {
 	if c.srv.isDraining() {
 		return c.send(failure(CodeServerDraining, "server is shutting down"))
 	}
-	info, err := c.srv.db.ClassifyStatement(msg.Query)
+	// One cache lookup classifies the statement and, for a plain run,
+	// is what executes.
+	stmt, err := c.srv.db.Prepare(msg.Query)
 	if err != nil {
 		return c.send(failure(CodeSyntaxError, err.Error()))
 	}
+	info := stmt.Info()
 	// Only a plain run routes transaction control; explain and profile
 	// go to the session, which renders or refuses the statement.
 	if msg.Mode != "explain" && msg.Mode != "profile" {
@@ -170,7 +173,7 @@ func (c *conn) handleRun(msg *Message) bool {
 	case "profile":
 		res, plan, err = c.sess.Profile(msg.Query, params)
 	default:
-		res, err = c.sess.Exec(msg.Query, params)
+		res, err = c.sess.ExecStatement(stmt, params)
 	}
 	if needSlot {
 		c.srv.releaseWriteSlot()

@@ -103,7 +103,7 @@ const (
 	keywordEnd
 )
 
-var typeNames = map[Type]string{
+var typeNames = [...]string{
 	Illegal: "ILLEGAL", EOF: "EOF", Ident: "IDENT", Int: "INT",
 	Float: "FLOAT", String: "STRING", Param: "PARAM",
 	LParen: "(", RParen: ")", LBracket: "[", RBracket: "]",
@@ -129,8 +129,8 @@ var typeNames = map[Type]string{
 
 // String returns a printable name for the token type.
 func (t Type) String() string {
-	if s, ok := typeNames[t]; ok {
-		return s
+	if t >= 0 && int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
 	}
 	return "UNKNOWN"
 }
@@ -149,10 +149,37 @@ var keywords = func() map[string]Type {
 	return m
 }()
 
+// maxKeywordLen is the length of the longest keyword, FIELDTERMINATOR.
+const maxKeywordLen = 15
+
 // Lookup maps an identifier to its keyword type, or Ident.
-// The comparison is case-insensitive.
+// The comparison is case-insensitive. An ASCII identifier is upper-cased
+// in a stack buffer; any other goes through Unicode case mapping, under
+// which a non-ASCII identifier can still spell a keyword (`lımıt` is
+// LIMIT, as ı upper-cases to I).
 func Lookup(ident string) Type {
-	if t, ok := keywords[strings.ToUpper(ident)]; ok {
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(ident); i++ {
+		c := ident[i]
+		if c >= 0x80 {
+			if t, ok := keywords[strings.ToUpper(ident)]; ok {
+				return t
+			}
+			return Ident
+		}
+		if i >= maxKeywordLen {
+			// Too long for a keyword, unless a later byte is non-ASCII.
+			continue
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	if len(ident) > maxKeywordLen {
+		return Ident
+	}
+	if t, ok := keywords[string(buf[:len(ident)])]; ok {
 		return t
 	}
 	return Ident

@@ -61,3 +61,26 @@ func TestAllKeywordsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// Lookup upper-cases ASCII identifiers in a buffer of maxKeywordLen
+// bytes, so no keyword may be longer; a longer non-ASCII identifier
+// still reaches Unicode case mapping.
+func TestLookupBufferFitsKeywords(t *testing.T) {
+	for name := range keywords {
+		if len(name) > maxKeywordLen {
+			t.Errorf("keyword %s is longer than maxKeywordLen %d", name, maxKeywordLen)
+		}
+	}
+	for lit, want := range map[string]Type{
+		"fieldterminator":  FIELDTERMINATOR,
+		"fieldterminators": Ident,
+		"lımıt":            LIMIT,
+		"ascendıng":        ASC,
+		"ſame":             SAME,
+		"match_":           Ident,
+	} {
+		if got := Lookup(lit); got != want {
+			t.Errorf("Lookup(%q) = %v, want %v", lit, got, want)
+		}
+	}
+}
