@@ -91,9 +91,16 @@ par:
 # reused by every execution): folded items keep their column names,
 # an invalid statement gives the same error on every path, cache hit
 # or miss, embedded or served, and one AST prepared again and again on
-# engines of both dialects gives the same results.
+# engines of both dialects gives the same results. Two more specify the
+# statement cache's templates: every statement of the script corpus and
+# of the generator, in both dialects, respelled with other values in
+# its inline property maps, answers through the original's template
+# exactly as through a fresh engine (columns, rows in order, stats,
+# error text, graph.Identical); a user parameter named like a binding
+# position, a statement the dialect refuses (never shared) and EXPLAIN
+# and PROFILE (which print the text's own literals) are pinned.
 props:
-	go test -race -count=1 -run 'TestOracle|TestClauseCompositionality|TestStatementInvariantMatchesValidate|TestLimitNeverStopsUpdates|TestGoldenCorpus|TestLegacyGoldenCorpus|TestStreamingMatchesMaterializing|TestExecutorTriEquivalenceGolden|TestStreamingPropertyRandomQueries|TestExecuteWithTableLeavesDrivingTableUntouched|TestMergeStatsMatchGraphDeltas|TestUpdateStatsMatchGraphDeltas|TestPrepare' ./internal/core
+	go test -race -count=1 -run 'TestOracle|TestClauseCompositionality|TestStatementInvariantMatchesValidate|TestLimitNeverStopsUpdates|TestGoldenCorpus|TestLegacyGoldenCorpus|TestStreamingMatchesMaterializing|TestExecutorTriEquivalenceGolden|TestStreamingPropertyRandomQueries|TestExecuteWithTableLeavesDrivingTableUntouched|TestMergeStatsMatchGraphDeltas|TestUpdateStatsMatchGraphDeltas|TestPrepare|TestTemplate' ./internal/core
 	go test -race -count=1 -run 'TestCorpusExecutorSweep' ./internal/script
 
 # The server gate, under the race detector: the wire-protocol
@@ -105,11 +112,12 @@ props:
 # one-request-frame check, the wire codec (the client's and the
 # server's message layers checked against each other, the tagged value
 # codec checked against encoding/json, allocations per served point
-# read), and the plan slots shared by every execution of a text
-# (cross-session hits, plans evicted with their statements, bound-set
-# replacement, sessions and parallel workers reading one slot while a
-# writer forces replans; and the planner-level drift and index-epoch
-# checks).
+# read, one statement-cache lookup per RUN), and the plan slots shared
+# by every execution of a text (cross-session hits, plans evicted with
+# their statements, bound-set replacement, sessions and parallel
+# workers reading one slot while a writer forces replans, 5 000 unique
+# texts of one shape served by one template without evicting other
+# texts; and the planner-level drift and index-epoch checks).
 serve-race:
 	go test -race -count=1 ./internal/server ./internal/tagjson ./cypherclient
 	go test -race -run 'TestCorpusWireEquivalence|TestWireValueExtremes' ./internal/script
@@ -132,7 +140,11 @@ crash:
 # or round-trip canonically, never panic.
 # The expression fuzzer additionally proves folding is invisible:
 # whatever parses evaluates to the same value/error folded (without a
-# graph or parameters, as a statement is prepared) or not.
+# graph or parameters, as a statement is prepared) or not. The template
+# fuzzer primes the statement cache with one text and looks up another:
+# a text that parses is served as a statement that prints, bindings
+# substituted, like the text parsed and prepared on its own; one that
+# does not parse misses and gets the parser's error byte for byte.
 fuzz:
 	go test -run '^$$' -fuzz FuzzWALRecordRoundTrip -fuzztime 15s ./internal/graph
 	go test -run '^$$' -fuzz FuzzBinaryValueRoundTrip -fuzztime 15s ./internal/graph
@@ -142,6 +154,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzScannerMatchesEncodingJSON -fuzztime 15s ./internal/tagjson
 	go test -run '^$$' -fuzz FuzzReplyDecode -fuzztime 15s ./cypherclient
 	go test -run '^$$' -fuzz FuzzExprEval -fuzztime 15s ./internal/expr
+	go test -run '^$$' -fuzz FuzzTemplateMatchesParse -fuzztime 15s ./internal/core
 
 # One iteration of every B-benchmark, then the bench/ module's vet and
 # smoke test (every workload at a small scale): catches panics, broken

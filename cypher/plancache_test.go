@@ -327,3 +327,40 @@ func TestPlanCacheSharedSlotRace(t *testing.T) {
 		t.Errorf("the writer invalidated no plan: %+v -> %+v", before, after)
 	}
 }
+
+// TestPlanCacheTemplateFloodKeepsOtherTexts checks that a stream of
+// unique texts of one shape, as a client that inlines its literals and
+// tags each text sends them, is served by one template: the cache grows
+// by the first text and its template, and a parameterized text cached
+// before the stream is still a hit after it.
+func TestPlanCacheTemplateFloodKeepsOtherTexts(t *testing.T) {
+	db := Open()
+	if _, err := db.Exec(`UNWIND range(0, 99) AS i CREATE (:User{id: i, name: 'u' + toString(i)})`, nil); err != nil {
+		t.Fatal(err)
+	}
+	const read = `MATCH (u:User{id: $i}) RETURN u.name AS name`
+	if _, err := db.Exec(read, map[string]any{"i": 1}); err != nil {
+		t.Fatal(err)
+	}
+	before := db.CacheStats()
+	for i := 0; i < 5000; i++ {
+		res, err := db.Exec(fmt.Sprintf(`MATCH (u:User{id: %d}) RETURN u.name AS name // q%d`, i%100, i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Values(0)[0]; got.String() != fmt.Sprintf("'u%d'", i%100) {
+			t.Fatalf("text %d returned %v", i, got)
+		}
+	}
+	flooded := db.CacheStats()
+	if grown := flooded.StmtEntries - before.StmtEntries; grown > 2 {
+		t.Errorf("5000 texts of one shape grew the cache by %d entries, want at most 2", grown)
+	}
+	if _, err := db.Exec(read, map[string]any{"i": 2}); err != nil {
+		t.Fatal(err)
+	}
+	after := db.CacheStats()
+	if after.StmtHits != flooded.StmtHits+1 || after.StmtMisses != flooded.StmtMisses || after.StmtEntries != flooded.StmtEntries {
+		t.Errorf("the parameterized text was not a cache hit after the flood: %+v then %+v", flooded, after)
+	}
+}

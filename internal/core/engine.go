@@ -294,7 +294,12 @@ func (e *Engine) ExecuteWithTable(g *graph.Graph, stmt *ast.Statement, params ma
 	if stmt.TxnControl != ast.TxnNone {
 		return nil, fmt.Errorf("%s requires a session (transaction control is session state)", stmt.TxnControl)
 	}
-	p := prepare(stmt, e.cfg, &e.stmts.plans)
+	return e.execute(g, prepare(stmt, e.cfg, &e.stmts.plans), params, t0)
+}
+
+// execute runs a prepared statement on g under a journal of its own:
+// ExecuteWithTable after preparing.
+func (e *Engine) execute(g *graph.Graph, p *Prepared, params map[string]value.Value, t0 *table.Table) (*Result, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
