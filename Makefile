@@ -117,7 +117,8 @@ props:
 # their statements, bound-set replacement, sessions and parallel
 # workers reading one slot while a writer forces replans, 5 000 unique
 # texts of one shape served by one template without evicting other
-# texts; and the planner-level drift and index-epoch checks).
+# texts, sessions making and sharing one template concurrently; and the
+# planner-level drift and index-epoch checks).
 serve-race:
 	go test -race -count=1 ./internal/server ./internal/tagjson ./cypherclient
 	go test -race -run 'TestCorpusWireEquivalence|TestWireValueExtremes' ./internal/script

@@ -364,3 +364,36 @@ func TestPlanCacheTemplateFloodKeepsOtherTexts(t *testing.T) {
 		t.Errorf("the parameterized text was not a cache hit after the flood: %+v then %+v", flooded, after)
 	}
 }
+
+// TestPlanCacheTemplateConcurrentSessions runs unique texts of one
+// shape from several sessions at once, the shape's first text among
+// them, so that templates are made, bound and shared concurrently;
+// each text must read its own literal's row.
+func TestPlanCacheTemplateConcurrentSessions(t *testing.T) {
+	db := Open()
+	if _, err := db.Exec(`UNWIND range(0, 99) AS i CREATE (:User{id: i, name: 'u' + toString(i)})`, nil); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			s := db.Session()
+			defer s.Close()
+			for i := 0; i < 200; i++ {
+				id := (c*37 + i) % 100
+				res, err := s.Exec(fmt.Sprintf(`MATCH (u:User{id: %d}) RETURN u.name AS name // c%d-%d`, id, c, i), nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.NumRows() != 1 || res.Values(0)[0].String() != fmt.Sprintf("'u%d'", id) {
+					t.Errorf("session %d text %d: got %d rows, want u%d", c, i, res.NumRows(), id)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/expr"
@@ -163,8 +164,8 @@ type stmtCache struct {
 	texts  map[string]*list.Element
 	shapes map[string]*list.Element
 	order  *list.List // of *stmtCacheEntry, front = most recently used
-	hits   int64
-	misses int64
+	hits   atomic.Int64
+	misses atomic.Int64
 	// plans counts the plan-slot consults of every statement the
 	// engine prepares.
 	plans match.PlanCounts
@@ -209,35 +210,37 @@ func newStmtCache() *stmtCache {
 func (c *stmtCache) parse(query string, cfg Config, own bool) (*Prepared, error) {
 	c.mu.Lock()
 	if el, ok := c.texts[query]; ok {
-		c.hits++
 		c.order.MoveToFront(el)
 		stmt := el.Value.(*stmtCacheEntry).stmt
 		c.mu.Unlock()
+		c.hits.Add(1)
 		return stmt, nil
 	}
 	c.mu.Unlock()
 
-	// Lex and key outside the lock. Small texts key into a stack buffer.
+	// Lex, key and bind outside the lock. Small texts key into a stack
+	// buffer.
 	toks, err := lexer.Tokenize(query)
 	if err != nil {
-		c.mu.Lock()
-		c.misses++
-		c.mu.Unlock()
+		c.misses.Add(1)
 		return nil, err
 	}
 	var buf [256]byte
 	shape := appendShape(buf[:0], toks)
+	var tmpl *template
 	c.mu.Lock()
 	if el, ok := c.shapes[string(shape)]; ok && !own {
-		if p := el.Value.(*stmtCacheEntry).tmpl.bind(toks); p != nil {
-			c.hits++
-			c.order.MoveToFront(el)
-			c.mu.Unlock()
+		c.order.MoveToFront(el)
+		tmpl = el.Value.(*stmtCacheEntry).tmpl
+	}
+	c.mu.Unlock()
+	if tmpl != nil {
+		if p := tmpl.bind(toks); p != nil {
+			c.hits.Add(1)
 			return p, nil
 		}
 	}
-	c.misses++
-	c.mu.Unlock()
+	c.misses.Add(1)
 
 	// Parse outside the lock; concurrent first parsers of the same text
 	// race benignly (first one in wins the cache slot).
@@ -425,5 +428,5 @@ func (c *stmtCache) stats() (hits, misses int64, entries int, plans match.PlanSt
 			}
 		}
 	}
-	return c.hits, c.misses, c.order.Len(), c.plans.Stats(filled)
+	return c.hits.Load(), c.misses.Load(), c.order.Len(), c.plans.Stats(filled)
 }
