@@ -372,20 +372,12 @@ func patternLiterals(cs []ast.Clause, bound map[*ast.Literal]bool) {
 // literal differs from the template's, or a bound one does not convert
 // (an integer out of range: parsing the text reports it).
 func (t *template) bind(toks []token.Token) *Prepared {
-	if t.binds == 0 {
-		for i, j := 0, 0; i < len(toks); i++ {
-			if isLiteralToken(toks[i].Type) {
-				if toks[i].Lit != t.lits[j].text {
-					return nil
-				}
-				j++
-			}
-		}
-		return t.stmt
+	var binds []value.Value
+	if t.binds > 0 {
+		binds = make([]value.Value, t.binds)
 	}
-	binds := make([]value.Value, t.binds)
-	for i, j := 0, 0; i < len(toks); i++ {
-		tok := toks[i]
+	j := 0
+	for _, tok := range toks {
 		if !isLiteralToken(tok.Type) {
 			continue
 		}
@@ -402,6 +394,9 @@ func (t *template) bind(toks []token.Token) *Prepared {
 			return nil
 		}
 		binds[l.bind] = v
+	}
+	if binds == nil {
+		return t.stmt
 	}
 	h := *t.stmt
 	h.binds = binds
