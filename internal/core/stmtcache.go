@@ -145,7 +145,8 @@ func (p *Prepared) slot(parts []*ast.PatternPart) *match.PlanSlot {
 //     (u:User{id:4711}): every layer evaluates such a value per row,
 //     like a parameter. Every other literal is pinned: SKIP and LIMIT,
 //     variable-length bounds, signed literals, projection items (whose
-//     text names their column), folded subtrees, the LOAD CSV URL. A
+//     text names their column), folded subtrees, the LOAD CSV URL
+//     (true, false and null are keywords, so the shape holds them). A
 //     later text of the shape whose pinned literals repeat the
 //     template's byte for byte shares the template's Prepared, with its
 //     own bound literals' values as bindings.
