@@ -901,9 +901,12 @@ func BenchmarkB22PointRead(b *testing.B) {
 
 // BenchmarkB24AdhocPointRead is B22 with its literal inlined and a
 // unique trailing comment on every text, as clients that build their
-// own texts send it: no text repeats, so each is served by the
-// statement cache's template for the shape (lexed, its literal bound)
-// rather than by its text. The texts are built before the timer.
+// own texts send it. No text repeats. In "shared" each text is served
+// by the statement cache's template for the shape (lexed, its literal
+// bound) rather than by its text; in "parsed" each text also has a
+// LIMIT of its own, a literal a template pins, so every text is parsed,
+// prepared and planned: the cold path. The texts are built before the
+// timer.
 func BenchmarkB24AdhocPointRead(b *testing.B) {
 	db := cypher.Open()
 	for _, q := range []string{`UNWIND range(0, 999) AS i CREATE (:User{id: i, name: 'u' + toString(i)})`, `CREATE INDEX ON :User(id)`} {
@@ -913,20 +916,31 @@ func BenchmarkB24AdhocPointRead(b *testing.B) {
 	}
 	sess := db.Session()
 	defer sess.Close()
-	texts := make([]string, b.N)
-	for i := range texts {
-		texts[i] = fmt.Sprintf(`MATCH (u:User{id: %d}) RETURN u.name AS name // q%d`, i%1000, i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sess.Exec(texts[i], nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.NumRows() != 1 {
-			b.Fatalf("rows = %d, want 1", res.NumRows())
-		}
+	seq := 0 // numbers texts across the harness's rounds, so none repeats
+	for _, mode := range []struct {
+		name, text string
+	}{
+		{"shared", `MATCH (u:User{id: %d}) RETURN u.name AS name // q%d`},
+		{"parsed", `MATCH (u:User{id: %d}) RETURN u.name AS name LIMIT %d`},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			texts := make([]string, b.N)
+			for i := range texts {
+				seq++
+				texts[i] = fmt.Sprintf(mode.text, seq%1000, seq)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := sess.Exec(texts[i], nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.NumRows() != 1 {
+					b.Fatalf("rows = %d, want 1", res.NumRows())
+				}
+			}
+		})
 	}
 }
 

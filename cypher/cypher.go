@@ -507,10 +507,11 @@ type CacheStats = core.CacheStats
 
 // CacheStats reports the engine's cache counters: statement-cache
 // hits/misses (prepared statements shared across all sessions of this
-// database; a text served by the template of a cached text that differs
-// from it only in inline property-map literals counts as a hit) and
-// entries, the hits, misses and invalidations of their plan slots,
-// and how many slots of cached statements hold a plan. Useful for
+// database) and entries, the template hits among the misses (a text
+// that differs from a cached one only in inline property-map literals
+// shares that text's statement without being parsed), the hits, misses
+// and invalidations of their plan slots, and how many slots of cached
+// statements hold a plan. Useful for
 // asserting that repeated parameterized queries — from one session or
 // many — plan once.
 func (db *DB) CacheStats() CacheStats { return db.engine.CacheStats() }

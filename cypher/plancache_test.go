@@ -356,6 +356,9 @@ func TestPlanCacheTemplateFloodKeepsOtherTexts(t *testing.T) {
 	if grown := flooded.StmtEntries - before.StmtEntries; grown > 2 {
 		t.Errorf("5000 texts of one shape grew the cache by %d entries, want at most 2", grown)
 	}
+	if served := flooded.TemplateHits - before.TemplateHits; served != 4999 {
+		t.Errorf("the template served %d of the 5000 texts, want all but the first", served)
+	}
 	if _, err := db.Exec(read, map[string]any{"i": 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -375,37 +375,19 @@ type Expr interface {
 	String() string
 }
 
-// Literal is a constant value: int64, float64, string, bool, or nil.
+// Literal is a constant the text spells: an integer, float, string,
+// boolean or null.
 type Literal struct {
-	Value any
-	// Val is Value as a runtime value, converted once at parse (see
-	// LiteralOf) so that evaluating the literal allocates nothing; nil
-	// on a literal built by hand.
+	// Val is the literal's runtime value (value.Int, value.Float,
+	// value.String, value.Bool or value.NullValue), converted once at
+	// parse so that evaluating the literal allocates nothing.
 	Val value.Value
 	// Bind, when positive, makes the literal the Bind-th bound literal
 	// of a statement shared by texts that differ only in such literals:
 	// an evaluator holding bindings reads binding Bind-1 instead of Val.
-	// The printer and the planner see the Value the statement was
-	// parsed with.
+	// The printer and the planner see the Val the statement was parsed
+	// with.
 	Bind int
-}
-
-// LiteralOf returns the literal of v, a value of one of the kinds a
-// literal spells (integer, float, string, boolean or null), with Value
-// set to its Go form.
-func LiteralOf(v value.Value) *Literal {
-	l := &Literal{Val: v}
-	switch x := v.(type) {
-	case value.Bool:
-		l.Value = bool(x)
-	case value.Int:
-		l.Value = int64(x)
-	case value.Float:
-		l.Value = float64(x)
-	case value.String:
-		l.Value = string(x)
-	}
-	return l
 }
 
 // Const is a folded constant: the result of evaluating a closed,

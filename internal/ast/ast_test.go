@@ -3,6 +3,8 @@ package ast
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/value"
 )
 
 func TestMergeFormString(t *testing.T) {
@@ -67,21 +69,21 @@ func TestWalkPrune(t *testing.T) {
 func TestWalkAllNodeKinds(t *testing.T) {
 	// A deliberately deep expression touching every Walk branch.
 	e := &CaseExpr{
-		Test: &Index{Expr: &Variable{Name: "xs"}, Index: &Literal{Value: int64(0)}},
+		Test: &Index{Expr: &Variable{Name: "xs"}, Index: &Literal{Val: value.Int(0)}},
 		Whens: []Expr{
-			&Slice{Expr: &Variable{Name: "xs"}, From: &Literal{Value: int64(0)}, To: nil},
+			&Slice{Expr: &Variable{Name: "xs"}, From: &Literal{Val: value.Int(0)}, To: nil},
 		},
 		Thens: []Expr{
 			&ListComprehension{
 				Var:   "x",
-				List:  &ListLit{Elems: []Expr{&Literal{Value: int64(1)}}},
+				List:  &ListLit{Elems: []Expr{&Literal{Val: value.Int(1)}}},
 				Where: &IsNull{Expr: &Variable{Name: "x"}},
 				Proj:  &UnaryOp{Op: OpNeg, Expr: &Variable{Name: "x"}},
 			},
 		},
 		Else: &Reduce{
 			Acc:  "acc",
-			Init: &Literal{Value: int64(0)},
+			Init: &Literal{Val: value.Int(0)},
 			Var:  "v",
 			List: &MapLit{Keys: []string{"k"}, Vals: []Expr{&Parameter{Name: "p"}}},
 			Expr: &Quantifier{
@@ -161,13 +163,13 @@ func TestPrinterEdgeCases(t *testing.T) {
 		{&RelPattern{Direction: DirOut, VarLength: true, MinHops: 2, MaxHops: 2}, "-[*2]->"},
 		{&RelPattern{Direction: DirOut, VarLength: true, MinHops: 2, MaxHops: 4}, "-[*2..4]->"},
 		{&RelPattern{Direction: DirOut, VarLength: true, MinHops: -1, MaxHops: 4}, "-[*..4]->"},
-		{&Literal{Value: nil}, "null"},
-		{&Literal{Value: "a'b"}, `'a\'b'`},
-		{&Literal{Value: true}, "true"},
-		{&Literal{Value: int64(3)}, "3"},
-		{&Literal{Value: 2.5}, "2.5"},
+		{&Literal{Val: value.NullValue}, "null"},
+		{&Literal{Val: value.String("a'b")}, `'a\'b'`},
+		{&Literal{Val: value.Bool(true)}, "true"},
+		{&Literal{Val: value.Int(3)}, "3"},
+		{&Literal{Val: value.Float(2.5)}, "2.5"},
 		{&IsNull{Expr: &Variable{Name: "x"}, Not: true}, "x IS NOT NULL"},
-		{&UnaryOp{Op: OpPos, Expr: &Literal{Value: int64(1)}}, "+(1)"},
+		{&UnaryOp{Op: OpPos, Expr: &Literal{Val: value.Int(1)}}, "+(1)"},
 		{&FuncCall{Name: "count", Star: true}, "count(*)"},
 		{&FuncCall{Name: "count", Distinct: true, Args: []Expr{&Variable{Name: "x"}}}, "count(DISTINCT x)"},
 		{&Slice{Expr: &Variable{Name: "xs"}}, "xs[..]"},
@@ -184,7 +186,7 @@ func TestClauseStrings(t *testing.T) {
 	if del.String() != "DETACH DELETE n" {
 		t.Errorf("delete = %q", del.String())
 	}
-	lc := &LoadCSVClause{WithHeaders: true, URL: &Literal{Value: "f.csv"}, Var: "row", FieldTerm: ";"}
+	lc := &LoadCSVClause{WithHeaders: true, URL: &Literal{Val: value.String("f.csv")}, Var: "row", FieldTerm: ";"}
 	if !strings.Contains(lc.String(), "WITH HEADERS") || !strings.Contains(lc.String(), "FIELDTERMINATOR") {
 		t.Errorf("load csv = %q", lc.String())
 	}
@@ -192,7 +194,7 @@ func TestClauseStrings(t *testing.T) {
 		Form:    MergeLegacy,
 		Pattern: []*PatternPart{{Nodes: []*NodePattern{{Var: "n"}}}},
 		OnCreate: []SetItem{
-			&SetProp{Target: &Variable{Name: "n"}, Key: "x", Value: &Literal{Value: int64(1)}},
+			&SetProp{Target: &Variable{Name: "n"}, Key: "x", Value: &Literal{Val: value.Int(1)}},
 		},
 		OnMatch: []SetItem{
 			&SetLabels{Var: "n", Labels: []string{"L"}},

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/value"
 )
 
 // String renders the statement as approximately round-trippable Cypher.
@@ -268,21 +270,13 @@ func (r *RelPattern) String() string {
 	}
 }
 
+// String renders the literal; a float prints in its shortest 'g' form,
+// so an integral one shows no fraction.
 func (e *Literal) String() string {
-	switch v := e.Value.(type) {
-	case nil:
-		return "null"
-	case string:
-		return "'" + strings.ReplaceAll(v, "'", "\\'") + "'"
-	case bool:
-		return strconv.FormatBool(v)
-	case int64:
-		return strconv.FormatInt(v, 10)
-	case float64:
-		return strconv.FormatFloat(v, 'g', -1, 64)
-	default:
-		return fmt.Sprintf("%v", v)
+	if f, ok := e.Val.(value.Float); ok {
+		return strconv.FormatFloat(float64(f), 'g', -1, 64)
 	}
+	return e.Val.String()
 }
 
 // String renders the folded value; value.Value rendering matches

@@ -253,11 +253,13 @@ func (e *Engine) ParseOwn(query string) (*Prepared, error) {
 // CacheStats summarizes the engine's statement cache and the plan slots
 // of its statements.
 type CacheStats struct {
-	// StmtHits / StmtMisses count statement-cache lookups by outcome.
-	// A lookup served by a template, for a text that differs from a
-	// cached one only in the literals of its inline property maps,
-	// counts as a statement hit: it neither parses nor plans.
+	// StmtHits / StmtMisses count statement-cache lookups by whether
+	// the text itself was cached.
 	StmtHits, StmtMisses int64
+	// TemplateHits counts the misses served by a template: the text
+	// differs from a cached one only in the literals of its inline
+	// property maps, so it was lexed but neither parsed nor planned.
+	TemplateHits int64
 	// StmtEntries counts the statement cache's entries: cached texts
 	// and templates.
 	StmtEntries int
@@ -267,8 +269,8 @@ type CacheStats struct {
 
 // CacheStats returns the engine's current cache counters.
 func (e *Engine) CacheStats() CacheStats {
-	h, m, n, plans := e.stmts.stats()
-	return CacheStats{StmtHits: h, StmtMisses: m, StmtEntries: n, Plan: plans}
+	h, m, th, n, plans := e.stmts.stats()
+	return CacheStats{StmtHits: h, StmtMisses: m, TemplateHits: th, StmtEntries: n, Plan: plans}
 }
 
 // Result is the output of a statement: the table produced by RETURN (or

@@ -153,7 +153,9 @@ func (p *Prepared) slot(parts []*ast.PatternPart) *match.PlanSlot {
 //
 // A template hit is served without parsing, preparing or planning: the
 // text is lexed, and its bound literals are converted. It adds no entry,
-// so a stream of texts of one shape cannot evict other statements.
+// so a stream of texts of one shape cannot evict other statements. The
+// text itself was not cached, so it counts as a miss, and as a template
+// hit besides.
 //
 // The keys are the text and its shape alone; the engine's dialect is
 // fixed per engine, so (text, dialect) is implicit. Parse errors are not
@@ -167,6 +169,7 @@ type stmtCache struct {
 	order  *list.List // of *stmtCacheEntry, front = most recently used
 	hits   atomic.Int64
 	misses atomic.Int64
+	tmpls  atomic.Int64 // the misses a template served
 	// plans counts the plan-slot consults of every statement the
 	// engine prepares.
 	plans match.PlanCounts
@@ -207,7 +210,7 @@ func newStmtCache() *stmtCache {
 // its shape's template, or one parsed and prepared under cfg and cached
 // on a miss. With own set the statement carries the text's own literals
 // (EXPLAIN and PROFILE render them), so no template is consulted. Every
-// call counts one hit or one miss.
+// call counts one hit or one miss: a hit when the text itself is cached.
 func (c *stmtCache) parse(query string, cfg Config, own bool) (*Prepared, error) {
 	c.mu.Lock()
 	if el, ok := c.texts[query]; ok {
@@ -235,13 +238,13 @@ func (c *stmtCache) parse(query string, cfg Config, own bool) (*Prepared, error)
 		tmpl = el.Value.(*stmtCacheEntry).tmpl
 	}
 	c.mu.Unlock()
+	c.misses.Add(1)
 	if tmpl != nil {
 		if p := tmpl.bind(toks); p != nil {
-			c.hits.Add(1)
+			c.tmpls.Add(1)
 			return p, nil
 		}
 	}
-	c.misses.Add(1)
 
 	// Parse outside the lock; concurrent first parsers of the same text
 	// race benignly (first one in wins the cache slot).
@@ -404,10 +407,11 @@ func (t *template) bind(toks []token.Token) *Prepared {
 	return &h
 }
 
-// stats returns the cache's hit/miss counters, its entry count and its
-// plan slots' counters. A template shares its statement, and so its
-// slots, with its text's entry; each slot is counted once.
-func (c *stmtCache) stats() (hits, misses int64, entries int, plans match.PlanStats) {
+// stats returns the cache's hit, miss and template-hit counters, its
+// entry count and its plan slots' counters. A template shares its
+// statement, and so its slots, with its text's entry; each slot is
+// counted once.
+func (c *stmtCache) stats() (hits, misses, tmpls int64, entries int, plans match.PlanStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	filled := 0
@@ -424,5 +428,5 @@ func (c *stmtCache) stats() (hits, misses int64, entries int, plans match.PlanSt
 			}
 		}
 	}
-	return c.hits.Load(), c.misses.Load(), c.order.Len(), c.plans.Stats(filled)
+	return c.hits.Load(), c.misses.Load(), c.tmpls.Load(), c.order.Len(), c.plans.Stats(filled)
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/ast"
 	"repro/internal/graph"
@@ -127,12 +128,12 @@ func respelled(t *testing.T) func(tok token.Token) string {
 // statement failed.
 func templateCase(t *testing.T, e *Engine, g *graph.Graph, variant string, params map[string]value.Value, t0 *table.Table) bool {
 	t.Helper()
-	hits := e.CacheStats().StmtHits
+	hits := e.CacheStats().TemplateHits
 	shared, err := e.Parse(variant)
 	if err != nil {
 		t.Fatalf("%s: %v", variant, err)
 	}
-	if e.CacheStats().StmtHits != hits+1 || shared.binds == nil {
+	if e.CacheStats().TemplateHits != hits+1 || shared.binds == nil {
 		t.Fatalf("%s: not served by its shape's template", variant)
 	}
 	fresh := NewEngine(e.cfg)
@@ -385,6 +386,73 @@ func TestTemplateTargetedCases(t *testing.T) {
 	})
 }
 
+// TestStoredStringsOwnTheirBytes checks that nothing a statement
+// stores in the graph points into the statement's text. The lexer cuts
+// token text out of the source, and a stored string literal, map key,
+// label, type or property key sharing those bytes would keep the whole
+// text (a batch, a script file) alive as long as the graph holds it.
+// The second text is served by the first one's template.
+func TestStoredStringsOwnTheirBytes(t *testing.T) {
+	e := NewEngine(Config{Dialect: DialectRevised})
+	g := graph.New()
+	for i, text := range []string{
+		`CREATE (:Person {name: 'ann', meta: {k: 'v'}})-[:KNOWS {since: "then"}]->(:Pet {name: 'rex'})`,
+		`CREATE (:Person {name: 'bob', meta: {k: 'v'}})-[:KNOWS {since: "now"}]->(:Pet {name: 'tom'})`,
+	} {
+		text = strings.Clone(text) // bytes of this text alone
+		before := e.CacheStats().TemplateHits
+		p, err := e.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served := e.CacheStats().TemplateHits - before; served != int64(i) {
+			t.Fatalf("text %d: %d template hits, want %d", i, served, i)
+		}
+		if _, err := e.execute(g, p, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+		check := func(what, s string) {
+			if at := uintptr(unsafe.Pointer(unsafe.StringData(s))); s != "" && at >= lo && at < lo+uintptr(len(text)) {
+				t.Errorf("text %d: the stored %s %q points into the statement text", i, what, s)
+			}
+		}
+		var checkValue func(v value.Value)
+		checkValue = func(v value.Value) {
+			switch x := v.(type) {
+			case value.String:
+				check("string", string(x))
+			case value.Map:
+				for k, el := range x {
+					check("map key", k)
+					checkValue(el)
+				}
+			}
+		}
+		checkProps := func(ps graph.Props) {
+			for _, p := range ps {
+				check("property key", g.SymName(p.Key))
+				checkValue(p.Val)
+			}
+		}
+		for _, id := range g.NodeIDs() {
+			n := g.Node(id)
+			for _, l := range n.Labels {
+				check("label", g.SymName(l))
+			}
+			checkProps(n.Props)
+		}
+		for _, id := range g.RelIDs() {
+			r := g.Rel(id)
+			check("type", g.SymName(r.Type))
+			checkProps(r.Props)
+		}
+	}
+	if n := len(g.NodeIDs()); n != 4 {
+		t.Fatalf("%d nodes, want 4", n)
+	}
+}
+
 // boundString prints p's statement with its bindings in place of the
 // template's bound literals. It writes the shared AST and restores it,
 // so it is for tests that own their engine.
@@ -396,16 +464,16 @@ func boundString(p *Prepared) string {
 	for _, q := range p.Queries {
 		patternLiterals(q.Clauses, lits)
 	}
-	saved := map[*ast.Literal]any{}
+	saved := map[*ast.Literal]value.Value{}
 	for l := range lits {
 		if l.Bind > 0 {
-			saved[l] = l.Value
-			l.Value = ast.LiteralOf(p.binds[l.Bind-1]).Value
+			saved[l] = l.Val
+			l.Val = p.binds[l.Bind-1]
 		}
 	}
 	defer func() {
 		for l, v := range saved {
-			l.Value = v
+			l.Val = v
 		}
 	}()
 	return p.String()
@@ -443,8 +511,8 @@ func FuzzTemplateMatchesParse(f *testing.F) {
 		}
 		stmt, err := parser.Parse(b)
 		if err != nil {
-			if gotErr == nil || gotErr.Error() != err.Error() || after.StmtHits != before.StmtHits {
-				t.Fatalf("%q does not parse (%v); the lookup returned error %v, hits %d -> %d", b, err, gotErr, before.StmtHits, after.StmtHits)
+			if gotErr == nil || gotErr.Error() != err.Error() || after.StmtHits != before.StmtHits || after.TemplateHits != before.TemplateHits {
+				t.Fatalf("%q does not parse (%v); the lookup returned error %v, counters %+v -> %+v", b, err, gotErr, before, after)
 			}
 			return
 		}

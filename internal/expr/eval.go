@@ -63,10 +63,7 @@ func (ev *Evaluator) Eval(e ast.Expr, row []value.Value) (value.Value, error) {
 		if x.Bind > 0 && ev.Binds != nil {
 			return ev.Binds[x.Bind-1], nil
 		}
-		if x.Val != nil {
-			return x.Val, nil
-		}
-		return literalValue(x)
+		return x.Val, nil
 	case *ast.Const:
 		return x.Val, nil
 	case *ast.Variable:
@@ -175,25 +172,6 @@ func (ev *Evaluator) EvalPropMap(e ast.Expr, row []value.Value) (value.Map, erro
 		return nil, fmt.Errorf("properties must be a map, got %s", v.Kind())
 	}
 	return m, nil
-}
-
-// literalValue converts the value of a literal built by hand, without
-// ast.LiteralOf.
-func literalValue(l *ast.Literal) (value.Value, error) {
-	switch v := l.Value.(type) {
-	case nil:
-		return value.NullValue, nil
-	case bool:
-		return value.Bool(v), nil
-	case int64:
-		return value.Int(v), nil
-	case float64:
-		return value.Float(v), nil
-	case string:
-		return value.String(v), nil
-	default:
-		return nil, fmt.Errorf("unsupported literal %T", l.Value)
-	}
 }
 
 // propValue resolves property access on nodes, relationships and maps.

@@ -357,7 +357,7 @@ func TestLiteralEvalAllocatesNothing(t *testing.T) {
 		}
 	}
 	bound := &Evaluator{Graph: graph.New(), Binds: []value.Value{value.Int(1 << 20)}}
-	lit := ast.LiteralOf(value.Int(4711))
+	lit := &ast.Literal{Val: value.Int(4711)}
 	lit.Bind = 1
 	if v, _ := bound.Eval(lit, nil); v != value.Int(1<<20) {
 		t.Errorf("bound literal evaluates to %v, want its binding", v)

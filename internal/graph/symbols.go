@@ -25,6 +25,7 @@ package graph
 import (
 	"cmp"
 	"slices"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/value"
@@ -83,6 +84,7 @@ func (g *Graph) intern(name string) SymID {
 	}
 	s := g.syms
 	id := SymID(len(s.names))
+	name = strings.Clone(name) // not the statement text it was cut from
 	s.names = append(s.names, name)
 	s.ids[name] = id
 	s.stamp = symStampCounter.Add(1)

@@ -40,13 +40,18 @@ func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
+// maxPresize bounds the tokens Tokenize reserves before scanning.
+const maxPresize = 256
+
 // Tokenize scans the entire input, returning all tokens up to and
 // including EOF, or the first lexical error.
 func Tokenize(src string) ([]token.Token, error) {
 	lx := New(src)
 	// Dense statement text runs at about one token per two and a half
-	// bytes, so this rarely regrows; the tokens die with the parse.
-	out := make([]token.Token, 0, len(src)/2+2)
+	// bytes, so an ordinary statement never regrows this. The cap keeps
+	// a long text that is mostly one literal or comment from reserving
+	// token space by its length; longer texts grow by append.
+	out := make([]token.Token, 0, min(len(src)/2+2, maxPresize))
 	for {
 		t := lx.Next()
 		if t.Type == token.Illegal {

@@ -227,3 +227,16 @@ func TestTokenizeAllocatesOnlyTheSlice(t *testing.T) {
 		t.Errorf("Tokenize allocates %v times, want 1", n)
 	}
 }
+
+// A text that is mostly one literal lexes to a handful of tokens and
+// must not reserve token space by its length.
+func TestTokenizeReservesByTokens(t *testing.T) {
+	src := "RETURN '" + strings.Repeat("x", 1<<20) + "' AS s"
+	toks, err := Tokenize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) != 5 || cap(toks) > maxPresize {
+		t.Errorf("%d tokens in a slice of capacity %d, want 5 in at most %d", len(toks), cap(toks), maxPresize)
+	}
+}

@@ -339,8 +339,8 @@ func (m *Matcher) propValueFallible(parts []*ast.PatternPart, e ast.Expr, row []
 	case *ast.UnaryOp:
 		if x.Op == ast.OpNeg || x.Op == ast.OpPos {
 			if lit, ok := x.Expr.(*ast.Literal); ok {
-				switch lit.Value.(type) {
-				case int64, float64:
+				switch lit.Val.(type) {
+				case value.Int, value.Float:
 					return false
 				}
 			}
@@ -857,8 +857,8 @@ func containsUnstableCall(e ast.Expr) bool {
 func totalBool(e ast.Expr, defined, entity map[string]bool) bool {
 	switch x := e.(type) {
 	case *ast.Literal:
-		_, isBool := x.Value.(bool)
-		return isBool || x.Value == nil
+		_, isBool := x.Val.(value.Bool)
+		return isBool || value.IsNull(x.Val)
 	case *ast.Const:
 		_, isBool := x.Val.(value.Bool)
 		return isBool || value.IsNull(x.Val)

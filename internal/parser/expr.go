@@ -211,18 +211,18 @@ func (p *parser) parseAtom() ast.Expr {
 		if err != nil {
 			p.errorf("%s", err)
 		}
-		lit := ast.LiteralOf(v)
+		lit := &ast.Literal{Val: v}
 		p.lits = append(p.lits, LiteralToken{Lit: lit, Tok: p.pos - 1})
 		return lit
 	case token.TRUE:
 		p.next()
-		return ast.LiteralOf(value.Bool(true))
+		return &ast.Literal{Val: value.Bool(true)}
 	case token.FALSE:
 		p.next()
-		return ast.LiteralOf(value.Bool(false))
+		return &ast.Literal{Val: value.Bool(false)}
 	case token.NULL:
 		p.next()
-		return ast.LiteralOf(value.NullValue)
+		return &ast.Literal{Val: value.NullValue}
 	case token.Param:
 		p.next()
 		return &ast.Parameter{Name: t.Lit}
@@ -381,7 +381,7 @@ func (p *parser) parseReduce() ast.Expr {
 }
 
 // LiteralValue converts an Int, Float or String token to the value its
-// literal denotes. The parser and the statement cache's literal
+// literal denotes; a string is copied out of the token's text. The parser and the statement cache's literal
 // bindings both convert through it, so a bound literal takes the value
 // a fresh parse of its text would give it.
 func LiteralValue(t token.Token) (value.Value, error) {
@@ -399,7 +399,9 @@ func LiteralValue(t token.Token) (value.Value, error) {
 		}
 		return value.Float(f), nil
 	case token.String:
-		return value.String(t.Lit), nil
+		// The token's text is usually a substring of the statement
+		// text; a value stored in the graph must not keep that alive.
+		return value.String(strings.Clone(t.Lit)), nil
 	}
 	return nil, fmt.Errorf("%s is not a literal", t.Type)
 }

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"strconv"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/token"
@@ -147,8 +148,10 @@ func (p *parser) parseMapLiteral() *ast.MapLit {
 }
 
 func (p *parser) mapKey() string {
+	// A map value can be stored as a property: copy its keys out of the
+	// statement text, as LiteralValue copies strings.
 	if p.at(token.String) {
-		return p.next().Lit
+		return strings.Clone(p.next().Lit)
 	}
-	return p.name()
+	return strings.Clone(p.name())
 }

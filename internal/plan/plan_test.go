@@ -38,7 +38,7 @@ func (o *countingScan) Close()               {}
 func (o *countingScan) Name() string         { return "CountingScan" }
 func (o *countingScan) Children() []Operator { return nil }
 
-func intLit(n int64) ast.Expr { return &ast.Literal{Value: n} }
+func intLit(n int64) ast.Expr { return &ast.Literal{Val: value.Int(n)} }
 
 // testNames lays out the tests' rows. x is slot 0, the zero Slot of
 // the tests' hand-built Variables, which all name x.
@@ -171,7 +171,7 @@ func TestCollectClosesAfterError(t *testing.T) {
 	src := &countingScan{n: 10, col: "x"}
 	ev := testEv(nil)
 	// LIMIT 'x' is a type error surfaced on first pull.
-	_, err := Collect(NewLimit(src, &ast.Literal{Value: "x"}, ev))
+	_, err := Collect(NewLimit(src, &ast.Literal{Val: value.String("x")}, ev))
 	if err == nil || !strings.Contains(err.Error(), "LIMIT expects a non-negative integer") {
 		t.Fatalf("err = %v", err)
 	}

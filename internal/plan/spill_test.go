@@ -336,7 +336,7 @@ func TestSpillFilesFreedOnEarlyLimitClose(t *testing.T) {
 	s := NewSort(NewTableScan(sortInput(500)),
 		[]*ast.SortItem{{Expr: &ast.Variable{Name: "x"}}}, []string{"x", "y"}, ev)
 	s.budget = newBudget(1)
-	lim := NewLimit(s, &ast.Literal{Value: int64(3)}, ev)
+	lim := NewLimit(s, &ast.Literal{Val: value.Int(3)}, ev)
 	out, err := Collect(lim)
 	if err != nil {
 		t.Fatal(err)
@@ -460,9 +460,9 @@ func TestOperatorClosesChildOnce(t *testing.T) {
 			return NewUnwind(c, &ast.UnwindClause{Expr: &ast.ListLit{Elems: []ast.Expr{x}}, Var: "k"}, ev)
 		},
 		"LoadCSV": func(c Operator) Operator {
-			return NewLoadCSV(c, &ast.LoadCSVClause{URL: &ast.Literal{Value: csvPath}, Var: "row"}, ev)
+			return NewLoadCSV(c, &ast.LoadCSVClause{URL: &ast.Literal{Val: value.String(csvPath)}, Var: "row"}, ev)
 		},
-		"Filter":   func(c Operator) Operator { return NewFilter(c, &ast.Literal{Value: true}, ev) },
+		"Filter":   func(c Operator) Operator { return NewFilter(c, &ast.Literal{Val: value.Bool(true)}, ev) },
 		"Project":  func(c Operator) Operator { return NewProject(c, items, []string{"x"}, ev) },
 		"Distinct": func(c Operator) Operator { return NewDistinct(c) },
 		"Skip":     func(c Operator) Operator { return NewSkip(c, intLit(1), ev) },
