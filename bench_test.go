@@ -29,6 +29,8 @@
 //	B21 expression-heavy pipelines: constant folding and purity-aware pushdown
 //	B22 embedded point read: the fixed per-statement cost of an indexed one-row MATCH
 //	B23 hop-bound aggregates: single hops over typed adjacency on a mixed-type graph
+//	B24 ad-hoc point reads: inlined literals served by a template, or parsed and planned cold
+//	B25 bulk update cycle: MERGE ALL then MATCH … DETACH DELETE over a Zipf-keyed driving table
 package repro_test
 
 import (
@@ -1028,5 +1030,50 @@ func TestBenchWorkloadsAreValid(t *testing.T) {
 			t.Fatalf("duplicate collapsed node %s", key)
 		}
 		seen[key] = true
+	}
+}
+
+// BenchmarkB25UpdateCycle times one Example-5-shaped bulk cycle in the
+// revised dialect: MERGE ALL imports a 1 000-row driving table of
+// (uid, pid, ts) rows, uid Zipf-repeated over 15 000 keys, ~20 %
+// duplicate rows and ~5 % null pid, and a MATCH … DETACH DELETE keyed
+// on the same table removes everything the import created, so every
+// iteration starts from the same empty, indexed graph. A repeated uid
+// matches every Visitor of its key, so the delete's driving table grows
+// to tens of thousands of rows of five columns, of which DELETE reads
+// two: the update barrier's intake and the clause's per-cell work
+// dominate.
+func BenchmarkB25UpdateCycle(b *testing.B) {
+	const rows, keys = 1000, 15000
+	rng := rand.New(rand.NewSource(25))
+	zipf := rand.NewZipf(rng, 1.1, 1, keys-1)
+	t0 := table.New("uid", "pid", "ts")
+	for i := 0; i < rows; i++ {
+		if i > 0 && rng.Float64() < 0.2 {
+			t0.AppendRow(t0.Values(rng.Intn(i))...)
+			continue
+		}
+		var pid value.Value = value.NullValue
+		if rng.Float64() >= 0.05 {
+			pid = value.Int(rng.Int63n(keys))
+		}
+		t0.AppendRow(value.Int(int64(zipf.Uint64())), pid, value.Int(1))
+	}
+	g := graph.New()
+	g.CreateIndex("Visitor", "id")
+	g.CreateIndex("Page", "id")
+	cfg := core.Config{Dialect: core.DialectRevised}
+	const (
+		mergeQ  = `MERGE ALL (:Visitor{id:uid,batch:ts})-[:VIEWED]->(:Page{id:pid})`
+		deleteQ = `MATCH (v:Visitor{id:uid,batch:ts})-[:VIEWED]->(p:Page) DETACH DELETE v, p`
+	)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merged := execBench(b, cfg, g, mergeQ, t0)
+		deleted := execBench(b, cfg, g, deleteQ, t0)
+		if merged.Stats.NodesCreated != 2*rows || deleted.Stats.NodesDeleted != 2*rows || g.NumNodes() != 0 {
+			b.Fatalf("created %d nodes, deleted %d, %d left", merged.Stats.NodesCreated, deleted.Stats.NodesDeleted, g.NumNodes())
+		}
 	}
 }

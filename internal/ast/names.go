@@ -162,3 +162,113 @@ func (ns Names) set(field *int, name string) {
 		*field = s
 	}
 }
+
+// Reads adds to reads every name clauses cs may read from the table
+// they are handed: the free variables of their expressions (see
+// Variables), ORDER BY, SKIP and LIMIT included, their pattern
+// variables, the variables their SET and REMOVE items name, the
+// variable UNWIND, LOAD CSV or FOREACH declares (declaring a name the
+// table binds is an error) and, in turn, the names of FOREACH bodies.
+// It over-approximates: a name still counts after a projection has
+// dropped its column. It reports false if a clause projects * (WITH *
+// or RETURN *), which reads every column in scope.
+func Reads(cs []Clause, reads map[string]bool) bool {
+	name := func(n string) {
+		if n != "" {
+			reads[n] = true
+		}
+	}
+	exprs := func(es ...Expr) {
+		for _, e := range es {
+			for _, v := range Variables(e) {
+				reads[v] = true
+			}
+		}
+	}
+	pattern := func(parts []*PatternPart) {
+		for _, part := range parts {
+			name(part.Var)
+			for _, np := range part.Nodes {
+				name(np.Var)
+				exprs(np.Props)
+			}
+			for _, rp := range part.Rels {
+				name(rp.Var)
+				exprs(rp.Props)
+			}
+		}
+	}
+	projection := func(p *Projection) bool {
+		for _, it := range p.Items {
+			exprs(it.Expr)
+		}
+		for _, s := range p.OrderBy {
+			exprs(s.Expr)
+		}
+		exprs(p.Skip, p.Limit)
+		return !p.Star
+	}
+	setItems := func(items []SetItem) {
+		for _, item := range items {
+			switch it := item.(type) {
+			case *SetProp:
+				exprs(it.Target, it.Value)
+			case *SetAllProps:
+				name(it.Var)
+				exprs(it.Value)
+			case *SetLabels:
+				name(it.Var)
+			}
+		}
+	}
+	for _, c := range cs {
+		switch cl := c.(type) {
+		case *MatchClause:
+			pattern(cl.Pattern)
+			exprs(cl.Where)
+		case *UnwindClause:
+			exprs(cl.Expr)
+			name(cl.Var)
+		case *LoadCSVClause:
+			exprs(cl.URL)
+			name(cl.Var)
+		case *WithClause:
+			exprs(cl.Where)
+			if !projection(&cl.Projection) {
+				return false
+			}
+		case *ReturnClause:
+			if !projection(&cl.Projection) {
+				return false
+			}
+		case *CreateClause:
+			pattern(cl.Pattern)
+		case *MergeClause:
+			pattern(cl.Pattern)
+			setItems(cl.OnCreate)
+			setItems(cl.OnMatch)
+		case *SetClause:
+			setItems(cl.Items)
+		case *RemoveClause:
+			for _, item := range cl.Items {
+				switch it := item.(type) {
+				case *RemoveProp:
+					exprs(it.Target)
+				case *RemoveLabels:
+					name(it.Var)
+				}
+			}
+		case *DeleteClause:
+			exprs(cl.Exprs...)
+		case *ForeachClause:
+			name(cl.Var)
+			exprs(cl.List)
+			if !Reads(cl.Body, reads) {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}

@@ -514,9 +514,10 @@ func (x *executor) matcherFor(ev *expr.Evaluator, parts []*ast.PatternPart, boun
 // clause applies one update clause to a driving batch — the
 // [[C]](G, T) of the paper, with the graph mutated in place — and
 // returns the clause's output batch over cols (see plan.WriteColumns).
-// It is the plan's Write hook, and FOREACH applies its body clauses
-// through it. SET, REMOVE, DELETE and FOREACH return in itself.
-func (x *executor) clause(c ast.Clause, in *plan.Batch, cols []string) (*plan.Batch, error) {
+// live names the columns of in that a later clause reads. It is the
+// plan's Write hook, and FOREACH applies its body clauses through it.
+// SET, REMOVE, DELETE and FOREACH return in itself.
+func (x *executor) clause(c ast.Clause, in *plan.Batch, cols, live []string) (*plan.Batch, error) {
 	legacy := x.cfg.Dialect == DialectCypher9
 	var err error
 	switch cl := c.(type) {
@@ -540,7 +541,7 @@ func (x *executor) clause(c ast.Clause, in *plan.Batch, cols []string) (*plan.Ba
 		if legacy {
 			err = x.execDeleteLegacy(cl, in)
 		} else {
-			err = x.execDeleteRevised(cl, in)
+			err = x.execDeleteRevised(cl, in, live)
 		}
 	case *ast.ForeachClause:
 		err = x.execForeach(cl, in)

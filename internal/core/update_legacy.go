@@ -364,7 +364,7 @@ func (x *executor) execForeach(cl *ast.ForeachClause, in *plan.Batch) error {
 	}
 	var err error
 	for _, body := range cl.Body {
-		if cur, err = x.clause(body, cur, plan.WriteColumns(body, cur.Columns())); err != nil {
+		if cur, err = x.clause(body, cur, plan.WriteColumns(body, cur.Columns()), cur.Columns()); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/graph"
@@ -204,8 +205,10 @@ func (x *executor) execRemoveRevised(cl *ast.RemoveClause, in *plan.Batch) error
 // entities to delete are collected first; DETACH expands to attached
 // relationships; plain DELETE errors if a dangling relationship would
 // remain; everything is removed in one step, and every reference to a
-// deleted entity in the driving batch is replaced by null, in place.
-func (x *executor) execDeleteRevised(cl *ast.DeleteClause, in *plan.Batch) error {
+// deleted entity in the driving batch's live columns, those a later
+// clause reads, is replaced by null, in place. The other columns are
+// left as they are: nothing reads them again.
+func (x *executor) execDeleteRevised(cl *ast.DeleteClause, in *plan.Batch, live []string) error {
 	ds := graph.NewDeleteSet()
 	row, slots := x.rowOver(in.Columns())
 	for i := 0; i < in.Len(); i++ {
@@ -233,7 +236,10 @@ func (x *executor) execDeleteRevised(cl *ast.DeleteClause, in *plan.Batch) error
 	x.stats.NodesDeleted += nodesBefore - x.graph.NumNodes()
 	x.stats.RelsDeleted += relsBefore - x.graph.NumRels()
 
-	for j := range in.Columns() {
+	for j, c := range in.Columns() {
+		if !slices.Contains(live, c) {
+			continue
+		}
 		col := in.Column(j)
 		for i, v := range col {
 			col[i] = nullDeleted(v, ds)

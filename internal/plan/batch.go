@@ -19,7 +19,10 @@ const BatchTarget = 256
 // variable reads exactly like a null table cell. A batch is produced by
 // one operator and owned by its consumer; it is never reused after
 // being handed off. A batch whose row count is unknown when it is
-// started begins small (see demandCap) and grows by append. Driving
+// started begins small (see demandCap) and grows by append; the update
+// barrier, which holds its input's batches before it copies them,
+// builds its driving batch at its final size instead (concatBatches),
+// with only the columns its clause or a later clause reads. Driving
 // tables and statement results store their rows in the same layout
 // (see package table), so a scan emits views of its table's columns
 // and Collect adopts its batches' columns.
@@ -107,13 +110,26 @@ func (b *Batch) appendRowFrom(src *Batch, i int) {
 	b.n++
 }
 
-// appendBatch appends all rows of src, a batch over the same columns,
-// copying its values into b's own column slices.
-func (b *Batch) appendBatch(src *Batch) {
-	for j := range b.vals {
-		b.vals[j] = append(b.vals[j], src.vals[j][:src.n]...)
+// concatBatches copies the rows of parts, in order, into one batch over
+// cols that owns its storage: column j takes the parts' column take[j].
+// Every column is cut, at exactly the rows' total, from one fresh
+// array, and capped so that an append to one cannot write the next.
+func concatBatches(parts []*Batch, cols []string, take []int) *Batch {
+	n := 0
+	for _, p := range parts {
+		n += p.n
 	}
-	b.n += src.n
+	out := &Batch{cols: cols, vals: make([][]value.Value, len(take)), n: n}
+	cells := make([]value.Value, n*len(take))
+	for j, c := range take {
+		col := cells[j*n : (j+1)*n : (j+1)*n]
+		at := 0
+		for _, p := range parts {
+			at += copy(col[at:], p.vals[c][:p.n])
+		}
+		out.vals[j] = col
+	}
+	return out
 }
 
 // slice returns a view of rows [from, to) sharing column storage. The

@@ -32,7 +32,10 @@ type Builder struct {
 	// over cols, the output columns planned by WriteColumns (the
 	// [[C]](G, T) of the paper, with the graph mutated in place). A
 	// clause that adds no column may return in itself, written or not.
-	Write func(c ast.Clause, in *Batch, cols []string) (*Batch, error)
+	// live names the columns of in that a later clause reads: only their
+	// cells need hold the clause's output values (revised DELETE nulls
+	// deleted references in those alone).
+	Write func(c ast.Clause, in *Batch, cols, live []string) (*Batch, error)
 	// MemoryBudget caps the accounted bytes the statement's barriers
 	// (Sort, Aggregate, Distinct) may hold in memory before spilling to
 	// temp files. Zero or negative means unlimited (no accounting).
@@ -178,7 +181,7 @@ func (b *Builder) BuildQuery(clauses []ast.Clause, src Operator) (Operator, erro
 	cur := src
 	seg := b.newSegment(src)
 	returned := false
-	for _, c := range clauses {
+	for i, c := range clauses {
 		var err error
 		switch cl := c.(type) {
 		case *ast.MatchClause:
@@ -229,7 +232,7 @@ func (b *Builder) BuildQuery(clauses []ast.Clause, src Operator) (Operator, erro
 			returned = true
 		default:
 			cur = b.endSeg(seg, cur)
-			cur, err = b.buildWrite(cur, c)
+			cur, err = b.buildWrite(cur, c, clauses[i+1:])
 		}
 		if err != nil {
 			return nil, err
@@ -274,8 +277,11 @@ func (b *Builder) anchorSegSource(op *Match, newVars []string) *anchorSource {
 }
 
 // buildWrite wraps an update clause in an Apply barrier over the
-// clause's planned output columns (see WriteColumns).
-func (b *Builder) buildWrite(child Operator, c ast.Clause) (Operator, error) {
+// clause's planned output columns (see WriteColumns). The barrier's
+// driving batch keeps the child columns that c or the rest of the query
+// may read (see ast.Reads); a projection of * keeps them all. A dropped
+// column is one that nothing reads, so its absence cannot be observed.
+func (b *Builder) buildWrite(child Operator, c ast.Clause, rest []ast.Clause) (Operator, error) {
 	if b.Write == nil {
 		return nil, fmt.Errorf("unsupported clause %T", c)
 	}
@@ -297,9 +303,20 @@ func (b *Builder) buildWrite(child Operator, c ast.Clause) (Operator, error) {
 	case *ast.ForeachClause:
 		label = "FOREACH"
 	}
-	cols := WriteColumns(c, child.Columns())
-	fn := func(in *Batch) (*Batch, error) { return b.Write(c, in, cols) }
-	return NewApply(child, label, cols, fn), nil
+	in, live := child.Columns(), child.Columns()
+	if reads := map[string]bool{}; ast.Reads(rest, reads) {
+		live = readColumns(live, reads)
+		ast.Reads([]ast.Clause{c}, reads)
+		in = readColumns(in, reads)
+	}
+	cols := WriteColumns(c, in)
+	fn := func(in *Batch) (*Batch, error) { return b.Write(c, in, cols, live) }
+	return NewApply(child, label, in, cols, fn), nil
+}
+
+// readColumns returns the columns of cols that reads holds, in order.
+func readColumns(cols []string, reads map[string]bool) []string {
+	return slices.DeleteFunc(slices.Clone(cols), func(c string) bool { return !reads[c] })
 }
 
 // WriteColumns is the output column set of update clause c over a

@@ -590,14 +590,19 @@ func (o *Aggregate) Name() string {
 // (Section 4, Example 3) and the revised dialect's two-phase ChangeSet
 // semantics under the streaming executor.
 //
-// The driving batch's column slices are the barrier's own: values are
-// appended into fresh slices, never into a producer's, so the clause
-// function may write its cells (revised DELETE nulls deleted
-// references in place) without touching an upstream batch or the
-// statement's initial table.
+// The barrier holds the child's batches until the child is exhausted
+// and then copies them once, at their total size, into column slices
+// of its own, so the clause function may write their cells (revised
+// DELETE nulls deleted references in place) without touching an
+// upstream batch or the statement's initial table. It copies only the
+// child columns the builder names (see Builder.BuildQuery): those the
+// clause or a later clause reads. A column nothing reads again is
+// dropped here, so neither the copy nor the clause pays for it.
 type Apply struct {
 	base
 	label string
+	in    []string // the driving batch's columns
+	take  []int    // the child column of each of in
 	fn    func(*Batch) (*Batch, error)
 
 	out    *Batch
@@ -605,11 +610,16 @@ type Apply struct {
 	done   bool
 }
 
-// NewApply builds an update barrier over child. cols is the clause's
-// output column set (see WriteColumns); fn returns its output batch
-// over exactly those columns.
-func NewApply(child Operator, label string, cols []string, fn func(*Batch) (*Batch, error)) *Apply {
-	return &Apply{base: base{child: child, cols: cols}, label: label, fn: fn}
+// NewApply builds an update barrier over child. in lists the child
+// columns the driving batch keeps, in the child's order; cols is the
+// clause's output column set (see WriteColumns); fn returns its output
+// batch over exactly those columns.
+func NewApply(child Operator, label string, in, cols []string, fn func(*Batch) (*Batch, error)) *Apply {
+	take := make([]int, len(in))
+	for j, c := range in {
+		take[j] = slices.Index(child.Columns(), c)
+	}
+	return &Apply{base: base{child: child, cols: cols}, label: label, in: in, take: take, fn: fn}
 }
 
 // fill drains the child into the driving batch and applies the update
@@ -618,7 +628,7 @@ func (o *Apply) fill() error {
 	if o.done {
 		return nil
 	}
-	in := NewBatch(o.child.Columns(), 0)
+	var parts []*Batch
 	for {
 		b, ok, err := o.child.NextBatch(BatchTarget)
 		if err != nil {
@@ -627,9 +637,9 @@ func (o *Apply) fill() error {
 		if !ok {
 			break
 		}
-		in.appendBatch(b)
+		parts = append(parts, b)
 	}
-	out, err := o.fn(in)
+	out, err := o.fn(concatBatches(parts, o.in, o.take))
 	if err != nil {
 		return err
 	}

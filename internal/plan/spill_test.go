@@ -472,7 +472,7 @@ func TestOperatorClosesChildOnce(t *testing.T) {
 			return NewAggregate(c, []Item{{Expr: &ast.FuncCall{Name: "count", Star: true}, Alias: "n"}}, []string{"n"}, ev)
 		},
 		"Update": func(c Operator) Operator {
-			return NewApply(c, "SET", []string{"x"}, func(in *Batch) (*Batch, error) { return in, nil })
+			return NewApply(c, "SET", []string{"x"}, []string{"x"}, func(in *Batch) (*Batch, error) { return in, nil })
 		},
 		"Discard": func(c Operator) Operator { return NewDiscard(c) },
 	}
