@@ -81,11 +81,14 @@ par:
 # invariance; a failure prints its seed and statement), the statement-
 # boundary invariant checked against the whole-graph Validate over the
 # same statements, and the golden sweeps that hold the pinned answers of
-# the deleted materializing interpreter. Three tests specify the update
+# the deleted materializing interpreter. Four tests specify the update
 # barrier, which hands its clause function a batch of its own that the
 # clause may write in place: the caller's driving table must come out
-# untouched, and the reported update stats (MERGE's, and SET's and
-# REMOVE's by kind in both dialects) must be the graph's actual deltas.
+# untouched, the reported update stats (MERGE's, and SET's and
+# REMOVE's by kind in both dialects) must be the graph's actual deltas,
+# and the columns the barrier drops because nothing reads them again
+# (and the deleted references revised DELETE leaves in them) must not
+# show in any answer.
 # Three more specify preparing a statement once (its dialect verdict
 # and folded constants are worked out with the statement's text and
 # reused by every execution): folded items keep their column names,

@@ -43,232 +43,159 @@ func (ns Names) Slots(cols []string) []int {
 // member and FOREACH body.
 func (ns Names) Resolve(stmt *Statement, onPattern func([]*PatternPart)) {
 	for _, q := range stmt.Queries {
-		ns.clauses(q.Clauses, onPattern)
-	}
-}
-
-func (ns Names) clauses(cs []Clause, onPattern func([]*PatternPart)) {
-	for _, c := range cs {
-		switch cl := c.(type) {
-		case *MatchClause:
-			ns.Pattern(cl.Pattern)
-			ns.Expr(cl.Where)
-			onPattern(cl.Pattern)
-		case *UnwindClause:
-			ns.Expr(cl.Expr)
-			ns.Slot(cl.Var)
-		case *LoadCSVClause:
-			ns.Expr(cl.URL)
-			ns.Slot(cl.Var)
-		case *WithClause:
-			ns.projection(&cl.Projection)
-			ns.Expr(cl.Where)
-		case *ReturnClause:
-			ns.projection(&cl.Projection)
-		case *CreateClause:
-			ns.Pattern(cl.Pattern)
-		case *MergeClause:
-			ns.Pattern(cl.Pattern)
-			ns.setItems(append(cl.OnCreate[:len(cl.OnCreate):len(cl.OnCreate)], cl.OnMatch...))
-			onPattern(cl.Pattern)
-		case *SetClause:
-			ns.setItems(cl.Items)
-		case *RemoveClause:
-			for _, item := range cl.Items {
-				switch it := item.(type) {
-				case *RemoveProp:
-					ns.Expr(it.Target)
-				case *RemoveLabels:
-					ns.set(&it.Slot, it.Var)
-				}
-			}
-		case *DeleteClause:
-			ns.Expr(cl.Exprs...)
-		case *ForeachClause:
-			ns.Slot(cl.Var)
-			ns.Expr(cl.List)
-			ns.clauses(cl.Body, onPattern)
-		}
-	}
-}
-
-func (ns Names) projection(p *Projection) {
-	for _, it := range p.Items {
-		ns.Expr(it.Expr)
-		ns.Slot(it.Column())
-	}
-	for _, s := range p.OrderBy {
-		ns.Expr(s.Expr)
-	}
-	ns.Expr(p.Skip, p.Limit)
-}
-
-func (ns Names) setItems(items []SetItem) {
-	for _, item := range items {
-		switch it := item.(type) {
-		case *SetProp:
-			ns.Expr(it.Target, it.Value)
-		case *SetAllProps:
-			ns.set(&it.Slot, it.Var)
-			ns.Expr(it.Value)
-		case *SetLabels:
-			ns.set(&it.Slot, it.Var)
-		}
+		ns.namer().clauses(q.Clauses, onPattern)
 	}
 }
 
 // Pattern resolves a pattern tuple's variables and property maps.
-func (ns Names) Pattern(parts []*PatternPart) {
-	for _, part := range parts {
-		ns.set(&part.Slot, part.Var)
-		for _, np := range part.Nodes {
-			ns.set(&np.Slot, np.Var)
-			ns.Expr(np.Props)
-		}
-		for _, rp := range part.Rels {
-			ns.set(&rp.Slot, rp.Var)
-			ns.Expr(rp.Props)
-		}
-	}
-}
+func (ns Names) Pattern(parts []*PatternPart) { ns.namer().pattern(parts) }
 
 // Expr resolves the variables and binders of expressions.
-func (ns Names) Expr(es ...Expr) {
-	for _, e := range es {
-		Walk(e, func(x Expr) bool {
-			switch y := x.(type) {
-			case *Variable:
-				ns.set(&y.Slot, y.Name)
-			case *ListComprehension:
-				ns.set(&y.Slot, y.Var)
-			case *Quantifier:
-				ns.set(&y.Slot, y.Var)
-			case *Reduce:
-				ns.set(&y.AccSlot, y.Acc)
-				ns.set(&y.Slot, y.Var)
-			}
-			return true
-		})
+func (ns Names) Expr(es ...Expr) { ns.namer().expr(es...) }
+
+// namer numbers each name and writes its slot into field, if any.
+func (ns Names) namer() namer {
+	return func(field *int, name string) {
+		if name == "" {
+			return
+		}
+		if s := ns.Slot(name); field != nil && *field != s {
+			*field = s
+		}
 	}
 }
 
-// set writes name's slot into field; an anonymous pattern element (no
-// name) has none.
-func (ns Names) set(field *int, name string) {
-	if name == "" {
-		return
-	}
-	if s := ns.Slot(name); *field != s {
-		*field = s
-	}
-}
-
-// Reads adds to reads every name clauses cs may read from the table
-// they are handed: the free variables of their expressions (see
-// Variables), ORDER BY, SKIP and LIMIT included, their pattern
-// variables, the variables their SET and REMOVE items name, the
-// variable UNWIND, LOAD CSV or FOREACH declares (declaring a name the
-// table binds is an error) and, in turn, the names of FOREACH bodies.
-// It over-approximates: a name still counts after a projection has
-// dropped its column. It reports false if a clause projects * (WITH *
-// or RETURN *), which reads every column in scope.
+// Reads adds to reads every name clauses cs mention, which is every
+// name they may read from the table they are handed and more: the walk
+// is Resolve's, so a binder, an alias, and a name mentioned after a
+// projection dropped its column count too. It reports false if a
+// clause projects * (WITH * or RETURN *), which reads every column in
+// scope.
 func Reads(cs []Clause, reads map[string]bool) bool {
-	name := func(n string) {
-		if n != "" {
-			reads[n] = true
-		}
-	}
-	exprs := func(es ...Expr) {
-		for _, e := range es {
-			for _, v := range Variables(e) {
-				reads[v] = true
-			}
-		}
-	}
-	pattern := func(parts []*PatternPart) {
-		for _, part := range parts {
-			name(part.Var)
-			for _, np := range part.Nodes {
-				name(np.Var)
-				exprs(np.Props)
-			}
-			for _, rp := range part.Rels {
-				name(rp.Var)
-				exprs(rp.Props)
-			}
-		}
-	}
-	projection := func(p *Projection) bool {
-		for _, it := range p.Items {
-			exprs(it.Expr)
-		}
-		for _, s := range p.OrderBy {
-			exprs(s.Expr)
-		}
-		exprs(p.Skip, p.Limit)
-		return !p.Star
-	}
-	setItems := func(items []SetItem) {
-		for _, item := range items {
-			switch it := item.(type) {
-			case *SetProp:
-				exprs(it.Target, it.Value)
-			case *SetAllProps:
-				name(it.Var)
-				exprs(it.Value)
-			case *SetLabels:
-				name(it.Var)
-			}
-		}
-	}
 	for _, c := range cs {
 		switch cl := c.(type) {
-		case *MatchClause:
-			pattern(cl.Pattern)
-			exprs(cl.Where)
-		case *UnwindClause:
-			exprs(cl.Expr)
-			name(cl.Var)
-		case *LoadCSVClause:
-			exprs(cl.URL)
-			name(cl.Var)
 		case *WithClause:
-			exprs(cl.Where)
-			if !projection(&cl.Projection) {
+			if cl.Star {
 				return false
 			}
 		case *ReturnClause:
-			if !projection(&cl.Projection) {
+			if cl.Star {
 				return false
 			}
+		}
+	}
+	namer(func(_ *int, name string) {
+		if name != "" {
+			reads[name] = true
+		}
+	}).clauses(cs, func([]*PatternPart) {})
+	return true
+}
+
+// namer receives each name a walk over clauses meets, with the node
+// field that holds the name's slot (nil for a name no node carries the
+// slot of); an anonymous pattern element meets the empty name.
+type namer func(field *int, name string)
+
+func (n namer) clauses(cs []Clause, onPattern func([]*PatternPart)) {
+	for _, c := range cs {
+		switch cl := c.(type) {
+		case *MatchClause:
+			n.pattern(cl.Pattern)
+			n.expr(cl.Where)
+			onPattern(cl.Pattern)
+		case *UnwindClause:
+			n.expr(cl.Expr)
+			n(nil, cl.Var)
+		case *LoadCSVClause:
+			n.expr(cl.URL)
+			n(nil, cl.Var)
+		case *WithClause:
+			n.projection(&cl.Projection)
+			n.expr(cl.Where)
+		case *ReturnClause:
+			n.projection(&cl.Projection)
 		case *CreateClause:
-			pattern(cl.Pattern)
+			n.pattern(cl.Pattern)
 		case *MergeClause:
-			pattern(cl.Pattern)
-			setItems(cl.OnCreate)
-			setItems(cl.OnMatch)
+			n.pattern(cl.Pattern)
+			n.setItems(append(cl.OnCreate[:len(cl.OnCreate):len(cl.OnCreate)], cl.OnMatch...))
+			onPattern(cl.Pattern)
 		case *SetClause:
-			setItems(cl.Items)
+			n.setItems(cl.Items)
 		case *RemoveClause:
 			for _, item := range cl.Items {
 				switch it := item.(type) {
 				case *RemoveProp:
-					exprs(it.Target)
+					n.expr(it.Target)
 				case *RemoveLabels:
-					name(it.Var)
+					n(&it.Slot, it.Var)
 				}
 			}
 		case *DeleteClause:
-			exprs(cl.Exprs...)
+			n.expr(cl.Exprs...)
 		case *ForeachClause:
-			name(cl.Var)
-			exprs(cl.List)
-			if !Reads(cl.Body, reads) {
-				return false
-			}
-		default:
-			return false
+			n(nil, cl.Var)
+			n.expr(cl.List)
+			n.clauses(cl.Body, onPattern)
 		}
 	}
-	return true
+}
+
+func (n namer) projection(p *Projection) {
+	for _, it := range p.Items {
+		n.expr(it.Expr)
+		n(nil, it.Column())
+	}
+	for _, s := range p.OrderBy {
+		n.expr(s.Expr)
+	}
+	n.expr(p.Skip, p.Limit)
+}
+
+func (n namer) setItems(items []SetItem) {
+	for _, item := range items {
+		switch it := item.(type) {
+		case *SetProp:
+			n.expr(it.Target, it.Value)
+		case *SetAllProps:
+			n(&it.Slot, it.Var)
+			n.expr(it.Value)
+		case *SetLabels:
+			n(&it.Slot, it.Var)
+		}
+	}
+}
+
+func (n namer) pattern(parts []*PatternPart) {
+	for _, part := range parts {
+		n(&part.Slot, part.Var)
+		for _, np := range part.Nodes {
+			n(&np.Slot, np.Var)
+			n.expr(np.Props)
+		}
+		for _, rp := range part.Rels {
+			n(&rp.Slot, rp.Var)
+			n.expr(rp.Props)
+		}
+	}
+}
+
+func (n namer) expr(es ...Expr) {
+	for _, e := range es {
+		Walk(e, func(x Expr) bool {
+			switch y := x.(type) {
+			case *Variable:
+				n(&y.Slot, y.Name)
+			case *ListComprehension:
+				n(&y.Slot, y.Var)
+			case *Quantifier:
+				n(&y.Slot, y.Var)
+			case *Reduce:
+				n(&y.AccSlot, y.Acc)
+				n(&y.Slot, y.Var)
+			}
+			return true
+		})
+	}
 }
